@@ -1,153 +1,162 @@
 //! Per-primitive **crypto kernel** microbench: MB/s for the sealed-data
-//! hot path's software kernels, old arm (the byte-serial implementations
-//! retained under mig-crypto's `reference` feature) against the new
-//! multi-block kernels shipping in production.
+//! hot path, three arms per kernel:
+//!
+//! - **reference**: the byte-serial implementations retained under
+//!   mig-crypto's `reference` feature (scalar SBOX AES, 4-bit GHASH,
+//!   rolled SHA-256);
+//! - **software**: the multi-block software kernels (bitsliced AES-CTR,
+//!   8-bit Shoup GHASH with the H² pair fold, unrolled SHA-256), which
+//!   are the portable fallback, called by name whatever the build selected;
+//! - **selected**: the kernels `AesGcm` and `Sha256` run on in this build,
+//!   named by `mig_crypto::gcm::KERNEL` and `mig_crypto::sha256::KERNEL`
+//!   (AES-NI + PCLMULQDQ and SHA-NI when the build targets them, else the
+//!   software kernels again).
 //!
 //! ```sh
 //! cargo run -p mig-bench --release --bin crypto_kernels
 //! CRYPTO_KERNELS_MIB=16 cargo run -p mig-bench --release --bin crypto_kernels
 //! ```
 //!
-//! Measured pairs:
-//! - **aes_ctr**: CTR keystream XOR — scalar SBOX walk, one block per
-//!   call, vs the bitsliced kernel at `PARALLEL_BLOCKS` blocks per call
-//! - **ghash**: GHASH block absorption — Shoup 4-bit tables (32 lookups
-//!   per block) vs 8-bit tables (16 lookups) folded two blocks at a
-//!   time through the H² pair walk
-//! - **sha256**: whole-buffer digest — rolled 64-round compress vs the
-//!   unrolled rolling-schedule bulk kernel
-//! - **seal / open**: end-to-end AES-128-GCM through `AesGcm` (new
-//!   kernels) vs the same construction assembled from the reference
-//!   primitives (the pre-kernel production path)
+//! Kernels: **aes_ctr** (CTR keystream XOR), **ghash** (block
+//! absorption), **sha256** (whole-buffer digest), and **seal** / **open**
+//! (end-to-end AES-128-GCM). The reference `open` arm reruns the reference
+//! seal, which has the same primitive mix.
 //!
+//! Every arm runs once per round over the same `CRYPTO_KERNELS_MIB` MiB
+//! buffer (default 8), and the [`ROUNDS`] rounds interleave the arms, so
+//! host drift lands on all arms alike. Each arm reports the
+//! median and the minimum time over the rounds, and MB/s at the median.
 //! Results land in `BENCH_crypto.json` (override with
-//! `CRYPTO_KERNELS_JSON_PATH`); CI uploads the file as an artifact so
-//! kernel-level regressions are visible per commit without re-running
-//! the full migration throughput bench.
+//! `CRYPTO_KERNELS_JSON_PATH`) together with the selected kernel names and
+//! `host_cores`; CI uploads the file as an artifact so kernel-level
+//! regressions are visible per commit without re-running the full
+//! migration throughput bench.
 
-use mig_crypto::aes::{reference::ScalarAes128, Aes128, BLOCK_LEN, PARALLEL_BLOCKS};
-use mig_crypto::gcm::{self, reference as ghash_ref, AesGcm};
-use mig_crypto::sha256::{reference::sha256_rolled, sha256};
+use mig_crypto::aes::{reference::ScalarAes128, BLOCK_LEN};
+use mig_crypto::gcm::{self, reference as ghash_ref, AesGcm, SoftwareGcm};
+use mig_crypto::sha256::{self, reference::sha256_rolled, sha256_software};
 use std::time::Instant;
 
-/// One measured old-vs-new pair.
-struct Pair {
-    kernel: &'static str,
-    old_mb_per_s: f64,
-    new_mb_per_s: f64,
-}
+/// The three arms of every kernel, in report order.
+const ARMS: [&str; 3] = ["reference", "software", "selected"];
+/// The measured kernels, in report order.
+const KERNELS: [&str; 5] = ["aes_ctr", "ghash", "sha256", "seal", "open"];
+/// Rounds per arm.
+const ROUNDS: usize = 5;
+
+const KEY: [u8; 16] = [0x21; 16];
+const NONCE: [u8; 12] = [7; 12];
+const AAD: &[u8] = b"bench.aad";
 
 fn mb_per_s(bytes: usize, secs: f64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0) / secs
 }
 
-/// Times `f` over `data`-sized work, returning MB/s. A single pass is
-/// enough: every arm runs multiple seconds' worth of block operations
-/// at the sizes used here, so timer noise is far below the gaps being
-/// reported.
-fn timed(bytes: usize, f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    mb_per_s(bytes, start.elapsed().as_secs_f64())
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
 }
 
-fn bench_aes_ctr(data: &mut [u8]) -> Pair {
-    let key = [0x42u8; 16];
-    let bytes = data.len();
+/// Keys, tables and buffers for every arm, built once so the rounds time
+/// only the kernels.
+struct Fixture {
+    data: Vec<u8>,
+    /// The CTR arms' in-place buffer.
+    ctr_buf: Vec<u8>,
+    /// The seal arms' output buffer, reused so rounds after the first
+    /// time the kernel rather than page faults.
+    seal_buf: Vec<u8>,
+    scalar: ScalarAes128,
+    table4: [u128; 16],
+    software: SoftwareGcm,
+    selected: AesGcm,
+    sealed: Vec<u8>,
+}
 
-    // Old arm: scalar cipher, one keystream block per call.
-    let scalar = ScalarAes128::new(&key);
-    let old = timed(bytes, || {
-        let mut counter = [0u8; BLOCK_LEN];
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let ks = scalar.encrypt(&counter);
-            for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                *d ^= k;
-            }
-            let c = u32::from_be_bytes(counter[12..].try_into().expect("4 bytes"));
-            counter[12..].copy_from_slice(&c.wrapping_add(1).to_be_bytes());
+impl Fixture {
+    fn new(data: Vec<u8>) -> Self {
+        let scalar = ScalarAes128::new(&KEY);
+        let h = u128::from_be_bytes(scalar.encrypt(&[0u8; BLOCK_LEN]));
+        let selected = AesGcm::new(KEY);
+        let sealed = selected.seal(&NONCE, AAD, &data);
+        Fixture {
+            ctr_buf: data.clone(),
+            seal_buf: Vec::with_capacity(sealed.len()),
+            data,
+            scalar,
+            table4: ghash_ref::build_htable_4bit(h),
+            software: SoftwareGcm::new(KEY),
+            selected,
+            sealed,
         }
-    });
+    }
 
-    // New arm: bitsliced kernel, PARALLEL_BLOCKS keystream blocks per call.
-    let bitsliced = Aes128::new(&key);
-    let new = timed(bytes, || {
-        let mut ctr = 0u32;
-        let mut ks = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
-        for chunk in data.chunks_mut(BLOCK_LEN * PARALLEL_BLOCKS) {
-            for (j, block) in ks.iter_mut().enumerate() {
-                *block = [0u8; BLOCK_LEN];
-                block[12..].copy_from_slice(&ctr.wrapping_add(j as u32).to_be_bytes());
-            }
-            bitsliced.encrypt_blocks(&mut ks);
-            for (sub, kblock) in chunk.chunks_mut(BLOCK_LEN).zip(ks.iter()) {
-                for (d, k) in sub.iter_mut().zip(kblock.iter()) {
-                    *d ^= k;
+    /// Runs one arm of one kernel once.
+    fn run(&mut self, kernel: &str, arm: &str) {
+        let icb = [0u8; BLOCK_LEN];
+        match (kernel, arm) {
+            ("aes_ctr", "reference") => {
+                let mut counter = icb;
+                for chunk in self.ctr_buf.chunks_mut(BLOCK_LEN) {
+                    let ks = self.scalar.encrypt(&counter);
+                    for (d, k) in chunk.iter_mut().zip(ks.iter()) {
+                        *d ^= k;
+                    }
+                    let c = u32::from_be_bytes(counter[12..].try_into().expect("4 bytes"));
+                    counter[12..].copy_from_slice(&c.wrapping_add(1).to_be_bytes());
                 }
             }
-            ctr = ctr.wrapping_add(PARALLEL_BLOCKS as u32);
+            ("aes_ctr", "software") => self.software.apply_keystream(icb, &mut self.ctr_buf),
+            ("aes_ctr", _) => self.selected.apply_keystream(icb, &mut self.ctr_buf),
+            ("ghash", "reference") => {
+                let mut y = 0u128;
+                for chunk in self.data.chunks_exact(BLOCK_LEN) {
+                    let block = u128::from_be_bytes(chunk.try_into().expect("exact block"));
+                    y = ghash_ref::gf_mul_4bit(y ^ block, &self.table4);
+                }
+                std::hint::black_box(y);
+            }
+            ("ghash", "software") => {
+                std::hint::black_box(self.software.ghash(0, &self.data));
+            }
+            ("ghash", _) => {
+                std::hint::black_box(self.selected.ghash(0, &self.data));
+            }
+            ("sha256", "reference") => {
+                std::hint::black_box(sha256_rolled(&self.data));
+            }
+            ("sha256", "software") => {
+                std::hint::black_box(sha256_software(&self.data));
+            }
+            ("sha256", _) => {
+                std::hint::black_box(sha256::sha256(&self.data));
+            }
+            ("seal" | "open", "reference") => {
+                std::hint::black_box(seal_reference(KEY, &NONCE, AAD, &self.data));
+            }
+            ("seal", "software") => {
+                self.seal_buf.clear();
+                self.software
+                    .seal_into(&NONCE, AAD, &self.data, &mut self.seal_buf);
+            }
+            ("seal", _) => {
+                self.seal_buf.clear();
+                self.selected
+                    .seal_into(&NONCE, AAD, &self.data, &mut self.seal_buf);
+            }
+            ("open", "software") => {
+                let opened = self.software.open(&NONCE, AAD, &self.sealed);
+                std::hint::black_box(opened.expect("tag verifies"));
+            }
+            _ => {
+                let opened = self.selected.open(&NONCE, AAD, &self.sealed);
+                std::hint::black_box(opened.expect("tag verifies"));
+            }
         }
-    });
-
-    Pair {
-        kernel: "aes_ctr",
-        old_mb_per_s: old,
-        new_mb_per_s: new,
-    }
-}
-
-fn bench_ghash(data: &[u8]) -> Pair {
-    let h = 0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2eu128;
-    let bytes = data.len();
-
-    let table4 = ghash_ref::build_htable_4bit(h);
-    let old = timed(bytes, || {
-        let mut y = 0u128;
-        for chunk in data.chunks_exact(BLOCK_LEN) {
-            let block = u128::from_be_bytes(chunk.try_into().expect("exact block"));
-            y = ghash_ref::gf_mul_4bit(y ^ block, &table4);
-        }
-        std::hint::black_box(y);
-    });
-
-    let table8 = gcm::build_htable(h);
-    let table8_sq = gcm::build_htable(gcm::gf_mul_8bit(h, &table8));
-    let new = timed(bytes, || {
-        // The production fold: two blocks per step via the H² pair walk,
-        // single-block 8-bit multiply for any odd tail block.
-        let mut y = 0u128;
-        let mut pairs = data.chunks_exact(2 * BLOCK_LEN);
-        for pair in &mut pairs {
-            let b0 = u128::from_be_bytes(pair[..BLOCK_LEN].try_into().expect("exact block"));
-            let b1 = u128::from_be_bytes(pair[BLOCK_LEN..].try_into().expect("exact block"));
-            y = gcm::gf_mul_pair(y ^ b0, b1, &table8_sq, &table8);
-        }
-        for chunk in pairs.remainder().chunks_exact(BLOCK_LEN) {
-            let block = u128::from_be_bytes(chunk.try_into().expect("exact block"));
-            y = gcm::gf_mul_8bit(y ^ block, &table8);
-        }
-        std::hint::black_box(y);
-    });
-
-    Pair {
-        kernel: "ghash",
-        old_mb_per_s: old,
-        new_mb_per_s: new,
-    }
-}
-
-fn bench_sha256(data: &[u8]) -> Pair {
-    let bytes = data.len();
-    let old = timed(bytes, || {
-        std::hint::black_box(sha256_rolled(data));
-    });
-    let new = timed(bytes, || {
-        std::hint::black_box(sha256(data));
-    });
-    Pair {
-        kernel: "sha256",
-        old_mb_per_s: old,
-        new_mb_per_s: new,
     }
 }
 
@@ -201,94 +210,80 @@ fn seal_reference(key: [u8; 16], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8])
     out
 }
 
-fn bench_seal_open(data: &[u8]) -> (Pair, Pair) {
-    let key = [0x21u8; 16];
-    let nonce = [7u8; 12];
-    let aad = b"bench.aad";
-    let bytes = data.len();
-
-    let old_seal = timed(bytes, || {
-        std::hint::black_box(seal_reference(key, &nonce, aad, data));
-    });
-
-    let aead = AesGcm::new(key);
-    let mut sealed = Vec::new();
-    let new_seal = timed(bytes, || {
-        aead.seal_into(&nonce, aad, data, &mut sealed);
-    });
-
-    // Open = tag recompute + CTR: same primitive mix as seal, so the
-    // reference arm reuses the seal construction's cost profile.
-    let old_open = timed(bytes, || {
-        std::hint::black_box(seal_reference(key, &nonce, aad, data));
-    });
-    let new_open = timed(bytes, || {
-        std::hint::black_box(aead.open(&nonce, aad, &sealed).expect("tag verifies"));
-    });
-
-    (
-        Pair {
-            kernel: "seal",
-            old_mb_per_s: old_seal,
-            new_mb_per_s: new_seal,
-        },
-        Pair {
-            kernel: "open",
-            old_mb_per_s: old_open,
-            new_mb_per_s: new_open,
-        },
-    )
-}
-
 fn main() {
     let mib: usize = std::env::var("CRYPTO_KERNELS_MIB")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut data = vec![0u8; mib * 1024 * 1024];
     for (i, b) in data.iter_mut().enumerate() {
         *b = (i % 251) as u8;
     }
+    let bytes = data.len();
+    let mut fixture = Fixture::new(data);
 
-    println!("=== Software crypto kernels ({mib} MiB per arm) ===\n");
-    let mut pairs = vec![
-        bench_aes_ctr(&mut data.clone()),
-        bench_ghash(&data),
-        bench_sha256(&data),
-    ];
-    let (seal, open) = bench_seal_open(&data);
-    pairs.push(seal);
-    pairs.push(open);
-
-    for p in &pairs {
-        println!(
-            "{:<8} {:>8.2} -> {:>8.2} MB/s  ({:.1}x)",
-            p.kernel,
-            p.old_mb_per_s,
-            p.new_mb_per_s,
-            p.new_mb_per_s / p.old_mb_per_s
-        );
+    println!(
+        "=== Crypto kernels ({mib} MiB per arm, {ROUNDS} rounds, {host_cores} cores; \
+         selected: gcm {}, sha256 {}) ===\n",
+        gcm::KERNEL,
+        sha256::KERNEL
+    );
+    // secs[kernel][arm][round]
+    let mut secs = vec![vec![Vec::with_capacity(ROUNDS); ARMS.len()]; KERNELS.len()];
+    for _ in 0..ROUNDS {
+        for (k, kernel) in KERNELS.iter().enumerate() {
+            for (a, arm) in ARMS.iter().enumerate() {
+                let start = Instant::now();
+                fixture.run(kernel, arm);
+                secs[k][a].push(start.elapsed().as_secs_f64());
+            }
+        }
     }
 
-    let arms: Vec<String> = pairs
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "    {{\"kernel\": \"{}\", \"old_mb_per_s\": {:.2}, ",
-                    "\"new_mb_per_s\": {:.2}, \"speedup\": {:.2}}}"
-                ),
-                p.kernel,
-                p.old_mb_per_s,
-                p.new_mb_per_s,
-                p.new_mb_per_s / p.old_mb_per_s
-            )
-        })
-        .collect();
+    println!(
+        "{:<8} {:>22} {:>22} {:>22}",
+        "kernel", "reference MB/s", "software MB/s", "selected MB/s"
+    );
+    let mut rows = Vec::new();
+    for (kernel, per_arm) in KERNELS.iter().zip(secs.iter_mut()) {
+        let mut line = format!("{kernel:<8}");
+        let mut arms = Vec::new();
+        for (arm, samples) in ARMS.iter().zip(per_arm.iter_mut()) {
+            samples.sort_by(f64::total_cmp);
+            let (med, min) = (median(samples), samples[0]);
+            let rate = mb_per_s(bytes, med);
+            line.push_str(&format!(
+                " {:>13.1} (best {:>5.0})",
+                rate,
+                mb_per_s(bytes, min)
+            ));
+            arms.push(format!(
+                "\"{arm}\": {{\"median_ms\": {:.3}, \"min_ms\": {:.3}, \"mb_per_s\": {:.1}}}",
+                med * 1e3,
+                min * 1e3,
+                rate
+            ));
+        }
+        println!("{line}");
+        rows.push(format!(
+            "    {{\"kernel\": \"{kernel}\", {}}}",
+            arms.join(", ")
+        ));
+    }
+
     let json = format!(
-        "{{\n  \"bench\": \"crypto_kernels\",\n  \"mib\": {},\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        concat!(
+            "{{\n  \"bench\": \"crypto_kernels\",\n  \"mib\": {},\n  \"rounds\": {},\n",
+            "  \"host_cores\": {},\n  \"selected\": {{\"gcm\": \"{}\", \"sha256\": \"{}\"}},\n",
+            "  \"kernels\": [\n{}\n  ]\n}}\n"
+        ),
         mib,
-        arms.join(",\n")
+        ROUNDS,
+        host_cores,
+        gcm::KERNEL,
+        sha256::KERNEL,
+        rows.join(",\n")
     );
     let path = std::env::var("CRYPTO_KERNELS_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_crypto.json".to_string());

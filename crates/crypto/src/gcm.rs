@@ -6,24 +6,35 @@
 //! SGX SDK (the paper, §II-A4, notes SGX sealing uses AES-GCM). Validated
 //! against the original McGrew–Viega GCM specification test cases.
 //!
-//! # Kernel design
+//! # Kernels
 //!
-//! Both halves of GCM run as multi-block kernels. The CTR keystream is
-//! generated `PARALLEL_BLOCKS` counter blocks at a time through the bitsliced AES
-//! kernel ([`Aes128::encrypt_blocks`]), so the per-call fixed cost of the
-//! bitslice transform is amortized over 128 bytes of keystream. GHASH
-//! uses Shoup's 8-bit table method: a 4 KiB per-key table (`htable[b]` =
-//! byte-polynomial `b` times `H`) plus a shared key-independent 4 KiB
-//! reduction table, bringing a block multiply down to 16 table lookups —
-//! half the lookups of the 4-bit method it replaces (which survives in
-//! [`reference`] as an oracle, alongside the bit-serial multiply).
-//! Blocks are absorbed two at a time via a second table for `H²`:
-//! `y·H² ⊕ x·H` runs as two *independent* Shoup walks whose table-load
-//! latencies overlap in the out-of-order core, where the naive
-//! block-at-a-time fold is one long serial dependency chain
-//! ([`gf_mul_pair`]). [`AesGcm::seal_into`] writes `ciphertext || tag`
-//! straight into a caller-provided buffer so batched seals never
-//! reallocate.
+//! [`AesGcm`] runs on one of two kernel sets, chosen at compile time by
+//! `cfg(target_feature)` and named by [`KERNEL`]:
+//!
+//! * **Hardware** (`crate::hw::gcm`), when the build targets `aes`,
+//!   `pclmulqdq`, `ssse3` and `sse4.1` on `x86_64`: AES-NI CTR eight
+//!   blocks per step, and PCLMULQDQ GHASH folding four blocks per
+//!   reduction through H, H², H³ and H⁴.
+//! * **Software** ([`SoftwareGcm`]) on every other build. The CTR
+//!   keystream is generated `PARALLEL_BLOCKS` counter blocks at a time
+//!   through the bitsliced AES kernel ([`Aes128::encrypt_blocks`]). GHASH
+//!   uses Shoup's 8-bit table method: a 4 KiB per-key table (`htable[b]`
+//!   = byte-polynomial `b` times `H`) plus a shared key-independent 4 KiB
+//!   reduction table, so a block multiply costs 16 table lookups — half
+//!   the lookups of the 4-bit method it replaced (which survives in
+//!   [`reference`](mod@reference) as an oracle, alongside the
+//!   bit-serial multiply).
+//!   Blocks are absorbed two at a time via a second table for `H²`:
+//!   `y·H² ⊕ x·H` runs as two *independent* Shoup walks whose table-load
+//!   latencies overlap in the out-of-order core ([`gf_mul_pair`]). The
+//!   table walks index the per-key tables with bytes of `y ⊕ block`, so
+//!   their memory accesses depend on key and data.
+//!
+//! [`SoftwareGcm`] stays public in every build: it is the portable
+//! fallback, and the oracle the hardware kernels are pinned to. Both
+//! produce the same bytes. [`AesGcm::seal_into`] writes
+//! `ciphertext || tag` straight into a caller-provided buffer so batched
+//! seals never reallocate.
 
 use crate::aes::{Aes128, BLOCK_LEN, KEY_LEN, PARALLEL_BLOCKS};
 use crate::ct::ct_eq;
@@ -34,7 +45,53 @@ pub const NONCE_LEN: usize = 12;
 /// Authentication-tag size: the full 128 bits.
 pub const TAG_LEN: usize = 16;
 
-/// An AES-128-GCM cipher instance with a fixed key.
+/// What GCM needs from a kernel set: the block cipher, the CTR
+/// keystream and the GHASH fold.
+pub(crate) trait GcmKernel {
+    /// Expands `key` into the kernel's key state.
+    fn new(key: &[u8; KEY_LEN]) -> Self
+    where
+        Self: Sized;
+    /// `E(K, block)`.
+    fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN];
+    /// XORs the CTR keystream starting at counter block `icb` into
+    /// `data`, incrementing the low 32 bits mod 2^32 per block.
+    fn ctr(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]);
+    /// Absorbs `data`, zero-padded to whole blocks, into the GHASH state
+    /// `y` (a block's `u128::from_be_bytes` image).
+    fn ghash(&self, y: u128, data: &[u8]) -> u128;
+}
+
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "aes",
+    target_feature = "pclmulqdq",
+    target_feature = "ssse3",
+    target_feature = "sse4.1"
+))]
+mod selected {
+    pub(super) type Kernel = crate::hw::gcm::HwGcmKey;
+    /// The kernel set [`AesGcm`](super::AesGcm) runs on in this build.
+    pub const KERNEL: &str = "aes-ni+pclmulqdq";
+}
+
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "aes",
+    target_feature = "pclmulqdq",
+    target_feature = "ssse3",
+    target_feature = "sse4.1"
+)))]
+mod selected {
+    pub(super) type Kernel = super::SoftwareGcm;
+    /// The kernel set [`AesGcm`](super::AesGcm) runs on in this build.
+    pub const KERNEL: &str = "bitsliced+shoup8";
+}
+
+pub use selected::KERNEL;
+
+/// An AES-128-GCM cipher instance with a fixed key, on the kernel set
+/// the build selected ([`KERNEL`]).
 ///
 /// `seal` produces `ciphertext || tag`; `open` verifies and strips the tag.
 ///
@@ -59,18 +116,8 @@ pub const TAG_LEN: usize = 16;
 /// ```
 #[derive(Clone)]
 pub struct AesGcm {
-    cipher: Aes128,
-    /// GHASH key H = E(K, 0^128), as a big-endian u128.
-    h: u128,
-    /// Shoup 8-bit multiplication table: `htable[b]` = (8-bit
-    /// polynomial `b`) · H, so a GHASH block costs 16 table lookups.
-    /// Boxed: 4 KiB inline would bloat every struct that embeds a
-    /// channel (`MeSession` already boxes for the same reason).
-    htable: Box<[u128; 256]>,
-    /// The same table for H² = H·H, used by the two-blocks-at-a-time
-    /// GHASH fold ([`gf_mul_pair`]). Key-derived and zeroized on drop,
-    /// like `htable`.
-    htable2: Box<[u128; 256]>,
+    /// The selected kernel set's key state; it zeroizes itself on drop.
+    kernel: selected::Kernel,
 }
 
 impl std::fmt::Debug for AesGcm {
@@ -79,33 +126,12 @@ impl std::fmt::Debug for AesGcm {
     }
 }
 
-impl Drop for AesGcm {
-    fn drop(&mut self) {
-        // H = E(K, 0) lets an attacker forge tags; `cipher` scrubs itself.
-        // Both multiplication tables are H-derived and equally sensitive.
-        crate::zeroize::zeroize_u128(&mut self.h);
-        for entry in self.htable.iter_mut().chain(self.htable2.iter_mut()) {
-            crate::zeroize::zeroize_u128(entry);
-        }
-    }
-}
-
 impl AesGcm {
     /// Creates a GCM instance for the given 128-bit key.
     #[must_use]
     pub fn new(key: [u8; KEY_LEN]) -> Self {
-        let cipher = Aes128::new(&key);
-        let h_block = cipher.encrypt(&[0u8; BLOCK_LEN]);
-        let h = u128::from_be_bytes(h_block);
-        let htable = build_htable(h);
-        let mut h2 = gf_mul_8bit(h, &htable);
-        let htable2 = build_htable(h2);
-        crate::zeroize::zeroize_u128(&mut h2);
         AesGcm {
-            cipher,
-            h,
-            htable,
-            htable2,
+            kernel: GcmKernel::new(&key),
         }
     }
 
@@ -130,13 +156,7 @@ impl AesGcm {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) {
-        let j0 = self.j0(nonce);
-        out.reserve(plaintext.len() + TAG_LEN);
-        let ct_start = out.len();
-        out.extend_from_slice(plaintext);
-        self.ctr(inc32(j0), &mut out[ct_start..]);
-        let tag = self.tag(j0, aad, &out[ct_start..]);
-        out.extend_from_slice(&tag);
+        seal_into(&self.kernel, nonce, aad, plaintext, out);
     }
 
     /// Decrypts `sealed` (= `ciphertext || tag`) bound to `aad`.
@@ -147,29 +167,137 @@ impl AesGcm {
     /// tag, and [`CryptoError::AuthenticationFailed`] if the tag does not
     /// verify (wrong key, nonce, AAD, or tampered ciphertext).
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::InvalidLength);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let j0 = self.j0(nonce);
-        let expected = self.tag(j0, aad, ciphertext);
-        if !ct_eq(&expected, tag) {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        let mut out = ciphertext.to_vec();
-        self.ctr(inc32(j0), &mut out);
-        Ok(out)
+        open(&self.kernel, nonce, aad, sealed)
     }
 
-    /// Pre-counter block for a 96-bit IV: `IV || 0^31 || 1`.
-    fn j0(&self, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
-        let mut j0 = [0u8; BLOCK_LEN];
-        j0[..NONCE_LEN].copy_from_slice(nonce);
-        j0[BLOCK_LEN - 1] = 1;
-        j0
+    /// XORs the CTR keystream from counter block `icb` into `data` on
+    /// the selected kernel (the `crypto_kernels` microbench's AES arm).
+    #[cfg(feature = "reference")]
+    pub fn apply_keystream(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]) {
+        self.kernel.ctr(icb, data);
     }
 
-    /// CTR-mode keystream XOR starting from counter block `icb`,
+    /// Absorbs `data` into the GHASH state `y` on the selected kernel
+    /// (the `crypto_kernels` microbench's GHASH arm).
+    #[cfg(feature = "reference")]
+    #[must_use]
+    pub fn ghash(&self, y: u128, data: &[u8]) -> u128 {
+        self.kernel.ghash(y, data)
+    }
+}
+
+/// AES-128-GCM on the software kernels, whatever the build selected.
+///
+/// The same construction and the same bytes as [`AesGcm`]: it is what
+/// `AesGcm` runs on when the build lacks AES-NI or PCLMULQDQ, and the
+/// oracle the hardware kernels are tested against.
+///
+/// # Example
+///
+/// ```
+/// use mig_crypto::gcm::{AesGcm, SoftwareGcm};
+///
+/// let sealed = SoftwareGcm::new([0x42; 16]).seal(&[1; 12], b"header", b"payload");
+/// assert_eq!(sealed, AesGcm::new([0x42; 16]).seal(&[1; 12], b"header", b"payload"));
+/// ```
+#[derive(Clone)]
+pub struct SoftwareGcm {
+    cipher: Aes128,
+    /// Shoup 8-bit multiplication table: `htable[b]` = (8-bit
+    /// polynomial `b`) · H, so a GHASH block costs 16 table lookups.
+    /// Boxed: 4 KiB inline would bloat every struct that embeds a
+    /// channel (`MeSession` already boxes for the same reason).
+    htable: Box<[u128; 256]>,
+    /// The same table for H² = H·H, used by the two-blocks-at-a-time
+    /// GHASH fold ([`gf_mul_pair`]).
+    htable2: Box<[u128; 256]>,
+}
+
+impl std::fmt::Debug for SoftwareGcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SoftwareGcm").finish_non_exhaustive()
+    }
+}
+
+impl Drop for SoftwareGcm {
+    fn drop(&mut self) {
+        // Both multiplication tables are H-derived, and H = E(K, 0) lets
+        // an attacker forge tags; `cipher` scrubs itself.
+        for entry in self.htable.iter_mut().chain(self.htable2.iter_mut()) {
+            crate::zeroize::zeroize_u128(entry);
+        }
+    }
+}
+
+impl SoftwareGcm {
+    /// Creates a software GCM instance for the given 128-bit key.
+    #[must_use]
+    pub fn new(key: [u8; KEY_LEN]) -> Self {
+        GcmKernel::new(&key)
+    }
+
+    /// [`AesGcm::seal`] on the software kernels.
+    #[must_use]
+    pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        seal_into(self, nonce, aad, plaintext, &mut out);
+        out
+    }
+
+    /// [`AesGcm::seal_into`] on the software kernels.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        seal_into(self, nonce, aad, plaintext, out);
+    }
+
+    /// [`AesGcm::open`] on the software kernels.
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open`].
+    pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
+        open(self, nonce, aad, sealed)
+    }
+
+    /// [`AesGcm::apply_keystream`] on the software kernels.
+    #[cfg(feature = "reference")]
+    pub fn apply_keystream(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]) {
+        self.ctr(icb, data);
+    }
+
+    /// [`AesGcm::ghash`] on the software kernels.
+    #[cfg(feature = "reference")]
+    #[must_use]
+    pub fn ghash(&self, y: u128, data: &[u8]) -> u128 {
+        GcmKernel::ghash(self, y, data)
+    }
+}
+
+impl GcmKernel for SoftwareGcm {
+    fn new(key: &[u8; KEY_LEN]) -> Self {
+        let cipher = Aes128::new(key);
+        let mut h = u128::from_be_bytes(cipher.encrypt(&[0u8; BLOCK_LEN]));
+        let htable = build_htable(h);
+        let mut h2 = gf_mul_8bit(h, &htable);
+        let htable2 = build_htable(h2);
+        crate::zeroize::zeroize_u128(&mut h);
+        crate::zeroize::zeroize_u128(&mut h2);
+        SoftwareGcm {
+            cipher,
+            htable,
+            htable2,
+        }
+    }
+
+    fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+        self.cipher.encrypt(block)
+    }
+
     /// `PARALLEL_BLOCKS` keystream blocks per bitsliced kernel call.
     fn ctr(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]) {
         let mut ctr = u32::from_be_bytes(icb[12..16].try_into().expect("4 bytes"));
@@ -193,29 +321,10 @@ impl AesGcm {
         }
     }
 
-    /// GHASH over `aad` and `ciphertext`, then encrypted with `E(K, J0)`.
-    fn tag(&self, j0: [u8; BLOCK_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-        let mut y = 0u128;
-        y = self.ghash_blocks(y, aad);
-        y = self.ghash_blocks(y, ciphertext);
-        let mut len_block = [0u8; BLOCK_LEN];
-        len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-        len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
-        y = gf_mul_8bit(y ^ u128::from_be_bytes(len_block), &self.htable);
-
-        let ekj0 = self.cipher.encrypt(&j0);
-        let mut tag = y.to_be_bytes();
-        for (t, k) in tag.iter_mut().zip(ekj0.iter()) {
-            *t ^= k;
-        }
-        tag
-    }
-
-    /// Absorbs `data` (zero-padded to full blocks) into the GHASH state,
-    /// two blocks per fold: `((y ⊕ b₀)·H ⊕ b₁)·H = (y ⊕ b₀)·H² ⊕ b₁·H`,
+    /// Two blocks per fold: `((y ⊕ b₀)·H ⊕ b₁)·H = (y ⊕ b₀)·H² ⊕ b₁·H`,
     /// so each pair costs one latency-overlapped [`gf_mul_pair`] instead
     /// of two serial multiplies.
-    fn ghash_blocks(&self, mut y: u128, data: &[u8]) -> u128 {
+    fn ghash(&self, mut y: u128, data: &[u8]) -> u128 {
         let mut pairs = data.chunks_exact(2 * BLOCK_LEN);
         for pair in &mut pairs {
             let b0 = u128::from_be_bytes(pair[..BLOCK_LEN].try_into().expect("exact block"));
@@ -235,6 +344,75 @@ impl AesGcm {
         }
         y
     }
+}
+
+/// The SP 800-38D seal on any kernel set.
+fn seal_into<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    plaintext: &[u8],
+    out: &mut Vec<u8>,
+) {
+    let j0 = j0(nonce);
+    out.reserve(plaintext.len() + TAG_LEN);
+    let ct_start = out.len();
+    out.extend_from_slice(plaintext);
+    kernel.ctr(inc32(j0), &mut out[ct_start..]);
+    let tag = tag(kernel, j0, aad, &out[ct_start..]);
+    out.extend_from_slice(&tag);
+}
+
+/// The SP 800-38D open on any kernel set: the tag is verified before
+/// anything is decrypted.
+fn open<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    sealed: &[u8],
+) -> Result<Vec<u8>> {
+    if sealed.len() < TAG_LEN {
+        return Err(CryptoError::InvalidLength);
+    }
+    let (ciphertext, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
+    let j0 = j0(nonce);
+    let expected = tag(kernel, j0, aad, ciphertext);
+    if !ct_eq(&expected, tag_bytes) {
+        return Err(CryptoError::AuthenticationFailed);
+    }
+    let mut out = ciphertext.to_vec();
+    kernel.ctr(inc32(j0), &mut out);
+    Ok(out)
+}
+
+/// Pre-counter block for a 96-bit IV: `IV || 0^31 || 1`.
+fn j0(nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+    let mut j0 = [0u8; BLOCK_LEN];
+    j0[..NONCE_LEN].copy_from_slice(nonce);
+    j0[BLOCK_LEN - 1] = 1;
+    j0
+}
+
+/// GHASH over `aad` and `ciphertext`, then encrypted with `E(K, J0)`.
+fn tag<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    j0: [u8; BLOCK_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+) -> [u8; TAG_LEN] {
+    let mut len_block = [0u8; BLOCK_LEN];
+    len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
+    len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
+    let mut y = kernel.ghash(0, aad);
+    y = kernel.ghash(y, ciphertext);
+    y = kernel.ghash(y, &len_block);
+
+    let ekj0 = kernel.encrypt_block(&j0);
+    let mut tag = y.to_be_bytes();
+    for (t, k) in tag.iter_mut().zip(ekj0.iter()) {
+        *t ^= k;
+    }
+    tag
 }
 
 /// Multiplies the reflected GCM element `v` by the field element `x`
@@ -434,17 +612,77 @@ mod tests {
     use crate::{hex_decode, hex_encode};
     use proptest::prelude::*;
 
+    /// Checks one specification vector through the public API and on
+    /// each kernel set by name: the software kernels in every build, and
+    /// the selected set, which is the hardware one when it is compiled.
     fn run_case(key: &str, iv: &str, pt: &str, aad: &str, expect_ct: &str, expect_tag: &str) {
         let key: [u8; 16] = hex_decode(key).try_into().unwrap();
         let iv: [u8; 12] = hex_decode(iv).try_into().unwrap();
         let pt = hex_decode(pt);
         let aad = hex_decode(aad);
+        let expected = format!("{expect_ct}{expect_tag}");
         let aead = AesGcm::new(key);
         let sealed = aead.seal(&iv, &aad, &pt);
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        assert_eq!(hex_encode(ct), expect_ct);
-        assert_eq!(hex_encode(tag), expect_tag);
+        assert_eq!(hex_encode(&sealed), expected);
         assert_eq!(aead.open(&iv, &aad, &sealed).unwrap(), pt);
+        run_case_on(
+            &SoftwareGcm::new(key),
+            "software",
+            &iv,
+            &aad,
+            &pt,
+            &expected,
+        );
+        run_case_on(
+            &<selected::Kernel as GcmKernel>::new(&key),
+            KERNEL,
+            &iv,
+            &aad,
+            &pt,
+            &expected,
+        );
+    }
+
+    fn run_case_on<K: GcmKernel>(
+        kernel: &K,
+        name: &str,
+        iv: &[u8; 12],
+        aad: &[u8],
+        pt: &[u8],
+        expected: &str,
+    ) {
+        let mut sealed = Vec::new();
+        seal_into(kernel, iv, aad, pt, &mut sealed);
+        assert_eq!(hex_encode(&sealed), expected, "{name}");
+        assert_eq!(open(kernel, iv, aad, &sealed).unwrap(), pt, "{name}");
+    }
+
+    #[test]
+    fn sp800_38a_ctr_vectors_on_each_kernel() {
+        // SP 800-38A F.5.1 CTR-AES128.Encrypt. Its counter blocks
+        // increment the whole block, but these four stay inside the low
+        // 32 bits, where that agrees with GCM's inc32.
+        let key: [u8; 16] = hex_decode("2b7e151628aed2a6abf7158809cf4f3c")
+            .try_into()
+            .unwrap();
+        let icb: [u8; 16] = hex_decode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+            .try_into()
+            .unwrap();
+        let pt = hex_decode(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+        );
+        let ct = "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
+5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee";
+        let kernels: [(&str, &dyn GcmKernel); 2] = [
+            ("software", &SoftwareGcm::new(key)),
+            (KERNEL, &<selected::Kernel as GcmKernel>::new(&key)),
+        ];
+        for (name, kernel) in kernels {
+            let mut data = pt.clone();
+            kernel.ctr(icb, &mut data);
+            assert_eq!(hex_encode(&data), ct, "{name}");
+        }
     }
 
     #[test]
@@ -681,8 +919,9 @@ mod tests {
         ) {
             // Wire-format pin: the multi-block kernels must produce the
             // exact bytes of the byte-serial implementation they replaced.
-            let aead = AesGcm::new(key);
-            prop_assert_eq!(aead.seal(&nonce, &aad, &pt), seal_old(key, &nonce, &aad, &pt));
+            let old = seal_old(key, &nonce, &aad, &pt);
+            prop_assert_eq!(&AesGcm::new(key).seal(&nonce, &aad, &pt), &old);
+            prop_assert_eq!(&SoftwareGcm::new(key).seal(&nonce, &aad, &pt), &old);
         }
     }
 }

@@ -1,11 +1,11 @@
-//! From-scratch cryptographic primitives for the `sgx-migrate` workspace.
+//! Cryptographic primitives for the `sgx-migrate` workspace.
 //!
 //! The simulated SGX platform (`sgx-sim`) and the migration protocol
 //! (`mig-core`) need real cryptography — sealing is AES-GCM, attestation
 //! channels are Diffie–Hellman + AEAD, operator credentials are signatures —
 //! and no cryptography crates are available in the offline dependency set.
-//! This crate therefore implements the required primitives directly from
-//! their specifications:
+//! This crate therefore implements the required primitives from their
+//! specifications:
 //!
 //! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions,
 //! * [`hmac`] — RFC 2104 / FIPS 198-1 message authentication,
@@ -21,13 +21,27 @@
 //! specification (see the unit tests in each module) plus property-based
 //! round-trip tests.
 //!
+//! # Kernels and `unsafe`
+//!
+//! AES-GCM and SHA-256, which carry every sealed and hashed byte, run on
+//! the CPU's AES-NI, PCLMULQDQ and SHA-NI instructions when the build
+//! targets them (`cfg(target_feature)`; the workspace builds with
+//! `target-cpu=native`), and on software kernels otherwise.
+//! [`gcm::KERNEL`] and [`sha256::KERNEL`] name the selection; the
+//! software kernels stay in every build as the fallback and as the
+//! oracle the hardware kernels are tested against. The crate denies
+//! `unsafe` everywhere except the private hardware-kernel module, where
+//! each `unsafe` call carries a `// SAFETY:` comment naming the `cfg`
+//! that guarantees the instructions exist.
+//!
 //! # Security note
 //!
 //! This code backs a *research simulator*. The implementations are correct
 //! against the specification vectors, and tag/signature comparisons are
 //! constant-time, but no effort has been made to harden the field arithmetic
-//! of the curve code against timing side channels. Do not reuse it to protect
-//! production secrets.
+//! of the curve code against timing side channels, and the software GHASH
+//! fallback indexes its tables with key- and data-dependent bytes. Do not
+//! reuse it to protect production secrets.
 //!
 //! # Example
 //!
@@ -45,7 +59,8 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -60,6 +75,8 @@ pub mod x25519;
 pub mod zeroize;
 
 mod curve25519;
+#[cfg(target_arch = "x86_64")]
+mod hw;
 
 use std::error::Error;
 use std::fmt;

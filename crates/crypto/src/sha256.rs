@@ -1,23 +1,30 @@
-//! SHA-256 (FIPS 180-4), with a block-unrolled bulk compression kernel.
+//! SHA-256 (FIPS 180-4) on a SHA-NI or an unrolled software compression
+//! kernel.
 //!
 //! Provides both a streaming [`Sha256`] hasher and the one-shot [`sha256`]
-//! convenience function. The compression function is fully unrolled in
-//! 16-round groups over a rolling 16-word message schedule — no 64-entry
-//! schedule array and no per-round register rotation — and
-//! [`Sha256::update`] folds every full-block run of its input through
-//! [`compress_blocks`] in one call, so multi-megabyte payloads (chunk
-//! digests, HMAC chains, sealed-state digests) never round-trip through
-//! the 64-byte buffer. The straightforward rolled compression this
-//! replaces is retained in [`reference`] as the equivalence oracle.
-//! Validated against the FIPS 180-4 / NIST CAVP example vectors,
-//! including the one-million-`a` vector.
+//! convenience function. [`Sha256::update`] folds every full-block run of
+//! its input through the compression kernel in one call, so
+//! multi-megabyte payloads (chunk digests, HMAC chains, sealed-state
+//! digests) never round-trip through the 64-byte buffer.
+//!
+//! The kernel is chosen at compile time by `cfg(target_feature)` and
+//! named by [`KERNEL`]: SHA-NI (`crate::hw::sha256`) when the build
+//! targets `sha`, `ssse3` and `sse4.1` on `x86_64`, and otherwise the
+//! software compression, fully unrolled in 16-round groups over a
+//! rolling 16-word message schedule — no 64-entry schedule array and no
+//! per-round register rotation. The software kernel stays in every build
+//! as the portable fallback and as the oracle for SHA-NI
+//! ([`sha256_software`]); the straightforward rolled compression it
+//! replaced is retained in [`reference`](mod@reference) as its own
+//! oracle. Validated against the FIPS 180-4 / NIST CAVP example vectors,
+//! including the one-million-`a` vector, on both kernels.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes (used by HMAC).
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -244,19 +251,45 @@ fn schedule_next(w: &mut [u32; 16]) {
     }
 }
 
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "ssse3",
+    target_feature = "sse4.1"
+))]
+mod selected {
+    pub(super) use crate::hw::sha256::compress_blocks as compress;
+    /// The compression kernel [`Sha256`](super::Sha256) runs on in this build.
+    pub const KERNEL: &str = "sha-ni";
+}
+
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "ssse3",
+    target_feature = "sse4.1"
+)))]
+mod selected {
+    pub(super) use super::compress_blocks as compress;
+    /// The compression kernel [`Sha256`](super::Sha256) runs on in this build.
+    pub const KERNEL: &str = "unrolled";
+}
+
+pub use selected::KERNEL;
+
 /// Folds a run of whole 64-byte blocks into `state`.
 ///
-/// This is the bulk kernel behind [`Sha256::update`]: one call walks any
-/// number of consecutive blocks with the unrolled round function and a
-/// rolling schedule held in registers/stack scratch that is reused (and
-/// overwritten) block after block — no per-block buffer copies, no
-/// 64-entry schedule array.
+/// This is the software kernel behind [`Sha256::update`] when the build
+/// lacks SHA-NI: one call walks any number of consecutive blocks with the
+/// unrolled round function and a rolling schedule held in registers/stack
+/// scratch that is reused (and overwritten) block after block — no
+/// per-block buffer copies, no 64-entry schedule array.
 ///
 /// # Panics
 ///
 /// Debug-asserts that `blocks` is a multiple of [`BLOCK_LEN`]; a ragged
 /// tail would be silently dropped otherwise (caller bug).
-fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
     let mut w = [0u32; 16];
     for block in blocks.chunks_exact(BLOCK_LEN) {
@@ -344,11 +377,21 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     ///
-    /// Full blocks are compressed straight from `data` in one
-    /// [`compress_blocks`] call; only a ragged head (completing a
-    /// previously buffered partial block) or tail touches the internal
-    /// buffer.
+    /// Full blocks are compressed straight from `data` in one kernel
+    /// call; only a ragged head (completing a previously buffered partial
+    /// block) or tail touches the internal buffer.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, selected::compress);
+    }
+
+    /// Consumes the hasher and returns the 32-byte digest.
+    #[must_use]
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finish(selected::compress)
+    }
+
+    /// [`Sha256::update`] on the compression kernel `compress`.
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -358,14 +401,14 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
                 let block = self.buf;
-                compress_blocks(&mut self.state, &block);
+                compress(&mut self.state, &block);
                 self.buf_len = 0;
             }
         }
         let full = rest.len() - rest.len() % BLOCK_LEN;
         let (blocks, tail) = rest.split_at(full);
         if !blocks.is_empty() {
-            compress_blocks(&mut self.state, blocks);
+            compress(&mut self.state, blocks);
         }
         if !tail.is_empty() {
             self.buf[..tail.len()].copy_from_slice(tail);
@@ -373,20 +416,19 @@ impl Sha256 {
         }
     }
 
-    /// Consumes the hasher and returns the 32-byte digest.
-    #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// [`Sha256::finalize`] on the compression kernel `compress`.
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
+        self.absorb(&[0x80], &compress);
         while self.buf_len != 56 {
-            self.update(&[0]);
+            self.absorb(&[0], &compress);
         }
         // Appending the length below must not re-enter the length counter,
         // so compress the final block manually.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
-        compress_blocks(&mut self.state, &block);
+        compress(&mut self.state, &block);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -410,6 +452,23 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// One-shot SHA-256 on the software compression kernel, whatever the
+/// build selected: the portable fallback's digest, callable by name as
+/// the oracle for the SHA-NI kernel.
+///
+/// # Example
+///
+/// ```
+/// use mig_crypto::sha256::{sha256, sha256_software};
+/// assert_eq!(sha256_software(b"abc"), sha256(b"abc"));
+/// ```
+#[must_use]
+pub fn sha256_software(data: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut h = Sha256::new();
+    h.absorb(data, compress_blocks);
+    h.finish(compress_blocks)
 }
 
 /// The straightforward rolled SHA-256 the unrolled kernel replaced,
@@ -494,29 +553,35 @@ mod tests {
     use crate::hex_encode;
     use proptest::prelude::*;
 
+    /// Checks a FIPS 180-4 vector on each kernel by name: the selected
+    /// one ([`KERNEL`], SHA-NI when it is compiled) through [`sha256`],
+    /// and the software one through [`sha256_software`].
+    fn check_vector(data: &[u8], expected: &str) {
+        assert_eq!(hex_encode(&sha256(data)), expected, "{KERNEL}");
+        assert_eq!(hex_encode(&sha256_software(data)), expected, "software");
+    }
+
     #[test]
     fn fips_vector_empty() {
-        assert_eq!(
-            hex_encode(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex_encode(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn fips_vector_448_bits() {
-        assert_eq!(
-            hex_encode(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
@@ -524,23 +589,22 @@ mod tests {
     fn fips_vector_896_bits() {
         let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
 hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex_encode(&sha256(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        check_vector(
+            msg,
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn fips_vector_million_a() {
+        const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            hex_encode(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex_encode(&h.finalize()), EXPECTED);
+        check_vector(&vec![b'a'; 1_000_000], EXPECTED);
     }
 
     #[test]
@@ -575,14 +639,18 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         // with the retained rolled implementation bit for bit.
         for len in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 129, 1000, 4096] {
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            assert_eq!(sha256(&data), reference::sha256_rolled(&data), "len {len}");
+            let rolled = reference::sha256_rolled(&data);
+            assert_eq!(sha256_software(&data), rolled, "len {len}");
+            assert_eq!(sha256(&data), rolled, "{KERNEL} len {len}");
         }
     }
 
     proptest! {
         #[test]
         fn prop_unrolled_matches_rolled_oracle(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-            prop_assert_eq!(sha256(&data), reference::sha256_rolled(&data));
+            let rolled = reference::sha256_rolled(&data);
+            prop_assert_eq!(sha256_software(&data), rolled);
+            prop_assert_eq!(sha256(&data), rolled);
         }
 
         #[test]

@@ -1,15 +1,16 @@
 //! Best-effort secret scrubbing without `unsafe`.
 //!
 //! Key schedules, MAC states, and derived keys should not outlive their use
-//! in process memory. The workspace forbids `unsafe`, so `ptr::write_volatile`
-//! is unavailable; instead the helpers here overwrite the buffer and then
-//! launder the reference through [`core::hint::black_box`], which tells the
-//! optimizer the zeroed bytes are observed and keeps the stores from being
-//! elided as dead writes. This is the strongest guarantee available in safe
-//! Rust — it scrubs the final resting place of a value, not stack copies made
-//! while it was alive — and is how the key types ([`crate::aes::Aes128`],
-//! [`crate::gcm::AesGcm`], [`crate::sha256::Sha256`], [`crate::sha512::Sha512`])
-//! implement `Drop`.
+//! in process memory. The crate denies `unsafe` outside its hardware-kernel
+//! module, so `ptr::write_volatile` is unavailable here; instead the helpers
+//! overwrite the buffer and then launder the reference through
+//! [`core::hint::black_box`], which tells the optimizer the zeroed bytes are
+//! observed and keeps the stores from being elided as dead writes. This is
+//! the strongest guarantee available in safe Rust — it scrubs the final
+//! resting place of a value, not stack or register copies made while it was
+//! alive — and is how the key types ([`crate::aes::Aes128`], the GCM key
+//! states behind [`crate::gcm::AesGcm`], [`crate::sha256::Sha256`],
+//! [`crate::sha512::Sha512`]) implement `Drop`.
 
 use core::hint::black_box;
 
@@ -37,7 +38,7 @@ pub fn zeroize_u64s(words: &mut [u64]) {
     black_box(words);
 }
 
-/// Zeroizes a single `u128` (the GHASH subkey).
+/// Zeroizes a single `u128` (a GHASH subkey power, a round key, a table entry).
 pub fn zeroize_u128(v: &mut u128) {
     *v = 0;
     black_box(v);

@@ -25,11 +25,13 @@ pub const RULES: [&str; 5] = [
 
 /// Types that must never derive `Debug` or implement `Display`: their
 /// fields are key material or plaintext persistent state.
-const NO_PRINT_TYPES: [&str; 9] = [
+const NO_PRINT_TYPES: [&str; 11] = [
     "MigrationData",
     "LibraryState",
     "Aes128",
     "AesGcm",
+    "SoftwareGcm",
+    "HwGcmKey",
     "Sha256",
     "Sha512",
     "HmacSha256",
@@ -37,13 +39,15 @@ const NO_PRINT_TYPES: [&str; 9] = [
     "FixtureSessionKey",
 ];
 
-/// Types that must implement `Drop` (zeroization). The HMAC states are
-/// exempt: they scrub transitively through their `Sha*` fields.
-const MUST_ZEROIZE_TYPES: [&str; 7] = [
+/// Types that must implement `Drop` (zeroization). The HMAC states and
+/// `AesGcm` are exempt: they scrub transitively through their `Sha*`
+/// fields and their GCM key state (`SoftwareGcm` or `HwGcmKey`).
+const MUST_ZEROIZE_TYPES: [&str; 8] = [
     "MigrationData",
     "LibraryState",
     "Aes128",
-    "AesGcm",
+    "SoftwareGcm",
+    "HwGcmKey",
     "Sha256",
     "Sha512",
     "FixtureSessionKey",
@@ -51,7 +55,17 @@ const MUST_ZEROIZE_TYPES: [&str; 7] = [
 
 /// Field/variable names that hold raw key material and must never reach
 /// a formatting macro.
-const SECRET_FIELDS: [&str; 6] = ["msk", "round_keys", "key_block", "ipad", "opad", "prk"];
+const SECRET_FIELDS: [&str; 9] = [
+    "msk",
+    "round_keys",
+    "h_powers",
+    "htable",
+    "htable2",
+    "key_block",
+    "ipad",
+    "opad",
+    "prk",
+];
 
 /// Formatting/logging macros checked for secret leakage.
 const FORMAT_MACROS: [&str; 17] = [
