@@ -401,16 +401,20 @@ fn e4(n: usize) {
     // streams share the link under deficit round-robin, so the total
     // time should grow roughly linearly with k while the completion
     // spread stays a small fraction of the total (no stream starves).
+    // No row may beat its link floor: the row's wire bytes at the
+    // datacenter link's bandwidth.
     let conc_max: u32 = std::env::var("E4_CONC_MAX")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
     println!("\n--- concurrent multi-enclave migration ({label} state each, {n} runs per row) ---");
     println!(
-        "{:<4} {:>18} {:>18} {:>14}",
-        "k", "total virt (ms)", "spread (ms)", "wire MiB"
+        "{:<4} {:>18} {:>18} {:>14} {:>16}",
+        "k", "total virt (ms)", "spread (ms)", "wire MiB", "link floor (ms)"
     );
-    println!("{}", "-".repeat(60));
+    println!("{}", "-".repeat(77));
+    let bandwidth = cloud_sim::network::LinkProfile::datacenter().bandwidth_bytes_per_sec;
+    let mut below_floor = Vec::new();
     let mut json_conc = Vec::new();
     for k in [1u32, 2, 4, 8] {
         if k > conc_max {
@@ -431,17 +435,22 @@ fn e4(n: usize) {
         let wire_bytes = wire_bytes_sum / n as u64;
         let total = mig_stats::summarize(&total_ms, 0.99);
         let spread = mig_stats::summarize(&spread_ms, 0.99);
+        let link_floor_ms = wire_bytes as f64 / bandwidth as f64 * 1e3;
         println!(
-            "{:<4} {:>10.3} ± {:>4.3} {:>10.3} ± {:>4.3} {:>14.2}",
+            "{:<4} {:>10.3} ± {:>4.3} {:>10.3} ± {:>4.3} {:>14.2} {:>16.3}",
             k,
             total.mean,
             total.ci_half_width,
             spread.mean,
             spread.ci_half_width,
             wire_bytes as f64 / (1024.0 * 1024.0),
+            link_floor_ms,
         );
+        if total.mean < link_floor_ms {
+            below_floor.push(k);
+        }
         json_conc.push(format!(
-            "    {{\"k\": {k}, \"total_virt_ms\": {:.4}, \"spread_ms\": {:.4}, \"wire_bytes\": {wire_bytes}}}",
+            "    {{\"k\": {k}, \"total_virt_ms\": {:.4}, \"spread_ms\": {:.4}, \"wire_bytes\": {wire_bytes}, \"link_floor_ms\": {link_floor_ms:.4}}}",
             total.mean, spread.mean
         ));
     }
@@ -520,6 +529,11 @@ fn e4(n: usize) {
     println!("simulated time tracks the blob path while surviving mid-transfer crashes;");
     println!("the delta rows show repeat-migration cost scaling with the dirty size,");
     println!("not the total state size (tests/streaming_migration.rs asserts the same).");
+
+    if !below_floor.is_empty() {
+        eprintln!("\nconcurrency rows k={below_floor:?} finished below their link floor");
+        std::process::exit(1);
+    }
 }
 
 fn ablation() {

@@ -6,11 +6,15 @@
 //! drop, or rewrite messages, used by the attack test-suite. Delivery
 //! times follow a latency + bandwidth link model so the end-to-end
 //! migration experiment can compare against VM-migration transfer times.
+//! Each directed machine pair is one FIFO link: a message starts
+//! serializing only after the previous one on that link has left, so
+//! concurrent messages share its bandwidth and arrive in send order
+//! (taps may still delay, reorder or replay them).
 
 use crate::clock::{SimClock, SimTime};
 use sgx_sim::machine::MachineId;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Duration;
 
 /// A network-addressable service instance.
@@ -99,12 +103,16 @@ impl LinkProfile {
         }
     }
 
-    /// Transfer time for a message of `bytes` over this link.
+    /// Time to put `bytes` on the wire at this link's bandwidth.
+    #[must_use]
+    pub fn serialization_time(&self, bytes: usize) -> Duration {
+        Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec as f64)
+    }
+
+    /// Transfer time for a message of `bytes` over an idle link.
     #[must_use]
     pub fn transfer_time(&self, bytes: usize) -> Duration {
-        let serialization =
-            Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec as f64);
-        self.latency + serialization
+        self.latency + self.serialization_time(bytes)
     }
 }
 
@@ -147,6 +155,9 @@ pub struct Network {
     queue: BinaryHeap<Envelope>,
     default_link: LinkProfile,
     local_link: LinkProfile,
+    /// When each directed `(from, to)` machine link finishes serializing
+    /// the last message queued on it.
+    busy_until: HashMap<(MachineId, MachineId), SimTime>,
     seq: u64,
     taps: Vec<Box<dyn NetworkTap>>,
     recording: bool,
@@ -171,6 +182,7 @@ impl Network {
             queue: BinaryHeap::new(),
             default_link: LinkProfile::datacenter(),
             local_link: LinkProfile::local(),
+            busy_until: HashMap::new(),
             seq: 0,
             taps: Vec::new(),
             recording: false,
@@ -195,14 +207,23 @@ impl Network {
         self.default_link = link;
     }
 
-    /// Sends `payload` from `from` to `to`, scheduling timed delivery.
+    /// Sends `payload` from `from` to `to`, scheduling timed delivery:
+    /// the message starts serializing once the link from `from`'s
+    /// machine to `to`'s is free and arrives one latency after its last
+    /// byte leaves.
     pub fn send(&mut self, from: &Endpoint, to: &Endpoint, payload: Vec<u8>) {
         let link = if from.machine == to.machine {
             self.local_link
         } else {
             self.default_link
         };
-        let deliver_at = self.clock.now().after(link.transfer_time(payload.len()));
+        let busy = self
+            .busy_until
+            .entry((from.machine, to.machine))
+            .or_insert(SimTime::ZERO);
+        let start = (*busy).max(self.clock.now());
+        *busy = start.after(link.serialization_time(payload.len()));
+        let deliver_at = busy.after(link.latency);
         self.push(Envelope {
             from: from.clone(),
             to: to.clone(),
@@ -301,6 +322,33 @@ mod tests {
         let second = net.deliver_next().unwrap();
         assert_eq!(second.to, ep(2, "b"));
         assert!(net.deliver_next().is_none());
+    }
+
+    #[test]
+    fn link_is_fifo_small_message_waits_for_large_one() {
+        let mut net = Network::new(SimClock::new());
+        net.send(&ep(1, "a"), &ep(2, "b"), vec![0; 1_000_000]);
+        net.send(&ep(1, "a"), &ep(2, "b"), vec![0; 10]);
+        assert_eq!(net.deliver_next().unwrap().payload.len(), 1_000_000);
+        assert_eq!(net.deliver_next().unwrap().payload.len(), 10);
+    }
+
+    #[test]
+    fn back_to_back_messages_share_link_bandwidth() {
+        let mut net = Network::new(SimClock::new());
+        let (k, n) = (4u32, 1_250_000usize); // 1 ms each at 10 Gbit/s
+        for _ in 0..k {
+            net.send(&ep(1, "a"), &ep(2, "b"), vec![0; n]);
+        }
+        net.send(&ep(3, "a"), &ep(2, "b"), vec![0; n]);
+        let link = net.link();
+        let arrivals: Vec<Envelope> = std::iter::from_fn(|| net.deliver_next()).collect();
+        let at = |e: &Envelope| e.deliver_at.since(SimTime::ZERO);
+        let last = arrivals.iter().rfind(|e| e.from.machine == MachineId(1));
+        let other = arrivals.iter().find(|e| e.from.machine == MachineId(3));
+        let link_floor = link.latency + link.serialization_time(n) * k;
+        assert_eq!(at(last.unwrap()), link_floor);
+        assert_eq!(at(other.unwrap()), link.transfer_time(n), "not delayed");
     }
 
     #[test]

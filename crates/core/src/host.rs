@@ -378,7 +378,6 @@ impl MeHost {
                 i64::from(link.chunk_size),
             );
             registry.set_gauge(&format!("m{m}.link.m{d}.window"), i64::from(link.window));
-            registry.set_gauge(&format!("m{m}.link.m{d}.cell"), i64::from(link.cell));
             for (mr, deficit) in &link.deficits {
                 registry.set_gauge(
                     &format!("m{m}.link.m{d}.deficit.{}", mr_tag(mr)),
@@ -955,8 +954,7 @@ impl MeHost {
 
     /// Per-stream state of the multiplexed link towards `destination`:
     /// one entry per announced outgoing stream (sorted by MRENCLAVE)
-    /// with its per-nonce cumulative progress, plus the link's current
-    /// wire-cell size.
+    /// with its per-nonce cumulative progress.
     ///
     /// # Errors
     ///
@@ -965,7 +963,7 @@ impl MeHost {
     pub fn link_streams(
         &mut self,
         destination: MachineId,
-    ) -> Result<(Vec<LinkStreamStat>, u32), SgxError> {
+    ) -> Result<Vec<LinkStreamStat>, SgxError> {
         let mut w = WireWriter::new();
         w.u64(destination.0);
         let out = self.enclave.ecall(me_ops::LINK_STAT, &w.finish())?;
@@ -986,12 +984,9 @@ impl MeHost {
                 awaiting_resume: r.u8()? != 0,
             });
         }
-        let cell = r.u32()?;
         r.finish()?;
         let m = self.endpoint.machine.0;
         let d = destination.0;
-        self.registry
-            .set_gauge(&format!("m{m}.link.m{d}.cell"), i64::from(cell));
         for s in &streams {
             let tag = mr_tag(&s.mr_enclave);
             self.registry.set_gauge(
@@ -1003,7 +998,7 @@ impl MeHost {
                 i64::from(s.in_flight),
             );
         }
-        Ok((streams, cell))
+        Ok(streams)
     }
 }
 

@@ -6,9 +6,10 @@
 //!   ([`session::SenderFsm`] / [`session::ReceiverFsm`]) covering
 //!   announce → chunk/delta → resume/retry → stored/delivered, plus
 //!   destination-side speculative restore;
-//! * [`wire`] — framing policy for one destination link: wire cells,
-//!   control-frame sizing, the adaptive chunk/window controller, and
-//!   the deficit-round-robin scheduler ([`wire::LinkShaper`]);
+//! * [`wire`] — framing and pacing for one destination link: chunk
+//!   frames, `TRANSFER_BATCH` containers, the adaptive chunk/window
+//!   controller, and the deficit-round-robin scheduler
+//!   ([`wire::LinkShaper`]);
 //! * [`persist`] — the generation-numbered me-state checkpoint codec
 //!   and the byte-budgeted delta-base LRU cache.
 //!
@@ -316,7 +317,7 @@ pub struct MigrationEnclave {
     /// [`TransferConfig::cache_budget`].
     pub(crate) cache: GenerationCache,
     /// Per-destination wire-layer state ([`LinkShaper`]: adaptive
-    /// controller, DRR scheduler, wire cell). Ephemeral — a restarted
+    /// controller, DRR scheduler, batch size). Ephemeral — a restarted
     /// ME re-seeds them from the provisioned config.
     pub(crate) shapers: HashMap<MachineId, LinkShaper>,
     /// Migration telemetry counters and the quarantine ledger, exported

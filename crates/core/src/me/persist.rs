@@ -9,7 +9,7 @@
 //! with its per-nonce [`StreamProgress`],
 //! parked incoming data, partially received inbound streams (their
 //! verified prefixes), and the generation cache with its LRU ticks.
-//! Channels, schedulers, wire cells, and speculative staging are
+//! Channels, schedulers, link controllers, and speculative staging are
 //! ephemeral — rebuilt or renegotiated after the restore.
 
 use crate::error::MigError;

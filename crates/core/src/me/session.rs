@@ -15,9 +15,9 @@
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
 //! whose base generation fell out of the LRU cache as
-//! [`MigError::BaseEvicted`]. The wire-facing side (cells, padding,
-//! scheduling) lives in [`super::wire`]; durable state in
-//! [`super::persist`].
+//! [`MigError::BaseEvicted`]. The wire-facing side (frame encoding,
+//! batch containers, scheduling) lives in [`super::wire`]; durable
+//! state in [`super::persist`].
 
 use crate::error::{ChannelPeer, MigError};
 use crate::library::state::MigrationData;
@@ -296,8 +296,8 @@ impl StreamProgress {
         self.delta_base
     }
 
-    /// Wire cost of one frame of this stream in bytes — what the
-    /// destination link's cell must cover while the stream is active.
+    /// Wire cost of one chunk frame of this stream in bytes — its
+    /// charge in the deficit-round-robin share of the link window.
     #[must_use]
     pub fn frame_cost(&self) -> u32 {
         if self.n_chunks() > 1 {
@@ -750,12 +750,6 @@ impl SenderFsm {
         }
     }
 
-    /// An unconfirmed single-shot `Transfer` is in flight.
-    #[must_use]
-    pub fn awaiting_receipt(&self) -> bool {
-        matches!(self, SenderFsm::AwaitingReceipt)
-    }
-
     /// A `ResumeRequest` is outstanding for this stream.
     #[must_use]
     pub fn is_awaiting_resume(&self) -> bool {
@@ -904,8 +898,8 @@ impl ReceiverFsm {
     /// speculation on and the base content-verified, the stream stages
     /// eagerly, otherwise it defers the apply to completion — a base
     /// that is missing or fails verification is *not* an error here:
-    /// the NACK happens after the last chunk, keeping the channel
-    /// strictly FIFO.
+    /// the NACK happens after the last chunk, once the stream has
+    /// drained.
     ///
     /// # Errors
     ///
@@ -1204,12 +1198,11 @@ impl MigrationEnclave {
     /// Grants send slots across the ready streams towards `destination`
     /// — deficit round-robin over the shared link window — and seals the
     /// resulting frames: `leads` (announcements / re-announcements)
-    /// first, each padded to the wire cell, then the granted chunks.
+    /// first, then the granted chunks.
     fn pump_streams(
         &mut self,
         destination: MachineId,
         leads: Vec<MeToMe>,
-        lead_cost: u32,
     ) -> Result<StreamFrames, MigError> {
         let transfer_cfg = self.config()?.transfer;
         let in_flight = self.in_flight_chunks(destination);
@@ -1249,27 +1242,6 @@ impl MigrationEnclave {
             self.ensure_out_stream(*mr)?;
         }
 
-        // The cell must cover every frame of this batch: the granted
-        // streams' chunk geometry and the lead frames' natural sizes.
-        let lead_bytes: Vec<Vec<u8>> = leads.iter().map(MeToMe::to_bytes).collect();
-        let mut needed = lead_cost;
-        for (mr, demand) in &demands {
-            if grants.contains(mr) {
-                needed = needed.max(demand.chunk_cost as u32);
-            }
-        }
-        for bytes in &lead_bytes {
-            // A lead larger than the cell's frame size (a delta manifest
-            // naming many pages) raises the cell so chunks sealed after
-            // it cannot overtake it.
-            needed = needed.max(wire::cell_for_frame_len(bytes.len())?);
-        }
-        let cell = self
-            .shapers
-            .get_mut(&destination)
-            .ok_or(MigError::SessionInvariant("link shaper vanished"))?
-            .bump_cell(needed, in_flight);
-
         let mut next: HashMap<MrEnclave, u32> = HashMap::new();
         for mr in &grants {
             let s = self
@@ -1279,15 +1251,13 @@ impl MigrationEnclave {
                 .ok_or(MigError::SessionInvariant("granted stream not sendable"))?;
             next.insert(*mr, s.next_to_send);
         }
-        // Build every plaintext of this burst first (leads padded to the
-        // chunk-frame length, then the granted chunks), then hand the
-        // whole burst to the channel's seal lanes at once — the AEAD
-        // work overlaps across lanes while the sealed sequence numbers
-        // and ciphertexts stay byte-identical to sequential sealing.
-        let mut plaintexts: Vec<Vec<u8>> = Vec::with_capacity(lead_bytes.len() + grants.len());
-        for bytes in lead_bytes {
-            plaintexts.push(wire::lead_plaintext(bytes, cell));
-        }
+        // Build every plaintext of this burst first (leads, then the
+        // granted chunks), then hand the whole burst to the channel's
+        // seal lanes at once — the AEAD work overlaps across lanes while
+        // the sealed sequence numbers and ciphertexts stay byte-identical
+        // to sequential sealing.
+        let mut plaintexts: Vec<Vec<u8>> = Vec::with_capacity(leads.len() + grants.len());
+        plaintexts.extend(leads.iter().map(MeToMe::to_bytes));
         for mr in &grants {
             let cache = self
                 .out_streams
@@ -1296,7 +1266,7 @@ impl MigrationEnclave {
             let idx = next
                 .get_mut(mr)
                 .ok_or(MigError::SessionInvariant("granted stream not scheduled"))?;
-            plaintexts.push(wire::chunk_plaintext(cache, *idx, cell));
+            plaintexts.push(wire::chunk_plaintext(cache, *idx));
             *idx += 1;
         }
         let (batch, seal_lanes) = {
@@ -1313,21 +1283,17 @@ impl MigrationEnclave {
                 peer: ChannelPeer::Destination,
             })?;
         self.telemetry.chunks_sealed += grants.len() as u64;
-        // On a batch-negotiated link the whole burst (leads included —
-        // all sealed to one uniform cell length) rides in TRANSFER_BATCH
-        // containers, collapsing up to `batch` enclave transitions into
-        // one; each container is allocated at its final size and the
-        // cells are sealed straight into it (`wire::seal_batch`). A
-        // batch of 1 keeps the legacy per-frame TRANSFER path
-        // byte-identical.
+        // On a batch-negotiated link the whole burst (leads included)
+        // rides in TRANSFER_BATCH containers, collapsing up to `batch`
+        // enclave transitions into one; each container is allocated at
+        // its final size and the cells are sealed straight into it
+        // (`wire::seal_batch`). A batch of 1 keeps the per-frame
+        // TRANSFER path.
         let frames: StreamFrames = if batch > 1 {
             let mut containers: StreamFrames =
                 Vec::with_capacity(plaintexts.len().div_ceil(batch as usize));
             for cells in plaintexts.chunks(batch as usize) {
-                containers.push((
-                    FRAME_BATCH,
-                    wire::seal_batch(channel, cells, cell, batch, seal_lanes),
-                ));
+                containers.push((FRAME_BATCH, wire::seal_batch(channel, cells, seal_lanes)));
             }
             self.telemetry.batches_sealed += containers.len() as u64;
             containers
@@ -1448,12 +1414,9 @@ impl MigrationEnclave {
     /// [`MeToMe::ResumeRequest`] renegotiating their per-nonce resume
     /// point, fresh large states announce a `ChunkStart`/`DeltaStart`
     /// and get their first chunks from the deficit-round-robin share of
-    /// the link window, and small states ride the paper's single-shot
-    /// [`MeToMe::Transfer`] when the link is quiet (on a busy link a
-    /// small frame sealed behind in-flight cells would overtake them,
-    /// so non-empty small states join the multiplex as single-chunk
-    /// streams instead). Migrations beyond the stream cap stay queued
-    /// and drain as streams complete.
+    /// the link window, and small states (empty ones included) ride the
+    /// paper's single-shot [`MeToMe::Transfer`]. Migrations beyond the
+    /// stream cap stay queued and drain as streams complete.
     pub(super) fn dispatch_outgoing(
         &mut self,
         env: &mut EnclaveEnv<'_>,
@@ -1473,15 +1436,6 @@ impl MigrationEnclave {
         }
 
         let transfer_cfg = self.config()?.transfer;
-        let active = self.active_stream_count(destination);
-        let unconfirmed_singleshot = self
-            .outgoing
-            .values()
-            .any(|mig| mig.destination == destination && mig.fsm.awaiting_receipt());
-        // Nothing this ME previously put on the wire towards the
-        // destination can still be in flight.
-        let quiet = active == 0 && !unconfirmed_singleshot;
-
         let mut unsent: Vec<MrEnclave> = self
             .outgoing
             .iter()
@@ -1493,18 +1447,9 @@ impl MigrationEnclave {
             return Ok(MeAction::None);
         }
 
-        let mut slots = transfer_cfg.max_streams.saturating_sub(active);
-        let fresh_count = unsent
-            .iter()
-            .filter_map(|mr| self.outgoing.get(mr))
-            .filter(|mig| mig.fsm.stream().is_none())
-            .count();
-        // Decided up front, not while partitioning: a ResumeRequest is
-        // smaller than a non-empty Transfer frame, so the two must never
-        // share a batch regardless of MRENCLAVE sort order (the smaller
-        // frame sealed second would overtake on the size-ordered
-        // network).
-        let batch_resumes = unsent.len() != fresh_count;
+        let mut slots = transfer_cfg
+            .max_streams
+            .saturating_sub(self.active_stream_count(destination));
         let mut singleshots: Vec<MrEnclave> = Vec::new();
         let mut resumes: Vec<MrEnclave> = Vec::new();
         let mut announces: Vec<MrEnclave> = Vec::new();
@@ -1518,38 +1463,20 @@ impl MigrationEnclave {
                     resumes.push(mr);
                     slots -= 1;
                 }
-            } else if mig.state.is_empty() {
-                // No bulk state: must ride the single-shot message (a
-                // zero-length payload cannot chunk). Safe only on a
-                // quiet link; otherwise it waits for the streams to
-                // drain (dispatch re-runs on every completion).
-                if quiet {
-                    singleshots.push(mr);
-                }
-            } else if mig.state.len() <= transfer_cfg.stream_threshold as usize
-                && quiet
-                && fresh_count == 1
-                && !batch_resumes
-            {
-                // Small-state fast path: the paper's single-shot
-                // transfer, kept for the common sole-migration case.
+            } else if mig.state.len() <= transfer_cfg.stream_threshold as usize {
+                // Small-state fast path: the paper's single-shot transfer
+                // (a zero-length payload cannot chunk, so empty state
+                // always takes it).
                 singleshots.push(mr);
-            } else if slots > 0 && !unconfirmed_singleshot {
-                // A non-empty single-shot Transfer still in flight is
-                // *larger* than cell-padded chunk frames; announcing a
-                // stream now would let its frames overtake the Transfer
-                // on the size-ordered network and desync the channel.
-                // Stay queued until the Stored/Delivered confirmation
-                // re-runs dispatch (empty Transfers are smaller than
-                // every stream frame and need no such gate).
+            } else if slots > 0 {
                 announces.push(mr);
                 slots -= 1;
             }
         }
 
-        // Seal order = arrival order on the size-ordered network:
-        // single-shot transfers (empty ones are the smallest frames),
-        // then resume requests, then cell-padded announcements + chunks.
+        // Links are FIFO, so frames arrive in this seal order:
+        // single-shot transfers, resume requests, then announcements and
+        // their first chunks.
         let mut frames: StreamFrames = Vec::new();
         for mr in singleshots {
             let mig = self
@@ -1598,19 +1525,10 @@ impl MigrationEnclave {
                 .adaptive()
                 .chunk_size();
             let mut leads = Vec::with_capacity(announces.len());
-            let mut lead_cost = 0u32;
             for mr in announces {
                 leads.push(self.announce_stream(env, mr, chunk_size)?);
-                let stream = self
-                    .outgoing
-                    .get(&mr)
-                    .and_then(|mig| mig.fsm.stream())
-                    .ok_or(MigError::SessionInvariant(
-                        "announced stream has no progress",
-                    ))?;
-                lead_cost = lead_cost.max(stream.frame_cost());
             }
-            frames.extend(self.pump_streams(destination, leads, lead_cost)?);
+            frames.extend(self.pump_streams(destination, leads)?);
         }
 
         // A lone single-cell frame rides the scalar SendRemote path; a
@@ -1916,10 +1834,10 @@ impl MigrationEnclave {
                 // Accept the delta stream even when we do not hold its
                 // base generation: the payload is small by construction
                 // (the source capped it at a fraction of the full state)
-                // and NACKing *after* the last chunk keeps the channel
-                // strictly FIFO — a NACK racing in-flight chunks would
-                // let the restarted announcement overtake them on the
-                // size-ordered network and desync the channel sequence.
+                // and NACKing only *after* the last chunk means the
+                // stream has drained by the time the source re-announces
+                // it as a full stream: no chunk of the rejected nonce is
+                // still in flight towards a receiver that dropped it.
                 // With speculative restore on and the base retained, the
                 // base is content-verified and staged *now*, overlapping
                 // the restore work with the arriving chunks. The lookup
@@ -1958,7 +1876,6 @@ impl MigrationEnclave {
                 idx,
                 payload,
                 mac,
-                pad: _,
             } => {
                 let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
                 if fsm.source() != source {
@@ -2224,7 +2141,6 @@ impl MigrationEnclave {
                     idx,
                     payload,
                     mac,
-                    pad: _,
                 } => {
                     // A cell for a nonce quarantined earlier in this same
                     // container is expected debris — skip it without
@@ -2448,20 +2364,14 @@ impl MigrationEnclave {
             fsm.on_ack(upto)?;
         }
 
-        let (leads, lead_cost) = if resume && upto == 0 {
+        let leads = if resume && upto == 0 {
             // Rewind to the very beginning: re-announce the stream
             // (ChunkStart or DeltaStart, whichever it was).
-            let cost = self
-                .outgoing
-                .get(&mr)
-                .and_then(|mig| mig.fsm.stream())
-                .ok_or(MigError::SessionInvariant("resumed stream has no progress"))?
-                .frame_cost();
-            (vec![self.rebuild_start_msg(mr)?], cost)
+            vec![self.rebuild_start_msg(mr)?]
         } else {
-            (Vec::new(), 0)
+            Vec::new()
         };
-        let frames = self.pump_streams(destination, leads, lead_cost)?;
+        let frames = self.pump_streams(destination, leads)?;
         Ok((mr, frames))
     }
 
@@ -2736,7 +2646,6 @@ impl MigrationEnclave {
             w.u8(u8::from(stream.delta_base.is_some()));
             w.u8(u8::from(fsm.is_awaiting_resume()));
         }
-        w.u32(self.shapers.get(&destination).map_or(0, LinkShaper::cell));
         Ok(w.finish())
     }
 }
@@ -2763,7 +2672,7 @@ mod tests {
         let mut fsm = SenderFsm::Idle { stream: None };
         fsm.dispatch_single_shot().unwrap();
         assert_eq!(fsm.name(), "AwaitingReceipt");
-        assert!(fsm.is_sent() && fsm.awaiting_receipt());
+        assert!(fsm.is_sent() && matches!(fsm, SenderFsm::AwaitingReceipt));
         // Events that do not apply leave the state untouched.
         assert!(matches!(
             fsm.dispatch_single_shot(),

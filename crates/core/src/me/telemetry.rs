@@ -85,8 +85,6 @@ pub struct LinkTelemetry {
     pub chunk_size: u32,
     /// Adaptive controller: current send window (chunks in flight).
     pub window: u32,
-    /// Current wire cell (uniform padded frame size; 0 when drained).
-    pub cell: u32,
     /// DRR scheduler deficits, sorted by measurement.
     pub deficits: Vec<(MrEnclave, u64)>,
 }
@@ -126,7 +124,6 @@ impl TelemetryReport {
             let destination = MachineId(r.u64()?);
             let chunk_size = r.u32()?;
             let window = r.u32()?;
-            let cell = r.u32()?;
             let n_deficits = r.u32()? as usize;
             let mut deficits = Vec::with_capacity(n_deficits);
             for _ in 0..n_deficits {
@@ -137,7 +134,6 @@ impl TelemetryReport {
                 destination,
                 chunk_size,
                 window,
-                cell,
                 deficits,
             });
         }
@@ -178,7 +174,6 @@ impl MigrationEnclave {
             w.u64(destination.0);
             w.u32(shaper.adaptive().chunk_size());
             w.u32(shaper.adaptive().window());
-            w.u32(shaper.cell());
             let deficits = shaper.deficits();
             w.u32(deficits.len() as u32);
             for (mr, deficit) in deficits {

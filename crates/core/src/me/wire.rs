@@ -1,18 +1,13 @@
-//! The **wire layer** of the Migration Enclave: everything that decides
-//! how session frames are shaped for one destination link.
+//! The **wire layer** of the Migration Enclave: how session frames for
+//! one destination link are built, batched and paced.
 //!
-//! The simulated network delivers smaller ciphertexts earlier within a
-//! step, so FIFO delivery of a multiplexed chunk stream is a *sizing*
-//! property: every source→destination stream frame is padded to the
-//! link's current **wire cell** ([`LinkShaper::bump_cell`]), oversized
-//! lead frames grow the cell ([`cell_for_frame_len`]), and the small
-//! destination→source control frames share one uniform
-//! [`CTRL_FRAME_LEN`]. This module owns that policy in one place —
-//! the frame-size arithmetic ([`chunk_frame_len`] / [`pad_frame`]), the
+//! This module owns the chunk-frame encoding, the `TRANSFER_BATCH`
+//! container (sealed in place; parsed by [`unpack_batch`]), the
 //! per-destination [`AdaptiveLink`] chunk/window controller, and the
 //! [`DrrScheduler`] apportioning the shared link window among
-//! concurrent streams — so the session layer ([`super::session`]) never
-//! computes a pad byte itself.
+//! concurrent streams. Frames travel at their natural size: links
+//! deliver in send order, so the channel's sequence numbers need no
+//! help from the frame layout.
 
 use crate::error::MigError;
 use crate::msgs::MeToMe;
@@ -27,90 +22,15 @@ use sgx_sim::wire::WireWriter;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Uniform plaintext length of the small destination→source control
-/// frames (`Delivered`, `Stored`, `ChunkAck`, `Resume`, `DeltaNack`).
-/// With multiple streams multiplexed on one channel these frames are
-/// sealed back to back; equal lengths keep their ciphertexts FIFO on
-/// the size-ordered simulated network.
-pub const CTRL_FRAME_LEN: usize = 64;
-
-/// Fixed wire overhead of a [`MeToMe::Chunk`] frame — the layout
-/// emitted by [`MeToMe::encode_chunk`]: tag(1), nonce(16), idx(4),
-/// payload len prefix(4), mac(32), pad len prefix(4).
-const CHUNK_FRAME_OVERHEAD: usize = 61;
-
-/// Plaintext length of a [`MeToMe::Chunk`] frame whose payload plus
-/// padding sum to `cell` bytes — the uniform *wire cell* every stream
-/// frame towards one destination is padded to.
-#[must_use]
-pub fn chunk_frame_len(cell: u32) -> usize {
-    cell as usize + CHUNK_FRAME_OVERHEAD
-}
-
-/// Inverse of [`chunk_frame_len`]: the smallest cell whose chunk frames
-/// are at least `frame_len` bytes on the wire — what a link's cell must
-/// grow to so an oversized lead frame (e.g. a `DeltaStart` naming many
-/// pages) cannot be overtaken by the chunks sealed after it.
-///
-/// # Errors
-///
-/// [`MigError::Transfer`] when `frame_len` is below the fixed chunk
-/// frame overhead: such a frame cannot be a well-formed stream frame,
-/// and silently mapping it to a 0-byte cell would let a corrupt length
-/// propagate into the link's framing state.
-pub fn cell_for_frame_len(frame_len: usize) -> Result<u32, MigError> {
-    let cell = frame_len
-        .checked_sub(CHUNK_FRAME_OVERHEAD)
-        .ok_or(MigError::Transfer("frame shorter than chunk overhead"))?;
-    u32::try_from(cell).map_err(|_| MigError::Transfer("frame exceeds cell range"))
-}
-
-/// Grows the trailing pad field of a freshly encoded stream frame
-/// (`ChunkStart` / `DeltaStart`, whose [`MeToMe::to_bytes`] emits an
-/// empty pad) so the plaintext reaches exactly `target` bytes —
-/// equalizing its wire size with the destination's chunk frames. A
-/// frame already at or above `target` is left unchanged.
-pub fn pad_frame(frame: &mut Vec<u8>, target: usize) {
-    if frame.len() >= target {
-        return;
-    }
-    let extra = target - frame.len();
-    let len_pos = frame.len() - 4;
-    debug_assert_eq!(
-        // mig-lint: allow(enclave-panic, "debug-only guard; every MeToMe frame ends in the 4-byte pad-length field")
-        &frame[len_pos..],
-        &[0u8; 4],
-        "pad_frame requires a trailing empty pad field"
-    );
-    // mig-lint: allow(enclave-panic, "len_pos = frame.len()-4 is in bounds (frames end in the pad field) and extra <= target <= cell <= u32::MAX")
-    frame[len_pos..].copy_from_slice(&u32::try_from(extra).expect("pad < 4 GiB").to_le_bytes());
-    frame.resize(target, 0);
-}
-
-/// Encodes chunk `idx` of `stream` as a seal-ready plaintext, padded to
-/// the destination's wire `cell`. Chunk payloads are encoded straight
+/// Encodes chunk `idx` of `stream` as a seal-ready plaintext, straight
 /// from the stream's shared buffer ([`MeToMe::encode_chunk`]) — no
-/// per-chunk clone.
-///
-/// Every stream frame towards one destination (announcements included)
-/// is padded to the same cell so equal-length ciphertexts stay FIFO on
-/// the size-ordered simulated network even when several streams'
-/// frames interleave on the shared channel. Building plaintexts apart
-/// from sealing lets the session layer hand the whole send burst to
+/// per-chunk clone. Building plaintexts apart from sealing lets the
+/// session layer hand the whole send burst to
 /// [`SecureChannel::seal_many`](crate::secure_channel::SecureChannel::seal_many)
-/// and overlap the AEAD work across its
-/// seal lanes.
-pub(crate) fn chunk_plaintext(stream: &ChunkStream, idx: u32, cell: u32) -> Vec<u8> {
+/// and overlap the AEAD work across its seal lanes.
+pub(crate) fn chunk_plaintext(stream: &ChunkStream, idx: u32) -> Vec<u8> {
     let (payload, mac) = stream.chunk(idx);
-    let pad = cell.saturating_sub(payload.len() as u32);
-    MeToMe::encode_chunk(&stream.nonce(), idx, payload, &mac, pad)
-}
-
-/// Pads an encoded lead frame (`ChunkStart` / `DeltaStart` /
-/// re-announcement) to the cell's chunk-frame length, ready to seal.
-pub(crate) fn lead_plaintext(mut frame: Vec<u8>, cell: u32) -> Vec<u8> {
-    pad_frame(&mut frame, chunk_frame_len(cell));
-    frame
+    MeToMe::encode_chunk(&stream.nonce(), idx, payload, &mac)
 }
 
 /// Hard upper bound on the cells one `TRANSFER_BATCH` container may
@@ -119,60 +39,31 @@ pub(crate) fn lead_plaintext(mut frame: Vec<u8>, cell: u32) -> Vec<u8> {
 /// bounds its allocations here before opening a single cell.
 pub const MAX_BATCH: u32 = 256;
 
-/// Uniform wire length of a `TRANSFER_BATCH` container on a link whose
-/// negotiated batch size is `batch` and whose wire cell is `cell`:
-/// cell count, `batch` length-prefixed sealed cells, and the trailing
-/// pad field. Containers holding fewer than `batch` cells are padded up
-/// to this length so a final partial batch (a smaller ciphertext) can
-/// never overtake earlier full batches on the size-ordered network.
-#[must_use]
-pub fn batch_frame_len(cell: u32, batch: u32) -> usize {
-    let sealed_cell = chunk_frame_len(cell) + TAG_LEN;
-    4 + batch as usize * (4 + sealed_cell) + 4
-}
-
-/// Seals a run of plaintext cells (chunk frames and padded lead frames,
-/// all of one uniform plaintext length) directly into one batch
-/// container, padded to [`batch_frame_len`] for the link's negotiated
-/// `batch` size. The container is allocated once at its final size and
-/// the channel seals each cell in place behind its length prefix
+/// Seals a run of plaintext cells (lead frames and chunk frames)
+/// directly into one `TRANSFER_BATCH` container: the cell count, then
+/// each sealed cell behind its `u32` length. The container is allocated
+/// once at its final size and the channel seals each cell in place
 /// ([`SecureChannel::seal_many_framed`]) — no per-cell ciphertext
 /// buffers, no second copy into the container.
-pub(crate) fn seal_batch(
-    channel: &mut SecureChannel,
-    cells: &[Vec<u8>],
-    cell: u32,
-    batch: u32,
-    lanes: u32,
-) -> Vec<u8> {
-    let target = batch_frame_len(cell, batch);
-    let mut out = Vec::with_capacity(target);
+pub(crate) fn seal_batch(channel: &mut SecureChannel, cells: &[Vec<u8>], lanes: u32) -> Vec<u8> {
+    let len = 4 + cells.iter().map(|c| 4 + c.len() + TAG_LEN).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
     channel.seal_many_framed(cells, lanes, &mut out);
-    // Trailing pad field, exactly as pack_batch framed it.
-    let pad = target.saturating_sub(out.len() + 4);
-    // mig-lint: allow(enclave-panic, "pad < target <= batch_frame_len < 4 GiB")
-    out.extend_from_slice(&u32::try_from(pad).expect("pad < 4 GiB").to_le_bytes());
-    out.resize(target, 0);
     out
 }
 
 /// Packs individually channel-sealed cells into one batch container —
-/// the two-pass framing [`seal_batch`] collapsed into a single pass.
+/// the two-pass framing [`seal_batch`] collapses into a single pass.
 /// Retained as the byte-layout oracle for `seal_batch` and the builder
 /// for `unpack_batch` tests.
 #[cfg(test)]
-pub(crate) fn pack_batch(cells: &[Vec<u8>], cell: u32, batch: u32) -> Vec<u8> {
-    let target = batch_frame_len(cell, batch);
-    let mut w = WireWriter::with_capacity(target);
+pub(crate) fn pack_batch(cells: &[Vec<u8>]) -> Vec<u8> {
+    let mut w = WireWriter::new();
     w.u32(cells.len() as u32);
-    let mut used = 4usize;
     for ct in cells {
         w.bytes(ct);
-        used += 4 + ct.len();
     }
-    let pad = target.saturating_sub(used + 4);
-    w.bytes(&vec![0u8; pad]);
     w.finish()
 }
 
@@ -197,7 +88,6 @@ pub fn unpack_batch(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
     for _ in 0..count {
         cells.push(r.bytes().map_err(|_| framing.clone())?);
     }
-    let _pad = r.bytes().map_err(|_| framing.clone())?;
     r.finish().map_err(|_| framing)?;
     Ok(cells)
 }
@@ -247,7 +137,7 @@ impl AdaptiveLink {
 
     /// A cumulative ack arrived in order: grow the window additively.
     pub fn on_clean_ack(&mut self) {
-        self.window = (self.window + 1).min(self.max_window);
+        self.window = self.window.saturating_add(1).min(self.max_window);
     }
 
     /// The stream was disrupted (resume renegotiation): shrink the chunk
@@ -384,20 +274,18 @@ impl<K: Copy + Eq + Hash> DrrScheduler<K> {
 
 /// Everything the wire layer tracks for one destination link: the
 /// [`AdaptiveLink`] chunk/window controller, the [`DrrScheduler`]
-/// sharing the window among concurrent streams, and the current wire
-/// cell.
+/// sharing the window among concurrent streams, and the negotiated
+/// batch size.
 ///
 /// Lifecycles differ deliberately: the adaptive controller is link
 /// memory that survives a `RETRY` reconnect ([`LinkShaper::reset_framing`]
-/// keeps it), while the scheduler and the cell describe in-flight frames
-/// that died with the old channel and are reset. The whole shaper is
-/// ephemeral across an ME restart — re-seeded from the provisioned
-/// config on the next stream.
+/// keeps it), while the scheduler and the batch size belong to the old
+/// channel and are reset. The whole shaper is ephemeral across an ME
+/// restart — re-seeded from the provisioned config on the next stream.
 #[derive(Debug)]
 pub struct LinkShaper {
     adaptive: AdaptiveLink,
     scheduler: DrrScheduler<MrEnclave>,
-    cell: u32,
     batch: u32,
 }
 
@@ -408,7 +296,6 @@ impl LinkShaper {
         LinkShaper {
             adaptive: AdaptiveLink::new(config),
             scheduler: DrrScheduler::new(),
-            cell: 0,
             batch: 1,
         }
     }
@@ -423,9 +310,8 @@ impl LinkShaper {
 
     /// Fixes the link's batch size from the channel negotiation
     /// (`min(own config, peer advertisement)`, clamped to
-    /// `1..=`[`MAX_BATCH`]). Set once per channel establishment,
-    /// *before* any stream frame flies — changing it with containers in
-    /// flight would break the uniform-size FIFO discipline.
+    /// `1..=`[`MAX_BATCH`]). Set once per channel establishment, before
+    /// any stream frame flies.
     pub fn set_batch(&mut self, batch: u32) {
         self.batch = batch.clamp(1, MAX_BATCH);
     }
@@ -442,38 +328,15 @@ impl LinkShaper {
         &mut self.adaptive
     }
 
-    /// The destination's current wire cell (0 before any stream frame).
-    #[must_use]
-    pub fn cell(&self) -> u32 {
-        self.cell
-    }
-
     /// Drops the framing state bound to a dead channel (scheduler round
-    /// and wire cell) while keeping the adaptive link memory — the
+    /// and batch size) while keeping the adaptive link memory — the
     /// `RETRY` path: in-flight frames died with the channel, but the
     /// link's observed behaviour did not change.
     pub fn reset_framing(&mut self) {
         self.scheduler = DrrScheduler::new();
-        self.cell = 0;
         // Batching is negotiated per channel; the replacement channel
         // re-advertises before any stream frame flies.
         self.batch = 1;
-    }
-
-    /// The destination's wire cell for the next frame batch: the uniform
-    /// padded size of every stream frame on that link. Grows to `needed`
-    /// while frames are in flight (a larger frame sealed later cannot
-    /// overtake) and shrinks back only when the link is drained — a
-    /// smaller frame sealed behind in-flight larger ones would arrive
-    /// first on the size-ordered network and desync the channel.
-    pub fn bump_cell(&mut self, needed: u32, in_flight_before: u32) -> u32 {
-        if in_flight_before == 0 {
-            self.cell = needed;
-        } else {
-            self.cell = self.cell.max(needed);
-        }
-        self.cell = self.cell.max(MIN_CHUNK_SIZE);
-        self.cell
     }
 
     /// Deficit-round-robin share-out of `budget` send slots over the
@@ -506,65 +369,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_frame_len_matches_encoding() {
-        for (payload, pad) in [(0usize, 4096u32), (100, 3996), (4096, 0)] {
-            let frame = MeToMe::encode_chunk(&[1; 16], 0, &vec![7; payload], &[2; 32], pad);
-            assert_eq!(frame.len(), chunk_frame_len(4096));
-        }
-        // cell_for_frame_len inverts chunk_frame_len.
-        for cell in [MIN_CHUNK_SIZE, 64 * 1024] {
-            assert_eq!(cell_for_frame_len(chunk_frame_len(cell)).unwrap(), cell);
-        }
-    }
-
-    #[test]
-    fn sub_overhead_frame_rejected_as_framing_error() {
-        // A frame shorter than the fixed chunk overhead cannot be a
-        // well-formed stream frame; it must surface as a framing error,
-        // not silently map to a 0-byte cell.
-        for len in [0, 1, CHUNK_FRAME_OVERHEAD - 1] {
-            assert!(matches!(
-                cell_for_frame_len(len),
-                Err(MigError::Transfer(_))
-            ));
-        }
-        // The boundary itself is the legitimate empty-payload frame.
-        assert_eq!(cell_for_frame_len(CHUNK_FRAME_OVERHEAD).unwrap(), 0);
-    }
-
-    #[test]
-    fn batch_container_round_trips_and_pads_uniformly() {
-        let cell = MIN_CHUNK_SIZE;
-        let sealed_len = chunk_frame_len(cell) + TAG_LEN;
-        let full: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; sealed_len]).collect();
-        let packed_full = pack_batch(&full, cell, 4);
-        assert_eq!(packed_full.len(), batch_frame_len(cell, 4));
-        let cells = unpack_batch(&packed_full).unwrap();
+    fn batch_container_round_trips() {
+        let full: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 100 + usize::from(i)]).collect();
+        let packed = pack_batch(&full);
+        let cells = unpack_batch(&packed).unwrap();
         assert_eq!(cells.len(), 4);
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(*c, &full[i][..]);
         }
-        // A partial batch pads to the same uniform container length, so
-        // it cannot overtake a full batch on the size-ordered network.
-        let partial = pack_batch(&full[..1], cell, 4);
-        assert_eq!(partial.len(), packed_full.len());
+        // A partial batch is just a shorter container.
+        let partial = pack_batch(&full[..1]);
+        assert!(partial.len() < packed.len());
         assert_eq!(unpack_batch(&partial).unwrap().len(), 1);
     }
 
     #[test]
     fn seal_batch_matches_pack_batch_of_seal_many() {
         use crate::secure_channel::ChannelRole;
-        let cell = MIN_CHUNK_SIZE;
-        let plaintexts: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; chunk_frame_len(cell)]).collect();
+        let plaintexts: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4000 + usize::from(i)]).collect();
         for lanes in [1u32, 2, 4] {
             // Two-pass oracle: seal the cells, then pack the ciphertexts.
             let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let expected = pack_batch(&oracle.seal_many(&plaintexts, lanes), cell, 4);
+            let expected = pack_batch(&oracle.seal_many(&plaintexts, lanes));
             // Single-pass path under test: seal straight into the container.
             let mut direct = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let container = seal_batch(&mut direct, &plaintexts, cell, 4, lanes);
+            let container = seal_batch(&mut direct, &plaintexts, lanes);
             assert_eq!(container, expected, "lanes={lanes}");
-            assert_eq!(container.len(), batch_frame_len(cell, 4));
+            assert_eq!(container.capacity(), container.len(), "allocated once");
             // And the receiver parses the sealed cells back out in order.
             assert_eq!(unpack_batch(&container).unwrap().len(), 3);
         }
@@ -572,18 +403,20 @@ mod tests {
 
     #[test]
     fn truncated_or_malformed_batch_rejected() {
-        let cell = MIN_CHUNK_SIZE;
-        let sealed_len = chunk_frame_len(cell) + TAG_LEN;
+        let sealed_len = 4096 + TAG_LEN;
         let cells: Vec<Vec<u8>> = (0..2u8).map(|i| vec![i; sealed_len]).collect();
-        let packed = pack_batch(&cells, cell, 2);
+        let packed = pack_batch(&cells);
         // Truncation mid-cell must be rejected before any AEAD work.
         for cut in [3, 10, sealed_len + 6, packed.len() - 1] {
             assert!(unpack_batch(&packed[..cut]).is_err(), "cut at {cut}");
         }
+        // So are trailing bytes after the last cell.
+        let mut trailing = packed.clone();
+        trailing.push(0);
+        assert!(unpack_batch(&trailing).is_err());
         // Zero cells and oversized counts are out of range.
         let mut w = WireWriter::new();
         w.u32(0);
-        w.bytes(&[]);
         assert!(unpack_batch(&w.finish()).is_err());
         let mut w = WireWriter::new();
         w.u32(MAX_BATCH + 1);
@@ -604,33 +437,6 @@ mod tests {
         shaper.set_batch(8);
         shaper.reset_framing();
         assert_eq!(shaper.batch(), 1);
-    }
-
-    #[test]
-    fn padded_start_frames_parse_identically() {
-        let data = crate::library::state::MigrationData {
-            counters_active: [false; crate::library::state::COUNTER_SLOTS],
-            counter_values: [0; crate::library::state::COUNTER_SLOTS],
-            msk: [7; 16],
-        };
-        let start = MeToMe::ChunkStart {
-            mr_enclave: MrEnclave([5; 32]),
-            nonce: [8; 16],
-            generation: 3,
-            total_len: 1_000_000,
-            chunk_size: 4096,
-            state_digest: [9; 32],
-            data,
-        };
-        let mut frame = start.to_bytes();
-        pad_frame(&mut frame, chunk_frame_len(64 * 1024));
-        assert_eq!(frame.len(), chunk_frame_len(64 * 1024));
-        assert_eq!(MeToMe::from_bytes(&frame).unwrap(), start);
-        // A frame already above the target is untouched.
-        let mut big = start.to_bytes();
-        let natural = big.len();
-        pad_frame(&mut big, 10);
-        assert_eq!(big.len(), natural);
     }
 
     fn demand(pending: u32, cost: u64) -> StreamDemand {
@@ -729,21 +535,27 @@ mod tests {
     }
 
     #[test]
-    fn link_shaper_cell_grows_under_flight_and_resets_when_drained() {
+    fn adaptive_window_saturates_at_u32_max() {
+        // A provisioned window already at the u32 ceiling must neither
+        // overflow (a panic in checked builds) nor wrap to 0 (a stalled
+        // stream in release builds).
+        let config = TransferConfig {
+            window: u32::MAX,
+            max_window: u32::MAX,
+            ..TransferConfig::default()
+        };
+        let mut link = AdaptiveLink::new(&config);
+        link.on_clean_ack();
+        assert_eq!(link.window(), u32::MAX);
+    }
+
+    #[test]
+    fn link_shaper_reset_keeps_adaptive_memory() {
         let mut shaper = LinkShaper::new(&TransferConfig::default());
-        assert_eq!(shaper.cell(), 0);
-        // Quiet link: the cell snaps to what the batch needs (floored).
-        assert_eq!(shaper.bump_cell(16 * 1024, 0), 16 * 1024);
-        // Frames in flight: the cell only grows.
-        assert_eq!(shaper.bump_cell(4 * 1024, 3), 16 * 1024);
-        assert_eq!(shaper.bump_cell(64 * 1024, 3), 64 * 1024);
-        // Drained again: shrink is allowed, floored at MIN_CHUNK_SIZE.
-        assert_eq!(shaper.bump_cell(1, 0), MIN_CHUNK_SIZE);
         // A retry keeps the adaptive memory but clears the framing.
         shaper.adaptive_mut().on_disruption();
         let chunk = shaper.adaptive().chunk_size();
         shaper.reset_framing();
-        assert_eq!(shaper.cell(), 0);
         assert_eq!(shaper.adaptive().chunk_size(), chunk);
     }
 }

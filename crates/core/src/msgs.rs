@@ -23,28 +23,17 @@
 //! [`MeToMe::DeltaNack`] tells a source whose delta base the destination
 //! does not hold to fall back to a full stream.
 //!
-//! **Per-nonce multiplexing and wire cells.** Several chunk streams to
-//! the same destination interleave on one attested channel, each frame
-//! tagged by its [`TransferNonce`]; the channel's per-session sequence
-//! numbers keep the *interleaving itself* tamper-evident, and the
-//! per-nonce HMAC chain rejects any cross-stream splice below it. The
-//! simulated network delivers smaller ciphertexts earlier, so every
-//! source→destination stream frame (`ChunkStart` / `DeltaStart` /
-//! `Chunk`) is padded to the destination link's current *wire cell* —
-//! frames of equal length stay FIFO — and the small
-//! destination→source control frames (`Delivered` / `Stored` /
-//! `ChunkAck` / `Resume` / `DeltaNack`) are padded to one uniform
-//! [`CTRL_FRAME_LEN`] for the same reason.
+//! **Per-nonce multiplexing.** Several chunk streams to the same
+//! destination interleave on one attested channel, each frame tagged by
+//! its [`TransferNonce`]; the channel's per-session sequence numbers
+//! keep the *interleaving itself* tamper-evident, and the per-nonce HMAC
+//! chain rejects any cross-stream splice below it. The channel relies
+//! on the network delivering its frames in order (the simulator's links
+//! are FIFO); anything that reorders them fails authentication.
 
 use crate::library::state::MigrationData;
 use crate::transfer::chunker::{ChunkMac, TransferNonce};
 use crate::transfer::delta::DeltaManifest;
-
-/// Zero padding appended to `ResumeRequest` so its ciphertext is larger
-/// than any `RA_FINISH` frame (see encode comment).
-const RESUME_REQUEST_PAD: usize = 4096;
-
-use crate::me::wire::CTRL_FRAME_LEN;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
@@ -274,9 +263,6 @@ pub enum MeToMe {
         payload: Vec<u8>,
         /// HMAC-chain MAC binding the chunk to its transfer and position.
         mac: ChunkMac,
-        /// Zero-padding length equalizing the wire size of all chunks of
-        /// a transfer (keeps equal-size ciphertexts FIFO on the network).
-        pad: u32,
     },
     /// Destination → source: cumulative acknowledgement — every chunk
     /// with `idx < upto` has been verified and stored.
@@ -315,7 +301,6 @@ impl MeToMe {
         idx: u32,
         payload: &[u8],
         mac: &ChunkMac,
-        pad: u32,
     ) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u8(5);
@@ -323,14 +308,7 @@ impl MeToMe {
         w.u32(idx);
         w.bytes(payload);
         w.array(mac);
-        w.bytes(&vec![0u8; pad as usize]);
         w.finish()
-    }
-
-    /// Pads a control frame up to [`CTRL_FRAME_LEN`] plaintext bytes.
-    fn ctrl_pad(w: &mut WireWriter) {
-        let pad = CTRL_FRAME_LEN.saturating_sub(w.len() + 4);
-        w.bytes(&vec![0u8; pad]);
     }
 
     /// Serializes the message (channel plaintext).
@@ -351,12 +329,10 @@ impl MeToMe {
             MeToMe::Delivered { mr_enclave } => {
                 w.u8(2);
                 w.array(&mr_enclave.0);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::Stored { mr_enclave } => {
                 w.u8(3);
                 w.array(&mr_enclave.0);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ChunkStart {
                 mr_enclave,
@@ -375,18 +351,14 @@ impl MeToMe {
                 w.u32(*chunk_size);
                 w.array(state_digest);
                 w.bytes(&data.to_bytes());
-                // Empty pad field; [`crate::me::wire::pad_frame`] grows it to the
-                // destination's wire cell before sealing.
-                w.bytes(&[]);
             }
             MeToMe::Chunk {
                 nonce,
                 idx,
                 payload,
                 mac,
-                pad,
             } => {
-                return Self::encode_chunk(nonce, *idx, payload, mac, *pad);
+                return Self::encode_chunk(nonce, *idx, payload, mac);
             }
             MeToMe::DeltaStart {
                 mr_enclave,
@@ -403,36 +375,26 @@ impl MeToMe {
                 w.array(payload_digest);
                 w.bytes(&manifest.to_bytes());
                 w.bytes(&data.to_bytes());
-                // Empty pad field; grown to the wire cell before sealing.
-                w.bytes(&[]);
             }
             MeToMe::DeltaNack { mr_enclave, nonce } => {
                 w.u8(10);
                 w.array(&mr_enclave.0);
                 w.array(nonce);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ChunkAck { nonce, upto } => {
                 w.u8(6);
                 w.array(nonce);
                 w.u32(*upto);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
                 w.u8(7);
                 w.array(&mr_enclave.0);
                 w.array(nonce);
-                // Padded above the RA_FINISH frame size: the first
-                // post-handshake data frame must not overtake the
-                // handshake finish on the size-ordered simulated network
-                // (smaller messages arrive earlier within one step).
-                w.bytes(&[0u8; RESUME_REQUEST_PAD]);
             }
             MeToMe::Resume { nonce, from_idx } => {
                 w.u8(8);
                 w.array(nonce);
                 w.u32(*from_idx);
-                Self::ctrl_pad(&mut w);
             }
         }
         w.finish()
@@ -451,84 +413,51 @@ impl MeToMe {
                 data: MigrationData::from_bytes(r.bytes()?)?,
                 state: r.bytes_vec()?,
             },
-            2 => {
-                let msg = MeToMe::Delivered {
-                    mr_enclave: MrEnclave(r.array()?),
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            3 => {
-                let msg = MeToMe::Stored {
-                    mr_enclave: MrEnclave(r.array()?),
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            4 => {
-                let msg = MeToMe::ChunkStart {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                    generation: r.u64()?,
-                    total_len: r.u64()?,
-                    chunk_size: r.u32()?,
-                    state_digest: r.array()?,
-                    data: MigrationData::from_bytes(r.bytes()?)?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
+            2 => MeToMe::Delivered {
+                mr_enclave: MrEnclave(r.array()?),
+            },
+            3 => MeToMe::Stored {
+                mr_enclave: MrEnclave(r.array()?),
+            },
+            4 => MeToMe::ChunkStart {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+                generation: r.u64()?,
+                total_len: r.u64()?,
+                chunk_size: r.u32()?,
+                state_digest: r.array()?,
+                data: MigrationData::from_bytes(r.bytes()?)?,
+            },
             5 => MeToMe::Chunk {
                 nonce: r.array()?,
                 idx: r.u32()?,
                 payload: r.bytes_vec()?,
                 mac: r.array()?,
-                pad: u32::try_from(r.bytes()?.len()).map_err(|_| SgxError::Decode)?,
             },
-            6 => {
-                let msg = MeToMe::ChunkAck {
-                    nonce: r.array()?,
-                    upto: r.u32()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            7 => {
-                let msg = MeToMe::ResumeRequest {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            8 => {
-                let msg = MeToMe::Resume {
-                    nonce: r.array()?,
-                    from_idx: r.u32()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            9 => {
-                let msg = MeToMe::DeltaStart {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                    chunk_size: r.u32()?,
-                    payload_digest: r.array()?,
-                    manifest: DeltaManifest::from_bytes(r.bytes()?)?,
-                    data: MigrationData::from_bytes(r.bytes()?)?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            10 => {
-                let msg = MeToMe::DeltaNack {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
+            6 => MeToMe::ChunkAck {
+                nonce: r.array()?,
+                upto: r.u32()?,
+            },
+            7 => MeToMe::ResumeRequest {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+            },
+            8 => MeToMe::Resume {
+                nonce: r.array()?,
+                from_idx: r.u32()?,
+            },
+            9 => MeToMe::DeltaStart {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+                chunk_size: r.u32()?,
+                payload_digest: r.array()?,
+                manifest: DeltaManifest::from_bytes(r.bytes()?)?,
+                data: MigrationData::from_bytes(r.bytes()?)?,
+            },
+            10 => MeToMe::DeltaNack {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+            },
             _ => return Err(SgxError::Decode),
         };
         r.finish()?;
@@ -635,7 +564,6 @@ mod tests {
                 idx: 7,
                 payload: vec![1, 2, 3],
                 mac: [4; 32],
-                pad: 5,
             },
             MeToMe::ChunkAck {
                 nonce: [8; 16],
@@ -656,38 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn chunk_padding_equalizes_wire_size() {
-        // A full chunk with no padding and a short final chunk padded up
-        // must serialize to the same number of bytes.
-        let full = MeToMe::Chunk {
-            nonce: [1; 16],
-            idx: 0,
-            payload: vec![7; 100],
-            mac: [2; 32],
-            pad: 0,
-        };
-        let tail = MeToMe::Chunk {
-            nonce: [1; 16],
-            idx: 1,
-            payload: vec![7; 33],
-            mac: [2; 32],
-            pad: 67,
-        };
-        assert_eq!(full.to_bytes().len(), tail.to_bytes().len());
-    }
-
-    #[test]
     fn borrowed_encoders_match_variant_encoding() {
         let chunk = MeToMe::Chunk {
             nonce: [1; 16],
             idx: 3,
             payload: vec![9; 50],
             mac: [2; 32],
-            pad: 14,
         };
         assert_eq!(
             chunk.to_bytes(),
-            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], &[2; 32], 14)
+            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], &[2; 32])
         );
         let incoming = MeToLib::IncomingMigration {
             data: data(),
@@ -697,41 +603,6 @@ mod tests {
             incoming.to_bytes(),
             MeToLib::encode_incoming_migration(&data(), b"bulk")
         );
-    }
-
-    #[test]
-    fn control_frames_share_one_wire_size() {
-        // All destination→source control frames must seal to the same
-        // ciphertext length; an interleaved multi-stream ack sequence
-        // would otherwise reorder on the size-ordered network.
-        let frames = [
-            MeToMe::Delivered {
-                mr_enclave: MrEnclave([5; 32]),
-            }
-            .to_bytes(),
-            MeToMe::Stored {
-                mr_enclave: MrEnclave([6; 32]),
-            }
-            .to_bytes(),
-            MeToMe::ChunkAck {
-                nonce: [8; 16],
-                upto: 8,
-            }
-            .to_bytes(),
-            MeToMe::Resume {
-                nonce: [8; 16],
-                from_idx: 3,
-            }
-            .to_bytes(),
-            MeToMe::DeltaNack {
-                mr_enclave: MrEnclave([5; 32]),
-                nonce: [8; 16],
-            }
-            .to_bytes(),
-        ];
-        for frame in &frames {
-            assert_eq!(frame.len(), CTRL_FRAME_LEN, "control frames are uniform");
-        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl SecureChannel {
     /// Encrypts and sequences a message, appending `ciphertext || tag`
     /// to `out` — identical bytes to [`SecureChannel::seal`], but into a
     /// caller-provided buffer so frame builders that know their final
-    /// length (batch containers, padded cells) seal with zero
+    /// length (batch containers) seal with zero
     /// intermediate allocations or copies.
     pub fn seal_into(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
         let nonce = Self::nonce(self.role.direction_byte(), self.send_seq);

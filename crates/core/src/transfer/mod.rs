@@ -43,8 +43,7 @@
 //! the link window among them (deficit round-robin) so a large-state
 //! migration cannot starve a small one. State at or below
 //! [`TransferConfig::stream_threshold`] still travels in the original
-//! single-shot `Transfer` message (the small-state fast path) when the
-//! link is quiet.
+//! single-shot `Transfer` message (the small-state fast path).
 
 pub mod checkpoint;
 pub mod chunker;
@@ -75,10 +74,8 @@ pub const DEFAULT_MAX_STREAMS: u32 = 8;
 /// (delta bases). Least-recently-used entries are evicted beyond it;
 /// evicted bases simply fall back to full streams via `DeltaNack`.
 pub const DEFAULT_CACHE_BUDGET: u64 = 256 * 1024 * 1024;
-/// Minimum accepted chunk size. Keeps every chunk ciphertext larger
-/// than the RA handshake-finish frame, so chunks sent in the same step
-/// as the finish cannot overtake it on the size-ordered simulated
-/// network. Also the floor the adaptive controller shrinks to.
+/// Minimum accepted chunk size, and the floor the adaptive controller
+/// shrinks to.
 pub const MIN_CHUNK_SIZE: u32 = 4096;
 /// Largest chunk size [`TransferConfig::for_link`] will derive.
 pub const MAX_CHUNK_SIZE: u32 = 4 * 1024 * 1024;
@@ -144,7 +141,7 @@ pub struct TransferConfig {
     /// Base of the supervisor's bounded exponential backoff: recovery
     /// attempt *n* waits `backoff_base * 2^(n-1)` of virtual time.
     pub backoff_base: Duration,
-    /// Hot-call batch size: how many wire cells one `TRANSFER_BATCH`
+    /// Hot-call batch size: how many sealed cells one `TRANSFER_BATCH`
     /// ECALL moves (and, on the receive side, the advertisement made to
     /// peers during channel negotiation — the effective link batch is
     /// `min(sender config, receiver advertisement)`). 1 keeps the
@@ -238,18 +235,8 @@ impl TransferConfig {
             deadline: Duration::from_nanos(r.u64()?),
             retry_budget: r.u32()?,
             backoff_base: Duration::from_nanos(r.u64()?),
-            // Trailing throughput knobs: older encodings omit them and
-            // keep the legacy serial, unbatched behaviour.
-            batch_size: if r.remaining() > 0 {
-                r.u32()?
-            } else {
-                DEFAULT_BATCH_SIZE
-            },
-            seal_lanes: if r.remaining() > 0 {
-                r.u32()?
-            } else {
-                DEFAULT_SEAL_LANES
-            },
+            batch_size: r.u32()?,
+            seal_lanes: r.u32()?,
         };
         if config.chunk_size < MIN_CHUNK_SIZE
             || config.window == 0
@@ -297,22 +284,12 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(TransferConfig::decode(&mut r).unwrap(), config);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn config_without_trailing_throughput_knobs_defaults() {
-        // Encodings predating the batch/lane knobs stop after the
-        // backoff base; decode fills the legacy defaults.
-        let config = TransferConfig::default();
-        let mut w = WireWriter::new();
-        config.encode(&mut w);
-        let buf = w.finish();
-        let trimmed = &buf[..buf.len() - 8];
-        let mut r = WireReader::new(trimmed);
-        let decoded = TransferConfig::decode(&mut r).unwrap();
-        assert_eq!(decoded.batch_size, DEFAULT_BATCH_SIZE);
-        assert_eq!(decoded.seal_lanes, DEFAULT_SEAL_LANES);
-        r.finish().unwrap();
+        // Every field is required: an encoding cut before `batch_size`,
+        // or inside `seal_lanes`, is rejected.
+        for cut in [buf.len() - 8, buf.len() - 1] {
+            let mut r = WireReader::new(&buf[..cut]);
+            assert!(TransferConfig::decode(&mut r).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! Generic lints (clippy) can't see this codebase's security invariants:
 //! that digest comparisons must be constant-time, that enclave-resident
 //! code must not panic, that key material must not print and must
-//! zeroize, that MeToMe frames are framed in exactly one place, and that
-//! the migration FSMs match every state by name. mig-lint enforces those
-//! five with a hand-rolled scrubbing tokenizer — no syntax-tree crate,
-//! no network, no dependencies.
+//! zeroize, and that the migration FSMs match every state by name.
+//! mig-lint enforces those four with a hand-rolled scrubbing tokenizer —
+//! no syntax-tree crate, no network, no dependencies.
 //!
 //! Findings can be suppressed per-site with
 //! `// mig-lint: allow(<rule>, "<reason>")` on the same or preceding
@@ -48,7 +47,6 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<Report> {
         raw.extend(rules::ct_compare(&file));
         raw.extend(rules::enclave_panic(&file));
         raw.extend(rules::no_wildcard_fsm(&file));
-        raw.extend(rules::wire_framing(&file));
         let (hygiene, facts) = rules::secret_hygiene(&file);
         raw.extend(hygiene);
         let idx = sources.len();

@@ -1,4 +1,4 @@
-//! The five mig-lint rules.
+//! The four mig-lint rules.
 //!
 //! Every rule works on scrubbed text (see [`crate::scrub`]) and reports
 //! byte offsets; the driver in [`crate::lint_files`] maps offsets to
@@ -9,18 +9,16 @@
 //! | `ct-compare` | digest/MAC/tag comparison must use `mig_crypto::ct` |
 //! | `enclave-panic` | no unannotated panic path in enclave-resident code |
 //! | `secret-hygiene` | secret types don't print; key types zeroize on drop |
-//! | `wire-framing` | MeToMe frames are built only in `me/wire.rs` |
 //! | `no-wildcard-fsm` | no catch-all arms in the session FSM matches |
 
 use crate::scan::{find_from, match_brace, match_paren, SourceFile};
 
 /// The rule identifiers, as used in reports and `allow(...)` annotations.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 4] = [
     "ct-compare",
     "enclave-panic",
     "no-wildcard-fsm",
     "secret-hygiene",
-    "wire-framing",
 ];
 
 /// Types that must never derive `Debug` or implement `Display`: their
@@ -392,62 +390,6 @@ pub fn no_wildcard_fsm(f: &SourceFile) -> Vec<RawViolation> {
                     offset: ws,
                 });
             }
-        }
-    }
-    out
-}
-
-/// **wire-framing** — MeToMe frames must be built by `me/wire.rs` alone
-/// (`seal_chunk` / `seal_lead`), which centralizes cell padding and
-/// length framing. Direct use of the low-level primitives or hand-sealed
-/// frame payloads elsewhere bypasses the traffic-shape guarantees.
-pub fn wire_framing(f: &SourceFile) -> Vec<RawViolation> {
-    let in_core = f.rel_path.starts_with("crates/core/")
-        && !f.rel_path.ends_with("me/wire.rs")
-        && !f.rel_path.ends_with("src/msgs.rs");
-    if !(in_core || f.rel_path.contains("fixtures/wire-framing/")) {
-        return Vec::new();
-    }
-    let text = &f.scrubbed;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    // `cell_for_frame_len` is deliberately not flagged: it is a pure
-    // size query (the shaper budgets cells with it); only the
-    // frame-*building* primitives are restricted to wire.rs.
-    for prim in ["encode_chunk", "pad_frame"] {
-        for pos in find_word(text, prim) {
-            if bytes.get(pos + prim.len()) != Some(&b'(') || f.in_test(pos) {
-                continue;
-            }
-            // A local stub *definition* (fixtures) is not a call site.
-            if let Some(p) = prev_non_ws(bytes, pos) {
-                if p >= 1 && &text[p - 1..=p] == "fn" {
-                    continue;
-                }
-            }
-            out.push(RawViolation {
-                rule: "wire-framing",
-                offset: pos,
-            });
-        }
-    }
-    let mut from = 0usize;
-    while let Some(pos) = find_from(text, from, ".seal(") {
-        from = pos + 1;
-        if f.in_test(pos) {
-            continue;
-        }
-        let open = pos + ".seal".len();
-        let close = match_paren(bytes, open).unwrap_or(bytes.len().saturating_sub(1));
-        let args = &text[open..close.min(text.len())];
-        if ["ChunkStart", "DeltaStart", "encode_chunk"]
-            .iter()
-            .any(|w| !find_word(args, w).is_empty())
-        {
-            out.push(RawViolation {
-                rule: "wire-framing",
-                offset: pos + 1,
-            });
         }
     }
     out

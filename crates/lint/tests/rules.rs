@@ -1,4 +1,4 @@
-//! Fixture-driven integration tests for the five mig-lint rules, plus
+//! Fixture-driven integration tests for the four mig-lint rules, plus
 //! the workspace self-scan that keeps the codebase lint-clean. These are
 //! the same checks CI runs via `cargo run -p mig-lint -- --self-test`.
 

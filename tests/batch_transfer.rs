@@ -119,9 +119,7 @@ fn tampered_cell_mid_batch_keeps_verified_prefix_and_replay_is_inert() {
                         // Flip one ciphertext byte inside the third
                         // container's first cell (the frame is
                         // [tag][u32 len][u32 count][u32 cell0-len]
-                        // [cell0…], so offset 45 is cell payload —
-                        // containers pad to uniform size, so a flip
-                        // near the tail could land in inert padding).
+                        // [cell0…], so offset 45 is cell payload).
                         let mut payload = e.payload.clone();
                         payload[45] ^= 1;
                         return TapAction::Replace(payload);

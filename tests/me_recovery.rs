@@ -339,7 +339,7 @@ fn me_crash_with_three_streams_resumes_all_from_persisted_progress() {
         "the link carried some chunks before the cut"
     );
     // Per-stream link telemetry sees all three multiplexed streams.
-    let (streams, _cell) = dc.me_host(m1).lock().link_streams(m2).unwrap();
+    let streams = dc.me_host(m1).lock().link_streams(m2).unwrap();
     assert_eq!(streams.len(), 3, "three per-nonce streams on the link");
 
     // Management-VM crash: checkpoint, restart, re-attest the sources.

@@ -928,11 +928,9 @@ fn evicted_delta_base_falls_back_to_full_stream() {
 
 /// Regression: a below-threshold single-shot `Transfer` and a streaming
 /// migration fired together on a **warm** channel must both complete.
-/// The Transfer's ciphertext is larger than the stream's cell-padded
-/// chunk frames, so the announcement must defer until the Stored /
-/// Delivered confirmation — chunks sealed behind the in-flight Transfer
-/// would otherwise overtake it on the size-ordered network and desync
-/// the channel.
+/// The Transfer's ciphertext is larger than the stream's chunk frames
+/// sealed behind it; the FIFO link still delivers it first, so both
+/// share the channel without either waiting for the other.
 #[test]
 fn single_shot_and_stream_fired_together_on_warm_channel_both_complete() {
     let config = TransferConfig {
