@@ -169,8 +169,8 @@ impl KvStore {
         if r.u8()? != CONTAINER_MAGIC {
             return Err(SgxError::Decode);
         }
-        let sealed_index = r.bytes_vec()?;
-        let (index_plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, &sealed_index)?;
+        let sealed_index = r.bytes()?;
+        let (index_plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, sealed_index)?;
         if aad != INDEX_AAD {
             return Err(SgxError::Decode);
         }
@@ -184,19 +184,21 @@ impl KvStore {
         if r.u32()? as usize != n {
             return Err(SgxError::Decode);
         }
-        let mut plain = Vec::new();
+        // Every plaintext byte arrived sealed inside `bytes`, so the
+        // container's length bounds the snapshot: one allocation.
+        let mut plain = Vec::with_capacity(bytes.len());
         let mut segments = Vec::with_capacity(n);
         for (i, hash) in expected.iter().enumerate() {
-            let sealed = r.bytes_vec()?;
-            if sha256(&sealed) != *hash {
+            let sealed = r.bytes()?;
+            if sha256(sealed) != *hash {
                 // A segment spliced in from another container version.
                 return Err(SgxError::MacMismatch);
             }
-            let (seg, aad) = ctx.lib.unseal_migratable_data(ctx.env, &sealed)?;
+            let (seg, aad) = ctx.lib.unseal_migratable_data(ctx.env, sealed)?;
             if aad != segment_aad(i as u32) {
                 return Err(SgxError::Decode);
             }
-            segments.push((sha256(&seg), sealed));
+            segments.push((sha256(&seg), sealed.to_vec()));
             plain.extend_from_slice(&seg);
         }
         r.finish()?;

@@ -34,7 +34,7 @@ fn bench_init(c: &mut Criterion) {
         let (_, _) = mig_core::harness::open_envelope(&out).unwrap();
         let out = setup.migratable.ecall(ops::COUNTER_CREATE, &[]).unwrap();
         let (_, blob) = mig_core::harness::open_envelope(&out).unwrap();
-        let blob = blob.expect("persisted");
+        let blob = blob.expect("persisted").to_vec();
         let req = encode_init(&me_mr, &InitRequest::Restore { blob });
         b.iter(|| setup.migratable.ecall(lib_ops::MIG_INIT, &req).unwrap())
     });

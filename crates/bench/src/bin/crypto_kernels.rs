@@ -140,13 +140,15 @@ impl Fixture {
             }
             ("seal", "software") => {
                 self.seal_buf.clear();
+                self.seal_buf.extend_from_slice(&self.data);
                 self.software
-                    .seal_into(&NONCE, AAD, &self.data, &mut self.seal_buf);
+                    .seal_in_place(&NONCE, AAD, &mut self.seal_buf, 0);
             }
             ("seal", _) => {
                 self.seal_buf.clear();
+                self.seal_buf.extend_from_slice(&self.data);
                 self.selected
-                    .seal_into(&NONCE, AAD, &self.data, &mut self.seal_buf);
+                    .seal_in_place(&NONCE, AAD, &mut self.seal_buf, 0);
             }
             ("open", "software") => {
                 let opened = self.software.open(&NONCE, AAD, &self.sealed);

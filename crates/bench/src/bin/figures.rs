@@ -116,7 +116,7 @@ fn fig4(n: usize) {
         .unwrap();
     let out = setup.migratable.ecall(ops::COUNTER_CREATE, &[]).unwrap();
     let (_, persist) = mig_core::harness::open_envelope(&out).unwrap();
-    let blob = persist.expect("create persists");
+    let blob = persist.expect("create persists").to_vec();
     let init_restore = sample_n(n, || {
         let req = encode_init(&me_mr, &InitRequest::Restore { blob: blob.clone() });
         let _ = setup.migratable.ecall(lib_ops::MIG_INIT, &req).unwrap();

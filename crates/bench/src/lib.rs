@@ -168,7 +168,7 @@ impl BenchSetup {
     /// Panics on enclave errors (bench fixture invariants).
     pub fn call_migratable(&self, opcode: u32, input: &[u8]) -> Vec<u8> {
         let out = self.migratable.ecall(opcode, input).expect("ecall");
-        open_envelope(&out).expect("envelope").0
+        open_envelope(&out).expect("envelope").0.to_vec()
     }
 
     /// ECALL into the baseline enclave, unwrapping the envelope (the
@@ -179,7 +179,7 @@ impl BenchSetup {
     /// Panics on enclave errors (bench fixture invariants).
     pub fn call_baseline(&self, opcode: u32, input: &[u8]) -> Vec<u8> {
         let out = self.baseline.ecall(opcode, input).expect("ecall");
-        open_envelope(&out).expect("envelope").0
+        open_envelope(&out).expect("envelope").0.to_vec()
     }
 
     /// Creates a counter on both enclaves, returning `(mig_id, base_idx)`.

@@ -486,21 +486,25 @@ impl Datacenter {
     /// [`SgxError::Decode`].
     pub fn app_bulk_state(&mut self, instance: &str) -> Result<Option<Vec<u8>>, SgxError> {
         let host = self.app(instance);
-        let payload = host.lock().call(lib_ops::BULK_STATE, &[])?;
+        let mut payload = host.lock().call(lib_ops::BULK_STATE, &[])?;
         let mut r = sgx_sim::wire::WireReader::new(&payload);
-        let bulk = read_opt(&mut r)?;
+        let len = read_opt(&mut r)?.map(<[u8]>::len);
         r.finish()?;
-        Ok(bulk)
+        // The state follows the option flag and its `u32` length: move
+        // it to the front of the reply's own buffer instead of copying it
+        // into a fresh one.
+        Ok(len.map(|len| {
+            payload.truncate(5 + len);
+            payload.drain(..5);
+            payload
+        }))
     }
 
     /// The generation-numbered checkpoint series holding a machine's
     /// sealed ME state (namespace `"me-state"` on its untrusted disk).
     #[must_use]
     pub fn me_checkpoints(&self, machine: MachineId) -> CheckpointStore {
-        // Sealed ME state re-encrypts wholesale every generation, so
-        // page-digest sidecars would never yield a useful delta.
         CheckpointStore::with_keep(self.world.machine(machine).disk.clone(), "me-state", 2)
-            .without_page_digests()
     }
 
     /// Checkpoints a machine's ME state to its untrusted disk (the

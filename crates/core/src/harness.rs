@@ -16,6 +16,7 @@
 
 use crate::error::MigError;
 use crate::library::{InitRequest, LibPhase, MigrationLibrary};
+use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::enclave::{EnclaveCode, EnclaveEnv};
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
@@ -104,22 +105,24 @@ impl<A: AppLogic> MigratableEnclave<A> {
 }
 
 /// Encodes the uniform ECALL response envelope: payload + optional
-/// persist blob.
+/// persist blob, in one buffer of its final size (the one copy the
+/// ECALL boundary costs).
 fn envelope(payload: &[u8], persist: Option<&[u8]>) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_capacity(4 + payload.len() + crate::me::opt_len(persist));
     w.bytes(payload);
     crate::me::write_opt(&mut w, persist);
     w.finish()
 }
 
-/// Decodes the response envelope (host side).
+/// Decodes the response envelope (host side), borrowing the payload and
+/// the persist blob from `bytes`.
 ///
 /// # Errors
 ///
 /// [`SgxError::Decode`] on malformed input.
-pub fn open_envelope(bytes: &[u8]) -> Result<(Vec<u8>, Option<Vec<u8>>), SgxError> {
+pub fn open_envelope(bytes: &[u8]) -> Result<(&[u8], Option<&[u8]>), SgxError> {
     let mut r = WireReader::new(bytes);
-    let payload = r.bytes_vec()?;
+    let payload = r.bytes()?;
     let persist = crate::me::read_opt(&mut r)?;
     r.finish()?;
     Ok((payload, persist))
@@ -182,16 +185,24 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                 .and_then(|lib| lib.me_attest_msg3(env, input).map(|()| Vec::new())),
             ops::MIG_START => {
                 let mut r = WireReader::new(input);
-                let destination = r
-                    .u64()
-                    .and_then(|d| r.finish().map(|()| MachineId(d)))
-                    .map_err(MigError::Sgx);
-                destination
-                    .and_then(|dst| self.lib_mut().and_then(|lib| lib.start_migration(env, dst)))
+                let destination = MachineId(r.u64()?);
+                r.finish()?;
+                // The request is sealed in place inside the envelope, so
+                // the state is copied once, into the buffer that leaves
+                // the enclave.
+                let lib = self.lib_mut()?;
+                let request = lib.start_migration(env, destination)?;
+                let persist = lib.take_persist();
+                let mut w = WireWriter::with_capacity(
+                    4 + request.encoded_len() + TAG_LEN + crate::me::opt_len(persist.as_deref()),
+                );
+                lib.write_sealed(&mut w, &request)?;
+                crate::me::write_opt(&mut w, persist.as_deref());
+                return Ok(w.finish());
             }
             ops::ME_CT => self.lib_mut().and_then(|lib| {
                 lib.receive_me_message(env, input).map(|reply| {
-                    let mut w = WireWriter::new();
+                    let mut w = WireWriter::with_capacity(crate::me::opt_len(reply.as_deref()));
                     crate::me::write_opt(&mut w, reply.as_deref());
                     w.finish()
                 })
@@ -208,10 +219,23 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                 Ok(vec![phase])
             }
             ops::BULK_STATE => {
-                let lib = self.lib.as_ref().ok_or(MigError::NotInitialized)?;
-                let mut w = WireWriter::new();
-                crate::me::write_opt(&mut w, lib.bulk_state());
-                Ok(w.finish())
+                // The payload is written straight into the envelope, so
+                // the state is copied once, into the buffer that leaves
+                // the enclave.
+                let lib = self.lib.as_mut().ok_or(MigError::NotInitialized)?;
+                let persist = lib.take_persist();
+                let bulk = lib.bulk_state();
+                let payload_len = crate::me::opt_len(bulk);
+                let mut w = WireWriter::with_capacity(
+                    4 + payload_len + crate::me::opt_len(persist.as_deref()),
+                );
+                w.u32(
+                    u32::try_from(payload_len)
+                        .map_err(|_| MigError::Transfer("message exceeds wire limit"))?,
+                );
+                crate::me::write_opt(&mut w, bulk);
+                crate::me::write_opt(&mut w, persist.as_deref());
+                return Ok(w.finish());
             }
             app_opcode if app_opcode < APP_OPCODE_LIMIT => {
                 let lib = self.lib.as_mut().ok_or(MigError::NotInitialized)?;
@@ -235,6 +259,7 @@ mod tests {
     #[test]
     fn envelope_round_trip() {
         let enc = envelope(b"payload", Some(b"persist me"));
+        assert_eq!(enc.capacity(), enc.len());
         let (payload, persist) = open_envelope(&enc).unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(persist.unwrap(), b"persist me");

@@ -9,9 +9,7 @@
 
 use crate::harness::{encode_init, open_envelope, ops as lib_ops};
 use crate::library::InitRequest;
-use crate::me::{
-    ops as me_ops, read_opt, MeAction, RaResponseAuth, StreamFrames, TelemetryReport, FRAME_BATCH,
-};
+use crate::me::{ops as me_ops, read_opt, MeAction, RaResponseAuth, TelemetryReport, FRAME_BATCH};
 use crate::remote_attest::RaHello;
 use crate::transfer::checkpoint::CheckpointStore;
 use cloud_sim::clock::{SimClock, SimTime};
@@ -33,28 +31,43 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 /// Parsed output of the ME's `LA_MSG2` ECALL: msg3, attested
-/// measurement, optional forward ciphertext.
-type LaMsg2Output = (Vec<u8>, MrEnclave, Option<Vec<u8>>);
+/// measurement, optional forward ciphertext (borrowed from the output).
+type LaMsg2Output<'a> = (&'a [u8], MrEnclave, Option<&'a [u8]>);
 /// Parsed output of the ME's `TRANSFER` ECALL: kind, measurement,
 /// optional trace id, optional forward ciphertext, optional ack
-/// ciphertext.
-type TransferOutput = (
+/// ciphertext (borrowed from the output).
+type TransferOutput<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
-    Option<Vec<u8>>,
-    Option<Vec<u8>>,
+    Option<&'a [u8]>,
+    Option<&'a [u8]>,
 );
+/// Kind-tagged stream frames borrowed from an ECALL output.
+type BorrowedFrames<'a> = Vec<(u8, &'a [u8])>;
 /// Parsed output of the ME's `ACK` ECALL: kind, measurement, optional
 /// trace id, optional completion ciphertext, and kind-tagged follow-on
-/// stream frames for the peer.
-type AckOutput = (
+/// stream frames for the peer (borrowed from the output).
+type AckOutput<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
-    Option<Vec<u8>>,
-    StreamFrames,
+    Option<&'a [u8]>,
+    BorrowedFrames<'a>,
 );
+
+/// Reads a `u32` count, then that many kind-tagged length-prefixed
+/// frames, borrowed from the reader's buffer.
+fn read_frames<'a>(r: &mut WireReader<'a>) -> Result<BorrowedFrames<'a>, SgxError> {
+    let n = r.u32()? as usize;
+    // Each frame takes at least five bytes: bound the count by the input.
+    let mut frames = Vec::with_capacity(n.min(r.remaining() / 5));
+    for _ in 0..n {
+        let kind = r.u8()?;
+        frames.push((kind, r.bytes()?));
+    }
+    Ok(frames)
+}
 
 /// Reads the optional 8-byte trace id the extended ECALL outputs carry.
 fn read_trace(r: &mut WireReader<'_>) -> Result<Option<TraceId>, SgxError> {
@@ -125,18 +138,32 @@ fn stream_frame_tag(kind: u8) -> u8 {
     }
 }
 
+/// Frames `payload` for the network in one buffer of its final size
+/// (the copy the network's owned message costs).
 fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_capacity(1 + 4 + payload.len());
     w.u8(tag).bytes(payload);
     w.finish()
 }
 
-fn unframe(bytes: &[u8]) -> Result<(u8, Vec<u8>), SgxError> {
+/// Splits a network message into its tag and its body, borrowed.
+fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), SgxError> {
     let mut r = WireReader::new(bytes);
     let tag = r.u8()?;
-    let payload = r.bytes_vec()?;
+    let payload = r.bytes()?;
     r.finish()?;
     Ok((tag, payload))
+}
+
+/// An ECALL input: the untrusted routing prefix, then the ciphertext
+/// behind its length, in one buffer of its final size (the one copy the
+/// ECALL boundary costs).
+fn ecall_input(prefix: &[u8], ct: &[u8]) -> Vec<u8> {
+    let mut input = Vec::with_capacity(prefix.len() + 4 + ct.len());
+    input.extend_from_slice(prefix);
+    let mut w = WireWriter::from_vec(input);
+    w.bytes(ct);
+    w.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -573,9 +600,9 @@ impl MeHost {
             Ok(out) => out,
             Err(e) => return self.fail("la msg2", e),
         };
-        let parsed: Result<LaMsg2Output, SgxError> = (|| {
+        let parsed: Result<LaMsg2Output<'_>, SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let msg3 = r.bytes_vec()?;
+            let msg3 = r.bytes()?;
             let mr = MrEnclave(r.array()?);
             let forward = read_opt(&mut r)?;
             r.finish()?;
@@ -585,9 +612,9 @@ impl MeHost {
             Ok((msg3, mr, forward)) => {
                 self.app_by_mr.insert(mr, from.clone());
                 self.mr_by_app.insert(from.clone(), mr);
-                net.send(&self.endpoint, from, frame(tags::LA_MSG3, &msg3));
+                net.send(&self.endpoint, from, frame(tags::LA_MSG3, msg3));
                 if let Some(ct) = forward {
-                    net.send(&self.endpoint, from, frame(tags::ME_FORWARD, &ct));
+                    net.send(&self.endpoint, from, frame(tags::ME_FORWARD, ct));
                 }
             }
             Err(e) => self.fail("parse la msg2 output", e),
@@ -598,10 +625,7 @@ impl MeHost {
         let Some(mr) = self.mr_by_app.get(from).copied() else {
             return self.fail("lib msg", "no attested session for sender");
         };
-        let mut w = WireWriter::new();
-        w.array(&mr.0);
-        w.bytes(ct);
-        match self.enclave.ecall(me_ops::LIB_MSG, &w.finish()) {
+        match self.enclave.ecall(me_ops::LIB_MSG, &ecall_input(&mr.0, ct)) {
             Ok(action) => self.handle_action(net, &action),
             Err(e) => self.fail("lib msg", e),
         }
@@ -645,15 +669,10 @@ impl MeHost {
             Ok(out) => out,
             Err(e) => return self.fail("ra response", e),
         };
-        let parsed: Result<(Vec<u8>, StreamFrames), SgxError> = (|| {
+        let parsed: Result<(&[u8], BorrowedFrames<'_>), SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let finish = r.bytes_vec()?;
-            let n = r.u32()? as usize;
-            let mut transfers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let kind = r.u8()?;
-                transfers.push((kind, r.bytes_vec()?));
-            }
+            let finish = r.bytes()?;
+            let transfers = read_frames(&mut r)?;
             r.finish()?;
             Ok((finish, transfers))
         })();
@@ -662,13 +681,13 @@ impl MeHost {
                 // The channel is established on our side once the
                 // finish message goes out.
                 self.negotiate_end(Self::channel_trace(self.endpoint.machine, from.machine));
-                net.send(&self.endpoint, from, frame(tags::RA_FINISH, &finish));
+                net.send(&self.endpoint, from, frame(tags::RA_FINISH, finish));
                 let streamed = !transfers.is_empty();
                 for (kind, transfer) in transfers {
                     net.send(
                         &self.endpoint,
                         from,
-                        frame(stream_frame_tag(kind), &transfer),
+                        frame(stream_frame_tag(kind), transfer),
                     );
                 }
                 if streamed {
@@ -690,10 +709,7 @@ impl MeHost {
     }
 
     fn on_ra_transfer(&mut self, net: &mut Network, from: &Endpoint, ct: &[u8]) {
-        let mut w = WireWriter::new();
-        w.u64(from.machine.0);
-        w.bytes(ct);
-        let input = w.finish();
+        let input = ecall_input(&from.machine.0.to_le_bytes(), ct);
         let ecall_start = std::time::Instant::now();
         let virt_before = self.enclave.peek_virtual_time();
         let out = match self.enclave.ecall(me_ops::TRANSFER, &input) {
@@ -708,7 +724,7 @@ impl MeHost {
         };
         let ecall_took = ecall_start.elapsed();
         let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
-        let parsed: Result<TransferOutput, SgxError> = (|| {
+        let parsed: Result<TransferOutput<'_>, SgxError> = (|| {
             let mut r = WireReader::new(&out);
             let record = Self::read_transfer_record(&mut r)?;
             r.finish()?;
@@ -724,7 +740,7 @@ impl MeHost {
 
     /// Reads one `TRANSFER`-format output record (shared by the
     /// single-frame and batched paths).
-    fn read_transfer_record(r: &mut WireReader<'_>) -> Result<TransferOutput, SgxError> {
+    fn read_transfer_record<'a>(r: &mut WireReader<'a>) -> Result<TransferOutput<'a>, SgxError> {
         let kind = r.u8()?;
         let mr = MrEnclave(r.array()?);
         let trace = read_trace(r)?;
@@ -739,7 +755,7 @@ impl MeHost {
         &mut self,
         net: &mut Network,
         from: &Endpoint,
-        record: TransferOutput,
+        record: TransferOutput<'_>,
         release_ns: u64,
         ecall_took: Duration,
     ) {
@@ -764,21 +780,18 @@ impl MeHost {
         }
         if let Some(ct) = forward {
             if let Some(app) = self.app_by_mr.get(&mr).cloned() {
-                net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, &ct));
+                net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
             } else {
                 self.fail("ra transfer", "forward with no app endpoint");
             }
         }
         if let Some(ct) = ack {
-            net.send(&self.endpoint, from, frame(tags::RA_ACK, &ct));
+            net.send(&self.endpoint, from, frame(tags::RA_ACK, ct));
         }
     }
 
     fn on_ra_transfer_batch(&mut self, net: &mut Network, from: &Endpoint, container: &[u8]) {
-        let mut w = WireWriter::new();
-        w.u64(from.machine.0);
-        w.bytes(container);
-        let input = w.finish();
+        let input = ecall_input(&from.machine.0.to_le_bytes(), container);
         let ecall_start = std::time::Instant::now();
         let virt_before = self.enclave.peek_virtual_time();
         let out = match self.enclave.ecall(me_ops::TRANSFER_BATCH, &input) {
@@ -791,13 +804,13 @@ impl MeHost {
         };
         let ecall_took = ecall_start.elapsed();
         let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
-        let parsed: Result<(Vec<TransferOutput>, u8), SgxError> = (|| {
+        let parsed: Result<(Vec<TransferOutput<'_>>, u8), SgxError> = (|| {
             let mut r = WireReader::new(&out);
             let n = r.u32()? as usize;
-            let mut records = Vec::with_capacity(n);
+            let mut records = Vec::with_capacity(n.min(r.remaining() / 4));
             for _ in 0..n {
-                let bytes = r.bytes_vec()?;
-                let mut rr = WireReader::new(&bytes);
+                let bytes = r.bytes()?;
+                let mut rr = WireReader::new(bytes);
                 let record = Self::read_transfer_record(&mut rr)?;
                 rr.finish()?;
                 records.push(record);
@@ -822,25 +835,18 @@ impl MeHost {
     }
 
     fn on_ra_ack(&mut self, net: &mut Network, from: &Endpoint, ct: &[u8]) {
-        let mut w = WireWriter::new();
-        w.u64(from.machine.0);
-        w.bytes(ct);
-        let out = match self.enclave.ecall(me_ops::ACK, &w.finish()) {
+        let input = ecall_input(&from.machine.0.to_le_bytes(), ct);
+        let out = match self.enclave.ecall(me_ops::ACK, &input) {
             Ok(out) => out,
             Err(e) => return self.fail("ra ack", e),
         };
-        let parsed: Result<AckOutput, SgxError> = (|| {
+        let parsed: Result<AckOutput<'_>, SgxError> = (|| {
             let mut r = WireReader::new(&out);
             let kind = r.u8()?;
             let mr = MrEnclave(r.array()?);
             let trace = read_trace(&mut r)?;
             let complete = read_opt(&mut r)?;
-            let n = r.u32()? as usize;
-            let mut frames = Vec::with_capacity(n);
-            for _ in 0..n {
-                let frame_kind = r.u8()?;
-                frames.push((frame_kind, r.bytes_vec()?));
-            }
+            let frames = read_frames(&mut r)?;
             r.finish()?;
             Ok((kind, mr, trace, complete, frames))
         })();
@@ -866,7 +872,7 @@ impl MeHost {
                 if kind == 1 {
                     // Delivered: notify the (frozen) source app if known.
                     if let (Some(ct), Some(app)) = (complete, self.app_by_mr.get(&mr).cloned()) {
-                        net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, &ct));
+                        net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
                     }
                 }
                 // Follow-on stream frames (window slide / resume) go back
@@ -876,7 +882,7 @@ impl MeHost {
                     net.send(
                         &self.endpoint,
                         from,
-                        frame(stream_frame_tag(frame_kind), &ct),
+                        frame(stream_frame_tag(frame_kind), ct),
                     );
                 }
                 if streamed {
@@ -1047,14 +1053,14 @@ impl Service for MeHost {
         };
         match tag {
             tags::LA_START => self.on_la_start(net, from),
-            tags::LA_MSG2 => self.on_la_msg2(net, from, &body),
-            tags::LIB_MSG => self.on_lib_msg(net, from, &body),
-            tags::RA_HELLO => self.on_ra_hello(net, from, &body),
-            tags::RA_RESPONSE => self.on_ra_response(net, from, &body),
-            tags::RA_FINISH => self.on_ra_finish(from, &body),
-            tags::RA_TRANSFER => self.on_ra_transfer(net, from, &body),
-            tags::RA_TRANSFER_BATCH => self.on_ra_transfer_batch(net, from, &body),
-            tags::RA_ACK => self.on_ra_ack(net, from, &body),
+            tags::LA_MSG2 => self.on_la_msg2(net, from, body),
+            tags::LIB_MSG => self.on_lib_msg(net, from, body),
+            tags::RA_HELLO => self.on_ra_hello(net, from, body),
+            tags::RA_RESPONSE => self.on_ra_response(net, from, body),
+            tags::RA_FINISH => self.on_ra_finish(from, body),
+            tags::RA_TRANSFER => self.on_ra_transfer(net, from, body),
+            tags::RA_TRANSFER_BATCH => self.on_ra_transfer_batch(net, from, body),
+            tags::RA_ACK => self.on_ra_ack(net, from, body),
             other => self.fail("unknown tag", other),
         }
     }
@@ -1180,14 +1186,16 @@ impl AppHost {
         &self.checkpoints
     }
 
-    fn store_persist(&mut self, envelope_bytes: &[u8]) -> Result<Vec<u8>, SgxError> {
+    /// Stores the persist blob an ECALL envelope carries (the disk gets
+    /// its own copy) and returns the payload, borrowed from the envelope.
+    fn store_persist<'a>(&mut self, envelope_bytes: &'a [u8]) -> Result<&'a [u8], SgxError> {
         let (payload, persist) = open_envelope(envelope_bytes)?;
         if let Some(blob) = persist {
             // A failed or torn write surfaces to the caller: the enclave
             // has already advanced, but the host must not pretend the
             // state is durable when the platter rejected it.
             self.disk
-                .try_put(&self.state_key(), blob.clone())
+                .try_put(&self.state_key(), blob.to_vec())
                 .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
             // Periodic durable checkpoint generation (the "C" of CTR):
             // the latest-but-one generation survives even a crash
@@ -1196,10 +1204,12 @@ impl AppHost {
             if self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
                 || self.checkpoints.latest_generation().is_none()
             {
-                self.persists_since_checkpoint = 0;
                 self.checkpoints
-                    .put(blob)
+                    .put(blob.to_vec())
                     .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
+                // Only a durable generation restarts the interval: a
+                // failed write is retried on the very next persist.
+                self.persists_since_checkpoint = 0;
             }
         }
         Ok(payload)
@@ -1228,8 +1238,15 @@ impl AppHost {
     ///
     /// Propagates enclave errors.
     pub fn call(&mut self, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let out = self.enclave.ecall(opcode, input)?;
-        self.store_persist(&out)
+        let mut out = self.enclave.ecall(opcode, input)?;
+        let payload_len = self.store_persist(&out)?.len();
+        // The payload leads the envelope behind its `u32` length: move it
+        // to the front of the ECALL's own buffer instead of copying it
+        // into a fresh one.
+        out.truncate(4 + payload_len);
+        out.drain(..4);
+        out.shrink_to_fit();
+        Ok(out)
     }
 
     /// Starts a migration to `destination` (`migration_start`,
@@ -1253,7 +1270,7 @@ impl AppHost {
         // The frozen state blob must hit the disk before the request is
         // relayed (crash consistency; §V-C ordering).
         let ct = self.store_persist(&out)?;
-        net.send(&self.endpoint, &self.me_endpoint, frame(tags::LIB_MSG, &ct));
+        net.send(&self.endpoint, &self.me_endpoint, frame(tags::LIB_MSG, ct));
         self.status = AppStatus::MigratingOut;
         Ok(())
     }
@@ -1272,8 +1289,8 @@ impl AppHost {
             Ok(p) => p,
             Err(e) => return self.fail("me forward persist", e),
         };
-        let reply: Result<Option<Vec<u8>>, SgxError> = (|| {
-            let mut r = WireReader::new(&payload);
+        let reply: Result<Option<&[u8]>, SgxError> = (|| {
+            let mut r = WireReader::new(payload);
             let reply = read_opt(&mut r)?;
             r.finish()?;
             Ok(reply)
@@ -1284,7 +1301,7 @@ impl AppHost {
                 net.send(
                     &self.endpoint,
                     &self.me_endpoint,
-                    frame(tags::LIB_MSG, &done_ct),
+                    frame(tags::LIB_MSG, done_ct),
                 );
                 self.status = AppStatus::Ready;
             }
@@ -1306,18 +1323,18 @@ impl Service for AppHost {
             Err(e) => return self.fail("unframe", e),
         };
         match tag {
-            tags::LA_MSG1 => match self.enclave.ecall(lib_ops::ME_MSG1, &body) {
+            tags::LA_MSG1 => match self.enclave.ecall(lib_ops::ME_MSG1, body) {
                 Ok(out) => match self.store_persist(&out) {
                     Ok(msg2) => net.send(
                         &self.endpoint,
                         &self.me_endpoint,
-                        frame(tags::LA_MSG2, &msg2),
+                        frame(tags::LA_MSG2, msg2),
                     ),
                     Err(e) => self.fail("la msg1 persist", e),
                 },
                 Err(e) => self.fail("la msg1", e),
             },
-            tags::LA_MSG3 => match self.enclave.ecall(lib_ops::ME_MSG3, &body) {
+            tags::LA_MSG3 => match self.enclave.ecall(lib_ops::ME_MSG3, body) {
                 Ok(out) => {
                     if let Err(e) = self.store_persist(&out) {
                         return self.fail("la msg3 persist", e);
@@ -1328,7 +1345,7 @@ impl Service for AppHost {
                 }
                 Err(e) => self.fail("la msg3", e),
             },
-            tags::ME_FORWARD => self.on_me_forward(net, &body),
+            tags::ME_FORWARD => self.on_me_forward(net, body),
             other => self.fail("unexpected tag", other),
         }
     }

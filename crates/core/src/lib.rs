@@ -108,3 +108,10 @@ pub mod supervisor;
 pub mod transfer;
 
 pub use error::{ChannelPeer, MigError};
+
+/// A zero-filled `Arc<[u8]>` of `len` bytes in one allocation: the
+/// buffer a receiver writes a state into (through `Arc::get_mut`, while
+/// it is unshared) and then keeps, so the state is never copied again.
+pub(crate) fn zeroed_arc(len: usize) -> std::sync::Arc<[u8]> {
+    std::iter::repeat_n(0, len).collect()
+}

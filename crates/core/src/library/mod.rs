@@ -25,11 +25,13 @@ pub mod state;
 use crate::error::MigError;
 use crate::msgs::{LibToMe, MeToLib};
 use crate::secure_channel::{ChannelRole, SecureChannel};
+use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::cpu::KeyPolicy;
 use sgx_sim::dh::{DhInitiator, DhMsg1, DhMsg3};
 use sgx_sim::enclave::EnclaveEnv;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
+use sgx_sim::seal;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use state::{LibraryState, COUNTER_SLOTS};
@@ -211,12 +213,21 @@ impl MigrationLibrary {
         self.pending_persist.take()
     }
 
+    /// Reseals Table II plus the staged bulk state into the blob the
+    /// host stores: the plaintext is written once, behind the sealed
+    /// blob's reserved header, and sealed where it lies.
     fn persist(&mut self, env: &mut EnclaveEnv<'_>) {
         if let Some(state) = &self.state {
-            let mut w = WireWriter::new();
-            w.bytes(&state.to_bytes());
-            crate::me::write_opt(&mut w, self.bulk_state.as_deref());
-            let blob = env.seal_data(KeyPolicy::MrEnclave, STATE_AAD, &w.finish());
+            let table = state.to_bytes();
+            let bulk = self.bulk_state.as_deref();
+            let plain_len = 4 + table.len() + crate::me::opt_len(bulk);
+            let mut buf = Vec::with_capacity(seal::sealed_size(STATE_AAD.len(), plain_len));
+            buf.resize(seal::sealed_header_len(STATE_AAD.len()), 0);
+            let mut w = WireWriter::from_vec(buf);
+            w.bytes(&table);
+            crate::me::write_opt(&mut w, bulk);
+            let mut blob = w.finish();
+            env.seal_data_in_place(KeyPolicy::MrEnclave, STATE_AAD, &mut blob);
             self.pending_persist = Some(blob);
         }
     }
@@ -379,13 +390,17 @@ impl MigrationLibrary {
 
         let mut header = WireWriter::new();
         header.u8(MIGSEAL_VERSION).array(&nonce).bytes(aad);
-        let header_bytes = header.finish();
+        let header = header.finish();
+        let sealed_len = u32::try_from(plaintext.len() + TAG_LEN)
+            .map_err(|_| MigError::Sgx(SgxError::InvalidParameter("plaintext")))?;
 
-        let ct = aead.seal(&nonce, &header_bytes, plaintext);
-        let mut out = header_bytes;
-        let mut tail = WireWriter::new();
-        tail.bytes(&ct);
-        out.extend_from_slice(&tail.finish());
+        // Header, ciphertext length, then the plaintext sealed in place:
+        // one buffer of the blob's final size.
+        let mut out = Vec::with_capacity(header.len() + 4 + plaintext.len() + TAG_LEN);
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&sealed_len.to_le_bytes());
+        out.extend_from_slice(plaintext);
+        aead.seal_in_place(&nonce, &header, &mut out, header.len() + 4);
         Ok(out)
     }
 
@@ -408,19 +423,19 @@ impl MigrationLibrary {
             return Err(MigError::Sgx(SgxError::Decode));
         }
         let nonce: [u8; 12] = r.array()?;
-        let aad = r.bytes_vec()?;
-        let ct = r.bytes_vec()?;
+        let aad = r.bytes()?;
+        // The authenticated header is exactly the bytes just parsed.
+        let header = blob
+            .get(..1 + 12 + 4 + aad.len())
+            .ok_or(MigError::Sgx(SgxError::Decode))?;
+        let ct = r.bytes()?;
         r.finish()?;
-
-        let mut header = WireWriter::new();
-        header.u8(MIGSEAL_VERSION).array(&nonce).bytes(&aad);
-        let header_bytes = header.finish();
 
         let aead = mig_crypto::gcm::AesGcm::new(state.msk);
         let plaintext = aead
-            .open(&nonce, &header_bytes, &ct)
+            .open(&nonce, header, ct)
             .map_err(|_| MigError::Sgx(SgxError::MacMismatch))?;
-        Ok((plaintext, aad))
+        Ok((plaintext, aad.to_vec()))
     }
 
     // ------------------------------------------------------------------
@@ -545,12 +560,13 @@ impl MigrationLibrary {
     /// 2. computes the effective value of every active counter;
     /// 3. **destroys all hardware counters**, requiring success for each
     ///    (fork prevention: obsolete blobs now reference dead counters);
-    /// 4. emits the encrypted `MigrateRequest` for the local ME.
+    /// 4. builds the `MigrateRequest` for the local ME.
     ///
-    /// Returns the channel ciphertext the host must relay to the ME. The
-    /// new (frozen) persistent blob is available via
-    /// [`MigrationLibrary::take_persist`] and must be stored before the
-    /// request is relayed.
+    /// Returns the request, which [`MigrationLibrary::write_sealed`]
+    /// encrypts where the host receives it; the host must relay the
+    /// ciphertext to the ME. The new (frozen) persistent blob is
+    /// available via [`MigrationLibrary::take_persist`] and must be
+    /// stored before the request is relayed.
     ///
     /// # Errors
     ///
@@ -560,7 +576,7 @@ impl MigrationLibrary {
         &mut self,
         env: &mut EnclaveEnv<'_>,
         destination: MachineId,
-    ) -> Result<Vec<u8>, MigError> {
+    ) -> Result<LibToMe, MigError> {
         // Validate phase and session before mutating anything.
         let _ = self.operational_state()?;
         if !self.has_me_session() {
@@ -601,14 +617,23 @@ impl MigrationLibrary {
         // message.
         let state = self.state.as_ref().ok_or(MigError::NotInitialized)?;
         let data = state.to_migration_data(&effective)?;
-        let msg = LibToMe::MigrateRequest {
+        Ok(LibToMe::MigrateRequest {
             destination,
             data,
-            state: self.bulk_state.as_deref().unwrap_or_default().to_vec(),
-        };
-        let plaintext = msg.to_bytes();
-        let channel = self.channel()?;
-        Ok(channel.seal(&plaintext))
+            state: self.bulk_state.clone().unwrap_or_else(|| Arc::from([])),
+        })
+    }
+
+    /// Appends `msg` for the local ME to `w`, sealed on the attested
+    /// channel as a length-prefixed ciphertext: encoded and encrypted
+    /// in place, so the state is copied once, into the output buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`MigError::NoMeSession`] without an attested ME channel.
+    pub fn write_sealed(&mut self, w: &mut WireWriter, msg: &LibToMe) -> Result<(), MigError> {
+        self.channel()?
+            .write_sealed(w, msg.encoded_len(), |w| msg.encode(w))
     }
 
     /// Processes an encrypted ME→library message.
@@ -630,8 +655,11 @@ impl MigrationLibrary {
         env: &mut EnclaveEnv<'_>,
         ciphertext: &[u8],
     ) -> Result<Option<Vec<u8>>, MigError> {
-        let plaintext = self.channel()?.open(ciphertext)?;
-        match MeToLib::from_bytes(&plaintext)? {
+        // The state is opened straight into the `Arc` the library keeps.
+        let (head, body) = self
+            .channel()?
+            .open_split(ciphertext, MeToLib::INCOMING_HEAD_LEN)?;
+        match MeToLib::from_split(&head, body)? {
             MeToLib::IncomingMigration { data, state } => {
                 // Idempotent re-delivery: if the ME restarted after we
                 // installed but before our DONE arrived, the same payload
@@ -672,11 +700,7 @@ impl MigrationLibrary {
                 // The migrated bulk state becomes this incarnation's
                 // staged state: the app retrieves it to restore its
                 // working set, and a further migration re-ships it.
-                self.bulk_state = if state.is_empty() {
-                    None
-                } else {
-                    Some(state.into())
-                };
+                self.bulk_state = if state.is_empty() { None } else { Some(state) };
                 self.persist(env);
                 let done = LibToMe::Done.to_bytes();
                 Ok(Some(self.channel()?.seal(&done)))

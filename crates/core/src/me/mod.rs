@@ -53,6 +53,7 @@ use crate::transfer::chunker::{ChunkStream, TransferNonce};
 use crate::transfer::delta::DeltaManifest;
 use crate::transfer::TransferConfig;
 use mig_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
+use mig_crypto::gcm::TAG_LEN;
 use mig_crypto::x25519::PublicKey;
 use persist::GenerationCache;
 use session::OutgoingMigration;
@@ -156,13 +157,37 @@ pub(crate) fn write_opt(w: &mut WireWriter, value: Option<&[u8]>) {
     }
 }
 
-/// Reads an optional byte string.
-pub(crate) fn read_opt(r: &mut WireReader<'_>) -> Result<Option<Vec<u8>>, SgxError> {
+/// Encoded length of an optional byte string written by [`write_opt`].
+pub(crate) fn opt_len(value: Option<&[u8]>) -> usize {
+    1 + value.map_or(0, |bytes| 4 + bytes.len())
+}
+
+/// Reads an optional byte string, borrowed from the reader's buffer.
+pub(crate) fn read_opt<'a>(r: &mut WireReader<'a>) -> Result<Option<&'a [u8]>, SgxError> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(r.bytes_vec()?)),
+        1 => Ok(Some(r.bytes()?)),
         _ => Err(SgxError::Decode),
     }
+}
+
+/// Encoded length of `Some(ciphertext)` of `msg` as [`write_sealed_opt`]
+/// writes it.
+pub(crate) fn sealed_opt_len(msg: &MeToLib) -> usize {
+    1 + 4 + msg.encoded_len() + TAG_LEN
+}
+
+/// Writes `Some(ciphertext)` of `msg` sealed on `channel` — the bytes
+/// [`write_opt`] gives that ciphertext — by encoding the message behind
+/// its length prefix and sealing it in place inside `w`'s buffer: the
+/// ECALL output is the one buffer the state is copied into.
+pub(crate) fn write_sealed_opt(
+    w: &mut WireWriter,
+    channel: &mut SecureChannel,
+    msg: &MeToLib,
+) -> Result<(), MigError> {
+    w.u8(1);
+    channel.write_sealed(w, msg.encoded_len(), |w| msg.encode(w))
 }
 
 /// The authenticated RA response: responder's key+quote plus operator
@@ -460,19 +485,28 @@ impl MigrationEnclave {
         // the matching MRENCLAVE value performs a local attestation"). The
         // parked copy is retained until the library confirms with DONE, so
         // an ME restart between forward and confirmation loses nothing.
-        let forward = if let Some((data, state, source)) = self.pending_incoming.get(&mr) {
-            let ct = channel.seal(&MeToLib::encode_incoming_migration(data, state));
-            self.awaiting_done.insert(mr, *source);
-            Some(ct)
-        } else {
-            None
-        };
-        self.local_sessions.insert(mr, channel);
-
-        let mut w = WireWriter::new();
-        w.bytes(&msg3.to_bytes());
+        let forward = self.pending_incoming.get(&mr).map(|(data, state, source)| {
+            let msg = MeToLib::IncomingMigration {
+                data: data.clone(),
+                state: Arc::clone(state),
+            };
+            (msg, *source)
+        });
+        let msg3 = msg3.to_bytes();
+        let forward_len = forward
+            .as_ref()
+            .map_or_else(|| opt_len(None), |(msg, _)| sealed_opt_len(msg));
+        let mut w = WireWriter::with_capacity(4 + msg3.len() + 32 + forward_len);
+        w.bytes(&msg3);
         w.array(&mr.0);
-        write_opt(&mut w, forward.as_deref());
+        match forward {
+            Some((msg, source)) => {
+                write_sealed_opt(&mut w, &mut channel, &msg)?;
+                self.awaiting_done.insert(mr, source);
+            }
+            None => write_opt(&mut w, None),
+        }
+        self.local_sessions.insert(mr, channel);
         Ok(w.finish())
     }
 
@@ -571,8 +605,9 @@ impl MigrationEnclave {
             _ => return Err(MigError::Protocol("unexpected dispatch action")),
         };
 
-        let mut w = WireWriter::new();
-        w.bytes(&finish.to_bytes());
+        let finish = finish.to_bytes();
+        let mut w = WireWriter::with_capacity(4 + finish.len() + session::frames_len(&transfers));
+        w.bytes(&finish);
         w.u32(transfers.len() as u32);
         for (kind, transfer) in &transfers {
             w.u8(*kind);

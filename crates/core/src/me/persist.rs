@@ -25,6 +25,7 @@ use mig_crypto::ed25519::{SigningKey, VerifyingKey};
 use sgx_sim::enclave::EnclaveEnv;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
+use sgx_sim::seal;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::{HashMap, HashSet};
@@ -175,7 +176,7 @@ impl GenerationCache {
             let mr = MrEnclave(r.array()?);
             let generation = r.u64()?;
             let last_used = r.u64()?;
-            let state: Arc<[u8]> = r.bytes_vec()?.into();
+            let state: Arc<[u8]> = Arc::from(r.bytes()?);
             entries.insert(
                 mr,
                 CachedGeneration {
@@ -220,7 +221,9 @@ impl MigrationEnclave {
     pub(super) fn op_persist(&mut self, env: &mut EnclaveEnv<'_>) -> Result<Vec<u8>, MigError> {
         let signing = self.signing()?;
         let cfg = self.config()?;
-        let mut w = WireWriter::new();
+        // The plaintext is written behind the sealed blob's reserved
+        // header and sealed where it lies.
+        let mut w = WireWriter::from_vec(vec![0; seal::sealed_header_len(Self::STATE_AAD.len())]);
         w.array(signing.seed());
         w.bytes(&cfg.credential.to_bytes());
         w.array(&cfg.operator_root.0);
@@ -277,12 +280,13 @@ impl MigrationEnclave {
             );
         }
         self.cache.encode(&mut w);
-        let plaintext = w.finish();
-        Ok(env.seal_data(
+        let mut blob = w.finish();
+        env.seal_data_in_place(
             sgx_sim::cpu::KeyPolicy::MrEnclave,
             Self::STATE_AAD,
-            &plaintext,
-        ))
+            &mut blob,
+        );
+        Ok(blob)
     }
 
     pub(super) fn op_restore(
@@ -307,7 +311,7 @@ impl MigrationEnclave {
             let mr = MrEnclave(r.array()?);
             let destination = MachineId(r.u64()?);
             let data = MigrationData::from_bytes(r.bytes()?)?;
-            let state = r.bytes_vec()?;
+            let state = Arc::from(r.bytes()?);
             let stream = match r.u8()? {
                 0 => None,
                 1 => {
@@ -342,7 +346,7 @@ impl MigrationEnclave {
                 OutgoingMigration {
                     destination,
                     data,
-                    state: state.into(),
+                    state,
                     fsm: SenderFsm::Idle { stream },
                 },
             );
@@ -352,7 +356,7 @@ impl MigrationEnclave {
         for _ in 0..n_pending {
             let mr = MrEnclave(r.array()?);
             let data = MigrationData::from_bytes(r.bytes()?)?;
-            let state: Arc<[u8]> = r.bytes_vec()?.into();
+            let state: Arc<[u8]> = Arc::from(r.bytes()?);
             let source = MachineId(r.u64()?);
             pending_incoming.insert(mr, (data, state, source));
         }
@@ -365,10 +369,9 @@ impl MigrationEnclave {
             let data = MigrationData::from_bytes(r.bytes()?)?;
             let assembler = ChunkAssembler::from_bytes(r.bytes()?)?;
             let generation = r.u64()?;
-            let manifest = match read_opt(&mut r)? {
-                None => None,
-                Some(bytes) => Some(DeltaManifest::from_bytes(&bytes)?),
-            };
+            let manifest = read_opt(&mut r)?
+                .map(DeltaManifest::from_bytes)
+                .transpose()?;
             inbound_parts.push((
                 nonce, source, mr_enclave, data, assembler, generation, manifest,
             ));

@@ -37,7 +37,7 @@ use sgx_sim::SgxError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::write_opt;
+use super::{opt_len, sealed_opt_len, write_opt, write_sealed_opt};
 
 /// Stream-frame kind: one channel-sealed cell, delivered via
 /// [`ops::TRANSFER`](super::ops::TRANSFER).
@@ -94,11 +94,26 @@ pub enum MeAction {
     },
 }
 
+/// Encoded length of a frame list as [`MeAction::StreamRemote`] and the
+/// `ACK` output write it: a count, then each kind byte and
+/// length-prefixed frame.
+pub(crate) fn frames_len(frames: &[(u8, Vec<u8>)]) -> usize {
+    4 + frames.iter().map(|(_, f)| 1 + 4 + f.len()).sum::<usize>()
+}
+
 impl MeAction {
-    /// Serializes the action (ECALL output).
+    /// Serializes the action (ECALL output) into one exact-size buffer.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(match self {
+            MeAction::None => 1,
+            MeAction::ConnectRemote { hello: bytes, .. }
+            | MeAction::SendRemote {
+                transfer: bytes, ..
+            }
+            | MeAction::AckSource { ack: bytes, .. } => 1 + 8 + 4 + bytes.len(),
+            MeAction::StreamRemote { frames, .. } => 1 + 8 + frames_len(frames),
+        });
         match self {
             MeAction::None => {
                 w.u8(0);
@@ -1088,7 +1103,7 @@ impl ReceiverFsm {
         } = self;
         match staging {
             Staging::Full => {
-                let state: Arc<[u8]> = assembler.finish()?.into();
+                let state = assembler.finish()?;
                 Ok(ReceiverRelease::Released { data, state })
             }
             Staging::StagedDelta(staged) => {
@@ -1126,15 +1141,17 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let mr = MrEnclave(r.array()?);
-        let ciphertext = r.bytes_vec()?;
+        let ciphertext = r.bytes()?;
         r.finish()?;
 
         let channel = self
             .local_sessions
             .get_mut(&mr)
             .ok_or(MigError::Protocol("no local session for enclave"))?;
-        let plaintext = channel.open(&ciphertext)?;
-        let action = match LibToMe::from_bytes(&plaintext)? {
+        // The state is opened straight into the `Arc` the migration keeps.
+        let (head, body) = channel.open_split(ciphertext, LibToMe::REQUEST_HEAD_LEN)?;
+        let msg = LibToMe::from_split(&head, body)?;
+        let action = match msg {
             LibToMe::MigrateRequest {
                 destination,
                 data,
@@ -1147,7 +1164,7 @@ impl MigrationEnclave {
                     OutgoingMigration {
                         destination,
                         data,
-                        state: state.into(),
+                        state,
                         fsm: SenderFsm::Idle { stream: None },
                     },
                 );
@@ -1299,7 +1316,7 @@ impl MigrationEnclave {
             containers
         } else {
             channel
-                .seal_many(&plaintexts, seal_lanes)
+                .seal_many(plaintexts, seal_lanes)
                 .into_iter()
                 .map(|ct| (FRAME_SINGLE, ct))
                 .collect()
@@ -1488,7 +1505,7 @@ impl MigrationEnclave {
             let msg = MeToMe::Transfer {
                 mr_enclave: mr,
                 data: mig.data.clone(),
-                state: mig.state.to_vec(),
+                state: Arc::clone(&mig.state),
             };
             let channel =
                 self.channels_out
@@ -1496,7 +1513,9 @@ impl MigrationEnclave {
                     .ok_or(MigError::ChannelMissing {
                         peer: ChannelPeer::Destination,
                     })?;
-            frames.push((FRAME_SINGLE, channel.seal(&msg.to_bytes())));
+            let mut transfer = msg.to_bytes();
+            channel.seal_in_place(&mut transfer, 0);
+            frames.push((FRAME_SINGLE, transfer));
         }
         for mr in resumes {
             let mig = self
@@ -1707,14 +1726,19 @@ impl MigrationEnclave {
         self.pending_incoming
             .insert(mr_enclave, (data.clone(), Arc::clone(&state), source));
         if let Some(local) = self.local_sessions.get_mut(&mr_enclave) {
-            let forward = local.seal(&MeToLib::encode_incoming_migration(&data, &state));
-            self.awaiting_done.insert(mr_enclave, source);
-            let mut w = WireWriter::new();
+            // The forward is sealed in place inside the output: the state
+            // is copied once, into the buffer that leaves the enclave.
+            let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
+            let forward = MeToLib::IncomingMigration { data, state };
+            let mut w = WireWriter::with_capacity(
+                1 + 32 + opt_len(trace) + sealed_opt_len(&forward) + opt_len(final_ack.as_deref()),
+            );
             w.u8(1); // forwarded
             w.array(&mr_enclave.0);
-            write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
-            write_opt(&mut w, Some(&forward));
+            write_opt(&mut w, trace);
+            write_sealed_opt(&mut w, local, &forward)?;
             write_opt(&mut w, final_ack.as_deref());
+            self.awaiting_done.insert(mr_enclave, source);
             Ok(w.finish())
         } else {
             // No matching enclave yet; tell the source the data is
@@ -1777,7 +1801,7 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let source = MachineId(r.u64()?);
-        let ciphertext = r.bytes_vec()?;
+        let ciphertext = r.bytes()?;
         r.finish()?;
 
         let channel = self
@@ -1786,14 +1810,14 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
             })?;
-        let plaintext = channel.open(&ciphertext)?;
+        let plaintext = channel.open(ciphertext)?;
         let speculative = self.config()?.transfer.speculative_restore;
         match MeToMe::from_bytes(&plaintext)? {
             MeToMe::Transfer {
                 mr_enclave,
                 data,
                 state,
-            } => self.accept_incoming(source, mr_enclave, data, state.into(), None, None),
+            } => self.accept_incoming(source, mr_enclave, data, state, None, None),
             MeToMe::ChunkStart {
                 mr_enclave,
                 nonce,
@@ -2043,12 +2067,12 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let source = MachineId(r.u64()?);
-        let container = r.bytes_vec()?;
+        let container = r.bytes()?;
         r.finish()?;
 
         let transfer_cfg = self.config()?.transfer;
         let speculative = transfer_cfg.speculative_restore;
-        let cells = wire::unpack_batch(&container)?;
+        let cells = wire::unpack_batch(container)?;
         let channel = self
             .channels_in
             .get_mut(&source)
@@ -2262,7 +2286,8 @@ impl MigrationEnclave {
             ));
         }
 
-        let mut w = WireWriter::new();
+        let mut w =
+            WireWriter::with_capacity(4 + results.iter().map(|r| 4 + r.len()).sum::<usize>() + 1);
         w.u32(results.len() as u32);
         for record in &results {
             w.bytes(record);
@@ -2282,10 +2307,13 @@ impl MigrationEnclave {
         complete: Option<&[u8]>,
         frames: &[(u8, Vec<u8>)],
     ) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
+        let mut w = WireWriter::with_capacity(
+            1 + 32 + opt_len(trace) + opt_len(complete) + frames_len(frames),
+        );
         w.u8(kind);
         w.array(&mr.0);
-        write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
+        write_opt(&mut w, trace);
         write_opt(&mut w, complete);
         w.u32(frames.len() as u32);
         for (frame_kind, frame) in frames {
@@ -2393,7 +2421,7 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let destination = MachineId(r.u64()?);
-        let ciphertext = r.bytes_vec()?;
+        let ciphertext = r.bytes()?;
         r.finish()?;
 
         let channel = self
@@ -2402,7 +2430,7 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        let plaintext = channel.open(&ciphertext)?;
+        let plaintext = channel.open(ciphertext)?;
         match MeToMe::from_bytes(&plaintext)? {
             MeToMe::Delivered { mr_enclave } => {
                 // Delivery binding: only the migration's *current*

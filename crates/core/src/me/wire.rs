@@ -390,7 +390,7 @@ mod tests {
         for lanes in [1u32, 2, 4] {
             // Two-pass oracle: seal the cells, then pack the ciphertexts.
             let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let expected = pack_batch(&oracle.seal_many(&plaintexts, lanes));
+            let expected = pack_batch(&oracle.seal_many(plaintexts.clone(), lanes));
             // Single-pass path under test: seal straight into the container.
             let mut direct = SecureChannel::new([9; 16], ChannelRole::Initiator);
             let container = seal_batch(&mut direct, &plaintexts, lanes);

@@ -8,7 +8,11 @@
 //!   inside the remote-attestation channel.
 //!
 //! All of these travel *encrypted*; the enum encodings here are the
-//! channel plaintexts.
+//! channel plaintexts. Each encoder writes one buffer sized for the
+//! message and its channel tag, so the sender seals it in place
+//! ([`crate::secure_channel::SecureChannel::seal_in_place`]) without a
+//! second buffer. The bulk state rides as an `Arc<[u8]>`, the form both
+//! ends keep it in: encoding borrows it, decoding allocates it once.
 //!
 //! Beyond the paper's single-shot `Transfer`, the ME↔ME family carries
 //! the streaming state-transfer protocol of [`crate::transfer`]:
@@ -34,10 +38,12 @@
 use crate::library::state::MigrationData;
 use crate::transfer::chunker::{ChunkMac, TransferNonce};
 use crate::transfer::delta::DeltaManifest;
+use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
+use std::sync::Arc;
 
 /// Library → Migration Enclave (local channel).
 // MigrationData carries the Table I fixed arrays inline (1.3 KiB); the
@@ -56,7 +62,7 @@ pub enum LibToMe {
         data: MigrationData,
         /// The staged bulk state (migratable-sealed app payload); may be
         /// empty.
-        state: Vec<u8>,
+        state: Arc<[u8]>,
     },
     /// Confirmation that incoming migration data was installed
     /// (the `DONE` message of Fig. 2).
@@ -64,10 +70,31 @@ pub enum LibToMe {
 }
 
 impl LibToMe {
-    /// Serializes the message (channel plaintext).
+    /// Bytes a [`LibToMe::MigrateRequest`] carries ahead of its state:
+    /// tag, destination, the Table I payload and the state's length.
+    pub const REQUEST_HEAD_LEN: usize = 1 + 8 + 4 + MigrationData::WIRE_SIZE + 4;
+
+    /// Length of the encoding in bytes.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            LibToMe::MigrateRequest { state, .. } => Self::REQUEST_HEAD_LEN + state.len(),
+            LibToMe::Done => 1,
+        }
+    }
+
+    /// Serializes the message (channel plaintext) into one buffer with
+    /// room for the channel tag.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.encoded_len() + TAG_LEN);
+        self.encode(&mut w);
+        w.finish()
+    }
+
+    /// Appends the encoding to `w` (a sender that seals the message
+    /// inside a larger output writes it where it will be sealed).
+    pub fn encode(&self, w: &mut WireWriter) {
         match self {
             LibToMe::MigrateRequest {
                 destination,
@@ -83,27 +110,47 @@ impl LibToMe {
                 w.u8(2);
             }
         }
-        w.finish()
     }
 
-    /// Parses a message.
+    /// Parses a message whose encoding arrived in two parts: `head`, its
+    /// first [`LibToMe::REQUEST_HEAD_LEN`] bytes (all of them, for a
+    /// shorter message), and `body`, the rest — which is a migration
+    /// request's state, so the state stays in the `Arc` it was opened
+    /// into ([`crate::secure_channel::SecureChannel::open_split`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::Decode`] on malformed input.
+    pub fn from_split(head: &[u8], body: Arc<[u8]>) -> Result<Self, SgxError> {
+        let mut r = WireReader::new(head);
+        let msg = match r.u8()? {
+            1 => {
+                let destination = MachineId(r.u64()?);
+                let data = MigrationData::from_bytes(r.bytes()?)?;
+                if r.u32()? as usize != body.len() {
+                    return Err(SgxError::Decode);
+                }
+                LibToMe::MigrateRequest {
+                    destination,
+                    data,
+                    state: body,
+                }
+            }
+            2 if body.is_empty() => LibToMe::Done,
+            _ => return Err(SgxError::Decode),
+        };
+        r.finish()?;
+        Ok(msg)
+    }
+
+    /// Parses a message (its body copied once into the state's `Arc`).
     ///
     /// # Errors
     ///
     /// [`SgxError::Decode`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            1 => LibToMe::MigrateRequest {
-                destination: MachineId(r.u64()?),
-                data: MigrationData::from_bytes(r.bytes()?)?,
-                state: r.bytes_vec()?,
-            },
-            2 => LibToMe::Done,
-            _ => return Err(SgxError::Decode),
-        };
-        r.finish()?;
-        Ok(msg)
+        let (head, body) = bytes.split_at(bytes.len().min(Self::REQUEST_HEAD_LEN));
+        Self::from_split(head, Arc::from(body))
     }
 }
 
@@ -119,30 +166,29 @@ pub enum MeToLib {
         /// The Table I payload from the source enclave.
         data: MigrationData,
         /// The bulk state that accompanied it (possibly empty).
-        state: Vec<u8>,
+        state: Arc<[u8]>,
     },
     /// The outgoing migration completed; the destination confirmed.
     MigrationComplete,
 }
 
 impl MeToLib {
-    /// Serializes a [`MeToLib::IncomingMigration`] directly from a
-    /// borrowed state slice (zero-copy forwarding of multi-megabyte bulk
-    /// state out of the ME's retained `Arc`). Byte-identical to encoding
-    /// the enum variant.
+    /// Bytes a [`MeToLib::IncomingMigration`] carries ahead of its state:
+    /// tag, the Table I payload and the state's length.
+    pub const INCOMING_HEAD_LEN: usize = 1 + 4 + MigrationData::WIRE_SIZE + 4;
+
+    /// Length of the encoding in bytes.
     #[must_use]
-    pub fn encode_incoming_migration(data: &MigrationData, state: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(1);
-        w.bytes(&data.to_bytes());
-        w.bytes(state);
-        w.finish()
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            MeToLib::IncomingMigration { state, .. } => Self::INCOMING_HEAD_LEN + state.len(),
+            MeToLib::MigrationComplete => 1,
+        }
     }
 
-    /// Serializes the message (channel plaintext).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+    /// Appends the encoding to `w` (a sender that seals the message
+    /// inside a larger output writes it where it will be sealed).
+    pub fn encode(&self, w: &mut WireWriter) {
         match self {
             MeToLib::IncomingMigration { data, state } => {
                 w.u8(1);
@@ -153,26 +199,51 @@ impl MeToLib {
                 w.u8(2);
             }
         }
+    }
+
+    /// Serializes the message (channel plaintext) into one buffer with
+    /// room for the channel tag.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.encoded_len() + TAG_LEN);
+        self.encode(&mut w);
         w.finish()
     }
 
-    /// Parses a message.
+    /// Parses a message whose encoding arrived in two parts: `head`, its
+    /// first [`MeToLib::INCOMING_HEAD_LEN`] bytes (all of them, for a
+    /// shorter message), and `body`, the rest — which is an incoming
+    /// migration's state, so the state stays in the `Arc` it was opened
+    /// into ([`crate::secure_channel::SecureChannel::open_split`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::Decode`] on malformed input.
+    pub fn from_split(head: &[u8], body: Arc<[u8]>) -> Result<Self, SgxError> {
+        let mut r = WireReader::new(head);
+        let msg = match r.u8()? {
+            1 => {
+                let data = MigrationData::from_bytes(r.bytes()?)?;
+                if r.u32()? as usize != body.len() {
+                    return Err(SgxError::Decode);
+                }
+                MeToLib::IncomingMigration { data, state: body }
+            }
+            2 if body.is_empty() => MeToLib::MigrationComplete,
+            _ => return Err(SgxError::Decode),
+        };
+        r.finish()?;
+        Ok(msg)
+    }
+
+    /// Parses a message (its body copied once into the state's `Arc`).
     ///
     /// # Errors
     ///
     /// [`SgxError::Decode`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            1 => MeToLib::IncomingMigration {
-                data: MigrationData::from_bytes(r.bytes()?)?,
-                state: r.bytes_vec()?,
-            },
-            2 => MeToLib::MigrationComplete,
-            _ => return Err(SgxError::Decode),
-        };
-        r.finish()?;
-        Ok(msg)
+        let (head, body) = bytes.split_at(bytes.len().min(Self::INCOMING_HEAD_LEN));
+        Self::from_split(head, Arc::from(body))
     }
 }
 
@@ -193,7 +264,7 @@ pub enum MeToMe {
         /// The Table I payload.
         data: MigrationData,
         /// Accompanying bulk state (possibly empty).
-        state: Vec<u8>,
+        state: Arc<[u8]>,
     },
     /// Destination → source: the named enclave's data was delivered to a
     /// matching local enclave and confirmed (`DONE` propagated).
@@ -302,7 +373,7 @@ impl MeToMe {
         payload: &[u8],
         mac: &ChunkMac,
     ) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(1 + 16 + 4 + 4 + payload.len() + 32 + TAG_LEN);
         w.u8(5);
         w.array(nonce);
         w.u32(idx);
@@ -314,7 +385,14 @@ impl MeToMe {
     /// Serializes the message (channel plaintext).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = match self {
+            // The one variant that carries the whole state: one buffer
+            // with room for the channel tag.
+            MeToMe::Transfer { state, .. } => WireWriter::with_capacity(
+                1 + 32 + 4 + MigrationData::WIRE_SIZE + 4 + state.len() + TAG_LEN,
+            ),
+            _ => WireWriter::new(),
+        };
         match self {
             MeToMe::Transfer {
                 mr_enclave,
@@ -411,7 +489,7 @@ impl MeToMe {
             1 => MeToMe::Transfer {
                 mr_enclave: MrEnclave(r.array()?),
                 data: MigrationData::from_bytes(r.bytes()?)?,
-                state: r.bytes_vec()?,
+                state: Arc::from(r.bytes()?),
             },
             2 => MeToMe::Delivered {
                 mr_enclave: MrEnclave(r.array()?),
@@ -487,17 +565,20 @@ mod tests {
             LibToMe::MigrateRequest {
                 destination: MachineId(9),
                 data: data(),
-                state: b"bulk".to_vec(),
+                state: Arc::from(&b"bulk"[..]),
             },
             LibToMe::MigrateRequest {
                 destination: MachineId(9),
                 data: data(),
-                state: Vec::new(),
+                state: Arc::from(&[][..]),
             },
             LibToMe::Done,
         ];
         for msg in msgs {
-            assert_eq!(LibToMe::from_bytes(&msg.to_bytes()).unwrap(), msg);
+            let bytes = msg.to_bytes();
+            assert_eq!(bytes.len(), msg.encoded_len());
+            assert!(bytes.capacity() >= bytes.len() + TAG_LEN);
+            assert_eq!(LibToMe::from_bytes(&bytes).unwrap(), msg);
         }
     }
 
@@ -506,12 +587,15 @@ mod tests {
         let msgs = [
             MeToLib::IncomingMigration {
                 data: data(),
-                state: b"bulk".to_vec(),
+                state: Arc::from(&b"bulk"[..]),
             },
             MeToLib::MigrationComplete,
         ];
         for msg in msgs {
-            assert_eq!(MeToLib::from_bytes(&msg.to_bytes()).unwrap(), msg);
+            let bytes = msg.to_bytes();
+            assert_eq!(bytes.len(), msg.encoded_len());
+            assert!(bytes.capacity() >= bytes.len() + TAG_LEN);
+            assert_eq!(MeToLib::from_bytes(&bytes).unwrap(), msg);
         }
     }
 
@@ -521,7 +605,7 @@ mod tests {
             MeToMe::Transfer {
                 mr_enclave: MrEnclave([5; 32]),
                 data: data(),
-                state: b"sealed state".to_vec(),
+                state: Arc::from(&b"sealed state"[..]),
             },
             MeToMe::Delivered {
                 mr_enclave: MrEnclave([5; 32]),
@@ -597,12 +681,44 @@ mod tests {
         );
         let incoming = MeToLib::IncomingMigration {
             data: data(),
-            state: b"bulk".to_vec(),
+            state: Arc::from(&b"bulk"[..]),
         };
+        let mut w = WireWriter::new();
+        w.u8(0xAA);
+        incoming.encode(&mut w);
+        assert_eq!(w.finish()[1..], incoming.to_bytes());
+    }
+
+    #[test]
+    fn split_decoding_checks_the_state_length_and_the_tag() {
+        let request = LibToMe::MigrateRequest {
+            destination: MachineId(9),
+            data: data(),
+            state: Arc::from(&b"bulk"[..]),
+        };
+        let bytes = request.to_bytes();
+        let (head, body) = bytes.split_at(LibToMe::REQUEST_HEAD_LEN);
+        assert_eq!(LibToMe::from_split(head, Arc::from(body)).unwrap(), request);
+        // A body that disagrees with the announced state length.
+        assert!(LibToMe::from_split(head, Arc::from(&b"bulk!"[..])).is_err());
+        // A short message carries no body.
+        assert!(LibToMe::from_split(&[2], Arc::from(&b"x"[..])).is_err());
         assert_eq!(
-            incoming.to_bytes(),
-            MeToLib::encode_incoming_migration(&data(), b"bulk")
+            LibToMe::from_split(&[2], Arc::from([])).unwrap(),
+            LibToMe::Done
         );
+
+        let incoming = MeToLib::IncomingMigration {
+            data: data(),
+            state: Arc::from(&b"bulk"[..]),
+        };
+        let bytes = incoming.to_bytes();
+        let (head, body) = bytes.split_at(MeToLib::INCOMING_HEAD_LEN);
+        assert_eq!(
+            MeToLib::from_split(head, Arc::from(body)).unwrap(),
+            incoming
+        );
+        assert!(MeToLib::from_split(head, Arc::from(&b"bul"[..])).is_err());
     }
 
     #[test]

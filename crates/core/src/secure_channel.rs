@@ -9,6 +9,8 @@
 
 use crate::error::MigError;
 use mig_crypto::gcm::{AesGcm, TAG_LEN};
+use sgx_sim::wire::WireWriter;
+use std::sync::Arc;
 
 /// Which end of the channel this instance is (determines nonce spaces).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,96 +89,158 @@ impl SecureChannel {
         nonce
     }
 
-    /// Encrypts and sequences a message.
-    #[must_use]
-    pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
+    /// Encrypts and sequences `buf[start..]` in place, appending the
+    /// tag — the same bytes and sequence number [`SecureChannel::seal`]
+    /// would use, without a second buffer: a sender that writes its
+    /// frame header first and the message behind it seals the message
+    /// where it lies.
+    pub fn seal_in_place(&mut self, buf: &mut Vec<u8>, start: usize) {
         let nonce = Self::nonce(self.role.direction_byte(), self.send_seq);
         self.send_seq += 1;
-        self.aead.seal(&nonce, CHANNEL_AAD, plaintext)
+        self.aead.seal_in_place(&nonce, CHANNEL_AAD, buf, start);
     }
 
-    /// Encrypts and sequences a message, appending `ciphertext || tag`
-    /// to `out` — identical bytes to [`SecureChannel::seal`], but into a
-    /// caller-provided buffer so frame builders that know their final
-    /// length (batch containers) seal with zero
-    /// intermediate allocations or copies.
-    pub fn seal_into(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
-        let nonce = Self::nonce(self.role.direction_byte(), self.send_seq);
-        self.send_seq += 1;
-        self.aead.seal_into(&nonce, CHANNEL_AAD, plaintext, out);
-    }
-
-    /// Decrypts the next in-order message from the peer.
+    /// Verifies and decrypts the next in-order message from the peer in
+    /// place: on success `buf[start..]` is the plaintext; on failure the
+    /// buffer and the receive sequence are unchanged.
     ///
     /// # Errors
     ///
     /// [`MigError::Sgx`] (MAC mismatch) on tampering, replay, reordering,
     /// or a message sealed under a different session key.
-    pub fn open(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, MigError> {
+    pub fn open_in_place(&mut self, buf: &mut Vec<u8>, start: usize) -> Result<(), MigError> {
         let nonce = Self::nonce(self.role.peer().direction_byte(), self.recv_seq);
-        let plaintext = self
-            .aead
-            .open(&nonce, CHANNEL_AAD, ciphertext)
+        self.aead
+            .open_in_place(&nonce, CHANNEL_AAD, buf, start)
             .map_err(|_| MigError::Sgx(sgx_sim::SgxError::MacMismatch))?;
         self.recv_seq += 1;
-        Ok(plaintext)
+        Ok(())
     }
 
-    /// Seals a run of messages, assigning them consecutive send
-    /// sequence numbers in slice order, with the AEAD work fanned out
-    /// over `lanes` worker threads (message `i` on lane `i % lanes`).
-    /// The ciphertexts are byte-identical to `lanes` sequential
-    /// [`SecureChannel::seal`] calls — the lane split only overlaps the
-    /// encryption, it never reorders the sequence space.
+    /// Appends a message sealed as a length-prefixed ciphertext — the
+    /// bytes `w.bytes(&self.seal(message))` would append — without a
+    /// separate buffer: `encode` writes the `len`-byte message behind the
+    /// length prefix and it is sealed where it lies, inside the buffer
+    /// that carries it on (an ECALL output, for one).
+    ///
+    /// # Errors
+    ///
+    /// [`MigError::Transfer`] if the ciphertext would not fit its `u32`
+    /// length or `encode` did not write exactly `len` bytes.
+    pub fn write_sealed(
+        &mut self,
+        w: &mut WireWriter,
+        len: usize,
+        encode: impl FnOnce(&mut WireWriter),
+    ) -> Result<(), MigError> {
+        let sealed_len = u32::try_from(len + TAG_LEN)
+            .map_err(|_| MigError::Transfer("message exceeds wire limit"))?;
+        w.u32(sealed_len);
+        let start = w.len();
+        encode(w);
+        if w.len() - start != len {
+            return Err(MigError::Transfer("message length mismatch"));
+        }
+        self.seal_in_place(w.as_mut_vec(), start);
+        Ok(())
+    }
+
+    /// Verifies and decrypts the next in-order message from the peer
+    /// into two buffers: its first `head_len` plaintext bytes (all of
+    /// them, for a shorter message) and an `Arc` holding the rest. A
+    /// receiver that keeps a message's body — the migrating state — opens
+    /// it straight into the `Arc` it keeps, with no buffer holding the
+    /// whole plaintext. On failure the receive sequence is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`SecureChannel::open_in_place`].
+    pub fn open_split(
+        &mut self,
+        ciphertext: &[u8],
+        head_len: usize,
+    ) -> Result<(Vec<u8>, Arc<[u8]>), MigError> {
+        let plain_len = ciphertext
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(MigError::Sgx(sgx_sim::SgxError::MacMismatch))?;
+        let mut head = vec![0; head_len.min(plain_len)];
+        let mut body = crate::zeroed_arc(plain_len - head.len());
+        let body_buf = Arc::get_mut(&mut body)
+            .ok_or(MigError::SessionInvariant("fresh state buffer is shared"))?;
+        let nonce = Self::nonce(self.role.peer().direction_byte(), self.recv_seq);
+        self.aead
+            .open_scatter(&nonce, CHANNEL_AAD, ciphertext, &mut [&mut head, body_buf])
+            .map_err(|_| MigError::Sgx(sgx_sim::SgxError::MacMismatch))?;
+        self.recv_seq += 1;
+        Ok((head, body))
+    }
+
+    /// Encrypts and sequences a message (a copy of `plaintext` sealed
+    /// with [`SecureChannel::seal_in_place`]).
     #[must_use]
-    pub fn seal_many(&mut self, plaintexts: &[Vec<u8>], lanes: u32) -> Vec<Vec<u8>> {
+    pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.seal_in_place(&mut out, 0);
+        out
+    }
+
+    /// Decrypts the next in-order message from the peer (a copy of
+    /// `ciphertext` opened with [`SecureChannel::open_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`SecureChannel::open_in_place`].
+    pub fn open(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, MigError> {
+        let mut out = ciphertext.to_vec();
+        self.open_in_place(&mut out, 0)?;
+        Ok(out)
+    }
+
+    /// Seals a run of messages in place, assigning them consecutive send
+    /// sequence numbers in order, with the AEAD work fanned out over
+    /// `lanes` worker threads (message `i` on lane `i % lanes`). Each
+    /// plaintext buffer becomes its ciphertext, byte-identical to
+    /// sequential [`SecureChannel::seal`] calls — the lane split only
+    /// overlaps the encryption, it never reorders the sequence space.
+    #[must_use]
+    pub fn seal_many(&mut self, mut plaintexts: Vec<Vec<u8>>, lanes: u32) -> Vec<Vec<u8>> {
         let direction = self.role.direction_byte();
         let base = self.send_seq;
         self.send_seq += plaintexts.len() as u64;
         let lanes = effective_lanes(lanes, plaintexts.len());
-        if lanes <= 1 {
-            return plaintexts
-                .iter()
-                .enumerate()
-                .map(|(i, pt)| {
-                    self.aead
-                        .seal(&Self::nonce(direction, base + i as u64), CHANNEL_AAD, pt)
-                })
-                .collect();
-        }
         let aead = &self.aead;
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); plaintexts.len()];
+        let seal = move |i: usize, buf: &mut Vec<u8>| {
+            aead.seal_in_place(
+                &Self::nonce(direction, base + i as u64),
+                CHANNEL_AAD,
+                buf,
+                0,
+            );
+        };
+        if lanes <= 1 {
+            for (i, buf) in plaintexts.iter_mut().enumerate() {
+                seal(i, buf);
+            }
+            return plaintexts;
+        }
+        let mut by_lane: Vec<Vec<(usize, &mut Vec<u8>)>> = (0..lanes).map(|_| Vec::new()).collect();
+        for (i, buf) in plaintexts.iter_mut().enumerate() {
+            by_lane[i % lanes].push((i, buf));
+        }
+        // A panicking lane (a caller bug: sealing is infallible) panics
+        // the scope, which preserves fail-stop semantics.
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..lanes)
-                .map(|lane| {
-                    s.spawn(move || {
-                        plaintexts
-                            .iter()
-                            .enumerate()
-                            .skip(lane)
-                            .step_by(lanes)
-                            .map(|(i, pt)| {
-                                (
-                                    i,
-                                    aead.seal(
-                                        &Self::nonce(direction, base + i as u64),
-                                        CHANNEL_AAD,
-                                        pt,
-                                    ),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // mig-lint: allow(enclave-panic, "a panicked seal lane is a caller bug (AesGcm::seal is infallible); propagating the panic preserves fail-stop semantics")
-                for (i, ct) in handle.join().expect("seal lane panicked") {
-                    out[i] = ct;
-                }
+            for cells in by_lane {
+                s.spawn(move || {
+                    for (i, buf) in cells {
+                        seal(i, buf);
+                    }
+                });
             }
         });
-        out
+        plaintexts
     }
 
     /// Seals a run of messages like [`SecureChannel::seal_many`], but
@@ -190,16 +254,15 @@ impl SecureChannel {
     /// way.
     pub fn seal_many_framed(&mut self, plaintexts: &[Vec<u8>], lanes: u32, out: &mut Vec<u8>) {
         if effective_lanes(lanes, plaintexts.len()) <= 1 {
-            let direction = self.role.direction_byte();
             for pt in plaintexts {
                 let sealed_len = u32::try_from(pt.len() + TAG_LEN).expect("cell < 4 GiB");
                 out.extend_from_slice(&sealed_len.to_le_bytes());
-                let nonce = Self::nonce(direction, self.send_seq);
-                self.send_seq += 1;
-                self.aead.seal_into(&nonce, CHANNEL_AAD, pt, out);
+                let start = out.len();
+                out.extend_from_slice(pt);
+                self.seal_in_place(out, start);
             }
         } else {
-            for ct in self.seal_many(plaintexts, lanes) {
+            for ct in self.seal_many(plaintexts.to_vec(), lanes) {
                 let sealed_len = u32::try_from(ct.len()).expect("cell < 4 GiB");
                 out.extend_from_slice(&sealed_len.to_le_bytes());
                 out.extend_from_slice(&ct);
@@ -376,29 +439,81 @@ mod tests {
         let expected: Vec<Vec<u8>> = msgs.iter().map(|m| reference.seal(m)).collect();
         for lanes in [1, 2, 3, 8] {
             let mut c = SecureChannel::new([3; 16], ChannelRole::Initiator);
-            assert_eq!(c.seal_many(&msgs, lanes), expected, "lanes={lanes}");
+            assert_eq!(c.seal_many(msgs.clone(), lanes), expected, "lanes={lanes}");
         }
         // Follow-on single seals continue the sequence space.
         let mut c = SecureChannel::new([3; 16], ChannelRole::Initiator);
-        let _ = c.seal_many(&msgs[..3], 4);
+        let _ = c.seal_many(msgs[..3].to_vec(), 4);
         assert_eq!(c.seal(&msgs[3]), expected[3]);
     }
 
     #[test]
-    fn seal_into_matches_seal_and_continues_sequence() {
+    fn in_place_calls_share_one_sequence_space_with_seal_and_open() {
         let mut reference = SecureChannel::new([4; 16], ChannelRole::Initiator);
-        let expected: Vec<Vec<u8>> = (0..3u8).map(|i| reference.seal(&[i; 33])).collect();
+        let expected: Vec<Vec<u8>> = (0..4u8).map(|i| reference.seal(&[i; 33])).collect();
 
         let mut c = SecureChannel::new([4; 16], ChannelRole::Initiator);
         let mut buf = b"hdr".to_vec();
-        c.seal_into(&[0; 33], &mut buf);
+        buf.extend_from_slice(&[0; 33]);
+        c.seal_in_place(&mut buf, 3);
         assert_eq!(&buf[..3], b"hdr");
         assert_eq!(buf[3..], expected[0]);
-        // Mixing seal_into and seal shares one sequence space.
+        // Mixing seal_in_place and seal shares one sequence space.
         assert_eq!(c.seal(&[1; 33]), expected[1]);
-        let mut buf = Vec::new();
-        c.seal_into(&[2; 33], &mut buf);
+        let mut buf = vec![2; 33];
+        c.seal_in_place(&mut buf, 0);
         assert_eq!(buf, expected[2]);
+        assert_eq!(c.seal(&[3; 33]), expected[3]);
+
+        // The receiver mixes open_in_place and open the same way; a
+        // failed in-place open keeps the buffer and the sequence.
+        let mut r = SecureChannel::new([4; 16], ChannelRole::Responder);
+        let mut buf = b"hdr".to_vec();
+        buf.extend_from_slice(&expected[0]);
+        r.open_in_place(&mut buf, 3).unwrap();
+        assert_eq!(buf, [b"hdr".as_slice(), &[0; 33]].concat());
+        assert_eq!(r.open(&expected[1]).unwrap(), vec![1; 33]);
+        let mut replay = expected[1].clone();
+        assert!(r.open_in_place(&mut replay, 0).is_err());
+        assert_eq!(replay, expected[1]);
+        let mut buf = expected[2].clone();
+        r.open_in_place(&mut buf, 0).unwrap();
+        assert_eq!(buf, vec![2; 33]);
+        let (head, body) = r.open_split(&expected[3], 5).unwrap();
+        assert_eq!((head, &*body), (vec![3; 5], &[3; 28][..]));
+        // A head longer than the message takes all of it.
+        let mut c = SecureChannel::new([4; 16], ChannelRole::Initiator);
+        let mut r = SecureChannel::new([4; 16], ChannelRole::Responder);
+        let (head, body) = r.open_split(&c.seal(b"short"), 64).unwrap();
+        assert_eq!((head, body.len()), (b"short".to_vec(), 0));
+        assert!(r.open_split(&c.seal(b"x")[..10], 4).is_err());
+
+        // write_sealed appends what `bytes(seal(..))` would, on the same
+        // sequence (seq 2 here: the truncated seal above used seq 1).
+        let mut reference = SecureChannel::new([4; 16], ChannelRole::Initiator);
+        for _ in 0..2 {
+            let _ = reference.seal(b"");
+        }
+        let mut expected = WireWriter::new();
+        expected.u8(7).bytes(&reference.seal(b"message"));
+        let mut w = WireWriter::new();
+        w.u8(7);
+        c.write_sealed(&mut w, 7, |w| {
+            w.u8(b'm')
+                .u8(b'e')
+                .u8(b's')
+                .u8(b's')
+                .u8(b'a')
+                .u8(b'g')
+                .u8(b'e');
+        })
+        .unwrap();
+        assert_eq!(w.finish(), expected.finish());
+        assert!(c
+            .write_sealed(&mut WireWriter::new(), 3, |w| {
+                w.u8(0);
+            })
+            .is_err());
     }
 
     #[test]
@@ -407,7 +522,7 @@ mod tests {
         for lanes in [1, 2, 4] {
             let mut by_parts = SecureChannel::new([6; 16], ChannelRole::Responder);
             let mut expected = Vec::new();
-            for ct in by_parts.seal_many(&msgs, lanes) {
+            for ct in by_parts.seal_many(msgs.clone(), lanes) {
                 expected.extend_from_slice(&(ct.len() as u32).to_le_bytes());
                 expected.extend_from_slice(&ct);
             }
@@ -424,7 +539,7 @@ mod tests {
     fn open_many_round_trips_and_keeps_prefix_on_failure() {
         let (mut a, mut b) = pair();
         let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 64]).collect();
-        let cts = a.seal_many(&msgs, 3);
+        let cts = a.seal_many(msgs.clone(), 3);
         let refs: Vec<&[u8]> = cts.iter().map(Vec::as_slice).collect();
         let (opened, ok) = b.open_many(&refs, 3);
         assert!(ok);
@@ -433,7 +548,7 @@ mod tests {
         // A tampered cell mid-run: the verified prefix is kept, exactly
         // the cells before it consume receive sequence numbers, and the
         // channel continues in-order from there.
-        let cts = a.seal_many(&msgs, 2);
+        let cts = a.seal_many(msgs.clone(), 2);
         let mut tampered: Vec<Vec<u8>> = cts.clone();
         tampered[3][0] ^= 1;
         let refs: Vec<&[u8]> = tampered.iter().map(Vec::as_slice).collect();

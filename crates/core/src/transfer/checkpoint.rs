@@ -8,16 +8,7 @@
 //! generations beyond the retention count, so a crashed host always
 //! finds a recent complete checkpoint even if it died mid-write of a
 //! newer one.
-//!
-//! Alongside every blob, `put` records a per-generation **page digest
-//! table** ([`super::delta::PageDigests`]); [`CheckpointStore::delta_since`]
-//! diffs the latest generation against an older one and yields only the
-//! changed pages plus a compact [`super::delta::DeltaManifest`]. Both
-//! sidecars live on the same untrusted disk — a tampered table can only
-//! produce a delta that fails [`super::delta::apply`]'s digest check,
-//! never a silently wrong state.
 
-use crate::transfer::delta::{self, DeltaManifest, PageDigests};
 use cloud_sim::disk::{DiskError, UntrustedDisk};
 
 /// Default number of retained checkpoint generations.
@@ -38,10 +29,6 @@ pub struct CheckpointStore {
     disk: UntrustedDisk,
     namespace: String,
     keep: usize,
-    /// Whether `put` records page-digest sidecars (the delta-diffing
-    /// substrate). Off for series that are never diffed — the hashing
-    /// is O(blob) per put.
-    record_digests: bool,
 }
 
 impl std::fmt::Debug for CheckpointStore {
@@ -67,18 +54,7 @@ impl CheckpointStore {
             disk,
             namespace: namespace.to_string(),
             keep: keep.max(1),
-            record_digests: true,
         }
-    }
-
-    /// Disables the per-generation page-digest sidecars, skipping the
-    /// O(blob) hashing on every `put`. For series that are never diffed
-    /// with [`CheckpointStore::delta_since`] (e.g. sealed ME state,
-    /// whose ciphertext changes wholesale every generation anyway).
-    #[must_use]
-    pub fn without_page_digests(mut self) -> Self {
-        self.record_digests = false;
-        self
     }
 
     fn blob_key(&self, generation: u64) -> String {
@@ -89,10 +65,6 @@ impl CheckpointStore {
         format!("{}/ckpt-latest", self.namespace)
     }
 
-    fn digests_key(&self, generation: u64) -> String {
-        format!("{}/ckpt-pages/{generation:020}", self.namespace)
-    }
-
     /// The most recent generation number, if any checkpoint exists.
     #[must_use]
     pub fn latest_generation(&self) -> Option<u64> {
@@ -100,33 +72,25 @@ impl CheckpointStore {
         Some(u64::from_le_bytes(raw.try_into().ok()?))
     }
 
-    /// Stores a checkpoint, returning its generation number. Records the
-    /// blob's page digest table alongside it so later generations can be
-    /// diffed against this one via [`CheckpointStore::delta_since`].
+    /// Stores a checkpoint, returning its generation number.
     ///
     /// The `latest` pointer is written last: on any error the pointer is
     /// untouched, so the previous generation stays authoritative and a
     /// torn or failed blob write is never pointed to. A failed put may
-    /// leave orphan sidecar/blob entries at the unpointed generation;
-    /// the next successful put reuses and overwrites that generation.
+    /// leave an orphan blob at the unpointed generation; the next
+    /// successful put reuses and overwrites that generation.
     ///
     /// # Errors
     ///
     /// Any disk write that fails or tears ([`DiskError`]) aborts the put.
     pub fn put(&self, blob: Vec<u8>) -> Result<u64, DiskError> {
         let generation = self.latest_generation().map_or(0, |g| g + 1);
-        if self.record_digests {
-            let digests = PageDigests::compute(&blob, delta::PAGE_SIZE);
-            self.disk
-                .try_put(&self.digests_key(generation), digests.to_bytes())?;
-        }
         self.disk.try_put(&self.blob_key(generation), blob)?;
         self.disk
             .try_put(&self.latest_key(), generation.to_le_bytes().to_vec())?;
         // Prune beyond the retention window.
         if let Some(expired) = generation.checked_sub(self.keep as u64) {
             self.disk.delete(&self.blob_key(expired));
-            self.disk.delete(&self.digests_key(expired));
         }
         Ok(generation)
     }
@@ -152,33 +116,6 @@ impl CheckpointStore {
         let generation = self.latest_generation()?;
         let len = self.disk.len(&self.blob_key(generation))? as u64;
         Some(CheckpointMeta { generation, len })
-    }
-
-    /// The stored page digest table of `generation`, if still on disk
-    /// and well-formed.
-    #[must_use]
-    pub fn page_digests(&self, generation: u64) -> Option<PageDigests> {
-        let raw = self.disk.get(&self.digests_key(generation))?;
-        PageDigests::from_bytes(&raw).ok()
-    }
-
-    /// Diffs the latest generation against `base_generation`, returning
-    /// the manifest plus the packed dirty pages — or `None` when either
-    /// side (blob or digest table) is no longer on disk.
-    #[must_use]
-    pub fn delta_since(&self, base_generation: u64) -> Option<(DeltaManifest, Vec<u8>)> {
-        let latest_generation = self.latest_generation()?;
-        if base_generation > latest_generation {
-            return None;
-        }
-        let base = self.page_digests(base_generation)?;
-        let blob = self.get(latest_generation)?;
-        Some(delta::diff(
-            &base,
-            base_generation,
-            latest_generation,
-            &blob,
-        ))
     }
 
     /// Generations currently on disk (ascending).
@@ -216,33 +153,6 @@ mod tests {
         assert_eq!(store.generations(), vec![3, 4]);
         assert_eq!(store.latest().unwrap(), (4, vec![4]));
         assert!(store.get(2).is_none());
-    }
-
-    #[test]
-    fn delta_since_yields_only_dirty_pages() {
-        let store = CheckpointStore::new(UntrustedDisk::new(), "app:d");
-        let base: Vec<u8> = vec![0u8; 64 * 1024];
-        let g0 = store.put(base.clone()).unwrap();
-        let mut new = base.clone();
-        new[5 * 4096] = 0xAA; // dirty exactly one page
-        let g1 = store.put(new.clone()).unwrap();
-        let (manifest, payload) = store.delta_since(g0).expect("both generations on disk");
-        assert_eq!(manifest.base_generation, g0);
-        assert_eq!(manifest.new_generation, g1);
-        assert_eq!(manifest.dirty, vec![5]);
-        assert_eq!(payload.len(), 4096);
-        assert_eq!(delta::apply(&base, &manifest, &payload).unwrap(), new);
-    }
-
-    #[test]
-    fn delta_since_unavailable_when_base_pruned() {
-        let store = CheckpointStore::with_keep(UntrustedDisk::new(), "app:e", 2);
-        for i in 0..5u8 {
-            store.put(vec![i; 100]).unwrap();
-        }
-        assert!(store.delta_since(0).is_none(), "generation 0 was pruned");
-        assert!(store.delta_since(3).is_some(), "generation 3 retained");
-        assert!(store.delta_since(9).is_none(), "future base rejected");
     }
 
     #[test]

@@ -269,6 +269,11 @@ impl ChunkStream {
 
 /// Destination side: in-order reassembly with chain verification,
 /// serializable for crash-safe persistence.
+///
+/// The payload buffer is allocated once, at the announced length, as the
+/// `Arc<[u8]>` [`ChunkAssembler::finish`] releases: every verified chunk
+/// is written into its final place and the released state is never
+/// copied again.
 pub struct ChunkAssembler {
     nonce: TransferNonce,
     chunk_size: u32,
@@ -276,7 +281,10 @@ pub struct ChunkAssembler {
     total_len: u64,
     digest: [u8; 32],
     key: [u8; 32],
-    buf: Vec<u8>,
+    /// The whole payload; the first `filled` bytes are the verified
+    /// prefix, the rest zeros. Unshared until `finish`.
+    buf: Arc<[u8]>,
+    filled: usize,
     next_idx: u32,
     prev_mac: ChunkMac,
     /// Running SHA-256 over the verified prefix (speculative restore):
@@ -319,6 +327,9 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("stream length out of bounds"));
         }
         let key = chain_key(&nonce);
+        // Bounded by MAX_STREAM_LEN above, and announced inside the
+        // attested channel: one allocation at the final size.
+        let buf = crate::zeroed_arc(total_len as usize);
         Ok(ChunkAssembler {
             nonce,
             chunk_size,
@@ -327,10 +338,22 @@ impl ChunkAssembler {
             digest,
             prev_mac: chain_seed(&key),
             key,
-            buf: Vec::new(),
+            buf,
+            filled: 0,
             next_idx: 0,
             hasher: None,
         })
+    }
+
+    /// Writes `bytes` behind the verified prefix.
+    fn append(&mut self, bytes: &[u8]) -> Result<(), MigError> {
+        let end = self.filled + bytes.len();
+        let buf = Arc::get_mut(&mut self.buf)
+            .and_then(|buf| buf.get_mut(self.filled..end))
+            .ok_or(MigError::Transfer("chunk beyond the announced length"))?;
+        buf.copy_from_slice(bytes);
+        self.filled = end;
+        Ok(())
     }
 
     /// Switches the assembler to incremental digesting (speculative
@@ -343,7 +366,7 @@ impl ChunkAssembler {
             // 32-byte digest of every fully buffered chunk — not the
             // raw bytes — and let `accept` continue from there.
             let mut hasher = Sha256::new();
-            for chunk in self.buf.chunks(self.chunk_size as usize) {
+            for chunk in self.received().chunks(self.chunk_size as usize) {
                 hasher.update(&sha256(chunk));
             }
             self.hasher = Some(hasher);
@@ -354,7 +377,7 @@ impl ChunkAssembler {
     /// by the chain MACs of the accepted chunks).
     #[must_use]
     pub fn received(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.filled]
     }
 
     /// The transfer nonce.
@@ -408,7 +431,7 @@ impl ChunkAssembler {
         if !ct_eq(&expected, mac) {
             return Err(MigError::Transfer("chunk chain MAC mismatch"));
         }
-        self.buf.extend_from_slice(payload);
+        self.append(payload)?;
         if let Some(hasher) = &mut self.hasher {
             hasher.update(&d);
         }
@@ -417,13 +440,14 @@ impl ChunkAssembler {
         Ok(())
     }
 
-    /// Consumes the assembler, returning the verified payload.
+    /// Consumes the assembler, returning the verified payload in the
+    /// buffer the chunks were written into.
     ///
     /// # Errors
     ///
     /// [`MigError::Transfer`] when chunks are missing or the final
     /// SHA-256 digest does not match the announcement.
-    pub fn finish(self) -> Result<Vec<u8>, MigError> {
+    pub fn finish(self) -> Result<Arc<[u8]>, MigError> {
         if !self.is_complete() {
             return Err(MigError::Transfer("stream incomplete"));
         }
@@ -456,7 +480,7 @@ impl ChunkAssembler {
         w.array(&self.digest);
         w.u32(self.next_idx);
         w.array(&self.prev_mac);
-        w.bytes(&self.buf);
+        w.bytes(self.received());
         w.finish()
     }
 
@@ -474,7 +498,7 @@ impl ChunkAssembler {
         let digest: [u8; 32] = r.array()?;
         let next_idx = r.u32()?;
         let prev_mac: ChunkMac = r.array()?;
-        let buf = r.bytes_vec()?;
+        let prefix = r.bytes()?;
         r.finish()?;
 
         let mut assembler = Self::new(nonce, chunk_size, total_len, digest)?;
@@ -482,12 +506,12 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("restored index out of range"));
         }
         let expected_buf: u64 = (0..next_idx).map(|i| assembler.expected_len(i)).sum();
-        if buf.len() as u64 != expected_buf {
+        if prefix.len() as u64 != expected_buf {
             return Err(MigError::Transfer("restored buffer length mismatch"));
         }
+        assembler.append(prefix)?;
         assembler.next_idx = next_idx;
         assembler.prev_mac = prev_mac;
-        assembler.buf = buf;
         Ok(assembler)
     }
 }
@@ -521,7 +545,7 @@ mod tests {
                 ChunkAssembler::new([7; 16], 256, stream.total_len(), stream.digest()).unwrap();
             assert_eq!(asm.n_chunks(), stream.n_chunks());
             stream_through(&stream, &mut asm, 0).unwrap();
-            assert_eq!(asm.finish().unwrap(), data);
+            assert_eq!(*asm.finish().unwrap(), *data);
         }
     }
 
@@ -599,7 +623,7 @@ mod tests {
         let mut restored = ChunkAssembler::from_bytes(&blob).unwrap();
         assert_eq!(restored.next_idx(), 3);
         stream_through(&stream, &mut restored, 3).unwrap();
-        assert_eq!(restored.finish().unwrap(), data);
+        assert_eq!(*restored.finish().unwrap(), *data);
     }
 
     #[test]
@@ -610,7 +634,7 @@ mod tests {
         let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
         asm.enable_incremental_digest();
         stream_through(&stream, &mut asm, 0).unwrap();
-        assert_eq!(asm.finish().unwrap(), data);
+        assert_eq!(*asm.finish().unwrap(), *data);
         // Enabled mid-stream (the restore path): bytes already received
         // are folded in at enable time.
         let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
@@ -622,7 +646,7 @@ mod tests {
         asm.enable_incremental_digest();
         asm.enable_incremental_digest(); // idempotent
         stream_through(&stream, &mut asm, 3).unwrap();
-        assert_eq!(asm.finish().unwrap(), data);
+        assert_eq!(*asm.finish().unwrap(), *data);
         // A wrong announced digest still rejects on the incremental path.
         let mut asm = ChunkAssembler::new([9; 16], 128, 1000, [0; 32]).unwrap();
         asm.enable_incremental_digest();

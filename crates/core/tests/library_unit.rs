@@ -87,12 +87,12 @@ fn fresh(machine: &SgxMachine) -> (EnclaveHandle, Vec<u8>) {
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
         .unwrap();
     let (_, blob) = open_envelope(&out).unwrap();
-    (enclave, blob.expect("init persists"))
+    (enclave, blob.expect("init persists").to_vec())
 }
 
 fn call(enclave: &EnclaveHandle, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
     let out = enclave.ecall(opcode, input)?;
-    Ok(open_envelope(&out).unwrap().0)
+    Ok(open_envelope(&out).unwrap().0.to_vec())
 }
 
 #[test]
@@ -217,7 +217,7 @@ fn restore_round_trips_counters_and_msk() {
     // by calling CREATE on a new counter (which reseals) and using that.
     let out = e1.ecall(ops::CREATE, &[]).unwrap();
     let (_, blob) = open_envelope(&out).unwrap();
-    let blob = blob.unwrap();
+    let blob = blob.unwrap().to_vec();
 
     e1.destroy();
     let e2 = m
@@ -254,7 +254,7 @@ fn restore_rejects_blob_from_other_enclave() {
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
         .unwrap();
     let (_, blob) = open_envelope(&out).unwrap();
-    let foreign_blob = blob.unwrap();
+    let foreign_blob = blob.unwrap().to_vec();
 
     // Same machine, different MRENCLAVE: native sealing rejects it.
     let mine = m
@@ -387,7 +387,7 @@ fn effective_value_spans_restart_lineage() {
     // Persist via a second counter creation (reseal trigger).
     let out = e1.ecall(ops::CREATE, &[]).unwrap();
     let (_, blob) = open_envelope(&out).unwrap();
-    let blob = blob.unwrap();
+    let blob = blob.unwrap().to_vec();
     e1.destroy();
 
     let e2 = m

@@ -32,9 +32,17 @@
 //!
 //! [`SoftwareGcm`] stays public in every build: it is the portable
 //! fallback, and the oracle the hardware kernels are pinned to. Both
-//! produce the same bytes. [`AesGcm::seal_into`] writes
-//! `ciphertext || tag` straight into a caller-provided buffer so batched
-//! seals never reallocate.
+//! produce the same bytes.
+//!
+//! # In place
+//!
+//! [`AesGcm::seal_in_place`] and [`AesGcm::open_in_place`] are the GCM
+//! path: they encrypt or decrypt the tail of a caller's buffer where it
+//! lies, so a message built behind a header is sealed without a second
+//! buffer, and a received message is opened without one.
+//! [`AesGcm::open_scatter`] opens a borrowed message straight into the
+//! receiver's own buffers. [`AesGcm::seal`] and [`AesGcm::open`] are
+//! thin copying wrappers for callers that hold only a borrowed slice.
 
 use crate::aes::{Aes128, BLOCK_LEN, KEY_LEN, PARALLEL_BLOCKS};
 use crate::ct::ct_eq;
@@ -135,39 +143,87 @@ impl AesGcm {
         }
     }
 
-    /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`.
-    #[must_use]
-    pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        self.seal_into(nonce, aad, plaintext, &mut out);
-        out
-    }
-
-    /// Encrypts `plaintext` bound to `aad`, appending `ciphertext || tag`
-    /// to `out` — the allocation-free entry point for batched seals.
+    /// Encrypts `buf[start..]` in place bound to `aad` and appends the
+    /// tag: on return `buf[start..]` is `ciphertext || tag`, and
+    /// `buf[..start]` (a header the caller wrote first) is untouched.
     ///
-    /// Reserves exactly the bytes it appends, so a caller that pre-sizes
-    /// `out` (or reuses one buffer across a batch) never reallocates or
-    /// copies the ciphertext a second time.
-    pub fn seal_into(
+    /// # Panics
+    ///
+    /// Panics if `start > buf.len()` (caller bug).
+    pub fn seal_in_place(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
-        plaintext: &[u8],
-        out: &mut Vec<u8>,
+        buf: &mut Vec<u8>,
+        start: usize,
     ) {
-        seal_into(&self.kernel, nonce, aad, plaintext, out);
+        seal_in_place(&self.kernel, nonce, aad, buf, start);
     }
 
-    /// Decrypts `sealed` (= `ciphertext || tag`) bound to `aad`.
+    /// Verifies the tag ending `buf[start..]` (= `ciphertext || tag`)
+    /// bound to `aad`, then decrypts in place and drops the tag: on
+    /// success `buf[start..]` is the plaintext. Nothing is decrypted
+    /// before the tag verifies, so on any error `buf` is unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidLength`] if `sealed` is shorter than a
-    /// tag, and [`CryptoError::AuthenticationFailed`] if the tag does not
-    /// verify (wrong key, nonce, AAD, or tampered ciphertext).
+    /// Returns [`CryptoError::InvalidLength`] if `buf[start..]` is
+    /// shorter than a tag, and [`CryptoError::AuthenticationFailed`] if
+    /// the tag does not verify (wrong key, nonce, AAD, or tampered
+    /// ciphertext).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > buf.len()` (caller bug).
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        start: usize,
+    ) -> Result<()> {
+        open_in_place(&self.kernel, nonce, aad, buf, start)
+    }
+
+    /// Verifies the borrowed `sealed` (= `ciphertext || tag`) bound to
+    /// `aad`, then decrypts it into `outs`: consecutive destinations
+    /// whose lengths sum to the ciphertext's, each receiving its range of
+    /// the plaintext. A receiver that keeps part of a message in a buffer
+    /// of its own (a large body apart from its small header) opens it
+    /// there, with no buffer holding the whole plaintext. Nothing is
+    /// written before the tag verifies.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidLength`] if `sealed` is shorter than a tag
+    /// or `outs` do not cover the ciphertext exactly;
+    /// [`CryptoError::AuthenticationFailed`] as for
+    /// [`AesGcm::open_in_place`].
+    pub fn open_scatter(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        sealed: &[u8],
+        outs: &mut [&mut [u8]],
+    ) -> Result<()> {
+        open_scatter(&self.kernel, nonce, aad, sealed, outs)
+    }
+
+    /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`
+    /// (a copy of `plaintext` sealed with [`AesGcm::seal_in_place`]).
+    #[must_use]
+    pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        seal_copy(&self.kernel, nonce, aad, plaintext)
+    }
+
+    /// Decrypts `sealed` (= `ciphertext || tag`) bound to `aad` (a copy
+    /// of `sealed` opened with [`AesGcm::open_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open_in_place`].
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
-        open(&self.kernel, nonce, aad, sealed)
+        open_copy(&self.kernel, nonce, aad, sealed)
     }
 
     /// XORs the CTR keystream from counter block `icb` into `data` on
@@ -236,32 +292,68 @@ impl SoftwareGcm {
         GcmKernel::new(&key)
     }
 
-    /// [`AesGcm::seal`] on the software kernels.
-    #[must_use]
-    pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        seal_into(self, nonce, aad, plaintext, &mut out);
-        out
-    }
-
-    /// [`AesGcm::seal_into`] on the software kernels.
-    pub fn seal_into(
+    /// [`AesGcm::seal_in_place`] on the software kernels.
+    ///
+    /// # Panics
+    ///
+    /// As [`AesGcm::seal_in_place`].
+    pub fn seal_in_place(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
-        plaintext: &[u8],
-        out: &mut Vec<u8>,
+        buf: &mut Vec<u8>,
+        start: usize,
     ) {
-        seal_into(self, nonce, aad, plaintext, out);
+        seal_in_place(self, nonce, aad, buf, start);
+    }
+
+    /// [`AesGcm::open_in_place`] on the software kernels.
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open_in_place`].
+    ///
+    /// # Panics
+    ///
+    /// As [`AesGcm::open_in_place`].
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        start: usize,
+    ) -> Result<()> {
+        open_in_place(self, nonce, aad, buf, start)
+    }
+
+    /// [`AesGcm::open_scatter`] on the software kernels.
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open_scatter`].
+    pub fn open_scatter(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        sealed: &[u8],
+        outs: &mut [&mut [u8]],
+    ) -> Result<()> {
+        open_scatter(self, nonce, aad, sealed, outs)
+    }
+
+    /// [`AesGcm::seal`] on the software kernels.
+    #[must_use]
+    pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        seal_copy(self, nonce, aad, plaintext)
     }
 
     /// [`AesGcm::open`] on the software kernels.
     ///
     /// # Errors
     ///
-    /// As [`AesGcm::open`].
+    /// As [`AesGcm::open_in_place`].
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
-        open(self, nonce, aad, sealed)
+        open_copy(self, nonce, aad, sealed)
     }
 
     /// [`AesGcm::apply_keystream`] on the software kernels.
@@ -346,42 +438,134 @@ impl GcmKernel for SoftwareGcm {
     }
 }
 
-/// The SP 800-38D seal on any kernel set.
-fn seal_into<K: GcmKernel + ?Sized>(
+/// The SP 800-38D seal on any kernel set, in place: `buf[start..]` is
+/// encrypted where it lies and the tag appended.
+fn seal_in_place<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut Vec<u8>,
+    start: usize,
+) {
+    let j0 = j0(nonce);
+    kernel.ctr(inc32(j0), &mut buf[start..]);
+    let tag = tag(kernel, j0, aad, &buf[start..]);
+    buf.extend_from_slice(&tag);
+}
+
+/// The SP 800-38D open on any kernel set, in place: the tag is verified
+/// before anything is decrypted, so a failed open leaves `buf` as it was.
+fn open_in_place<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut Vec<u8>,
+    start: usize,
+) -> Result<()> {
+    let sealed_len = buf.len() - start;
+    if sealed_len < TAG_LEN {
+        return Err(CryptoError::InvalidLength);
+    }
+    let ct_end = buf.len() - TAG_LEN;
+    let j0 = j0(nonce);
+    verify(kernel, j0, aad, &buf[start..ct_end], &buf[ct_end..])?;
+    buf.truncate(ct_end);
+    kernel.ctr(inc32(j0), &mut buf[start..]);
+    Ok(())
+}
+
+/// The SP 800-38D open on any kernel set from a borrowed message into
+/// caller destinations: the tag is verified before any destination is
+/// written, then each destination receives its range of the plaintext.
+fn open_scatter<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    sealed: &[u8],
+    outs: &mut [&mut [u8]],
+) -> Result<()> {
+    if sealed.len() < TAG_LEN {
+        return Err(CryptoError::InvalidLength);
+    }
+    let (ciphertext, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
+    if outs.iter().map(|out| out.len()).sum::<usize>() != ciphertext.len() {
+        return Err(CryptoError::InvalidLength);
+    }
+    let j0 = j0(nonce);
+    verify(kernel, j0, aad, ciphertext, tag_bytes)?;
+    let mut offset = 0;
+    for out in outs.iter_mut() {
+        let end = offset + out.len();
+        out.copy_from_slice(&ciphertext[offset..end]);
+        ctr_at(kernel, j0, offset, out);
+        offset = end;
+    }
+    Ok(())
+}
+
+/// Checks `tag_bytes` against the tag of `ciphertext` in constant time.
+fn verify<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    j0: [u8; BLOCK_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+    tag_bytes: &[u8],
+) -> Result<()> {
+    if ct_eq(&tag(kernel, j0, aad, ciphertext), tag_bytes) {
+        Ok(())
+    } else {
+        Err(CryptoError::AuthenticationFailed)
+    }
+}
+
+/// XORs the keystream of message bytes `offset..offset + data.len()`
+/// into `data`: the counter block of `offset`'s block, with a partial
+/// leading block when `offset` is not block-aligned.
+fn ctr_at<K: GcmKernel + ?Sized>(kernel: &K, j0: [u8; BLOCK_LEN], offset: usize, data: &mut [u8]) {
+    let mut icb = inc32(j0);
+    let low = u32::from_be_bytes(icb[12..].try_into().expect("4 bytes"));
+    // Counter blocks wrap in their low 32 bits (inc32), as in `ctr`.
+    icb[12..].copy_from_slice(&low.wrapping_add((offset / BLOCK_LEN) as u32).to_be_bytes());
+    let skip = offset % BLOCK_LEN;
+    let data = if skip == 0 {
+        data
+    } else {
+        let mut ks = kernel.encrypt_block(&icb);
+        let n = (BLOCK_LEN - skip).min(data.len());
+        for (d, k) in data[..n].iter_mut().zip(&ks[skip..]) {
+            *d ^= k;
+        }
+        crate::zeroize::zeroize_bytes(&mut ks);
+        icb = inc32(icb);
+        &mut data[n..]
+    };
+    if !data.is_empty() {
+        kernel.ctr(icb, data);
+    }
+}
+
+/// [`seal_in_place`] over a copy of `plaintext` sized for its tag.
+fn seal_copy<K: GcmKernel + ?Sized>(
     kernel: &K,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     plaintext: &[u8],
-    out: &mut Vec<u8>,
-) {
-    let j0 = j0(nonce);
-    out.reserve(plaintext.len() + TAG_LEN);
-    let ct_start = out.len();
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
     out.extend_from_slice(plaintext);
-    kernel.ctr(inc32(j0), &mut out[ct_start..]);
-    let tag = tag(kernel, j0, aad, &out[ct_start..]);
-    out.extend_from_slice(&tag);
+    seal_in_place(kernel, nonce, aad, &mut out, 0);
+    out
 }
 
-/// The SP 800-38D open on any kernel set: the tag is verified before
-/// anything is decrypted.
-fn open<K: GcmKernel + ?Sized>(
+/// [`open_in_place`] over a copy of `sealed`.
+fn open_copy<K: GcmKernel + ?Sized>(
     kernel: &K,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>> {
-    if sealed.len() < TAG_LEN {
-        return Err(CryptoError::InvalidLength);
-    }
-    let (ciphertext, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
-    let j0 = j0(nonce);
-    let expected = tag(kernel, j0, aad, ciphertext);
-    if !ct_eq(&expected, tag_bytes) {
-        return Err(CryptoError::AuthenticationFailed);
-    }
-    let mut out = ciphertext.to_vec();
-    kernel.ctr(inc32(j0), &mut out);
+    let mut out = sealed.to_vec();
+    open_in_place(kernel, nonce, aad, &mut out, 0)?;
     Ok(out)
 }
 
@@ -651,10 +835,25 @@ mod tests {
         pt: &[u8],
         expected: &str,
     ) {
-        let mut sealed = Vec::new();
-        seal_into(kernel, iv, aad, pt, &mut sealed);
+        // The in-place pair behind a header the seal must not touch.
+        let mut buf = b"hdr".to_vec();
+        buf.extend_from_slice(pt);
+        seal_in_place(kernel, iv, aad, &mut buf, 3);
+        assert_eq!(&buf[..3], b"hdr", "{name}");
+        assert_eq!(hex_encode(&buf[3..]), expected, "{name}");
+        open_in_place(kernel, iv, aad, &mut buf, 3).unwrap();
+        assert_eq!(&buf[..3], b"hdr", "{name}");
+        assert_eq!(&buf[3..], pt, "{name}");
+        // And the copying wrappers over it.
+        let sealed = seal_copy(kernel, iv, aad, pt);
         assert_eq!(hex_encode(&sealed), expected, "{name}");
-        assert_eq!(open(kernel, iv, aad, &sealed).unwrap(), pt, "{name}");
+        assert_eq!(open_copy(kernel, iv, aad, &sealed).unwrap(), pt, "{name}");
+        // And the scattered open, cut at every offset.
+        for cut in 0..=pt.len() {
+            let (mut head, mut body) = (vec![0; cut], vec![0; pt.len() - cut]);
+            open_scatter(kernel, iv, aad, &sealed, &mut [&mut head, &mut body]).unwrap();
+            assert_eq!([head, body].concat(), pt, "{name} cut {cut}");
+        }
     }
 
     #[test]
@@ -772,13 +971,26 @@ mod tests {
     }
 
     #[test]
-    fn seal_into_appends_without_disturbing_prefix() {
+    fn seal_in_place_leaves_the_prefix_and_open_in_place_restores_it() {
         let aead = AesGcm::new([0x21; 16]);
         let nonce = [3u8; 12];
-        let mut out = b"prefix".to_vec();
-        aead.seal_into(&nonce, b"aad", b"hello world", &mut out);
-        assert_eq!(&out[..6], b"prefix");
-        assert_eq!(out[6..], aead.seal(&nonce, b"aad", b"hello world"));
+        let mut buf = b"prefixhello world".to_vec();
+        aead.seal_in_place(&nonce, b"aad", &mut buf, 6);
+        assert_eq!(&buf[..6], b"prefix");
+        assert_eq!(buf[6..], aead.seal(&nonce, b"aad", b"hello world"));
+        aead.open_in_place(&nonce, b"aad", &mut buf, 6).unwrap();
+        assert_eq!(buf, b"prefixhello world");
+    }
+
+    #[test]
+    fn open_in_place_rejects_a_short_tail_and_keeps_the_buffer() {
+        let aead = AesGcm::new([0; 16]);
+        let mut buf = vec![7u8; 20];
+        assert_eq!(
+            aead.open_in_place(&[0; 12], b"", &mut buf, 5).unwrap_err(),
+            CryptoError::InvalidLength
+        );
+        assert_eq!(buf, vec![7u8; 20]);
     }
 
     #[test]
@@ -922,6 +1134,109 @@ mod tests {
             let old = seal_old(key, &nonce, &aad, &pt);
             prop_assert_eq!(&AesGcm::new(key).seal(&nonce, &aad, &pt), &old);
             prop_assert_eq!(&SoftwareGcm::new(key).seal(&nonce, &aad, &pt), &old);
+        }
+
+        #[test]
+        fn prop_in_place_pair_matches_copying_pair(
+            key in any::<[u8; 16]>(),
+            nonce in any::<[u8; 12]>(),
+            aad in proptest::collection::vec(any::<u8>(), 0..64),
+            prefix in proptest::collection::vec(any::<u8>(), 0..48),
+            pt in proptest::collection::vec(any::<u8>(), 0..1100),
+            flip in any::<u64>(),
+        ) {
+            let start = prefix.len();
+            let hw = AesGcm::new(key);
+            let sw = SoftwareGcm::new(key);
+            let expected = sw.seal(&nonce, &aad, &pt);
+            for on_hw in [true, false] {
+                let mut buf = prefix.clone();
+                buf.extend_from_slice(&pt);
+                if on_hw {
+                    hw.seal_in_place(&nonce, &aad, &mut buf, start);
+                } else {
+                    sw.seal_in_place(&nonce, &aad, &mut buf, start);
+                }
+                // Byte for byte the copying seal, behind an untouched prefix.
+                prop_assert_eq!(&buf[..start], &prefix[..]);
+                prop_assert_eq!(&buf[start..], &expected[..]);
+
+                // One flipped bit anywhere in ciphertext or tag: the open
+                // fails and the buffer still holds the ciphertext, so no
+                // plaintext byte is left behind.
+                let bit = (flip % (expected.len() as u64 * 8)) as usize;
+                let mut bad = buf.clone();
+                bad[start + bit / 8] ^= 1 << (bit % 8);
+                let before = bad.clone();
+                let opened = if on_hw {
+                    hw.open_in_place(&nonce, &aad, &mut bad, start)
+                } else {
+                    sw.open_in_place(&nonce, &aad, &mut bad, start)
+                };
+                prop_assert!(opened.is_err());
+                prop_assert_eq!(&bad, &before);
+
+                // The intact buffer round-trips.
+                if on_hw {
+                    hw.open_in_place(&nonce, &aad, &mut buf, start).unwrap();
+                } else {
+                    sw.open_in_place(&nonce, &aad, &mut buf, start).unwrap();
+                }
+                prop_assert_eq!(&buf[..start], &prefix[..]);
+                prop_assert_eq!(&buf[start..], &pt[..]);
+            }
+        }
+
+        #[test]
+        fn prop_scattered_open_matches_open(
+            key in any::<[u8; 16]>(),
+            nonce in any::<[u8; 12]>(),
+            aad in proptest::collection::vec(any::<u8>(), 0..64),
+            pt in proptest::collection::vec(any::<u8>(), 0..1100),
+            cuts in proptest::collection::vec(any::<usize>(), 0..4),
+            flip in any::<u64>(),
+        ) {
+            let hw = AesGcm::new(key);
+            let sw = SoftwareGcm::new(key);
+            let sealed = sw.seal(&nonce, &aad, &pt);
+            // Split the plaintext at up to three sorted cut points.
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (pt.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut bounds = vec![0];
+            bounds.extend(cuts);
+            bounds.push(pt.len());
+            for on_hw in [true, false] {
+                let mut outs: Vec<Vec<u8>> =
+                    bounds.windows(2).map(|w| vec![0; w[1] - w[0]]).collect();
+                let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+                if on_hw {
+                    hw.open_scatter(&nonce, &aad, &sealed, &mut views).unwrap();
+                } else {
+                    sw.open_scatter(&nonce, &aad, &sealed, &mut views).unwrap();
+                }
+                prop_assert_eq!(outs.concat(), pt.clone());
+
+                // A flipped bit fails the open and writes no destination.
+                let bit = (flip % (sealed.len() as u64 * 8)) as usize;
+                let mut bad = sealed.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let mut outs: Vec<Vec<u8>> =
+                    bounds.windows(2).map(|w| vec![0; w[1] - w[0]]).collect();
+                let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+                let opened = if on_hw {
+                    hw.open_scatter(&nonce, &aad, &bad, &mut views)
+                } else {
+                    sw.open_scatter(&nonce, &aad, &bad, &mut views)
+                };
+                prop_assert!(opened.is_err());
+                prop_assert!(outs.iter().flatten().all(|&b| b == 0));
+            }
+            // Destinations that do not cover the ciphertext are refused.
+            let mut short = vec![0; pt.len() + 1];
+            prop_assert_eq!(
+                hw.open_scatter(&nonce, &aad, &sealed, &mut [&mut short]),
+                Err(CryptoError::InvalidLength)
+            );
         }
     }
 }

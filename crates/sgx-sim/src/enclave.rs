@@ -194,23 +194,43 @@ impl EnclaveEnv<'_> {
     }
 
     /// Seals `plaintext` with authenticated `aad` under `policy`
-    /// (`sgx_seal_data`). A fresh key id and nonce are drawn per call.
+    /// (`sgx_seal_data`) into one buffer of exactly
+    /// [`seal::sealed_size`] bytes (a copy of `plaintext` sealed with
+    /// [`EnclaveEnv::seal_data_in_place`]).
     #[must_use]
     pub fn seal_data(&mut self, policy: KeyPolicy, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut blob = Vec::with_capacity(seal::sealed_size(aad.len(), plaintext.len()));
+        blob.resize(seal::sealed_header_len(aad.len()), 0);
+        blob.extend_from_slice(plaintext);
+        self.seal_data_in_place(policy, aad, &mut blob);
+        blob
+    }
+
+    /// Seals in place the plaintext a caller wrote behind
+    /// [`seal::sealed_header_len`]`(aad.len())` reserved bytes at the
+    /// front of `buf`: `buf` becomes the blob [`EnclaveEnv::seal_data`]
+    /// would return. A fresh key id and nonce are drawn per call.
+    /// Reserve [`seal::sealed_size`] bytes of capacity up front and the
+    /// appended tag never reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the reserved header (caller bug).
+    pub fn seal_data_in_place(&mut self, policy: KeyPolicy, aad: &[u8], buf: &mut Vec<u8>) {
         let mut key_id = [0u8; 16];
         self.random_bytes(&mut key_id);
         let mut nonce = [0u8; 12];
         self.random_bytes(&mut nonce);
         self.core.account(PlatformOp::EgetKey);
-        seal::seal(
+        seal::seal_in_place(
             &self.core.cpu,
             &self.identity,
             policy,
             key_id,
             nonce,
             aad,
-            plaintext,
-        )
+            buf,
+        );
     }
 
     /// Unseals a blob sealed by this enclave identity on this machine

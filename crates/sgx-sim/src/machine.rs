@@ -309,6 +309,11 @@ mod tests {
     const OP_SEAL: u32 = 1;
     const OP_UNSEAL: u32 = 2;
     const OP_GET_SECRET_LEN: u32 = 3;
+    /// Seals `input` in place behind a reserved header, with AAD.
+    const OP_SEAL_IN_PLACE: u32 = 4;
+    /// Seals `input` through the copying form, with the same AAD.
+    const OP_SEAL_AAD: u32 = 5;
+    const TEST_AAD: &[u8] = b"test aad";
 
     impl EnclaveCode for TestEnclave {
         fn ecall(
@@ -325,6 +330,16 @@ mod tests {
                     Ok(pt)
                 }
                 OP_GET_SECRET_LEN => Ok((self.secret.len() as u32).to_le_bytes().to_vec()),
+                OP_SEAL_IN_PLACE => {
+                    let header = crate::seal::sealed_header_len(TEST_AAD.len());
+                    let mut buf =
+                        Vec::with_capacity(crate::seal::sealed_size(TEST_AAD.len(), input.len()));
+                    buf.resize(header, 0);
+                    buf.extend_from_slice(input);
+                    env.seal_data_in_place(KeyPolicy::MrEnclave, TEST_AAD, &mut buf);
+                    Ok(buf)
+                }
+                OP_SEAL_AAD => Ok(env.seal_data(KeyPolicy::MrEnclave, TEST_AAD, input)),
                 _ => Err(SgxError::InvalidParameter("opcode")),
             }
         }
@@ -353,6 +368,28 @@ mod tests {
         assert_ne!(blob, b"top secret");
         let pt = enclave.ecall(OP_UNSEAL, &blob).unwrap();
         assert_eq!(pt, b"top secret");
+    }
+
+    #[test]
+    fn one_allocation_and_in_place_seals_have_sealed_size_and_unseal() {
+        let (m1, _, image) = setup();
+        let enclave = load(&m1, &image);
+        for len in [0usize, 1, 15, 16, 17, 4096, 70_000] {
+            let pt: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            for op in [OP_SEAL_AAD, OP_SEAL_IN_PLACE] {
+                let blob = enclave.ecall(op, &pt).unwrap();
+                assert_eq!(
+                    blob.len(),
+                    crate::seal::sealed_size(TEST_AAD.len(), len),
+                    "op {op} len {len}"
+                );
+                assert_eq!(
+                    crate::seal::parse_sealed_header(&blob).unwrap().aad,
+                    TEST_AAD
+                );
+                assert_eq!(enclave.ecall(OP_UNSEAL, &blob).unwrap(), pt, "op {op}");
+            }
+        }
     }
 
     #[test]

@@ -63,19 +63,36 @@ pub fn parse_sealed_header(blob: &[u8]) -> Result<SealedHeader, SgxError> {
 /// overhead is constant).
 #[must_use]
 pub fn sealed_size(aad_len: usize, plaintext_len: usize) -> usize {
-    // version + policy + key_id + nonce + (len+aad) + (len+ct+tag)
-    1 + 1 + 16 + 12 + 4 + aad_len + 4 + plaintext_len + 16
+    sealed_header_len(aad_len) + plaintext_len + 16
 }
 
-pub(crate) fn seal(
+/// Bytes a sealed blob carries before its ciphertext: version, policy,
+/// key id, nonce, the length-prefixed AAD and the ciphertext length.
+/// [`crate::enclave::EnclaveEnv::seal_data_in_place`] expects this many
+/// bytes reserved in front of the plaintext.
+#[must_use]
+pub fn sealed_header_len(aad_len: usize) -> usize {
+    // version + policy + key_id + nonce + (len+aad) + ct len
+    1 + 1 + 16 + 12 + 4 + aad_len + 4
+}
+
+/// Seals `buf[sealed_header_len(aad.len())..]` in place: the reserved
+/// front is overwritten with the blob header, the plaintext behind it is
+/// encrypted where it lies and the tag appended, so `buf` becomes the
+/// blob without a second buffer.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than the reserved header (caller bug).
+pub(crate) fn seal_in_place(
     cpu: &CpuSecret,
     identity: &EnclaveIdentity,
     policy: KeyPolicy,
     key_id: [u8; 16],
     nonce: [u8; 12],
     aad: &[u8],
-    plaintext: &[u8],
-) -> Vec<u8> {
+    buf: &mut Vec<u8>,
+) {
     let key = egetkey(
         cpu,
         identity,
@@ -85,7 +102,8 @@ pub(crate) fn seal(
             key_id,
         },
     );
-    let mut header = WireWriter::new();
+    let start = sealed_header_len(aad.len());
+    let mut header = WireWriter::with_capacity(start - 4);
     header
         .u8(FORMAT_VERSION)
         .u8(policy.as_u8())
@@ -93,16 +111,16 @@ pub(crate) fn seal(
         .array(&nonce)
         .bytes(aad);
     let header_bytes = header.finish();
+    // mig-lint: allow(enclave-panic, "sealed plaintexts stay far below 4 GiB (streams cap at 1 GiB), the bound of every length-prefixed wire string")
+    let ct_len = u32::try_from(buf.len() - start + 16).expect("sealed blobs are < 4 GiB");
+    let mut front = Vec::with_capacity(start);
+    front.extend_from_slice(&header_bytes);
+    front.extend_from_slice(&ct_len.to_le_bytes());
+    // mig-lint: allow(enclave-panic, "a buffer shorter than its reserved header is a caller bug, documented under Panics")
+    buf[..start].copy_from_slice(&front);
 
     // The whole header (including user AAD) is authenticated.
-    let aead = AesGcm::new(key);
-    let ct = aead.seal(&nonce, &header_bytes, plaintext);
-
-    let mut out = header_bytes;
-    let mut tail = WireWriter::new();
-    tail.bytes(&ct);
-    out.extend_from_slice(&tail.finish());
-    out
+    AesGcm::new(key).seal_in_place(&nonce, &header_bytes, buf, start);
 }
 
 pub(crate) fn unseal(
@@ -118,19 +136,13 @@ pub(crate) fn unseal(
     let policy = KeyPolicy::from_u8(r.u8()?)?;
     let key_id: [u8; 16] = r.array()?;
     let nonce: [u8; 12] = r.array()?;
-    let aad = r.bytes_vec()?;
-    let ct = r.bytes_vec()?;
+    let aad = r.bytes()?;
+    // The authenticated header is exactly the bytes just parsed.
+    let header_bytes = blob
+        .get(..sealed_header_len(aad.len()) - 4)
+        .ok_or(SgxError::Decode)?;
+    let ct = r.bytes()?;
     r.finish()?;
-
-    // Reconstruct the authenticated header exactly as sealed.
-    let mut header = WireWriter::new();
-    header
-        .u8(FORMAT_VERSION)
-        .u8(policy.as_u8())
-        .array(&key_id)
-        .array(&nonce)
-        .bytes(&aad);
-    let header_bytes = header.finish();
 
     let key = egetkey(
         cpu,
@@ -143,9 +155,9 @@ pub(crate) fn unseal(
     );
     let aead = AesGcm::new(key);
     let plaintext = aead
-        .open(&nonce, &header_bytes, &ct)
+        .open(&nonce, header_bytes, ct)
         .map_err(|_| SgxError::MacMismatch)?;
-    Ok((plaintext, aad))
+    Ok((plaintext, aad.to_vec()))
 }
 
 #[cfg(test)]
@@ -158,6 +170,24 @@ mod tests {
             mr_enclave: MrEnclave([tag; 32]),
             mr_signer: MrSigner([0xEE; 32]),
         }
+    }
+
+    /// The one-allocation seal `EnclaveEnv::seal_data` performs: the
+    /// plaintext copied behind a reserved header, sealed in place.
+    fn seal(
+        cpu: &CpuSecret,
+        id: &EnclaveIdentity,
+        policy: KeyPolicy,
+        key_id: [u8; 16],
+        nonce: [u8; 12],
+        aad: &[u8],
+        plaintext: &[u8],
+    ) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(sealed_size(aad.len(), plaintext.len()));
+        buf.resize(sealed_header_len(aad.len()), 0);
+        buf.extend_from_slice(plaintext);
+        seal_in_place(cpu, id, policy, key_id, nonce, aad, &mut buf);
+        buf
     }
 
     fn seal_simple(cpu: &CpuSecret, id: &EnclaveIdentity, policy: KeyPolicy) -> Vec<u8> {
@@ -251,5 +281,45 @@ mod tests {
             );
             assert_eq!(blob.len(), sealed_size(aad_len, pt_len));
         }
+    }
+
+    #[test]
+    fn in_place_blob_is_header_then_length_prefixed_ciphertext() {
+        // The blob format, built from the copying AES-GCM seal: the
+        // header, then the length-prefixed `ciphertext || tag`, with the
+        // header as the AEAD's associated data.
+        let cpu = CpuSecret::from_seed([5; 32]);
+        let id = identity(1);
+        let blob = seal(
+            &cpu,
+            &id,
+            KeyPolicy::MrSigner,
+            [9; 16],
+            [8; 12],
+            b"md",
+            b"text",
+        );
+        let mut header = WireWriter::new();
+        header
+            .u8(FORMAT_VERSION)
+            .u8(KeyPolicy::MrSigner.as_u8())
+            .array(&[9; 16])
+            .array(&[8; 12])
+            .bytes(b"md");
+        let header = header.finish();
+        let key = egetkey(
+            &cpu,
+            &id,
+            &KeyRequest {
+                name: KeyName::Seal,
+                policy: KeyPolicy::MrSigner,
+                key_id: [9; 16],
+            },
+        );
+        let mut expected = header.clone();
+        let mut tail = WireWriter::new();
+        tail.bytes(&AesGcm::new(key).seal(&[8; 12], &header, b"text"));
+        expected.extend_from_slice(&tail.finish());
+        assert_eq!(blob, expected);
     }
 }

@@ -47,6 +47,14 @@ impl WireWriter {
         }
     }
 
+    /// Continues writing at the end of `buf` (a caller that reserved a
+    /// header, or sized the buffer for what follows, keeps its
+    /// allocation).
+    #[must_use]
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
     /// Appends a single byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -82,6 +90,13 @@ impl WireWriter {
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The buffer written so far, for in-place transforms of its tail
+    /// (a message encoded behind its length prefix and then sealed
+    /// where it lies).
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
     }
 
     /// Current encoded length in bytes.

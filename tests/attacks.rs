@@ -818,8 +818,8 @@ fn cross_stream_chunk_splice_rejected_and_quarantined() {
         asm_b.accept(idx, b_chunk, &b_mac).unwrap();
         asm_a.accept(idx, a_chunk, &a_mac).unwrap();
     }
-    assert_eq!(asm_a.finish().unwrap(), payload);
-    assert_eq!(asm_b.finish().unwrap(), payload);
+    assert_eq!(*asm_a.finish().unwrap(), *payload);
+    assert_eq!(*asm_b.finish().unwrap(), *payload);
 
     // --- Wire level: two concurrent streams; the adversary replaces a
     // mid-flight frame with a recorded earlier frame (a cross-position /

@@ -282,7 +282,7 @@ proptest! {
             asm.accept(idx, chunk, &mac).unwrap();
         }
         prop_assert!(asm.is_complete());
-        prop_assert_eq!(asm.finish().unwrap(), payload);
+        prop_assert_eq!(&*asm.finish().unwrap(), &payload[..]);
     }
 
     /// Any single bit flip in any chunk payload, any index rewrite, and
@@ -438,7 +438,7 @@ proptest! {
         for (i, asm) in assemblers.drain(..).enumerate() {
             prop_assert!(asm.is_complete(), "stream {i} complete");
             let out = asm.finish().unwrap();
-            prop_assert_eq!(&out, &payloads[i]);
+            prop_assert_eq!(&*out, &payloads[i][..]);
         }
         // ...and the delta stream's payload applies onto the base to the
         // exact mutated state.
@@ -447,9 +447,11 @@ proptest! {
     }
 
     /// Delta-checkpoint correctness: for any base state, any dirty-byte
-    /// pattern, and any growth/shrink of the state,
-    /// `apply(restore(g), delta_since(g)) == restore(latest)` — and the
-    /// delta payload survives the HMAC-chained chunker unchanged.
+    /// pattern, and any growth/shrink of the state, the dirty pages of
+    /// the latest checkpoint against an older one's page digests apply
+    /// onto it exactly — `apply(restore(g), diff(digests(restore(g)),
+    /// restore(latest))) == restore(latest)` — and the delta payload
+    /// survives the HMAC-chained chunker unchanged.
     #[test]
     fn delta_checkpoints_reconstruct_latest(
         base in proptest::collection::vec(any::<u8>(), 1..40_000),
@@ -462,7 +464,7 @@ proptest! {
     ) {
         use cloud_sim::disk::UntrustedDisk;
         use mig_core::transfer::checkpoint::CheckpointStore;
-        use mig_core::transfer::delta;
+        use mig_core::transfer::delta::{self, PageDigests};
 
         let store = CheckpointStore::new(UntrustedDisk::new(), "prop-delta");
         let g0 = store.put(base.clone()).unwrap();
@@ -477,13 +479,20 @@ proptest! {
         new.truncate(keep);
         let g1 = store.put(new.clone()).unwrap();
 
-        let (manifest, payload) = store.delta_since(g0).expect("both generations retained");
+        let restored_base = store.get(g0).expect("base generation retained");
+        let (_, latest) = store.latest().expect("latest generation");
+        let (manifest, payload) = delta::diff(
+            &PageDigests::compute(&restored_base, delta::PAGE_SIZE),
+            g0,
+            g1,
+            &latest,
+        );
         prop_assert_eq!(manifest.base_generation, g0);
         prop_assert_eq!(manifest.new_generation, g1);
         prop_assert_eq!(payload.len() as u64, manifest.payload_len());
 
         // The reconstruction is exact.
-        let applied = delta::apply(&base, &manifest, &payload).unwrap();
+        let applied = delta::apply(&restored_base, &manifest, &payload).unwrap();
         prop_assert_eq!(&applied, &new);
 
         // The packed dirty pages stream through the chunker verbatim.
@@ -498,7 +507,7 @@ proptest! {
             let (chunk, mac) = stream.chunk(idx);
             asm.accept(idx, chunk, &mac).unwrap();
         }
-        prop_assert_eq!(asm.finish().unwrap(), payload);
+        prop_assert_eq!(&*asm.finish().unwrap(), &payload[..]);
 
         // A delta applied to the wrong base is rejected, never silently
         // wrong: flip one byte of the base inside a clean page (if any

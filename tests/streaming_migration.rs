@@ -3,11 +3,12 @@
 //! path, survives a mid-transfer source-machine crash, resumes from the
 //! last acknowledged chunk, and the destination unseals identical state.
 
+use cloud_sim::disk::WriteFault;
 use cloud_sim::machine::MachineLabels;
 use cloud_sim::network::{Envelope, TapAction};
 use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
 use mig_core::datacenter::{Datacenter, ResumableOutcome};
-use mig_core::host::AppStatus;
+use mig_core::host::{AppStatus, CHECKPOINT_INTERVAL};
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
 use mig_core::transfer::TransferConfig;
@@ -335,6 +336,53 @@ fn app_host_writes_periodic_durable_checkpoints() {
     assert_eq!(phase, vec![1], "restored library is operational");
     let staged = dc.app_bulk_state("app").unwrap();
     assert!(staged.is_some(), "checkpoint carried the staged snapshot");
+}
+
+/// A checkpoint write that fails is retried on the very next persist:
+/// the interval restarts only once a generation is durable, so one bad
+/// write does not cost a whole further interval without a checkpoint.
+#[test]
+fn failed_app_checkpoint_is_retried_on_the_next_persist() {
+    let (mut dc, m1, _m2) = dc_with_config(1606, TransferConfig::default());
+    dc.deploy_app("app", m1, &image(), KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("app", kv_ops::INIT, &[]).unwrap();
+    let latest = |dc: &Datacenter| dc.app("app").lock().checkpoints().latest_generation();
+    let before = latest(&dc).expect("the first persist checkpoints");
+
+    // Fail the next checkpoint-blob write, and only that one.
+    let armed = Arc::new(AtomicBool::new(true));
+    let flag = Arc::clone(&armed);
+    dc.world()
+        .machine(m1)
+        .disk
+        .set_fault_hook(move |key: &str, _value: &[u8]| {
+            if key.contains("/ckpt/") && flag.swap(false, Ordering::SeqCst) {
+                WriteFault::Fail
+            } else {
+                WriteFault::None
+            }
+        });
+    let mut failed = false;
+    for i in 0..CHECKPOINT_INTERVAL as u8 {
+        if let Err(e) = dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(&[i], b"v")) {
+            assert!(e.to_string().contains("checkpoint write"), "{e}");
+            failed = true;
+            break;
+        }
+    }
+    assert!(failed, "a checkpoint came due within one interval");
+    assert!(!armed.load(Ordering::SeqCst));
+    assert_eq!(
+        latest(&dc),
+        Some(before),
+        "the failed write is not pointed to"
+    );
+
+    // The very next persist writes the generation the failure skipped.
+    dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(b"next", b"v"))
+        .unwrap();
+    assert_eq!(latest(&dc), Some(before + 1));
 }
 
 /// The acceptance scenario for delta-aware streaming: a 16 MiB store
