@@ -455,57 +455,11 @@ fn e4(n: usize) {
         ));
     }
 
-    // Speculative-restore series: the destination's time-to-release
-    // (wall-clock tail of the final-chunk ECALL) with verified-prefix
-    // staging + incremental digest versus the legacy
-    // unseal-after-complete path, at the largest swept geometry.
-    println!("\n--- speculative restore: destination time-to-release ({label} state, {n} runs per cell) ---");
-    println!(
-        "{:<14} {:>22} {:>22}",
-        "mode", "release (ms)", "speedup vs unseal"
-    );
-    println!("{}", "-".repeat(62));
-    // One discarded warmup run per mode: the first migration in the
-    // process pays allocator and page-cache effects that would
-    // otherwise land entirely on one arm of the comparison.
-    let _ = mig_bench::release_latency_cell(seed + 9001, entries, value_len, true);
-    let _ = mig_bench::release_latency_cell(seed + 9002, entries, value_len, false);
-    let mut spec_cells: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    for _ in 0..n {
-        for (i, speculative) in [true, false].into_iter().enumerate() {
-            seed += 1;
-            spec_cells[i].push(mig_bench::release_latency_cell(
-                seed,
-                entries,
-                value_len,
-                speculative,
-            ));
-        }
-    }
-    let spec = mig_stats::summarize(&spec_cells[0], 0.99);
-    let unseal = mig_stats::summarize(&spec_cells[1], 0.99);
-    println!(
-        "{:<14} {:>15.3} ± {:>4.3} {:>21.2}x",
-        "speculative",
-        spec.mean,
-        spec.ci_half_width,
-        unseal.mean / spec.mean.max(1e-9)
-    );
-    println!(
-        "{:<14} {:>15.3} ± {:>4.3} {:>22}",
-        "unseal-after", unseal.mean, unseal.ci_half_width, "1.00x"
-    );
-    let json_spec = format!(
-        "    {{\"label\": \"{label}\", \"speculative_release_ms\": {:.4}, \"unseal_release_ms\": {:.4}}}",
-        spec.mean, unseal.mean
-    );
-
     let json = format!(
-        "{{\n  \"sweep\": [\n{}\n  ],\n  \"delta\": [\n{}\n  ],\n  \"concurrency\": [\n{}\n  ],\n  \"speculative\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"sweep\": [\n{}\n  ],\n  \"delta\": [\n{}\n  ],\n  \"concurrency\": [\n{}\n  ]\n}}\n",
         json_sweep.join(",\n"),
         json_delta.join(",\n"),
         json_conc.join(",\n"),
-        json_spec
     );
     let path = std::env::var("E4_JSON_PATH").unwrap_or_else(|_| "BENCH_e4.json".to_string());
     match std::fs::write(&path, &json) {

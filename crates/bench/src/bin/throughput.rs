@@ -1,7 +1,8 @@
 //! Sealed-state migration **throughput** microbench: wall-clock MB/s
 //! from `migration_start` on the source to payload release on the
-//! destination, at 64 MiB of kvstore state, comparing the hot-call
-//! batched + pipelined transfer path against the legacy per-frame path.
+//! destination, at 64 MiB of kvstore state, comparing a link that packs
+//! up to `batch_size` cells per `TRANSFER` container against one cell
+//! per container (the default).
 //!
 //! ```sh
 //! cargo run -p mig-bench --release --bin throughput
@@ -13,8 +14,10 @@
 //! ```
 //!
 //! Each arm runs `THROUGHPUT_ROUNDS` times (default 2) with the arms
-//! interleaved — unbatched, batched, unbatched, batched — and the
-//! fastest round per arm is reported. Interleaving matters: the two
+//! interleaved — unbatched, batched, unbatched, batched. The fastest
+//! round per arm is reported and gated; the JSON also carries each
+//! arm's median and minimum wall time over its rounds and the host's
+//! core count. Interleaving matters: the two
 //! arms do several seconds of identical crypto per round, and on a
 //! shared machine a strictly sequential A-then-B order hands whichever
 //! arm runs second a measurable frequency/cache handicap (a control
@@ -23,11 +26,10 @@
 //! over alternating rounds compares the arms' actual work instead of
 //! their slot in the schedule.
 //!
-//! The batched arm ships `batch_size` sealed cells per `TRANSFER_BATCH`
-//! ECALL and seals/digests chunks on `seal_lanes` worker lanes, so
-//! enclave transitions per migration drop from ~2×chunks towards
-//! ~2×⌈chunks/batch⌉ and the AES-GCM cost (the wall-clock bottleneck)
-//! is spread across cores. Results land in `BENCH_throughput.json`
+//! The batched arm ships up to `batch_size` sealed cells per `TRANSFER`
+//! ECALL, so enclave transitions per migration drop from ~2×chunks
+//! towards ~2×⌈chunks/batch⌉; sealing and hashing stay serial on both
+//! arms. Results land in `BENCH_throughput.json`
 //! (override with `THROUGHPUT_JSON_PATH`). With `THROUGHPUT_ASSERT=1`
 //! the run exits nonzero unless the batched arm's trace-attributed
 //! ECALLs stay under 0.25 × chunks **and** the batched arm is at least
@@ -63,7 +65,6 @@ fn stream_config(batched: bool, chunk_size: u32) -> TransferConfig {
         } else {
             1
         },
-        seal_lanes: if batched { 4 } else { 1 },
         ..TransferConfig::default()
     }
 }
@@ -91,7 +92,7 @@ fn run_arm(label: &'static str, seed: u64, entries: u32, batched: bool) -> Arm {
     let telemetry = dc.fleet_telemetry().expect("telemetry");
     // The migration's transition cost: ECALLs attributed to the unique
     // trace that carried Stream-phase spans, across both machines
-    // (destination TRANSFER/TRANSFER_BATCH + source ACK ECALLs).
+    // (destination TRANSFER + source ACK ECALLs).
     let trace_ecalls = telemetry
         .trace_ids()
         .into_iter()
@@ -125,22 +126,48 @@ fn run_arm(label: &'static str, seed: u64, entries: u32, batched: bool) -> Arm {
     }
 }
 
-fn arm_json(arm: &Arm) -> String {
+/// Median of the arm's round wall times.
+fn median(walls: &mut [f64]) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    let n = walls.len();
+    if n % 2 == 1 {
+        walls[n / 2]
+    } else {
+        (walls[n / 2 - 1] + walls[n / 2]) / 2.0
+    }
+}
+
+/// The arm's fastest round, plus the median and minimum wall time over
+/// all of its rounds.
+fn arm_json(rounds: &[Arm]) -> String {
+    let arm = fastest(rounds);
+    let mut walls: Vec<f64> = rounds.iter().map(|r| r.wall_s).collect();
     format!(
         concat!(
             "    {{\"label\": \"{}\", \"wall_s\": {:.3}, \"mb_per_s\": {:.2}, ",
+            "\"wall_s_median\": {:.3}, \"wall_s_min\": {:.3}, ",
             "\"state_bytes\": {}, \"chunks\": {}, \"trace_ecalls\": {}, ",
             "\"transitions_per_migration\": {}, \"batches_received\": {}}}"
         ),
         arm.label,
         arm.wall_s,
         arm.mb_per_s,
+        median(&mut walls),
+        walls[0],
         arm.state_bytes,
         arm.chunks,
         arm.trace_ecalls,
         arm.trace_ecalls,
         arm.batches_received,
     )
+}
+
+/// The round with the least wall time (the earliest on a tie).
+fn fastest(rounds: &[Arm]) -> &Arm {
+    rounds
+        .iter()
+        .reduce(|best, arm| if arm.wall_s < best.wall_s { arm } else { best })
+        .expect("rounds >= 1")
 }
 
 fn main() {
@@ -157,21 +184,21 @@ fn main() {
         .unwrap_or(2)
         .max(1);
 
-    println!("=== Sealed-state migration throughput ({mib} MiB kvstore, best of {rounds}) ===\n");
-    let faster = |best: Option<Arm>, arm: Arm| match best {
-        Some(b) if b.wall_s <= arm.wall_s => Some(b),
-        _ => Some(arm),
-    };
-    let mut best_unbatched: Option<Arm> = None;
-    let mut best_batched: Option<Arm> = None;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "=== Sealed-state migration throughput ({mib} MiB kvstore, best of {rounds}, \
+         {host_cores} cores) ===\n"
+    );
+    let mut unbatched_rounds = Vec::new();
+    let mut batched_rounds = Vec::new();
     for _ in 0..rounds {
-        best_unbatched = faster(best_unbatched, run_arm("unbatched", 0x7A11, entries, false));
-        best_batched = faster(best_batched, run_arm("batched", 0x7A11, entries, true));
+        unbatched_rounds.push(run_arm("unbatched", 0x7A11, entries, false));
+        batched_rounds.push(run_arm("batched", 0x7A11, entries, true));
     }
-    let unbatched = best_unbatched.expect("rounds >= 1");
-    let batched = best_batched.expect("rounds >= 1");
+    let unbatched = fastest(&unbatched_rounds);
+    let batched = fastest(&batched_rounds);
 
-    for arm in [&unbatched, &batched] {
+    for arm in [unbatched, batched] {
         println!(
             "{:<10} {:>8.2} MB/s  wall {:>6.2} s  chunks {:>4}  trace ECALLs {:>5}  batches {:>3}",
             arm.label, arm.mb_per_s, arm.wall_s, arm.chunks, arm.trace_ecalls, arm.batches_received,
@@ -187,11 +214,16 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"throughput\",\n  \"mib\": {},\n  \"speedup\": {:.3},\n  \"arms\": [\n{},\n{}\n  ]\n}}\n",
+        concat!(
+            "{{\n  \"bench\": \"throughput\",\n  \"mib\": {},\n  \"host_cores\": {},\n",
+            "  \"rounds\": {},\n  \"speedup\": {:.3},\n  \"arms\": [\n{},\n{}\n  ]\n}}\n"
+        ),
         mib,
+        host_cores,
+        rounds,
         speedup,
-        arm_json(&unbatched),
-        arm_json(&batched),
+        arm_json(&unbatched_rounds),
+        arm_json(&batched_rounds),
     );
     let path = std::env::var("THROUGHPUT_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_throughput.json".to_string());
@@ -211,7 +243,7 @@ fn main() {
         );
         assert!(
             batched.batches_received > 0,
-            "batched arm never took the TRANSFER_BATCH path"
+            "batched arm never sent a container of several cells"
         );
         // Wall-clock regression guard: saving transitions is worthless
         // if batching is slower end to end. This caught the pre-kernel

@@ -385,11 +385,7 @@ fn transfer_byte_tap(
                 && e.to.machine == to
                 && e.from.service == "me"
                 && e.to.service == "me"
-                && matches!(
-                    e.payload.first(),
-                    Some(&mig_core::host::tags::RA_TRANSFER)
-                        | Some(&mig_core::host::tags::RA_TRANSFER_BATCH)
-                )
+                && e.payload.first() == Some(&mig_core::host::tags::RA_TRANSFER)
             {
                 tap_bytes.fetch_add(e.payload.len() as u64, Ordering::SeqCst);
             }
@@ -518,11 +514,7 @@ pub fn concurrent_migration_cell(
                 if e.from.machine == m1
                     && e.to.machine == m2
                     && e.from.service == "me"
-                    && matches!(
-                        e.payload.first(),
-                        Some(&mig_core::host::tags::RA_TRANSFER)
-                            | Some(&mig_core::host::tags::RA_TRANSFER_BATCH)
-                    )
+                    && e.payload.first() == Some(&mig_core::host::tags::RA_TRANSFER)
                 {
                     tap_bytes.fetch_add(e.payload.len() as u64, Ordering::SeqCst);
                 }
@@ -592,48 +584,6 @@ pub fn concurrent_migration_cell(
     }
 }
 
-/// One cell of the E4 speculative-restore series: the same streamed
-/// migration measured with destination-side speculative restore on and
-/// off. `release_ms` is the destination ME host's wall-clock duration
-/// of the TRANSFER ECALL that completed the stream and released the
-/// payload — everything serialized between the final chunk's arrival
-/// and the state leaving the enclave. Speculation moves the whole-state
-/// digest (and, for deltas, the base staging and page overlay) off that
-/// path, so its cell should be markedly smaller at large state sizes.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeculativeCell {
-    /// Time-to-release with speculative restore (staged prefixes,
-    /// incremental digest), in ms.
-    pub speculative_release_ms: f64,
-    /// Time-to-release with the legacy unseal-after-complete path, in
-    /// ms.
-    pub unseal_release_ms: f64,
-}
-
-/// Runs one streamed migration of `entries` × `value_len` bytes and
-/// returns the destination's time-to-release (ms), with speculative
-/// restore on or off.
-///
-/// # Panics
-///
-/// Panics on fixture failures (bench invariants).
-#[must_use]
-pub fn release_latency_cell(seed: u64, entries: u32, value_len: u32, speculative: bool) -> f64 {
-    let transfer = mig_core::transfer::TransferConfig {
-        speculative_restore: speculative,
-        ..sweep_stream_config()
-    };
-    let mut dc = prepared_kv_datacenter(seed, transfer, entries, value_len);
-    dc.migrate_app("src", "dst").expect("migrate");
-    let dst_machine = dc.app_machine("dst");
-    let latency = dc
-        .me_host(dst_machine)
-        .lock()
-        .release_latency()
-        .expect("a transfer completed at the destination");
-    latency.as_secs_f64() * 1e3
-}
-
 /// The VM-migration transfer-time model evaluated at a bulk-state size
 /// (ms over the datacenter link profile): what moving the same number
 /// of bytes as guest memory would cost under
@@ -680,7 +630,7 @@ pub fn sweep_blob_config() -> mig_core::transfer::TransferConfig {
 ///
 /// The phases are the destination-side partition recorded by the ME
 /// host: Announce (announcement arrival → first chunk), Stream (first
-/// chunk → completion), Stage (zero-width under speculative staging),
+/// chunk → completion), Stage (zero-width: staging overlaps the stream),
 /// Release (the completing ECALL's virtual cost). All in virtual
 /// milliseconds, so the breakdown is deterministic per seed.
 #[derive(Clone, Copy, Debug, Default)]

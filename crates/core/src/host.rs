@@ -9,7 +9,7 @@
 
 use crate::harness::{encode_init, open_envelope, ops as lib_ops};
 use crate::library::InitRequest;
-use crate::me::{ops as me_ops, read_opt, MeAction, RaResponseAuth, TelemetryReport, FRAME_BATCH};
+use crate::me::{ops as me_ops, read_opt, MeAction, RaResponseAuth, TelemetryReport};
 use crate::remote_attest::RaHello;
 use crate::transfer::checkpoint::CheckpointStore;
 use cloud_sim::clock::{SimClock, SimTime};
@@ -33,40 +33,41 @@ use std::time::Duration;
 /// Parsed output of the ME's `LA_MSG2` ECALL: msg3, attested
 /// measurement, optional forward ciphertext (borrowed from the output).
 type LaMsg2Output<'a> = (&'a [u8], MrEnclave, Option<&'a [u8]>);
-/// Parsed output of the ME's `TRANSFER` ECALL: kind, measurement,
+/// One record of the ME's `TRANSFER` ECALL output: kind, measurement,
 /// optional trace id, optional forward ciphertext, optional ack
 /// ciphertext (borrowed from the output).
-type TransferOutput<'a> = (
+type TransferRecord<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
     Option<&'a [u8]>,
     Option<&'a [u8]>,
 );
-/// Kind-tagged stream frames borrowed from an ECALL output.
-type BorrowedFrames<'a> = Vec<(u8, &'a [u8])>;
+/// Parsed output of the ME's `TRANSFER` ECALL: its records and the
+/// first rejected cell's error, if any.
+type TransferOutput<'a> = (Vec<TransferRecord<'a>>, Option<&'a [u8]>);
 /// Parsed output of the ME's `ACK` ECALL: kind, measurement, optional
-/// trace id, optional completion ciphertext, and kind-tagged follow-on
-/// stream frames for the peer (borrowed from the output).
+/// trace id, optional completion ciphertext, and follow-on `TRANSFER`
+/// containers for the peer (borrowed from the output).
 type AckOutput<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
     Option<&'a [u8]>,
-    BorrowedFrames<'a>,
+    Vec<&'a [u8]>,
 );
 
-/// Reads a `u32` count, then that many kind-tagged length-prefixed
-/// frames, borrowed from the reader's buffer.
-fn read_frames<'a>(r: &mut WireReader<'a>) -> Result<BorrowedFrames<'a>, SgxError> {
+/// Reads a `u32` count, then that many length-prefixed byte strings,
+/// borrowed from the reader's buffer.
+fn read_list<'a>(r: &mut WireReader<'a>) -> Result<Vec<&'a [u8]>, SgxError> {
     let n = r.u32()? as usize;
-    // Each frame takes at least five bytes: bound the count by the input.
-    let mut frames = Vec::with_capacity(n.min(r.remaining() / 5));
+    // Each item takes at least its 4-byte length: bound the count by the
+    // input.
+    let mut items = Vec::with_capacity(n.min(r.remaining() / 4));
     for _ in 0..n {
-        let kind = r.u8()?;
-        frames.push((kind, r.bytes()?));
+        items.push(r.bytes()?);
     }
-    Ok(frames)
+    Ok(items)
 }
 
 /// Reads the optional 8-byte trace id the extended ECALL outputs carry.
@@ -118,24 +119,11 @@ pub mod tags {
     pub const RA_RESPONSE: u8 = 8;
     /// ME ↔ ME: remote-attestation finish.
     pub const RA_FINISH: u8 = 9;
-    /// ME ↔ ME: encrypted migration transfer.
+    /// ME ↔ ME: encrypted migration transfer (a container of sealed
+    /// cells delivered in one enclave transition).
     pub const RA_TRANSFER: u8 = 10;
     /// ME ↔ ME: encrypted acknowledgement.
     pub const RA_ACK: u8 = 11;
-    /// ME ↔ ME: batched migration transfer (a container of sealed
-    /// cells delivered in one enclave transition).
-    pub const RA_TRANSFER_BATCH: u8 = 12;
-}
-
-/// Untrusted wire tag for one outgoing stream frame, selected by the
-/// enclave's frame-kind byte: batch containers ride
-/// [`tags::RA_TRANSFER_BATCH`], everything else [`tags::RA_TRANSFER`].
-fn stream_frame_tag(kind: u8) -> u8 {
-    if kind == FRAME_BATCH {
-        tags::RA_TRANSFER_BATCH
-    } else {
-        tags::RA_TRANSFER
-    }
 }
 
 /// Frames `payload` for the network in one buffer of its final size
@@ -208,14 +196,6 @@ pub struct MeHost {
     last_stream_send: HashMap<MachineId, SimTime>,
     /// Enclave quarantine-ledger entries already mirrored as edges.
     quarantines_seen: usize,
-    /// Wall-clock duration of the last `TRANSFER` ECALL that *released*
-    /// incoming migration data (forwarded or parked it) — the real
-    /// compute cost of the release, which the speculative-restore
-    /// benchmark compares against unseal-after-complete. Deliberately
-    /// wall-clock and therefore excluded from the deterministic trace
-    /// export; the virtual-time quantity lives in the
-    /// `me.time_to_release_ns` histogram.
-    release_latency: Option<Duration>,
     /// Non-fatal protocol errors observed (visible to tests).
     pub errors: Vec<String>,
 }
@@ -252,17 +232,8 @@ impl MeHost {
             negotiating: BTreeMap::new(),
             last_stream_send: HashMap::new(),
             quarantines_seen: 0,
-            release_latency: None,
             errors: Vec::new(),
         }
-    }
-
-    /// Wall-clock duration of the last incoming-transfer ECALL that
-    /// released migration data (see the field docs); `None` until a
-    /// transfer completed here.
-    #[must_use]
-    pub fn release_latency(&self) -> Option<Duration> {
-        self.release_latency
     }
 
     /// The ME enclave handle (diagnostics).
@@ -363,7 +334,7 @@ impl MeHost {
     }
 
     /// Pulls the enclave's quarantine ledger after a rejected
-    /// `TRANSFER` ECALL (best effort — telemetry must not mask the
+    /// `TRANSFER` cell (best effort — telemetry must not mask the
     /// protocol error already recorded).
     fn sync_quarantine_edges(&mut self) {
         let Ok(out) = self.enclave.ecall(me_ops::TELEMETRY, &[]) else {
@@ -471,21 +442,10 @@ impl MeHost {
             }
             MeAction::SendRemote {
                 destination,
-                transfer,
-            } => {
-                let me = Endpoint::new(destination, ME_SERVICE);
-                net.send(&self.endpoint, &me, frame(tags::RA_TRANSFER, &transfer));
-                self.last_stream_send.insert(destination, self.clock.now());
-            }
-            MeAction::StreamRemote {
-                destination,
                 frames,
             } => {
                 let me = Endpoint::new(destination, ME_SERVICE);
-                for (kind, ct) in frames {
-                    net.send(&self.endpoint, &me, frame(stream_frame_tag(kind), &ct));
-                }
-                self.last_stream_send.insert(destination, self.clock.now());
+                self.send_transfers(net, &me, &frames);
             }
             MeAction::AckSource { source, ack } => {
                 let me = Endpoint::new(source, ME_SERVICE);
@@ -669,10 +629,10 @@ impl MeHost {
             Ok(out) => out,
             Err(e) => return self.fail("ra response", e),
         };
-        let parsed: Result<(&[u8], BorrowedFrames<'_>), SgxError> = (|| {
+        let parsed: Result<(&[u8], Vec<&[u8]>), SgxError> = (|| {
             let mut r = WireReader::new(&out);
             let finish = r.bytes()?;
-            let transfers = read_frames(&mut r)?;
+            let transfers = read_list(&mut r)?;
             r.finish()?;
             Ok((finish, transfers))
         })();
@@ -682,19 +642,20 @@ impl MeHost {
                 // finish message goes out.
                 self.negotiate_end(Self::channel_trace(self.endpoint.machine, from.machine));
                 net.send(&self.endpoint, from, frame(tags::RA_FINISH, finish));
-                let streamed = !transfers.is_empty();
-                for (kind, transfer) in transfers {
-                    net.send(
-                        &self.endpoint,
-                        from,
-                        frame(stream_frame_tag(kind), transfer),
-                    );
-                }
-                if streamed {
-                    self.last_stream_send.insert(from.machine, self.clock.now());
-                }
+                self.send_transfers(net, from, &transfers);
             }
             Err(e) => self.fail("parse ra response output", e),
+        }
+    }
+
+    /// Sends `TRANSFER` containers to the ME at `to`, in order, noting
+    /// the send time its chunk acks measure their round trip against.
+    fn send_transfers(&mut self, net: &mut Network, to: &Endpoint, frames: &[impl AsRef<[u8]>]) {
+        for ct in frames {
+            net.send(&self.endpoint, to, frame(tags::RA_TRANSFER, ct.as_ref()));
+        }
+        if !frames.is_empty() {
+            self.last_stream_send.insert(to.machine, self.clock.now());
         }
     }
 
@@ -708,45 +669,49 @@ impl MeHost {
         }
     }
 
-    fn on_ra_transfer(&mut self, net: &mut Network, from: &Endpoint, ct: &[u8]) {
-        let input = ecall_input(&from.machine.0.to_le_bytes(), ct);
-        let ecall_start = std::time::Instant::now();
+    fn on_ra_transfer(&mut self, net: &mut Network, from: &Endpoint, container: &[u8]) {
+        let input = ecall_input(&from.machine.0.to_le_bytes(), container);
         let virt_before = self.enclave.peek_virtual_time();
         let out = match self.enclave.ecall(me_ops::TRANSFER, &input) {
             Ok(out) => out,
-            Err(e) => {
-                // The rejection may have quarantined the inbound
-                // stream; mirror new ledger entries as edges.
-                self.fail("ra transfer", e);
-                self.sync_quarantine_edges();
-                return;
-            }
+            Err(e) => return self.fail("ra transfer", e),
         };
-        let ecall_took = ecall_start.elapsed();
         let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
         let parsed: Result<TransferOutput<'_>, SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let record = Self::read_transfer_record(&mut r)?;
+            let records = read_list(&mut r)?
+                .into_iter()
+                .map(|bytes| {
+                    let mut r = WireReader::new(bytes);
+                    let record = (
+                        r.u8()?,
+                        MrEnclave(r.array()?),
+                        read_trace(&mut r)?,
+                        read_opt(&mut r)?,
+                        read_opt(&mut r)?,
+                    );
+                    r.finish()?;
+                    Ok(record)
+                })
+                .collect::<Result<_, SgxError>>()?;
+            let rejected = read_opt(&mut r)?;
             r.finish()?;
-            Ok(record)
+            Ok((records, rejected))
         })();
-        match parsed {
-            Ok(record) => {
-                self.apply_transfer_record(net, from, record, release_ns, ecall_took);
-            }
-            Err(e) => self.fail("parse transfer output", e),
+        let (records, rejected) = match parsed {
+            Ok(parsed) => parsed,
+            Err(e) => return self.fail("parse transfer output", e),
+        };
+        for record in records {
+            self.apply_transfer_record(net, from, record, release_ns);
         }
-    }
-
-    /// Reads one `TRANSFER`-format output record (shared by the
-    /// single-frame and batched paths).
-    fn read_transfer_record<'a>(r: &mut WireReader<'a>) -> Result<TransferOutput<'a>, SgxError> {
-        let kind = r.u8()?;
-        let mr = MrEnclave(r.array()?);
-        let trace = read_trace(r)?;
-        let forward = read_opt(r)?;
-        let ack = read_opt(r)?;
-        Ok((kind, mr, trace, forward, ack))
+        if let Some(error) = rejected {
+            // One error per rejected container. The rejection may have
+            // quarantined an inbound stream; mirror new ledger entries
+            // as edges.
+            self.fail("ra transfer", String::from_utf8_lossy(error));
+            self.sync_quarantine_edges();
+        }
     }
 
     /// Applies one transfer-output record: span bookkeeping, trace
@@ -755,24 +720,18 @@ impl MeHost {
         &mut self,
         net: &mut Network,
         from: &Endpoint,
-        record: TransferOutput<'_>,
+        record: TransferRecord<'_>,
         release_ns: u64,
-        ecall_took: Duration,
     ) {
         let (kind, mr, trace, forward, ack) = record;
         let now = self.clock.now();
         match (kind, trace) {
-            // Kinds 1 (forwarded) and 2 (stored) mean the ECALL
-            // completed and released a payload; with a trace id it
-            // closed a chunk stream.
-            (1 | 2, Some(tid)) => {
-                self.finish_inbound(tid, now, release_ns);
-                self.release_latency = Some(ecall_took);
-            }
-            (1 | 2, None) => self.release_latency = Some(ecall_took),
+            // Kinds 1 (forwarded) and 2 (stored) with a trace id closed
+            // a chunk stream.
+            (1 | 2, Some(tid)) => self.finish_inbound(tid, now, release_ns),
             // Stream progress: the announcement carries no ack yet;
-            // data chunks produce one (one combined ack per stream on
-            // the batched path).
+            // data chunks produce one (one combined ack per stream and
+            // container).
             (3, Some(tid)) => self.track_inbound(tid, now, ack.is_some()),
             // Delta NACK: fell back to a full stream.
             (4, Some(tid)) => self.record_edge(tid, now, Edge::DeltaFallback),
@@ -790,50 +749,6 @@ impl MeHost {
         }
     }
 
-    fn on_ra_transfer_batch(&mut self, net: &mut Network, from: &Endpoint, container: &[u8]) {
-        let input = ecall_input(&from.machine.0.to_le_bytes(), container);
-        let ecall_start = std::time::Instant::now();
-        let virt_before = self.enclave.peek_virtual_time();
-        let out = match self.enclave.ecall(me_ops::TRANSFER_BATCH, &input) {
-            Ok(out) => out,
-            Err(e) => {
-                self.fail("ra transfer batch", e);
-                self.sync_quarantine_edges();
-                return;
-            }
-        };
-        let ecall_took = ecall_start.elapsed();
-        let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
-        let parsed: Result<(Vec<TransferOutput<'_>>, u8), SgxError> = (|| {
-            let mut r = WireReader::new(&out);
-            let n = r.u32()? as usize;
-            let mut records = Vec::with_capacity(n.min(r.remaining() / 4));
-            for _ in 0..n {
-                let bytes = r.bytes()?;
-                let mut rr = WireReader::new(bytes);
-                let record = Self::read_transfer_record(&mut rr)?;
-                rr.finish()?;
-                records.push(record);
-            }
-            let status = r.u8()?;
-            r.finish()?;
-            Ok((records, status))
-        })();
-        match parsed {
-            Ok((records, status)) => {
-                for record in records {
-                    self.apply_transfer_record(net, from, record, release_ns, ecall_took);
-                }
-                if status != 0 {
-                    // Part of the container was rejected; any new
-                    // quarantine ledger entries become trace edges.
-                    self.sync_quarantine_edges();
-                }
-            }
-            Err(e) => self.fail("parse transfer batch output", e),
-        }
-    }
-
     fn on_ra_ack(&mut self, net: &mut Network, from: &Endpoint, ct: &[u8]) {
         let input = ecall_input(&from.machine.0.to_le_bytes(), ct);
         let out = match self.enclave.ecall(me_ops::ACK, &input) {
@@ -846,7 +761,7 @@ impl MeHost {
             let mr = MrEnclave(r.array()?);
             let trace = read_trace(&mut r)?;
             let complete = read_opt(&mut r)?;
-            let frames = read_frames(&mut r)?;
+            let frames = read_list(&mut r)?;
             r.finish()?;
             Ok((kind, mr, trace, complete, frames))
         })();
@@ -875,19 +790,9 @@ impl MeHost {
                         net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
                     }
                 }
-                // Follow-on stream frames (window slide / resume) go back
-                // to the destination that acked.
-                let streamed = !frames.is_empty();
-                for (frame_kind, ct) in frames {
-                    net.send(
-                        &self.endpoint,
-                        from,
-                        frame(stream_frame_tag(frame_kind), ct),
-                    );
-                }
-                if streamed {
-                    self.last_stream_send.insert(from.machine, now);
-                }
+                // Follow-on containers (window slide / resume) go back to
+                // the destination that acked.
+                self.send_transfers(net, from, &frames);
             }
             Err(e) => self.fail("parse ack output", e),
         }
@@ -972,25 +877,7 @@ impl MeHost {
     ) -> Result<Vec<LinkStreamStat>, SgxError> {
         let mut w = WireWriter::new();
         w.u64(destination.0);
-        let out = self.enclave.ecall(me_ops::LINK_STAT, &w.finish())?;
-        let mut r = WireReader::new(&out);
-        if r.u8()? == 1 {
-            let _chunk_size = r.u32()?;
-            let _window = r.u32()?;
-        }
-        let n = r.u32()? as usize;
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            streams.push(LinkStreamStat {
-                mr_enclave: MrEnclave(r.array()?),
-                acked: r.u32()?,
-                total_chunks: r.u32()?,
-                in_flight: r.u32()?,
-                delta: r.u8()? != 0,
-                awaiting_resume: r.u8()? != 0,
-            });
-        }
-        r.finish()?;
+        let streams = parse_link_streams(&self.enclave.ecall(me_ops::LINK_STAT, &w.finish())?)?;
         let m = self.endpoint.machine.0;
         let d = destination.0;
         for s in &streams {
@@ -1006,6 +893,30 @@ impl MeHost {
         }
         Ok(streams)
     }
+}
+
+/// Parses the per-stream part of a `LINK_STAT` ECALL output.
+fn parse_link_streams(out: &[u8]) -> Result<Vec<LinkStreamStat>, SgxError> {
+    let mut r = WireReader::new(out);
+    if r.u8()? == 1 {
+        let _chunk_size = r.u32()?;
+        let _window = r.u32()?;
+    }
+    let n = r.u32()? as usize;
+    // Each entry takes 46 bytes: bound the reservation by the input.
+    let mut streams = Vec::with_capacity(n.min(r.remaining() / 46));
+    for _ in 0..n {
+        streams.push(LinkStreamStat {
+            mr_enclave: MrEnclave(r.array()?),
+            acked: r.u32()?,
+            total_chunks: r.u32()?,
+            in_flight: r.u32()?,
+            delta: r.u8()? != 0,
+            awaiting_resume: r.u8()? != 0,
+        });
+    }
+    r.finish()?;
+    Ok(streams)
 }
 
 /// One multiplexed stream's state on a destination link (see
@@ -1059,7 +970,6 @@ impl Service for MeHost {
             tags::RA_RESPONSE => self.on_ra_response(net, from, body),
             tags::RA_FINISH => self.on_ra_finish(from, body),
             tags::RA_TRANSFER => self.on_ra_transfer(net, from, body),
-            tags::RA_TRANSFER_BATCH => self.on_ra_transfer_batch(net, from, body),
             tags::RA_ACK => self.on_ra_ack(net, from, body),
             other => self.fail("unknown tag", other),
         }
@@ -1363,6 +1273,21 @@ mod tests {
         assert_eq!(tag, tags::LIB_MSG);
         assert_eq!(body, b"ciphertext");
         assert!(unframe(&framed[..2]).is_err());
+    }
+
+    #[test]
+    fn link_stat_decode_bounds_the_stream_count_by_the_input() {
+        // A LINK_STAT output claiming u32::MAX streams must fail to
+        // decode, not reserve memory for them.
+        let mut out = vec![0];
+        out.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(parse_link_streams(&out), Err(SgxError::Decode)));
+        let mut one = vec![1];
+        one.extend_from_slice(&[0; 8]);
+        one.extend_from_slice(&1u32.to_le_bytes());
+        one.extend_from_slice(&[7; 32]);
+        one.extend_from_slice(&[0; 14]);
+        assert_eq!(parse_link_streams(&one).unwrap().len(), 1);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //!
 //! * [`session`] — typed per-migration / per-nonce state machines
 //!   ([`session::SenderFsm`] / [`session::ReceiverFsm`]) covering
-//!   announce → chunk/delta → resume/retry → stored/delivered, plus
-//!   destination-side speculative restore;
-//! * [`wire`] — framing and pacing for one destination link: chunk
-//!   frames, `TRANSFER_BATCH` containers, the adaptive chunk/window
-//!   controller, and the deficit-round-robin scheduler
+//!   announce → chunk/delta → resume/retry → stored/delivered, with
+//!   destination-side speculative restore as the one receiver;
+//! * [`wire`] — framing and pacing for one destination link: the
+//!   `TRANSFER` container every ME→ME cell rides in, the adaptive
+//!   chunk/window controller, and the deficit-round-robin scheduler
 //!   ([`wire::LinkShaper`]);
 //! * [`persist`] — the generation-numbered me-state checkpoint codec
 //!   and the byte-budgeted delta-base LRU cache.
@@ -37,10 +37,7 @@ pub mod session;
 pub mod telemetry;
 pub mod wire;
 
-pub use session::{
-    MeAction, ReceiverFsm, ReceiverRelease, SenderFsm, StreamFrames, StreamProgress, FRAME_BATCH,
-    FRAME_SINGLE,
-};
+pub use session::{MeAction, ReceiverFsm, ReceiverRelease, SenderFsm, StreamProgress};
 pub use telemetry::{LinkTelemetry, TelemetryReport};
 
 use crate::error::MigError;
@@ -86,7 +83,10 @@ pub mod ops {
     pub const RA_RESPONSE: u32 = 7;
     /// Remote attestation: finish received (destination side).
     pub const RA_FINISH: u32 = 8;
-    /// Encrypted ME→ME transfer received (destination side).
+    /// Encrypted ME→ME transfer container received (destination side):
+    /// 1..=the link's negotiated batch size of sealed cells, verified
+    /// and staged in one enclave transition with one combined ack per
+    /// touched stream.
     pub const TRANSFER: u32 = 9;
     /// Encrypted ME→ME acknowledgement received (source side).
     pub const ACK: u32 = 10;
@@ -119,11 +119,6 @@ pub mod ops {
     /// library, so an abort can never race a completed delivery into a
     /// double release.
     pub const ABORT: u32 = 17;
-    /// Encrypted ME→ME transfer **batch** received (destination side):
-    /// one container of up to the link's negotiated batch size of
-    /// sealed stream cells, verified and staged in one enclave
-    /// transition with a single combined ack per touched stream.
-    pub const TRANSFER_BATCH: u32 = 18;
 }
 
 /// The canonical Migration Enclave image. Identical on every machine, as
@@ -199,10 +194,10 @@ pub struct RaResponseAuth {
     pub response: RaResponseQuote,
     /// Responder's operator credential.
     pub credential: MeCredential,
-    /// Responder's advertised `TRANSFER_BATCH` capacity (its provisioned
+    /// Responder's advertised container capacity (its provisioned
     /// [`TransferConfig::batch_size`]); the link uses the minimum of
-    /// both sides, so a peer advertising 1 keeps the legacy per-frame
-    /// path. Covered by `signature`, so the untrusted relay cannot
+    /// both sides, so a peer advertising 1 gets one cell per container.
+    /// Covered by `signature`, so the untrusted relay cannot
     /// renegotiate the batch size.
     pub batch: u32,
     /// Signature over `transcript || "R" || batch_le` under the
@@ -429,13 +424,7 @@ impl MigrationEnclave {
         let operator_root = VerifyingKey(r.array()?);
         let ias_key = VerifyingKey(r.array()?);
         let policy = MigrationPolicy::from_bytes(r.bytes()?)?;
-        // Optional trailing transfer tuning (older provisioning payloads
-        // omit it).
-        let transfer = if r.remaining() > 0 {
-            TransferConfig::decode(&mut r)?
-        } else {
-            TransferConfig::default()
-        };
+        let transfer = TransferConfig::decode(&mut r)?;
         r.finish()?;
 
         // The credential must certify *our* signing key under the root we
@@ -521,7 +510,7 @@ impl MigrationEnclave {
         let (session, response) = RaResponder::respond(env, &cfg, g_i, &evidence)?;
         let (g_i, g_r) = session.keys();
         let transcript = transcript_bytes(&g_i, &g_r, &env.identity().mr_enclave);
-        // Advertise our TRANSFER_BATCH capacity inside the signed
+        // Advertise our container capacity inside the signed
         // transcript: the source uses min(its own, ours), and the relay
         // cannot strip or inflate the advertisement without breaking
         // the signature.
@@ -576,10 +565,9 @@ impl MigrationEnclave {
         role_tag.extend_from_slice(&advertised_batch.to_le_bytes());
         self.authenticate_peer(&credential, destination, &transcript, &role_tag, &signature)?;
 
-        // Channel up: authenticate ourselves and dispatch the first
-        // queued migration (chunked transfers serialize per destination;
-        // the rest of the queue drains as Delivered/Stored acks free the
-        // channel — see `op_ack`).
+        // Channel up: authenticate ourselves and send the queued
+        // migrations (up to the stream cap; the rest of the queue drains
+        // as Delivered/Stored acks free stream slots — see `op_ack`).
         let mut signed = transcript;
         signed.extend_from_slice(b"I");
         let finish = RaFinishAuth {
@@ -590,29 +578,20 @@ impl MigrationEnclave {
             .insert(destination, SecureChannel::new(key, ChannelRole::Initiator));
         // Negotiate the link's batch size before anything is sealed:
         // min(our provisioned size, the peer's authenticated
-        // advertisement) — a peer advertising 1 keeps this link on the
-        // legacy per-frame TRANSFER path.
+        // advertisement) — a peer advertising 1 gets one cell per
+        // container.
         let transfer_cfg = self.config()?.transfer;
         let negotiated = transfer_cfg.batch_size.min(advertised_batch.max(1));
         self.shapers
             .entry(destination)
             .or_insert_with(|| LinkShaper::new(&transfer_cfg))
             .set_batch(negotiated);
-        let transfers = match self.dispatch_outgoing(env, destination)? {
-            MeAction::None => Vec::new(),
-            MeAction::SendRemote { transfer, .. } => vec![(session::FRAME_SINGLE, transfer)],
-            MeAction::StreamRemote { frames, .. } => frames,
-            _ => return Err(MigError::Protocol("unexpected dispatch action")),
-        };
+        let frames = self.send_unsent(env, destination)?;
 
         let finish = finish.to_bytes();
-        let mut w = WireWriter::with_capacity(4 + finish.len() + session::frames_len(&transfers));
+        let mut w = WireWriter::with_capacity(4 + finish.len() + session::list_len(&frames));
         w.bytes(&finish);
-        w.u32(transfers.len() as u32);
-        for (kind, transfer) in &transfers {
-            w.u8(*kind);
-            w.bytes(transfer);
-        }
+        session::write_list(&mut w, &frames);
         Ok(w.finish())
     }
 
@@ -664,7 +643,6 @@ impl EnclaveCode for MigrationEnclave {
             ops::RA_RESPONSE => self.op_ra_response(env, input),
             ops::RA_FINISH => self.op_ra_finish(env, input),
             ops::TRANSFER => self.op_transfer(env, input),
-            ops::TRANSFER_BATCH => self.op_transfer_batch(env, input),
             ops::ACK => self.op_ack(env, input),
             ops::RETRY => self.op_retry(env, input),
             ops::PERSIST => self.op_persist(env),

@@ -9,8 +9,9 @@
 //! with its per-nonce [`StreamProgress`],
 //! parked incoming data, partially received inbound streams (their
 //! verified prefixes), and the generation cache with its LRU ticks.
-//! Channels, schedulers, link controllers, and speculative staging are
-//! ephemeral — rebuilt or renegotiated after the restore.
+//! Channels, schedulers, link controllers, and the staging of inbound
+//! delta streams are ephemeral — rebuilt or renegotiated after the
+//! restore.
 
 use crate::error::MigError;
 use crate::library::state::MigrationData;
@@ -389,21 +390,14 @@ impl MigrationEnclave {
 
         // Inbound streams come back with their staging rebuilt: the
         // verified prefix is re-absorbed onto the (re-verified) base
-        // when speculation is on and the base survived; otherwise the
-        // stream falls back to the deferred-apply path.
+        // when the base survived; otherwise the stream falls back to the
+        // deferred-apply path.
         let mut inbound = HashMap::new();
         for (nonce, source, mr_enclave, data, assembler, generation, manifest) in inbound_parts {
-            // The content-verifying lookup hashes the base; skip it when
-            // speculation is off and the staging would be discarded.
-            let base = transfer
-                .speculative_restore
-                .then(|| {
-                    manifest
-                        .as_ref()
-                        .and_then(|m| cache.delta_base(&mr_enclave, m))
-                        .map(|c| Arc::clone(&c.state))
-                })
-                .flatten();
+            let base = manifest
+                .as_ref()
+                .and_then(|m| cache.delta_base(&mr_enclave, m))
+                .map(|c| Arc::clone(&c.state));
             inbound.insert(
                 nonce,
                 ReceiverFsm::restore(
@@ -414,7 +408,6 @@ impl MigrationEnclave {
                     assembler,
                     manifest,
                     base.as_deref(),
-                    transfer.speculative_restore,
                 ),
             );
         }

@@ -6,22 +6,27 @@
 //! the migrating enclave's MRENCLAVE, with the per-nonce chunk progress
 //! carried inside the active states as a [`StreamProgress`]. Each
 //! *incoming* chunk stream is a [`ReceiverFsm`] keyed by its
-//! [`TransferNonce`], verifying the HMAC chain chunk by chunk and —
-//! when [`TransferConfig::speculative_restore`](crate::transfer::TransferConfig::speculative_restore)
-//! is on — staging the verified prefix eagerly (incremental whole-state
-//! digest; delta bases overlaid page by page) so the final chunk only
-//! finalizes the digest check and releases.
+//! [`TransferNonce`], verifying the HMAC chain chunk by chunk and
+//! restoring speculatively: the verified prefix is staged as it arrives
+//! (running whole-state digest; a retained delta base overlaid page by
+//! page), so the final chunk only finalizes the digest check and
+//! releases.
+//!
+//! Both directions have one path. A send burst — single-shot
+//! transfers, resume requests, announcements, granted chunks — is
+//! sealed in order into `TRANSFER` containers, and one cell handler
+//! serves every message kind a container can carry.
 //!
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
 //! whose base generation fell out of the LRU cache as
-//! [`MigError::BaseEvicted`]. The wire-facing side (frame encoding,
-//! batch containers, scheduling) lives in [`super::wire`]; durable
-//! state in [`super::persist`].
+//! [`MigError::BaseEvicted`]. The wire-facing side (cells, containers,
+//! scheduling) lives in [`super::wire`]; durable state in
+//! [`super::persist`].
 
 use crate::error::{ChannelPeer, MigError};
 use crate::library::state::MigrationData;
-use crate::me::wire::{self, LinkShaper, StreamDemand};
+use crate::me::wire::{self, Cell, LinkShaper, StreamDemand};
 use crate::me::MigrationEnclave;
 use crate::msgs::{LibToMe, MeToLib, MeToMe};
 use crate::transfer::chunker::{
@@ -34,22 +39,9 @@ use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::{opt_len, sealed_opt_len, write_opt, write_sealed_opt};
-
-/// Stream-frame kind: one channel-sealed cell, delivered via
-/// [`ops::TRANSFER`](super::ops::TRANSFER).
-pub const FRAME_SINGLE: u8 = 0;
-/// Stream-frame kind: a packed batch container of sealed cells,
-/// delivered via [`ops::TRANSFER_BATCH`](super::ops::TRANSFER_BATCH).
-pub const FRAME_BATCH: u8 = 1;
-
-/// Outgoing stream frames, each tagged with its frame kind
-/// ([`FRAME_SINGLE`] or [`FRAME_BATCH`]) so the host can pick the wire
-/// tag without inspecting the ciphertext.
-pub type StreamFrames = Vec<(u8, Vec<u8>)>;
 
 /// Action the untrusted host must take after a
 /// [`ops::LIB_MSG`](super::ops::LIB_MSG) ECALL.
@@ -64,25 +56,13 @@ pub enum MeAction {
         /// `RaHello` bytes to deliver to the destination's ME host.
         hello: Vec<u8>,
     },
-    /// A channel already exists: send this encrypted transfer.
+    /// A channel exists: send these `TRANSFER` containers in order.
     SendRemote {
         /// Destination machine.
         destination: MachineId,
-        /// Channel-sealed [`MeToMe::Transfer`].
-        transfer: Vec<u8>,
-    },
-    /// A channel exists and a streamed transfer is starting or resuming:
-    /// send these encrypted frames in order.
-    StreamRemote {
-        /// Destination machine.
-        destination: MachineId,
-        /// Channel-sealed [`MeToMe`] stream frames (`ChunkStart` /
-        /// `Chunk` / `ResumeRequest`), each tagged with the ECALL the
-        /// host must deliver it through: [`FRAME_SINGLE`] is one sealed
-        /// cell for [`ops::TRANSFER`](super::ops::TRANSFER),
-        /// [`FRAME_BATCH`] is a packed batch container for
-        /// [`ops::TRANSFER_BATCH`](super::ops::TRANSFER_BATCH).
-        frames: StreamFrames,
+        /// Containers of channel-sealed [`MeToMe`] cells, each for one
+        /// [`ops::TRANSFER`](super::ops::TRANSFER) at the destination.
+        frames: Vec<Vec<u8>>,
     },
     /// (Destination side) relay this encrypted acknowledgement to the
     /// source ME.
@@ -94,11 +74,18 @@ pub enum MeAction {
     },
 }
 
-/// Encoded length of a frame list as [`MeAction::StreamRemote`] and the
-/// `ACK` output write it: a count, then each kind byte and
-/// length-prefixed frame.
-pub(crate) fn frames_len(frames: &[(u8, Vec<u8>)]) -> usize {
-    4 + frames.iter().map(|(_, f)| 1 + 4 + f.len()).sum::<usize>()
+/// Encoded length of a list as [`write_list`] writes it.
+pub(crate) fn list_len(items: &[Vec<u8>]) -> usize {
+    4 + items.iter().map(|item| 4 + item.len()).sum::<usize>()
+}
+
+/// Writes a list of byte strings — a `u32` count, then each one behind
+/// its length — the form ECALL outputs carry containers and records in.
+pub(crate) fn write_list(w: &mut WireWriter, items: &[Vec<u8>]) {
+    w.u32(items.len() as u32);
+    for item in items {
+        w.bytes(item);
+    }
 }
 
 impl MeAction {
@@ -108,11 +95,8 @@ impl MeAction {
         let mut w = WireWriter::with_capacity(match self {
             MeAction::None => 1,
             MeAction::ConnectRemote { hello: bytes, .. }
-            | MeAction::SendRemote {
-                transfer: bytes, ..
-            }
             | MeAction::AckSource { ack: bytes, .. } => 1 + 8 + 4 + bytes.len(),
-            MeAction::StreamRemote { frames, .. } => 1 + 8 + frames_len(frames),
+            MeAction::SendRemote { frames, .. } => 1 + 8 + list_len(frames),
         });
         match self {
             MeAction::None => {
@@ -125,28 +109,16 @@ impl MeAction {
             }
             MeAction::SendRemote {
                 destination,
-                transfer,
+                frames,
             } => {
                 w.u8(2);
                 w.u64(destination.0);
-                w.bytes(transfer);
+                write_list(&mut w, frames);
             }
             MeAction::AckSource { source, ack } => {
                 w.u8(3);
                 w.u64(source.0);
                 w.bytes(ack);
-            }
-            MeAction::StreamRemote {
-                destination,
-                frames,
-            } => {
-                w.u8(4);
-                w.u64(destination.0);
-                w.u32(frames.len() as u32);
-                for (kind, frame) in frames {
-                    w.u8(*kind);
-                    w.bytes(frame);
-                }
             }
         }
         w.finish()
@@ -165,30 +137,24 @@ impl MeAction {
                 destination: MachineId(r.u64()?),
                 hello: r.bytes_vec()?,
             },
-            2 => MeAction::SendRemote {
-                destination: MachineId(r.u64()?),
-                transfer: r.bytes_vec()?,
-            },
-            3 => MeAction::AckSource {
-                source: MachineId(r.u64()?),
-                ack: r.bytes_vec()?,
-            },
-            4 => {
+            2 => {
                 let destination = MachineId(r.u64()?);
                 let n = r.u32()? as usize;
-                let mut frames = Vec::with_capacity(n);
+                // Each frame takes at least its 4-byte length: bound the
+                // reservation by the input, not by the claimed count.
+                let mut frames = Vec::with_capacity(n.min(r.remaining() / 4));
                 for _ in 0..n {
-                    let kind = r.u8()?;
-                    if kind > FRAME_BATCH {
-                        return Err(SgxError::Decode);
-                    }
-                    frames.push((kind, r.bytes_vec()?));
+                    frames.push(r.bytes_vec()?);
                 }
-                MeAction::StreamRemote {
+                MeAction::SendRemote {
                     destination,
                     frames,
                 }
             }
+            3 => MeAction::AckSource {
+                source: MachineId(r.u64()?),
+                ack: r.bytes_vec()?,
+            },
             _ => return Err(SgxError::Decode),
         };
         r.finish()?;
@@ -796,17 +762,16 @@ impl OutgoingMigration {
 
 /// How the destination stages the arriving payload.
 enum Staging {
-    /// Full stream: the assembler's verified buffer *is* the state (with
-    /// speculative restore on, its whole-state digest is folded in chunk
-    /// by chunk).
+    /// Full stream: the assembler's verified buffer *is* the state, its
+    /// whole-state digest folded in chunk by chunk.
     Full,
     /// Delta stream whose base was retained and content-verified at
     /// announce time: the base is staged up front and dirty pages are
-    /// overlaid as their payload bytes verify (speculative restore).
+    /// overlaid as their payload bytes verify.
     StagedDelta(StagedApply),
-    /// Delta stream assembled without staging (base missing at announce,
-    /// or speculation disabled): applied after completion; NACKed when
-    /// the base is still missing then.
+    /// Delta stream whose base was missing at announce: assembled
+    /// without staging and applied after completion; NACKed when the
+    /// base is still missing then.
     DeferredDelta(DeltaManifest),
 }
 
@@ -842,9 +807,9 @@ pub enum ReceiverRelease {
 /// tamper evidence quarantines the stream (the partial state is
 /// dropped; a resume restarts it from chunk 0).
 ///
-/// With speculative restore on, the expensive tail work is done as
-/// chunks arrive — the running digest and (for deltas) the staged base
-/// overlay — so `release` after the final chunk only finalizes.
+/// The expensive tail work is done as chunks arrive — the running
+/// digest and (for deltas) the staged base overlay — so `release` after
+/// the final chunk only finalizes.
 pub struct ReceiverFsm {
     source: MachineId,
     mr_enclave: MrEnclave,
@@ -890,12 +855,8 @@ impl ReceiverFsm {
         total_len: u64,
         chunk_size: u32,
         state_digest: [u8; 32],
-        speculative: bool,
     ) -> Result<Self, MigError> {
-        let mut assembler = ChunkAssembler::new(nonce, chunk_size, total_len, state_digest)?;
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
+        let assembler = ChunkAssembler::new(nonce, chunk_size, total_len, state_digest)?;
         Ok(ReceiverFsm {
             source,
             mr_enclave,
@@ -909,12 +870,11 @@ impl ReceiverFsm {
     /// Opens a receiver for an announced dirty-page delta stream.
     ///
     /// `base` is the retained candidate for the manifest's base
-    /// generation (already generation-matched by the caller); with
-    /// speculation on and the base content-verified, the stream stages
-    /// eagerly, otherwise it defers the apply to completion — a base
-    /// that is missing or fails verification is *not* an error here:
-    /// the NACK happens after the last chunk, once the stream has
-    /// drained.
+    /// generation (already generation-matched by the caller); a
+    /// content-verified base makes the stream stage eagerly, otherwise
+    /// it defers the apply to completion — a base that is missing or
+    /// fails verification is *not* an error here: the NACK happens
+    /// after the last chunk, once the stream has drained.
     ///
     /// # Errors
     ///
@@ -929,18 +889,11 @@ impl ReceiverFsm {
         payload_digest: [u8; 32],
         manifest: DeltaManifest,
         base: Option<&[u8]>,
-        speculative: bool,
     ) -> Result<Self, MigError> {
-        let mut assembler =
+        let assembler =
             ChunkAssembler::new(nonce, chunk_size, manifest.payload_len(), payload_digest)?;
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
         let generation = manifest.new_generation;
-        let staging = match base
-            .filter(|_| speculative)
-            .and_then(|b| StagedApply::new(b, &manifest).ok())
-        {
+        let staging = match base.and_then(|b| StagedApply::new(b, &manifest).ok()) {
             Some(staged) => Staging::StagedDelta(staged),
             None => Staging::DeferredDelta(manifest),
         };
@@ -966,18 +919,14 @@ impl ReceiverFsm {
         mr_enclave: MrEnclave,
         data: MigrationData,
         generation: u64,
-        mut assembler: ChunkAssembler,
+        assembler: ChunkAssembler,
         manifest: Option<DeltaManifest>,
         base: Option<&[u8]>,
-        speculative: bool,
     ) -> Self {
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
         let staging = match manifest {
             None => Staging::Full,
             Some(manifest) => {
-                let staged = base.filter(|_| speculative).and_then(|b| {
+                let staged = base.and_then(|b| {
                     let mut staged = StagedApply::new(b, &manifest).ok()?;
                     staged.absorb(assembler.received()).ok()?;
                     Some(staged)
@@ -1108,9 +1057,9 @@ impl ReceiverFsm {
             }
             Staging::StagedDelta(staged) => {
                 // The chain's payload digest and the manifest's
-                // whole-state digest both still gate the release; with
-                // speculation both are running digests, so only the
-                // finalizes happen here.
+                // whole-state digest both still gate the release; both
+                // are running digests, so only the finalizes happen
+                // here.
                 assembler.finish()?;
                 let state: Arc<[u8]> = staged.finish()?.into();
                 Ok(ReceiverRelease::Released { data, state })
@@ -1178,17 +1127,22 @@ impl MigrationEnclave {
                     .remove(&mr)
                     .ok_or(MigError::Protocol("unexpected DONE"))?;
                 self.pending_incoming.remove(&mr);
-                let channel =
-                    self.channels_in
-                        .get_mut(&source)
-                        .ok_or(MigError::ChannelMissing {
-                            peer: ChannelPeer::Source,
-                        })?;
-                let ack = channel.seal(&MeToMe::Delivered { mr_enclave: mr }.to_bytes());
+                let ack = self.seal_to_source(source, &MeToMe::Delivered { mr_enclave: mr })?;
                 MeAction::AckSource { source, ack }
             }
         };
         Ok(action.to_bytes())
+    }
+
+    /// Seals `msg` on the channel from `source` (destination side).
+    fn seal_to_source(&mut self, source: MachineId, msg: &MeToMe) -> Result<Vec<u8>, MigError> {
+        let channel = self
+            .channels_in
+            .get_mut(&source)
+            .ok_or(MigError::ChannelMissing {
+                peer: ChannelPeer::Source,
+            })?;
+        Ok(channel.seal(&msg.to_bytes()))
     }
 
     /// Chunks in flight (sent, not yet cumulatively acknowledged) across
@@ -1213,14 +1167,10 @@ impl MigrationEnclave {
     }
 
     /// Grants send slots across the ready streams towards `destination`
-    /// — deficit round-robin over the shared link window — and seals the
-    /// resulting frames: `leads` (announcements / re-announcements)
-    /// first, then the granted chunks.
-    fn pump_streams(
-        &mut self,
-        destination: MachineId,
-        leads: Vec<MeToMe>,
-    ) -> Result<StreamFrames, MigError> {
+    /// — deficit round-robin over the shared link window — and moves
+    /// each granted stream's send cursor past its grants. Returns the
+    /// granted `(stream, chunk index)` pairs in emission order.
+    fn grant_chunks(&mut self, destination: MachineId) -> Result<Vec<(MrEnclave, u32)>, MigError> {
         let transfer_cfg = self.config()?.transfer;
         let in_flight = self.in_flight_chunks(destination);
 
@@ -1250,84 +1200,60 @@ impl MigrationEnclave {
             .or_insert_with(|| LinkShaper::new(&transfer_cfg));
         let budget = shaper.adaptive().window().saturating_sub(in_flight);
         let grants = shaper.allocate(budget, &demands);
-        if leads.is_empty() && grants.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // Rebuild transient chunk caches for everything about to send.
-        for mr in &grants {
-            self.ensure_out_stream(*mr)?;
-        }
-
-        let mut next: HashMap<MrEnclave, u32> = HashMap::new();
-        for mr in &grants {
-            let s = self
+        let mut chunks = Vec::with_capacity(grants.len());
+        for mr in grants {
+            // Rebuilds the transient chunk cache after a restore.
+            self.ensure_out_stream(mr)?;
+            let stream = self
                 .outgoing
-                .get(mr)
-                .and_then(|mig| mig.fsm.sendable_stream())
+                .get_mut(&mr)
+                .and_then(|mig| mig.fsm.sendable_stream_mut())
                 .ok_or(MigError::SessionInvariant("granted stream not sendable"))?;
-            next.insert(*mr, s.next_to_send);
+            chunks.push((mr, stream.next_to_send));
+            stream.next_to_send += 1;
         }
-        // Build every plaintext of this burst first (leads, then the
-        // granted chunks), then hand the whole burst to the channel's
-        // seal lanes at once — the AEAD work overlaps across lanes while
-        // the sealed sequence numbers and ciphertexts stay byte-identical
-        // to sequential sealing.
-        let mut plaintexts: Vec<Vec<u8>> = Vec::with_capacity(leads.len() + grants.len());
-        plaintexts.extend(leads.iter().map(MeToMe::to_bytes));
-        for mr in &grants {
-            let cache = self
+        self.telemetry.chunks_sealed += chunks.len() as u64;
+        Ok(chunks)
+    }
+
+    /// Seals a send burst towards `destination` — `leads` (single-shot
+    /// transfers, resume requests, announcements) in order, then the
+    /// granted `chunks` — into `TRANSFER` containers of up to the
+    /// link's negotiated batch size, each cell encoded straight into
+    /// its container ([`wire::seal_container`]). A batch of `b` cells
+    /// per container collapses up to `b` destination transitions into
+    /// one.
+    fn seal_burst(
+        &mut self,
+        destination: MachineId,
+        leads: &[MeToMe],
+        chunks: &[(MrEnclave, u32)],
+    ) -> Result<Vec<Vec<u8>>, MigError> {
+        let batch = self
+            .shapers
+            .get(&destination)
+            .ok_or(MigError::SessionInvariant("link shaper missing"))?
+            .batch() as usize;
+        let mut cells: Vec<Cell<'_>> = leads.iter().map(Cell::Msg).collect();
+        for (mr, idx) in chunks {
+            let stream = self
                 .out_streams
                 .get(mr)
                 .ok_or(MigError::SessionInvariant("transient chunk cache missing"))?;
-            let idx = next
-                .get_mut(mr)
-                .ok_or(MigError::SessionInvariant("granted stream not scheduled"))?;
-            plaintexts.push(wire::chunk_plaintext(cache, *idx));
-            *idx += 1;
+            cells.push(Cell::Chunk(stream, *idx));
         }
-        let (batch, seal_lanes) = {
-            let shaper = self
-                .shapers
-                .get(&destination)
-                .ok_or(MigError::SessionInvariant("link shaper vanished"))?;
-            (shaper.batch(), transfer_cfg.seal_lanes)
-        };
         let channel = self
             .channels_out
             .get_mut(&destination)
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        self.telemetry.chunks_sealed += grants.len() as u64;
-        // On a batch-negotiated link the whole burst (leads included)
-        // rides in TRANSFER_BATCH containers, collapsing up to `batch`
-        // enclave transitions into one; each container is allocated at
-        // its final size and the cells are sealed straight into it
-        // (`wire::seal_batch`). A batch of 1 keeps the per-frame
-        // TRANSFER path.
-        let frames: StreamFrames = if batch > 1 {
-            let mut containers: StreamFrames =
-                Vec::with_capacity(plaintexts.len().div_ceil(batch as usize));
-            for cells in plaintexts.chunks(batch as usize) {
-                containers.push((FRAME_BATCH, wire::seal_batch(channel, cells, seal_lanes)));
+        let mut frames = Vec::with_capacity(cells.len().div_ceil(batch));
+        for run in cells.chunks(batch) {
+            frames.push(wire::seal_container(channel, run)?);
+            if run.len() > 1 {
+                self.telemetry.batches_sealed += 1;
             }
-            self.telemetry.batches_sealed += containers.len() as u64;
-            containers
-        } else {
-            channel
-                .seal_many(plaintexts, seal_lanes)
-                .into_iter()
-                .map(|ct| (FRAME_SINGLE, ct))
-                .collect()
-        };
-        for (mr, n) in next {
-            let stream = self
-                .outgoing
-                .get_mut(&mr)
-                .and_then(|mig| mig.fsm.sendable_stream_mut())
-                .ok_or(MigError::SessionInvariant("granted stream not sendable"))?;
-            stream.next_to_send = n;
         }
         Ok(frames)
     }
@@ -1373,8 +1299,7 @@ impl MigrationEnclave {
         });
         let (stream, delta_base, start_msg) = match delta {
             Some((manifest, payload)) => {
-                let stream =
-                    ChunkStream::with_lanes(nonce, chunk_size, payload, transfer_cfg.seal_lanes);
+                let stream = ChunkStream::new(nonce, chunk_size, payload);
                 let delta_base = manifest.base_generation;
                 let start = MeToMe::DeltaStart {
                     mr_enclave: mr,
@@ -1388,12 +1313,7 @@ impl MigrationEnclave {
                 (stream, Some(delta_base), start)
             }
             None => {
-                let stream = ChunkStream::with_lanes(
-                    nonce,
-                    chunk_size,
-                    Arc::clone(&mig.state),
-                    transfer_cfg.seal_lanes,
-                );
+                let stream = ChunkStream::new(nonce, chunk_size, Arc::clone(&mig.state));
                 let start = MeToMe::ChunkStart {
                     mr_enclave: mr,
                     nonce,
@@ -1422,18 +1342,10 @@ impl MigrationEnclave {
         Ok(start_msg)
     }
 
-    /// Sends or queues outgoing data for `destination`.
-    ///
-    /// With an open channel, every unsent migration towards the
-    /// destination dispatches **concurrently** (up to
-    /// `TransferConfig::max_streams`), multiplexed on the shared
-    /// attested channel: streams that predate a crash/reconnect send a
-    /// [`MeToMe::ResumeRequest`] renegotiating their per-nonce resume
-    /// point, fresh large states announce a `ChunkStart`/`DeltaStart`
-    /// and get their first chunks from the deficit-round-robin share of
-    /// the link window, and small states (empty ones included) ride the
-    /// paper's single-shot [`MeToMe::Transfer`]. Migrations beyond the
-    /// stream cap stay queued and drain as streams complete.
+    /// Sends or queues outgoing data for `destination`: with an open
+    /// channel, the unsent migrations go out at once
+    /// ([`Self::send_unsent`]); otherwise the RA handshake starts (or
+    /// is already in flight) and the data stays queued.
     pub(super) fn dispatch_outgoing(
         &mut self,
         env: &mut EnclaveEnv<'_>,
@@ -1451,7 +1363,33 @@ impl MigrationEnclave {
                 hello: hello.to_bytes(),
             });
         }
+        let frames = self.send_unsent(env, destination)?;
+        Ok(if frames.is_empty() {
+            MeAction::None
+        } else {
+            MeAction::SendRemote {
+                destination,
+                frames,
+            }
+        })
+    }
 
+    /// Dispatches every unsent migration towards `destination` over its
+    /// open channel **concurrently** (up to
+    /// `TransferConfig::max_streams`), multiplexed on the shared
+    /// attested channel, and returns the sealed `TRANSFER` containers:
+    /// streams that predate a crash/reconnect send a
+    /// [`MeToMe::ResumeRequest`] renegotiating their per-nonce resume
+    /// point, fresh large states announce a `ChunkStart`/`DeltaStart`
+    /// and get their first chunks from the deficit-round-robin share of
+    /// the link window, and small states (empty ones included) ride the
+    /// paper's single-shot [`MeToMe::Transfer`]. Migrations beyond the
+    /// stream cap stay queued and drain as streams complete.
+    pub(super) fn send_unsent(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        destination: MachineId,
+    ) -> Result<Vec<Vec<u8>>, MigError> {
         let transfer_cfg = self.config()?.transfer;
         let mut unsent: Vec<MrEnclave> = self
             .outgoing
@@ -1461,7 +1399,7 @@ impl MigrationEnclave {
             .collect();
         unsent.sort_by_key(|mr| mr.0);
         if unsent.is_empty() {
-            return Ok(MeAction::None);
+            return Ok(Vec::new());
         }
 
         let mut slots = transfer_cfg
@@ -1491,10 +1429,10 @@ impl MigrationEnclave {
             }
         }
 
-        // Links are FIFO, so frames arrive in this seal order:
+        // Links are FIFO, so cells arrive in this seal order:
         // single-shot transfers, resume requests, then announcements and
         // their first chunks.
-        let mut frames: StreamFrames = Vec::new();
+        let mut leads = Vec::with_capacity(singleshots.len() + resumes.len() + announces.len());
         for mr in singleshots {
             let mig = self
                 .outgoing
@@ -1502,20 +1440,11 @@ impl MigrationEnclave {
                 .ok_or(MigError::SessionInvariant("queued migration vanished"))?;
             mig.fsm.dispatch_single_shot()?;
             self.telemetry.singleshot_transfers += 1;
-            let msg = MeToMe::Transfer {
+            leads.push(MeToMe::Transfer {
                 mr_enclave: mr,
                 data: mig.data.clone(),
                 state: Arc::clone(&mig.state),
-            };
-            let channel =
-                self.channels_out
-                    .get_mut(&destination)
-                    .ok_or(MigError::ChannelMissing {
-                        peer: ChannelPeer::Destination,
-                    })?;
-            let mut transfer = msg.to_bytes();
-            channel.seal_in_place(&mut transfer, 0);
-            frames.push((FRAME_SINGLE, transfer));
+            });
         }
         for mr in resumes {
             let mig = self
@@ -1524,48 +1453,29 @@ impl MigrationEnclave {
                 .ok_or(MigError::SessionInvariant("queued migration vanished"))?;
             let nonce = mig.fsm.dispatch_resume()?;
             self.telemetry.resume_requests += 1;
-            let msg = MeToMe::ResumeRequest {
+            leads.push(MeToMe::ResumeRequest {
                 mr_enclave: mr,
                 nonce,
-            };
-            let channel =
-                self.channels_out
-                    .get_mut(&destination)
-                    .ok_or(MigError::ChannelMissing {
-                        peer: ChannelPeer::Destination,
-                    })?;
-            frames.push((FRAME_SINGLE, channel.seal(&msg.to_bytes())));
+            });
         }
-        if !announces.is_empty() {
+        // Chunks ride along only with fresh announcements; otherwise the
+        // window refills as acks and resume points arrive
+        // (`advance_stream`).
+        let chunks = if announces.is_empty() {
+            Vec::new()
+        } else {
             let chunk_size = self
                 .shapers
                 .entry(destination)
                 .or_insert_with(|| LinkShaper::new(&transfer_cfg))
                 .adaptive()
                 .chunk_size();
-            let mut leads = Vec::with_capacity(announces.len());
             for mr in announces {
                 leads.push(self.announce_stream(env, mr, chunk_size)?);
             }
-            frames.extend(self.pump_streams(destination, leads)?);
-        }
-
-        // A lone single-cell frame rides the scalar SendRemote path; a
-        // lone batch container must still go through StreamRemote so the
-        // host delivers it via TRANSFER_BATCH.
-        Ok(
-            match (frames.len(), frames.first().map(|(kind, _)| *kind)) {
-                (0, _) => MeAction::None,
-                (1, Some(FRAME_SINGLE)) => MeAction::SendRemote {
-                    destination,
-                    transfer: frames.remove(0).1,
-                },
-                _ => MeAction::StreamRemote {
-                    destination,
-                    frames,
-                },
-            },
-        )
+            self.grant_chunks(destination)?
+        };
+        self.seal_burst(destination, &leads, &chunks)
     }
 
     /// Recomputes the delta payload of an outgoing delta stream from the
@@ -1604,7 +1514,6 @@ impl MigrationEnclave {
         if self.out_streams.contains_key(&mr) {
             return Ok(());
         }
-        let seal_lanes = self.config()?.transfer.seal_lanes;
         let mig = self
             .outgoing
             .get(&mr)
@@ -1621,10 +1530,8 @@ impl MigrationEnclave {
         } else {
             Arc::clone(&mig.state)
         };
-        self.out_streams.insert(
-            mr,
-            ChunkStream::with_lanes(nonce, chunk_size, payload, seal_lanes),
-        );
+        self.out_streams
+            .insert(mr, ChunkStream::new(nonce, chunk_size, payload));
         Ok(())
     }
 
@@ -1708,8 +1615,8 @@ impl MigrationEnclave {
 
     /// Accepts complete incoming migration data: parks it, forwards to a
     /// matching attested enclave if present, or tells the source it is
-    /// stored. Returns the encoded `TRANSFER` output. `trace` is the
-    /// stream's public trace id (`None` for single-shot transfers,
+    /// stored. Returns the encoded transfer-output record. `trace` is
+    /// the stream's public trace id (`None` for single-shot transfers,
     /// which have no nonce).
     fn accept_incoming(
         &mut self,
@@ -1725,10 +1632,10 @@ impl MigrationEnclave {
         // Arc is shared with the caller and the generation cache.
         self.pending_incoming
             .insert(mr_enclave, (data.clone(), Arc::clone(&state), source));
+        let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
         if let Some(local) = self.local_sessions.get_mut(&mr_enclave) {
             // The forward is sealed in place inside the output: the state
             // is copied once, into the buffer that leaves the enclave.
-            let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
             let forward = MeToLib::IncomingMigration { data, state };
             let mut w = WireWriter::with_capacity(
                 1 + 32 + opt_len(trace) + sealed_opt_len(&forward) + opt_len(final_ack.as_deref()),
@@ -1746,29 +1653,21 @@ impl MigrationEnclave {
             // cumulative ack already means "stored"; reuse it.
             let ack = match final_ack {
                 Some(ack) => ack,
-                None => {
-                    let channel =
-                        self.channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?;
-                    channel.seal(&MeToMe::Stored { mr_enclave }.to_bytes())
-                }
+                None => self.seal_to_source(source, &MeToMe::Stored { mr_enclave })?,
             };
             let mut w = WireWriter::new();
             w.u8(2); // stored
             w.array(&mr_enclave.0);
-            write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
+            write_opt(&mut w, trace);
             write_opt(&mut w, None);
             write_opt(&mut w, Some(&ack));
             Ok(w.finish())
         }
     }
 
-    /// Encodes the common "stream progress" TRANSFER output: kind 3
-    /// (or kind 4 for a delta-fallback NACK), the enclave measurement,
-    /// the stream's public trace id, no forward, and an optional reply
+    /// Encodes a "stream progress" transfer-output record: kind 3 (or
+    /// kind 4 for a delta-fallback NACK), the enclave measurement, the
+    /// stream's public trace id, no forward, and an optional reply
     /// frame for the source.
     fn stream_progress_kind(
         kind: u8,
@@ -1794,6 +1693,27 @@ impl MigrationEnclave {
         Self::stream_progress_kind(3, mr_enclave, trace, reply)
     }
 
+    /// `TRANSFER`: one enclave transition verifying and staging a
+    /// container of sealed cells, in seal order, with one handler for
+    /// every message kind a source sends ([`Self::on_cell`]). Data
+    /// chunks are acknowledged with **one** combined cumulative
+    /// `ChunkAck` per touched stream at the end of the container, so a
+    /// link batching `b` cells per container needs about
+    /// 2×⌈chunks/`b`⌉ transitions per migration instead of 2×chunks.
+    ///
+    /// The container framing is untrusted and validated before any AEAD
+    /// work ([`wire::unpack_container`]): a malformed container fails
+    /// the ECALL without consuming a channel sequence number. Each cell
+    /// carries its own sequence number, so a spliced, replayed or
+    /// reordered cell fails authentication and ends the container — no
+    /// cell behind it can verify. Any other rejection (a chain-MAC
+    /// mismatch, an unknown nonce, ...) is confined to its cell, which
+    /// did consume its sequence number. The verified cells keep their
+    /// effects and acks either way.
+    ///
+    /// Output: a list of transfer-output records (see
+    /// [`Self::accept_incoming`] and [`Self::stream_progress_kind`]),
+    /// then the first rejected cell's error, if any.
     pub(super) fn op_transfer(
         &mut self,
         env: &mut EnclaveEnv<'_>,
@@ -1801,23 +1721,83 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let source = MachineId(r.u64()?);
-        let ciphertext = r.bytes()?;
+        let container = r.bytes()?;
         r.finish()?;
 
-        let channel = self
-            .channels_in
-            .get_mut(&source)
-            .ok_or(MigError::ChannelMissing {
+        if !self.channels_in.contains_key(&source) {
+            return Err(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
-            })?;
-        let plaintext = channel.open(ciphertext)?;
-        let speculative = self.config()?.transfer.speculative_restore;
-        match MeToMe::from_bytes(&plaintext)? {
+            });
+        }
+        let cells = wire::unpack_container(container)?;
+        if cells.len() > 1 {
+            self.telemetry.batches_received += 1;
+        }
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        // Streams touched by data chunks in this container, in
+        // first-touch order; each gets one transition attribution and
+        // (when still incomplete at the end) one combined ack.
+        let mut touched: Vec<TransferNonce> = Vec::new();
+        let mut rejected: Option<MigError> = None;
+        for cell in cells {
+            let channel = self
+                .channels_in
+                .get_mut(&source)
+                .ok_or(MigError::SessionInvariant("inbound channel vanished"))?;
+            match channel.open(cell) {
+                Ok(plaintext) => {
+                    if let Err(e) =
+                        self.on_cell(env, source, &plaintext, &mut records, &mut touched)
+                    {
+                        rejected.get_or_insert(e);
+                    }
+                }
+                // No cell behind one that fails authentication can verify.
+                Err(e) => {
+                    rejected.get_or_insert(e);
+                    break;
+                }
+            }
+        }
+        for nonce in touched {
+            // Released, NACKed and quarantined streams are gone.
+            let Some(fsm) = self.inbound.get(&nonce) else {
+                continue;
+            };
+            let (upto, mr_enclave) = (fsm.next_idx(), fsm.mr_enclave());
+            let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
+            records.push(Self::stream_progress_output(
+                mr_enclave,
+                trace_id(&nonce),
+                Some(&ack),
+            ));
+        }
+
+        let rejected = rejected.map(|e| SgxError::from(e).to_string());
+        let rejected = rejected.as_deref().map(str::as_bytes);
+        let mut w = WireWriter::with_capacity(list_len(&records) + opt_len(rejected));
+        write_list(&mut w, &records);
+        write_opt(&mut w, rejected);
+        Ok(w.finish())
+    }
+
+    /// Handles one opened cell of a `TRANSFER` container, appending its
+    /// output records; a data chunk's ack is left to the container's
+    /// combined ack (its nonce joins `touched`).
+    fn on_cell(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        source: MachineId,
+        plaintext: &[u8],
+        records: &mut Vec<Vec<u8>>,
+        touched: &mut Vec<TransferNonce>,
+    ) -> Result<(), MigError> {
+        match MeToMe::from_bytes(plaintext)? {
             MeToMe::Transfer {
                 mr_enclave,
                 data,
                 state,
-            } => self.accept_incoming(source, mr_enclave, data, state, None, None),
+            } => records.push(self.accept_incoming(source, mr_enclave, data, state, None, None)?),
             MeToMe::ChunkStart {
                 mr_enclave,
                 nonce,
@@ -1838,14 +1818,13 @@ impl MigrationEnclave {
                     total_len,
                     chunk_size,
                     state_digest,
-                    speculative,
                 )?;
                 self.inbound.insert(nonce, fsm);
-                Ok(Self::stream_progress_output(
+                records.push(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     None,
-                ))
+                ));
             }
             MeToMe::DeltaStart {
                 mr_enclave,
@@ -1862,18 +1841,12 @@ impl MigrationEnclave {
                 // stream has drained by the time the source re-announces
                 // it as a full stream: no chunk of the rejected nonce is
                 // still in flight towards a receiver that dropped it.
-                // With speculative restore on and the base retained, the
-                // base is content-verified and staged *now*, overlapping
-                // the restore work with the arriving chunks. The lookup
-                // hashes the retained base, so it is skipped entirely in
-                // unseal-after-complete mode (which would discard it).
-                let base = speculative
-                    .then(|| {
-                        self.cache
-                            .delta_base(&mr_enclave, &manifest)
-                            .map(|c| Arc::clone(&c.state))
-                    })
-                    .flatten();
+                // A retained base is content-verified and staged *now*,
+                // overlapping the restore work with the arriving chunks.
+                let base = self
+                    .cache
+                    .delta_base(&mr_enclave, &manifest)
+                    .map(|c| Arc::clone(&c.state));
                 let fsm = ReceiverFsm::start_delta(
                     source,
                     mr_enclave,
@@ -1883,17 +1856,16 @@ impl MigrationEnclave {
                     payload_digest,
                     manifest,
                     base.as_deref(),
-                    speculative,
                 )?;
                 if fsm.is_staged() {
                     self.cache.touch(&mr_enclave);
                 }
                 self.inbound.insert(nonce, fsm);
-                Ok(Self::stream_progress_output(
+                records.push(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     None,
-                ))
+                ));
             }
             MeToMe::Chunk {
                 nonce,
@@ -1916,8 +1888,7 @@ impl MigrationEnclave {
                     // restarts it from chunk 0) and leave every other
                     // multiplexed stream untouched. The quarantine is
                     // appended to the telemetry ledger so the host can
-                    // timestamp the edge via `TELEMETRY` after the
-                    // failed ECALL.
+                    // timestamp the edge via `TELEMETRY`.
                     if !matches!(e, MigError::Transfer("chunk index out of order")) {
                         self.inbound.remove(&nonce);
                         self.telemetry.quarantines += 1;
@@ -1925,89 +1896,13 @@ impl MigrationEnclave {
                     }
                     return Err(e);
                 }
-                env.attribute_transition(trace_id(&nonce));
-                self.telemetry.chunks_received += 1;
-                let upto = fsm.next_idx();
-                let mr_enclave = fsm.mr_enclave();
-                if !fsm.is_complete() {
-                    let ack = self
-                        .channels_in
-                        .get_mut(&source)
-                        .ok_or(MigError::ChannelMissing {
-                            peer: ChannelPeer::Source,
-                        })?
-                        .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-                    return Ok(Self::stream_progress_output(
-                        mr_enclave,
-                        trace_id(&nonce),
-                        Some(&ack),
-                    ));
+                if !touched.contains(&nonce) {
+                    touched.push(nonce);
+                    env.attribute_transition(trace_id(&nonce));
                 }
-                let fsm = self
-                    .inbound
-                    .remove(&nonce)
-                    .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
-                let generation = fsm.generation();
-                // A deferred delta is applied onto the retained base
-                // generation here (digest-verified before release); the
-                // base is content-addressed — generation number AND
-                // whole-state digest must match our retained copy
-                // (generations renumber after a fallback reset, so the
-                // number alone is not identity). A staged delta captured
-                // its base at announce time; a full payload *is* the
-                // state. A delta whose base we do not hold is NACKed
-                // *in place of* the final ack — the source restarts as
-                // a full stream with no frames left in flight to race
-                // the restarted announcement.
-                let deferred_base = fsm.needs_base().and_then(|manifest| {
-                    self.cache
-                        .delta_base(&mr_enclave, manifest)
-                        .map(|c| Arc::clone(&c.state))
-                });
-                let used_deferred_base = deferred_base.is_some();
-                match fsm.release(deferred_base.as_deref())? {
-                    ReceiverRelease::Released { data, state } => {
-                        if used_deferred_base {
-                            self.cache.touch(&mr_enclave);
-                        }
-                        // Both ends retain the installed generation as
-                        // the next repeat migration's delta base
-                        // (LRU-bounded; an evicted base later NACKs back
-                        // to a full stream).
-                        self.cache_insert(mr_enclave, generation, Arc::clone(&state));
-                        let ack = self
-                            .channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?
-                            .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-                        self.accept_incoming(
-                            source,
-                            mr_enclave,
-                            data,
-                            state,
-                            Some(ack),
-                            Some(trace_id(&nonce)),
-                        )
-                    }
-                    ReceiverRelease::BaseMissing => {
-                        self.telemetry.delta_fallbacks += 1;
-                        let nack = self
-                            .channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?
-                            .seal(&MeToMe::DeltaNack { mr_enclave, nonce }.to_bytes());
-                        // Kind 4: the host records a delta-fallback edge.
-                        Ok(Self::stream_progress_kind(
-                            4,
-                            mr_enclave,
-                            trace_id(&nonce),
-                            Some(&nack),
-                        ))
-                    }
+                self.telemetry.chunks_received += 1;
+                if fsm.is_complete() {
+                    records.push(self.release_stream(source, nonce)?);
                 }
             }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
@@ -2025,301 +1920,100 @@ impl MigrationEnclave {
                 } else {
                     MeToMe::Resume { nonce, from_idx: 0 }
                 };
-                let ack = self
-                    .channels_in
-                    .get_mut(&source)
-                    .ok_or(MigError::ChannelMissing {
-                        peer: ChannelPeer::Source,
-                    })?
-                    .seal(&reply.to_bytes());
-                Ok(Self::stream_progress_output(
+                let ack = self.seal_to_source(source, &reply)?;
+                records.push(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     Some(&ack),
-                ))
+                ));
             }
-            _ => Err(MigError::Protocol("unexpected ME-to-ME message")),
+            _ => return Err(MigError::Protocol("unexpected ME-to-ME message")),
         }
+        Ok(())
     }
 
-    /// `TRANSFER_BATCH`: one enclave transition verifying and staging a
-    /// whole container of sealed stream cells (up to the link's
-    /// negotiated batch size), acknowledged with **one** combined
-    /// cumulative `ChunkAck` per touched stream instead of one per
-    /// chunk — the hot-call batching that drops enclave transitions per
-    /// migration from ~2×chunks towards ~2×⌈chunks/batch⌉.
-    ///
-    /// The container framing is untrusted and validated before any AEAD
-    /// work ([`wire::unpack_batch`]); the cells inside carry the
-    /// channel's per-cell sequence numbers, so a spliced, replayed, or
-    /// reordered cell fails authentication exactly as on the per-frame
-    /// path. On an authentication failure mid-container the verified
-    /// prefix is kept ([`SecureChannel::open_many`]), acked, and the
-    /// nonzero status byte tells the host to sync quarantine edges.
-    ///
-    /// Output: `u32` record count, that many length-prefixed records in
-    /// the `TRANSFER` output format, then a `u8` status (0 = whole
-    /// container processed cleanly).
-    pub(super) fn op_transfer_batch(
+    /// Releases the completed inbound stream `nonce`, returning its
+    /// output record: the final cumulative ack rides with the release,
+    /// or a delta whose base this enclave does not hold is NACKed.
+    fn release_stream(
         &mut self,
-        env: &mut EnclaveEnv<'_>,
-        input: &[u8],
+        source: MachineId,
+        nonce: TransferNonce,
     ) -> Result<Vec<u8>, MigError> {
-        let mut r = WireReader::new(input);
-        let source = MachineId(r.u64()?);
-        let container = r.bytes()?;
-        r.finish()?;
-
-        let transfer_cfg = self.config()?.transfer;
-        let speculative = transfer_cfg.speculative_restore;
-        let cells = wire::unpack_batch(container)?;
-        let channel = self
-            .channels_in
-            .get_mut(&source)
-            .ok_or(MigError::ChannelMissing {
-                peer: ChannelPeer::Source,
-            })?;
-        let (plaintexts, all_ok) = channel.open_many(&cells, transfer_cfg.seal_lanes);
-        self.telemetry.batches_received += 1;
-
-        let mut results: Vec<Vec<u8>> = Vec::new();
-        let mut status: u8 = u8::from(!all_ok);
-        // Streams touched by data chunks in this container, in first-touch
-        // order; each gets exactly one transition attribution and (when
-        // still incomplete at the end) one combined cumulative ack.
-        let mut touched: Vec<TransferNonce> = Vec::new();
-        'cells: for plaintext in &plaintexts {
-            let msg = match MeToMe::from_bytes(plaintext) {
-                Ok(msg) => msg,
-                Err(_) => {
-                    status = 1;
-                    break 'cells;
+        let fsm = self
+            .inbound
+            .remove(&nonce)
+            .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
+        let (upto, mr_enclave, generation) = (fsm.next_idx(), fsm.mr_enclave(), fsm.generation());
+        // A deferred delta is applied onto the retained base generation
+        // here (digest-verified before release); the base is
+        // content-addressed — generation number AND whole-state digest
+        // must match our retained copy (generations renumber after a
+        // fallback reset, so the number alone is not identity). A staged
+        // delta captured its base at announce time; a full payload *is*
+        // the state. A delta whose base we do not hold is NACKed *in
+        // place of* the final ack — the source restarts as a full stream
+        // with no frames left in flight to race the restarted
+        // announcement.
+        let deferred_base = fsm.needs_base().and_then(|manifest| {
+            self.cache
+                .delta_base(&mr_enclave, manifest)
+                .map(|c| Arc::clone(&c.state))
+        });
+        let used_deferred_base = deferred_base.is_some();
+        match fsm.release(deferred_base.as_deref())? {
+            ReceiverRelease::Released { data, state } => {
+                if used_deferred_base {
+                    self.cache.touch(&mr_enclave);
                 }
-            };
-            match msg {
-                MeToMe::ChunkStart {
+                // Both ends retain the installed generation as the next
+                // repeat migration's delta base (LRU-bounded; an evicted
+                // base later NACKs back to a full stream).
+                self.cache_insert(mr_enclave, generation, Arc::clone(&state));
+                let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
+                self.accept_incoming(
+                    source,
                     mr_enclave,
-                    nonce,
-                    generation,
-                    total_len,
-                    chunk_size,
-                    state_digest,
                     data,
-                } => {
-                    let fsm = ReceiverFsm::start_full(
-                        source,
-                        mr_enclave,
-                        data,
-                        nonce,
-                        generation,
-                        total_len,
-                        chunk_size,
-                        state_digest,
-                        speculative,
-                    )?;
-                    self.inbound.insert(nonce, fsm);
-                    results.push(Self::stream_progress_output(
-                        mr_enclave,
-                        trace_id(&nonce),
-                        None,
-                    ));
-                }
-                MeToMe::DeltaStart {
+                    state,
+                    Some(ack),
+                    Some(trace_id(&nonce)),
+                )
+            }
+            ReceiverRelease::BaseMissing => {
+                self.telemetry.delta_fallbacks += 1;
+                let nack = self.seal_to_source(source, &MeToMe::DeltaNack { mr_enclave, nonce })?;
+                // Kind 4: the host records a delta-fallback edge.
+                Ok(Self::stream_progress_kind(
+                    4,
                     mr_enclave,
-                    nonce,
-                    chunk_size,
-                    payload_digest,
-                    manifest,
-                    data,
-                } => {
-                    let base = speculative
-                        .then(|| {
-                            self.cache
-                                .delta_base(&mr_enclave, &manifest)
-                                .map(|c| Arc::clone(&c.state))
-                        })
-                        .flatten();
-                    let fsm = ReceiverFsm::start_delta(
-                        source,
-                        mr_enclave,
-                        data,
-                        nonce,
-                        chunk_size,
-                        payload_digest,
-                        manifest,
-                        base.as_deref(),
-                        speculative,
-                    )?;
-                    if fsm.is_staged() {
-                        self.cache.touch(&mr_enclave);
-                    }
-                    self.inbound.insert(nonce, fsm);
-                    results.push(Self::stream_progress_output(
-                        mr_enclave,
-                        trace_id(&nonce),
-                        None,
-                    ));
-                }
-                MeToMe::Chunk {
-                    nonce,
-                    idx,
-                    payload,
-                    mac,
-                } => {
-                    // A cell for a nonce quarantined earlier in this same
-                    // container is expected debris — skip it without
-                    // disturbing the other multiplexed streams.
-                    let Some(fsm) = self.inbound.get_mut(&nonce) else {
-                        continue 'cells;
-                    };
-                    if fsm.source() != source {
-                        status = 1;
-                        break 'cells;
-                    }
-                    if let Err(e) = fsm.on_chunk(idx, &payload, &mac) {
-                        // Same policy as the per-frame path: keep the
-                        // verified prefix on an out-of-order index,
-                        // quarantine this stream on tamper evidence —
-                        // but keep processing the container's other
-                        // streams either way.
-                        if !matches!(e, MigError::Transfer("chunk index out of order")) {
-                            self.inbound.remove(&nonce);
-                            self.telemetry.quarantines += 1;
-                            self.telemetry.quarantined.push(trace_id(&nonce));
-                            status = 1;
-                        }
-                        continue 'cells;
-                    }
-                    if !touched.contains(&nonce) {
-                        touched.push(nonce);
-                        env.attribute_transition(trace_id(&nonce));
-                    }
-                    self.telemetry.chunks_received += 1;
-                    if !fsm.is_complete() {
-                        continue 'cells;
-                    }
-                    let upto = fsm.next_idx();
-                    let mr_enclave = fsm.mr_enclave();
-                    let fsm = self
-                        .inbound
-                        .remove(&nonce)
-                        .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
-                    let generation = fsm.generation();
-                    let deferred_base = fsm.needs_base().and_then(|manifest| {
-                        self.cache
-                            .delta_base(&mr_enclave, manifest)
-                            .map(|c| Arc::clone(&c.state))
-                    });
-                    let used_deferred_base = deferred_base.is_some();
-                    match fsm.release(deferred_base.as_deref())? {
-                        ReceiverRelease::Released { data, state } => {
-                            if used_deferred_base {
-                                self.cache.touch(&mr_enclave);
-                            }
-                            self.cache_insert(mr_enclave, generation, Arc::clone(&state));
-                            // The final cumulative ack is sealed before
-                            // the release record so it doubles as the
-                            // stream's combined batch ack.
-                            let ack = self
-                                .channels_in
-                                .get_mut(&source)
-                                .ok_or(MigError::ChannelMissing {
-                                    peer: ChannelPeer::Source,
-                                })?
-                                .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-                            results.push(self.accept_incoming(
-                                source,
-                                mr_enclave,
-                                data,
-                                state,
-                                Some(ack),
-                                Some(trace_id(&nonce)),
-                            )?);
-                        }
-                        ReceiverRelease::BaseMissing => {
-                            self.telemetry.delta_fallbacks += 1;
-                            let nack = self
-                                .channels_in
-                                .get_mut(&source)
-                                .ok_or(MigError::ChannelMissing {
-                                    peer: ChannelPeer::Source,
-                                })?
-                                .seal(&MeToMe::DeltaNack { mr_enclave, nonce }.to_bytes());
-                            results.push(Self::stream_progress_kind(
-                                4,
-                                mr_enclave,
-                                trace_id(&nonce),
-                                Some(&nack),
-                            ));
-                        }
-                    }
-                }
-                // Single-shot transfers and resume requests never ride
-                // inside a batch container (dispatch gates keep them on
-                // the per-frame path).
-                _ => {
-                    status = 1;
-                    break 'cells;
-                }
+                    trace_id(&nonce),
+                    Some(&nack),
+                ))
             }
         }
-
-        // One combined cumulative ack per touched, still-incomplete
-        // stream — this is where ~batch acks collapse into one.
-        for nonce in touched {
-            let Some(fsm) = self.inbound.get(&nonce) else {
-                continue;
-            };
-            let upto = fsm.next_idx();
-            let mr_enclave = fsm.mr_enclave();
-            let ack = self
-                .channels_in
-                .get_mut(&source)
-                .ok_or(MigError::ChannelMissing {
-                    peer: ChannelPeer::Source,
-                })?
-                .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-            results.push(Self::stream_progress_output(
-                mr_enclave,
-                trace_id(&nonce),
-                Some(&ack),
-            ));
-        }
-
-        let mut w =
-            WireWriter::with_capacity(4 + results.iter().map(|r| 4 + r.len()).sum::<usize>() + 1);
-        w.u32(results.len() as u32);
-        for record in &results {
-            w.bytes(record);
-        }
-        w.u8(status);
-        Ok(w.finish())
     }
 
     /// Encodes the `ACK` ECALL output: kind, MRENCLAVE, the acked
     /// stream's public trace id (when the ack names a nonce), optional
-    /// completion ciphertext for the local library, and follow-on stream
-    /// frames to send back to the destination.
+    /// completion ciphertext for the local library, and follow-on
+    /// `TRANSFER` containers to send back to the destination.
     fn ack_output(
         kind: u8,
         mr: MrEnclave,
         trace: Option<[u8; 8]>,
         complete: Option<&[u8]>,
-        frames: &[(u8, Vec<u8>)],
+        frames: &[Vec<u8>],
     ) -> Vec<u8> {
         let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
         let mut w = WireWriter::with_capacity(
-            1 + 32 + opt_len(trace) + opt_len(complete) + frames_len(frames),
+            1 + 32 + opt_len(trace) + opt_len(complete) + list_len(frames),
         );
         w.u8(kind);
         w.array(&mr.0);
         write_opt(&mut w, trace);
         write_opt(&mut w, complete);
-        w.u32(frames.len() as u32);
-        for (frame_kind, frame) in frames {
-            w.u8(*frame_kind);
-            w.bytes(frame);
-        }
+        write_list(&mut w, frames);
         w.finish()
     }
 
@@ -2337,14 +2031,14 @@ impl MigrationEnclave {
     /// `upto == 0` restarts the stream, fresh `ChunkStart` included),
     /// then refills the freed shared-window budget **across every
     /// stream** towards the destination (deficit round-robin), returning
-    /// the owning MRENCLAVE and the frames to send.
+    /// the owning MRENCLAVE and the containers to send.
     fn advance_stream(
         &mut self,
         destination: MachineId,
         nonce: TransferNonce,
         upto: u32,
         resume: bool,
-    ) -> Result<(MrEnclave, StreamFrames), MigError> {
+    ) -> Result<(MrEnclave, Vec<Vec<u8>>), MigError> {
         let mr = self.outgoing_by_nonce(&nonce)?;
         // Per-nonce binding: an ack relayed from a different peer than
         // the stream's destination is a cross-stream splice attempt —
@@ -2399,19 +2093,9 @@ impl MigrationEnclave {
         } else {
             Vec::new()
         };
-        let frames = self.pump_streams(destination, leads)?;
+        let chunks = self.grant_chunks(destination)?;
+        let frames = self.seal_burst(destination, &leads, &chunks)?;
         Ok((mr, frames))
-    }
-
-    /// Converts a [`MeAction`] produced by `dispatch_outgoing` into raw
-    /// frames for `destination` (used where the output encoding carries
-    /// frames instead of an action).
-    fn action_frames(action: MeAction) -> StreamFrames {
-        match action {
-            MeAction::SendRemote { transfer, .. } => vec![(FRAME_SINGLE, transfer)],
-            MeAction::StreamRemote { frames, .. } => frames,
-            _ => Vec::new(),
-        }
     }
 
     pub(super) fn op_ack(
@@ -2458,7 +2142,7 @@ impl MigrationEnclave {
                     .map(|local| local.seal(&MeToLib::MigrationComplete.to_bytes()));
                 // The channel is free again: dispatch the next queued
                 // migration for this destination, if any.
-                let next = Self::action_frames(self.dispatch_outgoing(env, destination)?);
+                let next = self.send_unsent(env, destination)?;
                 Ok(Self::ack_output(
                     1,
                     mr_enclave,
@@ -2492,7 +2176,7 @@ impl MigrationEnclave {
                 if let Some((generation, state)) = completed_stream {
                     self.cache_insert(mr_enclave, generation, state);
                 }
-                let next = Self::action_frames(self.dispatch_outgoing(env, destination)?);
+                let next = self.send_unsent(env, destination)?;
                 Ok(Self::ack_output(2, mr_enclave, None, None, &next))
             }
             MeToMe::ChunkAck { nonce, upto } => {
@@ -2517,9 +2201,7 @@ impl MigrationEnclave {
                     if let Some((generation, state)) = completed {
                         self.cache_insert(mr, generation, state);
                     }
-                    frames.extend(Self::action_frames(
-                        self.dispatch_outgoing(env, destination)?,
-                    ));
+                    frames.extend(self.send_unsent(env, destination)?);
                 }
                 Ok(Self::ack_output(
                     3,
@@ -2558,7 +2240,7 @@ impl MigrationEnclave {
                     .fsm
                     .on_delta_nack()?;
                 self.telemetry.delta_fallbacks += 1;
-                let frames = Self::action_frames(self.dispatch_outgoing(env, destination)?);
+                let frames = self.send_unsent(env, destination)?;
                 // Kind 4: the host records a delta-fallback edge.
                 Ok(Self::ack_output(
                     4,
@@ -2696,6 +2378,20 @@ mod tests {
     }
 
     #[test]
+    fn action_decode_bounds_the_frame_count_by_the_input() {
+        // A 13-byte action claiming u32::MAX frames must fail to decode,
+        // not reserve memory for them.
+        let mut bytes = vec![2];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 13);
+        assert!(matches!(
+            MeAction::from_bytes(&bytes),
+            Err(SgxError::Decode)
+        ));
+    }
+
+    #[test]
     fn sender_single_shot_table() {
         let mut fsm = SenderFsm::Idle { stream: None };
         fsm.dispatch_single_shot().unwrap();
@@ -2823,31 +2519,26 @@ mod tests {
     }
 
     #[test]
-    fn receiver_full_release_parity_speculative_and_not() {
+    fn receiver_full_release_matches_the_sent_payload() {
         let payload: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
         let stream = ChunkStream::new([9; 16], 4096, payload.clone());
-        for speculative in [false, true] {
-            let mut fsm = ReceiverFsm::start_full(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [9; 16],
-                1,
-                stream.total_len(),
-                4096,
-                stream.digest(),
-                speculative,
-            )
-            .unwrap();
-            assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
-            drive(&stream, &mut fsm, 0);
-            assert!(fsm.is_complete());
-            match fsm.release(None).unwrap() {
-                ReceiverRelease::Released { state, .. } => {
-                    assert_eq!(&state[..], &payload[..], "speculative={speculative}");
-                }
-                ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
-            }
+        let mut fsm = ReceiverFsm::start_full(
+            MachineId(1),
+            MrEnclave([5; 32]),
+            data(),
+            [9; 16],
+            1,
+            stream.total_len(),
+            4096,
+            stream.digest(),
+        )
+        .unwrap();
+        assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
+        drive(&stream, &mut fsm, 0);
+        assert!(fsm.is_complete());
+        match fsm.release(None).unwrap() {
+            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &payload[..]),
+            ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
         }
     }
 
@@ -2861,8 +2552,7 @@ mod tests {
         let (manifest, payload) = delta::diff(&digests, 4, 5, &new);
         let stream = ChunkStream::new([8; 16], 4096, payload.clone());
 
-        // Speculative with the base at announce: staged, releases with
-        // no base argument.
+        // The base at announce: staged, releases with no base argument.
         let mut fsm = ReceiverFsm::start_delta(
             MachineId(1),
             MrEnclave([5; 32]),
@@ -2872,7 +2562,6 @@ mod tests {
             stream.digest(),
             manifest.clone(),
             Some(&base),
-            true,
         )
         .unwrap();
         assert!(fsm.is_staged() && fsm.needs_base().is_none());
@@ -2883,27 +2572,24 @@ mod tests {
             ReceiverRelease::BaseMissing => panic!("staged delta captured its base"),
         }
 
-        // No base at announce (or speculation off): deferred — the base
-        // is needed at release, and its absence NACKs.
-        for (announce_base, speculative) in [(None, true), (Some(&base[..]), false)] {
-            let mut fsm = ReceiverFsm::start_delta(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [8; 16],
-                4096,
-                stream.digest(),
-                manifest.clone(),
-                announce_base,
-                speculative,
-            )
-            .unwrap();
-            assert!(!fsm.is_staged() && fsm.needs_base().is_some());
-            drive(&stream, &mut fsm, 0);
-            match fsm.release(Some(&base)).unwrap() {
-                ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
-                ReceiverRelease::BaseMissing => panic!("base was supplied"),
-            }
+        // No base at announce: deferred — the base is needed at
+        // release, and its absence NACKs.
+        let mut fsm = ReceiverFsm::start_delta(
+            MachineId(1),
+            MrEnclave([5; 32]),
+            data(),
+            [8; 16],
+            4096,
+            stream.digest(),
+            manifest.clone(),
+            None,
+        )
+        .unwrap();
+        assert!(!fsm.is_staged() && fsm.needs_base().is_some());
+        drive(&stream, &mut fsm, 0);
+        match fsm.release(Some(&base)).unwrap() {
+            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
+            ReceiverRelease::BaseMissing => panic!("base was supplied"),
         }
         let mut fsm = ReceiverFsm::start_delta(
             MachineId(1),
@@ -2914,7 +2600,6 @@ mod tests {
             stream.digest(),
             manifest.clone(),
             None,
-            true,
         )
         .unwrap();
         drive(&stream, &mut fsm, 0);
@@ -2925,11 +2610,11 @@ mod tests {
     }
 
     #[test]
-    fn receiver_tamper_is_rejected_in_both_modes() {
+    fn receiver_tamper_is_rejected() {
         let payload: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
         let stream = ChunkStream::new([3; 16], 2048, payload);
-        for speculative in [false, true] {
-            let mut fsm = ReceiverFsm::start_full(
+        let start = |digest: [u8; 32]| {
+            ReceiverFsm::start_full(
                 MachineId(1),
                 MrEnclave([5; 32]),
                 data(),
@@ -2937,41 +2622,30 @@ mod tests {
                 1,
                 stream.total_len(),
                 2048,
-                stream.digest(),
-                speculative,
+                digest,
             )
-            .unwrap();
-            let (c0, m0) = stream.chunk(0);
-            let mut evil = c0.to_vec();
-            evil[0] ^= 1;
-            let err = fsm.on_chunk(0, &evil, &m0).unwrap_err();
-            assert!(
-                !matches!(err, MigError::Transfer("chunk index out of order")),
-                "tamper is not a loss artifact"
-            );
-            // Out-of-order is the one recoverable error: prefix kept.
-            let (c1, m1) = stream.chunk(1);
-            assert!(matches!(
-                fsm.on_chunk(1, c1, &m1),
-                Err(MigError::Transfer("chunk index out of order"))
-            ));
-            assert_eq!(fsm.next_idx(), 0);
-            // A wrong announced digest still quarantines at release.
-            let mut fsm = ReceiverFsm::start_full(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [3; 16],
-                1,
-                stream.total_len(),
-                2048,
-                [0; 32],
-                speculative,
-            )
-            .unwrap();
-            drive(&stream, &mut fsm, 0);
-            assert!(fsm.release(None).is_err(), "speculative={speculative}");
-        }
+            .unwrap()
+        };
+        let mut fsm = start(stream.digest());
+        let (c0, m0) = stream.chunk(0);
+        let mut evil = c0.to_vec();
+        evil[0] ^= 1;
+        let err = fsm.on_chunk(0, &evil, &m0).unwrap_err();
+        assert!(
+            !matches!(err, MigError::Transfer("chunk index out of order")),
+            "tamper is not a loss artifact"
+        );
+        // Out-of-order is the one recoverable error: prefix kept.
+        let (c1, m1) = stream.chunk(1);
+        assert!(matches!(
+            fsm.on_chunk(1, c1, &m1),
+            Err(MigError::Transfer("chunk index out of order"))
+        ));
+        assert_eq!(fsm.next_idx(), 0);
+        // A wrong announced digest still quarantines at release.
+        let mut fsm = start([0; 32]);
+        drive(&stream, &mut fsm, 0);
+        assert!(fsm.release(None).is_err());
     }
 
     #[test]
@@ -2993,7 +2667,6 @@ mod tests {
             stream.digest(),
             manifest.clone(),
             Some(&base),
-            true,
         )
         .unwrap();
         for idx in 0..3 {
@@ -3011,7 +2684,6 @@ mod tests {
             assembler,
             Some(manifest.clone()),
             Some(&base),
-            true,
         );
         assert!(restored.is_staged());
         assert_eq!(restored.next_idx(), 3);
@@ -3031,7 +2703,6 @@ mod tests {
             assembler,
             Some(manifest),
             None,
-            true,
         );
         assert!(!restored.is_staged() && restored.needs_base().is_some());
     }

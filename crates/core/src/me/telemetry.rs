@@ -29,9 +29,11 @@ pub(crate) struct MeTelemetry {
     pub(crate) aborts_incoming: u64,
     /// Stream announcements dispatched (`ChunkStart` / `DeltaStart`).
     pub(crate) announcements: u64,
-    /// `TRANSFER_BATCH` containers accepted (destination side).
+    /// `TRANSFER` containers of two or more cells accepted
+    /// (destination side).
     pub(crate) batches_received: u64,
-    /// `TRANSFER_BATCH` containers packed onto the wire (source side).
+    /// `TRANSFER` containers of two or more cells packed onto the wire
+    /// (source side).
     pub(crate) batches_sealed: u64,
     /// Generation-cache entries evicted by the LRU byte budget.
     pub(crate) cache_evictions: u64,
@@ -51,7 +53,7 @@ pub(crate) struct MeTelemetry {
     /// Whole-payload (non-streamed) transfers dispatched.
     pub(crate) singleshot_transfers: u64,
     /// Trace ids of quarantined inbound streams, in quarantine order.
-    /// The host diffs this ledger after a failed `TRANSFER` ECALL to
+    /// The host diffs this ledger after a rejected `TRANSFER` cell to
     /// timestamp quarantine edges without the enclave leaking when.
     pub(crate) quarantined: Vec<[u8; 8]>,
 }
@@ -109,9 +111,11 @@ impl TelemetryReport {
     ///
     /// [`SgxError::Decode`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
+        // Every count is bounded by the bytes left (each entry's minimum
+        // encoded size), so a forged count cannot reserve memory.
         let mut r = WireReader::new(bytes);
         let n_counters = r.u32()? as usize;
-        let mut counters = Vec::with_capacity(n_counters);
+        let mut counters = Vec::with_capacity(n_counters.min(r.remaining() / 12));
         for _ in 0..n_counters {
             let name = String::from_utf8(r.bytes_vec()?).map_err(|_| SgxError::Decode)?;
             let value = r.u64()?;
@@ -119,13 +123,13 @@ impl TelemetryReport {
         }
         let cache_bytes = r.u64()?;
         let n_links = r.u32()? as usize;
-        let mut links = Vec::with_capacity(n_links);
+        let mut links = Vec::with_capacity(n_links.min(r.remaining() / 20));
         for _ in 0..n_links {
             let destination = MachineId(r.u64()?);
             let chunk_size = r.u32()?;
             let window = r.u32()?;
             let n_deficits = r.u32()? as usize;
-            let mut deficits = Vec::with_capacity(n_deficits);
+            let mut deficits = Vec::with_capacity(n_deficits.min(r.remaining() / 40));
             for _ in 0..n_deficits {
                 let mr = MrEnclave(r.array()?);
                 deficits.push((mr, r.u64()?));
@@ -138,7 +142,7 @@ impl TelemetryReport {
             });
         }
         let n_quarantined = r.u32()? as usize;
-        let mut quarantined = Vec::with_capacity(n_quarantined);
+        let mut quarantined = Vec::with_capacity(n_quarantined.min(r.remaining() / 8));
         for _ in 0..n_quarantined {
             quarantined.push(r.array()?);
         }
@@ -206,6 +210,29 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn forged_counts_fail_to_decode_instead_of_reserving_memory() {
+        // A 4-byte export claiming u32::MAX counters.
+        assert!(matches!(
+            TelemetryReport::from_bytes(&u32::MAX.to_le_bytes()),
+            Err(SgxError::Decode)
+        ));
+        // Forged link, deficit and quarantine counts behind valid
+        // sections.
+        let empty = MigrationEnclave::new().op_telemetry().unwrap();
+        let tail = empty.len() - 8; // link count, quarantine count
+        for forged in [tail, tail + 4] {
+            let mut bytes = empty.clone();
+            bytes[forged..forged + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(TelemetryReport::from_bytes(&bytes).is_err());
+        }
+        let mut link = empty[..tail].to_vec();
+        link.extend_from_slice(&1u32.to_le_bytes());
+        link.extend_from_slice(&[0; 16]); // destination, chunk size, window
+        link.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TelemetryReport::from_bytes(&link).is_err());
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! The **wire layer** of the Migration Enclave: how session frames for
-//! one destination link are built, batched and paced.
+//! The **wire layer** of the Migration Enclave: how the cells sent to
+//! one destination link are framed, batched and paced.
 //!
-//! This module owns the chunk-frame encoding, the `TRANSFER_BATCH`
-//! container (sealed in place; parsed by [`unpack_batch`]), the
+//! This module owns the `TRANSFER` container — a cell count, then each
+//! channel-sealed cell behind its `u32` length, built by
+//! `seal_container` and parsed by [`unpack_container`] — the
 //! per-destination [`AdaptiveLink`] chunk/window controller, and the
 //! [`DrrScheduler`] apportioning the shared link window among
-//! concurrent streams. Frames travel at their natural size: links
-//! deliver in send order, so the channel's sequence numbers need no
-//! help from the frame layout.
+//! concurrent streams. Every message a source ME sends to a destination
+//! ME rides in a container of 1..=[`MAX_BATCH`] cells (at most the
+//! link's negotiated batch size), one destination ECALL per container.
+//! Frames travel at their natural size: links deliver in send order,
+//! so the channel's sequence numbers need no help from the frame
+//! layout.
 
 use crate::error::MigError;
 use crate::msgs::MeToMe;
@@ -16,73 +20,83 @@ use crate::transfer::chunker::ChunkStream;
 use crate::transfer::{TransferConfig, MIN_CHUNK_SIZE};
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::measurement::MrEnclave;
-use sgx_sim::wire::WireReader;
-#[cfg(test)]
-use sgx_sim::wire::WireWriter;
+use sgx_sim::wire::{WireReader, WireWriter};
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Encodes chunk `idx` of `stream` as a seal-ready plaintext, straight
-/// from the stream's shared buffer ([`MeToMe::encode_chunk`]) — no
-/// per-chunk clone. Building plaintexts apart from sealing lets the
-/// session layer hand the whole send burst to
-/// [`SecureChannel::seal_many`](crate::secure_channel::SecureChannel::seal_many)
-/// and overlap the AEAD work across its seal lanes.
-pub(crate) fn chunk_plaintext(stream: &ChunkStream, idx: u32) -> Vec<u8> {
-    let (payload, mac) = stream.chunk(idx);
-    MeToMe::encode_chunk(&stream.nonce(), idx, payload, &mac)
-}
-
-/// Hard upper bound on the cells one `TRANSFER_BATCH` container may
-/// carry, independent of the negotiated batch size. The container
-/// framing is untrusted (the host could repack it), so the receiver
-/// bounds its allocations here before opening a single cell.
+/// Hard upper bound on the cells one `TRANSFER` container may carry,
+/// independent of the negotiated batch size. The container framing is
+/// untrusted (the host could repack it), so the receiver bounds its
+/// allocations here before opening a single cell.
 pub const MAX_BATCH: u32 = 256;
 
-/// Seals a run of plaintext cells (lead frames and chunk frames)
-/// directly into one `TRANSFER_BATCH` container: the cell count, then
-/// each sealed cell behind its `u32` length. The container is allocated
-/// once at its final size and the channel seals each cell in place
-/// ([`SecureChannel::seal_many_framed`]) — no per-cell ciphertext
-/// buffers, no second copy into the container.
-pub(crate) fn seal_batch(channel: &mut SecureChannel, cells: &[Vec<u8>], lanes: u32) -> Vec<u8> {
-    let len = 4 + cells.iter().map(|c| 4 + c.len() + TAG_LEN).sum::<usize>();
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-    channel.seal_many_framed(cells, lanes, &mut out);
-    out
+/// One cell of a send burst, encoded where it is sealed.
+pub(crate) enum Cell<'a> {
+    /// A whole message: a single-shot `Transfer`, a `ResumeRequest` or
+    /// an announcement.
+    Msg(&'a MeToMe),
+    /// Chunk `idx` of a stream, encoded from the stream's shared buffer.
+    Chunk(&'a ChunkStream, u32),
 }
 
-/// Packs individually channel-sealed cells into one batch container —
-/// the two-pass framing [`seal_batch`] collapses into a single pass.
-/// Retained as the byte-layout oracle for `seal_batch` and the builder
-/// for `unpack_batch` tests.
-#[cfg(test)]
-pub(crate) fn pack_batch(cells: &[Vec<u8>]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u32(cells.len() as u32);
-    for ct in cells {
-        w.bytes(ct);
+impl Cell<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Cell::Msg(msg) => msg.encoded_len(),
+            Cell::Chunk(stream, idx) => MeToMe::chunk_len(stream.chunk(*idx).0.len()),
+        }
     }
-    w.finish()
+
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Cell::Msg(msg) => msg.encode(w),
+            Cell::Chunk(stream, idx) => {
+                let (payload, mac) = stream.chunk(*idx);
+                MeToMe::write_chunk(w, &stream.nonce(), *idx, payload, &mac);
+            }
+        }
+    }
 }
 
-/// Parses a `TRANSFER_BATCH` container into its sealed cells, in the
-/// order they were sealed. The framing is untrusted: cell counts
-/// outside `1..=`[`MAX_BATCH`] and truncation anywhere — including mid
-/// cell — are rejected before any AEAD work happens, so a malformed
-/// container cannot consume channel sequence numbers.
+/// Seals `cells`, in order, into one `TRANSFER` container allocated at
+/// its final size: the cell count, then each cell behind its `u32`
+/// sealed length. Each cell is encoded straight into the container and
+/// sealed where it lies ([`SecureChannel::write_sealed`]), so a chunk
+/// is copied once, from the stream into the container.
+///
+/// # Errors
+///
+/// [`MigError::Transfer`] if a cell exceeds the wire's `u32` length.
+pub(crate) fn seal_container(
+    channel: &mut SecureChannel,
+    cells: &[Cell<'_>],
+) -> Result<Vec<u8>, MigError> {
+    let lens: Vec<usize> = cells.iter().map(Cell::len).collect();
+    let mut w =
+        WireWriter::with_capacity(4 + lens.iter().map(|len| 4 + len + TAG_LEN).sum::<usize>());
+    w.u32(cells.len() as u32);
+    for (cell, len) in cells.iter().zip(lens) {
+        channel.write_sealed(&mut w, len, |w| cell.encode(w))?;
+    }
+    Ok(w.finish())
+}
+
+/// Parses a `TRANSFER` container into its sealed cells, in the order
+/// they were sealed. The framing is untrusted: cell counts outside
+/// `1..=`[`MAX_BATCH`] and truncation anywhere — including mid cell —
+/// are rejected before any AEAD work happens, so a malformed container
+/// cannot consume channel sequence numbers.
 ///
 /// # Errors
 ///
 /// [`MigError::Transfer`] on an empty, oversized, truncated, or
 /// trailing-garbage container.
-pub fn unpack_batch(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
-    let framing = MigError::Transfer("malformed transfer batch container");
+pub fn unpack_container(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
+    let framing = MigError::Transfer("malformed transfer container");
     let mut r = WireReader::new(bytes);
     let count = r.u32().map_err(|_| framing.clone())?;
     if count == 0 || count > MAX_BATCH {
-        return Err(MigError::Transfer("batch cell count out of range"));
+        return Err(MigError::Transfer("container cell count out of range"));
     }
     let mut cells = Vec::with_capacity(count as usize);
     for _ in 0..count {
@@ -301,8 +315,8 @@ impl LinkShaper {
     }
 
     /// The link's negotiated batch size: how many sealed cells one
-    /// `TRANSFER_BATCH` container carries. 1 (the default) keeps the
-    /// legacy one-frame-per-transition path.
+    /// `TRANSFER` container carries at most. 1 (the default) sends
+    /// every cell in a container of its own.
     #[must_use]
     pub fn batch(&self) -> u32 {
         self.batch
@@ -368,69 +382,90 @@ impl LinkShaper {
 mod tests {
     use super::*;
 
-    #[test]
-    fn batch_container_round_trips() {
-        let full: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 100 + usize::from(i)]).collect();
-        let packed = pack_batch(&full);
-        let cells = unpack_batch(&packed).unwrap();
-        assert_eq!(cells.len(), 4);
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(*c, &full[i][..]);
+    /// Packs already-sealed cells the way [`seal_container`] frames them.
+    fn pack(cells: &[Vec<u8>]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u32(cells.len() as u32);
+        for ct in cells {
+            w.bytes(ct);
         }
-        // A partial batch is just a shorter container.
-        let partial = pack_batch(&full[..1]);
-        assert!(partial.len() < packed.len());
-        assert_eq!(unpack_batch(&partial).unwrap().len(), 1);
+        w.finish()
     }
 
     #[test]
-    fn seal_batch_matches_pack_batch_of_seal_many() {
+    fn sealed_container_matches_sequential_seals_and_opens_in_order() {
         use crate::secure_channel::ChannelRole;
-        let plaintexts: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4000 + usize::from(i)]).collect();
-        for lanes in [1u32, 2, 4] {
-            // Two-pass oracle: seal the cells, then pack the ciphertexts.
-            let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let expected = pack_batch(&oracle.seal_many(plaintexts.clone(), lanes));
-            // Single-pass path under test: seal straight into the container.
-            let mut direct = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let container = seal_batch(&mut direct, &plaintexts, lanes);
-            assert_eq!(container, expected, "lanes={lanes}");
-            assert_eq!(container.capacity(), container.len(), "allocated once");
-            // And the receiver parses the sealed cells back out in order.
-            assert_eq!(unpack_batch(&container).unwrap().len(), 3);
-        }
+        let msgs: Vec<MeToMe> = (0..2u8)
+            .map(|i| MeToMe::ChunkAck {
+                nonce: [i; 16],
+                upto: u32::from(i),
+            })
+            .collect();
+        let stream = ChunkStream::new([9; 16], 4096, vec![3u8; 10_000]);
+        let mut cells: Vec<Cell<'_>> = msgs.iter().map(Cell::Msg).collect();
+        cells.extend((0..stream.n_chunks()).map(|idx| Cell::Chunk(&stream, idx)));
+        let plaintexts: Vec<Vec<u8>> = cells
+            .iter()
+            .map(|cell| {
+                let mut w = WireWriter::new();
+                cell.encode(&mut w);
+                w.finish()
+            })
+            .collect();
+        // Oracle: each cell sealed on its own, in order, then packed.
+        let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
+        let expected = pack(
+            &plaintexts
+                .iter()
+                .map(|p| oracle.seal(p))
+                .collect::<Vec<_>>(),
+        );
+        let mut sender = SecureChannel::new([9; 16], ChannelRole::Initiator);
+        let container = seal_container(&mut sender, &cells).unwrap();
+        assert_eq!(container, expected);
+        assert_eq!(container.capacity(), container.len(), "allocated once");
+        // The receiver opens the cells back out in seal order.
+        let mut receiver = SecureChannel::new([9; 16], ChannelRole::Responder);
+        let opened: Vec<Vec<u8>> = unpack_container(&container)
+            .unwrap()
+            .into_iter()
+            .map(|ct| receiver.open(ct).unwrap())
+            .collect();
+        assert_eq!(opened, plaintexts);
+        assert_eq!(MeToMe::from_bytes(&opened[1]).unwrap(), msgs[1]);
     }
 
     #[test]
-    fn truncated_or_malformed_batch_rejected() {
+    fn truncated_or_malformed_container_rejected() {
         let sealed_len = 4096 + TAG_LEN;
         let cells: Vec<Vec<u8>> = (0..2u8).map(|i| vec![i; sealed_len]).collect();
-        let packed = pack_batch(&cells);
+        let packed = pack(&cells);
+        assert_eq!(unpack_container(&packed).unwrap().len(), 2);
         // Truncation mid-cell must be rejected before any AEAD work.
         for cut in [3, 10, sealed_len + 6, packed.len() - 1] {
-            assert!(unpack_batch(&packed[..cut]).is_err(), "cut at {cut}");
+            assert!(unpack_container(&packed[..cut]).is_err(), "cut at {cut}");
         }
         // So are trailing bytes after the last cell.
         let mut trailing = packed.clone();
         trailing.push(0);
-        assert!(unpack_batch(&trailing).is_err());
+        assert!(unpack_container(&trailing).is_err());
         // Zero cells and oversized counts are out of range.
         let mut w = WireWriter::new();
         w.u32(0);
-        assert!(unpack_batch(&w.finish()).is_err());
+        assert!(unpack_container(&w.finish()).is_err());
         let mut w = WireWriter::new();
         w.u32(MAX_BATCH + 1);
-        assert!(unpack_batch(&w.finish()).is_err());
+        assert!(unpack_container(&w.finish()).is_err());
     }
 
     #[test]
     fn link_shaper_batch_negotiation_clamps_and_resets() {
         let mut shaper = LinkShaper::new(&TransferConfig::default());
-        assert_eq!(shaper.batch(), 1, "unbatched until negotiated");
+        assert_eq!(shaper.batch(), 1, "one cell per container until negotiated");
         shaper.set_batch(16);
         assert_eq!(shaper.batch(), 16);
         shaper.set_batch(0);
-        assert_eq!(shaper.batch(), 1, "zero clamps to the legacy path");
+        assert_eq!(shaper.batch(), 1, "zero clamps to one cell per container");
         shaper.set_batch(MAX_BATCH * 2);
         assert_eq!(shaper.batch(), MAX_BATCH);
         // A channel reset renegotiates: framing reset drops to 1.

@@ -362,37 +362,60 @@ pub enum MeToMe {
 }
 
 impl MeToMe {
-    /// Serializes a [`MeToMe::Chunk`] directly from a borrowed payload
-    /// slice — the streaming hot path, avoiding the intermediate
-    /// per-chunk `Vec` a message-struct round trip would allocate. The
-    /// output is byte-identical to encoding the enum variant.
+    /// Encoded length of a [`MeToMe::Chunk`] carrying `payload_len`
+    /// bytes.
     #[must_use]
-    pub fn encode_chunk(
+    pub fn chunk_len(payload_len: usize) -> usize {
+        1 + 16 + 4 + 4 + payload_len + 32
+    }
+
+    /// Appends a [`MeToMe::Chunk`] encoded straight from a borrowed
+    /// payload slice — the streaming hot path writes each chunk once,
+    /// into the container it is sealed in. The bytes are those of the
+    /// enum variant.
+    pub fn write_chunk(
+        w: &mut WireWriter,
         nonce: &TransferNonce,
         idx: u32,
         payload: &[u8],
         mac: &ChunkMac,
-    ) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(1 + 16 + 4 + 4 + payload.len() + 32 + TAG_LEN);
+    ) {
         w.u8(5);
         w.array(nonce);
         w.u32(idx);
         w.bytes(payload);
         w.array(mac);
+    }
+
+    /// Length of the encoding in bytes.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        const DATA: usize = 4 + MigrationData::WIRE_SIZE;
+        match self {
+            MeToMe::Transfer { state, .. } => 1 + 32 + DATA + 4 + state.len(),
+            MeToMe::Delivered { .. } | MeToMe::Stored { .. } => 1 + 32,
+            MeToMe::ChunkStart { .. } => 1 + 32 + 16 + 8 + 8 + 4 + 32 + DATA,
+            MeToMe::Chunk { payload, .. } => Self::chunk_len(payload.len()),
+            MeToMe::DeltaStart { manifest, .. } => {
+                1 + 32 + 16 + 4 + 32 + 4 + manifest.encoded_len() + DATA
+            }
+            MeToMe::DeltaNack { .. } | MeToMe::ResumeRequest { .. } => 1 + 32 + 16,
+            MeToMe::ChunkAck { .. } | MeToMe::Resume { .. } => 1 + 16 + 4,
+        }
+    }
+
+    /// Serializes the message (channel plaintext) into one buffer with
+    /// room for the channel tag.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.encoded_len() + TAG_LEN);
+        self.encode(&mut w);
         w.finish()
     }
 
-    /// Serializes the message (channel plaintext).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = match self {
-            // The one variant that carries the whole state: one buffer
-            // with room for the channel tag.
-            MeToMe::Transfer { state, .. } => WireWriter::with_capacity(
-                1 + 32 + 4 + MigrationData::WIRE_SIZE + 4 + state.len() + TAG_LEN,
-            ),
-            _ => WireWriter::new(),
-        };
+    /// Appends the encoding to `w` (a sender that seals the message
+    /// inside a larger buffer writes it where it will be sealed).
+    pub fn encode(&self, w: &mut WireWriter) {
         match self {
             MeToMe::Transfer {
                 mr_enclave,
@@ -435,9 +458,7 @@ impl MeToMe {
                 idx,
                 payload,
                 mac,
-            } => {
-                return Self::encode_chunk(nonce, *idx, payload, mac);
-            }
+            } => Self::write_chunk(w, nonce, *idx, payload, mac),
             MeToMe::DeltaStart {
                 mr_enclave,
                 nonce,
@@ -475,7 +496,6 @@ impl MeToMe {
                 w.u32(*from_idx);
             }
         }
-        w.finish()
     }
 
     /// Parses a message.
@@ -663,6 +683,7 @@ mod tests {
             },
         ];
         for msg in msgs {
+            assert_eq!(msg.to_bytes().len(), msg.encoded_len(), "{msg:?}");
             assert_eq!(MeToMe::from_bytes(&msg.to_bytes()).unwrap(), msg);
         }
     }
@@ -675,10 +696,9 @@ mod tests {
             payload: vec![9; 50],
             mac: [2; 32],
         };
-        assert_eq!(
-            chunk.to_bytes(),
-            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], &[2; 32])
-        );
+        let mut w = WireWriter::new();
+        MeToMe::write_chunk(&mut w, &[1; 16], 3, &[9; 50], &[2; 32]);
+        assert_eq!(chunk.to_bytes(), w.finish());
         let incoming = MeToLib::IncomingMigration {
             data: data(),
             state: Arc::from(&b"bulk"[..]),

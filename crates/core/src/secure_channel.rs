@@ -5,7 +5,10 @@
 //! 128-bit session key. A [`SecureChannel`] turns that key into a
 //! bidirectional AEAD channel with strictly increasing per-direction
 //! sequence numbers, so recorded protocol messages cannot be replayed or
-//! reordered within a session.
+//! reordered within a session. Messages are sealed and opened one at a
+//! time, in place where they lie ([`SecureChannel::seal_in_place`],
+//! [`SecureChannel::write_sealed`]): a `TRANSFER` container is a run of
+//! such messages on consecutive sequence numbers.
 
 use crate::error::MigError;
 use mig_crypto::gcm::{AesGcm, TAG_LEN};
@@ -197,160 +200,10 @@ impl SecureChannel {
         self.open_in_place(&mut out, 0)?;
         Ok(out)
     }
-
-    /// Seals a run of messages in place, assigning them consecutive send
-    /// sequence numbers in order, with the AEAD work fanned out over
-    /// `lanes` worker threads (message `i` on lane `i % lanes`). Each
-    /// plaintext buffer becomes its ciphertext, byte-identical to
-    /// sequential [`SecureChannel::seal`] calls — the lane split only
-    /// overlaps the encryption, it never reorders the sequence space.
-    #[must_use]
-    pub fn seal_many(&mut self, mut plaintexts: Vec<Vec<u8>>, lanes: u32) -> Vec<Vec<u8>> {
-        let direction = self.role.direction_byte();
-        let base = self.send_seq;
-        self.send_seq += plaintexts.len() as u64;
-        let lanes = effective_lanes(lanes, plaintexts.len());
-        let aead = &self.aead;
-        let seal = move |i: usize, buf: &mut Vec<u8>| {
-            aead.seal_in_place(
-                &Self::nonce(direction, base + i as u64),
-                CHANNEL_AAD,
-                buf,
-                0,
-            );
-        };
-        if lanes <= 1 {
-            for (i, buf) in plaintexts.iter_mut().enumerate() {
-                seal(i, buf);
-            }
-            return plaintexts;
-        }
-        let mut by_lane: Vec<Vec<(usize, &mut Vec<u8>)>> = (0..lanes).map(|_| Vec::new()).collect();
-        for (i, buf) in plaintexts.iter_mut().enumerate() {
-            by_lane[i % lanes].push((i, buf));
-        }
-        // A panicking lane (a caller bug: sealing is infallible) panics
-        // the scope, which preserves fail-stop semantics.
-        std::thread::scope(|s| {
-            for cells in by_lane {
-                s.spawn(move || {
-                    for (i, buf) in cells {
-                        seal(i, buf);
-                    }
-                });
-            }
-        });
-        plaintexts
-    }
-
-    /// Seals a run of messages like [`SecureChannel::seal_many`], but
-    /// appends each ciphertext to `out` behind a `u32` length prefix —
-    /// the `TRANSFER_BATCH` cell framing — so a batch container is
-    /// assembled in place. With one effective lane (the common case on
-    /// small hosts) every cell is sealed directly into `out` with no
-    /// intermediate per-cell allocation or copy; with more lanes the
-    /// AEAD work fans out exactly like `seal_many` and only the final
-    /// gather copies. Bytes and sequence numbers are identical either
-    /// way.
-    pub fn seal_many_framed(&mut self, plaintexts: &[Vec<u8>], lanes: u32, out: &mut Vec<u8>) {
-        if effective_lanes(lanes, plaintexts.len()) <= 1 {
-            for pt in plaintexts {
-                let sealed_len = u32::try_from(pt.len() + TAG_LEN).expect("cell < 4 GiB");
-                out.extend_from_slice(&sealed_len.to_le_bytes());
-                let start = out.len();
-                out.extend_from_slice(pt);
-                self.seal_in_place(out, start);
-            }
-        } else {
-            for ct in self.seal_many(plaintexts.to_vec(), lanes) {
-                let sealed_len = u32::try_from(ct.len()).expect("cell < 4 GiB");
-                out.extend_from_slice(&sealed_len.to_le_bytes());
-                out.extend_from_slice(&ct);
-            }
-        }
-    }
-
-    /// Opens a run of ciphertexts expected at consecutive receive
-    /// sequence numbers, fanning the AEAD work over `lanes` worker
-    /// threads (cell `i` on lane `i % lanes`).
-    ///
-    /// Semantics match a loop of sequential [`SecureChannel::open`]
-    /// calls exactly: the verified *prefix* before the first failing
-    /// cell is returned and only those cells consume receive sequence
-    /// numbers; everything at and after the first failure is discarded.
-    /// The `bool` is `true` when every cell verified.
-    #[must_use]
-    pub fn open_many(&mut self, ciphertexts: &[&[u8]], lanes: u32) -> (Vec<Vec<u8>>, bool) {
-        let direction = self.role.peer().direction_byte();
-        let base = self.recv_seq;
-        let lanes = effective_lanes(lanes, ciphertexts.len());
-        let mut opened: Vec<Option<Vec<u8>>> = if lanes <= 1 {
-            ciphertexts
-                .iter()
-                .enumerate()
-                .map(|(i, ct)| {
-                    self.aead
-                        .open(&Self::nonce(direction, base + i as u64), CHANNEL_AAD, ct)
-                        .ok()
-                })
-                .collect()
-        } else {
-            let aead = &self.aead;
-            let mut out: Vec<Option<Vec<u8>>> = vec![None; ciphertexts.len()];
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        s.spawn(move || {
-                            ciphertexts
-                                .iter()
-                                .enumerate()
-                                .skip(lane)
-                                .step_by(lanes)
-                                .map(|(i, ct)| {
-                                    (
-                                        i,
-                                        aead.open(
-                                            &Self::nonce(direction, base + i as u64),
-                                            CHANNEL_AAD,
-                                            ct,
-                                        )
-                                        .ok(),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // mig-lint: allow(enclave-panic, "a panicked open lane is a caller bug (AesGcm::open returns Result); propagating the panic preserves fail-stop semantics")
-                    for (i, pt) in handle.join().expect("open lane panicked") {
-                        out[i] = pt;
-                    }
-                }
-            });
-            out
-        };
-        let verified = opened.iter().take_while(|pt| pt.is_some()).count();
-        self.recv_seq += verified as u64;
-        let ok = verified == ciphertexts.len();
-        opened.truncate(verified);
-        let prefix = opened.into_iter().flatten().collect();
-        (prefix, ok)
-    }
 }
 
 /// AAD binding every channel message to this protocol.
 const CHANNEL_AAD: &[u8] = b"sgx-migrate.channel";
-
-/// Worker-lane count actually used for a batch of `items` cells: the
-/// configured count, clamped to the item count and to the host's
-/// available parallelism. Lane assignment is by index modulo lanes, so
-/// the clamp only changes scheduling, never bytes — extra lanes on a
-/// single-core host are pure thread overhead.
-fn effective_lanes(lanes: u32, items: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    (lanes.max(1) as usize).min(items.max(1)).min(cores)
-}
 
 #[cfg(test)]
 mod tests {
@@ -433,21 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn seal_many_matches_sequential_seals_for_every_lane_count() {
-        let msgs: Vec<Vec<u8>> = (0..7u8).map(|i| vec![i; 40 + i as usize]).collect();
-        let mut reference = SecureChannel::new([3; 16], ChannelRole::Initiator);
-        let expected: Vec<Vec<u8>> = msgs.iter().map(|m| reference.seal(m)).collect();
-        for lanes in [1, 2, 3, 8] {
-            let mut c = SecureChannel::new([3; 16], ChannelRole::Initiator);
-            assert_eq!(c.seal_many(msgs.clone(), lanes), expected, "lanes={lanes}");
-        }
-        // Follow-on single seals continue the sequence space.
-        let mut c = SecureChannel::new([3; 16], ChannelRole::Initiator);
-        let _ = c.seal_many(msgs[..3].to_vec(), 4);
-        assert_eq!(c.seal(&msgs[3]), expected[3]);
-    }
-
-    #[test]
     fn in_place_calls_share_one_sequence_space_with_seal_and_open() {
         let mut reference = SecureChannel::new([4; 16], ChannelRole::Initiator);
         let expected: Vec<Vec<u8>> = (0..4u8).map(|i| reference.seal(&[i; 33])).collect();
@@ -514,48 +352,5 @@ mod tests {
                 w.u8(0);
             })
             .is_err());
-    }
-
-    #[test]
-    fn seal_many_framed_matches_length_prefixed_seal_many() {
-        let msgs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 48]).collect();
-        for lanes in [1, 2, 4] {
-            let mut by_parts = SecureChannel::new([6; 16], ChannelRole::Responder);
-            let mut expected = Vec::new();
-            for ct in by_parts.seal_many(msgs.clone(), lanes) {
-                expected.extend_from_slice(&(ct.len() as u32).to_le_bytes());
-                expected.extend_from_slice(&ct);
-            }
-            let mut framed = SecureChannel::new([6; 16], ChannelRole::Responder);
-            let mut out = Vec::new();
-            framed.seal_many_framed(&msgs, lanes, &mut out);
-            assert_eq!(out, expected, "lanes={lanes}");
-            // Both channels end at the same sequence number.
-            assert_eq!(framed.seal(b"next"), by_parts.seal(b"next"));
-        }
-    }
-
-    #[test]
-    fn open_many_round_trips_and_keeps_prefix_on_failure() {
-        let (mut a, mut b) = pair();
-        let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 64]).collect();
-        let cts = a.seal_many(msgs.clone(), 3);
-        let refs: Vec<&[u8]> = cts.iter().map(Vec::as_slice).collect();
-        let (opened, ok) = b.open_many(&refs, 3);
-        assert!(ok);
-        assert_eq!(opened, msgs);
-
-        // A tampered cell mid-run: the verified prefix is kept, exactly
-        // the cells before it consume receive sequence numbers, and the
-        // channel continues in-order from there.
-        let cts = a.seal_many(msgs.clone(), 2);
-        let mut tampered: Vec<Vec<u8>> = cts.clone();
-        tampered[3][0] ^= 1;
-        let refs: Vec<&[u8]> = tampered.iter().map(Vec::as_slice).collect();
-        let (opened, ok) = b.open_many(&refs, 4);
-        assert!(!ok);
-        assert_eq!(opened, &msgs[..3]);
-        // The untampered original of cell 3 still opens next in order.
-        assert_eq!(b.open(&cts[3]).unwrap(), msgs[3]);
     }
 }

@@ -14,16 +14,12 @@
 //! per-chunk digests — is checked once more on completion.
 //!
 //! Chaining over the 32-byte chunk *digests* (rather than the raw
-//! payloads) keeps the serial chain O(n) in the chunk count: the
-//! payload-proportional hashing is embarrassingly parallel and
-//! [`ChunkStream::with_lanes`] fans it out over a fixed worker-lane
-//! pool with deterministic lane assignment (`idx % lanes`), so the
-//! MACs, the stream digest, and every wire byte are identical for any
-//! lane count. Each chunk is digested with one [`sha256`] call over the
-//! whole payload slice, which the hash folds through its bulk
-//! compression kernel — no per-block buffering anywhere on the digest
-//! path, so chunk hashing runs at raw kernel speed on a single lane
-//! too.
+//! payloads) keeps the chain itself O(n) in the chunk count. Each chunk
+//! is digested with one [`sha256`] call over the whole payload slice,
+//! which the hash folds through its bulk compression kernel — no
+//! per-block buffering anywhere on the digest path. The destination
+//! folds each verified chunk's digest into a running stream digest as
+//! it arrives, so completion only finalizes the hash.
 
 use crate::error::MigError;
 use mig_crypto::ct::ct_eq;
@@ -86,43 +82,6 @@ fn chunk_mac(key: &[u8; 32], prev: &ChunkMac, idx: u32, chunk_digest: &[u8; 32])
     mac.finalize()
 }
 
-/// Per-chunk SHA-256 digests of `payload`, computed on `lanes` worker
-/// threads with deterministic assignment (`idx % lanes`) — identical
-/// output for any lane count.
-fn chunk_digests(payload: &[u8], chunk_size: u32, n: u32, lanes: u32) -> Vec<[u8; 32]> {
-    // Clamp to the host's parallelism: assignment is idx % lanes with
-    // results written back by index, so the clamp changes scheduling
-    // only, never output bytes.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let lanes = (lanes.max(1) as usize).min((n as usize).max(1)).min(cores);
-    if lanes <= 1 {
-        return (0..n)
-            .map(|idx| sha256(slice_chunk(payload, chunk_size, idx)))
-            .collect();
-    }
-    let mut digests = vec![[0u8; 32]; n as usize];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|lane| {
-                s.spawn(move || {
-                    (0..n)
-                        .skip(lane)
-                        .step_by(lanes)
-                        .map(|idx| (idx, sha256(slice_chunk(payload, chunk_size, idx))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // mig-lint: allow(enclave-panic, "a panicked digest lane is a caller bug (sha256 is infallible); propagating the panic preserves fail-stop semantics")
-            for (idx, digest) in handle.join().expect("digest lane panicked") {
-                digests[idx as usize] = digest;
-            }
-        }
-    });
-    digests
-}
-
 fn slice_chunk(payload: &[u8], chunk_size: u32, idx: u32) -> &[u8] {
     let start = idx as usize * chunk_size as usize;
     let end = (start + chunk_size as usize).min(payload.len());
@@ -175,24 +134,6 @@ impl ChunkStream {
     /// validation and the Migration Library.
     #[must_use]
     pub fn new(nonce: TransferNonce, chunk_size: u32, payload: impl Into<Arc<[u8]>>) -> Self {
-        Self::with_lanes(nonce, chunk_size, payload, 1)
-    }
-
-    /// [`ChunkStream::new`] with the payload-proportional hashing fanned
-    /// out over `lanes` worker threads (deterministic `idx % lanes`
-    /// assignment). MACs and digest are identical for any lane count;
-    /// the serial HMAC chain runs over the 32-byte chunk digests only.
-    ///
-    /// # Panics
-    ///
-    /// Same caller invariants as [`ChunkStream::new`].
-    #[must_use]
-    pub fn with_lanes(
-        nonce: TransferNonce,
-        chunk_size: u32,
-        payload: impl Into<Arc<[u8]>>,
-        lanes: u32,
-    ) -> Self {
         let payload: Arc<[u8]> = payload.into();
         assert!(chunk_size > 0, "zero chunk size");
         assert!(
@@ -201,7 +142,9 @@ impl ChunkStream {
         );
         let key = chain_key(&nonce);
         let n = chunk_count(payload.len() as u64, chunk_size);
-        let digests = chunk_digests(&payload, chunk_size, n, lanes);
+        let digests: Vec<[u8; 32]> = (0..n)
+            .map(|idx| sha256(slice_chunk(&payload, chunk_size, idx)))
+            .collect();
         let mut macs = Vec::with_capacity(n as usize);
         let mut prev = chain_seed(&key);
         for (idx, d) in digests.iter().enumerate() {
@@ -287,13 +230,11 @@ pub struct ChunkAssembler {
     filled: usize,
     next_idx: u32,
     prev_mac: ChunkMac,
-    /// Running SHA-256 over the verified prefix (speculative restore):
-    /// when enabled, every accepted chunk is folded into the digest as
-    /// it arrives, so [`ChunkAssembler::finish`] only *finalizes* the
-    /// hash instead of re-walking the whole payload after the final
-    /// chunk. Not serialized; re-enabled (and re-seeded from the buffer)
-    /// after a restore.
-    hasher: Option<Sha256>,
+    /// Running stream digest over the verified prefix: every accepted
+    /// chunk's digest is folded in as it arrives, so
+    /// [`ChunkAssembler::finish`] only *finalizes* the hash. Not
+    /// serialized; re-seeded from the restored prefix.
+    hasher: Sha256,
 }
 
 impl std::fmt::Debug for ChunkAssembler {
@@ -341,7 +282,7 @@ impl ChunkAssembler {
             buf,
             filled: 0,
             next_idx: 0,
-            hasher: None,
+            hasher: Sha256::new(),
         })
     }
 
@@ -354,23 +295,6 @@ impl ChunkAssembler {
         buf.copy_from_slice(bytes);
         self.filled = end;
         Ok(())
-    }
-
-    /// Switches the assembler to incremental digesting (speculative
-    /// restore): chunks already received and every chunk accepted from
-    /// now on are folded into a running SHA-256, making the final
-    /// digest check O(1) in the payload size. Idempotent.
-    pub fn enable_incremental_digest(&mut self) {
-        if self.hasher.is_none() {
-            // The stream digest is a digest-of-digests, so fold the
-            // 32-byte digest of every fully buffered chunk — not the
-            // raw bytes — and let `accept` continue from there.
-            let mut hasher = Sha256::new();
-            for chunk in self.received().chunks(self.chunk_size as usize) {
-                hasher.update(&sha256(chunk));
-            }
-            self.hasher = Some(hasher);
-        }
     }
 
     /// The verified payload prefix received so far (every byte covered
@@ -432,9 +356,7 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("chunk chain MAC mismatch"));
         }
         self.append(payload)?;
-        if let Some(hasher) = &mut self.hasher {
-            hasher.update(&d);
-        }
+        self.hasher.update(&d);
         self.prev_mac = expected;
         self.next_idx += 1;
         Ok(())
@@ -451,20 +373,7 @@ impl ChunkAssembler {
         if !self.is_complete() {
             return Err(MigError::Transfer("stream incomplete"));
         }
-        // Speculative restore: the digest was folded in chunk by chunk,
-        // leaving only the finalize here; otherwise walk the payload
-        // chunk-wise now (the legacy unseal-after-complete path).
-        let digest = match self.hasher {
-            Some(hasher) => hasher.finalize(),
-            None => {
-                let mut hasher = Sha256::new();
-                for chunk in self.buf.chunks(self.chunk_size as usize) {
-                    hasher.update(&sha256(chunk));
-                }
-                hasher.finalize()
-            }
-        };
-        if !ct_eq(&digest, &self.digest) {
+        if !ct_eq(&self.hasher.finalize(), &self.digest) {
             return Err(MigError::Transfer("state digest mismatch"));
         }
         Ok(self.buf)
@@ -510,6 +419,11 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("restored buffer length mismatch"));
         }
         assembler.append(prefix)?;
+        // The stream digest is a digest-of-digests: fold the digest of
+        // every restored chunk, as `accept` would have.
+        for chunk in prefix.chunks(chunk_size as usize) {
+            assembler.hasher.update(&sha256(chunk));
+        }
         assembler.next_idx = next_idx;
         assembler.prev_mac = prev_mac;
         Ok(assembler)
@@ -546,28 +460,6 @@ mod tests {
             assert_eq!(asm.n_chunks(), stream.n_chunks());
             stream_through(&stream, &mut asm, 0).unwrap();
             assert_eq!(*asm.finish().unwrap(), *data);
-        }
-    }
-
-    #[test]
-    fn lane_count_never_changes_macs_or_digest() {
-        // Deterministic idx % lanes assignment: every lane count
-        // (including more lanes than chunks) yields byte-identical
-        // chain MACs and stream digest.
-        for len in [1usize, 255, 256, 1000] {
-            let data = payload(len);
-            let base = ChunkStream::new([9; 16], 64, data.clone());
-            for lanes in [1u32, 2, 3, 4, 8, 64] {
-                let fanned = ChunkStream::with_lanes([9; 16], 64, data.clone(), lanes);
-                assert_eq!(fanned.digest(), base.digest(), "lanes={lanes} len={len}");
-                for idx in 0..base.n_chunks() {
-                    assert_eq!(
-                        fanned.chunk(idx),
-                        base.chunk(idx),
-                        "lanes={lanes} idx={idx}"
-                    );
-                }
-            }
         }
     }
 
@@ -624,34 +516,6 @@ mod tests {
         assert_eq!(restored.next_idx(), 3);
         stream_through(&stream, &mut restored, 3).unwrap();
         assert_eq!(*restored.finish().unwrap(), *data);
-    }
-
-    #[test]
-    fn incremental_digest_matches_final_hash() {
-        let data = payload(1000);
-        let stream = ChunkStream::new([9; 16], 128, data.clone());
-        // Enabled from the start.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
-        asm.enable_incremental_digest();
-        stream_through(&stream, &mut asm, 0).unwrap();
-        assert_eq!(*asm.finish().unwrap(), *data);
-        // Enabled mid-stream (the restore path): bytes already received
-        // are folded in at enable time.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
-        for idx in 0..3 {
-            let (c, m) = stream.chunk(idx);
-            asm.accept(idx, c, &m).unwrap();
-        }
-        assert_eq!(asm.received().len(), 3 * 128);
-        asm.enable_incremental_digest();
-        asm.enable_incremental_digest(); // idempotent
-        stream_through(&stream, &mut asm, 3).unwrap();
-        assert_eq!(*asm.finish().unwrap(), *data);
-        // A wrong announced digest still rejects on the incremental path.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, [0; 32]).unwrap();
-        asm.enable_incremental_digest();
-        stream_through(&stream, &mut asm, 0).unwrap();
-        assert!(matches!(asm.finish(), Err(MigError::Transfer(_))));
     }
 
     #[test]

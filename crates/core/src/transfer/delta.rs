@@ -211,10 +211,16 @@ impl DeltaManifest {
         Ok(())
     }
 
+    /// Length of [`DeltaManifest::to_bytes`] in bytes.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        8 + 8 + 4 + 8 + 8 + 32 + 32 + 4 + 4 * self.dirty.len()
+    }
+
     /// Serializes the manifest (travels inside `DeltaStart`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.encoded_len());
         w.u64(self.base_generation);
         w.u64(self.new_generation);
         w.u32(self.page_size);

@@ -44,6 +44,14 @@
 //! migration cannot starve a small one. State at or below
 //! [`TransferConfig::stream_threshold`] still travels in the original
 //! single-shot `Transfer` message (the small-state fast path).
+//!
+//! Every message a source ME sends in one burst — single-shot
+//! transfers, resume requests, announcements and chunks, in that order
+//! — rides in `TRANSFER` containers of up to the link's negotiated
+//! [`TransferConfig::batch_size`] sealed cells, one destination ECALL
+//! per container. The destination restores speculatively: each chunk
+//! is staged and folded into the running state digest as it verifies,
+//! so the last chunk only finalizes the digest check and releases.
 
 pub mod checkpoint;
 pub mod chunker;
@@ -87,14 +95,10 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 6;
 /// Default base of the supervisor's bounded exponential backoff
 /// (attempt *n* waits `backoff_base * 2^(n-1)` of virtual time).
 pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Default hot-call batch size: 1 keeps the legacy one-frame-per-
-/// transition `TRANSFER` path (and the exact 2×chunks transition
-/// profile earlier telemetry asserts on).
+/// Default hot-call batch size: 1 puts every stream cell in a
+/// `TRANSFER` container of its own (one enclave transition per cell,
+/// the 2×chunks transition profile).
 pub const DEFAULT_BATCH_SIZE: u32 = 1;
-/// Default seal/digest worker-lane count (1 = serial pipeline).
-pub const DEFAULT_SEAL_LANES: u32 = 1;
-/// Largest accepted seal/digest worker-lane count.
-pub const MAX_SEAL_LANES: u32 = 64;
 
 /// Tuning knobs of the streaming state transfer, provisioned into each
 /// Migration Enclave alongside the migration policy. `chunk_size` and
@@ -123,14 +127,6 @@ pub struct TransferConfig {
     /// Byte budget of the per-measurement generation cache (delta
     /// bases); least-recently-used entries are evicted beyond it.
     pub cache_budget: u64,
-    /// Destination-side **speculative restore**: unseal and stage
-    /// verified HMAC-chain prefixes as chunks arrive (incremental
-    /// whole-state digest; delta bases staged and overlaid page by
-    /// page), so the final chunk only finalizes the digest check and
-    /// releases. Off = the legacy unseal-after-complete path. Release
-    /// rules (digest-before-release, validate-before-apply, quarantine
-    /// on tamper) are identical either way.
-    pub speculative_restore: bool,
     /// Virtual-time deadline for one supervised migration. When it
     /// lapses the [`crate::supervisor::MigrationSupervisor`] stops
     /// retrying and aborts with the source still authoritative.
@@ -141,17 +137,13 @@ pub struct TransferConfig {
     /// Base of the supervisor's bounded exponential backoff: recovery
     /// attempt *n* waits `backoff_base * 2^(n-1)` of virtual time.
     pub backoff_base: Duration,
-    /// Hot-call batch size: how many sealed cells one `TRANSFER_BATCH`
-    /// ECALL moves (and, on the receive side, the advertisement made to
-    /// peers during channel negotiation — the effective link batch is
-    /// `min(sender config, receiver advertisement)`). 1 keeps the
-    /// legacy one-frame-per-transition path.
+    /// Hot-call batch size: how many sealed cells one `TRANSFER`
+    /// container (one ECALL at the destination) carries at most — and,
+    /// on the receive side, the advertisement made to peers during
+    /// channel negotiation: the effective link batch is
+    /// `min(sender config, receiver advertisement)`. 1 sends every cell
+    /// in a container of its own.
     pub batch_size: u32,
-    /// Seal/digest worker lanes: chunk digests and cell AEAD work fan
-    /// out over this many deterministic lanes (assignment by chunk
-    /// index, so wire bytes and TRACE.json stay byte-identical). 1 =
-    /// serial.
-    pub seal_lanes: u32,
 }
 
 impl Default for TransferConfig {
@@ -164,12 +156,10 @@ impl Default for TransferConfig {
             max_delta_percent: DEFAULT_MAX_DELTA_PERCENT,
             max_streams: DEFAULT_MAX_STREAMS,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            speculative_restore: true,
             deadline: DEFAULT_DEADLINE,
             retry_budget: DEFAULT_RETRY_BUDGET,
             backoff_base: DEFAULT_BACKOFF_BASE,
             batch_size: DEFAULT_BATCH_SIZE,
-            seal_lanes: DEFAULT_SEAL_LANES,
         }
     }
 }
@@ -206,12 +196,10 @@ impl TransferConfig {
         w.u32(self.max_delta_percent);
         w.u32(self.max_streams);
         w.u64(self.cache_budget);
-        w.u8(u8::from(self.speculative_restore));
         w.u64(self.deadline.as_nanos().min(u128::from(u64::MAX)) as u64);
         w.u32(self.retry_budget);
         w.u64(self.backoff_base.as_nanos().min(u128::from(u64::MAX)) as u64);
         w.u32(self.batch_size);
-        w.u32(self.seal_lanes);
     }
 
     /// Parses a config, rejecting degenerate geometry.
@@ -221,7 +209,8 @@ impl TransferConfig {
     /// [`SgxError::Decode`] on malformed input, a chunk size below
     /// [`MIN_CHUNK_SIZE`], a zero window, a window ceiling below the
     /// initial window, a delta fraction above 100 %, a zero stream cap,
-    /// a zero cache budget, a zero deadline, or a zero backoff base.
+    /// a zero cache budget, a zero deadline, a zero backoff base, or a
+    /// batch size outside `1..=`[`MAX_BATCH`](crate::me::wire::MAX_BATCH).
     pub fn decode(r: &mut WireReader<'_>) -> Result<Self, SgxError> {
         let config = TransferConfig {
             stream_threshold: r.u32()?,
@@ -231,12 +220,10 @@ impl TransferConfig {
             max_delta_percent: r.u32()?,
             max_streams: r.u32()?,
             cache_budget: r.u64()?,
-            speculative_restore: r.u8()? != 0,
             deadline: Duration::from_nanos(r.u64()?),
             retry_budget: r.u32()?,
             backoff_base: Duration::from_nanos(r.u64()?),
             batch_size: r.u32()?,
-            seal_lanes: r.u32()?,
         };
         if config.chunk_size < MIN_CHUNK_SIZE
             || config.window == 0
@@ -248,8 +235,6 @@ impl TransferConfig {
             || config.backoff_base.is_zero()
             || config.batch_size == 0
             || config.batch_size > crate::me::wire::MAX_BATCH
-            || config.seal_lanes == 0
-            || config.seal_lanes > MAX_SEAL_LANES
         {
             return Err(SgxError::Decode);
         }
@@ -271,12 +256,10 @@ mod tests {
             max_delta_percent: 10,
             max_streams: 4,
             cache_budget: 8 * 1024 * 1024,
-            speculative_restore: false,
             deadline: Duration::from_secs(7),
             retry_budget: 2,
             backoff_base: Duration::from_millis(1),
             batch_size: 16,
-            seal_lanes: 4,
         };
         let mut w = WireWriter::new();
         config.encode(&mut w);
@@ -285,8 +268,8 @@ mod tests {
         assert_eq!(TransferConfig::decode(&mut r).unwrap(), config);
         r.finish().unwrap();
         // Every field is required: an encoding cut before `batch_size`,
-        // or inside `seal_lanes`, is rejected.
-        for cut in [buf.len() - 8, buf.len() - 1] {
+        // or inside it, is rejected.
+        for cut in [buf.len() - 4, buf.len() - 1] {
             let mut r = WireReader::new(&buf[..cut]);
             assert!(TransferConfig::decode(&mut r).is_err(), "cut at {cut}");
         }
@@ -338,14 +321,6 @@ mod tests {
             },
             TransferConfig {
                 batch_size: crate::me::wire::MAX_BATCH + 1,
-                ..ok
-            },
-            TransferConfig {
-                seal_lanes: 0,
-                ..ok
-            },
-            TransferConfig {
-                seal_lanes: MAX_SEAL_LANES + 1,
                 ..ok
             },
         ];

@@ -6,6 +6,7 @@ use cloud_sim::machine::MachineLabels;
 use mig_core::me::{me_image, ops as me_ops, MeAction, MigrationEnclave};
 use mig_core::operator::CloudOperator;
 use mig_core::policy::MigrationPolicy;
+use mig_core::transfer::TransferConfig;
 use mig_crypto::ed25519::VerifyingKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,6 +52,7 @@ fn provision(f: &Fixture, me: &EnclaveHandle, policy: &MigrationPolicy) {
     w.array(&f.operator.root_key().0);
     w.array(&f.ias.verifying_key().0);
     w.bytes(&policy.to_bytes());
+    TransferConfig::default().encode(&mut w);
     me.ecall(me_ops::PROVISION, &w.finish()).unwrap();
 }
 
@@ -87,6 +89,7 @@ fn provisioning_rejects_credential_for_wrong_key() {
     w.array(&f.operator.root_key().0);
     w.array(&f.ias.verifying_key().0);
     w.bytes(&MigrationPolicy::same_operator_only().to_bytes());
+    TransferConfig::default().encode(&mut w);
     let err = me.ecall(me_ops::PROVISION, &w.finish()).unwrap_err();
     assert!(
         matches!(err, SgxError::Enclave(ref m) if m.contains("does not match")),
@@ -112,6 +115,7 @@ fn provisioning_rejects_forged_credential() {
     w.array(&f.operator.root_key().0); // genuine root
     w.array(&f.ias.verifying_key().0);
     w.bytes(&MigrationPolicy::same_operator_only().to_bytes());
+    TransferConfig::default().encode(&mut w);
     let err = me.ecall(me_ops::PROVISION, &w.finish()).unwrap_err();
     assert!(
         matches!(err, SgxError::Enclave(ref m) if m.contains("credential")),
@@ -248,7 +252,7 @@ fn me_action_encodings_round_trip() {
         },
         MeAction::SendRemote {
             destination: MachineId(8),
-            transfer: vec![4, 5],
+            frames: vec![vec![4, 5], vec![]],
         },
         MeAction::AckSource {
             source: MachineId(9),

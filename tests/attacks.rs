@@ -468,6 +468,7 @@ fn migration_to_foreign_operator_machine_rejected() {
         let ias_vk = dc.world().ias().verifying_key();
         w.array(&ias_vk.0);
         w.bytes(&MigrationPolicy::same_operator_only().to_bytes());
+        mig_core::transfer::TransferConfig::default().encode(&mut w);
         enclave.ecall(me_ops::PROVISION, &w.finish()).unwrap();
 
         let endpoint = cloud_sim::network::Endpoint::new(m2, ME_SERVICE);

@@ -1,16 +1,18 @@
 //! Adversarial end-to-end tests of the hot-call batched TRANSFER path:
-//! a `TRANSFER_BATCH` container carries many sealed cells through one
-//! enclave transition, so every attack that used to target individual
-//! `RA_TRANSFER` frames gets re-run against the container — tampering
-//! inside a batch, replaying whole containers, truncating one mid-cell,
-//! downgrade negotiation with a batch-incapable peer, and an ME crash
-//! while a batch is partially acknowledged.
+//! on a link with a negotiated batch size above 1, one `RA_TRANSFER`
+//! container carries many sealed cells through one enclave transition,
+//! so every attack on single frames gets re-run against the container —
+//! tampering inside a batch, replaying whole containers, truncating one
+//! mid-cell, downgrade negotiation with a batch-incapable peer, an ME
+//! crash while a batch is partially acknowledged — and a single-shot
+//! transfer shares a container with stream cells.
 
 use cloud_sim::machine::MachineLabels;
 use cloud_sim::network::{Envelope, TapAction};
 use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
 use mig_core::datacenter::{Datacenter, ResumableOutcome};
 use mig_core::host::{tags, AppStatus};
+use mig_core::library::state::MigrationData;
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
 use mig_core::transfer::TransferConfig;
@@ -41,7 +43,6 @@ fn batched_config() -> TransferConfig {
         window: 8,
         max_window: 8,
         batch_size: 4,
-        seal_lanes: 2,
         ..TransferConfig::default()
     }
 }
@@ -112,7 +113,7 @@ fn tampered_cell_mid_batch_keeps_verified_prefix_and_replay_is_inert() {
                 if e.from.machine == m1
                     && e.to.machine == m2
                     && e.from.service == "me"
-                    && e.payload.first() == Some(&tags::RA_TRANSFER_BATCH)
+                    && e.payload.first() == Some(&tags::RA_TRANSFER)
                 {
                     let n = seen.fetch_add(1, Ordering::SeqCst);
                     if tampering.load(Ordering::SeqCst) && n == 2 {
@@ -163,7 +164,7 @@ fn tampered_cell_mid_batch_keeps_verified_prefix_and_replay_is_inert() {
         .filter(|e| {
             e.from.machine == m1
                 && e.to.machine == m2
-                && e.payload.first() == Some(&tags::RA_TRANSFER_BATCH)
+                && e.payload.first() == Some(&tags::RA_TRANSFER)
         })
         .cloned()
         .collect();
@@ -200,7 +201,7 @@ fn batch_truncated_mid_cell_rejected_before_aead() {
                 if e.from.machine == m1
                     && e.to.machine == m2
                     && e.from.service == "me"
-                    && e.payload.first() == Some(&tags::RA_TRANSFER_BATCH)
+                    && e.payload.first() == Some(&tags::RA_TRANSFER)
                 {
                     let n = seen.fetch_add(1, Ordering::SeqCst);
                     if truncating.load(Ordering::SeqCst) && n == 1 {
@@ -226,8 +227,10 @@ fn batch_truncated_mid_cell_rejected_before_aead() {
     );
     let errors = dc.me_host(m2).lock().errors.clone();
     assert!(
-        errors.iter().any(|e| e.contains("ra transfer batch")),
-        "the malformed container surfaces as a TRANSFER_BATCH ECALL error: {errors:?}"
+        errors
+            .iter()
+            .any(|e| e.starts_with("ra transfer:") && e.contains("malformed transfer container")),
+        "the malformed container surfaces as a TRANSFER ECALL framing error: {errors:?}"
     );
 
     truncating.store(false, Ordering::SeqCst);
@@ -236,15 +239,20 @@ fn batch_truncated_mid_cell_rejected_before_aead() {
     verify_destination(&mut dc);
 }
 
+/// Cell count of an `RA_TRANSFER` frame: the frame is
+/// `[tag][u32 len][u32 count][u32 cell0-len][cell0…]…`.
+fn cell_count(payload: &[u8]) -> u32 {
+    u32::from_le_bytes(payload[5..9].try_into().unwrap())
+}
+
 /// Mixed fleet: a batch-capable source negotiating with a peer
-/// provisioned at `batch_size: 1` falls back to the per-frame path —
-/// zero containers on the wire, zero `me.batches_sealed` — and the
-/// migration still completes byte-exactly.
+/// provisioned at `batch_size: 1` falls back to one cell per container
+/// — one frame per chunk, zero `me.batches_sealed` — and the migration
+/// still completes byte-exactly.
 #[test]
 fn mixed_peers_negotiate_down_to_per_frame_path() {
     let legacy = TransferConfig {
         batch_size: 1,
-        seal_lanes: 1,
         ..batched_config()
     };
     let (mut dc, m1, m2) = dc_with_configs(1703, batched_config(), legacy);
@@ -257,15 +265,15 @@ fn mixed_peers_negotiate_down_to_per_frame_path() {
         dc.world_mut()
             .network_mut()
             .add_tap(Box::new(move |e: &Envelope| {
-                if e.from.machine == m1 && e.to.machine == m2 && e.from.service == "me" {
-                    match e.payload.first() {
-                        Some(&tags::RA_TRANSFER_BATCH) => {
-                            batch_frames.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Some(&tags::RA_TRANSFER) => {
-                            single_frames.fetch_add(1, Ordering::SeqCst);
-                        }
-                        _ => {}
+                if e.from.machine == m1
+                    && e.to.machine == m2
+                    && e.from.service == "me"
+                    && e.payload.first() == Some(&tags::RA_TRANSFER)
+                {
+                    if cell_count(&e.payload) == 1 {
+                        single_frames.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        batch_frames.fetch_add(1, Ordering::SeqCst);
                     }
                 }
                 TapAction::Deliver
@@ -278,13 +286,15 @@ fn mixed_peers_negotiate_down_to_per_frame_path() {
     assert_eq!(
         batch_frames.load(Ordering::SeqCst),
         0,
-        "a batch-size-1 peer must never be sent a container"
-    );
-    assert!(
-        single_frames.load(Ordering::SeqCst) > 30,
-        "the stream fell back to one frame per chunk"
+        "a batch-size-1 peer must never be sent a container of several cells"
     );
     let telemetry = dc.fleet_telemetry().unwrap();
+    let chunks = telemetry.counters.get("me.chunks_received").copied();
+    assert!(chunks.is_some_and(|n| n > 30), "streamed: {chunks:?}");
+    assert!(
+        single_frames.load(Ordering::SeqCst) as u64 > chunks.unwrap_or(0),
+        "at least one RA_TRANSFER frame per chunk (plus the announcement)"
+    );
     assert_eq!(telemetry.counters.get("me.batches_sealed"), Some(&0));
     assert_eq!(telemetry.counters.get("me.batches_received"), Some(&0));
     verify_destination(&mut dc);
@@ -313,9 +323,9 @@ fn me_crash_resumes_from_partially_acked_batch() {
                 if e.from.machine == m1
                     && e.to.machine == m2
                     && e.from.service == "me"
-                    && e.payload.first() == Some(&tags::RA_TRANSFER_BATCH)
+                    && e.payload.first() == Some(&tags::RA_TRANSFER)
                 {
-                    if counting_resume.load(Ordering::SeqCst) {
+                    if counting_resume.load(Ordering::SeqCst) && cell_count(&e.payload) > 1 {
                         resumed_batches.fetch_add(1, Ordering::SeqCst);
                     }
                     // Let two containers through, then cut the cable.
@@ -377,5 +387,112 @@ fn batched_migration_telemetry_is_deterministic() {
         a.counters.get("me.batches_sealed"),
         a.counters.get("me.batches_received"),
         "every sealed container was received"
+    );
+}
+
+/// One burst, both transfer kinds: a small single-shot migration and a
+/// streamed one queued before the ME↔ME channel exists leave together
+/// in the burst the channel handshake releases, so the single-shot
+/// `Transfer` cell shares its container with the stream's announcement
+/// and first chunks. Both release exactly once with the source's bytes,
+/// and the destination takes fewer `TRANSFER` ECALLs than cells arrive.
+#[test]
+fn single_shot_and_stream_cells_share_one_container() {
+    let config = TransferConfig {
+        stream_threshold: 16 * 1024,
+        ..batched_config()
+    };
+    let (mut dc, m1, m2) = dc_with_configs(1706, config, config);
+
+    // (frames, cells, the first frame's cell count and first cell length)
+    let wire = Arc::new(parking_lot::Mutex::new((0u32, 0u32, None::<(u32, u32)>)));
+    let forwards = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
+    {
+        let wire = Arc::clone(&wire);
+        let forwards = Arc::clone(&forwards);
+        dc.world_mut()
+            .network_mut()
+            .add_tap(Box::new(move |e: &Envelope| {
+                if e.from.machine == m1
+                    && e.to.machine == m2
+                    && e.from.service == "me"
+                    && e.payload.first() == Some(&tags::RA_TRANSFER)
+                {
+                    let mut wire = wire.lock();
+                    let count = cell_count(&e.payload);
+                    let first_cell = u32::from_le_bytes(e.payload[9..13].try_into().unwrap());
+                    wire.0 += 1;
+                    wire.1 += count;
+                    wire.2.get_or_insert((count, first_cell));
+                }
+                if e.to.machine == m2 && e.payload.first() == Some(&tags::ME_FORWARD) {
+                    forwards.lock().push(e.to.service.clone());
+                }
+                TapAction::Deliver
+            }));
+    }
+
+    deploy_loaded_pair(&mut dc, m1, m2);
+    let small_image = EnclaveImage::build(
+        "batch-kv-small",
+        1,
+        b"kvstore",
+        &EnclaveSigner::from_seed([76; 32]),
+    );
+    dc.deploy_app(
+        "small-src",
+        m1,
+        &small_image,
+        KvStore::new(),
+        InitRequest::New,
+    )
+    .unwrap();
+    dc.call_app("small-src", kv_ops::INIT, &[]).unwrap();
+    dc.call_app(
+        "small-src",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(1, 4096, 0x21),
+    )
+    .unwrap();
+    dc.deploy_app(
+        "small-dst",
+        m2,
+        &small_image,
+        KvStore::new(),
+        InitRequest::Migrate,
+    )
+    .unwrap();
+    let small_sent = dc
+        .app_bulk_state("small-src")
+        .unwrap()
+        .expect("small state");
+    let large_sent = dc.app_bulk_state("src").unwrap().expect("large state");
+    assert!(small_sent.len() <= 16 * 1024 && large_sent.len() > 16 * 1024);
+
+    dc.migrate_apps_concurrent(&[("small-src", "small-dst"), ("src", "dst")])
+        .unwrap();
+
+    // Exactly one release per migration, each the source's bytes.
+    let mut forwards = forwards.lock().clone();
+    forwards.sort();
+    assert_eq!(forwards, ["app:dst", "app:small-dst"], "one release each");
+    assert!(dc.app_bulk_state("small-dst").unwrap() == Some(small_sent.clone()));
+    assert!(dc.app_bulk_state("dst").unwrap() == Some(large_sent));
+    verify_destination(&mut dc);
+
+    // The first container leads with the single-shot Transfer cell (its
+    // sealed length: tag, measurement, Table I payload and state behind
+    // their lengths, GCM tag) and carries stream cells behind it.
+    let (frames, cells, first) = *wire.lock();
+    let transfer_cell_len = 1 + 32 + 4 + MigrationData::WIRE_SIZE + 4 + small_sent.len() + 16;
+    assert_eq!(first, Some((4, transfer_cell_len as u32)));
+    let telemetry = dc.fleet_telemetry().unwrap();
+    assert_eq!(telemetry.counters.get("me.singleshot_transfers"), Some(&1));
+    assert_eq!(telemetry.counters.get("me.announcements"), Some(&1));
+    // One TRANSFER ECALL per frame, several cells per ECALL.
+    assert!(frames < cells, "{frames} TRANSFER ECALLs for {cells} cells");
+    assert_eq!(
+        telemetry.counters.get("me.batches_received"),
+        telemetry.counters.get("me.batches_sealed")
     );
 }

@@ -165,13 +165,14 @@ proptest! {
 
     /// Drives a receiver through a random interleaving of valid chunks,
     /// replays/skips (rejected, no progress), and crash/restore cycles
-    /// — under both restore modes, for full and delta streams — and
-    /// checks the released state always equals the sender's.
+    /// — for full and delta streams, with the delta base retained or
+    /// lost across each restart — and checks the released state always
+    /// equals the sender's.
     #[test]
     fn receiver_fsm_replays_converge_on_the_same_state(
         seed in any::<u8>(),
         is_delta in any::<bool>(),
-        speculative in any::<bool>(),
+        base_at_announce in any::<bool>(),
         events in proptest::collection::vec(0u32..6u32, 0..40)
     ) {
         let base: Vec<u8> = (0..30_000u32).map(|i| (i as u8).wrapping_add(seed)).collect();
@@ -187,20 +188,19 @@ proptest! {
             (ChunkStream::new([2; 16], 1024, new_state.clone()), None, new_state.clone())
         };
 
-        let start = |spec: bool| -> ReceiverFsm {
-            match &manifest {
-                Some(m) => ReceiverFsm::start_delta(
-                    MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1024,
-                    stream.digest(), m.clone(), Some(&base), spec,
-                ).unwrap(),
-                None => ReceiverFsm::start_full(
-                    MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1,
-                    stream.total_len(), 1024, stream.digest(), spec,
-                ).unwrap(),
-            }
+        // A delta stages onto the base when it is retained at announce
+        // (or restore) time and defers the apply to release otherwise.
+        let mut base_kept = base_at_announce;
+        let mut fsm = match &manifest {
+            Some(m) => ReceiverFsm::start_delta(
+                MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1024,
+                stream.digest(), m.clone(), base_kept.then_some(&base[..]),
+            ).unwrap(),
+            None => ReceiverFsm::start_full(
+                MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1,
+                stream.total_len(), 1024, stream.digest(),
+            ).unwrap(),
         };
-        let mut fsm = start(speculative);
-        let mut spec_now = speculative;
 
         for e in events {
             if fsm.is_complete() {
@@ -225,16 +225,17 @@ proptest! {
                         prop_assert_eq!(fsm.next_idx(), next);
                     }
                 }
-                // Crash: persist the assembler, restore (possibly with
-                // the other speculation mode — a re-provisioned ME).
+                // Crash: persist the assembler and restore — with the
+                // delta base surviving the downtime or not.
                 _ => {
                     let assembler = ChunkAssembler::from_bytes(&fsm.assembler_bytes()).unwrap();
-                    spec_now = !spec_now;
+                    base_kept = !base_kept;
                     fsm = ReceiverFsm::restore(
                         MachineId(1), MrEnclave([4; 32]), data(), fsm.generation(),
-                        assembler, manifest.clone(), Some(&base), spec_now,
+                        assembler, manifest.clone(), base_kept.then_some(&base[..]),
                     );
                     prop_assert_eq!(fsm.next_idx(), next);
+                    prop_assert_eq!(fsm.is_staged(), is_delta && base_kept);
                 }
             }
         }

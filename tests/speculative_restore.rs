@@ -1,9 +1,8 @@
-//! End-to-end coverage of destination-side **speculative restore**
-//! (`TransferConfig::speculative_restore`): the staged-prefix path and
-//! the legacy unseal-after-complete path must release bit-identical
-//! state for both full and dirty-page delta streams, and the
-//! destination host's release-latency telemetry must be populated by
-//! the final-chunk ECALL.
+//! End-to-end coverage of destination-side **speculative restore**, the
+//! one receiver path: each verified chunk is staged as it arrives
+//! (running state digest; a retained delta base overlaid page by page),
+//! and what the destination releases must be the source's bytes, for
+//! full and dirty-page delta streams alike.
 
 use cloud_sim::machine::MachineLabels;
 use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
@@ -28,29 +27,28 @@ fn image() -> EnclaveImage {
 const BULK_COUNT: u32 = 1024;
 const BULK_VALUE_LEN: u32 = 4096;
 
-fn config(speculative: bool) -> TransferConfig {
+fn config() -> TransferConfig {
     TransferConfig {
         stream_threshold: 64 * 1024,
         chunk_size: 256 * 1024,
         window: 4,
-        speculative_restore: speculative,
         ..TransferConfig::default()
     }
 }
 
-fn dc_pair(seed: u64, speculative: bool) -> (Datacenter, MachineId, MachineId) {
+fn dc_pair(seed: u64) -> (Datacenter, MachineId, MachineId) {
     let mut dc = Datacenter::new(seed);
     let policy = MigrationPolicy::same_operator_only();
-    let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config(speculative));
-    let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config(speculative));
+    let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config());
+    let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config());
     (dc, m1, m2)
 }
 
-/// Runs full migration → dirty pass → repeat (delta) migration and
-/// returns the two transferred snapshots, as released at each
-/// destination.
-fn full_then_delta_cycle(seed: u64, speculative: bool) -> (Vec<u8>, Vec<u8>) {
-    let (mut dc, m1, m2) = dc_pair(seed, speculative);
+#[test]
+fn streamed_full_and_delta_releases_match_the_source_bytes() {
+    // Full migration → dirty pass → repeat (delta) migration: each
+    // destination must release exactly the bytes its source staged.
+    let (mut dc, m1, m2) = dc_pair(4901);
     dc.deploy_app("src", m1, &image(), KvStore::new(), InitRequest::New)
         .unwrap();
     dc.call_app("src", kv_ops::INIT, &[]).unwrap();
@@ -60,6 +58,7 @@ fn full_then_delta_cycle(seed: u64, speculative: bool) -> (Vec<u8>, Vec<u8>) {
         &kvstore::encode_bulk_put(BULK_COUNT, BULK_VALUE_LEN, 0x5A),
     )
     .unwrap();
+    let sent_full = dc.app_bulk_state("src").unwrap().expect("source state");
     dc.deploy_app("dst", m2, &image(), KvStore::new(), InitRequest::Migrate)
         .unwrap();
     dc.migrate_app("src", "dst").unwrap();
@@ -67,16 +66,14 @@ fn full_then_delta_cycle(seed: u64, speculative: bool) -> (Vec<u8>, Vec<u8>) {
         .app_bulk_state("dst")
         .unwrap()
         .expect("full snapshot released at the destination");
-    // The telemetry the speculative-restore benchmark reads: the final
-    // chunk's ECALL released the payload.
-    let latency = dc.me_host(m2).lock().release_latency();
     assert!(
-        latency.is_some_and(|d| d > std::time::Duration::ZERO),
-        "destination recorded a time-to-release"
+        full_state == sent_full,
+        "full-stream release differs from the source"
     );
 
     // Dirty a slice of the working set at the destination and migrate
-    // back: a repeat migration, shipped as a dirty-page delta.
+    // back: a repeat migration, shipped as a dirty-page delta and
+    // staged onto the retained base.
     dc.call_app("dst", kv_ops::LOAD, &full_state).unwrap();
     dc.call_app(
         "dst",
@@ -84,6 +81,7 @@ fn full_then_delta_cycle(seed: u64, speculative: bool) -> (Vec<u8>, Vec<u8>) {
         &kvstore::encode_bulk_put(BULK_COUNT / 64, BULK_VALUE_LEN, 0xC3),
     )
     .unwrap();
+    let sent_delta = dc.app_bulk_state("dst").unwrap().expect("dirtied state");
     dc.deploy_app("back", m1, &image(), KvStore::new(), InitRequest::Migrate)
         .unwrap();
     dc.migrate_app("dst", "back").unwrap();
@@ -91,25 +89,17 @@ fn full_then_delta_cycle(seed: u64, speculative: bool) -> (Vec<u8>, Vec<u8>) {
         .app_bulk_state("back")
         .unwrap()
         .expect("delta snapshot released at the source machine");
-    (full_state, delta_state)
-}
-
-#[test]
-fn speculative_and_unseal_paths_release_identical_state() {
-    // Identical seeds → identical protocol runs up to the restore
-    // strategy; both modes must release byte-identical snapshots for
-    // the full stream and for the dirty-page delta stream.
-    let (full_spec, delta_spec) = full_then_delta_cycle(4901, true);
-    let (full_unseal, delta_unseal) = full_then_delta_cycle(4901, false);
-    assert_eq!(
-        full_spec, full_unseal,
-        "full-stream release differs between restore modes"
+    assert!(
+        delta_state == sent_delta,
+        "delta-stream release differs from the source"
     );
+    assert_ne!(full_state, delta_state, "the dirty pass changed the state");
+    let telemetry = dc.fleet_telemetry().unwrap();
     assert_eq!(
-        delta_spec, delta_unseal,
-        "delta-stream release differs between restore modes"
+        telemetry.counters.get("me.delta_fallbacks"),
+        Some(&0),
+        "the repeat migration shipped a delta, not a full fallback"
     );
-    assert_ne!(full_spec, delta_spec, "the dirty pass changed the state");
 }
 
 #[test]
@@ -121,7 +111,7 @@ fn speculative_restore_survives_destination_me_restart() {
     // `ReceiverFsm::restore` re-absorb of a partially received prefix —
     // are covered by `tests/me_recovery.rs` and the session-layer unit
     // and property tests.)
-    let (mut dc, m1, m2) = dc_pair(4903, true);
+    let (mut dc, m1, m2) = dc_pair(4903);
     dc.deploy_app("src", m1, &image(), KvStore::new(), InitRequest::New)
         .unwrap();
     dc.call_app("src", kv_ops::INIT, &[]).unwrap();
