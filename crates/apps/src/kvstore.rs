@@ -67,8 +67,16 @@ fn segment_aad(idx: u32) -> Vec<u8> {
 
 /// A parsed snapshot: version-counter id, version, entries.
 type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
-/// One cached staging segment: plaintext hash + sealed ciphertext.
-type Segment = ([u8; 32], Vec<u8>);
+
+/// One cached staging segment: its sealed ciphertext, with the hashes a
+/// restage needs so an unchanged segment is never hashed again.
+struct Segment {
+    /// SHA-256 of the plaintext (detects which segments a PUT dirtied).
+    plain_hash: [u8; 32],
+    /// SHA-256 of `sealed` (the segment's entry in the sealed index).
+    sealed_hash: [u8; 32],
+    sealed: Vec<u8>,
+}
 
 /// The in-enclave state of the KV store.
 #[derive(Default)]
@@ -124,23 +132,31 @@ impl KvStore {
     /// segments whose plaintext changed since the cache was built are
     /// resealed.
     fn restage(&mut self, ctx: &mut AppCtx<'_, '_>, snapshot: &[u8]) -> Result<Vec<u8>, SgxError> {
+        let mut cached = std::mem::take(&mut self.segments).into_iter();
         let mut segments = Vec::with_capacity(snapshot.len().div_ceil(SEGMENT_LEN));
         for (i, plain) in snapshot.chunks(SEGMENT_LEN).enumerate() {
-            let hash = sha256(plain);
-            let sealed = match self.segments.get(i) {
-                Some((cached_hash, sealed)) if *cached_hash == hash => sealed.clone(),
-                _ => ctx
-                    .lib
-                    .seal_migratable_data(ctx.env, &segment_aad(i as u32), plain)?,
+            let plain_hash = sha256(plain);
+            let segment = match cached.next() {
+                Some(segment) if segment.plain_hash == plain_hash => segment,
+                _ => {
+                    let sealed =
+                        ctx.lib
+                            .seal_migratable_data(ctx.env, &segment_aad(i as u32), plain)?;
+                    Segment {
+                        plain_hash,
+                        sealed_hash: sha256(&sealed),
+                        sealed,
+                    }
+                }
             };
-            segments.push((hash, sealed));
+            segments.push(segment);
         }
         self.segments = segments;
 
         let mut index = WireWriter::new();
         index.u32(self.segments.len() as u32);
-        for (_, sealed) in &self.segments {
-            index.array(&sha256(sealed));
+        for segment in &self.segments {
+            index.array(&segment.sealed_hash);
         }
         let sealed_index = ctx
             .lib
@@ -150,8 +166,8 @@ impl KvStore {
         w.u8(CONTAINER_MAGIC);
         w.bytes(&sealed_index);
         w.u32(self.segments.len() as u32);
-        for (_, sealed) in &self.segments {
-            w.bytes(sealed);
+        for segment in &self.segments {
+            w.bytes(&segment.sealed);
         }
         let container = w.finish();
         ctx.lib.stage_bulk_state(ctx.env, &container)?;
@@ -188,9 +204,9 @@ impl KvStore {
         // container's length bounds the snapshot: one allocation.
         let mut plain = Vec::with_capacity(bytes.len());
         let mut segments = Vec::with_capacity(n);
-        for (i, hash) in expected.iter().enumerate() {
+        for (i, sealed_hash) in expected.into_iter().enumerate() {
             let sealed = r.bytes()?;
-            if sha256(sealed) != *hash {
+            if sha256(sealed) != sealed_hash {
                 // A segment spliced in from another container version.
                 return Err(SgxError::MacMismatch);
             }
@@ -198,7 +214,11 @@ impl KvStore {
             if aad != segment_aad(i as u32) {
                 return Err(SgxError::Decode);
             }
-            segments.push((sha256(&seg), sealed.to_vec()));
+            segments.push(Segment {
+                plain_hash: sha256(&seg),
+                sealed_hash,
+                sealed: sealed.to_vec(),
+            });
             plain.extend_from_slice(&seg);
         }
         r.finish()?;

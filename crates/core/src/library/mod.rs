@@ -149,14 +149,15 @@ impl MigrationLibrary {
                     return Err(MigError::Sgx(SgxError::Decode));
                 }
                 // The checkpoint carries Table II plus any staged bulk
-                // state (see `persist`).
+                // state (see `persist`; a frozen blob carries none).
                 let mut r = WireReader::new(&plaintext);
                 let state = LibraryState::from_bytes(r.bytes()?)?;
-                let bulk_state = crate::me::read_opt(&mut r)?.map(Arc::from);
+                let bulk_state = crate::me::read_opt(&mut r)?;
                 r.finish()?;
                 if state.frozen != 0 {
                     return Err(MigError::Frozen);
                 }
+                let bulk_state = bulk_state.map(Arc::from);
                 // Fork detection (§VII-A): every active counter in the blob
                 // must still exist in the platform NVRAM. A blob captured
                 // before a migration references destroyed counters.
@@ -215,11 +216,14 @@ impl MigrationLibrary {
 
     /// Reseals Table II plus the staged bulk state into the blob the
     /// host stores: the plaintext is written once, behind the sealed
-    /// blob's reserved header, and sealed where it lies.
+    /// blob's reserved header, and sealed where it lies. A frozen blob
+    /// omits the bulk state: `init` refuses to restore it, so nothing
+    /// could read the state back, and the migration carries it through
+    /// the ME instead.
     fn persist(&mut self, env: &mut EnclaveEnv<'_>) {
         if let Some(state) = &self.state {
             let table = state.to_bytes();
-            let bulk = self.bulk_state.as_deref();
+            let bulk = self.bulk_state.as_deref().filter(|_| state.frozen == 0);
             let plain_len = 4 + table.len() + crate::me::opt_len(bulk);
             let mut buf = Vec::with_capacity(seal::sealed_size(STATE_AAD.len(), plain_len));
             buf.resize(seal::sealed_header_len(STATE_AAD.len()), 0);

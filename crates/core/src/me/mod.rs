@@ -46,14 +46,13 @@ use crate::operator::MeCredential;
 use crate::policy::MigrationPolicy;
 use crate::remote_attest::{transcript_bytes, RaConfig, RaInitiator, RaResponder, RaResponseQuote};
 use crate::secure_channel::{ChannelRole, SecureChannel};
-use crate::transfer::chunker::{ChunkStream, TransferNonce};
-use crate::transfer::delta::DeltaManifest;
+use crate::transfer::chunker::TransferNonce;
 use crate::transfer::TransferConfig;
 use mig_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use mig_crypto::gcm::TAG_LEN;
 use mig_crypto::x25519::PublicKey;
 use persist::GenerationCache;
-use session::OutgoingMigration;
+use session::{OutStream, OutgoingMigration};
 use sgx_sim::dh::{DhMsg2, DhResponder};
 use sgx_sim::enclave::{EnclaveCode, EnclaveEnv};
 use sgx_sim::ias::AttestationEvidence;
@@ -324,13 +323,11 @@ pub struct MigrationEnclave {
     /// Chunked transfers in reception, keyed by transfer nonce — each a
     /// [`ReceiverFsm`] staging the verified prefix.
     pub(crate) inbound: HashMap<TransferNonce, ReceiverFsm>,
-    /// Transient source-side chunk caches (chain MACs precomputed);
-    /// rebuilt on demand after a restore.
-    pub(crate) out_streams: HashMap<MrEnclave, ChunkStream>,
-    /// Transient manifests of outgoing delta streams (kept in lockstep
-    /// with `out_streams`, rebuilt by the same O(state) diff — so a
-    /// resume-to-zero re-announcement does not diff twice).
-    pub(crate) out_manifests: HashMap<MrEnclave, DeltaManifest>,
+    /// Transient send side of each announced outgoing stream: its chunk
+    /// cache (chain MACs precomputed), its delta manifest, and the page
+    /// digests of the generation it installs. Rebuilt on demand after a
+    /// restore.
+    pub(crate) out_streams: HashMap<MrEnclave, OutStream>,
     /// Last state generation held per enclave measurement (both roles:
     /// what we last shipped out and what we last received). Persisted;
     /// the delta base for repeat migrations. LRU-evicted beyond

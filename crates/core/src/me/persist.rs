@@ -4,14 +4,20 @@
 //! LRU-evicted per-measurement generation cache that backs dirty-page
 //! delta transfers.
 //!
+//! Each cached generation keeps its page-digest tree next to its bytes
+//! ([`DigestedState`]), taken from the stream that shipped or received
+//! it, so naming a delta base is a compare of generation, length and
+//! root, and no cached byte is hashed again while the ME runs.
+//!
 //! What survives a management-VM restart is exactly what correctness
 //! needs: identity and provisioning, every retained outgoing migration
 //! with its per-nonce [`StreamProgress`],
 //! parked incoming data, partially received inbound streams (their
 //! verified prefixes), and the generation cache with its LRU ticks.
-//! Channels, schedulers, link controllers, and the staging of inbound
-//! delta streams are ephemeral — rebuilt or renegotiated after the
-//! restore.
+//! The checkpoint holds each cached generation's bytes only; `RESTORE`
+//! recomputes its tree once, from the bytes it unsealed. Channels,
+//! schedulers, link controllers, and the staging of inbound delta
+//! streams are ephemeral — rebuilt or renegotiated after the restore.
 
 use crate::error::MigError;
 use crate::library::state::MigrationData;
@@ -20,7 +26,7 @@ use crate::me::{MeConfig, MigrationEnclave};
 use crate::operator::MeCredential;
 use crate::policy::MigrationPolicy;
 use crate::transfer::chunker::{ChunkAssembler, TransferNonce};
-use crate::transfer::delta::DeltaManifest;
+use crate::transfer::delta::{DeltaManifest, DigestedState};
 use crate::transfer::TransferConfig;
 use mig_crypto::ed25519::{SigningKey, VerifyingKey};
 use sgx_sim::enclave::EnclaveEnv;
@@ -42,7 +48,8 @@ use super::{read_opt, write_opt};
 /// stream via the `DeltaNack` path.
 pub(crate) struct CachedGeneration {
     pub(crate) generation: u64,
-    pub(crate) state: Arc<[u8]>,
+    /// The generation's bytes and page-digest tree.
+    pub(crate) state: DigestedState,
     /// LRU tick of the last insert or delta-base use (persisted so the
     /// eviction order survives restarts).
     pub(crate) last_used: u64,
@@ -65,14 +72,14 @@ fn evict_lru(
     budget: u64,
     pinned: &HashSet<MrEnclave>,
 ) -> u64 {
-    let mut total: u64 = cache.values().map(|c| c.state.len() as u64).sum();
+    let mut total: u64 = cache.values().map(|c| c.state.bytes().len() as u64).sum();
     let mut evicted = 0;
     while total > budget {
         let Some((victim, len)) = cache
             .iter()
             .filter(|(mr, _)| !pinned.contains(*mr))
             .min_by_key(|(_, c)| c.last_used)
-            .map(|(mr, c)| (*mr, c.state.len() as u64))
+            .map(|(mr, c)| (*mr, c.state.bytes().len() as u64))
         else {
             break;
         };
@@ -118,7 +125,7 @@ impl GenerationCache {
         &mut self,
         mr: MrEnclave,
         generation: u64,
-        state: Arc<[u8]>,
+        state: DigestedState,
         budget: u64,
         pinned: &HashSet<MrEnclave>,
     ) -> u64 {
@@ -137,13 +144,17 @@ impl GenerationCache {
     /// Total retained state bytes across every cached generation (the
     /// quantity [`evict_lru`] bounds; exported as a telemetry gauge).
     pub(crate) fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|c| c.state.len() as u64).sum()
+        self.entries
+            .values()
+            .map(|c| c.state.bytes().len() as u64)
+            .sum()
     }
 
     /// The retained entry for `mr` iff it content-addresses the base
-    /// named by `manifest`: generation number, length, AND whole-state
-    /// digest must match (generations renumber after a fallback reset,
-    /// so the number alone is not identity).
+    /// named by `manifest`: generation number, length, AND page-digest
+    /// root must match (generations renumber after a fallback reset, so
+    /// the number alone is not identity). The root is the cached one;
+    /// nothing is hashed.
     pub(crate) fn delta_base(
         &self,
         mr: &MrEnclave,
@@ -151,11 +162,8 @@ impl GenerationCache {
     ) -> Option<&CachedGeneration> {
         self.entries.get(mr).filter(|c| {
             c.generation == manifest.base_generation
-                && c.state.len() as u64 == manifest.base_len
-                && mig_crypto::ct::ct_eq(
-                    &mig_crypto::sha256::sha256(&c.state),
-                    &manifest.base_digest,
-                )
+                && c.state.bytes().len() as u64 == manifest.base_len
+                && mig_crypto::ct::ct_eq(&c.state.digests().root(), &manifest.base_digest)
         })
     }
 
@@ -165,7 +173,7 @@ impl GenerationCache {
             w.array(&mr.0);
             w.u64(cached.generation);
             w.u64(cached.last_used);
-            w.bytes(&cached.state);
+            w.bytes(cached.state.bytes());
         }
         w.u64(self.clock);
     }
@@ -177,7 +185,9 @@ impl GenerationCache {
             let mr = MrEnclave(r.array()?);
             let generation = r.u64()?;
             let last_used = r.u64()?;
-            let state: Arc<[u8]> = Arc::from(r.bytes()?);
+            // The checkpoint carries bytes only: rebuild the tree from
+            // what was unsealed.
+            let state = DigestedState::new(r.bytes()?);
             entries.insert(
                 mr,
                 CachedGeneration {
@@ -197,7 +207,7 @@ impl MigrationEnclave {
     /// provisioned byte budget. Bases referenced by announced-but-
     /// incomplete delta streams are pinned: the stream's payload is
     /// rebuilt from them on restore.
-    pub(crate) fn cache_insert(&mut self, mr: MrEnclave, generation: u64, state: Arc<[u8]>) {
+    pub(crate) fn cache_insert(&mut self, mr: MrEnclave, generation: u64, state: DigestedState) {
         let budget = self
             .config
             .as_ref()
@@ -389,25 +399,19 @@ impl MigrationEnclave {
         credential.verify(&operator_root)?;
 
         // Inbound streams come back with their staging rebuilt: the
-        // verified prefix is re-absorbed onto the (re-verified) base
-        // when the base survived; otherwise the stream falls back to the
-        // deferred-apply path.
+        // verified prefix is re-absorbed onto the base when it survived
+        // (its root re-derived from the restored bytes); otherwise the
+        // stream falls back to the deferred-apply path.
         let mut inbound = HashMap::new();
         for (nonce, source, mr_enclave, data, assembler, generation, manifest) in inbound_parts {
             let base = manifest
                 .as_ref()
                 .and_then(|m| cache.delta_base(&mr_enclave, m))
-                .map(|c| Arc::clone(&c.state));
+                .map(|c| &c.state);
             inbound.insert(
                 nonce,
                 ReceiverFsm::restore(
-                    source,
-                    mr_enclave,
-                    data,
-                    generation,
-                    assembler,
-                    manifest,
-                    base.as_deref(),
+                    source, mr_enclave, data, generation, assembler, manifest, base,
                 ),
             );
         }
@@ -425,7 +429,6 @@ impl MigrationEnclave {
         self.inbound = inbound;
         self.cache = cache;
         self.out_streams.clear();
-        self.out_manifests.clear();
         // Wire-layer state (adaptive links, scheduler rounds, cells) is
         // ephemeral: re-seeded from the provisioned config on the next
         // stream.
@@ -441,7 +444,7 @@ mod tests {
     fn entry(len: usize, last_used: u64) -> CachedGeneration {
         CachedGeneration {
             generation: 0,
-            state: vec![0u8; len].into(),
+            state: DigestedState::new(vec![0u8; len]),
             last_used,
         }
     }
@@ -500,21 +503,15 @@ mod tests {
 
     #[test]
     fn generation_cache_touch_and_content_addressing() {
+        use crate::transfer::delta::PageDigests;
         let mut cache = GenerationCache::default();
-        let state: Arc<[u8]> = vec![7u8; 8192].into();
-        cache.insert(
-            MrEnclave([1; 32]),
-            4,
-            Arc::clone(&state),
-            u64::MAX,
-            &no_pins(),
-        );
+        let state = DigestedState::new(vec![7u8; 8192]);
+        cache.insert(MrEnclave([1; 32]), 4, state.clone(), u64::MAX, &no_pins());
         cache.touch(&MrEnclave([1; 32]));
         assert_eq!(cache.get(&MrEnclave([1; 32])).unwrap().last_used, 2);
-        // delta_base is content-addressed: generation AND digest.
-        let digests =
-            crate::transfer::delta::PageDigests::compute(&state, crate::transfer::delta::PAGE_SIZE);
-        let (manifest, _) = crate::transfer::delta::diff(&digests, 4, 5, &vec![8u8; 8192]);
+        // delta_base is content-addressed: generation AND root.
+        let new = PageDigests::compute(&[8u8; 8192]);
+        let manifest = DeltaManifest::new(4, 5, state.digests(), &new, vec![0, 1]);
         assert!(cache.delta_base(&MrEnclave([1; 32]), &manifest).is_some());
         let mut wrong_gen = manifest.clone();
         wrong_gen.base_generation = 9;
@@ -524,5 +521,39 @@ mod tests {
         assert!(cache
             .delta_base(&MrEnclave([1; 32]), &wrong_digest)
             .is_none());
+    }
+
+    #[test]
+    fn restored_cache_rederives_each_root_from_its_bytes() {
+        // Bytes that change while outside the enclave (here: between
+        // encode and decode) come back with the tree of what was read,
+        // so a base whose bytes were altered behind its old digests no
+        // longer matches a manifest naming the old root.
+        use crate::transfer::delta::PageDigests;
+        let mut cache = GenerationCache::default();
+        let state = DigestedState::new(vec![7u8; 8192]);
+        cache.insert(MrEnclave([1; 32]), 4, state.clone(), u64::MAX, &no_pins());
+        let new = PageDigests::compute(&[8u8; 8192]);
+        let manifest = DeltaManifest::new(4, 5, state.digests(), &new, vec![0, 1]);
+        let mut w = WireWriter::new();
+        cache.encode(&mut w);
+        let mut bytes = w.finish();
+
+        let mut r = WireReader::new(&bytes);
+        let restored = GenerationCache::decode(&mut r).unwrap();
+        let base = restored.delta_base(&MrEnclave([1; 32]), &manifest).unwrap();
+        assert_eq!(base.state.digests(), state.digests());
+
+        // Flip the last state byte (the encoding ends with the clock).
+        let at = bytes.len() - 8 - 1;
+        bytes[at] ^= 1;
+        let mut r = WireReader::new(&bytes);
+        let altered = GenerationCache::decode(&mut r).unwrap();
+        let cached = altered.get(&MrEnclave([1; 32])).unwrap();
+        assert_eq!(
+            cached.state.digests(),
+            &PageDigests::compute(cached.state.bytes())
+        );
+        assert!(altered.delta_base(&MrEnclave([1; 32]), &manifest).is_none());
     }
 }

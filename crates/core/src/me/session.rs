@@ -8,9 +8,14 @@
 //! *incoming* chunk stream is a [`ReceiverFsm`] keyed by its
 //! [`TransferNonce`], verifying the HMAC chain chunk by chunk and
 //! restoring speculatively: the verified prefix is staged as it arrives
-//! (running whole-state digest; a retained delta base overlaid page by
-//! page), so the final chunk only finalizes the digest check and
+//! (each chunk's page leaves kept; a retained delta base overlaid page
+//! by page), so the final chunk only finalizes the digest checks and
 //! releases.
+//!
+//! Every state byte is hashed at most once per endpoint. A full stream
+//! hashes its pages once on each side, and the leaves it yields become
+//! the page-digest tree the generation cache keeps; a delta hashes only
+//! its dirty pages and derives the new tree from the cached base's.
 //!
 //! Both directions have one path. A send burst — single-shot
 //! transfers, resume requests, announcements, granted chunks — is
@@ -32,7 +37,7 @@ use crate::msgs::{LibToMe, MeToLib, MeToMe};
 use crate::transfer::chunker::{
     chunk_count, trace_id, ChunkAssembler, ChunkMac, ChunkStream, TransferNonce,
 };
-use crate::transfer::delta::{self, DeltaManifest, PageDigests, StagedApply};
+use crate::transfer::delta::{self, DeltaManifest, DigestedState, PageDigests, StagedApply};
 use crate::transfer::MIN_CHUNK_SIZE;
 use sgx_sim::enclave::EnclaveEnv;
 use sgx_sim::machine::MachineId;
@@ -756,22 +761,96 @@ impl OutgoingMigration {
     }
 }
 
+/// The send side of an announced stream: the chunk cache, the delta
+/// manifest when the stream ships one, and the page-digest tree of the
+/// generation the stream installs (cached as the next delta base once
+/// the destination holds it).
+pub(crate) struct OutStream {
+    pub(crate) chunks: ChunkStream,
+    manifest: Option<DeltaManifest>,
+    digests: PageDigests,
+}
+
+impl OutStream {
+    /// A full stream of `state`: hashing its chunks yields the state's
+    /// page leaves.
+    fn full(nonce: TransferNonce, chunk_size: u32, state: Arc<[u8]>) -> Result<Self, MigError> {
+        let chunks = ChunkStream::new(nonce, chunk_size, state);
+        let digests = PageDigests::from_leaves(chunks.total_len(), chunks.leaves().to_vec())?;
+        Ok(OutStream {
+            chunks,
+            manifest: None,
+            digests,
+        })
+    }
+
+    /// A delta stream of the `dirty` pages of a `new_len`-byte state,
+    /// packed in `payload`, against the cached `base`: the stream hashes
+    /// the dirty pages, and the new tree is the base's with their leaves.
+    #[allow(clippy::too_many_arguments)]
+    fn delta(
+        nonce: TransferNonce,
+        chunk_size: u32,
+        base: &DigestedState,
+        base_generation: u64,
+        generation: u64,
+        new_len: u64,
+        dirty: Vec<u32>,
+        payload: Vec<u8>,
+    ) -> Result<Self, MigError> {
+        let chunks = ChunkStream::new(nonce, chunk_size, payload);
+        let digests = base.digests().patch(new_len, &dirty, chunks.leaves())?;
+        let manifest =
+            DeltaManifest::new(base_generation, generation, base.digests(), &digests, dirty);
+        Ok(OutStream {
+            chunks,
+            manifest: Some(manifest),
+            digests,
+        })
+    }
+
+    /// The stream's announcement: `ChunkStart`, or `DeltaStart` for a
+    /// delta.
+    fn start_msg(&self, mr_enclave: MrEnclave, generation: u64, data: MigrationData) -> MeToMe {
+        let chunks = &self.chunks;
+        match &self.manifest {
+            None => MeToMe::ChunkStart {
+                mr_enclave,
+                nonce: chunks.nonce(),
+                generation,
+                total_len: chunks.total_len(),
+                chunk_size: chunks.chunk_size(),
+                state_digest: chunks.digest(),
+                data,
+            },
+            Some(manifest) => MeToMe::DeltaStart {
+                mr_enclave,
+                nonce: chunks.nonce(),
+                chunk_size: chunks.chunk_size(),
+                payload_digest: chunks.digest(),
+                manifest: manifest.clone(),
+                data,
+            },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Receiver side
 // ---------------------------------------------------------------------
 
 /// How the destination stages the arriving payload.
 enum Staging {
-    /// Full stream: the assembler's verified buffer *is* the state, its
-    /// whole-state digest folded in chunk by chunk.
+    /// Full stream: the assembler's verified buffer *is* the state, and
+    /// its chunks' leaves are the state's page leaves.
     Full,
-    /// Delta stream whose base was retained and content-verified at
-    /// announce time: the base is staged up front and dirty pages are
-    /// overlaid as their payload bytes verify.
+    /// Delta stream whose base was retained at announce time (matched
+    /// by generation, length and root): the base is staged up front and
+    /// dirty pages are overlaid as their payload bytes verify.
     StagedDelta(StagedApply),
     /// Delta stream whose base was missing at announce: assembled
-    /// without staging and applied after completion; NACKed when the
-    /// base is still missing then.
+    /// without staging and staged onto the base after completion;
+    /// NACKed when the base is still missing then.
     DeferredDelta(DeltaManifest),
 }
 
@@ -781,14 +860,15 @@ enum Staging {
 // only add an allocation.
 #[allow(clippy::large_enum_variant)]
 pub enum ReceiverRelease {
-    /// The whole-state digest checked out: the reconstructed state (and
-    /// the Table I payload that travelled with the announcement) is
-    /// released for parking/forwarding.
+    /// The digests checked out: the reconstructed state (and the Table I
+    /// payload that travelled with the announcement) is released for
+    /// parking/forwarding.
     Released {
         /// The Table I control payload.
         data: MigrationData,
-        /// The verified, reconstructed bulk state.
-        state: Arc<[u8]>,
+        /// The verified, reconstructed bulk state with its page-digest
+        /// tree (from the chunk leaves, or the delta's merged leaves).
+        state: DigestedState,
     },
     /// The stream is a delta whose base generation this enclave does not
     /// hold: the caller NACKs so the source restarts as a full stream.
@@ -802,14 +882,15 @@ pub enum ReceiverRelease {
 /// ([`ReceiverFsm::start_full`] / [`ReceiverFsm::start_delta`]), driven
 /// by [`ReceiverFsm::on_chunk`] until [`ReceiverFsm::is_complete`], then
 /// consumed by [`ReceiverFsm::release`] — which enforces the release
-/// rules unchanged from the batch path: whole-state digest before
-/// release, manifest validated before any page is applied, and any
-/// tamper evidence quarantines the stream (the partial state is
-/// dropped; a resume restarts it from chunk 0).
+/// rules: chain and stream digest before any release, manifest
+/// validated before any page is applied, a delta's page-digest root
+/// checked before it is released, and any tamper evidence quarantines
+/// the stream (the partial state is dropped; a resume restarts it from
+/// chunk 0).
 ///
-/// The expensive tail work is done as chunks arrive — the running
-/// digest and (for deltas) the staged base overlay — so `release` after
-/// the final chunk only finalizes.
+/// The expensive tail work is done as chunks arrive — page hashing, the
+/// running stream digest and (for deltas) the staged base overlay — so
+/// `release` after the final chunk only finalizes.
 pub struct ReceiverFsm {
     source: MachineId,
     mr_enclave: MrEnclave,
@@ -839,12 +920,24 @@ impl std::fmt::Debug for ReceiverFsm {
     }
 }
 
+/// Rejects an announced chunk size that is not a whole number of pages:
+/// chunk leaves must be page leaves.
+fn whole_pages(chunk_size: u32) -> Result<(), MigError> {
+    if chunk_size == 0 || !chunk_size.is_multiple_of(delta::PAGE_SIZE) {
+        return Err(MigError::Transfer(
+            "chunk size is not a whole number of pages",
+        ));
+    }
+    Ok(())
+}
+
 impl ReceiverFsm {
     /// Opens a receiver for an announced full-state stream.
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] on inconsistent announced geometry.
+    /// [`MigError::Transfer`] on inconsistent announced geometry or a
+    /// chunk size that is not a whole number of pages.
     #[allow(clippy::too_many_arguments)]
     pub fn start_full(
         source: MachineId,
@@ -856,6 +949,7 @@ impl ReceiverFsm {
         chunk_size: u32,
         state_digest: [u8; 32],
     ) -> Result<Self, MigError> {
+        whole_pages(chunk_size)?;
         let assembler = ChunkAssembler::new(nonce, chunk_size, total_len, state_digest)?;
         Ok(ReceiverFsm {
             source,
@@ -870,15 +964,16 @@ impl ReceiverFsm {
     /// Opens a receiver for an announced dirty-page delta stream.
     ///
     /// `base` is the retained candidate for the manifest's base
-    /// generation (already generation-matched by the caller); a
-    /// content-verified base makes the stream stage eagerly, otherwise
-    /// it defers the apply to completion — a base that is missing or
-    /// fails verification is *not* an error here: the NACK happens
-    /// after the last chunk, once the stream has drained.
+    /// generation (already matched by the caller); a base whose length
+    /// and root match the manifest makes the stream stage eagerly,
+    /// otherwise it defers the apply to completion — a base that is
+    /// missing or does not match is *not* an error here: the NACK
+    /// happens after the last chunk, once the stream has drained.
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] on inconsistent announced geometry.
+    /// [`MigError::Transfer`] on inconsistent announced geometry or a
+    /// chunk size that is not a whole number of pages.
     #[allow(clippy::too_many_arguments)]
     pub fn start_delta(
         source: MachineId,
@@ -888,8 +983,9 @@ impl ReceiverFsm {
         chunk_size: u32,
         payload_digest: [u8; 32],
         manifest: DeltaManifest,
-        base: Option<&[u8]>,
+        base: Option<&DigestedState>,
     ) -> Result<Self, MigError> {
+        whole_pages(chunk_size)?;
         let assembler =
             ChunkAssembler::new(nonce, chunk_size, manifest.payload_len(), payload_digest)?;
         let generation = manifest.new_generation;
@@ -909,9 +1005,9 @@ impl ReceiverFsm {
 
     /// Rebuilds a receiver from persisted parts (ME restore). The
     /// staging is reconstructed deterministically: the assembler's
-    /// verified prefix is re-absorbed onto the (re-verified) base; when
-    /// the base did not survive the restart the stream falls back to
-    /// the deferred path, exactly like a base evicted before announce.
+    /// verified prefix is re-absorbed onto the base; when the base did
+    /// not survive the restart the stream falls back to the deferred
+    /// path, exactly like a base evicted before announce.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn restore(
@@ -921,7 +1017,7 @@ impl ReceiverFsm {
         generation: u64,
         assembler: ChunkAssembler,
         manifest: Option<DeltaManifest>,
-        base: Option<&[u8]>,
+        base: Option<&DigestedState>,
     ) -> Self {
         let staging = match manifest {
             None => Staging::Full,
@@ -1033,9 +1129,10 @@ impl ReceiverFsm {
         Ok(())
     }
 
-    /// Consumes the completed stream, enforcing the release rules:
-    /// whole-state digest before release; a deferred delta is applied
-    /// onto `base` (validate-before-apply) or answered
+    /// Consumes the completed stream, enforcing the release rules: the
+    /// stream digest before any release, and for a delta the merged
+    /// page-digest root; a deferred delta is staged onto `base`
+    /// (validate-before-apply) or answered
     /// [`ReceiverRelease::BaseMissing`] when `base` is `None`.
     ///
     /// # Errors
@@ -1043,38 +1140,33 @@ impl ReceiverFsm {
     /// [`MigError::Transfer`] on an incomplete stream or any digest
     /// mismatch — the partial state is dropped with the consumed
     /// receiver (quarantine).
-    pub fn release(self, base: Option<&[u8]>) -> Result<ReceiverRelease, MigError> {
+    pub fn release(self, base: Option<&DigestedState>) -> Result<ReceiverRelease, MigError> {
         let ReceiverFsm {
             data,
             assembler,
             staging,
             ..
         } = self;
-        match staging {
+        // The chain's stream digest gates every release; the chunk
+        // leaves it verified are the state's (full) or the dirty pages'
+        // (delta) page leaves.
+        let (payload, leaves) = assembler.finish()?;
+        let state = match staging {
             Staging::Full => {
-                let state = assembler.finish()?;
-                Ok(ReceiverRelease::Released { data, state })
+                let digests = PageDigests::from_leaves(payload.len() as u64, leaves)?;
+                DigestedState::from_parts(payload, digests)?
             }
-            Staging::StagedDelta(staged) => {
-                // The chain's payload digest and the manifest's
-                // whole-state digest both still gate the release; both
-                // are running digests, so only the finalizes happen
-                // here.
-                assembler.finish()?;
-                let state: Arc<[u8]> = staged.finish()?.into();
-                Ok(ReceiverRelease::Released { data, state })
-            }
+            Staging::StagedDelta(staged) => staged.finish(&leaves)?,
             Staging::DeferredDelta(manifest) => {
-                let payload = assembler.finish()?;
-                match base {
-                    Some(base) => {
-                        let state: Arc<[u8]> = delta::apply(base, &manifest, &payload)?.into();
-                        Ok(ReceiverRelease::Released { data, state })
-                    }
-                    None => Ok(ReceiverRelease::BaseMissing),
-                }
+                let Some(base) = base else {
+                    return Ok(ReceiverRelease::BaseMissing);
+                };
+                let mut staged = StagedApply::new(base, &manifest)?;
+                staged.absorb(&payload)?;
+                staged.finish(&leaves)?
             }
-        }
+        };
+        Ok(ReceiverRelease::Released { data, state })
     }
 }
 
@@ -1107,7 +1199,6 @@ impl MigrationEnclave {
                 state,
             } => {
                 self.out_streams.remove(&mr);
-                self.out_manifests.remove(&mr);
                 self.outgoing.insert(
                     mr,
                     OutgoingMigration {
@@ -1236,11 +1327,11 @@ impl MigrationEnclave {
             .batch() as usize;
         let mut cells: Vec<Cell<'_>> = leads.iter().map(Cell::Msg).collect();
         for (mr, idx) in chunks {
-            let stream = self
+            let out = self
                 .out_streams
                 .get(mr)
                 .ok_or(MigError::SessionInvariant("transient chunk cache missing"))?;
-            cells.push(Cell::Chunk(stream, *idx));
+            cells.push(Cell::Chunk(&out.chunks, *idx));
         }
         let channel = self
             .channels_out
@@ -1268,64 +1359,49 @@ impl MigrationEnclave {
         mr: MrEnclave,
         chunk_size: u32,
     ) -> Result<MeToMe, MigError> {
-        let transfer_cfg = self.config()?.transfer;
-        let cached = self
-            .cache
-            .get(&mr)
-            .map(|c| (c.generation, Arc::clone(&c.state)));
-        if cached.is_some() {
-            self.cache.touch(&mr);
-        }
+        let max_delta_percent = self.config()?.transfer.max_delta_percent;
         let mut nonce: TransferNonce = [0; 16];
         env.random_bytes(&mut nonce);
         let mig = self
             .outgoing
-            .get_mut(&mr)
+            .get(&mr)
             .ok_or(MigError::Protocol("no retained migration data"))?;
-        let generation = cached.as_ref().map_or(0, |(g, _)| g + 1);
+        let cached = self.cache.get(&mr);
+        let generation = cached.map_or(0, |c| c.generation + 1);
         // When a previous generation of this enclave's state is cached (a
         // repeat migration), diff against it and ship only the dirty
         // pages — unless the delta exceeds the provisioned fraction of
         // the full state, in which case the full stream is cheaper than
         // a delta that rewrites most pages anyway.
-        let delta = cached.and_then(|(base_generation, base_state)| {
-            let digests = PageDigests::compute(&base_state, delta::PAGE_SIZE);
-            let (manifest, payload) =
-                delta::diff(&digests, base_generation, generation, &mig.state);
-            let within_budget = manifest.payload_len().saturating_mul(100)
-                <= (mig.state.len() as u64)
-                    .saturating_mul(u64::from(transfer_cfg.max_delta_percent));
-            within_budget.then_some((manifest, payload))
+        let delta = cached.and_then(|base| {
+            let (dirty, payload) = delta::diff(base.state.bytes(), &mig.state);
+            let within_budget = (payload.len() as u64).saturating_mul(100)
+                <= (mig.state.len() as u64).saturating_mul(u64::from(max_delta_percent));
+            within_budget.then_some((base, dirty, payload))
         });
-        let (stream, delta_base, start_msg) = match delta {
-            Some((manifest, payload)) => {
-                let stream = ChunkStream::new(nonce, chunk_size, payload);
-                let delta_base = manifest.base_generation;
-                let start = MeToMe::DeltaStart {
-                    mr_enclave: mr,
+        let (out, delta_base) = match delta {
+            Some((base, dirty, payload)) => (
+                OutStream::delta(
                     nonce,
                     chunk_size,
-                    payload_digest: stream.digest(),
-                    manifest: manifest.clone(),
-                    data: mig.data.clone(),
-                };
-                self.out_manifests.insert(mr, manifest);
-                (stream, Some(delta_base), start)
-            }
-            None => {
-                let stream = ChunkStream::new(nonce, chunk_size, Arc::clone(&mig.state));
-                let start = MeToMe::ChunkStart {
-                    mr_enclave: mr,
-                    nonce,
+                    &base.state,
+                    base.generation,
                     generation,
-                    total_len: stream.total_len(),
-                    chunk_size,
-                    state_digest: stream.digest(),
-                    data: mig.data.clone(),
-                };
-                (stream, None, start)
-            }
+                    mig.state.len() as u64,
+                    dirty,
+                    payload,
+                )?,
+                Some(base.generation),
+            ),
+            None => (
+                OutStream::full(nonce, chunk_size, Arc::clone(&mig.state))?,
+                None,
+            ),
         };
+        let start_msg = out.start_msg(mr, generation, mig.data.clone());
+        if cached.is_some() {
+            self.cache.touch(&mr);
+        }
         let mig = self
             .outgoing
             .get_mut(&mr)
@@ -1333,11 +1409,11 @@ impl MigrationEnclave {
         mig.fsm.dispatch_announce(StreamProgress::new(
             nonce,
             chunk_size,
-            stream.total_len(),
+            out.chunks.total_len(),
             generation,
             delta_base,
         ))?;
-        self.out_streams.insert(mr, stream);
+        self.out_streams.insert(mr, out);
         self.telemetry.announcements += 1;
         Ok(start_msg)
     }
@@ -1478,38 +1554,10 @@ impl MigrationEnclave {
         self.seal_burst(destination, &leads, &chunks)
     }
 
-    /// Recomputes the delta payload of an outgoing delta stream from the
-    /// cached base generation (deterministic: the same diff that was
-    /// announced).
-    fn delta_payload(&self, mr: MrEnclave) -> Result<(DeltaManifest, Vec<u8>), MigError> {
-        let mig = self
-            .outgoing
-            .get(&mr)
-            .ok_or(MigError::Protocol("no retained migration data"))?;
-        let stream = mig
-            .fsm
-            .stream()
-            .ok_or(MigError::Protocol("no stream for migration"))?;
-        let base_generation = stream
-            .delta_base
-            .ok_or(MigError::Protocol("stream is not a delta"))?;
-        let cached = self
-            .cache
-            .get(&mr)
-            .filter(|c| c.generation == base_generation)
-            .ok_or(MigError::BaseEvicted)?;
-        let digests = PageDigests::compute(&cached.state, delta::PAGE_SIZE);
-        let (manifest, payload) =
-            delta::diff(&digests, base_generation, stream.generation, &mig.state);
-        if payload.len() as u64 != stream.payload_len {
-            return Err(MigError::Protocol(
-                "delta payload drifted from announcement",
-            ));
-        }
-        Ok((manifest, payload))
-    }
-
-    /// Rebuilds the transient chunk cache for `mr` after a restore.
+    /// Rebuilds the transient send side of `mr`'s stream after a
+    /// restore: a full stream re-hashes the state; a delta re-diffs it
+    /// against the cached base (deterministic: the same dirty pages that
+    /// were announced), reusing the base's page digests.
     fn ensure_out_stream(&mut self, mr: MrEnclave) -> Result<(), MigError> {
         if self.out_streams.contains_key(&mr) {
             return Ok(());
@@ -1522,16 +1570,33 @@ impl MigrationEnclave {
             .fsm
             .stream()
             .ok_or(MigError::Protocol("no stream for migration"))?;
-        let (nonce, chunk_size) = (stream.nonce, stream.chunk_size);
-        let payload: Arc<[u8]> = if stream.delta_base.is_some() {
-            let (manifest, payload) = self.delta_payload(mr)?;
-            self.out_manifests.insert(mr, manifest);
-            payload.into()
-        } else {
-            Arc::clone(&mig.state)
+        let out = match stream.delta_base {
+            None => OutStream::full(stream.nonce, stream.chunk_size, Arc::clone(&mig.state))?,
+            Some(base_generation) => {
+                let base = self
+                    .cache
+                    .get(&mr)
+                    .filter(|c| c.generation == base_generation)
+                    .ok_or(MigError::BaseEvicted)?;
+                let (dirty, payload) = delta::diff(base.state.bytes(), &mig.state);
+                if payload.len() as u64 != stream.payload_len {
+                    return Err(MigError::Protocol(
+                        "delta payload drifted from announcement",
+                    ));
+                }
+                OutStream::delta(
+                    stream.nonce,
+                    stream.chunk_size,
+                    &base.state,
+                    base_generation,
+                    stream.generation,
+                    mig.state.len() as u64,
+                    dirty,
+                    payload,
+                )?
+            }
         };
-        self.out_streams
-            .insert(mr, ChunkStream::new(nonce, chunk_size, payload));
+        self.out_streams.insert(mr, out);
         Ok(())
     }
 
@@ -1547,33 +1612,33 @@ impl MigrationEnclave {
             .fsm
             .stream()
             .ok_or(MigError::Protocol("no stream for migration"))?;
-        let cache = self
+        let out = self
             .out_streams
             .get(&mr)
             .ok_or(MigError::Protocol("chunk cache not rebuilt"))?;
-        Ok(match stream.delta_base {
-            None => MeToMe::ChunkStart {
-                mr_enclave: mr,
-                nonce: stream.nonce,
-                generation: stream.generation,
-                total_len: cache.total_len(),
-                chunk_size: cache.chunk_size(),
-                state_digest: cache.digest(),
-                data: mig.data.clone(),
-            },
-            Some(_) => MeToMe::DeltaStart {
-                mr_enclave: mr,
-                nonce: stream.nonce,
-                chunk_size: cache.chunk_size(),
-                payload_digest: cache.digest(),
-                manifest: self
-                    .out_manifests
-                    .get(&mr)
-                    .cloned()
-                    .map_or_else(|| self.delta_payload(mr).map(|(m, _)| m), Ok)?,
-                data: mig.data.clone(),
-            },
-        })
+        Ok(out.start_msg(mr, stream.generation, mig.data.clone()))
+    }
+
+    /// Records the generation `mr`'s stream installed at the
+    /// destination as the next delta base, with the page digests its
+    /// stream derived.
+    fn cache_shipped(&mut self, mr: MrEnclave, generation: u64) -> Result<(), MigError> {
+        self.ensure_out_stream(mr)?;
+        let state = Arc::clone(
+            &self
+                .outgoing
+                .get(&mr)
+                .ok_or(MigError::SessionInvariant("retained migration vanished"))?
+                .state,
+        );
+        let digests = self
+            .out_streams
+            .get(&mr)
+            .ok_or(MigError::SessionInvariant("transient chunk cache missing"))?
+            .digests
+            .clone();
+        self.cache_insert(mr, generation, DigestedState::from_parts(state, digests)?);
+        Ok(())
     }
 
     pub(super) fn op_retry(
@@ -1841,12 +1906,12 @@ impl MigrationEnclave {
                 // stream has drained by the time the source re-announces
                 // it as a full stream: no chunk of the rejected nonce is
                 // still in flight towards a receiver that dropped it.
-                // A retained base is content-verified and staged *now*,
+                // A retained base whose root matches is staged *now*,
                 // overlapping the restore work with the arriving chunks.
                 let base = self
                     .cache
                     .delta_base(&mr_enclave, &manifest)
-                    .map(|c| Arc::clone(&c.state));
+                    .map(|c| &c.state);
                 let fsm = ReceiverFsm::start_delta(
                     source,
                     mr_enclave,
@@ -1855,7 +1920,7 @@ impl MigrationEnclave {
                     chunk_size,
                     payload_digest,
                     manifest,
-                    base.as_deref(),
+                    base,
                 )?;
                 if fsm.is_staged() {
                     self.cache.touch(&mr_enclave);
@@ -1945,9 +2010,9 @@ impl MigrationEnclave {
             .remove(&nonce)
             .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
         let (upto, mr_enclave, generation) = (fsm.next_idx(), fsm.mr_enclave(), fsm.generation());
-        // A deferred delta is applied onto the retained base generation
-        // here (digest-verified before release); the base is
-        // content-addressed — generation number AND whole-state digest
+        // A deferred delta is staged onto the retained base generation
+        // here (root-checked before release); the base is
+        // content-addressed — generation number AND page-digest root
         // must match our retained copy (generations renumber after a
         // fallback reset, so the number alone is not identity). A staged
         // delta captured its base at announce time; a full payload *is*
@@ -1955,27 +2020,28 @@ impl MigrationEnclave {
         // place of* the final ack — the source restarts as a full stream
         // with no frames left in flight to race the restarted
         // announcement.
-        let deferred_base = fsm.needs_base().and_then(|manifest| {
-            self.cache
-                .delta_base(&mr_enclave, manifest)
-                .map(|c| Arc::clone(&c.state))
-        });
+        let deferred_base = fsm
+            .needs_base()
+            .and_then(|manifest| self.cache.delta_base(&mr_enclave, manifest))
+            .map(|c| &c.state);
         let used_deferred_base = deferred_base.is_some();
-        match fsm.release(deferred_base.as_deref())? {
+        match fsm.release(deferred_base)? {
             ReceiverRelease::Released { data, state } => {
                 if used_deferred_base {
                     self.cache.touch(&mr_enclave);
                 }
-                // Both ends retain the installed generation as the next
-                // repeat migration's delta base (LRU-bounded; an evicted
-                // base later NACKs back to a full stream).
-                self.cache_insert(mr_enclave, generation, Arc::clone(&state));
+                // Both ends retain the installed generation, with the
+                // page digests its stream yielded, as the next repeat
+                // migration's delta base (LRU-bounded; an evicted base
+                // later NACKs back to a full stream).
+                let bytes = Arc::clone(state.bytes());
+                self.cache_insert(mr_enclave, generation, state);
                 let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
                 self.accept_incoming(
                     source,
                     mr_enclave,
                     data,
-                    state,
+                    bytes,
                     Some(ack),
                     Some(trace_id(&nonce)),
                 )
@@ -2134,7 +2200,6 @@ impl MigrationEnclave {
                 // Safe to delete the retained migration data (Fig. 2).
                 self.outgoing.remove(&mr_enclave);
                 self.out_streams.remove(&mr_enclave);
-                self.out_manifests.remove(&mr_enclave);
                 // Tell the (frozen) source library, if still attested.
                 let complete = self
                     .local_sessions
@@ -2157,24 +2222,21 @@ impl MigrationEnclave {
                 // free for further queued migrations. Same binding as
                 // Delivered: only the current destination's confirmation
                 // may close the stream's accounting.
-                let mut completed_stream = None;
+                let mut completed_generation = None;
                 if let Some(mig) = self.outgoing.get_mut(&mr_enclave) {
                     if mig.destination != destination {
                         return Err(MigError::Protocol(
                             "storage confirmation from wrong destination",
                         ));
                     }
-                    completed_stream = mig
-                        .fsm
-                        .on_stored()?
-                        .map(|generation| (generation, Arc::clone(&mig.state)));
+                    completed_generation = mig.fsm.on_stored()?;
                 }
                 // The destination holds (and caches) the full streamed
                 // generation: record it as the delta base exactly as the
                 // final-ChunkAck path does, so a repeat migration after
                 // a Stored-closed resume still ships a delta.
-                if let Some((generation, state)) = completed_stream {
-                    self.cache_insert(mr_enclave, generation, state);
+                if let Some(generation) = completed_generation {
+                    self.cache_shipped(mr_enclave, generation)?;
                 }
                 let next = self.send_unsent(env, destination)?;
                 Ok(Self::ack_output(2, mr_enclave, None, None, &next))
@@ -2193,13 +2255,13 @@ impl MigrationEnclave {
                     // shipped generation as the delta base for the next
                     // repeat migration, then let the freed stream slot
                     // start the next queued migration.
-                    let completed = self.outgoing.get(&mr).and_then(|mig| {
-                        mig.fsm
-                            .stream()
-                            .map(|s| (s.generation, Arc::clone(&mig.state)))
-                    });
-                    if let Some((generation, state)) = completed {
-                        self.cache_insert(mr, generation, state);
+                    let completed = self
+                        .outgoing
+                        .get(&mr)
+                        .and_then(|mig| mig.fsm.stream())
+                        .map(StreamProgress::generation);
+                    if let Some(generation) = completed {
+                        self.cache_shipped(mr, generation)?;
                     }
                     frames.extend(self.send_unsent(env, destination)?);
                 }
@@ -2233,7 +2295,6 @@ impl MigrationEnclave {
                 }
                 self.cache.remove(&mr);
                 self.out_streams.remove(&mr);
-                self.out_manifests.remove(&mr);
                 self.outgoing
                     .get_mut(&mr)
                     .ok_or(MigError::Protocol("no retained migration data"))?
@@ -2518,10 +2579,52 @@ mod tests {
         }
     }
 
+    /// The delta from `base` to `new` as a source ME builds it: the
+    /// manifest, the payload's chunk stream, and the new generation's
+    /// page digests.
+    fn delta_stream(
+        base: &DigestedState,
+        gens: (u64, u64),
+        new: &[u8],
+        nonce: TransferNonce,
+        chunk_size: u32,
+    ) -> (DeltaManifest, ChunkStream, PageDigests) {
+        let (dirty, payload) = delta::diff(base.bytes(), new);
+        let out = OutStream::delta(
+            nonce,
+            chunk_size,
+            base,
+            gens.0,
+            gens.1,
+            new.len() as u64,
+            dirty,
+            payload,
+        )
+        .unwrap();
+        (out.manifest.unwrap(), out.chunks, out.digests)
+    }
+
+    /// The released state, whose cached digests must be its own.
+    fn released_state(release: ReceiverRelease) -> DigestedState {
+        match release {
+            ReceiverRelease::Released { state, .. } => {
+                assert_eq!(state.digests(), &PageDigests::compute(state.bytes()));
+                state
+            }
+            ReceiverRelease::BaseMissing => panic!("a base was supplied or not needed"),
+        }
+    }
+
+    fn released(release: ReceiverRelease) -> Vec<u8> {
+        released_state(release).bytes().to_vec()
+    }
+
     #[test]
     fn receiver_full_release_matches_the_sent_payload() {
         let payload: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
-        let stream = ChunkStream::new([9; 16], 4096, payload.clone());
+        let out = OutStream::full([9; 16], 4096, payload.clone().into()).unwrap();
+        assert_eq!(out.digests, PageDigests::compute(&payload));
+        let stream = out.chunks;
         let mut fsm = ReceiverFsm::start_full(
             MachineId(1),
             MrEnclave([5; 32]),
@@ -2536,9 +2639,23 @@ mod tests {
         assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
         drive(&stream, &mut fsm, 0);
         assert!(fsm.is_complete());
-        match fsm.release(None).unwrap() {
-            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &payload[..]),
-            ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
+        assert_eq!(released(fsm.release(None).unwrap()), payload);
+    }
+
+    #[test]
+    fn receiver_rejects_chunk_sizes_that_split_pages() {
+        for chunk_size in [2048, 4096 + 512] {
+            assert!(ReceiverFsm::start_full(
+                MachineId(1),
+                MrEnclave([5; 32]),
+                data(),
+                [9; 16],
+                1,
+                20_000,
+                chunk_size,
+                [0; 32],
+            )
+            .is_err());
         }
     }
 
@@ -2548,9 +2665,9 @@ mod tests {
         let mut new = base.clone();
         new[5000] ^= 0xAA;
         new[20_000] ^= 0x55;
-        let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
-        let (manifest, payload) = delta::diff(&digests, 4, 5, &new);
-        let stream = ChunkStream::new([8; 16], 4096, payload.clone());
+        let base = DigestedState::new(base);
+        let (manifest, stream, digests) = delta_stream(&base, (4, 5), &new, [8; 16], 4096);
+        assert_eq!(digests, PageDigests::compute(&new));
 
         // The base at announce: staged, releases with no base argument.
         let mut fsm = ReceiverFsm::start_delta(
@@ -2567,10 +2684,7 @@ mod tests {
         assert!(fsm.is_staged() && fsm.needs_base().is_none());
         assert_eq!(fsm.generation(), 5);
         drive(&stream, &mut fsm, 0);
-        match fsm.release(None).unwrap() {
-            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
-            ReceiverRelease::BaseMissing => panic!("staged delta captured its base"),
-        }
+        assert_eq!(released(fsm.release(None).unwrap()), new);
 
         // No base at announce: deferred — the base is needed at
         // release, and its absence NACKs.
@@ -2587,10 +2701,7 @@ mod tests {
         .unwrap();
         assert!(!fsm.is_staged() && fsm.needs_base().is_some());
         drive(&stream, &mut fsm, 0);
-        match fsm.release(Some(&base)).unwrap() {
-            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
-            ReceiverRelease::BaseMissing => panic!("base was supplied"),
-        }
+        assert_eq!(released(fsm.release(Some(&base)).unwrap()), new);
         let mut fsm = ReceiverFsm::start_delta(
             MachineId(1),
             MrEnclave([5; 32]),
@@ -2612,7 +2723,7 @@ mod tests {
     #[test]
     fn receiver_tamper_is_rejected() {
         let payload: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-        let stream = ChunkStream::new([3; 16], 2048, payload);
+        let stream = ChunkStream::new([3; 16], 4096, payload);
         let start = |digest: [u8; 32]| {
             ReceiverFsm::start_full(
                 MachineId(1),
@@ -2621,7 +2732,7 @@ mod tests {
                 [3; 16],
                 1,
                 stream.total_len(),
-                2048,
+                4096,
                 digest,
             )
             .unwrap()
@@ -2653,17 +2764,19 @@ mod tests {
         let base: Vec<u8> = (0..30_000).map(|i| (i % 251) as u8).collect();
         let mut new = base.clone();
         new[100] ^= 1;
+        new[5_000] ^= 4;
+        new[13_000] ^= 8;
         new[25_000] ^= 2;
-        let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
-        let (manifest, payload) = delta::diff(&digests, 1, 2, &new);
-        let stream = ChunkStream::new([6; 16], 1024, payload);
+        let base = DigestedState::new(base);
+        let (manifest, stream, _) = delta_stream(&base, (1, 2), &new, [6; 16], 4096);
+        assert_eq!(stream.n_chunks(), 4);
 
         let mut fsm = ReceiverFsm::start_delta(
             MachineId(1),
             MrEnclave([5; 32]),
             data(),
             [6; 16],
-            1024,
+            4096,
             stream.digest(),
             manifest.clone(),
             Some(&base),
@@ -2688,10 +2801,7 @@ mod tests {
         assert!(restored.is_staged());
         assert_eq!(restored.next_idx(), 3);
         drive(&stream, &mut restored, 3);
-        match restored.release(None).unwrap() {
-            ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
-            ReceiverRelease::BaseMissing => panic!("staged"),
-        }
+        assert_eq!(released(restored.release(None).unwrap()), new);
         // The base evicted during the downtime: falls back to deferred,
         // exactly like a base missing at announce.
         let assembler = ChunkAssembler::from_bytes(&blob).unwrap();
@@ -2705,5 +2815,85 @@ mod tests {
             None,
         );
         assert!(!restored.is_staged() && restored.needs_base().is_some());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Both ends of a stream cache the page digests of the state they
+        /// hold: after a full release and after a delta release (staged
+        /// or deferred), the source's tree (what `cache_shipped` records)
+        /// and the destination's (what `release_stream` records) equal
+        /// `PageDigests::compute` of the released state, for states from
+        /// a few bytes to past 64 KiB, any whole-page chunk size and any
+        /// dirty set. A cached base whose bytes were altered — re-read
+        /// with the tree of what was read, as `RESTORE` does — is never
+        /// released from: it is not staged, and a delta deferred onto it
+        /// is rejected.
+        #[test]
+        fn cached_digests_are_the_released_states_own(
+            base_len in 1usize..70_000,
+            growth in 0usize..9_000,
+            shrink in 0usize..9_000,
+            fill in proptest::strategy::any::<u8>(),
+            dirty_pages in proptest::collection::vec(proptest::strategy::any::<u32>(), 0..8),
+            pages_per_chunk in 1u32..5,
+            staged in proptest::strategy::any::<bool>(),
+            alter_at in proptest::strategy::any::<usize>(),
+        ) {
+            let chunk_size = pages_per_chunk * delta::PAGE_SIZE;
+            let base: Vec<u8> = (0..base_len).map(|i| fill.wrapping_add(i as u8)).collect();
+
+            // Full stream: the source's tree comes from its chunk leaves,
+            // the destination's from the leaves it verified.
+            let out = OutStream::full([1; 16], chunk_size, base.clone().into()).unwrap();
+            proptest::prop_assert_eq!(&out.digests, &PageDigests::compute(&base));
+            let mut fsm = ReceiverFsm::start_full(
+                MachineId(1), MrEnclave([5; 32]), data(), [1; 16], 0,
+                out.chunks.total_len(), chunk_size, out.chunks.digest(),
+            ).unwrap();
+            drive(&out.chunks, &mut fsm, 0);
+            let dst_base = released_state(fsm.release(None).unwrap());
+            proptest::prop_assert_eq!(&dst_base.bytes()[..], &base[..]);
+            proptest::prop_assert_eq!(dst_base.digests(), &out.digests);
+            let src_base = DigestedState::from_parts(base.into(), out.digests).unwrap();
+
+            // A random dirty set, with the state grown or shrunk.
+            let mut new = src_base.bytes().to_vec();
+            new.resize(base_len + growth, fill ^ 0x5A);
+            new.truncate((base_len + growth).saturating_sub(shrink).max(1));
+            let n_pages = new.len().div_ceil(delta::PAGE_SIZE as usize);
+            for page in &dirty_pages {
+                let at = (*page as usize % n_pages) * delta::PAGE_SIZE as usize;
+                new[at] ^= 0xA5;
+            }
+
+            // Delta stream: the source hashes only the dirty pages, the
+            // destination stages or defers onto its cached base.
+            let (manifest, stream, src_new) =
+                delta_stream(&src_base, (0, 1), &new, [2; 16], chunk_size);
+            proptest::prop_assert_eq!(&src_new, &PageDigests::compute(&new));
+            let mut fsm = ReceiverFsm::start_delta(
+                MachineId(1), MrEnclave([5; 32]), data(), [2; 16], chunk_size,
+                stream.digest(), manifest.clone(), staged.then_some(&dst_base),
+            ).unwrap();
+            proptest::prop_assert_eq!(fsm.is_staged(), staged);
+            drive(&stream, &mut fsm, 0);
+            let dst_new = released_state(fsm.release(Some(&dst_base)).unwrap());
+            proptest::prop_assert_eq!(&dst_new.bytes()[..], &new[..]);
+            proptest::prop_assert_eq!(dst_new.digests(), &src_new);
+
+            // The destination's base altered while out of the enclave.
+            let mut altered = dst_base.bytes().to_vec();
+            altered[alter_at % base_len] ^= 1;
+            let altered = DigestedState::new(altered);
+            let mut fsm = ReceiverFsm::start_delta(
+                MachineId(1), MrEnclave([5; 32]), data(), [2; 16], chunk_size,
+                stream.digest(), manifest.clone(), Some(&altered),
+            ).unwrap();
+            proptest::prop_assert!(!fsm.is_staged());
+            drive(&stream, &mut fsm, 0);
+            proptest::prop_assert!(fsm.release(Some(&altered)).is_err());
+        }
     }
 }

@@ -17,6 +17,7 @@ use crate::error::MigError;
 use crate::msgs::MeToMe;
 use crate::secure_channel::SecureChannel;
 use crate::transfer::chunker::ChunkStream;
+use crate::transfer::delta::PAGE_SIZE;
 use crate::transfer::{TransferConfig, MIN_CHUNK_SIZE};
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::measurement::MrEnclave;
@@ -113,7 +114,8 @@ pub fn unpack_container(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
 /// window by one (up to [`TransferConfig::max_window`]) — additive
 /// increase keeps the pipe filling on a healthy link — and every
 /// disruption (a `Resume` renegotiation after a crash or loss) halves
-/// the chunk size (floor [`MIN_CHUNK_SIZE`]) and resets the window to
+/// the chunk size, rounded down to whole pages (floor
+/// [`MIN_CHUNK_SIZE`], one page), and resets the window to
 /// the provisioned base, so a flaky link retransmits less per loss.
 /// New streams pick up the controller's current values; a mid-flight
 /// stream keeps the geometry it was announced with.
@@ -154,10 +156,12 @@ impl AdaptiveLink {
         self.window = self.window.saturating_add(1).min(self.max_window);
     }
 
-    /// The stream was disrupted (resume renegotiation): shrink the chunk
-    /// size and fall back to the provisioned window.
+    /// The stream was disrupted (resume renegotiation): halve the chunk
+    /// size to a whole number of pages and fall back to the provisioned
+    /// window.
     pub fn on_disruption(&mut self) {
-        self.chunk_size = (self.chunk_size / 2).max(MIN_CHUNK_SIZE);
+        let half = self.chunk_size / 2;
+        self.chunk_size = (half - half % PAGE_SIZE).max(MIN_CHUNK_SIZE);
         self.window = self.base_window;
     }
 }
@@ -567,6 +571,19 @@ mod tests {
             MIN_CHUNK_SIZE,
             "floored at MIN_CHUNK_SIZE"
         );
+    }
+
+    #[test]
+    fn adaptive_link_halves_to_whole_pages() {
+        let config = TransferConfig {
+            chunk_size: 7 * PAGE_SIZE,
+            ..TransferConfig::default()
+        };
+        let mut link = AdaptiveLink::new(&config);
+        link.on_disruption();
+        assert_eq!(link.chunk_size(), 3 * PAGE_SIZE, "3.5 pages round down");
+        link.on_disruption();
+        assert_eq!(link.chunk_size(), PAGE_SIZE, "1.5 pages round down");
     }
 
     #[test]

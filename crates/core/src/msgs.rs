@@ -17,8 +17,7 @@
 //! Beyond the paper's single-shot `Transfer`, the ME↔ME family carries
 //! the streaming state-transfer protocol of [`crate::transfer`]:
 //! [`MeToMe::ChunkStart`] announces a full chunked transfer (geometry,
-//! whole-payload digest, generation number, and the Table I control
-//! data), [`MeToMe::DeltaStart`] announces a dirty-page *delta* stream
+//! stream digest, generation number, and the Table I control data), [`MeToMe::DeltaStart`] announces a dirty-page *delta* stream
 //! (chunk geometry plus the [`DeltaManifest`] naming the base generation
 //! and changed pages), [`MeToMe::Chunk`] carries one HMAC-chained chunk,
 //! [`MeToMe::ChunkAck`] cumulatively acknowledges received chunks
@@ -289,9 +288,10 @@ pub enum MeToMe {
         generation: u64,
         /// Total bulk-state length in bytes.
         total_len: u64,
-        /// Chunk size used by the sender.
+        /// Chunk size used by the sender (a whole number of pages).
         chunk_size: u32,
-        /// SHA-256 digest of the whole bulk state.
+        /// The stream digest: SHA-256 over the chunk digests, each one
+        /// SHA-256 over the leaves of the chunk's pages.
         state_digest: [u8; 32],
         /// The Table I control payload (travels with the announcement).
         data: MigrationData,
@@ -299,15 +299,16 @@ pub enum MeToMe {
     /// Source → destination: announces a chunked dirty-page **delta**
     /// stream. The chunked payload is the packed dirty pages described by
     /// `manifest`; the destination applies them onto its retained copy of
-    /// `manifest.base_generation` and verifies `manifest.new_digest`.
+    /// `manifest.base_generation` and verifies the merged page-digest
+    /// root against `manifest.new_digest`.
     DeltaStart {
         /// MRENCLAVE of the migrating enclave.
         mr_enclave: MrEnclave,
         /// Per-transfer nonce (keys the chunk HMAC chain).
         nonce: TransferNonce,
-        /// Chunk size used by the sender.
+        /// Chunk size used by the sender (a whole number of pages).
         chunk_size: u32,
-        /// SHA-256 digest of the packed delta payload (what the chunk
+        /// The stream digest of the packed delta payload (what the chunk
         /// assembler checks on completion).
         payload_digest: [u8; 32],
         /// Which pages changed, against which base generation.

@@ -3,25 +3,34 @@
 //! and resume from an arbitrary chunk boundary after a crash.
 //!
 //! Every chunk `i` carries `mac_i = HMAC(K, mac_{i-1} || i || d_i)` with
-//! `d_i = SHA-256(payload_i)`, `mac_{-1} = HMAC(K, "seed")`, and `K`
-//! derived from a secret per-transfer nonce that travels only inside
-//! the attested ME↔ME channel. The chain means a chunk is only accepted
-//! in its unique position within its own transfer: a replayed,
-//! reordered, or cross-transfer-spliced chunk fails verification even
-//! when it is re-injected across a *resumed* session (where the secure
-//! channel's per-session sequence numbers restart). The stream digest
-//! announced in `ChunkStart` — `SHA-256(d_0 || … || d_{n-1})` over the
-//! per-chunk digests — is checked once more on completion.
+//! `mac_{-1} = HMAC(K, "seed")` and `K` derived from a secret
+//! per-transfer nonce that travels only inside the attested ME↔ME
+//! channel. The chain means a chunk is only accepted in its unique
+//! position within its own transfer: a replayed, reordered, or
+//! cross-transfer-spliced chunk fails verification even when it is
+//! re-injected across a *resumed* session (where the secure channel's
+//! per-session sequence numbers restart). The stream digest announced in
+//! `ChunkStart` — `SHA-256(d_0 || … || d_{n-1})` over the chunk digests
+//! — is checked once more on completion.
+//!
+//! A chunk digest `d_i` is a node of the page-digest tree
+//! ([`super::delta`]): SHA-256 over the leaves of the chunk's
+//! [`PAGE_SIZE`] pages, counted from the chunk's start, the last leaf
+//! possibly short. Hashing a chunk therefore yields its pages' leaves,
+//! and both ends keep them: when the chunk size is a whole number of
+//! pages (the Migration Enclave accepts no other) the leaves of a full
+//! stream are the state's page leaves, and those of a delta stream are
+//! its dirty pages' leaves, so neither end hashes the state again to
+//! cache it. The engine itself accepts any chunk size.
 //!
 //! Chaining over the 32-byte chunk *digests* (rather than the raw
-//! payloads) keeps the chain itself O(n) in the chunk count. Each chunk
-//! is digested with one [`sha256`] call over the whole payload slice,
-//! which the hash folds through its bulk compression kernel — no
-//! per-block buffering anywhere on the digest path. The destination
-//! folds each verified chunk's digest into a running stream digest as
-//! it arrives, so completion only finalizes the hash.
+//! payloads) keeps the chain itself O(n) in the chunk count, and each
+//! page is hashed with one [`sha256`] call over its slice. The
+//! destination folds each verified chunk's digest into a running stream
+//! digest as it arrives, so completion only finalizes the hash.
 
 use crate::error::MigError;
+use crate::transfer::delta::{page_leaves, Leaf, PAGE_SIZE};
 use mig_crypto::ct::ct_eq;
 use mig_crypto::hmac::HmacSha256;
 use mig_crypto::sha256::{sha256, Sha256};
@@ -88,13 +97,9 @@ fn slice_chunk(payload: &[u8], chunk_size: u32, idx: u32) -> &[u8] {
     &payload[start..end]
 }
 
-/// The stream digest: SHA-256 over the concatenated per-chunk digests.
-fn digest_of_digests(digests: &[[u8; 32]]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    for d in digests {
-        h.update(d);
-    }
-    h.finalize()
+/// A chunk's digest: SHA-256 over the leaves of its pages.
+fn chunk_digest(leaves: &[Leaf]) -> [u8; 32] {
+    sha256(leaves.as_flattened())
 }
 
 /// Source side: a payload split into chunks with precomputed chain MACs.
@@ -108,6 +113,7 @@ pub struct ChunkStream {
     chunk_size: u32,
     payload: Arc<[u8]>,
     macs: Vec<ChunkMac>,
+    leaves: Vec<Leaf>,
     digest: [u8; 32],
 }
 
@@ -123,7 +129,8 @@ impl std::fmt::Debug for ChunkStream {
 
 impl ChunkStream {
     /// Prepares `payload` for streaming under `nonce` with the given
-    /// chunk size (one pass to MAC-chain, one to digest). Accepts any
+    /// chunk size: one pass hashes each page, then each chunk's digest
+    /// and chain MAC come from its pages' leaves. Accepts any
     /// `Arc<[u8]>`-convertible payload; passing an existing `Arc` is
     /// zero-copy.
     ///
@@ -142,23 +149,25 @@ impl ChunkStream {
         );
         let key = chain_key(&nonce);
         let n = chunk_count(payload.len() as u64, chunk_size);
-        let digests: Vec<[u8; 32]> = (0..n)
-            .map(|idx| sha256(slice_chunk(&payload, chunk_size, idx)))
-            .collect();
+        let mut leaves = Vec::with_capacity(payload.len().div_ceil(PAGE_SIZE as usize));
         let mut macs = Vec::with_capacity(n as usize);
+        let mut stream_digest = Sha256::new();
         let mut prev = chain_seed(&key);
-        for (idx, d) in digests.iter().enumerate() {
-            let mac = chunk_mac(&key, &prev, idx as u32, d);
-            macs.push(mac);
-            prev = mac;
+        for idx in 0..n {
+            let first = leaves.len();
+            leaves.extend(page_leaves(slice_chunk(&payload, chunk_size, idx)));
+            let d = chunk_digest(&leaves[first..]);
+            stream_digest.update(&d);
+            prev = chunk_mac(&key, &prev, idx, &d);
+            macs.push(prev);
         }
-        let digest = digest_of_digests(&digests);
         ChunkStream {
             nonce,
             chunk_size,
             payload,
             macs,
-            digest,
+            leaves,
+            digest: stream_digest.finalize(),
         }
     }
 
@@ -190,10 +199,18 @@ impl ChunkStream {
         self.chunk_size
     }
 
-    /// SHA-256 digest of the whole payload.
+    /// The stream digest: SHA-256 over the chunk digests.
     #[must_use]
     pub fn digest(&self) -> [u8; 32] {
         self.digest
+    }
+
+    /// The leaves of every chunk's pages, in payload order: the
+    /// payload's page leaves when the chunk size is a whole number of
+    /// pages.
+    #[must_use]
+    pub fn leaves(&self) -> &[Leaf] {
+        &self.leaves
     }
 
     /// Payload and chain MAC of chunk `idx`.
@@ -228,6 +245,8 @@ pub struct ChunkAssembler {
     /// prefix, the rest zeros. Unshared until `finish`.
     buf: Arc<[u8]>,
     filled: usize,
+    /// The leaves of the accepted chunks' pages, in payload order.
+    leaves: Vec<Leaf>,
     next_idx: u32,
     prev_mac: ChunkMac,
     /// Running stream digest over the verified prefix: every accepted
@@ -281,6 +300,7 @@ impl ChunkAssembler {
             key,
             buf,
             filled: 0,
+            leaves: Vec::new(),
             next_idx: 0,
             hasher: Sha256::new(),
         })
@@ -337,7 +357,8 @@ impl ChunkAssembler {
         }
     }
 
-    /// Verifies and appends chunk `idx`.
+    /// Verifies and appends chunk `idx`, keeping its pages' leaves.
+    /// A rejected chunk leaves the assembler as it was.
     ///
     /// # Errors
     ///
@@ -350,12 +371,18 @@ impl ChunkAssembler {
         if payload.len() as u64 != self.expected_len(idx) {
             return Err(MigError::Transfer("chunk length mismatch"));
         }
-        let d = sha256(payload);
+        let first = self.leaves.len();
+        self.leaves.extend(page_leaves(payload));
+        let d = chunk_digest(&self.leaves[first..]);
         let expected = chunk_mac(&self.key, &self.prev_mac, idx, &d);
         if !ct_eq(&expected, mac) {
+            self.leaves.truncate(first);
             return Err(MigError::Transfer("chunk chain MAC mismatch"));
         }
-        self.append(payload)?;
+        if let Err(e) = self.append(payload) {
+            self.leaves.truncate(first);
+            return Err(e);
+        }
         self.hasher.update(&d);
         self.prev_mac = expected;
         self.next_idx += 1;
@@ -363,20 +390,21 @@ impl ChunkAssembler {
     }
 
     /// Consumes the assembler, returning the verified payload in the
-    /// buffer the chunks were written into.
+    /// buffer the chunks were written into, and the leaves of its
+    /// chunks' pages (see [`ChunkStream::leaves`]).
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] when chunks are missing or the final
-    /// SHA-256 digest does not match the announcement.
-    pub fn finish(self) -> Result<Arc<[u8]>, MigError> {
+    /// [`MigError::Transfer`] when chunks are missing or the stream
+    /// digest does not match the announcement.
+    pub fn finish(self) -> Result<(Arc<[u8]>, Vec<Leaf>), MigError> {
         if !self.is_complete() {
             return Err(MigError::Transfer("stream incomplete"));
         }
         if !ct_eq(&self.hasher.finalize(), &self.digest) {
             return Err(MigError::Transfer("state digest mismatch"));
         }
-        Ok(self.buf)
+        Ok((self.buf, self.leaves))
     }
 
     /// Serializes the assembler (ME durable-state persistence).
@@ -419,10 +447,14 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("restored buffer length mismatch"));
         }
         assembler.append(prefix)?;
-        // The stream digest is a digest-of-digests: fold the digest of
-        // every restored chunk, as `accept` would have.
+        // Rebuild what `accept` kept for every restored chunk: its
+        // pages' leaves, and its digest folded into the stream digest.
         for chunk in prefix.chunks(chunk_size as usize) {
-            assembler.hasher.update(&sha256(chunk));
+            let first = assembler.leaves.len();
+            assembler.leaves.extend(page_leaves(chunk));
+            assembler
+                .hasher
+                .update(&chunk_digest(&assembler.leaves[first..]));
         }
         assembler.next_idx = next_idx;
         assembler.prev_mac = prev_mac;
@@ -459,7 +491,24 @@ mod tests {
                 ChunkAssembler::new([7; 16], 256, stream.total_len(), stream.digest()).unwrap();
             assert_eq!(asm.n_chunks(), stream.n_chunks());
             stream_through(&stream, &mut asm, 0).unwrap();
-            assert_eq!(*asm.finish().unwrap(), *data);
+            assert_eq!(*asm.finish().unwrap().0, *data);
+        }
+    }
+
+    #[test]
+    fn page_multiple_chunks_yield_the_state_page_leaves() {
+        use crate::transfer::delta::PageDigests;
+        let data = payload(3 * 4096 + 100);
+        let digests = PageDigests::compute(&data);
+        for chunk_size in [4096u32, 8192, 16_384] {
+            let stream = ChunkStream::new([2; 16], chunk_size, data.clone());
+            assert_eq!(stream.leaves(), digests.leaves());
+            let mut asm =
+                ChunkAssembler::new([2; 16], chunk_size, stream.total_len(), stream.digest())
+                    .unwrap();
+            stream_through(&stream, &mut asm, 0).unwrap();
+            let (out, leaves) = asm.finish().unwrap();
+            assert_eq!((&*out, &leaves[..]), (&data[..], digests.leaves()));
         }
     }
 
@@ -515,7 +564,7 @@ mod tests {
         let mut restored = ChunkAssembler::from_bytes(&blob).unwrap();
         assert_eq!(restored.next_idx(), 3);
         stream_through(&stream, &mut restored, 3).unwrap();
-        assert_eq!(*restored.finish().unwrap(), *data);
+        assert_eq!(*restored.finish().unwrap().0, *data);
     }
 
     #[test]

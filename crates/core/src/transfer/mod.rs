@@ -24,12 +24,15 @@
 //!   next index it needs so a resumed sender can continue from the last
 //!   acknowledged chunk.
 //!
-//! * [`delta`] — dirty-page delta checkpoints: per-page digest tables,
-//!   a compact [`delta::DeltaManifest`], and `diff`/`apply` so a repeat
-//!   migration ships only the pages that changed since the generation
-//!   the destination already holds, falling back to a full stream when
-//!   the base is missing or the delta is too large a fraction of the
-//!   state ([`TransferConfig::max_delta_percent`]).
+//! * [`delta`] — the page-digest tree of a state generation (a SHA-256
+//!   leaf per 4 KiB page and a root over them) from which every chunk
+//!   digest and delta manifest is derived, and dirty-page deltas: a
+//!   compact [`delta::DeltaManifest`], `diff` and the staged apply, so
+//!   a repeat migration ships and hashes only the pages that changed
+//!   since the generation the destination already holds, falling back
+//!   to a full stream when the base is missing or the delta is too
+//!   large a fraction of the state
+//!   ([`TransferConfig::max_delta_percent`]).
 //!
 //! The wire messages (`ChunkStart` / `DeltaStart` / `Chunk` / `ChunkAck`
 //! / `Resume` / `ResumeRequest` / `DeltaNack`) live in
@@ -83,8 +86,9 @@ pub const DEFAULT_MAX_STREAMS: u32 = 8;
 /// evicted bases simply fall back to full streams via `DeltaNack`.
 pub const DEFAULT_CACHE_BUDGET: u64 = 256 * 1024 * 1024;
 /// Minimum accepted chunk size, and the floor the adaptive controller
-/// shrinks to.
-pub const MIN_CHUNK_SIZE: u32 = 4096;
+/// shrinks to: one page. Every chunk size is a whole number of pages, so
+/// a chunk's digest is a node over its pages' leaves.
+pub const MIN_CHUNK_SIZE: u32 = delta::PAGE_SIZE;
 /// Largest chunk size [`TransferConfig::for_link`] will derive.
 pub const MAX_CHUNK_SIZE: u32 = 4 * 1024 * 1024;
 /// Default virtual-time deadline for one supervised migration; past it
@@ -110,7 +114,8 @@ pub struct TransferConfig {
     /// chunked streaming path; smaller ones ride the single-shot
     /// `Transfer` message.
     pub stream_threshold: u32,
-    /// Bytes per chunk (initial; adapts downward on disruptions).
+    /// Bytes per chunk, a whole number of pages (initial; adapts
+    /// downward on disruptions).
     pub chunk_size: u32,
     /// Maximum unacknowledged chunks in flight (initial; adapts upward
     /// on clean acks).
@@ -206,8 +211,8 @@ impl TransferConfig {
     ///
     /// # Errors
     ///
-    /// [`SgxError::Decode`] on malformed input, a chunk size below
-    /// [`MIN_CHUNK_SIZE`], a zero window, a window ceiling below the
+    /// [`SgxError::Decode`] on malformed input, a chunk size that is not
+    /// a whole number of pages ([`delta::PAGE_SIZE`]), a zero window, a window ceiling below the
     /// initial window, a delta fraction above 100 %, a zero stream cap,
     /// a zero cache budget, a zero deadline, a zero backoff base, or a
     /// batch size outside `1..=`[`MAX_BATCH`](crate::me::wire::MAX_BATCH).
@@ -226,6 +231,7 @@ impl TransferConfig {
             batch_size: r.u32()?,
         };
         if config.chunk_size < MIN_CHUNK_SIZE
+            || !config.chunk_size.is_multiple_of(delta::PAGE_SIZE)
             || config.window == 0
             || config.max_window < config.window
             || config.max_delta_percent > 100
@@ -285,6 +291,11 @@ mod tests {
             },
             TransferConfig {
                 chunk_size: MIN_CHUNK_SIZE - 1,
+                ..ok
+            },
+            // Not a whole number of pages.
+            TransferConfig {
+                chunk_size: 3 * MIN_CHUNK_SIZE / 2,
                 ..ok
             },
             TransferConfig { window: 0, ..ok },

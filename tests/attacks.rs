@@ -819,8 +819,8 @@ fn cross_stream_chunk_splice_rejected_and_quarantined() {
         asm_b.accept(idx, b_chunk, &b_mac).unwrap();
         asm_a.accept(idx, a_chunk, &a_mac).unwrap();
     }
-    assert_eq!(*asm_a.finish().unwrap(), *payload);
-    assert_eq!(*asm_b.finish().unwrap(), *payload);
+    assert_eq!(*asm_a.finish().unwrap().0, *payload);
+    assert_eq!(*asm_b.finish().unwrap().0, *payload);
 
     // --- Wire level: two concurrent streams; the adversary replaces a
     // mid-flight frame with a recorded earlier frame (a cross-position /
@@ -1017,24 +1017,33 @@ fn chunk_ack_replay_across_streams_rejected() {
 
 /// A tampered dirty-page delta manifest is rejected *before any page is
 /// applied*: out-of-range indices, reordered/duplicated indices, payload
-/// truncation, a wrong base, and a flipped whole-state digest all fail
+/// truncation, a wrong base, and a flipped new-state root all fail
 /// `delta::apply`, and a malformed wire encoding never parses (or
 /// panics). The destination never installs a state reconstructed from a
 /// manipulated manifest.
 #[test]
 fn tampered_delta_manifest_rejected_before_any_page_applied() {
     use mig_core::error::MigError;
-    use mig_core::transfer::delta::{self, DeltaManifest, PageDigests};
+    use mig_core::transfer::delta::{self, DeltaManifest, DigestedState, PageDigests};
 
     let base: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
     let mut new = base.clone();
     new[4096 * 3] ^= 0x5A; // page 3
     new[4096 * 9 + 17] ^= 0x11; // page 9
-    let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
-    let (manifest, payload) = delta::diff(&digests, 0, 1, &new);
+    let base = DigestedState::new(base);
+    let (dirty, payload) = delta::diff(base.bytes(), &new);
+    let leaves: Vec<_> = delta::page_leaves(&payload).collect();
+    let new_digests = base
+        .digests()
+        .patch(new.len() as u64, &dirty, &leaves)
+        .unwrap();
+    let manifest = DeltaManifest::new(0, 1, base.digests(), &new_digests, dirty);
     assert_eq!(manifest.dirty, vec![3, 9]);
     // The genuine delta applies.
-    assert_eq!(delta::apply(&base, &manifest, &payload).unwrap(), new);
+    assert_eq!(
+        &delta::apply(&base, &manifest, &payload).unwrap().bytes()[..],
+        &new[..]
+    );
 
     let expect_rejected = |m: &DeltaManifest, payload: &[u8]| {
         assert!(
@@ -1069,8 +1078,8 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
     let mut m = manifest.clone();
     m.base_digest[0] ^= 1;
     expect_rejected(&m, &payload);
-    // Flip the whole-state digest: reconstruction happens but the result
-    // is discarded, never installed.
+    // Flip the new-state root: reconstruction happens but the result is
+    // discarded, never installed.
     let mut m = manifest.clone();
     m.new_digest[0] ^= 1;
     expect_rejected(&m, &payload);
@@ -1082,8 +1091,8 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
 
     // Wire level: truncations never parse (or panic), and any bit-flipped
     // encoding that still parses and applies can only ever produce a
-    // state hashing to the digest the manifest itself commits to — so
-    // with the genuine digest, only the genuine state installs. (Flips
+    // state whose page-digest root is the one the manifest itself commits
+    // to — so with the genuine root, only the genuine state installs. (Flips
     // in the generation fields are caught one layer up, where the ME
     // matches them against its retained cache.)
     let bytes = manifest.to_bytes();
@@ -1096,12 +1105,16 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
         if let Ok(parsed) = DeltaManifest::from_bytes(&evil) {
             if let Ok(out) = delta::apply(&base, &parsed, &payload) {
                 assert_eq!(
-                    mig_crypto::sha256::sha256(&out),
+                    PageDigests::compute(out.bytes()).root(),
                     parsed.new_digest,
                     "applied state must match the committed digest"
                 );
                 if parsed.new_digest == manifest.new_digest {
-                    assert_eq!(out, new, "genuine digest admits only the genuine state");
+                    assert_eq!(
+                        &out.bytes()[..],
+                        &new[..],
+                        "genuine digest admits only the genuine state"
+                    );
                 }
             }
         }

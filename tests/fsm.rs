@@ -8,7 +8,7 @@ use mig_core::error::MigError;
 use mig_core::library::state::{MigrationData, COUNTER_SLOTS};
 use mig_core::me::{ReceiverFsm, ReceiverRelease, SenderFsm, StreamProgress};
 use mig_core::transfer::chunker::{ChunkAssembler, ChunkStream};
-use mig_core::transfer::delta::{self, PageDigests};
+use mig_core::transfer::delta::{self, DeltaManifest, DigestedState, PageDigests};
 use proptest::prelude::*;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
@@ -179,13 +179,19 @@ proptest! {
         let mut new_state = base.clone();
         new_state[7] ^= 0x5A;
         new_state[20_000] ^= 0xA5;
+        let base = DigestedState::new(base);
 
         let (stream, manifest, expected) = if is_delta {
-            let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
-            let (manifest, payload) = delta::diff(&digests, 3, 4, &new_state);
-            (ChunkStream::new([2; 16], 1024, payload), Some(manifest), new_state.clone())
+            let (dirty, payload) = delta::diff(base.bytes(), &new_state);
+            let stream = ChunkStream::new([2; 16], CHUNK, payload);
+            let digests = base
+                .digests()
+                .patch(new_state.len() as u64, &dirty, stream.leaves())
+                .unwrap();
+            let manifest = DeltaManifest::new(3, 4, base.digests(), &digests, dirty);
+            (stream, Some(manifest), new_state.clone())
         } else {
-            (ChunkStream::new([2; 16], 1024, new_state.clone()), None, new_state.clone())
+            (ChunkStream::new([2; 16], CHUNK, new_state.clone()), None, new_state.clone())
         };
 
         // A delta stages onto the base when it is retained at announce
@@ -193,12 +199,12 @@ proptest! {
         let mut base_kept = base_at_announce;
         let mut fsm = match &manifest {
             Some(m) => ReceiverFsm::start_delta(
-                MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1024,
-                stream.digest(), m.clone(), base_kept.then_some(&base[..]),
+                MachineId(1), MrEnclave([4; 32]), data(), [2; 16], CHUNK,
+                stream.digest(), m.clone(), base_kept.then_some(&base),
             ).unwrap(),
             None => ReceiverFsm::start_full(
                 MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1,
-                stream.total_len(), 1024, stream.digest(),
+                stream.total_len(), CHUNK, stream.digest(),
             ).unwrap(),
         };
 
@@ -232,7 +238,7 @@ proptest! {
                     base_kept = !base_kept;
                     fsm = ReceiverFsm::restore(
                         MachineId(1), MrEnclave([4; 32]), data(), fsm.generation(),
-                        assembler, manifest.clone(), base_kept.then_some(&base[..]),
+                        assembler, manifest.clone(), base_kept.then_some(&base),
                     );
                     prop_assert_eq!(fsm.next_idx(), next);
                     prop_assert_eq!(fsm.is_staged(), is_delta && base_kept);
@@ -246,7 +252,8 @@ proptest! {
         prop_assert!(fsm.is_complete());
         match fsm.release(Some(&base)).unwrap() {
             ReceiverRelease::Released { state, .. } => {
-                prop_assert_eq!(&state[..], &expected[..]);
+                prop_assert_eq!(&state.bytes()[..], &expected[..]);
+                prop_assert_eq!(state.digests(), &PageDigests::compute(&expected));
             }
             ReceiverRelease::BaseMissing => prop_assert!(false, "base was supplied"),
         }

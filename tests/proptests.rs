@@ -12,12 +12,38 @@ use mig_core::library::state::{LibraryState, MigrationData, COUNTER_SLOTS};
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
 use mig_core::transfer::chunker::{chunk_count, ChunkAssembler, ChunkStream};
+use mig_core::transfer::delta::{self, DeltaManifest, DigestedState};
 use proptest::prelude::*;
 use sgx_sim::counters::CounterUuid;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use sgx_sim::SgxError;
 
 struct PropApp;
+
+/// The delta from `base` to `new` as a source ME builds it: the manifest
+/// and the packed dirty pages (their leaves hashed here, as the
+/// payload's chunk stream hashes them).
+fn delta_of(
+    base: &DigestedState,
+    base_generation: u64,
+    new_generation: u64,
+    new: &[u8],
+) -> (DeltaManifest, Vec<u8>) {
+    let (dirty, payload) = delta::diff(base.bytes(), new);
+    let leaves: Vec<_> = delta::page_leaves(&payload).collect();
+    let digests = base
+        .digests()
+        .patch(new.len() as u64, &dirty, &leaves)
+        .unwrap();
+    let manifest = DeltaManifest::new(
+        base_generation,
+        new_generation,
+        base.digests(),
+        &digests,
+        dirty,
+    );
+    (manifest, payload)
+}
 
 mod ops {
     pub const CREATE: u32 = 1;
@@ -282,7 +308,7 @@ proptest! {
             asm.accept(idx, chunk, &mac).unwrap();
         }
         prop_assert!(asm.is_complete());
-        prop_assert_eq!(&*asm.finish().unwrap(), &payload[..]);
+        prop_assert_eq!(&*asm.finish().unwrap().0, &payload[..]);
     }
 
     /// Any single bit flip in any chunk payload, any index rewrite, and
@@ -353,9 +379,6 @@ proptest! {
         crash_after in 0u32..20,
         dirty_offsets in proptest::collection::vec(any::<usize>(), 1..6),
     ) {
-        use mig_core::transfer::chunker::{ChunkAssembler, ChunkStream};
-        use mig_core::transfer::delta::{self, PageDigests};
-
         // Stream 0 is a delta stream: its payload is the packed dirty
         // pages of a mutated copy of a base state.
         let base: Vec<u8> = (0..lens[0].max(delta::PAGE_SIZE as usize))
@@ -366,8 +389,8 @@ proptest! {
             let i = off % new_state.len();
             new_state[i] ^= 0x5A;
         }
-        let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
-        let (manifest, delta_payload) = delta::diff(&digests, 0, 1, &new_state);
+        let base = DigestedState::new(base);
+        let (manifest, delta_payload) = delta_of(&base, 0, 1, &new_state);
         prop_assume!(!delta_payload.is_empty());
 
         // Streams 1..n are full streams with unrelated payloads.
@@ -437,13 +460,13 @@ proptest! {
         // Every payload reconstructs byte-identically...
         for (i, asm) in assemblers.drain(..).enumerate() {
             prop_assert!(asm.is_complete(), "stream {i} complete");
-            let out = asm.finish().unwrap();
+            let (out, _) = asm.finish().unwrap();
             prop_assert_eq!(&*out, &payloads[i][..]);
         }
         // ...and the delta stream's payload applies onto the base to the
         // exact mutated state.
         let applied = delta::apply(&base, &manifest, &delta_payload).unwrap();
-        prop_assert_eq!(applied, new_state);
+        prop_assert_eq!(&applied.bytes()[..], &new_state[..]);
     }
 
     /// Delta-checkpoint correctness: for any base state, any dirty-byte
@@ -464,7 +487,6 @@ proptest! {
     ) {
         use cloud_sim::disk::UntrustedDisk;
         use mig_core::transfer::checkpoint::CheckpointStore;
-        use mig_core::transfer::delta::{self, PageDigests};
 
         let store = CheckpointStore::new(UntrustedDisk::new(), "prop-delta");
         let g0 = store.put(base.clone()).unwrap();
@@ -479,21 +501,16 @@ proptest! {
         new.truncate(keep);
         let g1 = store.put(new.clone()).unwrap();
 
-        let restored_base = store.get(g0).expect("base generation retained");
+        let restored_base = DigestedState::new(store.get(g0).expect("base generation retained"));
         let (_, latest) = store.latest().expect("latest generation");
-        let (manifest, payload) = delta::diff(
-            &PageDigests::compute(&restored_base, delta::PAGE_SIZE),
-            g0,
-            g1,
-            &latest,
-        );
+        let (manifest, payload) = delta_of(&restored_base, g0, g1, &latest);
         prop_assert_eq!(manifest.base_generation, g0);
         prop_assert_eq!(manifest.new_generation, g1);
         prop_assert_eq!(payload.len() as u64, manifest.payload_len());
 
         // The reconstruction is exact.
         let applied = delta::apply(&restored_base, &manifest, &payload).unwrap();
-        prop_assert_eq!(&applied, &new);
+        prop_assert_eq!(&applied.bytes()[..], &new[..]);
 
         // The packed dirty pages stream through the chunker verbatim.
         let stream = ChunkStream::new(nonce, chunk_size, payload.clone());
@@ -507,7 +524,7 @@ proptest! {
             let (chunk, mac) = stream.chunk(idx);
             asm.accept(idx, chunk, &mac).unwrap();
         }
-        prop_assert_eq!(&*asm.finish().unwrap(), &payload[..]);
+        prop_assert_eq!(&*asm.finish().unwrap().0, &payload[..]);
 
         // A delta applied to the wrong base is rejected, never silently
         // wrong: flip one byte of the base inside a clean page (if any
@@ -516,9 +533,9 @@ proptest! {
         if new.len() == base.len() {
             let mut wrong_base = base.clone();
             wrong_base[0] ^= 1;
-            match delta::apply(&wrong_base, &manifest, &payload) {
+            match delta::apply(&DigestedState::new(wrong_base), &manifest, &payload) {
                 // A dirty page over the flipped byte masks the base flip.
-                Ok(out) => prop_assert_eq!(out, new),
+                Ok(out) => prop_assert_eq!(&out.bytes()[..], &new[..]),
                 Err(e) => prop_assert!(matches!(e, mig_core::error::MigError::Transfer(_))),
             }
         }

@@ -1110,3 +1110,130 @@ fn queued_migrations_to_same_destination_all_complete() {
     dc.call_app("dst-small", kv_ops::LOAD, &state).unwrap();
     assert_eq!(dc.call_app("dst-small", kv_ops::GET, b"x").unwrap(), b"y");
 }
+
+/// A delta base is identified by content, not by its number: store A
+/// (m1→m2) and store B (m3→m4) run the same image, have equal lengths
+/// and are both cached as generation 0. When A moves on from m2 to m4,
+/// m2 announces a delta against A's generation 0; m4 holds B's
+/// generation 0 under the same number and length, so the page-digest
+/// root tells the bases apart: m4 NACKs and the move completes as a full
+/// stream with A's exact entries.
+#[test]
+fn same_numbered_base_with_other_content_falls_back_to_full_stream() {
+    let config = streaming_config();
+    let mut dc = Datacenter::new(1616);
+    let policy = MigrationPolicy::same_operator_only();
+    let [m1, m2, m3, m4] =
+        [(); 4].map(|()| dc.add_machine_with_transfer(MachineLabels::default(), &policy, config));
+    for (src, dst, from, to, fill) in [("a", "a2", m1, m2, 0x21), ("b", "b4", m3, m4, 0x42)] {
+        dc.deploy_app(src, from, &image(), KvStore::new(), InitRequest::New)
+            .unwrap();
+        dc.call_app(src, kv_ops::INIT, &[]).unwrap();
+        dc.call_app(
+            src,
+            kv_ops::BULK_PUT,
+            &kvstore::encode_bulk_put(512, 4096, fill),
+        )
+        .unwrap();
+        dc.deploy_app(dst, to, &image(), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        dc.migrate_app(src, dst).unwrap();
+    }
+    let a = dc.app_bulk_state("a2").unwrap().expect("A arrived");
+    let b = dc.app_bulk_state("b4").unwrap().expect("B arrived");
+    assert_eq!(a.len(), b.len(), "both bases have the same length");
+    assert!(a != b, "but not the same content");
+
+    // A dirties four entries on m2; B leaves m4 (its ME keeps B's
+    // generation 0 cached) and A's destination takes its place.
+    dc.call_app("a2", kv_ops::LOAD, &a).unwrap();
+    dc.call_app(
+        "a2",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(4, 4096, 0x44),
+    )
+    .unwrap();
+    let sent = dc.app_bulk_state("a2").unwrap().expect("dirtied A");
+    dc.stop_app("b4");
+    dc.deploy_app("a4", m4, &image(), KvStore::new(), InitRequest::Migrate)
+        .unwrap();
+    let tap = install_byte_tap(&mut dc, m2, m4);
+    dc.migrate_app("a2", "a4").unwrap();
+
+    let delta_fallbacks = |dc: &mut Datacenter, m: MachineId| {
+        dc.me_host(m)
+            .lock()
+            .telemetry()
+            .unwrap()
+            .counters
+            .get("me.delta_fallbacks")
+            .copied()
+    };
+    assert_eq!(delta_fallbacks(&mut dc, m4), Some(1), "m4 NACKs the delta");
+    assert_eq!(delta_fallbacks(&mut dc, m2), Some(1), "m2 restarts in full");
+    let (_, bytes) = tap.snapshot();
+    assert!(
+        bytes >= sent.len(),
+        "the fallback ships the full state: {bytes} wire bytes for {} state",
+        sent.len()
+    );
+
+    let got = dc.app_bulk_state("a4").unwrap().expect("A arrived at m4");
+    assert!(got == sent, "m4 released A's state exactly");
+    dc.call_app("a4", kv_ops::LOAD, &got).unwrap();
+    let len = dc.call_app("a4", kv_ops::LEN, &[]).unwrap();
+    assert_eq!(u32::from_le_bytes(len[..4].try_into().unwrap()), 512);
+    for (i, fill) in [(1u32, 0x44u8), (3, 0x44), (4, 0x21), (300, 0x21)] {
+        let key = format!("bulk-{i:08}");
+        let value = dc.call_app("a4", kv_ops::GET, key.as_bytes()).unwrap();
+        let expected: Vec<u8> = (0..4096usize)
+            .map(|j| fill.wrapping_add((i as usize + j) as u8))
+            .collect();
+        assert_eq!(value, expected, "entry {key}");
+    }
+}
+
+/// The frozen blob a handoff leaves on the source's disk holds Table II
+/// only: it still restarts as `Frozen`, and its size no longer grows
+/// with the staged state (which the migration carries through the ME).
+#[test]
+fn frozen_blob_omits_the_staged_state() {
+    let (mut dc, m1, m2) = dc_with_config(1617, streaming_config());
+    let mut frozen_sizes = Vec::new();
+    for (name, image, count) in [("small", small_image(), 16u32), ("large", image(), 256)] {
+        dc.deploy_app(name, m1, &image, KvStore::new(), InitRequest::New)
+            .unwrap();
+        dc.call_app(name, kv_ops::INIT, &[]).unwrap();
+        dc.call_app(
+            name,
+            kv_ops::BULK_PUT,
+            &kvstore::encode_bulk_put(count, 4096, 0x33),
+        )
+        .unwrap();
+        let key = format!("mig-state:{name}");
+        let live = dc.world().machine(m1).disk.get(&key).expect("live blob");
+        assert!(
+            live.len() > count as usize * 4096,
+            "a live blob carries the staged state"
+        );
+        let dst = format!("{name}-dst");
+        dc.deploy_app(&dst, m2, &image, KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        dc.migrate_app(name, &dst).unwrap();
+        let frozen = dc.world().machine(m1).disk.get(&key).expect("frozen blob");
+        assert!(frozen.len() < 4096, "frozen blob is {} bytes", frozen.len());
+        frozen_sizes.push(frozen.len());
+
+        let err = dc
+            .restart_app(name, m1, &image, KvStore::new())
+            .unwrap_err();
+        assert!(
+            matches!(err, sgx_sim::SgxError::Enclave(ref m) if m.contains("frozen")),
+            "the frozen blob still restarts as frozen: {err:?}"
+        );
+    }
+    assert_eq!(
+        frozen_sizes[0], frozen_sizes[1],
+        "a 64 KiB and a 1 MiB store leave the same frozen blob"
+    );
+}
