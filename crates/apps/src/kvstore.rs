@@ -16,7 +16,10 @@
 //! set. A PUT reseals only the segments whose plaintext changed (plus
 //! the small index), so the staged bytes stay mostly identical across
 //! updates — which is what lets the ME's dirty-page delta transfer ship
-//! a repeat migration as a few pages instead of the whole store.
+//! a repeat migration as a few pages instead of the whole store. Which
+//! segments changed is known from the writes themselves, not by hashing
+//! the plaintext: the store notes each key it writes, and the serializer
+//! turns the notes into byte ranges.
 //! Splicing segments from an older container is caught by the index
 //! (ciphertext hashes); replaying a whole older container is the classic
 //! rollback, caught by the version-vs-counter check on load.
@@ -25,7 +28,8 @@ use mig_core::harness::{AppCtx, AppLogic};
 use mig_crypto::sha256::sha256;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// ECALL opcodes of the KV store enclave.
 pub mod ops {
@@ -68,14 +72,37 @@ fn segment_aad(idx: u32) -> Vec<u8> {
 /// A parsed snapshot: version-counter id, version, entries.
 type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
 
-/// One cached staging segment: its sealed ciphertext, with the hashes a
-/// restage needs so an unchanged segment is never hashed again.
+/// One cached staging segment: its sealed ciphertext and that
+/// ciphertext's digest, so an unchanged segment is never hashed again.
 struct Segment {
-    /// SHA-256 of the plaintext (detects which segments a PUT dirtied).
-    plain_hash: [u8; 32],
     /// SHA-256 of `sealed` (the segment's entry in the sealed index).
     sealed_hash: [u8; 32],
     sealed: Vec<u8>,
+}
+
+/// The writes since the staging segments were sealed, by key: what the
+/// next restage must reseal besides the header (whose version always
+/// changes).
+#[derive(Default)]
+struct Dirty {
+    /// Keys overwritten with a value of the same length: only their value
+    /// bytes changed.
+    values: BTreeSet<Vec<u8>>,
+    /// The least key inserted or resized: every byte from its entry to
+    /// the end may have moved.
+    tail: Option<Vec<u8>>,
+}
+
+impl Dirty {
+    /// Notes a write of `key` that replaced a value of `old_len` bytes
+    /// (`None`: a new key) with one of `new_len` bytes.
+    fn note(&mut self, key: Vec<u8>, old_len: Option<usize>, new_len: usize) {
+        if old_len == Some(new_len) {
+            self.values.insert(key);
+        } else if self.tail.as_ref().is_none_or(|tail| key < *tail) {
+            self.tail = Some(key);
+        }
+    }
 }
 
 /// The in-enclave state of the KV store.
@@ -86,6 +113,8 @@ pub struct KvStore {
     /// Staging segment cache — lets an update reseal only the segments
     /// whose plaintext changed.
     segments: Vec<Segment>,
+    /// What changed since `segments` was sealed.
+    dirty: Dirty,
 }
 
 impl KvStore {
@@ -100,16 +129,48 @@ impl KvStore {
             .ok_or_else(|| SgxError::Enclave("kv store not initialized".into()))
     }
 
-    fn snapshot_bytes(&self, version: u32) -> Vec<u8> {
-        let mut w = WireWriter::new();
+    /// Writes `value` under `key`, noting which snapshot bytes moved.
+    fn write(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        let new_len = value.len();
+        let old = self.entries.insert(key.clone(), value);
+        self.dirty.note(key, old.map(|old| old.len()), new_len);
+    }
+
+    /// Serializes the store, with the byte ranges that differ from the
+    /// snapshot the staging segments were sealed from (ascending): the
+    /// header, every value overwritten at the same length, and everything
+    /// from the first inserted or resized entry on.
+    fn snapshot_bytes(&self, version: u32) -> (Vec<u8>, Vec<Range<usize>>) {
+        let len = 9 + self
+            .entries
+            .iter()
+            .map(|(key, value)| 8 + key.len() + value.len())
+            .sum::<usize>();
+        let mut w = WireWriter::with_capacity(len);
         w.u8(self.version_counter.unwrap_or(0));
         w.u32(version);
         w.u32(self.entries.len() as u32);
+        // The header: the version always changes.
+        let header = 0..w.len();
+        let mut dirty = Vec::from([header]);
+        let mut tail = None;
         for (key, value) in &self.entries {
+            let entry = w.len();
             w.bytes(key);
             w.bytes(value);
+            if tail.is_some() {
+                continue;
+            }
+            if self.dirty.tail.as_ref() == Some(key) {
+                tail = Some(entry);
+            } else if self.dirty.values.contains(key) {
+                dirty.push(w.len() - value.len()..w.len());
+            }
         }
-        w.finish()
+        if let Some(entry) = tail {
+            dirty.push(entry..len);
+        }
+        (w.finish(), dirty)
     }
 
     fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SgxError> {
@@ -128,22 +189,32 @@ impl KvStore {
     }
 
     /// Rebuilds the segment-sealed staging container for `snapshot`
-    /// (the serialized store) and stages it with the library. Only
-    /// segments whose plaintext changed since the cache was built are
-    /// resealed.
-    fn restage(&mut self, ctx: &mut AppCtx<'_, '_>, snapshot: &[u8]) -> Result<Vec<u8>, SgxError> {
+    /// (the serialized store) and stages it with the library. Only the
+    /// segments `dirty` touches (byte ranges of `snapshot` that differ
+    /// from what the cache was sealed from) and those past the cache's
+    /// end are resealed.
+    fn restage(
+        &mut self,
+        ctx: &mut AppCtx<'_, '_>,
+        snapshot: &[u8],
+        dirty: &[Range<usize>],
+    ) -> Result<Vec<u8>, SgxError> {
+        let n = snapshot.len().div_ceil(SEGMENT_LEN);
+        let mut reseal = vec![false; n];
+        for range in dirty.iter().filter(|range| !range.is_empty()) {
+            let segments = range.start / SEGMENT_LEN..range.end.div_ceil(SEGMENT_LEN).min(n);
+            reseal[segments].fill(true);
+        }
         let mut cached = std::mem::take(&mut self.segments).into_iter();
-        let mut segments = Vec::with_capacity(snapshot.len().div_ceil(SEGMENT_LEN));
-        for (i, plain) in snapshot.chunks(SEGMENT_LEN).enumerate() {
-            let plain_hash = sha256(plain);
+        let mut segments = Vec::with_capacity(n);
+        for ((i, plain), reseal) in snapshot.chunks(SEGMENT_LEN).enumerate().zip(reseal) {
             let segment = match cached.next() {
-                Some(segment) if segment.plain_hash == plain_hash => segment,
+                Some(segment) if !reseal => segment,
                 _ => {
                     let sealed =
                         ctx.lib
                             .seal_migratable_data(ctx.env, &segment_aad(i as u32), plain)?;
                     Segment {
-                        plain_hash,
                         sealed_hash: sha256(&sealed),
                         sealed,
                     }
@@ -152,6 +223,7 @@ impl KvStore {
             segments.push(segment);
         }
         self.segments = segments;
+        self.dirty = Dirty::default();
 
         let mut index = WireWriter::new();
         index.u32(self.segments.len() as u32);
@@ -215,7 +287,6 @@ impl KvStore {
                 return Err(SgxError::Decode);
             }
             segments.push(Segment {
-                plain_hash: sha256(&seg),
                 sealed_hash,
                 sealed: sealed.to_vec(),
             });
@@ -247,11 +318,11 @@ impl AppLogic for KvStore {
                 let key = r.bytes_vec()?;
                 let value = r.bytes_vec()?;
                 r.finish()?;
-                self.entries.insert(key, value);
+                self.write(key, value);
                 // Version discipline: bump the counter, seal the new
                 // version into the snapshot (paper §II-A4).
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let snapshot = self.snapshot_bytes(version);
+                let (snapshot, dirty) = self.snapshot_bytes(version);
                 let blob = ctx
                     .lib
                     .seal_migratable_data(ctx.env, SNAPSHOT_AAD, &snapshot)?;
@@ -259,7 +330,7 @@ impl AppLogic for KvStore {
                 // always carries the current store; only the segments
                 // this PUT dirtied are resealed, keeping the staged
                 // bytes delta-friendly across updates.
-                self.restage(ctx, &snapshot)?;
+                self.restage(ctx, &snapshot, &dirty)?;
                 let mut w = WireWriter::new();
                 w.u32(version).bytes(&blob);
                 Ok(w.finish())
@@ -276,13 +347,13 @@ impl AppLogic for KvStore {
                     let value: Vec<u8> = (0..value_len)
                         .map(|j| fill.wrapping_add((i as usize + j) as u8))
                         .collect();
-                    self.entries.insert(key, value);
+                    self.write(key, value);
                 }
                 // One version bump and one restaged container for the
                 // whole batch.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let snapshot = self.snapshot_bytes(version);
-                let container = self.restage(ctx, &snapshot)?;
+                let (snapshot, dirty) = self.snapshot_bytes(version);
+                let container = self.restage(ctx, &snapshot, &dirty)?;
                 let mut w = WireWriter::new();
                 w.u32(version).u64(container.len() as u64);
                 Ok(w.finish())
@@ -324,11 +395,13 @@ impl AppLogic for KvStore {
                 match segments {
                     Some(segments) => {
                         self.segments = segments;
+                        self.dirty = Dirty::default();
                         ctx.lib.stage_bulk_state(ctx.env, input)?;
                     }
                     None => {
+                        // Nothing cached: every segment is sealed anew.
                         self.segments.clear();
-                        self.restage(ctx, &plaintext)?;
+                        self.restage(ctx, &plaintext, &[])?;
                     }
                 }
                 Ok(vec![])
@@ -344,13 +417,16 @@ impl AppLogic for KvStore {
     }
 
     fn export_state(&self) -> Vec<u8> {
-        self.snapshot_bytes(0)
+        self.snapshot_bytes(0).0
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), SgxError> {
         let (counter_id, _version, entries) = Self::parse_snapshot(bytes)?;
         self.version_counter = Some(counter_id);
         self.entries = entries;
+        // The cached segments belong to the replaced entries.
+        self.segments.clear();
+        self.dirty = Dirty::default();
         Ok(())
     }
 }
@@ -408,7 +484,7 @@ mod tests {
         store.version_counter = Some(3);
         store.entries.insert(b"a".to_vec(), b"1".to_vec());
         store.entries.insert(b"b".to_vec(), b"2".to_vec());
-        let bytes = store.snapshot_bytes(9);
+        let (bytes, _) = store.snapshot_bytes(9);
         let (id, version, entries) = KvStore::parse_snapshot(&bytes).unwrap();
         assert_eq!(id, 3);
         assert_eq!(version, 9);

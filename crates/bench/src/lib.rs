@@ -110,6 +110,7 @@ impl sgx_sim::enclave::EnclaveCode for EnvelopedNative {
     ) -> Result<Vec<u8>, SgxError> {
         let payload = self.0.ecall(env, opcode, input)?;
         let mut w = sgx_sim::wire::WireWriter::new();
+        w.u8(0); // lead byte
         w.bytes(&payload);
         w.u8(0); // no persist blob
         Ok(w.finish())

@@ -6,6 +6,11 @@
 //! adversary's control, it supports **snapshots and rollback** — the exact
 //! capability the paper's §III fork and roll-back attacks exploit by
 //! re-supplying an old sealed blob to a restarted enclave.
+//!
+//! Stored values are shared, not copied: a writer that files one blob
+//! under two keys (a host's state blob and its checkpoint) hands both
+//! the same [`DiskValue`], and a snapshot shares every value with the
+//! disk it was taken from.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -56,10 +61,14 @@ pub enum WriteFault {
 /// [`UntrustedDisk::set_fault_hook`] (fault injection).
 pub type FaultHook = Box<dyn FnMut(&str, &[u8]) -> WriteFault + Send>;
 
+/// A stored value: immutable once written, so keys and snapshots share
+/// it instead of each holding a copy.
+pub type DiskValue = Arc<Vec<u8>>;
+
 /// A point-in-time copy of a disk's contents (an adversary capability).
 #[derive(Clone, Debug)]
 pub struct DiskSnapshot {
-    entries: HashMap<String, Vec<u8>>,
+    entries: HashMap<String, DiskValue>,
 }
 
 impl DiskSnapshot {
@@ -78,7 +87,7 @@ impl DiskSnapshot {
     /// Reads a single object out of the snapshot without restoring it.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&[u8]> {
-        self.entries.get(key).map(Vec::as_slice)
+        self.entries.get(key).map(|value| value.as_slice())
     }
 }
 
@@ -98,7 +107,7 @@ impl DiskSnapshot {
 /// ```
 #[derive(Clone, Default)]
 pub struct UntrustedDisk {
-    entries: Arc<Mutex<HashMap<String, Vec<u8>>>>,
+    entries: Arc<Mutex<HashMap<String, DiskValue>>>,
     /// Shared across clones: every handle on the machine's disk sees the
     /// same injected faults.
     fault_hook: Arc<Mutex<Option<FaultHook>>>,
@@ -125,17 +134,19 @@ impl UntrustedDisk {
     /// Infallible and immune to injected faults — this is the adversary's
     /// (and test harness's) direct handle on the medium. Durability-aware
     /// writers go through [`UntrustedDisk::try_put`].
-    pub fn put(&self, key: &str, value: Vec<u8>) {
-        self.entries.lock().insert(key.to_string(), value);
+    pub fn put(&self, key: &str, value: impl Into<DiskValue>) {
+        self.entries.lock().insert(key.to_string(), value.into());
     }
 
     /// Stores `value` under `key` through the fault hook, if installed.
+    /// A [`DiskValue`] is stored as it is, shared with the caller.
     ///
     /// # Errors
     ///
     /// [`DiskError::Failed`] leaves the stored value unchanged;
     /// [`DiskError::Torn`] stores a prefix of `value` before failing.
-    pub fn try_put(&self, key: &str, value: Vec<u8>) -> Result<(), DiskError> {
+    pub fn try_put(&self, key: &str, value: impl Into<DiskValue>) -> Result<(), DiskError> {
+        let value = value.into();
         let fault = match &mut *self.fault_hook.lock() {
             Some(hook) => hook(key, &value),
             None => WriteFault::None,
@@ -150,7 +161,7 @@ impl UntrustedDisk {
                 let keep = keep.min(value.len());
                 self.entries
                     .lock()
-                    .insert(key.to_string(), value[..keep].to_vec());
+                    .insert(key.to_string(), Arc::new(value[..keep].to_vec()));
                 Err(DiskError::Torn)
             }
         }
@@ -170,19 +181,19 @@ impl UntrustedDisk {
     /// Reads the value under `key`.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.entries.lock().get(key).cloned()
+        self.entries.lock().get(key).map(|value| value.to_vec())
     }
 
     /// Length in bytes of the value under `key`, without copying it
     /// (metadata-only lookup).
     #[must_use]
     pub fn len(&self, key: &str) -> Option<usize> {
-        self.entries.lock().get(key).map(Vec::len)
+        self.entries.lock().get(key).map(|value| value.len())
     }
 
     /// Deletes the value under `key`, returning it if present.
     pub fn delete(&self, key: &str) -> Option<Vec<u8>> {
-        self.entries.lock().remove(key)
+        self.entries.lock().remove(key).map(Arc::unwrap_or_clone)
     }
 
     /// Lists all keys (sorted, for determinism).
@@ -254,6 +265,22 @@ mod tests {
         disk.put("k", b"v2".to_vec());
         // The snapshot still holds the old value.
         assert_eq!(snap.get("k").unwrap(), b"v1");
+    }
+
+    #[test]
+    fn one_value_filed_under_two_keys_is_stored_once() {
+        let disk = UntrustedDisk::new();
+        let value: DiskValue = Arc::new(b"blob".to_vec());
+        disk.try_put("state", Arc::clone(&value)).unwrap();
+        disk.try_put("ckpt/0", Arc::clone(&value)).unwrap();
+        // Both keys and the caller hold the one buffer.
+        assert_eq!(Arc::strong_count(&value), 3);
+        let snap = disk.snapshot();
+        assert_eq!(Arc::strong_count(&value), 5);
+        assert_eq!(disk.get("state").unwrap(), b"blob");
+        assert_eq!(snap.get("ckpt/0").unwrap(), b"blob");
+        assert_eq!(disk.delete("state").unwrap(), b"blob");
+        assert_eq!(Arc::strong_count(&value), 4);
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //!   freshly resealed Table II blob whenever the library state changed,
 //!   so the untrusted host can persist it (the paper's "handing the data
 //!   in a sealed data blob over to the untrusted part", §VI-B).
+//!
+//! The envelope is one buffer of its final size: a lead byte, the
+//! payload behind its `u32` length, then the persist blob as an optional
+//! byte string, sealed where it lies ([`MigrationLibrary::write_persist`]).
+//! The payload sits in the shape of a network frame (`[tag][u32
+//! len][body]`, see [`crate::host`]) with the lead byte as its tag slot,
+//! so a host relays a payload it does not read (the sealed migration
+//! request) by writing the wire tag over that byte and cutting off the
+//! rest, without copying the payload. The request itself, and the bulk
+//! state `BULK_STATE` returns, are written straight into the envelope:
+//! each crosses the ECALL boundary in the one buffer it was written to.
 
 use crate::error::MigError;
 use crate::library::{InitRequest, LibPhase, MigrationLibrary};
@@ -104,24 +115,52 @@ impl<A: AppLogic> MigratableEnclave<A> {
     }
 }
 
-/// Encodes the uniform ECALL response envelope: payload + optional
-/// persist blob, in one buffer of its final size (the one copy the
-/// ECALL boundary costs).
-fn envelope(payload: &[u8], persist: Option<&[u8]>) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(4 + payload.len() + crate::me::opt_len(persist));
-    w.bytes(payload);
-    crate::me::write_opt(&mut w, persist);
-    w.finish()
+/// Bytes in front of an envelope's payload: the lead byte (a host's
+/// tag slot) and the payload's `u32` length.
+pub const ENVELOPE_HEAD: usize = 1 + 4;
+
+/// Starts the uniform ECALL response envelope for a `payload_len`-byte
+/// payload: one buffer of its final size, with the lead byte written.
+/// The caller writes the payload behind its `u32` length, then
+/// [`finish_envelope`] appends the persist blob.
+fn start_envelope(lib: Option<&MigrationLibrary>, payload_len: usize) -> WireWriter {
+    let persist_len = lib.map_or(1, MigrationLibrary::persist_len);
+    let mut w = WireWriter::with_capacity(ENVELOPE_HEAD + payload_len + persist_len);
+    w.u8(0);
+    w
+}
+
+/// Finishes an envelope [`start_envelope`] began: checks the payload's
+/// length and appends the library's persist blob, sealed in place when
+/// one is due.
+fn finish_envelope(
+    env: &mut EnclaveEnv<'_>,
+    mut w: WireWriter,
+    payload_len: usize,
+    lib: Option<&mut MigrationLibrary>,
+) -> Result<Vec<u8>, SgxError> {
+    if w.len() != ENVELOPE_HEAD + payload_len {
+        return Err(MigError::Transfer("message length mismatch").into());
+    }
+    match lib {
+        Some(lib) => lib.write_persist(env, &mut w)?,
+        None => crate::me::write_opt(&mut w, None),
+    }
+    Ok(w.finish())
 }
 
 /// Decodes the response envelope (host side), borrowing the payload and
-/// the persist blob from `bytes`.
+/// the persist blob from `bytes`. The payload starts at
+/// [`ENVELOPE_HEAD`].
 ///
 /// # Errors
 ///
 /// [`SgxError::Decode`] on malformed input.
 pub fn open_envelope(bytes: &[u8]) -> Result<(&[u8], Option<&[u8]>), SgxError> {
     let mut r = WireReader::new(bytes);
+    if r.u8()? != 0 {
+        return Err(SgxError::Decode);
+    }
     let payload = r.bytes()?;
     let persist = crate::me::read_opt(&mut r)?;
     r.finish()?;
@@ -187,18 +226,16 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                 let mut r = WireReader::new(input);
                 let destination = MachineId(r.u64()?);
                 r.finish()?;
-                // The request is sealed in place inside the envelope, so
-                // the state is copied once, into the buffer that leaves
-                // the enclave.
+                // The payload is the request's ciphertext, sealed in
+                // place inside the envelope: the state is copied once,
+                // into the buffer that leaves the enclave, which the host
+                // relays as the ME's frame.
                 let lib = self.lib_mut()?;
                 let request = lib.start_migration(env, destination)?;
-                let persist = lib.take_persist();
-                let mut w = WireWriter::with_capacity(
-                    4 + request.encoded_len() + TAG_LEN + crate::me::opt_len(persist.as_deref()),
-                );
+                let sealed_len = request.encoded_len() + TAG_LEN;
+                let mut w = start_envelope(Some(lib), sealed_len);
                 lib.write_sealed(&mut w, &request)?;
-                crate::me::write_opt(&mut w, persist.as_deref());
-                return Ok(w.finish());
+                return finish_envelope(env, w, sealed_len, Some(lib));
             }
             ops::ME_CT => self.lib_mut().and_then(|lib| {
                 lib.receive_me_message(env, input).map(|reply| {
@@ -222,20 +259,15 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                 // The payload is written straight into the envelope, so
                 // the state is copied once, into the buffer that leaves
                 // the enclave.
-                let lib = self.lib.as_mut().ok_or(MigError::NotInitialized)?;
-                let persist = lib.take_persist();
-                let bulk = lib.bulk_state();
-                let payload_len = crate::me::opt_len(bulk);
-                let mut w = WireWriter::with_capacity(
-                    4 + payload_len + crate::me::opt_len(persist.as_deref()),
-                );
+                let lib = self.lib_mut()?;
+                let payload_len = crate::me::opt_len(lib.bulk_state());
+                let mut w = start_envelope(Some(lib), payload_len);
                 w.u32(
                     u32::try_from(payload_len)
                         .map_err(|_| MigError::Transfer("message exceeds wire limit"))?,
                 );
-                crate::me::write_opt(&mut w, bulk);
-                crate::me::write_opt(&mut w, persist.as_deref());
-                return Ok(w.finish());
+                crate::me::write_opt(&mut w, lib.bulk_state());
+                return finish_envelope(env, w, payload_len, Some(lib));
             }
             app_opcode if app_opcode < APP_OPCODE_LIMIT => {
                 let lib = self.lib.as_mut().ok_or(MigError::NotInitialized)?;
@@ -247,8 +279,9 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
             _ => Err(MigError::Protocol("unknown migration opcode")),
         };
         let payload = payload.map_err(SgxError::from)?;
-        let persist = self.lib.as_mut().and_then(MigrationLibrary::take_persist);
-        Ok(envelope(&payload, persist.as_deref()))
+        let mut w = start_envelope(self.lib.as_ref(), payload.len());
+        w.bytes(&payload);
+        finish_envelope(env, w, payload.len(), self.lib.as_mut())
     }
 }
 
@@ -256,18 +289,68 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
 mod tests {
     use super::*;
 
+    /// Echoes its input as the payload.
+    struct Echo;
+
+    impl AppLogic for Echo {
+        fn handle(
+            &mut self,
+            _ctx: &mut AppCtx<'_, '_>,
+            _opcode: u32,
+            input: &[u8],
+        ) -> Result<Vec<u8>, SgxError> {
+            Ok(input.to_vec())
+        }
+    }
+
+    fn echo_enclave() -> (
+        sgx_sim::machine::SgxMachine,
+        sgx_sim::enclave::EnclaveHandle,
+    ) {
+        use rand::SeedableRng as _;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let ias = sgx_sim::ias::AttestationService::new(&mut rng);
+        let machine = sgx_sim::machine::SgxMachine::new(MachineId(1), &ias, &mut rng);
+        let signer = sgx_sim::measurement::EnclaveSigner::from_seed([4; 32]);
+        let image = sgx_sim::measurement::EnclaveImage::build("echo", 1, b"echo", &signer);
+        let enclave = machine
+            .load_enclave(&image, Box::new(MigratableEnclave::new(Echo)))
+            .unwrap();
+        (machine, enclave)
+    }
+
     #[test]
     fn envelope_round_trip() {
-        let enc = envelope(b"payload", Some(b"persist me"));
-        assert_eq!(enc.capacity(), enc.len());
-        let (payload, persist) = open_envelope(&enc).unwrap();
-        assert_eq!(payload, b"payload");
-        assert_eq!(persist.unwrap(), b"persist me");
+        let (_machine, enclave) = echo_enclave();
+        // Before MIG_INIT there is no library and so no persist.
+        let out = enclave.ecall(ops::PHASE, &[]).unwrap();
+        assert_eq!(open_envelope(&out).unwrap(), (&[0u8][..], None));
 
-        let enc = envelope(b"", None);
-        let (payload, persist) = open_envelope(&enc).unwrap();
+        // A fresh library's blob is due: sealed inside the envelope.
+        let out = enclave
+            .ecall(
+                ops::MIG_INIT,
+                &encode_init(&MrEnclave([1; 32]), &InitRequest::New),
+            )
+            .unwrap();
+        assert_eq!(out.capacity(), out.len());
+        let (payload, persist) = open_envelope(&out).unwrap();
         assert!(payload.is_empty());
+        let header = sgx_sim::seal::parse_sealed_header(persist.unwrap()).unwrap();
+        assert_eq!(header.aad, crate::library::STATE_AAD);
+
+        // Nothing changed since: the next envelope carries no blob.
+        let out = enclave.ecall(7, b"payload").unwrap();
+        assert_eq!(out.capacity(), out.len());
+        assert_eq!(out[..ENVELOPE_HEAD], [0, 7, 0, 0, 0]);
+        let (payload, persist) = open_envelope(&out).unwrap();
+        assert_eq!(payload, b"payload");
         assert!(persist.is_none());
+
+        // The lead byte is part of the format.
+        let mut bad = out.clone();
+        bad[0] = 1;
+        assert!(open_envelope(&bad).is_err());
     }
 
     #[test]

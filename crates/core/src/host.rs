@@ -6,14 +6,29 @@
 //! untrusted disk, and talk to the (simulated) IAS. Everything they touch
 //! is adversary-visible; the protocol's security rests entirely on what
 //! the enclaves verify.
+//!
+//! **Frames.** A network message is `[tag][u32 len][body]`. A ciphertext
+//! a host relays without reading it already sits in an ECALL output in
+//! that shape: behind its `u32` length, with a spare byte in front (the
+//! flag of an optional byte string, or an envelope's lead byte, see
+//! [`crate::harness`]). The host turns the output into the frame in
+//! place: the wire tag overwrites the spare byte, the frame moves to the
+//! buffer's front and the rest is cut off. The migration request
+//! (`LIB_MSG`) and the ME's forward of an incoming migration
+//! (`ME_FORWARD`) travel this way, so the state is never copied into a
+//! frame of its own. Small frames are copied, and so are the small parts
+//! of an output (acks, a second forward) before the output becomes a
+//! frame. The sealed blob an app ECALL hands over is copied out of its
+//! envelope once and filed, shared, under the state key and in the
+//! checkpoint series.
 
-use crate::harness::{encode_init, open_envelope, ops as lib_ops};
+use crate::harness::{encode_init, open_envelope, ops as lib_ops, ENVELOPE_HEAD};
 use crate::library::InitRequest;
 use crate::me::{ops as me_ops, read_opt, MeAction, RaResponseAuth, TelemetryReport};
 use crate::remote_attest::RaHello;
 use crate::transfer::checkpoint::CheckpointStore;
 use cloud_sim::clock::{SimClock, SimTime};
-use cloud_sim::disk::UntrustedDisk;
+use cloud_sim::disk::{DiskValue, UntrustedDisk};
 use cloud_sim::network::{Endpoint, Network};
 use cloud_sim::world::Service;
 use mig_trace::{
@@ -28,24 +43,12 @@ use sgx_sim::quote::Quote;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Parsed output of the ME's `LA_MSG2` ECALL: msg3, attested
-/// measurement, optional forward ciphertext (borrowed from the output).
-type LaMsg2Output<'a> = (&'a [u8], MrEnclave, Option<&'a [u8]>);
-/// One record of the ME's `TRANSFER` ECALL output: kind, measurement,
-/// optional trace id, optional forward ciphertext, optional ack
-/// ciphertext (borrowed from the output).
-type TransferRecord<'a> = (
-    u8,
-    MrEnclave,
-    Option<TraceId>,
-    Option<&'a [u8]>,
-    Option<&'a [u8]>,
-);
-/// Parsed output of the ME's `TRANSFER` ECALL: its records and the
-/// first rejected cell's error, if any.
-type TransferOutput<'a> = (Vec<TransferRecord<'a>>, Option<&'a [u8]>);
+/// Parsed output of the ME's `LA_MSG2` ECALL: the framed msg3, the
+/// attested measurement and where the optional forward ciphertext sits.
+type LaMsg2Output = (Vec<u8>, MrEnclave, Option<Relay>);
 /// Parsed output of the ME's `ACK` ECALL: kind, measurement, optional
 /// trace id, optional completion ciphertext, and follow-on `TRANSFER`
 /// containers for the peer (borrowed from the output).
@@ -132,6 +135,105 @@ fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(1 + 4 + payload.len());
     w.u8(tag).bytes(payload);
     w.finish()
+}
+
+/// Where a relayed ciphertext sits in an ECALL output: `at` is the
+/// spare byte in front of its `u32` length, `len` its length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Relay {
+    at: usize,
+    len: usize,
+}
+
+impl Relay {
+    /// Reads an optional byte string from `r`, noting where it sits in
+    /// the output: `end` is the output offset at which `r`'s input ends.
+    fn read_opt(r: &mut WireReader<'_>, end: usize) -> Result<Option<Self>, SgxError> {
+        let at = end - r.remaining();
+        Ok(read_opt(r)?.map(|ct| Relay { at, len: ct.len() }))
+    }
+
+    /// The ciphertext, borrowed from `out`.
+    fn body<'a>(&self, out: &'a [u8]) -> &'a [u8] {
+        &out[self.at + 5..self.at + 5 + self.len]
+    }
+
+    /// Turns `out` into the frame `frame(tag, body)` without copying the
+    /// body: the tag overwrites the spare byte, the frame moves to the
+    /// buffer's front (no move when it leads the output) and the rest of
+    /// the output is cut off.
+    fn frame(&self, mut out: Vec<u8>, tag: u8) -> Vec<u8> {
+        out.truncate(self.at + 5 + self.len);
+        out.drain(..self.at);
+        if let Some(spare) = out.first_mut() {
+            *spare = tag;
+        }
+        out
+    }
+}
+
+/// One record of the ME's `TRANSFER` ECALL output, with its small parts
+/// copied out: kind, measurement, optional trace id, where the optional
+/// forward ciphertext sits, and the optional ack, framed for the source.
+struct TransferRecord {
+    kind: u8,
+    mr: MrEnclave,
+    trace: Option<TraceId>,
+    forward: Option<Relay>,
+    ack: Option<Vec<u8>>,
+}
+
+/// The `ME_FORWARD` frames of `records` (parsed from `out`), one per
+/// record, in order. The last forward leaves in `out`'s own buffer; an
+/// earlier one (a container that released two streams) is copied out
+/// while the output is still whole.
+fn frame_forwards(out: Vec<u8>, records: &[TransferRecord]) -> Vec<Option<Vec<u8>>> {
+    let in_place = records.iter().rposition(|record| record.forward.is_some());
+    let mut out = Some(out);
+    records
+        .iter()
+        .enumerate()
+        .map(|(i, record)| {
+            let relay = record.forward?;
+            if Some(i) == in_place {
+                out.take().map(|out| relay.frame(out, tags::ME_FORWARD))
+            } else {
+                out.as_deref()
+                    .map(|out| frame(tags::ME_FORWARD, relay.body(out)))
+            }
+        })
+        .collect()
+}
+
+/// Parses the ME's `TRANSFER` ECALL output: its records and the first
+/// rejected cell's error, if any.
+fn parse_transfer_output(out: &[u8]) -> Result<(Vec<TransferRecord>, Option<String>), SgxError> {
+    let mut r = WireReader::new(out);
+    let n = r.u32()? as usize;
+    // Each record takes at least its 4-byte length: bound the count by
+    // the input.
+    let mut records = Vec::with_capacity(n.min(r.remaining() / 4));
+    for _ in 0..n {
+        let bytes = r.bytes()?;
+        let end = out.len() - r.remaining();
+        let mut rr = WireReader::new(bytes);
+        let kind = rr.u8()?;
+        let mr = MrEnclave(rr.array()?);
+        let trace = read_trace(&mut rr)?;
+        let forward = Relay::read_opt(&mut rr, end)?;
+        let ack = read_opt(&mut rr)?.map(|ct| frame(tags::RA_ACK, ct));
+        rr.finish()?;
+        records.push(TransferRecord {
+            kind,
+            mr,
+            trace,
+            forward,
+            ack,
+        });
+    }
+    let rejected = read_opt(&mut r)?.map(|error| String::from_utf8_lossy(error).into_owned());
+    r.finish()?;
+    Ok((records, rejected))
 }
 
 /// Splits a network message into its tag and its body, borrowed.
@@ -560,11 +662,11 @@ impl MeHost {
             Ok(out) => out,
             Err(e) => return self.fail("la msg2", e),
         };
-        let parsed: Result<LaMsg2Output<'_>, SgxError> = (|| {
+        let parsed: Result<LaMsg2Output, SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let msg3 = r.bytes()?;
+            let msg3 = frame(tags::LA_MSG3, r.bytes()?);
             let mr = MrEnclave(r.array()?);
-            let forward = read_opt(&mut r)?;
+            let forward = Relay::read_opt(&mut r, out.len())?;
             r.finish()?;
             Ok((msg3, mr, forward))
         })();
@@ -572,9 +674,11 @@ impl MeHost {
             Ok((msg3, mr, forward)) => {
                 self.app_by_mr.insert(mr, from.clone());
                 self.mr_by_app.insert(from.clone(), mr);
-                net.send(&self.endpoint, from, frame(tags::LA_MSG3, msg3));
-                if let Some(ct) = forward {
-                    net.send(&self.endpoint, from, frame(tags::ME_FORWARD, ct));
+                net.send(&self.endpoint, from, msg3);
+                // Parked migration data forwarded on attestation leaves
+                // in the output's own buffer.
+                if let Some(relay) = forward {
+                    net.send(&self.endpoint, from, relay.frame(out, tags::ME_FORWARD));
                 }
             }
             Err(e) => self.fail("parse la msg2 output", e),
@@ -677,53 +781,40 @@ impl MeHost {
             Err(e) => return self.fail("ra transfer", e),
         };
         let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
-        let parsed: Result<TransferOutput<'_>, SgxError> = (|| {
-            let mut r = WireReader::new(&out);
-            let records = read_list(&mut r)?
-                .into_iter()
-                .map(|bytes| {
-                    let mut r = WireReader::new(bytes);
-                    let record = (
-                        r.u8()?,
-                        MrEnclave(r.array()?),
-                        read_trace(&mut r)?,
-                        read_opt(&mut r)?,
-                        read_opt(&mut r)?,
-                    );
-                    r.finish()?;
-                    Ok(record)
-                })
-                .collect::<Result<_, SgxError>>()?;
-            let rejected = read_opt(&mut r)?;
-            r.finish()?;
-            Ok((records, rejected))
-        })();
-        let (records, rejected) = match parsed {
+        let (records, rejected) = match parse_transfer_output(&out) {
             Ok(parsed) => parsed,
             Err(e) => return self.fail("parse transfer output", e),
         };
-        for record in records {
-            self.apply_transfer_record(net, from, record, release_ns);
+        let forwards = frame_forwards(out, &records);
+        for (record, forward) in records.into_iter().zip(forwards) {
+            self.apply_transfer_record(net, from, record, forward, release_ns);
         }
         if let Some(error) = rejected {
             // One error per rejected container. The rejection may have
             // quarantined an inbound stream; mirror new ledger entries
             // as edges.
-            self.fail("ra transfer", String::from_utf8_lossy(error));
+            self.fail("ra transfer", error);
             self.sync_quarantine_edges();
         }
     }
 
     /// Applies one transfer-output record: span bookkeeping, trace
-    /// edges, and routing of the forward/ack ciphertexts.
+    /// edges, and routing of the framed forward (first) and ack.
     fn apply_transfer_record(
         &mut self,
         net: &mut Network,
         from: &Endpoint,
-        record: TransferRecord<'_>,
+        record: TransferRecord,
+        forward: Option<Vec<u8>>,
         release_ns: u64,
     ) {
-        let (kind, mr, trace, forward, ack) = record;
+        let TransferRecord {
+            kind,
+            mr,
+            trace,
+            ack,
+            ..
+        } = record;
         let now = self.clock.now();
         match (kind, trace) {
             // Kinds 1 (forwarded) and 2 (stored) with a trace id closed
@@ -737,15 +828,15 @@ impl MeHost {
             (4, Some(tid)) => self.record_edge(tid, now, Edge::DeltaFallback),
             _ => {}
         }
-        if let Some(ct) = forward {
+        if let Some(forward) = forward {
             if let Some(app) = self.app_by_mr.get(&mr).cloned() {
-                net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
+                net.send(&self.endpoint, &app, forward);
             } else {
                 self.fail("ra transfer", "forward with no app endpoint");
             }
         }
-        if let Some(ct) = ack {
-            net.send(&self.endpoint, from, frame(tags::RA_ACK, ct));
+        if let Some(ack) = ack {
+            net.send(&self.endpoint, from, ack);
         }
     }
 
@@ -1096,16 +1187,19 @@ impl AppHost {
         &self.checkpoints
     }
 
-    /// Stores the persist blob an ECALL envelope carries (the disk gets
-    /// its own copy) and returns the payload, borrowed from the envelope.
+    /// Stores the persist blob an ECALL envelope carries and returns the
+    /// payload, borrowed from the envelope. The blob is copied out of the
+    /// envelope once: the state key and a checkpoint generation share
+    /// that copy.
     fn store_persist<'a>(&mut self, envelope_bytes: &'a [u8]) -> Result<&'a [u8], SgxError> {
         let (payload, persist) = open_envelope(envelope_bytes)?;
         if let Some(blob) = persist {
+            let blob: DiskValue = Arc::new(blob.to_vec());
             // A failed or torn write surfaces to the caller: the enclave
             // has already advanced, but the host must not pretend the
             // state is durable when the platter rejected it.
             self.disk
-                .try_put(&self.state_key(), blob.to_vec())
+                .try_put(&self.state_key(), Arc::clone(&blob))
                 .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
             // Periodic durable checkpoint generation (the "C" of CTR):
             // the latest-but-one generation survives even a crash
@@ -1115,7 +1209,7 @@ impl AppHost {
                 || self.checkpoints.latest_generation().is_none()
             {
                 self.checkpoints
-                    .put(blob.to_vec())
+                    .put(blob)
                     .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
                 // Only a durable generation restarts the interval: a
                 // failed write is retried on the very next persist.
@@ -1150,11 +1244,11 @@ impl AppHost {
     pub fn call(&mut self, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
         let mut out = self.enclave.ecall(opcode, input)?;
         let payload_len = self.store_persist(&out)?.len();
-        // The payload leads the envelope behind its `u32` length: move it
-        // to the front of the ECALL's own buffer instead of copying it
-        // into a fresh one.
-        out.truncate(4 + payload_len);
-        out.drain(..4);
+        // The payload leads the envelope behind its head: move it to the
+        // front of the ECALL's own buffer instead of copying it into a
+        // fresh one.
+        out.truncate(ENVELOPE_HEAD + payload_len);
+        out.drain(..ENVELOPE_HEAD);
         out.shrink_to_fit();
         Ok(out)
     }
@@ -1179,8 +1273,11 @@ impl AppHost {
         let out = self.enclave.ecall(lib_ops::MIG_START, &w.finish())?;
         // The frozen state blob must hit the disk before the request is
         // relayed (crash consistency; §V-C ordering).
-        let ct = self.store_persist(&out)?;
-        net.send(&self.endpoint, &self.me_endpoint, frame(tags::LIB_MSG, ct));
+        let len = self.store_persist(&out)?.len();
+        // The request's ciphertext is the envelope's payload, which leads
+        // the output in a frame's shape: it leaves in the output's buffer.
+        let request = Relay { at: 0, len }.frame(out, tags::LIB_MSG);
+        net.send(&self.endpoint, &self.me_endpoint, request);
         self.status = AppStatus::MigratingOut;
         Ok(())
     }
@@ -1273,6 +1370,69 @@ mod tests {
         assert_eq!(tag, tags::LIB_MSG);
         assert_eq!(body, b"ciphertext");
         assert!(unframe(&framed[..2]).is_err());
+    }
+
+    /// A `TRANSFER` output record as the ME writes it.
+    fn record(kind: u8, forward: Option<&[u8]>, ack: Option<&[u8]>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u8(kind).array(&[kind; 32]);
+        write_opt(&mut w, Some(&[kind; 8]));
+        write_opt(&mut w, forward);
+        write_opt(&mut w, ack);
+        w.finish()
+    }
+
+    #[test]
+    fn relayed_frames_equal_copied_frames() {
+        // LIB_MSG: the request's ciphertext leads a MIG_START envelope.
+        let ct = b"sealed migration request".as_slice();
+        let mut w = WireWriter::new();
+        w.u8(0).bytes(ct);
+        write_opt(&mut w, Some(b"frozen blob"));
+        let envelope = w.finish();
+        let (payload, _) = open_envelope(&envelope).unwrap();
+        let relay = Relay {
+            at: 0,
+            len: payload.len(),
+        };
+        assert_eq!(
+            relay.frame(envelope, tags::LIB_MSG),
+            frame(tags::LIB_MSG, ct)
+        );
+
+        // ME_FORWARD: a container that released two streams, with a
+        // progress record between them.
+        let (first, second) = (
+            b"first forward".as_slice(),
+            b"second, longer forward".as_slice(),
+        );
+        let mut w = WireWriter::new();
+        w.u32(3);
+        w.bytes(&record(1, Some(first), Some(b"ack 1")));
+        w.bytes(&record(3, None, Some(b"ack 3")));
+        w.bytes(&record(1, Some(second), None));
+        write_opt(&mut w, None);
+        let out = w.finish();
+        let (records, rejected) = parse_transfer_output(&out).unwrap();
+        assert!(rejected.is_none());
+        let acks: Vec<_> = records.iter().map(|r| r.ack.clone()).collect();
+        assert_eq!(
+            acks,
+            [
+                Some(frame(tags::RA_ACK, b"ack 1")),
+                Some(frame(tags::RA_ACK, b"ack 3")),
+                None
+            ]
+        );
+        assert_eq!(records[1].trace, Some([3; 8]));
+        assert_eq!(
+            frame_forwards(out, &records),
+            [
+                Some(frame(tags::ME_FORWARD, first)),
+                None,
+                Some(frame(tags::ME_FORWARD, second))
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //!
 //! The library's own persistent data (Table II) is sealed with *native*
 //! machine-bound sealing and handed to the untrusted host for storage;
-//! the host returns it at every restart via `migration_init`.
+//! the host returns it at every restart via `migration_init`. A change to
+//! Table II or to the staged bulk state only marks the blob due; the
+//! ECALL response then carries it ([`MigrationLibrary::write_persist`]),
+//! written once and sealed where it lies inside the buffer that leaves
+//! the enclave, so the state is never sealed into a blob of its own and
+//! copied beside the response.
 
 pub mod state;
 
@@ -38,7 +43,7 @@ use state::{LibraryState, COUNTER_SLOTS};
 use std::sync::Arc;
 
 /// AAD tag binding sealed blobs to their role as library state.
-const STATE_AAD: &[u8] = b"sgx-migrate.library-state.v1";
+pub(crate) const STATE_AAD: &[u8] = b"sgx-migrate.library-state.v1";
 /// Format version byte of migratable sealed blobs.
 const MIGSEAL_VERSION: u8 = 1;
 
@@ -83,7 +88,9 @@ pub struct MigrationLibrary {
     state: Option<LibraryState>,
     phase: LibPhase,
     me_session: MeSession,
-    pending_persist: Option<Vec<u8>>,
+    /// Whether Table II or the staged bulk state changed since the last
+    /// ECALL response carried the sealed blob.
+    persist_due: bool,
     /// Staged bulk state (the app's migratable-sealed working set),
     /// included in persistent checkpoints and shipped on migration via
     /// the streaming transfer engine when large. `Arc`-backed so the
@@ -132,16 +139,14 @@ impl MigrationLibrary {
             InitRequest::New => {
                 let mut msk = [0u8; 16];
                 env.random_bytes(&mut msk);
-                let mut lib = MigrationLibrary {
+                Ok(MigrationLibrary {
                     expected_me,
                     state: Some(LibraryState::fresh(msk)),
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
-                    pending_persist: None,
+                    persist_due: true,
                     bulk_state: None,
-                };
-                lib.persist(env);
-                Ok(lib)
+                })
             }
             InitRequest::Restore { blob } => {
                 let (plaintext, aad) = env.unseal_data(&blob)?;
@@ -174,7 +179,7 @@ impl MigrationLibrary {
                     state: Some(state),
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
-                    pending_persist: None,
+                    persist_due: false,
                     bulk_state,
                 })
             }
@@ -183,7 +188,7 @@ impl MigrationLibrary {
                 state: None,
                 phase: LibPhase::AwaitingMigration,
                 me_session: MeSession::None,
-                pending_persist: None,
+                persist_due: false,
                 bulk_state: None,
             }),
         }
@@ -207,33 +212,72 @@ impl MigrationLibrary {
         self.state.as_ref().map_or(0, |s| s.active_ids().count())
     }
 
-    /// Takes the freshly sealed Table II blob produced by the last
-    /// mutating operation, if any. The enclave wrapper hands it to the
-    /// untrusted host for storage after every ECALL.
-    pub fn take_persist(&mut self) -> Option<Vec<u8>> {
-        self.pending_persist.take()
+    /// Marks the blob the host stores for resealing: the next ECALL
+    /// response carries it ([`MigrationLibrary::write_persist`]).
+    fn persist(&mut self) {
+        self.persist_due = true;
     }
 
-    /// Reseals Table II plus the staged bulk state into the blob the
-    /// host stores: the plaintext is written once, behind the sealed
-    /// blob's reserved header, and sealed where it lies. A frozen blob
-    /// omits the bulk state: `init` refuses to restore it, so nothing
-    /// could read the state back, and the migration carries it through
-    /// the ME instead.
-    fn persist(&mut self, env: &mut EnclaveEnv<'_>) {
-        if let Some(state) = &self.state {
-            let table = state.to_bytes();
-            let bulk = self.bulk_state.as_deref().filter(|_| state.frozen == 0);
-            let plain_len = 4 + table.len() + crate::me::opt_len(bulk);
-            let mut buf = Vec::with_capacity(seal::sealed_size(STATE_AAD.len(), plain_len));
-            buf.resize(seal::sealed_header_len(STATE_AAD.len()), 0);
-            let mut w = WireWriter::from_vec(buf);
-            w.bytes(&table);
-            crate::me::write_opt(&mut w, bulk);
-            let mut blob = w.finish();
-            env.seal_data_in_place(KeyPolicy::MrEnclave, STATE_AAD, &mut blob);
-            self.pending_persist = Some(blob);
-        }
+    /// What a due blob seals: Table II and the staged bulk state. A
+    /// frozen blob omits the bulk state: `init` refuses to restore it,
+    /// so nothing could read the state back, and the migration carries
+    /// it through the ME instead.
+    fn due_persist(&self) -> Option<(&LibraryState, Option<&[u8]>)> {
+        let state = self.state.as_ref().filter(|_| self.persist_due)?;
+        Some((
+            state,
+            self.bulk_state.as_deref().filter(|_| state.frozen == 0),
+        ))
+    }
+
+    /// Plaintext length of a blob sealing `bulk` beside Table II.
+    fn persist_plain_len(bulk: Option<&[u8]>) -> usize {
+        4 + LibraryState::WIRE_SIZE + crate::me::opt_len(bulk)
+    }
+
+    /// Encoded length of what [`MigrationLibrary::write_persist`]
+    /// writes now.
+    #[must_use]
+    pub fn persist_len(&self) -> usize {
+        self.due_persist().map_or(1, |(_, bulk)| {
+            1 + 4 + seal::sealed_size(STATE_AAD.len(), Self::persist_plain_len(bulk))
+        })
+    }
+
+    /// Writes the blob the host stores as an optional byte string:
+    /// `None` when nothing changed since the last ECALL response carried
+    /// one, else the sealed Table II plus staged bulk state. The
+    /// plaintext is written once, behind the blob's reserved header in
+    /// `w`'s buffer, and sealed where it lies, so the state is copied
+    /// once, into the buffer that leaves the enclave.
+    ///
+    /// # Errors
+    ///
+    /// [`MigError::Transfer`] if the blob would not fit its `u32`
+    /// length (the staged state is capped far below that).
+    pub fn write_persist(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        w: &mut WireWriter,
+    ) -> Result<(), MigError> {
+        let Some((state, bulk)) = self.due_persist() else {
+            crate::me::write_opt(w, None);
+            return Ok(());
+        };
+        let blob_len = seal::sealed_size(STATE_AAD.len(), Self::persist_plain_len(bulk));
+        w.u8(1);
+        w.u32(
+            u32::try_from(blob_len)
+                .map_err(|_| MigError::Transfer("persist blob exceeds wire limit"))?,
+        );
+        let at = w.len();
+        w.as_mut_vec()
+            .resize(at + seal::sealed_header_len(STATE_AAD.len()), 0);
+        w.bytes(&state.to_bytes());
+        crate::me::write_opt(w, bulk);
+        env.seal_data_in_place(KeyPolicy::MrEnclave, STATE_AAD, w.as_mut_vec(), at);
+        self.persist_due = false;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -242,7 +286,7 @@ impl MigrationLibrary {
 
     /// Stages the app's bulk state (its migratable-sealed working set)
     /// for checkpointing and migration. Replaces any previous staging and
-    /// reseals the persistent checkpoint.
+    /// marks the persistent blob due, so the ECALL's response reseals it.
     ///
     /// # Errors
     ///
@@ -251,7 +295,7 @@ impl MigrationLibrary {
     /// [`crate::transfer::chunker::MAX_STREAM_LEN`].
     pub fn stage_bulk_state(
         &mut self,
-        env: &mut EnclaveEnv<'_>,
+        _env: &mut EnclaveEnv<'_>,
         bytes: &[u8],
     ) -> Result<(), MigError> {
         let _ = self.operational_state()?;
@@ -268,7 +312,7 @@ impl MigrationLibrary {
         } else {
             Some(Arc::from(bytes))
         };
-        self.persist(env);
+        self.persist();
         Ok(())
     }
 
@@ -472,7 +516,7 @@ impl MigrationLibrary {
         state.counters_active[id] = true; // mig-lint: allow(enclave-panic, "id is a position() into this same 256-slot array")
         state.counter_uuids[id] = uuid; // mig-lint: allow(enclave-panic, "id is a position() into this same 256-slot array")
         state.counter_offsets[id] = 0; // mig-lint: allow(enclave-panic, "id is a position() into this same 256-slot array")
-        self.persist(env);
+        self.persist();
         Ok((id as u8, value))
     }
 
@@ -497,7 +541,7 @@ impl MigrationLibrary {
         let state = self.operational_state_mut()?;
         state.counters_active[id as usize] = false; // mig-lint: allow(enclave-panic, "a u8 id always indexes within the 256-slot arrays")
         state.counter_offsets[id as usize] = 0; // mig-lint: allow(enclave-panic, "a u8 id always indexes within the 256-slot arrays")
-        self.persist(env);
+        self.persist();
         Ok(())
     }
 
@@ -568,9 +612,9 @@ impl MigrationLibrary {
     ///
     /// Returns the request, which [`MigrationLibrary::write_sealed`]
     /// encrypts where the host receives it; the host must relay the
-    /// ciphertext to the ME. The new (frozen) persistent blob is
-    /// available via [`MigrationLibrary::take_persist`] and must be
-    /// stored before the request is relayed.
+    /// ciphertext to the ME. The new (frozen) persistent blob is due
+    /// ([`MigrationLibrary::write_persist`]), travels in the same ECALL
+    /// response and must be stored before the request is relayed.
     ///
     /// # Errors
     ///
@@ -606,7 +650,7 @@ impl MigrationLibrary {
         let state = self.state.as_mut().ok_or(MigError::NotInitialized)?;
         state.frozen = 1;
         self.phase = LibPhase::Frozen;
-        self.persist(env);
+        self.persist();
 
         // (3) Destroy the hardware counters; each must succeed (§VI-B:
         // "The process does not proceed until it receives the SGX_SUCCESS
@@ -705,7 +749,7 @@ impl MigrationLibrary {
                 // staged state: the app retrieves it to restore its
                 // working set, and a further migration re-ships it.
                 self.bulk_state = if state.is_empty() { None } else { Some(state) };
-                self.persist(env);
+                self.persist();
                 let done = LibToMe::Done.to_bytes();
                 Ok(Some(self.channel()?.seal(&done)))
             }

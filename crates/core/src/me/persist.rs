@@ -296,6 +296,7 @@ impl MigrationEnclave {
             sgx_sim::cpu::KeyPolicy::MrEnclave,
             Self::STATE_AAD,
             &mut blob,
+            0,
         );
         Ok(blob)
     }

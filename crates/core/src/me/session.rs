@@ -33,7 +33,7 @@ use crate::error::{ChannelPeer, MigError};
 use crate::library::state::MigrationData;
 use crate::me::wire::{self, Cell, LinkShaper, StreamDemand};
 use crate::me::MigrationEnclave;
-use crate::msgs::{LibToMe, MeToLib, MeToMe};
+use crate::msgs::{ChunkCell, LibToMe, MeToLib, MeToMe};
 use crate::transfer::chunker::{
     chunk_count, trace_id, ChunkAssembler, ChunkMac, ChunkStream, TransferNonce,
 };
@@ -90,6 +90,48 @@ pub(crate) fn write_list(w: &mut WireWriter, items: &[Vec<u8>]) {
     w.u32(items.len() as u32);
     for item in items {
         w.bytes(item);
+    }
+}
+
+/// One record of a `TRANSFER` output (see
+/// [`MigrationEnclave::op_transfer`]), held until the output is written.
+pub(super) enum OutRecord {
+    /// A record already encoded (a stored transfer or stream progress).
+    Encoded(Vec<u8>),
+    /// Kind 1: an incoming migration forwarded to its attested local
+    /// enclave, with the stream's trace id and final ack. It is sealed
+    /// only when the output is written, in place inside it, so the state
+    /// is copied once, into the buffer that leaves the enclave.
+    Forward {
+        /// The enclave the migration is delivered to.
+        mr_enclave: MrEnclave,
+        /// The stream's public trace id (`None` for single-shot).
+        trace: Option<[u8; 8]>,
+        /// The message sealed on the enclave's local channel (boxed: it
+        /// carries the Table I data).
+        forward: Box<MeToLib>,
+        /// The final cumulative ack for the source, if streamed.
+        final_ack: Option<Vec<u8>>,
+    },
+}
+
+impl OutRecord {
+    /// Encoded length of the record (without its length prefix).
+    fn encoded_len(&self) -> usize {
+        match self {
+            OutRecord::Encoded(bytes) => bytes.len(),
+            OutRecord::Forward {
+                trace,
+                forward,
+                final_ack,
+                ..
+            } => {
+                1 + 32
+                    + opt_len(trace.as_ref().map(<[u8; 8]>::as_slice))
+                    + sealed_opt_len(forward)
+                    + opt_len(final_ack.as_deref())
+            }
+        }
     }
 }
 
@@ -1691,28 +1733,22 @@ impl MigrationEnclave {
         state: Arc<[u8]>,
         final_ack: Option<Vec<u8>>,
         trace: Option<[u8; 8]>,
-    ) -> Result<Vec<u8>, MigError> {
+    ) -> Result<OutRecord, MigError> {
         // Park the data regardless; it is only dropped once the
         // destination library confirms with DONE (crash safety). The
         // Arc is shared with the caller and the generation cache.
         self.pending_incoming
             .insert(mr_enclave, (data.clone(), Arc::clone(&state), source));
-        let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
-        if let Some(local) = self.local_sessions.get_mut(&mr_enclave) {
-            // The forward is sealed in place inside the output: the state
-            // is copied once, into the buffer that leaves the enclave.
-            let forward = MeToLib::IncomingMigration { data, state };
-            let mut w = WireWriter::with_capacity(
-                1 + 32 + opt_len(trace) + sealed_opt_len(&forward) + opt_len(final_ack.as_deref()),
-            );
-            w.u8(1); // forwarded
-            w.array(&mr_enclave.0);
-            write_opt(&mut w, trace);
-            write_sealed_opt(&mut w, local, &forward)?;
-            write_opt(&mut w, final_ack.as_deref());
+        if self.local_sessions.contains_key(&mr_enclave) {
             self.awaiting_done.insert(mr_enclave, source);
-            Ok(w.finish())
+            Ok(OutRecord::Forward {
+                mr_enclave,
+                trace,
+                forward: Box::new(MeToLib::IncomingMigration { data, state }),
+                final_ack,
+            })
         } else {
+            let trace = trace.as_ref().map(<[u8; 8]>::as_slice);
             // No matching enclave yet; tell the source the data is
             // stored (it keeps its copy). A chunked transfer's final
             // cumulative ack already means "stored"; reuse it.
@@ -1726,7 +1762,7 @@ impl MigrationEnclave {
             write_opt(&mut w, trace);
             write_opt(&mut w, None);
             write_opt(&mut w, Some(&ack));
-            Ok(w.finish())
+            Ok(OutRecord::Encoded(w.finish()))
         }
     }
 
@@ -1739,14 +1775,14 @@ impl MigrationEnclave {
         mr_enclave: MrEnclave,
         trace: [u8; 8],
         reply: Option<&[u8]>,
-    ) -> Vec<u8> {
+    ) -> OutRecord {
         let mut w = WireWriter::new();
         w.u8(kind);
         w.array(&mr_enclave.0);
         write_opt(&mut w, Some(&trace));
         write_opt(&mut w, None);
         write_opt(&mut w, reply);
-        w.finish()
+        OutRecord::Encoded(w.finish())
     }
 
     /// Kind-3 stream progress (see [`Self::stream_progress_kind`]).
@@ -1754,7 +1790,7 @@ impl MigrationEnclave {
         mr_enclave: MrEnclave,
         trace: [u8; 8],
         reply: Option<&[u8]>,
-    ) -> Vec<u8> {
+    ) -> OutRecord {
         Self::stream_progress_kind(3, mr_enclave, trace, reply)
     }
 
@@ -1778,7 +1814,9 @@ impl MigrationEnclave {
     ///
     /// Output: a list of transfer-output records (see
     /// [`Self::accept_incoming`] and [`Self::stream_progress_kind`]),
-    /// then the first rejected cell's error, if any.
+    /// then the first rejected cell's error, if any. The records are
+    /// written straight into the output, sized once they are all known:
+    /// a forward is sealed there, in place ([`OutRecord`]).
     pub(super) fn op_transfer(
         &mut self,
         env: &mut EnclaveEnv<'_>,
@@ -1798,7 +1836,7 @@ impl MigrationEnclave {
         if cells.len() > 1 {
             self.telemetry.batches_received += 1;
         }
-        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut records: Vec<OutRecord> = Vec::new();
         // Streams touched by data chunks in this container, in
         // first-touch order; each gets one transition attribution and
         // (when still incomplete at the end) one combined ack.
@@ -1840,10 +1878,45 @@ impl MigrationEnclave {
 
         let rejected = rejected.map(|e| SgxError::from(e).to_string());
         let rejected = rejected.as_deref().map(str::as_bytes);
-        let mut w = WireWriter::with_capacity(list_len(&records) + opt_len(rejected));
-        write_list(&mut w, &records);
+        let records_len = records.iter().map(|r| 4 + r.encoded_len()).sum::<usize>();
+        let mut w = WireWriter::with_capacity(4 + records_len + opt_len(rejected));
+        w.u32(records.len() as u32);
+        for record in records {
+            self.write_record(&mut w, record)?;
+        }
         write_opt(&mut w, rejected);
         Ok(w.finish())
+    }
+
+    /// Appends one transfer-output record behind its length, sealing a
+    /// forward in place on the enclave's attested local channel.
+    fn write_record(&mut self, w: &mut WireWriter, record: OutRecord) -> Result<(), MigError> {
+        w.u32(
+            u32::try_from(record.encoded_len())
+                .map_err(|_| MigError::Transfer("message exceeds wire limit"))?,
+        );
+        match record {
+            OutRecord::Encoded(bytes) => {
+                w.as_mut_vec().extend_from_slice(&bytes);
+            }
+            OutRecord::Forward {
+                mr_enclave,
+                trace,
+                forward,
+                final_ack,
+            } => {
+                let local = self
+                    .local_sessions
+                    .get_mut(&mr_enclave)
+                    .ok_or(MigError::SessionInvariant("local session vanished"))?;
+                w.u8(1); // forwarded
+                w.array(&mr_enclave.0);
+                write_opt(w, trace.as_ref().map(<[u8; 8]>::as_slice));
+                write_sealed_opt(w, local, &forward)?;
+                write_opt(w, final_ack.as_deref());
+            }
+        }
+        Ok(())
     }
 
     /// Handles one opened cell of a `TRANSFER` container, appending its
@@ -1854,9 +1927,12 @@ impl MigrationEnclave {
         env: &mut EnclaveEnv<'_>,
         source: MachineId,
         plaintext: &[u8],
-        records: &mut Vec<Vec<u8>>,
+        records: &mut Vec<OutRecord>,
         touched: &mut Vec<TransferNonce>,
     ) -> Result<(), MigError> {
+        if let Some(chunk) = MeToMe::chunk_cell(plaintext)? {
+            return self.on_chunk(env, source, chunk, records, touched);
+        }
         match MeToMe::from_bytes(plaintext)? {
             MeToMe::Transfer {
                 mr_enclave,
@@ -1932,44 +2008,6 @@ impl MigrationEnclave {
                     None,
                 ));
             }
-            MeToMe::Chunk {
-                nonce,
-                idx,
-                payload,
-                mac,
-            } => {
-                let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
-                if fsm.source() != source {
-                    return Err(MigError::Protocol("chunk from wrong source"));
-                }
-                if let Err(e) = fsm.on_chunk(idx, &payload, &mac) {
-                    // An out-of-order index is a loss artifact of the
-                    // network: keep the verified prefix so a resume
-                    // renegotiation continues from it. Anything else —
-                    // a chain-MAC mismatch (cross-nonce splice, payload
-                    // tamper) or a wrong length — is evidence of
-                    // manipulation below the channel: quarantine *this*
-                    // stream only (drop its partial state; a resume
-                    // restarts it from chunk 0) and leave every other
-                    // multiplexed stream untouched. The quarantine is
-                    // appended to the telemetry ledger so the host can
-                    // timestamp the edge via `TELEMETRY`.
-                    if !matches!(e, MigError::Transfer("chunk index out of order")) {
-                        self.inbound.remove(&nonce);
-                        self.telemetry.quarantines += 1;
-                        self.telemetry.quarantined.push(trace_id(&nonce));
-                    }
-                    return Err(e);
-                }
-                if !touched.contains(&nonce) {
-                    touched.push(nonce);
-                    env.attribute_transition(trace_id(&nonce));
-                }
-                self.telemetry.chunks_received += 1;
-                if fsm.is_complete() {
-                    records.push(self.release_stream(source, nonce)?);
-                }
-            }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
                 // Three cases: mid-stream partial (resume from next
                 // index), already fully received (Stored — the normal
@@ -1997,6 +2035,51 @@ impl MigrationEnclave {
         Ok(())
     }
 
+    /// Handles one opened data chunk, borrowed from its cell: verified
+    /// and copied once, into the stream's state buffer.
+    fn on_chunk(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        source: MachineId,
+        chunk: ChunkCell<'_>,
+        records: &mut Vec<OutRecord>,
+        touched: &mut Vec<TransferNonce>,
+    ) -> Result<(), MigError> {
+        let nonce = chunk.nonce;
+        let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
+        if fsm.source() != source {
+            return Err(MigError::Protocol("chunk from wrong source"));
+        }
+        if let Err(e) = fsm.on_chunk(chunk.idx, chunk.payload, &chunk.mac) {
+            // An out-of-order index is a loss artifact of the
+            // network: keep the verified prefix so a resume
+            // renegotiation continues from it. Anything else —
+            // a chain-MAC mismatch (cross-nonce splice, payload
+            // tamper) or a wrong length — is evidence of
+            // manipulation below the channel: quarantine *this*
+            // stream only (drop its partial state; a resume
+            // restarts it from chunk 0) and leave every other
+            // multiplexed stream untouched. The quarantine is
+            // appended to the telemetry ledger so the host can
+            // timestamp the edge via `TELEMETRY`.
+            if !matches!(e, MigError::Transfer("chunk index out of order")) {
+                self.inbound.remove(&nonce);
+                self.telemetry.quarantines += 1;
+                self.telemetry.quarantined.push(trace_id(&nonce));
+            }
+            return Err(e);
+        }
+        if !touched.contains(&nonce) {
+            touched.push(nonce);
+            env.attribute_transition(trace_id(&nonce));
+        }
+        self.telemetry.chunks_received += 1;
+        if fsm.is_complete() {
+            records.push(self.release_stream(source, nonce)?);
+        }
+        Ok(())
+    }
+
     /// Releases the completed inbound stream `nonce`, returning its
     /// output record: the final cumulative ack rides with the release,
     /// or a delta whose base this enclave does not hold is NACKed.
@@ -2004,7 +2087,7 @@ impl MigrationEnclave {
         &mut self,
         source: MachineId,
         nonce: TransferNonce,
-    ) -> Result<Vec<u8>, MigError> {
+    ) -> Result<OutRecord, MigError> {
         let fsm = self
             .inbound
             .remove(&nonce)

@@ -12,7 +12,10 @@
 //! message and its channel tag, so the sender seals it in place
 //! ([`crate::secure_channel::SecureChannel::seal_in_place`]) without a
 //! second buffer. The bulk state rides as an `Arc<[u8]>`, the form both
-//! ends keep it in: encoding borrows it, decoding allocates it once.
+//! ends keep it in: encoding borrows it, decoding allocates it once. A
+//! receiver decodes a chunk as a [`ChunkCell`] borrowed from the opened
+//! cell ([`MeToMe::chunk_cell`]), so each chunk is copied once more,
+//! into the state it assembles.
 //!
 //! Beyond the paper's single-shot `Transfer`, the ME↔ME family carries
 //! the streaming state-transfer protocol of [`crate::transfer`]:
@@ -362,7 +365,51 @@ pub enum MeToMe {
     },
 }
 
+/// A [`MeToMe::Chunk`] decoded in place: the payload is borrowed from
+/// the opened cell, so the receiver copies it once, into the state it
+/// assembles.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChunkCell<'a> {
+    /// The transfer this chunk belongs to.
+    pub nonce: TransferNonce,
+    /// Chunk index.
+    pub idx: u32,
+    /// Chunk payload, borrowed.
+    pub payload: &'a [u8],
+    /// HMAC-chain MAC binding the chunk to its transfer and position.
+    pub mac: ChunkMac,
+}
+
+impl<'a> ChunkCell<'a> {
+    /// Reads the fields behind a chunk's tag byte.
+    fn read(r: &mut WireReader<'a>) -> Result<Self, SgxError> {
+        Ok(ChunkCell {
+            nonce: r.array()?,
+            idx: r.u32()?,
+            payload: r.bytes()?,
+            mac: r.array()?,
+        })
+    }
+}
+
 impl MeToMe {
+    /// Decodes `bytes` as a [`MeToMe::Chunk`] borrowing its payload, or
+    /// returns `None` for any other message kind (decode those with
+    /// [`MeToMe::from_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::Decode`] on a malformed chunk.
+    pub fn chunk_cell(bytes: &[u8]) -> Result<Option<ChunkCell<'_>>, SgxError> {
+        let mut r = WireReader::new(bytes);
+        if r.u8()? != 5 {
+            return Ok(None);
+        }
+        let cell = ChunkCell::read(&mut r)?;
+        r.finish()?;
+        Ok(Some(cell))
+    }
+
     /// Encoded length of a [`MeToMe::Chunk`] carrying `payload_len`
     /// bytes.
     #[must_use]
@@ -527,12 +574,15 @@ impl MeToMe {
                 state_digest: r.array()?,
                 data: MigrationData::from_bytes(r.bytes()?)?,
             },
-            5 => MeToMe::Chunk {
-                nonce: r.array()?,
-                idx: r.u32()?,
-                payload: r.bytes_vec()?,
-                mac: r.array()?,
-            },
+            5 => {
+                let cell = ChunkCell::read(&mut r)?;
+                MeToMe::Chunk {
+                    nonce: cell.nonce,
+                    idx: cell.idx,
+                    payload: cell.payload.to_vec(),
+                    mac: cell.mac,
+                }
+            }
             6 => MeToMe::ChunkAck {
                 nonce: r.array()?,
                 upto: r.u32()?,
@@ -740,6 +790,33 @@ mod tests {
             incoming
         );
         assert!(MeToLib::from_split(head, Arc::from(&b"bul"[..])).is_err());
+    }
+
+    #[test]
+    fn chunk_cells_borrow_the_payload() {
+        let mut w = WireWriter::new();
+        MeToMe::write_chunk(&mut w, &[1; 16], 3, &[9; 50], &[2; 32]);
+        let bytes = w.finish();
+        let cell = MeToMe::chunk_cell(&bytes).unwrap().unwrap();
+        assert_eq!(
+            cell,
+            ChunkCell {
+                nonce: [1; 16],
+                idx: 3,
+                payload: &[9; 50],
+                mac: [2; 32],
+            }
+        );
+        // The payload is the cell's own bytes, not a copy.
+        assert!(std::ptr::eq(cell.payload, &bytes[25..75]));
+        // Other kinds are left to `from_bytes`; a short chunk is an error.
+        let ack = MeToMe::ChunkAck {
+            nonce: [1; 16],
+            upto: 2,
+        };
+        assert_eq!(MeToMe::chunk_cell(&ack.to_bytes()).unwrap(), None);
+        assert!(MeToMe::chunk_cell(&bytes[..bytes.len() - 1]).is_err());
+        assert!(MeToMe::chunk_cell(&[]).is_err());
     }
 
     #[test]

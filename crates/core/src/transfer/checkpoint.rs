@@ -9,7 +9,7 @@
 //! finds a recent complete checkpoint even if it died mid-write of a
 //! newer one.
 
-use cloud_sim::disk::{DiskError, UntrustedDisk};
+use cloud_sim::disk::{DiskError, DiskValue, UntrustedDisk};
 
 /// Default number of retained checkpoint generations.
 pub const DEFAULT_KEEP: usize = 4;
@@ -72,7 +72,8 @@ impl CheckpointStore {
         Some(u64::from_le_bytes(raw.try_into().ok()?))
     }
 
-    /// Stores a checkpoint, returning its generation number.
+    /// Stores a checkpoint, returning its generation number. A
+    /// [`DiskValue`] is stored shared, not copied.
     ///
     /// The `latest` pointer is written last: on any error the pointer is
     /// untouched, so the previous generation stays authoritative and a
@@ -83,7 +84,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Any disk write that fails or tears ([`DiskError`]) aborts the put.
-    pub fn put(&self, blob: Vec<u8>) -> Result<u64, DiskError> {
+    pub fn put(&self, blob: impl Into<DiskValue>) -> Result<u64, DiskError> {
         let generation = self.latest_generation().map_or(0, |g| g + 1);
         self.disk.try_put(&self.blob_key(generation), blob)?;
         self.disk

@@ -26,6 +26,7 @@ mod ops {
     pub const SEAL: u32 = 5;
     pub const UNSEAL: u32 = 6;
     pub const ACTIVE: u32 = 7;
+    pub const STAGE: u32 = 8;
 }
 
 impl AppLogic for LibApp {
@@ -59,6 +60,10 @@ impl AppLogic for LibApp {
             ops::SEAL => Ok(ctx.lib.seal_migratable_data(ctx.env, b"unit", input)?),
             ops::UNSEAL => Ok(ctx.lib.unseal_migratable_data(ctx.env, input)?.0),
             ops::ACTIVE => Ok((ctx.lib.active_counters() as u32).to_le_bytes().to_vec()),
+            ops::STAGE => {
+                ctx.lib.stage_bulk_state(ctx.env, input)?;
+                Ok(vec![])
+            }
             _ => Err(SgxError::InvalidParameter("opcode")),
         }
     }
@@ -236,6 +241,42 @@ fn restore_round_trips_counters_and_msk() {
     );
     assert_eq!(v, 2);
     assert_eq!(call(&e2, ops::UNSEAL, &sealed).unwrap(), b"kept");
+}
+
+#[test]
+fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
+    let m = machine();
+    let (e1, _) = fresh(&m);
+    let a = call(&e1, ops::CREATE, &[]).unwrap()[0];
+    let b = call(&e1, ops::CREATE, &[]).unwrap()[0];
+    call(&e1, ops::INC, &[b]).unwrap();
+    call(&e1, ops::DESTROY, &[a]).unwrap();
+    let bulk: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8).collect();
+    let out = e1.ecall(ops::STAGE, &bulk).unwrap();
+    // The envelope is sized exactly, its blob sealed where it lies.
+    assert_eq!(out.capacity(), out.len());
+    let (_, blob) = open_envelope(&out).unwrap();
+    let blob = blob.expect("staging reseals").to_vec();
+
+    e1.destroy();
+    let e2 = m
+        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .unwrap();
+    e2.ecall(
+        lib_ops::MIG_INIT,
+        &encode_init(&me_mr(), &InitRequest::Restore { blob }),
+    )
+    .unwrap();
+    // The same table: one active counter, at its value...
+    assert_eq!(call(&e2, ops::ACTIVE, &[]).unwrap(), 1u32.to_le_bytes());
+    assert_eq!(call(&e2, ops::READ, &[b]).unwrap(), 1u32.to_le_bytes());
+    assert!(call(&e2, ops::READ, &[a]).is_err());
+    // ... and the same bulk state.
+    let staged = call(&e2, lib_ops::BULK_STATE, &[]).unwrap();
+    let mut expected = vec![1];
+    expected.extend_from_slice(&(bulk.len() as u32).to_le_bytes());
+    expected.extend_from_slice(&bulk);
+    assert_eq!(staged, expected);
 }
 
 #[test]

@@ -202,21 +202,30 @@ impl EnclaveEnv<'_> {
         let mut blob = Vec::with_capacity(seal::sealed_size(aad.len(), plaintext.len()));
         blob.resize(seal::sealed_header_len(aad.len()), 0);
         blob.extend_from_slice(plaintext);
-        self.seal_data_in_place(policy, aad, &mut blob);
+        self.seal_data_in_place(policy, aad, &mut blob, 0);
         blob
     }
 
     /// Seals in place the plaintext a caller wrote behind
-    /// [`seal::sealed_header_len`]`(aad.len())` reserved bytes at the
-    /// front of `buf`: `buf` becomes the blob [`EnclaveEnv::seal_data`]
-    /// would return. A fresh key id and nonce are drawn per call.
-    /// Reserve [`seal::sealed_size`] bytes of capacity up front and the
-    /// appended tag never reallocates.
+    /// [`seal::sealed_header_len`]`(aad.len())` reserved bytes at offset
+    /// `at` of `buf`: `buf[at..]` becomes the blob
+    /// [`EnclaveEnv::seal_data`] would return, so a blob can be sealed
+    /// where it lies inside a larger buffer (an ECALL output, for one).
+    /// A fresh key id and nonce are drawn per call. Reserve
+    /// [`seal::sealed_size`] bytes of capacity behind `at` up front and
+    /// the appended tag never reallocates.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is shorter than the reserved header (caller bug).
-    pub fn seal_data_in_place(&mut self, policy: KeyPolicy, aad: &[u8], buf: &mut Vec<u8>) {
+    /// Panics if `buf` is shorter than `at` plus the reserved header
+    /// (caller bug).
+    pub fn seal_data_in_place(
+        &mut self,
+        policy: KeyPolicy,
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        at: usize,
+    ) {
         let mut key_id = [0u8; 16];
         self.random_bytes(&mut key_id);
         let mut nonce = [0u8; 12];
@@ -230,6 +239,7 @@ impl EnclaveEnv<'_> {
             nonce,
             aad,
             buf,
+            at,
         );
     }
 

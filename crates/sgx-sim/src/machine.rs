@@ -313,6 +313,10 @@ mod tests {
     const OP_SEAL_IN_PLACE: u32 = 4;
     /// Seals `input` through the copying form, with the same AAD.
     const OP_SEAL_AAD: u32 = 5;
+    /// Seals `input` in place behind [`PREFIX`], returning prefix and
+    /// blob in one buffer.
+    const OP_SEAL_AT: u32 = 6;
+    const PREFIX: &[u8] = b"prefix!";
     const TEST_AAD: &[u8] = b"test aad";
 
     impl EnclaveCode for TestEnclave {
@@ -336,10 +340,20 @@ mod tests {
                         Vec::with_capacity(crate::seal::sealed_size(TEST_AAD.len(), input.len()));
                     buf.resize(header, 0);
                     buf.extend_from_slice(input);
-                    env.seal_data_in_place(KeyPolicy::MrEnclave, TEST_AAD, &mut buf);
+                    env.seal_data_in_place(KeyPolicy::MrEnclave, TEST_AAD, &mut buf, 0);
                     Ok(buf)
                 }
                 OP_SEAL_AAD => Ok(env.seal_data(KeyPolicy::MrEnclave, TEST_AAD, input)),
+                OP_SEAL_AT => {
+                    let mut buf = PREFIX.to_vec();
+                    buf.resize(
+                        PREFIX.len() + crate::seal::sealed_header_len(TEST_AAD.len()),
+                        0,
+                    );
+                    buf.extend_from_slice(input);
+                    env.seal_data_in_place(KeyPolicy::MrEnclave, TEST_AAD, &mut buf, PREFIX.len());
+                    Ok(buf)
+                }
                 _ => Err(SgxError::InvalidParameter("opcode")),
             }
         }
@@ -376,8 +390,12 @@ mod tests {
         let enclave = load(&m1, &image);
         for len in [0usize, 1, 15, 16, 17, 4096, 70_000] {
             let pt: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            for op in [OP_SEAL_AAD, OP_SEAL_IN_PLACE] {
-                let blob = enclave.ecall(op, &pt).unwrap();
+            for op in [OP_SEAL_AAD, OP_SEAL_IN_PLACE, OP_SEAL_AT] {
+                let mut blob = enclave.ecall(op, &pt).unwrap();
+                if op == OP_SEAL_AT {
+                    // The bytes in front of the offset are left alone.
+                    assert_eq!(blob.drain(..PREFIX.len()).as_slice(), PREFIX);
+                }
                 assert_eq!(
                     blob.len(),
                     crate::seal::sealed_size(TEST_AAD.len(), len),

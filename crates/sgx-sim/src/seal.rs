@@ -76,14 +76,16 @@ pub fn sealed_header_len(aad_len: usize) -> usize {
     1 + 1 + 16 + 12 + 4 + aad_len + 4
 }
 
-/// Seals `buf[sealed_header_len(aad.len())..]` in place: the reserved
-/// front is overwritten with the blob header, the plaintext behind it is
-/// encrypted where it lies and the tag appended, so `buf` becomes the
-/// blob without a second buffer.
+/// Seals `buf[at + sealed_header_len(aad.len())..]` in place: the
+/// reserved bytes at `at` are overwritten with the blob header, the
+/// plaintext behind them is encrypted where it lies and the tag
+/// appended, so `buf[at..]` becomes the blob without a second buffer.
 ///
 /// # Panics
 ///
-/// Panics if `buf` is shorter than the reserved header (caller bug).
+/// Panics if `buf` is shorter than `at` plus the reserved header (caller
+/// bug).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn seal_in_place(
     cpu: &CpuSecret,
     identity: &EnclaveIdentity,
@@ -92,6 +94,7 @@ pub(crate) fn seal_in_place(
     nonce: [u8; 12],
     aad: &[u8],
     buf: &mut Vec<u8>,
+    at: usize,
 ) {
     let key = egetkey(
         cpu,
@@ -102,8 +105,9 @@ pub(crate) fn seal_in_place(
             key_id,
         },
     );
-    let start = sealed_header_len(aad.len());
-    let mut header = WireWriter::with_capacity(start - 4);
+    let header_len = sealed_header_len(aad.len());
+    let start = at + header_len;
+    let mut header = WireWriter::with_capacity(header_len - 4);
     header
         .u8(FORMAT_VERSION)
         .u8(policy.as_u8())
@@ -113,11 +117,11 @@ pub(crate) fn seal_in_place(
     let header_bytes = header.finish();
     // mig-lint: allow(enclave-panic, "sealed plaintexts stay far below 4 GiB (streams cap at 1 GiB), the bound of every length-prefixed wire string")
     let ct_len = u32::try_from(buf.len() - start + 16).expect("sealed blobs are < 4 GiB");
-    let mut front = Vec::with_capacity(start);
+    let mut front = Vec::with_capacity(header_len);
     front.extend_from_slice(&header_bytes);
     front.extend_from_slice(&ct_len.to_le_bytes());
     // mig-lint: allow(enclave-panic, "a buffer shorter than its reserved header is a caller bug, documented under Panics")
-    buf[..start].copy_from_slice(&front);
+    buf[at..start].copy_from_slice(&front);
 
     // The whole header (including user AAD) is authenticated.
     AesGcm::new(key).seal_in_place(&nonce, &header_bytes, buf, start);
@@ -186,7 +190,7 @@ mod tests {
         let mut buf = Vec::with_capacity(sealed_size(aad.len(), plaintext.len()));
         buf.resize(sealed_header_len(aad.len()), 0);
         buf.extend_from_slice(plaintext);
-        seal_in_place(cpu, id, policy, key_id, nonce, aad, &mut buf);
+        seal_in_place(cpu, id, policy, key_id, nonce, aad, &mut buf, 0);
         buf
     }
 

@@ -541,3 +541,156 @@ proptest! {
         }
     }
 }
+
+/// The kvstore's view of its store, as a test keeps it: entries and the
+/// snapshot layout `KvStore` serializes them in.
+struct KvModel {
+    entries: std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
+}
+
+impl KvModel {
+    /// Byte range of `key`'s value in the snapshot plaintext (9-byte
+    /// header, then `[u32 len][key][u32 len][value]` per entry in key
+    /// order).
+    fn value_range(&self, key: &[u8]) -> std::ops::Range<usize> {
+        let mut at = 9;
+        for (k, v) in &self.entries {
+            if k == key {
+                let start = at + 4 + k.len() + 4;
+                return start..start + v.len();
+            }
+            at += 8 + k.len() + v.len();
+        }
+        panic!("key not in the model");
+    }
+
+    /// The value `BULK_PUT` writes for entry `i`.
+    fn bulk_value(i: u32, len: usize, fill: u8) -> Vec<u8> {
+        (0..len)
+            .map(|j| fill.wrapping_add((i as usize + j) as u8))
+            .collect()
+    }
+
+    fn bulk_key(i: u32) -> Vec<u8> {
+        format!("bulk-{i:08}").into_bytes()
+    }
+}
+
+/// The sealed segments of a staged kvstore container, in order.
+fn staged_segments(container: &[u8]) -> Vec<Vec<u8>> {
+    let mut r = sgx_sim::wire::WireReader::new(container);
+    assert_eq!(r.u8().unwrap(), 2, "a segment container");
+    let _index = r.bytes().unwrap();
+    let n = r.u32().unwrap();
+    let segments = (0..n).map(|_| r.bytes_vec().unwrap()).collect();
+    r.finish().unwrap();
+    segments
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random PUTs (same length, new length, new key), partial
+    /// `BULK_PUT`s and LOADs (staged container, sealed snapshot): after
+    /// every step the staged container opens to exactly the current
+    /// store, and a same-length PUT reseals only segment 0 (the header)
+    /// and the segments its value spans.
+    #[test]
+    fn kvstore_staging_tracks_every_write(
+        seed in 0u64..10_000,
+        steps in proptest::collection::vec(any::<u64>(), 1..12),
+    ) {
+        use mig_apps::kvstore::{self, ops as kv, KvStore, SEGMENT_LEN};
+        const BULK: u32 = 24;
+        const BULK_LEN: usize = 300;
+
+        let mut dc = Datacenter::new(seed);
+        let m = dc.add_machine(MachineLabels::default(), &MigrationPolicy::same_operator_only());
+        let image = EnclaveImage::build("prop-kv", 1, b"kv", &EnclaveSigner::from_seed([32; 32]));
+        dc.deploy_app("kv", m, &image, KvStore::new(), InitRequest::New).unwrap();
+        dc.call_app("kv", kv::INIT, &[]).unwrap();
+        dc.call_app("kv", kv::BULK_PUT, &kvstore::encode_bulk_put(BULK, BULK_LEN as u32, 0))
+            .unwrap();
+        let mut model = KvModel { entries: Default::default() };
+        for i in 0..BULK {
+            model.entries.insert(KvModel::bulk_key(i), KvModel::bulk_value(i, BULK_LEN, 0));
+        }
+        let mut staged = dc.app_bulk_state("kv").unwrap().unwrap();
+        // The sealed snapshot of the last PUT, while no later write
+        // outdated its version.
+        let mut snapshot: Option<Vec<u8>> = None;
+
+        for step in steps {
+            let pick = (step >> 8) as usize % model.entries.len();
+            let key = model.entries.keys().nth(pick).unwrap().clone();
+            let fill = (step >> 40) as u8;
+            let len = (step >> 16) as usize % 700;
+            let mut resealed_at_most = None;
+            match step % 6 {
+                kind @ 0..=2 => {
+                    let (key, value) = match kind {
+                        // Same length: only the value's bytes change.
+                        0 => {
+                            let value = vec![fill; model.entries[&key].len()];
+                            let span = model.value_range(&key);
+                            let mut segments = std::collections::BTreeSet::from([0]);
+                            if !span.is_empty() {
+                                segments.extend(span.start / SEGMENT_LEN..=(span.end - 1) / SEGMENT_LEN);
+                            }
+                            resealed_at_most = Some(segments);
+                            (key, value)
+                        }
+                        // Another length.
+                        1 => (key, vec![fill; len]),
+                        // A new key.
+                        _ => (format!("key-{step:016x}").into_bytes(), vec![fill; len]),
+                    };
+                    let reply = dc.call_app("kv", kv::PUT, &kvstore::encode_put(&key, &value)).unwrap();
+                    snapshot = Some(kvstore::decode_put_response(&reply).unwrap().1);
+                    model.entries.insert(key, value);
+                }
+                3 => {
+                    // Rewrite a prefix of the bulk entries, at their
+                    // length or another.
+                    let count = 1 + (step >> 8) as u32 % BULK;
+                    let value_len = if step & (1 << 60) == 0 { BULK_LEN } else { len };
+                    dc.call_app(
+                        "kv",
+                        kv::BULK_PUT,
+                        &kvstore::encode_bulk_put(count, value_len as u32, fill),
+                    )
+                    .unwrap();
+                    snapshot = None;
+                    for i in 0..count {
+                        model.entries.insert(KvModel::bulk_key(i), KvModel::bulk_value(i, value_len, fill));
+                    }
+                }
+                4 => {
+                    dc.call_app("kv", kv::LOAD, &staged).unwrap();
+                }
+                _ => {
+                    if let Some(blob) = &snapshot {
+                        dc.call_app("kv", kv::LOAD, blob).unwrap();
+                    }
+                }
+            }
+
+            let next = dc.app_bulk_state("kv").unwrap().unwrap();
+            if let Some(allowed) = resealed_at_most {
+                let (before, after) = (staged_segments(&staged), staged_segments(&next));
+                prop_assert_eq!(before.len(), after.len());
+                let resealed: std::collections::BTreeSet<usize> =
+                    (0..after.len()).filter(|&i| before[i] != after[i]).collect();
+                prop_assert_eq!(resealed, allowed);
+            }
+            staged = next;
+            // Opening the staged container restores exactly the model.
+            dc.call_app("kv", kv::LOAD, &staged).unwrap();
+            let len = dc.call_app("kv", kv::LEN, &[]).unwrap();
+            prop_assert_eq!(len, (model.entries.len() as u32).to_le_bytes().to_vec());
+            for (key, value) in &model.entries {
+                prop_assert_eq!(&dc.call_app("kv", kv::GET, key).unwrap(), value);
+            }
+        }
+    }
+}

@@ -385,6 +385,72 @@ fn failed_app_checkpoint_is_retried_on_the_next_persist() {
     assert_eq!(latest(&dc), Some(before + 1));
 }
 
+/// Every persisted blob goes to the state key and, when a checkpoint is
+/// due, to the checkpoint series, byte for byte the same, and restores.
+#[test]
+fn persisted_blob_is_the_state_value_and_the_checkpoint() {
+    let (mut dc, m1, _m2) = dc_with_config(1608, TransferConfig::default());
+    // Every durable write: key and value.
+    type Writes = Vec<(String, Vec<u8>)>;
+    let writes: Arc<parking_lot::Mutex<Writes>> = Arc::default();
+    let log = Arc::clone(&writes);
+    dc.world()
+        .machine(m1)
+        .disk
+        .set_fault_hook(move |key: &str, value: &[u8]| {
+            log.lock().push((key.to_string(), value.to_vec()));
+            WriteFault::None
+        });
+    dc.deploy_app("app", m1, &image(), KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("app", kv_ops::INIT, &[]).unwrap();
+    dc.call_app(
+        "app",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(64, 100, 3),
+    )
+    .unwrap();
+    for i in 0..CHECKPOINT_INTERVAL as u8 {
+        dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(&[i], b"v"))
+            .unwrap();
+    }
+    let host = dc.app("app");
+    let host = host.lock();
+    let state_key = host.state_key();
+    let disk = &dc.world().machine(m1).disk;
+    let writes = writes.lock();
+    let mut checkpoints = 0;
+    for (i, (key, value)) in writes.iter().enumerate() {
+        if key.contains("/ckpt/") {
+            // A checkpoint follows the state write of the same persist.
+            assert_eq!(writes[i - 1], (state_key.clone(), value.clone()));
+            checkpoints += 1;
+        }
+    }
+    assert_eq!(checkpoints, 2, "the first persist and one interval later");
+    let last = |wanted: &dyn Fn(&str) -> bool| {
+        let (_, value) = writes.iter().rev().find(|(key, _)| wanted(key)).unwrap();
+        value.clone()
+    };
+    let latest = disk.get(&state_key).unwrap();
+    assert_eq!(last(&|key| key == state_key), latest);
+    assert_eq!(
+        host.checkpoints().latest().unwrap().1,
+        last(&|key| key.contains("/ckpt/"))
+    );
+    assert!(sgx_sim::seal::parse_sealed_header(&latest).is_ok());
+    drop(host);
+
+    // The stored blob restores the store in place.
+    dc.restart_app("app", m1, &image(), KvStore::new()).unwrap();
+    let blob = dc.app_bulk_state("app").unwrap().expect("staged container");
+    dc.call_app("app", kv_ops::LOAD, &blob).unwrap();
+    assert_eq!(
+        dc.call_app("app", kv_ops::LEN, &[]).unwrap(),
+        (64 + CHECKPOINT_INTERVAL as u32).to_le_bytes()
+    );
+}
+
 /// The acceptance scenario for delta-aware streaming: a 16 MiB store
 /// migrates m1→m2 in full, ~1 % of its entries are dirtied at the
 /// destination, and the repeat migration m2→m1 ships a dirty-page delta
