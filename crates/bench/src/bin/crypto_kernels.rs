@@ -9,8 +9,8 @@
 //!   are the portable fallback, called by name whatever the build selected;
 //! - **selected**: the kernels `AesGcm` and `Sha256` run on in this build,
 //!   named by `mig_crypto::gcm::KERNEL` and `mig_crypto::sha256::KERNEL`
-//!   (AES-NI + PCLMULQDQ and SHA-NI when the build targets them, else the
-//!   software kernels again).
+//!   (VAES + VPCLMULQDQ or AES-NI + PCLMULQDQ, and SHA-NI, when the build
+//!   targets them, else the software kernels again).
 //!
 //! ```sh
 //! cargo run -p mig-bench --release --bin crypto_kernels

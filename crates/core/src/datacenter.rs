@@ -486,17 +486,18 @@ impl Datacenter {
     /// [`SgxError::Decode`].
     pub fn app_bulk_state(&mut self, instance: &str) -> Result<Option<Vec<u8>>, SgxError> {
         let host = self.app(instance);
-        let mut payload = host.lock().call(lib_ops::BULK_STATE, &[])?;
-        let mut r = sgx_sim::wire::WireReader::new(&payload);
+        let (mut out, payload) = host.lock().call_in_place(lib_ops::BULK_STATE, &[])?;
+        let mut r = sgx_sim::wire::WireReader::new(&out[payload.clone()]);
         let len = read_opt(&mut r)?.map(<[u8]>::len);
         r.finish()?;
-        // The state follows the option flag and its `u32` length: move
-        // it to the front of the reply's own buffer instead of copying it
-        // into a fresh one.
+        // The state follows the payload's option flag and `u32` length:
+        // move it to the front of the ECALL's own buffer, once, instead
+        // of copying it into a fresh one.
         Ok(len.map(|len| {
-            payload.truncate(5 + len);
-            payload.drain(..5);
-            payload
+            let at = payload.start + 5;
+            out.truncate(at + len);
+            out.drain(..at);
+            out
         }))
     }
 

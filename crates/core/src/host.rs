@@ -18,9 +18,10 @@
 //! (`ME_FORWARD`) travel this way, so the state is never copied into a
 //! frame of its own. Small frames are copied, and so are the small parts
 //! of an output (acks, a second forward) before the output becomes a
-//! frame. The sealed blob an app ECALL hands over is copied out of its
-//! envelope once and filed, shared, under the state key and in the
-//! checkpoint series.
+//! frame. The sealed blob an app ECALL hands over is filed, shared,
+//! under the state key and in the checkpoint series: in the ECALL's
+//! buffer when it is most of it, with the small payload copied out, and
+//! else as a copy.
 
 use crate::harness::{encode_init, open_envelope, ops as lib_ops, ENVELOPE_HEAD};
 use crate::library::InitRequest;
@@ -43,6 +44,7 @@ use sgx_sim::quote::Quote;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,6 +171,21 @@ impl Relay {
             *spare = tag;
         }
         out
+    }
+}
+
+/// An app ECALL's output once [`AppHost::store_persist`] filed its
+/// persist blob: `buf` leads with the envelope's head and the `len`-byte
+/// payload behind it.
+struct Reply {
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl Reply {
+    /// The payload, borrowed from the buffer.
+    fn payload(&self) -> &[u8] {
+        &self.buf[ENVELOPE_HEAD..ENVELOPE_HEAD + self.len]
     }
 }
 
@@ -1153,7 +1170,7 @@ impl AppHost {
         host.me_endpoint = Endpoint::new(host.endpoint.machine, ME_SERVICE);
         let request = encode_init(&expected_me, &init);
         let out = host.enclave.ecall(lib_ops::MIG_INIT, &request)?;
-        host.store_persist(&out)?;
+        host.store_persist(out)?;
         Ok(host)
     }
 
@@ -1188,35 +1205,56 @@ impl AppHost {
     }
 
     /// Stores the persist blob an ECALL envelope carries and returns the
-    /// payload, borrowed from the envelope. The blob is copied out of the
-    /// envelope once: the state key and a checkpoint generation share
-    /// that copy.
-    fn store_persist<'a>(&mut self, envelope_bytes: &'a [u8]) -> Result<&'a [u8], SgxError> {
-        let (payload, persist) = open_envelope(envelope_bytes)?;
-        if let Some(blob) = persist {
-            let blob: DiskValue = Arc::new(blob.to_vec());
-            // A failed or torn write surfaces to the caller: the enclave
-            // has already advanced, but the host must not pretend the
-            // state is durable when the platter rejected it.
-            self.disk
-                .try_put(&self.state_key(), Arc::clone(&blob))
-                .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
-            // Periodic durable checkpoint generation (the "C" of CTR):
-            // the latest-but-one generation survives even a crash
-            // mid-write of the newest.
-            self.persists_since_checkpoint += 1;
-            if self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
-                || self.checkpoints.latest_generation().is_none()
-            {
-                self.checkpoints
-                    .put(blob)
-                    .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
-                // Only a durable generation restarts the interval: a
-                // failed write is retried on the very next persist.
-                self.persists_since_checkpoint = 0;
-            }
+    /// envelope's head and payload. A blob at least twice the payload's
+    /// size (the state after an incoming migration or a `BULK_PUT`)
+    /// keeps the ECALL's buffer and the payload is copied out: the blob
+    /// moves to the buffer's front, and the buffer is cut to the blob,
+    /// since the disk holds it long after the ECALL. Otherwise the blob
+    /// is copied out. Copying either of two parts of a size costs the
+    /// same, and an envelope whose payload is dropped whole frees its
+    /// allocation whole, for the next envelope to reuse; a blob kept in
+    /// half of it made glibc map fresh pages for every other `PUT` of a
+    /// 64 KiB kvstore. The state key and a checkpoint generation share
+    /// the blob.
+    fn store_persist(&mut self, mut out: Vec<u8>) -> Result<Reply, SgxError> {
+        let (payload, persist) = open_envelope(&out)?;
+        let len = payload.len();
+        let Some(blob) = persist else {
+            return Ok(Reply { buf: out, len });
+        };
+        let (reply, blob) = if blob.len() / 2 >= len {
+            // The blob ends the envelope.
+            let at = out.len() - blob.len();
+            let head = out[..ENVELOPE_HEAD + len].to_vec();
+            out.drain(..at);
+            out.shrink_to_fit();
+            (Reply { buf: head, len }, out)
+        } else {
+            let blob = blob.to_vec();
+            (Reply { buf: out, len }, blob)
+        };
+        let blob: DiskValue = Arc::new(blob);
+        // A failed or torn write surfaces to the caller: the enclave
+        // has already advanced, but the host must not pretend the
+        // state is durable when the platter rejected it.
+        self.disk
+            .try_put(&self.state_key(), Arc::clone(&blob))
+            .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
+        // Periodic durable checkpoint generation (the "C" of CTR):
+        // the latest-but-one generation survives even a crash
+        // mid-write of the newest.
+        self.persists_since_checkpoint += 1;
+        if self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
+            || self.checkpoints.latest_generation().is_none()
+        {
+            self.checkpoints
+                .put(blob)
+                .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
+            // Only a durable generation restarts the interval: a
+            // failed write is retried on the very next persist.
+            self.persists_since_checkpoint = 0;
         }
-        Ok(payload)
+        Ok(reply)
     }
 
     /// Kicks off local attestation with the machine's ME.
@@ -1242,15 +1280,26 @@ impl AppHost {
     ///
     /// Propagates enclave errors.
     pub fn call(&mut self, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let mut out = self.enclave.ecall(opcode, input)?;
-        let payload_len = self.store_persist(&out)?.len();
-        // The payload leads the envelope behind its head: move it to the
-        // front of the ECALL's own buffer instead of copying it into a
-        // fresh one.
-        out.truncate(ENVELOPE_HEAD + payload_len);
-        out.drain(..ENVELOPE_HEAD);
+        let (mut out, payload) = self.call_in_place(opcode, input)?;
+        // Move the payload to the front of the buffer that holds it
+        // instead of copying it into a fresh one.
+        out.truncate(payload.end);
+        out.drain(..payload.start);
         out.shrink_to_fit();
         Ok(out)
+    }
+
+    /// [`AppHost::call`] that leaves the payload where it lies: returns
+    /// the buffer holding it and its range there, so a caller that keeps
+    /// only part of the payload moves that part once.
+    pub(crate) fn call_in_place(
+        &mut self,
+        opcode: u32,
+        input: &[u8],
+    ) -> Result<(Vec<u8>, Range<usize>), SgxError> {
+        let out = self.enclave.ecall(opcode, input)?;
+        let reply = self.store_persist(out)?;
+        Ok((reply.buf, ENVELOPE_HEAD..ENVELOPE_HEAD + reply.len))
     }
 
     /// Starts a migration to `destination` (`migration_start`,
@@ -1273,10 +1322,14 @@ impl AppHost {
         let out = self.enclave.ecall(lib_ops::MIG_START, &w.finish())?;
         // The frozen state blob must hit the disk before the request is
         // relayed (crash consistency; §V-C ordering).
-        let len = self.store_persist(&out)?.len();
+        let reply = self.store_persist(out)?;
         // The request's ciphertext is the envelope's payload, which leads
-        // the output in a frame's shape: it leaves in the output's buffer.
-        let request = Relay { at: 0, len }.frame(out, tags::LIB_MSG);
+        // the reply in a frame's shape: it leaves in the reply's buffer.
+        let request = Relay {
+            at: 0,
+            len: reply.len,
+        }
+        .frame(reply.buf, tags::LIB_MSG);
         net.send(&self.endpoint, &self.me_endpoint, request);
         self.status = AppStatus::MigratingOut;
         Ok(())
@@ -1292,12 +1345,12 @@ impl AppHost {
             Ok(out) => out,
             Err(e) => return self.fail("me forward", e),
         };
-        let payload = match self.store_persist(&out) {
-            Ok(p) => p,
+        let reply = match self.store_persist(out) {
+            Ok(reply) => reply,
             Err(e) => return self.fail("me forward persist", e),
         };
         let reply: Result<Option<&[u8]>, SgxError> = (|| {
-            let mut r = WireReader::new(payload);
+            let mut r = WireReader::new(reply.payload());
             let reply = read_opt(&mut r)?;
             r.finish()?;
             Ok(reply)
@@ -1331,11 +1384,11 @@ impl Service for AppHost {
         };
         match tag {
             tags::LA_MSG1 => match self.enclave.ecall(lib_ops::ME_MSG1, body) {
-                Ok(out) => match self.store_persist(&out) {
-                    Ok(msg2) => net.send(
+                Ok(out) => match self.store_persist(out) {
+                    Ok(reply) => net.send(
                         &self.endpoint,
                         &self.me_endpoint,
-                        frame(tags::LA_MSG2, msg2),
+                        frame(tags::LA_MSG2, reply.payload()),
                     ),
                     Err(e) => self.fail("la msg1 persist", e),
                 },
@@ -1343,7 +1396,7 @@ impl Service for AppHost {
             },
             tags::LA_MSG3 => match self.enclave.ecall(lib_ops::ME_MSG3, body) {
                 Ok(out) => {
-                    if let Err(e) = self.store_persist(&out) {
+                    if let Err(e) = self.store_persist(out) {
                         return self.fail("la msg3 persist", e);
                     }
                     if self.status == AppStatus::AttestingMe {

@@ -30,7 +30,7 @@ pub mod state;
 use crate::error::MigError;
 use crate::msgs::{LibToMe, MeToLib};
 use crate::secure_channel::{ChannelRole, SecureChannel};
-use mig_crypto::gcm::TAG_LEN;
+use mig_crypto::gcm::{AesGcm, TAG_LEN};
 use sgx_sim::cpu::KeyPolicy;
 use sgx_sim::dh::{DhInitiator, DhMsg1, DhMsg3};
 use sgx_sim::enclave::EnclaveEnv;
@@ -86,6 +86,10 @@ enum MeSession {
 pub struct MigrationLibrary {
     expected_me: MrEnclave,
     state: Option<LibraryState>,
+    /// AES-GCM under the state's MSK, for migratable sealing: built once
+    /// where the MSK is set (a new MSK, a restored blob, an incoming
+    /// migration), not per sealed blob.
+    msk_aead: Option<AesGcm>,
     phase: LibPhase,
     me_session: MeSession,
     /// Whether Table II or the staged bulk state changed since the last
@@ -142,6 +146,7 @@ impl MigrationLibrary {
                 Ok(MigrationLibrary {
                     expected_me,
                     state: Some(LibraryState::fresh(msk)),
+                    msk_aead: Some(AesGcm::new(msk)),
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
                     persist_due: true,
@@ -176,6 +181,7 @@ impl MigrationLibrary {
                 }
                 Ok(MigrationLibrary {
                     expected_me,
+                    msk_aead: Some(AesGcm::new(state.msk)),
                     state: Some(state),
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
@@ -186,6 +192,7 @@ impl MigrationLibrary {
             InitRequest::Migrate => Ok(MigrationLibrary {
                 expected_me,
                 state: None,
+                msk_aead: None,
                 phase: LibPhase::AwaitingMigration,
                 me_session: MeSession::None,
                 persist_due: false,
@@ -335,6 +342,12 @@ impl MigrationLibrary {
         }
     }
 
+    /// The MSK's AES-GCM, in the operational phase.
+    fn msk_aead(&self) -> Result<&AesGcm, MigError> {
+        self.operational_state()?;
+        self.msk_aead.as_ref().ok_or(MigError::AwaitingMigration)
+    }
+
     fn operational_state_mut(&mut self) -> Result<&mut LibraryState, MigError> {
         match self.phase {
             LibPhase::Operational => self.state.as_mut().ok_or(MigError::AwaitingMigration),
@@ -431,8 +444,7 @@ impl MigrationLibrary {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, MigError> {
-        let state = self.operational_state()?;
-        let aead = mig_crypto::gcm::AesGcm::new(state.msk);
+        let aead = self.msk_aead()?;
         let mut nonce = [0u8; 12];
         env.random_bytes(&mut nonce);
 
@@ -464,7 +476,7 @@ impl MigrationLibrary {
         _env: &mut EnclaveEnv<'_>,
         blob: &[u8],
     ) -> Result<(Vec<u8>, Vec<u8>), MigError> {
-        let state = self.operational_state()?;
+        let aead = self.msk_aead()?;
         let mut r = WireReader::new(blob);
         let version = r.u8()?;
         if version != MIGSEAL_VERSION {
@@ -479,7 +491,6 @@ impl MigrationLibrary {
         let ct = r.bytes()?;
         r.finish()?;
 
-        let aead = mig_crypto::gcm::AesGcm::new(state.msk);
         let plaintext = aead
             .open(&nonce, header, ct)
             .map_err(|_| MigError::Sgx(SgxError::MacMismatch))?;
@@ -743,6 +754,7 @@ impl MigrationLibrary {
                         lib_state.counter_uuids[id] = uuid; // mig-lint: allow(enclave-panic, "id ranges over 0..COUNTER_SLOTS")
                     }
                 }
+                self.msk_aead = Some(AesGcm::new(lib_state.msk));
                 self.state = Some(lib_state);
                 self.phase = LibPhase::Operational;
                 // The migrated bulk state becomes this incarnation's

@@ -8,13 +8,22 @@
 //!
 //! # Kernels
 //!
-//! [`AesGcm`] runs on one of two kernel sets, chosen at compile time by
+//! [`AesGcm`] runs on one of three kernel sets, chosen at compile time by
 //! `cfg(target_feature)` and named by [`KERNEL`]:
 //!
-//! * **Hardware** (`crate::hw::gcm`), when the build targets `aes`,
-//!   `pclmulqdq`, `ssse3` and `sse4.1` on `x86_64`: AES-NI CTR eight
-//!   blocks per step, and PCLMULQDQ GHASH folding four blocks per
-//!   reduction through H, H², H³ and H⁴.
+//! * **Hardware, 256-bit** (`crate::hw::gcm`, `"vaes+vpclmulqdq"`), when
+//!   the build targets `aes`, `pclmulqdq`, `ssse3`, `sse4.1`, `vaes`,
+//!   `vpclmulqdq` and `avx2` on `x86_64`: VAES CTR 16 blocks per step in
+//!   eight ymm registers, and VPCLMULQDQ GHASH folding 16 blocks per
+//!   reduction through H¹ … H¹⁶. A seal encrypts each step and folds the
+//!   previous step's ciphertext in the same loop, so it passes over the
+//!   buffer once; an open verifies first and decrypts after, in two
+//!   passes. The 128-bit loops below finish each call's last partial
+//!   step.
+//! * **Hardware, 128-bit** (`crate::hw::gcm`, `"aes-ni+pclmulqdq"`), when
+//!   the build targets `aes`, `pclmulqdq`, `ssse3` and `sse4.1` but not
+//!   the 256-bit set: AES-NI CTR eight blocks per step, and PCLMULQDQ
+//!   GHASH folding four blocks per reduction through H, H², H³ and H⁴.
 //! * **Software** ([`SoftwareGcm`]) on every other build. The CTR
 //!   keystream is generated `PARALLEL_BLOCKS` counter blocks at a time
 //!   through the bitsliced AES kernel ([`Aes128::encrypt_blocks`]). GHASH
@@ -68,6 +77,13 @@ pub(crate) trait GcmKernel {
     /// Absorbs `data`, zero-padded to whole blocks, into the GHASH state
     /// `y` (a block's `u128::from_be_bytes` image).
     fn ghash(&self, y: u128, data: &[u8]) -> u128;
+    /// A seal's body: [`GcmKernel::ctr`] on `data`, then
+    /// [`GcmKernel::ghash`] of the ciphertext into `y`. A kernel that
+    /// can do both in one pass over `data` overrides this.
+    fn ctr_ghash(&self, icb: [u8; BLOCK_LEN], y: u128, data: &mut [u8]) -> u128 {
+        self.ctr(icb, data);
+        self.ghash(y, data)
+    }
 }
 
 #[cfg(all(
@@ -80,7 +96,7 @@ pub(crate) trait GcmKernel {
 mod selected {
     pub(super) type Kernel = crate::hw::gcm::HwGcmKey;
     /// The kernel set [`AesGcm`](super::AesGcm) runs on in this build.
-    pub const KERNEL: &str = "aes-ni+pclmulqdq";
+    pub const KERNEL: &str = crate::hw::gcm::KERNEL;
 }
 
 #[cfg(not(all(
@@ -448,8 +464,9 @@ fn seal_in_place<K: GcmKernel + ?Sized>(
     start: usize,
 ) {
     let j0 = j0(nonce);
-    kernel.ctr(inc32(j0), &mut buf[start..]);
-    let tag = tag(kernel, j0, aad, &buf[start..]);
+    let y = kernel.ghash(0, aad);
+    let y = kernel.ctr_ghash(inc32(j0), y, &mut buf[start..]);
+    let tag = finish_tag(kernel, j0, y, aad.len(), buf.len() - start);
     buf.extend_from_slice(&tag);
 }
 
@@ -584,12 +601,23 @@ fn tag<K: GcmKernel + ?Sized>(
     aad: &[u8],
     ciphertext: &[u8],
 ) -> [u8; TAG_LEN] {
+    let y = kernel.ghash(kernel.ghash(0, aad), ciphertext);
+    finish_tag(kernel, j0, y, aad.len(), ciphertext.len())
+}
+
+/// The tag from the GHASH state `y` over AAD and ciphertext: `y` absorbs
+/// the lengths block and is encrypted with `E(K, J0)`.
+fn finish_tag<K: GcmKernel + ?Sized>(
+    kernel: &K,
+    j0: [u8; BLOCK_LEN],
+    y: u128,
+    aad_len: usize,
+    ciphertext_len: usize,
+) -> [u8; TAG_LEN] {
     let mut len_block = [0u8; BLOCK_LEN];
-    len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-    len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
-    let mut y = kernel.ghash(0, aad);
-    y = kernel.ghash(y, ciphertext);
-    y = kernel.ghash(y, &len_block);
+    len_block[..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
+    len_block[8..].copy_from_slice(&((ciphertext_len as u64) * 8).to_be_bytes());
+    let y = kernel.ghash(y, &len_block);
 
     let ekj0 = kernel.encrypt_block(&j0);
     let mut tag = y.to_be_bytes();

@@ -1,16 +1,28 @@
-//! AES-128 on AES-NI and GHASH on PCLMULQDQ: the kernel set
-//! [`crate::gcm::AesGcm`] runs on when the build targets both.
+//! AES-128 on AES-NI or VAES and GHASH on PCLMULQDQ or VPCLMULQDQ: the
+//! kernel set [`crate::gcm::AesGcm`] runs on when the build targets them.
 //!
-//! * The key schedule runs on `AESKEYGENASSIST`. The cipher runs on
-//!   `AESENC`/`AESENCLAST`, eight counter blocks per CTR step, so eight
-//!   independent round chains share the pipelined AES unit.
-//! * GHASH multiplies with `PCLMULQDQ` in GCM's bit-reflected order and
-//!   folds four blocks per reduction:
+//! * The key schedule runs on `AESKEYGENASSIST`.
+//! * The 128-bit loops, in every build of this module: the cipher runs
+//!   on `AESENC`/`AESENCLAST`, eight counter blocks per CTR step, so eight
+//!   independent round chains share the pipelined AES unit. GHASH
+//!   multiplies with `PCLMULQDQ` in GCM's bit-reflected order and folds
+//!   four blocks per reduction:
 //!   `((((y ⊕ b₀)·H ⊕ b₁)·H ⊕ b₂)·H ⊕ b₃)·H = (y ⊕ b₀)·H⁴ ⊕ b₁·H³ ⊕ b₂·H² ⊕ b₃·H`.
 //!   The four products are summed unreduced and reduced once.
+//! * The 256-bit loops, when the build also targets `vaes`, `vpclmulqdq`
+//!   and `avx2` (the `wide` module): each ymm register holds two blocks,
+//!   one per 128-bit lane. CTR encrypts 16 counter blocks per step in
+//!   eight registers, and GHASH folds 16 blocks per reduction through
+//!   H¹⁶ … H¹ the same way. A seal runs each CTR step and the GHASH of the
+//!   previous step's ciphertext in one loop, so it reads and writes the
+//!   buffer once; an open still verifies the whole tag before it decrypts
+//!   anything, in two wide passes. The 128-bit loops finish the bytes
+//!   after the last whole 256-byte step.
 //!
-//! The key state is the 11 round keys plus H, H², H³ and H⁴: 240 bytes,
-//! zeroized on drop.
+//! The key state is the 11 round keys plus H¹ … H¹⁶ (432 bytes) in a
+//! build with the 256-bit loops, H¹ … H⁴ (240 bytes) otherwise, zeroized
+//! on drop. Either way every output byte is the one the software kernels
+//! give.
 
 use core::arch::x86_64::{
     __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
@@ -22,8 +34,26 @@ use core::arch::x86_64::{
 use crate::aes::{BLOCK_LEN, KEY_LEN};
 use crate::gcm::GcmKernel;
 
-/// Counter blocks encrypted per CTR step.
+/// Counter blocks encrypted per CTR step of the 128-bit loop.
 const CTR_BLOCKS: usize = 8;
+
+/// Whether this build runs the 256-bit loops (the `wide` module): it
+/// targets VAES, VPCLMULQDQ and AVX2 as well.
+const WIDE: bool = cfg!(all(
+    target_feature = "vaes",
+    target_feature = "vpclmulqdq",
+    target_feature = "avx2"
+));
+
+/// Powers of H in the key state: one per block of the widest GHASH fold.
+const H_POWERS: usize = if WIDE { 16 } else { 4 };
+
+/// The name [`crate::gcm::KERNEL`] reports for this build.
+pub(crate) const KERNEL: &str = if WIDE {
+    "vaes+vpclmulqdq"
+} else {
+    "aes-ni+pclmulqdq"
+};
 
 /// AES-128-GCM key state for the hardware kernels.
 ///
@@ -33,7 +63,7 @@ const CTR_BLOCKS: usize = 8;
 #[derive(Clone)]
 pub(crate) struct HwGcmKey {
     round_keys: [u128; 11],
-    h_powers: [u128; 4],
+    h_powers: [u128; H_POWERS],
 }
 
 impl Drop for HwGcmKey {
@@ -58,16 +88,65 @@ impl GcmKernel for HwGcmKey {
         unsafe { encrypt_one(&self.round_keys, block) }
     }
 
+    #[cfg(not(all(
+        target_feature = "vaes",
+        target_feature = "vpclmulqdq",
+        target_feature = "avx2"
+    )))]
     fn ctr(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]) {
         // SAFETY: `hw::gcm` is compiled only under cfg(target_feature =
         // "aes", "pclmulqdq", "ssse3", "sse4.1"), the features `ctr_xor` enables.
         unsafe { ctr_xor(&self.round_keys, icb, data) }
     }
 
+    #[cfg(not(all(
+        target_feature = "vaes",
+        target_feature = "vpclmulqdq",
+        target_feature = "avx2"
+    )))]
     fn ghash(&self, y: u128, data: &[u8]) -> u128 {
         // SAFETY: `hw::gcm` is compiled only under cfg(target_feature =
         // "aes", "pclmulqdq", "ssse3", "sse4.1"), the features `ghash` enables.
         unsafe { ghash(&self.h_powers, y, data) }
+    }
+
+    #[cfg(all(
+        target_feature = "vaes",
+        target_feature = "vpclmulqdq",
+        target_feature = "avx2"
+    ))]
+    fn ctr(&self, icb: [u8; BLOCK_LEN], data: &mut [u8]) {
+        // SAFETY: `wide` is compiled only under cfg(target_feature =
+        // "vaes", "vpclmulqdq", "avx2") inside this module's cfg(target_feature
+        // = "aes", "pclmulqdq", "ssse3", "sse4.1"), the features
+        // `wide::ctr_xor` enables.
+        unsafe { wide::ctr_xor(&self.round_keys, icb, data) }
+    }
+
+    #[cfg(all(
+        target_feature = "vaes",
+        target_feature = "vpclmulqdq",
+        target_feature = "avx2"
+    ))]
+    fn ghash(&self, y: u128, data: &[u8]) -> u128 {
+        // SAFETY: `wide` is compiled only under cfg(target_feature =
+        // "vaes", "vpclmulqdq", "avx2") inside this module's cfg(target_feature
+        // = "aes", "pclmulqdq", "ssse3", "sse4.1"), the features
+        // `wide::ghash` enables.
+        unsafe { wide::ghash(&self.h_powers, y, data) }
+    }
+
+    #[cfg(all(
+        target_feature = "vaes",
+        target_feature = "vpclmulqdq",
+        target_feature = "avx2"
+    ))]
+    fn ctr_ghash(&self, icb: [u8; BLOCK_LEN], y: u128, data: &mut [u8]) -> u128 {
+        // SAFETY: `wide` is compiled only under cfg(target_feature =
+        // "vaes", "vpclmulqdq", "avx2") inside this module's cfg(target_feature
+        // = "aes", "pclmulqdq", "ssse3", "sse4.1"), the features
+        // `wide::ctr_ghash` enables.
+        unsafe { wide::ctr_ghash(&self.round_keys, &self.h_powers, icb, y, data) }
     }
 }
 
@@ -95,26 +174,34 @@ fn load_block(block: &[u8]) -> __m128i {
     ))
 }
 
+/// The `PSHUFB` mask that reverses a register's 16 bytes.
+const REVERSE: u128 = 0x0001_0203_0405_0607_0809_0a0b_0c0d_0e0f;
+
 /// Loads a 16-byte block as the GHASH element `u128::from_be_bytes(block)`.
 #[inline]
 #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1")]
 fn load_ghash_block(block: &[u8]) -> __m128i {
-    // PSHUFB with this mask reverses the 16 bytes.
-    let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
-    _mm_shuffle_epi8(load_block(block), reverse)
+    _mm_shuffle_epi8(load_block(block), load(REVERSE))
 }
 
 #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1")]
 fn new_key(key: &[u8; KEY_LEN]) -> HwGcmKey {
     let round_keys = expand_key(key);
     let h = store(encrypt(&registers(&round_keys), _mm_setzero_si128()));
-    let h1 = load(u128::from_be_bytes(h.to_le_bytes()));
-    let h2 = reduce(clmul(h1, h1));
-    let h3 = reduce(clmul(h2, h1));
-    let h4 = reduce(clmul(h3, h1));
+    let mut powers = [load(u128::from_be_bytes(h.to_le_bytes())); H_POWERS];
+    // Doubling: with H¹ … Hⁿ known, Hⁿ⁺ⁱ = Hⁿ·Hⁱ for i in 1..=n, n
+    // products independent of each other, so the chain to H¹⁶ is four
+    // multiplies deep.
+    let mut known = 1;
+    while known < H_POWERS {
+        for i in 0..known {
+            powers[known + i] = reduce(clmul(powers[known - 1], powers[i]));
+        }
+        known *= 2;
+    }
     HwGcmKey {
         round_keys,
-        h_powers: [store(h1), store(h2), store(h3), store(h4)],
+        h_powers: powers.map(|power| store(power)),
     }
 }
 
@@ -314,7 +401,7 @@ fn reduce([lo, mid, hi]: [__m128i; 3]) -> __m128i {
 
 /// Absorbs `data`, zero-padded to whole blocks, into the GHASH state `y`.
 #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1")]
-fn ghash(h_powers: &[u128; 4], y: u128, data: &[u8]) -> u128 {
+fn ghash(h_powers: &[u128; H_POWERS], y: u128, data: &[u8]) -> u128 {
     let h1 = load(h_powers[0]);
     let h2 = load(h_powers[1]);
     let h3 = load(h_powers[2]);
@@ -337,6 +424,285 @@ fn ghash(h_powers: &[u128; 4], y: u128, data: &[u8]) -> u128 {
         y = reduce(clmul(_mm_xor_si128(y, load_ghash_block(&block)), h1));
     }
     store(y)
+}
+
+/// The 256-bit loops: two blocks per ymm register, one per 128-bit lane,
+/// block `2j` of a step in the low lane of register `j`.
+#[cfg(all(
+    target_feature = "vaes",
+    target_feature = "vpclmulqdq",
+    target_feature = "avx2"
+))]
+mod wide {
+    use core::arch::x86_64::{
+        __m128i, __m256i, _mm256_add_epi32, _mm256_aesenc_epi128, _mm256_aesenclast_epi128,
+        _mm256_broadcastsi128_si256, _mm256_castsi256_si128, _mm256_clmulepi64_epi128,
+        _mm256_extracti128_si256, _mm256_set_epi32, _mm256_set_m128i, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_xor_si256, _mm256_zextsi128_si256, _mm_insert_epi32,
+        _mm_xor_si128,
+    };
+
+    use super::{load, load_block, reduce, store, H_POWERS, REVERSE};
+    use crate::aes::BLOCK_LEN;
+
+    /// Blocks per step: 16 counter blocks per CTR step, 16 blocks per
+    /// GHASH reduction.
+    const STEP_BLOCKS: usize = 16;
+    /// Bytes per step.
+    const STEP: usize = STEP_BLOCKS * BLOCK_LEN;
+    /// Registers per step.
+    const REGS: usize = STEP_BLOCKS / 2;
+
+    /// The `PSHUFB` mask that moves a native-order `u32` in bytes 12..16
+    /// to big-endian order there and clears bytes 0..12.
+    const BE_COUNTER: u128 = 0x0c0d_0e0f_8080_8080_8080_8080_8080_8080;
+
+    /// The same 128-bit value in both lanes.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn both(x: __m128i) -> __m256i {
+        _mm256_broadcastsi128_si256(x)
+    }
+
+    /// Loads two blocks in memory order.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn load_pair(pair: &[u8]) -> __m256i {
+        _mm256_set_m128i(
+            load_block(&pair[BLOCK_LEN..]),
+            load_block(&pair[..BLOCK_LEN]),
+        )
+    }
+
+    /// The inverse of [`load_pair`].
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn store_pair(pair: &mut [u8], x: __m256i) {
+        let (lo, hi) = pair.split_at_mut(BLOCK_LEN);
+        lo.copy_from_slice(&store(_mm256_castsi256_si128(x)).to_le_bytes());
+        hi.copy_from_slice(&store(_mm256_extracti128_si256::<1>(x)).to_le_bytes());
+    }
+
+    /// A register of two blocks as two GHASH elements
+    /// (`u128::from_be_bytes` of each block).
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn ghash_order(x: __m256i) -> __m256i {
+        _mm256_shuffle_epi8(x, both(load(REVERSE)))
+    }
+
+    /// The round keys, each in both lanes.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn registers(round_keys: &[u128; 11]) -> [__m256i; 11] {
+        round_keys.map(|key| both(load(key)))
+    }
+
+    /// The powers of H for one step's fold: register `j` multiplies
+    /// block `2j` by H^(16 − 2j) in its low lane and block `2j + 1` by
+    /// H^(15 − 2j) in its high lane.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn fold_powers(h_powers: &[u128; H_POWERS]) -> [__m256i; REGS] {
+        let mut powers = [_mm256_setzero_si256(); REGS];
+        for (j, power) in powers.iter_mut().enumerate() {
+            let low = load(h_powers[STEP_BLOCKS - 1 - 2 * j]);
+            let high = load(h_powers[STEP_BLOCKS - 2 - 2 * j]);
+            *power = _mm256_set_m128i(high, low);
+        }
+        powers
+    }
+
+    /// CTR state: the nonce with its counter bytes cleared, XORed with
+    /// round key 0, and the step's first counter in bytes 12..16 of the
+    /// low lane (native order) and that counter + 1 in the high lane.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn counters(k: &[__m256i; 11], icb: [u8; BLOCK_LEN], ctr: u32) -> (__m256i, __m256i) {
+        let nonce = _mm_insert_epi32::<3>(load(u128::from_le_bytes(icb)), 0);
+        let nonce_k0 = _mm256_xor_si256(both(nonce), k[0]);
+        let next = ctr.wrapping_add(1);
+        (
+            nonce_k0,
+            _mm256_set_epi32(next as i32, 0, 0, 0, ctr as i32, 0, 0, 0),
+        )
+    }
+
+    /// Encrypts the 16 counter blocks `nonce || ctr + i` of one step,
+    /// `ctrs` as [`counters`] returns it. `_mm256_add_epi32` wraps each
+    /// counter mod 2³², as `inc32` defines.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn keystream(k: &[__m256i; 11], nonce_k0: __m256i, ctrs: __m256i) -> [__m256i; REGS] {
+        let be = both(load(BE_COUNTER));
+        let mut b = [_mm256_setzero_si256(); REGS];
+        for (j, block) in b.iter_mut().enumerate() {
+            let step = (2 * j) as i32;
+            let ctr = _mm256_add_epi32(ctrs, _mm256_set_epi32(step, 0, 0, 0, step, 0, 0, 0));
+            *block = _mm256_xor_si256(nonce_k0, _mm256_shuffle_epi8(ctr, be));
+        }
+        for key in &k[1..10] {
+            for block in &mut b {
+                *block = _mm256_aesenc_epi128(*block, *key);
+            }
+        }
+        for block in &mut b {
+            *block = _mm256_aesenclast_epi128(*block, k[10]);
+        }
+        b
+    }
+
+    /// Moves `ctrs` on by one step.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn advance(ctrs: __m256i) -> __m256i {
+        let step = STEP_BLOCKS as i32;
+        _mm256_add_epi32(ctrs, _mm256_set_epi32(step, 0, 0, 0, step, 0, 0, 0))
+    }
+
+    /// `icb` with its counter moved on past the whole steps of `len`
+    /// bytes: the counter block of the bytes the 128-bit loop finishes.
+    fn tail_icb(mut icb: [u8; BLOCK_LEN], ctr: u32, len: usize) -> [u8; BLOCK_LEN] {
+        // Counter blocks wrap in their low 32 bits (inc32).
+        let blocks = (len / STEP * STEP_BLOCKS) as u32;
+        icb[12..].copy_from_slice(&ctr.wrapping_add(blocks).to_be_bytes());
+        icb
+    }
+
+    /// `y` absorbs one step of GHASH elements with one reduction:
+    /// `(y ⊕ b₀)·H¹⁶ ⊕ b₁·H¹⁵ ⊕ … ⊕ b₁₅·H`.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn fold(powers: &[__m256i; REGS], y: __m128i, blocks: &[__m256i; REGS]) -> __m128i {
+        // The products that do not depend on `y` are summed first, so
+        // the chain from one step's `y` to the next is one product long.
+        let mut sum = clmul(blocks[1], powers[1]);
+        for (block, power) in blocks.iter().zip(powers).skip(2) {
+            sum = xor3(sum, clmul(*block, *power));
+        }
+        let first = _mm256_xor_si256(blocks[0], _mm256_zextsi128_si256(y));
+        sum = xor3(sum, clmul(first, powers[0]));
+        // The lanes' sums add up to the step's product.
+        reduce(
+            sum.map(|x| _mm_xor_si128(_mm256_castsi256_si128(x), _mm256_extracti128_si256::<1>(x))),
+        )
+    }
+
+    /// [`super::clmul`] in each lane.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn clmul(a: __m256i, b: __m256i) -> [__m256i; 3] {
+        [
+            _mm256_clmulepi64_epi128::<0x00>(a, b),
+            _mm256_xor_si256(
+                _mm256_clmulepi64_epi128::<0x01>(a, b),
+                _mm256_clmulepi64_epi128::<0x10>(a, b),
+            ),
+            _mm256_clmulepi64_epi128::<0x11>(a, b),
+        ]
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn xor3(a: [__m256i; 3], b: [__m256i; 3]) -> [__m256i; 3] {
+        [
+            _mm256_xor_si256(a[0], b[0]),
+            _mm256_xor_si256(a[1], b[1]),
+            _mm256_xor_si256(a[2], b[2]),
+        ]
+    }
+
+    /// XORs one step's keystream `ks` into `step`, returning the
+    /// ciphertext as GHASH elements.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    fn encrypt_step(step: &mut [u8], ks: [__m256i; REGS]) -> [__m256i; REGS] {
+        let mut blocks = [_mm256_setzero_si256(); REGS];
+        for ((pair, ks), block) in step
+            .chunks_exact_mut(2 * BLOCK_LEN)
+            .zip(ks)
+            .zip(blocks.iter_mut())
+        {
+            let ct = _mm256_xor_si256(load_pair(pair), ks);
+            store_pair(pair, ct);
+            *block = ghash_order(ct);
+        }
+        blocks
+    }
+
+    /// XORs the CTR keystream starting at counter block `icb` into `data`.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    pub(super) fn ctr_xor(round_keys: &[u128; 11], icb: [u8; BLOCK_LEN], data: &mut [u8]) {
+        let k = registers(round_keys);
+        let ctr = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
+        let (nonce_k0, mut ctrs) = counters(&k, icb, ctr);
+        let len = data.len();
+        let mut steps = data.chunks_exact_mut(STEP);
+        for step in &mut steps {
+            let ks = keystream(&k, nonce_k0, ctrs);
+            for (pair, ks) in step.chunks_exact_mut(2 * BLOCK_LEN).zip(ks) {
+                store_pair(pair, _mm256_xor_si256(load_pair(pair), ks));
+            }
+            ctrs = advance(ctrs);
+        }
+        let tail = steps.into_remainder();
+        if !tail.is_empty() {
+            super::ctr_xor(round_keys, tail_icb(icb, ctr, len), tail);
+        }
+    }
+
+    /// Absorbs `data`, zero-padded to whole blocks, into the GHASH state `y`.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    pub(super) fn ghash(h_powers: &[u128; H_POWERS], y: u128, data: &[u8]) -> u128 {
+        let powers = fold_powers(h_powers);
+        let mut y = load(y);
+        let mut steps = data.chunks_exact(STEP);
+        for step in &mut steps {
+            let mut blocks = [_mm256_setzero_si256(); REGS];
+            for (block, pair) in blocks.iter_mut().zip(step.chunks_exact(2 * BLOCK_LEN)) {
+                *block = ghash_order(load_pair(pair));
+            }
+            y = fold(&powers, y, &blocks);
+        }
+        super::ghash(h_powers, store(y), steps.remainder())
+    }
+
+    /// A seal's one pass: XORs the CTR keystream starting at `icb` into
+    /// `data` and absorbs the ciphertext, zero-padded to whole blocks,
+    /// into the GHASH state `y`. Each step's ciphertext stays in
+    /// registers and is folded while the next step's AES rounds run.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,sse4.1,avx2,vaes,vpclmulqdq")]
+    pub(super) fn ctr_ghash(
+        round_keys: &[u128; 11],
+        h_powers: &[u128; H_POWERS],
+        icb: [u8; BLOCK_LEN],
+        y: u128,
+        data: &mut [u8],
+    ) -> u128 {
+        let k = registers(round_keys);
+        let powers = fold_powers(h_powers);
+        let ctr = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
+        let (nonce_k0, mut ctrs) = counters(&k, icb, ctr);
+        let mut y = load(y);
+        let len = data.len();
+        let mut steps = data.chunks_exact_mut(STEP);
+        if let Some(first) = steps.next() {
+            let mut pending = encrypt_step(first, keystream(&k, nonce_k0, ctrs));
+            for step in &mut steps {
+                ctrs = advance(ctrs);
+                let ks = keystream(&k, nonce_k0, ctrs);
+                y = fold(&powers, y, &pending);
+                pending = encrypt_step(step, ks);
+            }
+            y = fold(&powers, y, &pending);
+        }
+        let tail = steps.into_remainder();
+        if tail.is_empty() {
+            return store(y);
+        }
+        super::ctr_xor(round_keys, tail_icb(icb, ctr, len), tail);
+        super::ghash(h_powers, store(y), tail)
+    }
 }
 
 #[cfg(test)]
@@ -370,8 +736,15 @@ mod tests {
 
     #[test]
     fn build_selects_the_hardware_kernels() {
-        assert_eq!(KERNEL, "aes-ni+pclmulqdq");
-        assert_eq!(std::mem::size_of::<HwGcmKey>(), 240);
+        // 11 round keys and 16 powers of H with the 256-bit loops, 4
+        // powers without.
+        if WIDE {
+            assert_eq!(KERNEL, "vaes+vpclmulqdq");
+            assert_eq!(std::mem::size_of::<HwGcmKey>(), 432);
+        } else {
+            assert_eq!(KERNEL, "aes-ni+pclmulqdq");
+            assert_eq!(std::mem::size_of::<HwGcmKey>(), 240);
+        }
     }
 
     #[test]
@@ -421,23 +794,31 @@ mod tests {
 
     #[test]
     fn ctr_step_straddles_the_32_bit_counter_wrap() {
-        // Counters 0xFFFF_FFF9..=0xFFFF_FFFF and then 0: one eight-block
-        // step crosses the wrap, which must leave the nonce bytes alone.
+        // The counter wraps from 0xFFFF_FFFF to 0 after `before` blocks:
+        // at every block position of a first and a second 16-block step
+        // (and so of every eight-block step), in the wide loops and in
+        // the tails. The wrap must leave the nonce bytes alone.
         let key = [0x5a; KEY_LEN];
-        let mut icb = [0xa5; BLOCK_LEN];
-        icb[12..].copy_from_slice(&0xFFFF_FFF9u32.to_be_bytes());
-        for len in [1, 16, 100, 128, 129, 200, 256, 300] {
-            let mut data = vec![0u8; len];
-            hw(&key).ctr(icb, &mut data);
-            assert_eq!(data, bitsliced_keystream(&key, icb, len), "len {len}");
+        let kernel = hw(&key);
+        for before in 1..=32u32 {
+            let mut icb = [0xa5; BLOCK_LEN];
+            icb[12..].copy_from_slice(&0u32.wrapping_sub(before).to_be_bytes());
+            for len in [1, 16, 100, 128, 129, 200, 256, 300, 512, 527, 600] {
+                let mut data = vec![0u8; len];
+                kernel.ctr(icb, &mut data);
+                let expected = bitsliced_keystream(&key, icb, len);
+                assert_eq!(data, expected, "wrap after {before} blocks, len {len}");
+            }
         }
     }
 
     #[test]
-    fn ghash_matches_shoup_tables_at_every_length_to_200() {
-        // Every remainder mod 16 (the zero-padded tail) and mod 64 (the
-        // blocks after the last four-block fold).
-        let data: Vec<u8> = (0..200u32)
+    fn ghash_matches_shoup_tables_at_every_length_to_1024() {
+        // Up to four 256-byte (16-block) steps, each followed by every
+        // tail: every remainder mod 16 (the zero-padded tail), mod 64
+        // (the blocks after the last four-block fold) and mod 256 (the
+        // bytes after the last 16-block fold).
+        let data: Vec<u8> = (0..1024u32)
             .map(|i| (i.wrapping_mul(167) >> 3) as u8)
             .collect();
         for key in [[0u8; KEY_LEN], [0x42; KEY_LEN], *b"0123456789abcdef"] {
@@ -469,14 +850,16 @@ mod tests {
         fn prop_ctr_keystream_matches_bitsliced(
             key in any::<[u8; KEY_LEN]>(),
             nonce in any::<[u8; NONCE_LEN]>(),
-            near_wrap in 0u32..32,
+            before_wrap in 1u32..=32,
             far in any::<u32>(),
             wrap in any::<bool>(),
-            len in 0usize..300,
+            len in 0usize..600,
         ) {
+            // With `wrap`, the counter wraps after `before_wrap` blocks:
+            // at any block position of the first two 16-block steps.
             let mut icb = [0u8; BLOCK_LEN];
             icb[..NONCE_LEN].copy_from_slice(&nonce);
-            let first = if wrap { near_wrap.wrapping_sub(16) } else { far };
+            let first = if wrap { 0u32.wrapping_sub(before_wrap) } else { far };
             icb[12..].copy_from_slice(&first.to_be_bytes());
             let mut data = vec![0u8; len];
             hw(&key).ctr(icb, &mut data);
@@ -487,7 +870,7 @@ mod tests {
         fn prop_ghash_matches_shoup_tables(
             key in any::<[u8; KEY_LEN]>(),
             y in any::<[u8; BLOCK_LEN]>(),
-            data in proptest::collection::vec(any::<u8>(), 0..201),
+            data in proptest::collection::vec(any::<u8>(), 0..1025),
         ) {
             let y = u128::from_be_bytes(y);
             let sw = SoftwareGcm::new(key);

@@ -1,5 +1,5 @@
-//! Hardware kernels: AES-128 on AES-NI, GHASH on PCLMULQDQ, SHA-256 on
-//! SHA-NI.
+//! Hardware kernels: AES-128 on AES-NI or VAES, GHASH on PCLMULQDQ or
+//! VPCLMULQDQ, SHA-256 on SHA-NI.
 //!
 //! This is the only module of the crate that may use `unsafe`, and it
 //! needs it for one reason. The kernels are `#[target_feature]`
@@ -14,6 +14,8 @@
 //!
 //! * [`gcm`] is compiled when the build targets `aes`, `pclmulqdq`,
 //!   `ssse3` and `sse4.1`, and [`crate::gcm::AesGcm`] then runs on it;
+//!   its 256-bit loops are compiled when the build also targets `vaes`,
+//!   `vpclmulqdq` and `avx2`;
 //! * [`sha256`] is compiled when the build targets `sha`, `ssse3` and
 //!   `sse4.1`, and [`crate::sha256::Sha256`] then runs on it.
 //!
@@ -24,7 +26,10 @@
 //!
 //! No raw pointer is read or written here: bytes move between memory and
 //! vector registers as `u128` values, through `_mm_set_epi64x` on the way
-//! in and `_mm_cvtsi128_si64` / `_mm_extract_epi64` on the way out.
+//! in and `_mm_cvtsi128_si64` / `_mm_extract_epi64` on the way out (two
+//! per ymm register, joined by `_mm256_set_m128i` and split by
+//! `_mm256_extracti128_si256`); LLVM merges them into single vector
+//! loads and stores.
 //! Unlike the software GHASH, whose Shoup tables are indexed by bytes of
 //! key- and data-dependent values, none of these instructions has a
 //! key- or data-dependent memory access or timing.

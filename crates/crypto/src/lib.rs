@@ -26,7 +26,9 @@
 //! AES-GCM and SHA-256, which carry every sealed and hashed byte, run on
 //! the CPU's AES-NI, PCLMULQDQ and SHA-NI instructions when the build
 //! targets them (`cfg(target_feature)`; the workspace builds with
-//! `target-cpu=native`), and on software kernels otherwise.
+//! `target-cpu=native`), AES-GCM on their 256-bit forms VAES and
+//! VPCLMULQDQ when the build targets those too, and on software kernels
+//! otherwise.
 //! [`gcm::KERNEL`] and [`sha256::KERNEL`] name the selection; the
 //! software kernels stay in every build as the fallback and as the
 //! oracle the hardware kernels are tested against. The crate denies
