@@ -53,7 +53,7 @@ use std::time::Duration;
 type LaMsg2Output = (Vec<u8>, MrEnclave, Option<Relay>);
 /// Parsed output of the ME's `ACK` ECALL: kind, measurement, optional
 /// trace id, optional completion ciphertext, and follow-on `TRANSFER`
-/// containers for the peer (borrowed from the output).
+/// frames for the peer (borrowed from the output).
 type AckOutput<'a> = (
     u8,
     MrEnclave,
@@ -124,8 +124,8 @@ pub mod tags {
     pub const RA_RESPONSE: u8 = 8;
     /// ME ↔ ME: remote-attestation finish.
     pub const RA_FINISH: u8 = 9;
-    /// ME ↔ ME: encrypted migration transfer (a container of sealed
-    /// cells delivered in one enclave transition).
+    /// ME ↔ ME: encrypted migration transfer (one sealed message,
+    /// delivered in one enclave transition).
     pub const RA_TRANSFER: u8 = 10;
     /// ME ↔ ME: encrypted acknowledgement.
     pub const RA_ACK: u8 = 11;
@@ -153,11 +153,6 @@ impl Relay {
     fn read_opt(r: &mut WireReader<'_>, end: usize) -> Result<Option<Self>, SgxError> {
         let at = end - r.remaining();
         Ok(read_opt(r)?.map(|ct| Relay { at, len: ct.len() }))
-    }
-
-    /// The ciphertext, borrowed from `out`.
-    fn body<'a>(&self, out: &'a [u8]) -> &'a [u8] {
-        &out[self.at + 5..self.at + 5 + self.len]
     }
 
     /// Turns `out` into the frame `frame(tag, body)` without copying the
@@ -189,7 +184,7 @@ impl Reply {
     }
 }
 
-/// One record of the ME's `TRANSFER` ECALL output, with its small parts
+/// The record of the ME's `TRANSFER` ECALL output, with its small parts
 /// copied out: kind, measurement, optional trace id, where the optional
 /// forward ciphertext sits, and the optional ack, framed for the source.
 struct TransferRecord {
@@ -200,57 +195,23 @@ struct TransferRecord {
     ack: Option<Vec<u8>>,
 }
 
-/// The `ME_FORWARD` frames of `records` (parsed from `out`), one per
-/// record, in order. The last forward leaves in `out`'s own buffer; an
-/// earlier one (a container that released two streams) is copied out
-/// while the output is still whole.
-fn frame_forwards(out: Vec<u8>, records: &[TransferRecord]) -> Vec<Option<Vec<u8>>> {
-    let in_place = records.iter().rposition(|record| record.forward.is_some());
-    let mut out = Some(out);
-    records
-        .iter()
-        .enumerate()
-        .map(|(i, record)| {
-            let relay = record.forward?;
-            if Some(i) == in_place {
-                out.take().map(|out| relay.frame(out, tags::ME_FORWARD))
-            } else {
-                out.as_deref()
-                    .map(|out| frame(tags::ME_FORWARD, relay.body(out)))
-            }
-        })
-        .collect()
-}
-
-/// Parses the ME's `TRANSFER` ECALL output: its records and the first
-/// rejected cell's error, if any.
-fn parse_transfer_output(out: &[u8]) -> Result<(Vec<TransferRecord>, Option<String>), SgxError> {
+/// Parses the ME's `TRANSFER` ECALL output: the message's record, or the
+/// error that rejected it.
+fn parse_transfer_output(out: &[u8]) -> Result<Result<TransferRecord, String>, SgxError> {
     let mut r = WireReader::new(out);
-    let n = r.u32()? as usize;
-    // Each record takes at least its 4-byte length: bound the count by
-    // the input.
-    let mut records = Vec::with_capacity(n.min(r.remaining() / 4));
-    for _ in 0..n {
-        let bytes = r.bytes()?;
-        let end = out.len() - r.remaining();
-        let mut rr = WireReader::new(bytes);
-        let kind = rr.u8()?;
-        let mr = MrEnclave(rr.array()?);
-        let trace = read_trace(&mut rr)?;
-        let forward = Relay::read_opt(&mut rr, end)?;
-        let ack = read_opt(&mut rr)?.map(|ct| frame(tags::RA_ACK, ct));
-        rr.finish()?;
-        records.push(TransferRecord {
-            kind,
-            mr,
-            trace,
-            forward,
-            ack,
-        });
-    }
-    let rejected = read_opt(&mut r)?.map(|error| String::from_utf8_lossy(error).into_owned());
+    let outcome = match r.u8()? {
+        1 => Ok(TransferRecord {
+            kind: r.u8()?,
+            mr: MrEnclave(r.array()?),
+            trace: read_trace(&mut r)?,
+            forward: Relay::read_opt(&mut r, out.len())?,
+            ack: read_opt(&mut r)?.map(|ct| frame(tags::RA_ACK, ct)),
+        }),
+        0 => Err(String::from_utf8_lossy(r.bytes()?).into_owned()),
+        _ => return Err(SgxError::Decode),
+    };
     r.finish()?;
-    Ok((records, rejected))
+    Ok(outcome)
 }
 
 /// Splits a network message into its tag and its body, borrowed.
@@ -453,7 +414,7 @@ impl MeHost {
     }
 
     /// Pulls the enclave's quarantine ledger after a rejected
-    /// `TRANSFER` cell (best effort — telemetry must not mask the
+    /// `TRANSFER` message (best effort — telemetry must not mask the
     /// protocol error already recorded).
     fn sync_quarantine_edges(&mut self) {
         let Ok(out) = self.enclave.ecall(me_ops::TELEMETRY, &[]) else {
@@ -744,7 +705,6 @@ impl MeHost {
         w.array(&auth.response.g_r.0);
         w.bytes(&evidence);
         w.bytes(&auth.credential.to_bytes());
-        w.u32(auth.batch);
         w.array(&auth.signature.0);
         let out = match self.enclave.ecall(me_ops::RA_RESPONSE, &w.finish()) {
             Ok(out) => out,
@@ -769,7 +729,7 @@ impl MeHost {
         }
     }
 
-    /// Sends `TRANSFER` containers to the ME at `to`, in order, noting
+    /// Sends `TRANSFER` frames to the ME at `to`, in order, noting
     /// the send time its chunk acks measure their round trip against.
     fn send_transfers(&mut self, net: &mut Network, to: &Endpoint, frames: &[impl AsRef<[u8]>]) {
         for ct in frames {
@@ -790,32 +750,33 @@ impl MeHost {
         }
     }
 
-    fn on_ra_transfer(&mut self, net: &mut Network, from: &Endpoint, container: &[u8]) {
-        let input = ecall_input(&from.machine.0.to_le_bytes(), container);
+    fn on_ra_transfer(&mut self, net: &mut Network, from: &Endpoint, sealed: &[u8]) {
+        let input = ecall_input(&from.machine.0.to_le_bytes(), sealed);
         let virt_before = self.enclave.peek_virtual_time();
         let out = match self.enclave.ecall(me_ops::TRANSFER, &input) {
             Ok(out) => out,
             Err(e) => return self.fail("ra transfer", e),
         };
         let release_ns = ns_u64(self.enclave.peek_virtual_time().saturating_sub(virt_before));
-        let (records, rejected) = match parse_transfer_output(&out) {
-            Ok(parsed) => parsed,
-            Err(e) => return self.fail("parse transfer output", e),
-        };
-        let forwards = frame_forwards(out, &records);
-        for (record, forward) in records.into_iter().zip(forwards) {
-            self.apply_transfer_record(net, from, record, forward, release_ns);
-        }
-        if let Some(error) = rejected {
-            // One error per rejected container. The rejection may have
-            // quarantined an inbound stream; mirror new ledger entries
-            // as edges.
-            self.fail("ra transfer", error);
-            self.sync_quarantine_edges();
+        match parse_transfer_output(&out) {
+            Ok(Ok(record)) => {
+                // The forward leaves in the output's own buffer.
+                let forward = record
+                    .forward
+                    .map(|relay| relay.frame(out, tags::ME_FORWARD));
+                self.apply_transfer_record(net, from, record, forward, release_ns);
+            }
+            Ok(Err(error)) => {
+                // The rejection may have quarantined an inbound stream;
+                // mirror new ledger entries as edges.
+                self.fail("ra transfer", error);
+                self.sync_quarantine_edges();
+            }
+            Err(e) => self.fail("parse transfer output", e),
         }
     }
 
-    /// Applies one transfer-output record: span bookkeeping, trace
+    /// Applies the transfer-output record: span bookkeeping, trace
     /// edges, and routing of the framed forward (first) and ack.
     fn apply_transfer_record(
         &mut self,
@@ -838,8 +799,7 @@ impl MeHost {
             // a chunk stream.
             (1 | 2, Some(tid)) => self.finish_inbound(tid, now, release_ns),
             // Stream progress: the announcement carries no ack yet;
-            // data chunks produce one (one combined ack per stream and
-            // container).
+            // each data chunk produces one.
             (3, Some(tid)) => self.track_inbound(tid, now, ack.is_some()),
             // Delta NACK: fell back to a full stream.
             (4, Some(tid)) => self.record_edge(tid, now, Edge::DeltaFallback),
@@ -898,8 +858,8 @@ impl MeHost {
                         net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
                     }
                 }
-                // Follow-on containers (window slide / resume) go back to
-                // the destination that acked.
+                // Follow-on frames (window slide / resume) go back to the
+                // destination that acked.
                 self.send_transfers(net, from, &frames);
             }
             Err(e) => self.fail("parse ack output", e),
@@ -1425,16 +1385,6 @@ mod tests {
         assert!(unframe(&framed[..2]).is_err());
     }
 
-    /// A `TRANSFER` output record as the ME writes it.
-    fn record(kind: u8, forward: Option<&[u8]>, ack: Option<&[u8]>) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(kind).array(&[kind; 32]);
-        write_opt(&mut w, Some(&[kind; 8]));
-        write_opt(&mut w, forward);
-        write_opt(&mut w, ack);
-        w.finish()
-    }
-
     #[test]
     fn relayed_frames_equal_copied_frames() {
         // LIB_MSG: the request's ciphertext leads a MIG_START envelope.
@@ -1453,39 +1403,29 @@ mod tests {
             frame(tags::LIB_MSG, ct)
         );
 
-        // ME_FORWARD: a container that released two streams, with a
-        // progress record between them.
-        let (first, second) = (
-            b"first forward".as_slice(),
-            b"second, longer forward".as_slice(),
-        );
+        // ME_FORWARD: a released stream's record as the ME writes it, its
+        // forward framed in the output's own buffer.
+        let forward = b"forward".as_slice();
         let mut w = WireWriter::new();
-        w.u32(3);
-        w.bytes(&record(1, Some(first), Some(b"ack 1")));
-        w.bytes(&record(3, None, Some(b"ack 3")));
-        w.bytes(&record(1, Some(second), None));
-        write_opt(&mut w, None);
+        w.u8(1).u8(1).array(&[1; 32]);
+        write_opt(&mut w, Some(&[1; 8]));
+        write_opt(&mut w, Some(forward));
+        write_opt(&mut w, Some(b"ack 1"));
         let out = w.finish();
-        let (records, rejected) = parse_transfer_output(&out).unwrap();
-        assert!(rejected.is_none());
-        let acks: Vec<_> = records.iter().map(|r| r.ack.clone()).collect();
+        let record = parse_transfer_output(&out).unwrap().unwrap();
+        assert_eq!(record.trace, Some([1; 8]));
+        assert_eq!(record.ack, Some(frame(tags::RA_ACK, b"ack 1")));
+        let relay = record.forward.unwrap();
         assert_eq!(
-            acks,
-            [
-                Some(frame(tags::RA_ACK, b"ack 1")),
-                Some(frame(tags::RA_ACK, b"ack 3")),
-                None
-            ]
+            relay.frame(out, tags::ME_FORWARD),
+            frame(tags::ME_FORWARD, forward)
         );
-        assert_eq!(records[1].trace, Some([3; 8]));
-        assert_eq!(
-            frame_forwards(out, &records),
-            [
-                Some(frame(tags::ME_FORWARD, first)),
-                None,
-                Some(frame(tags::ME_FORWARD, second))
-            ]
-        );
+
+        // A rejected message: its error, and no record.
+        let mut w = WireWriter::new();
+        w.u8(0).bytes(b"mac mismatch");
+        let rejected = parse_transfer_output(&w.finish()).unwrap();
+        assert_eq!(rejected.err().as_deref(), Some("mac mismatch"));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   ([`session::SenderFsm`] / [`session::ReceiverFsm`]) covering
 //!   announce → chunk/delta → resume/retry → stored/delivered, with
 //!   destination-side speculative restore as the one receiver;
-//! * [`wire`] — framing and pacing for one destination link: the
-//!   `TRANSFER` container every ME→ME cell rides in, the adaptive
+//! * [`wire`] — sealing and pacing for one destination link: the
+//!   `TRANSFER` frame every ME→ME message rides in, the adaptive
 //!   chunk/window controller, and the deficit-round-robin scheduler
 //!   ([`wire::LinkShaper`]);
 //! * [`persist`] — the generation-numbered me-state checkpoint codec
@@ -82,10 +82,8 @@ pub mod ops {
     pub const RA_RESPONSE: u32 = 7;
     /// Remote attestation: finish received (destination side).
     pub const RA_FINISH: u32 = 8;
-    /// Encrypted ME→ME transfer container received (destination side):
-    /// 1..=the link's negotiated batch size of sealed cells, verified
-    /// and staged in one enclave transition with one combined ack per
-    /// touched stream.
+    /// Encrypted ME→ME message received (destination side): one sealed
+    /// message, verified and handled in one enclave transition.
     pub const TRANSFER: u32 = 9;
     /// Encrypted ME→ME acknowledgement received (source side).
     pub const ACK: u32 = 10;
@@ -193,14 +191,7 @@ pub struct RaResponseAuth {
     pub response: RaResponseQuote,
     /// Responder's operator credential.
     pub credential: MeCredential,
-    /// Responder's advertised container capacity (its provisioned
-    /// [`TransferConfig::batch_size`]); the link uses the minimum of
-    /// both sides, so a peer advertising 1 gets one cell per container.
-    /// Covered by `signature`, so the untrusted relay cannot
-    /// renegotiate the batch size.
-    pub batch: u32,
-    /// Signature over `transcript || "R" || batch_le` under the
-    /// credentialed key.
+    /// Signature over `transcript || "R"` under the credentialed key.
     pub signature: Signature,
 }
 
@@ -211,7 +202,6 @@ impl RaResponseAuth {
         let mut w = WireWriter::new();
         w.bytes(&self.response.to_bytes());
         w.bytes(&self.credential.to_bytes());
-        w.u32(self.batch);
         w.array(&self.signature.0);
         w.finish()
     }
@@ -225,13 +215,11 @@ impl RaResponseAuth {
         let mut r = WireReader::new(bytes);
         let response = RaResponseQuote::from_bytes(r.bytes()?)?;
         let credential = MeCredential::from_bytes(r.bytes()?)?;
-        let batch = r.u32()?;
         let signature = Signature(r.array::<64>()?);
         r.finish()?;
         Ok(RaResponseAuth {
             response,
             credential,
-            batch,
             signature,
         })
     }
@@ -334,8 +322,8 @@ pub struct MigrationEnclave {
     /// [`TransferConfig::cache_budget`].
     pub(crate) cache: GenerationCache,
     /// Per-destination wire-layer state ([`LinkShaper`]: adaptive
-    /// controller, DRR scheduler, batch size). Ephemeral — a restarted
-    /// ME re-seeds them from the provisioned config.
+    /// controller and DRR scheduler). Ephemeral — a restarted ME
+    /// re-seeds them from the provisioned config.
     pub(crate) shapers: HashMap<MachineId, LinkShaper>,
     /// Migration telemetry counters and the quarantine ledger, exported
     /// via [`ops::TELEMETRY`]. Ephemeral by design (see [`telemetry`]).
@@ -506,21 +494,12 @@ impl MigrationEnclave {
         let cfg = self.ra_config(env)?;
         let (session, response) = RaResponder::respond(env, &cfg, g_i, &evidence)?;
         let (g_i, g_r) = session.keys();
-        let transcript = transcript_bytes(&g_i, &g_r, &env.identity().mr_enclave);
-        // Advertise our container capacity inside the signed
-        // transcript: the source uses min(its own, ours), and the relay
-        // cannot strip or inflate the advertisement without breaking
-        // the signature.
-        let batch = self.config()?.transfer.batch_size;
-        let mut signed = transcript;
+        let mut signed = transcript_bytes(&g_i, &g_r, &env.identity().mr_enclave);
         signed.extend_from_slice(b"R");
-        signed.extend_from_slice(&batch.to_le_bytes());
-        let signature = self.signing()?.sign(&signed);
         let auth = RaResponseAuth {
             response,
             credential: self.config()?.credential.clone(),
-            batch,
-            signature,
+            signature: self.signing()?.sign(&signed),
         };
         self.ra_in_pending.insert(
             source,
@@ -543,7 +522,6 @@ impl MigrationEnclave {
         let g_r = PublicKey(r.array()?);
         let evidence = AttestationEvidence::from_bytes(r.bytes()?)?;
         let credential = MeCredential::from_bytes(r.bytes()?)?;
-        let advertised_batch = r.u32()?;
         let signature = Signature(r.array::<64>()?);
         r.finish()?;
 
@@ -556,11 +534,7 @@ impl MigrationEnclave {
         let key = session.process_response(&cfg, g_r, &evidence)?;
 
         let transcript = transcript_bytes(&g_i, &g_r, &env.identity().mr_enclave);
-        // The responder signed its batch advertisement into the role
-        // tag, so a relay-tampered batch value fails authentication.
-        let mut role_tag = b"R".to_vec();
-        role_tag.extend_from_slice(&advertised_batch.to_le_bytes());
-        self.authenticate_peer(&credential, destination, &transcript, &role_tag, &signature)?;
+        self.authenticate_peer(&credential, destination, &transcript, b"R", &signature)?;
 
         // Channel up: authenticate ourselves and send the queued
         // migrations (up to the stream cap; the rest of the queue drains
@@ -573,16 +547,12 @@ impl MigrationEnclave {
         };
         self.channels_out
             .insert(destination, SecureChannel::new(key, ChannelRole::Initiator));
-        // Negotiate the link's batch size before anything is sealed:
-        // min(our provisioned size, the peer's authenticated
-        // advertisement) — a peer advertising 1 gets one cell per
-        // container.
+        // The link's wire state starts with its channel, so `LINK_STAT`
+        // and telemetry report every link, streamed over or not.
         let transfer_cfg = self.config()?.transfer;
-        let negotiated = transfer_cfg.batch_size.min(advertised_batch.max(1));
         self.shapers
             .entry(destination)
-            .or_insert_with(|| LinkShaper::new(&transfer_cfg))
-            .set_batch(negotiated);
+            .or_insert_with(|| LinkShaper::new(&transfer_cfg));
         let frames = self.send_unsent(env, destination)?;
 
         let finish = finish.to_bytes();

@@ -19,13 +19,13 @@
 //!
 //! Both directions have one path. A send burst — single-shot
 //! transfers, resume requests, announcements, granted chunks — is
-//! sealed in order into `TRANSFER` containers, and one cell handler
-//! serves every message kind a container can carry.
+//! sealed in order, one `TRANSFER` frame per message, and one handler
+//! serves every message kind a frame can carry.
 //!
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
 //! whose base generation fell out of the LRU cache as
-//! [`MigError::BaseEvicted`]. The wire-facing side (cells, containers,
+//! [`MigError::BaseEvicted`]. The wire-facing side (sealing,
 //! scheduling) lives in [`super::wire`]; durable state in
 //! [`super::persist`].
 
@@ -38,7 +38,7 @@ use crate::transfer::chunker::{
     chunk_count, trace_id, ChunkAssembler, ChunkMac, ChunkStream, TransferNonce,
 };
 use crate::transfer::delta::{self, DeltaManifest, DigestedState, PageDigests, StagedApply};
-use crate::transfer::MIN_CHUNK_SIZE;
+use crate::transfer::{MAX_DELTA_PERCENT, MAX_STREAMS, MIN_CHUNK_SIZE};
 use sgx_sim::enclave::EnclaveEnv;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
@@ -61,11 +61,11 @@ pub enum MeAction {
         /// `RaHello` bytes to deliver to the destination's ME host.
         hello: Vec<u8>,
     },
-    /// A channel exists: send these `TRANSFER` containers in order.
+    /// A channel exists: send these `TRANSFER` frames in order.
     SendRemote {
         /// Destination machine.
         destination: MachineId,
-        /// Containers of channel-sealed [`MeToMe`] cells, each for one
+        /// Channel-sealed [`MeToMe`] messages, each for one
         /// [`ops::TRANSFER`](super::ops::TRANSFER) at the destination.
         frames: Vec<Vec<u8>>,
     },
@@ -85,7 +85,7 @@ pub(crate) fn list_len(items: &[Vec<u8>]) -> usize {
 }
 
 /// Writes a list of byte strings — a `u32` count, then each one behind
-/// its length — the form ECALL outputs carry containers and records in.
+/// its length — the form ECALL outputs carry frames in.
 pub(crate) fn write_list(w: &mut WireWriter, items: &[Vec<u8>]) {
     w.u32(items.len() as u32);
     for item in items {
@@ -116,7 +116,7 @@ pub(super) enum OutRecord {
 }
 
 impl OutRecord {
-    /// Encoded length of the record (without its length prefix).
+    /// Encoded length of the record.
     fn encoded_len(&self) -> usize {
         match self {
             OutRecord::Encoded(bytes) => bytes.len(),
@@ -1291,7 +1291,7 @@ impl MigrationEnclave {
     }
 
     /// Announced-and-incomplete streams towards `destination` (the
-    /// occupancy counted against `TransferConfig::max_streams`).
+    /// occupancy counted against [`MAX_STREAMS`]).
     fn active_stream_count(&self, destination: MachineId) -> u32 {
         self.outgoing
             .values()
@@ -1351,22 +1351,14 @@ impl MigrationEnclave {
 
     /// Seals a send burst towards `destination` — `leads` (single-shot
     /// transfers, resume requests, announcements) in order, then the
-    /// granted `chunks` — into `TRANSFER` containers of up to the
-    /// link's negotiated batch size, each cell encoded straight into
-    /// its container ([`wire::seal_container`]). A batch of `b` cells
-    /// per container collapses up to `b` destination transitions into
-    /// one.
+    /// granted `chunks` — one `TRANSFER` frame per message, each
+    /// encoded straight into its frame ([`wire::seal_cell`]).
     fn seal_burst(
         &mut self,
         destination: MachineId,
         leads: &[MeToMe],
         chunks: &[(MrEnclave, u32)],
     ) -> Result<Vec<Vec<u8>>, MigError> {
-        let batch = self
-            .shapers
-            .get(&destination)
-            .ok_or(MigError::SessionInvariant("link shaper missing"))?
-            .batch() as usize;
         let mut cells: Vec<Cell<'_>> = leads.iter().map(Cell::Msg).collect();
         for (mr, idx) in chunks {
             let out = self
@@ -1381,14 +1373,10 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        let mut frames = Vec::with_capacity(cells.len().div_ceil(batch));
-        for run in cells.chunks(batch) {
-            frames.push(wire::seal_container(channel, run)?);
-            if run.len() > 1 {
-                self.telemetry.batches_sealed += 1;
-            }
-        }
-        Ok(frames)
+        cells
+            .iter()
+            .map(|cell| wire::seal_cell(channel, cell))
+            .collect()
     }
 
     /// Builds the announcement for a fresh stream of `mr` (delta against
@@ -1401,7 +1389,6 @@ impl MigrationEnclave {
         mr: MrEnclave,
         chunk_size: u32,
     ) -> Result<MeToMe, MigError> {
-        let max_delta_percent = self.config()?.transfer.max_delta_percent;
         let mut nonce: TransferNonce = [0; 16];
         env.random_bytes(&mut nonce);
         let mig = self
@@ -1412,13 +1399,13 @@ impl MigrationEnclave {
         let generation = cached.map_or(0, |c| c.generation + 1);
         // When a previous generation of this enclave's state is cached (a
         // repeat migration), diff against it and ship only the dirty
-        // pages — unless the delta exceeds the provisioned fraction of
-        // the full state, in which case the full stream is cheaper than
-        // a delta that rewrites most pages anyway.
+        // pages — unless the delta exceeds `MAX_DELTA_PERCENT` of the
+        // full state, in which case the full stream is cheaper than a
+        // delta that rewrites most pages anyway.
         let delta = cached.and_then(|base| {
             let (dirty, payload) = delta::diff(base.state.bytes(), &mig.state);
             let within_budget = (payload.len() as u64).saturating_mul(100)
-                <= (mig.state.len() as u64).saturating_mul(u64::from(max_delta_percent));
+                <= (mig.state.len() as u64).saturating_mul(u64::from(MAX_DELTA_PERCENT));
             within_budget.then_some((base, dirty, payload))
         });
         let (out, delta_base) = match delta {
@@ -1493,9 +1480,9 @@ impl MigrationEnclave {
     }
 
     /// Dispatches every unsent migration towards `destination` over its
-    /// open channel **concurrently** (up to
-    /// `TransferConfig::max_streams`), multiplexed on the shared
-    /// attested channel, and returns the sealed `TRANSFER` containers:
+    /// open channel **concurrently** (up to [`MAX_STREAMS`]),
+    /// multiplexed on the shared attested channel, and returns the
+    /// sealed `TRANSFER` frames:
     /// streams that predate a crash/reconnect send a
     /// [`MeToMe::ResumeRequest`] renegotiating their per-nonce resume
     /// point, fresh large states announce a `ChunkStart`/`DeltaStart`
@@ -1520,9 +1507,7 @@ impl MigrationEnclave {
             return Ok(Vec::new());
         }
 
-        let mut slots = transfer_cfg
-            .max_streams
-            .saturating_sub(self.active_stream_count(destination));
+        let mut slots = MAX_STREAMS.saturating_sub(self.active_stream_count(destination));
         let mut singleshots: Vec<MrEnclave> = Vec::new();
         let mut resumes: Vec<MrEnclave> = Vec::new();
         let mut announces: Vec<MrEnclave> = Vec::new();
@@ -1547,7 +1532,7 @@ impl MigrationEnclave {
             }
         }
 
-        // Links are FIFO, so cells arrive in this seal order:
+        // Links are FIFO, so frames arrive in this seal order:
         // single-shot transfers, resume requests, then announcements and
         // their first chunks.
         let mut leads = Vec::with_capacity(singleshots.len() + resumes.len() + announces.len());
@@ -1707,7 +1692,7 @@ impl MigrationEnclave {
         self.channels_out.remove(&destination);
         self.ra_out_pending.remove(&destination);
         if let Some(shaper) = self.shapers.get_mut(&destination) {
-            shaper.reset_framing();
+            shaper.reset_scheduler();
         }
         for mig in self
             .outgoing
@@ -1794,29 +1779,20 @@ impl MigrationEnclave {
         Self::stream_progress_kind(3, mr_enclave, trace, reply)
     }
 
-    /// `TRANSFER`: one enclave transition verifying and staging a
-    /// container of sealed cells, in seal order, with one handler for
-    /// every message kind a source sends ([`Self::on_cell`]). Data
-    /// chunks are acknowledged with **one** combined cumulative
-    /// `ChunkAck` per touched stream at the end of the container, so a
-    /// link batching `b` cells per container needs about
-    /// 2×⌈chunks/`b`⌉ transitions per migration instead of 2×chunks.
+    /// `TRANSFER`: one enclave transition verifying one sealed message
+    /// and handling it, whatever its kind ([`Self::on_message`]).
     ///
-    /// The container framing is untrusted and validated before any AEAD
-    /// work ([`wire::unpack_container`]): a malformed container fails
-    /// the ECALL without consuming a channel sequence number. Each cell
-    /// carries its own sequence number, so a spliced, replayed or
-    /// reordered cell fails authentication and ends the container — no
-    /// cell behind it can verify. Any other rejection (a chain-MAC
-    /// mismatch, an unknown nonce, ...) is confined to its cell, which
-    /// did consume its sequence number. The verified cells keep their
-    /// effects and acks either way.
+    /// Every message carries its own channel sequence number, so a
+    /// spliced, replayed, reordered or truncated frame fails
+    /// authentication without consuming one, and the frames behind it
+    /// fail too until a `RETRY` replaces the channel. Any other
+    /// rejection (a chain-MAC mismatch, an unknown nonce, ...) did
+    /// consume its sequence number.
     ///
-    /// Output: a list of transfer-output records (see
+    /// Output: `1` and the message's transfer-output record (see
     /// [`Self::accept_incoming`] and [`Self::stream_progress_kind`]),
-    /// then the first rejected cell's error, if any. The records are
-    /// written straight into the output, sized once they are all known:
-    /// a forward is sealed there, in place ([`OutRecord`]).
+    /// written straight into the output — a forward is sealed there, in
+    /// place ([`OutRecord`]) — or `0` and the rejection's error.
     pub(super) fn op_transfer(
         &mut self,
         env: &mut EnclaveEnv<'_>,
@@ -1824,77 +1800,37 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let source = MachineId(r.u64()?);
-        let container = r.bytes()?;
+        let sealed = r.bytes()?;
         r.finish()?;
 
-        if !self.channels_in.contains_key(&source) {
-            return Err(MigError::ChannelMissing {
+        let channel = self
+            .channels_in
+            .get_mut(&source)
+            .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
-            });
-        }
-        let cells = wire::unpack_container(container)?;
-        if cells.len() > 1 {
-            self.telemetry.batches_received += 1;
-        }
-        let mut records: Vec<OutRecord> = Vec::new();
-        // Streams touched by data chunks in this container, in
-        // first-touch order; each gets one transition attribution and
-        // (when still incomplete at the end) one combined ack.
-        let mut touched: Vec<TransferNonce> = Vec::new();
-        let mut rejected: Option<MigError> = None;
-        for cell in cells {
-            let channel = self
-                .channels_in
-                .get_mut(&source)
-                .ok_or(MigError::SessionInvariant("inbound channel vanished"))?;
-            match channel.open(cell) {
-                Ok(plaintext) => {
-                    if let Err(e) =
-                        self.on_cell(env, source, &plaintext, &mut records, &mut touched)
-                    {
-                        rejected.get_or_insert(e);
-                    }
-                }
-                // No cell behind one that fails authentication can verify.
-                Err(e) => {
-                    rejected.get_or_insert(e);
-                    break;
-                }
+            })?;
+        let outcome = channel
+            .open(sealed)
+            .and_then(|plaintext| self.on_message(env, source, &plaintext));
+        match outcome {
+            Ok(record) => {
+                let mut w = WireWriter::with_capacity(1 + record.encoded_len());
+                w.u8(1);
+                self.write_record(&mut w, record)?;
+                Ok(w.finish())
+            }
+            Err(e) => {
+                let error = SgxError::from(e).to_string();
+                let mut w = WireWriter::with_capacity(1 + 4 + error.len());
+                w.u8(0).bytes(error.as_bytes());
+                Ok(w.finish())
             }
         }
-        for nonce in touched {
-            // Released, NACKed and quarantined streams are gone.
-            let Some(fsm) = self.inbound.get(&nonce) else {
-                continue;
-            };
-            let (upto, mr_enclave) = (fsm.next_idx(), fsm.mr_enclave());
-            let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
-            records.push(Self::stream_progress_output(
-                mr_enclave,
-                trace_id(&nonce),
-                Some(&ack),
-            ));
-        }
-
-        let rejected = rejected.map(|e| SgxError::from(e).to_string());
-        let rejected = rejected.as_deref().map(str::as_bytes);
-        let records_len = records.iter().map(|r| 4 + r.encoded_len()).sum::<usize>();
-        let mut w = WireWriter::with_capacity(4 + records_len + opt_len(rejected));
-        w.u32(records.len() as u32);
-        for record in records {
-            self.write_record(&mut w, record)?;
-        }
-        write_opt(&mut w, rejected);
-        Ok(w.finish())
     }
 
-    /// Appends one transfer-output record behind its length, sealing a
-    /// forward in place on the enclave's attested local channel.
+    /// Appends one transfer-output record, sealing a forward in place on
+    /// the enclave's attested local channel.
     fn write_record(&mut self, w: &mut WireWriter, record: OutRecord) -> Result<(), MigError> {
-        w.u32(
-            u32::try_from(record.encoded_len())
-                .map_err(|_| MigError::Transfer("message exceeds wire limit"))?,
-        );
         match record {
             OutRecord::Encoded(bytes) => {
                 w.as_mut_vec().extend_from_slice(&bytes);
@@ -1919,26 +1855,23 @@ impl MigrationEnclave {
         Ok(())
     }
 
-    /// Handles one opened cell of a `TRANSFER` container, appending its
-    /// output records; a data chunk's ack is left to the container's
-    /// combined ack (its nonce joins `touched`).
-    fn on_cell(
+    /// Handles one opened `TRANSFER` message, returning its output
+    /// record.
+    fn on_message(
         &mut self,
         env: &mut EnclaveEnv<'_>,
         source: MachineId,
         plaintext: &[u8],
-        records: &mut Vec<OutRecord>,
-        touched: &mut Vec<TransferNonce>,
-    ) -> Result<(), MigError> {
+    ) -> Result<OutRecord, MigError> {
         if let Some(chunk) = MeToMe::chunk_cell(plaintext)? {
-            return self.on_chunk(env, source, chunk, records, touched);
+            return self.on_chunk(env, source, chunk);
         }
         match MeToMe::from_bytes(plaintext)? {
             MeToMe::Transfer {
                 mr_enclave,
                 data,
                 state,
-            } => records.push(self.accept_incoming(source, mr_enclave, data, state, None, None)?),
+            } => self.accept_incoming(source, mr_enclave, data, state, None, None),
             MeToMe::ChunkStart {
                 mr_enclave,
                 nonce,
@@ -1961,11 +1894,11 @@ impl MigrationEnclave {
                     state_digest,
                 )?;
                 self.inbound.insert(nonce, fsm);
-                records.push(Self::stream_progress_output(
+                Ok(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     None,
-                ));
+                ))
             }
             MeToMe::DeltaStart {
                 mr_enclave,
@@ -2002,11 +1935,11 @@ impl MigrationEnclave {
                     self.cache.touch(&mr_enclave);
                 }
                 self.inbound.insert(nonce, fsm);
-                records.push(Self::stream_progress_output(
+                Ok(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     None,
-                ));
+                ))
             }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
                 // Three cases: mid-stream partial (resume from next
@@ -2024,27 +1957,25 @@ impl MigrationEnclave {
                     MeToMe::Resume { nonce, from_idx: 0 }
                 };
                 let ack = self.seal_to_source(source, &reply)?;
-                records.push(Self::stream_progress_output(
+                Ok(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
                     Some(&ack),
-                ));
+                ))
             }
-            _ => return Err(MigError::Protocol("unexpected ME-to-ME message")),
+            _ => Err(MigError::Protocol("unexpected ME-to-ME message")),
         }
-        Ok(())
     }
 
-    /// Handles one opened data chunk, borrowed from its cell: verified
-    /// and copied once, into the stream's state buffer.
+    /// Handles one opened data chunk, borrowed from its message:
+    /// verified and copied once, into the stream's state buffer. The
+    /// record is the stream's release, or else its cumulative ack.
     fn on_chunk(
         &mut self,
         env: &mut EnclaveEnv<'_>,
         source: MachineId,
         chunk: ChunkCell<'_>,
-        records: &mut Vec<OutRecord>,
-        touched: &mut Vec<TransferNonce>,
-    ) -> Result<(), MigError> {
+    ) -> Result<OutRecord, MigError> {
         let nonce = chunk.nonce;
         let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
         if fsm.source() != source {
@@ -2069,15 +2000,18 @@ impl MigrationEnclave {
             }
             return Err(e);
         }
-        if !touched.contains(&nonce) {
-            touched.push(nonce);
-            env.attribute_transition(trace_id(&nonce));
-        }
+        env.attribute_transition(trace_id(&nonce));
         self.telemetry.chunks_received += 1;
         if fsm.is_complete() {
-            records.push(self.release_stream(source, nonce)?);
+            return self.release_stream(source, nonce);
         }
-        Ok(())
+        let (upto, mr_enclave) = (fsm.next_idx(), fsm.mr_enclave());
+        let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
+        Ok(Self::stream_progress_output(
+            mr_enclave,
+            trace_id(&nonce),
+            Some(&ack),
+        ))
     }
 
     /// Releases the completed inbound stream `nonce`, returning its
@@ -2146,7 +2080,7 @@ impl MigrationEnclave {
     /// Encodes the `ACK` ECALL output: kind, MRENCLAVE, the acked
     /// stream's public trace id (when the ack names a nonce), optional
     /// completion ciphertext for the local library, and follow-on
-    /// `TRANSFER` containers to send back to the destination.
+    /// `TRANSFER` frames to send back to the destination.
     fn ack_output(
         kind: u8,
         mr: MrEnclave,
@@ -2180,7 +2114,7 @@ impl MigrationEnclave {
     /// `upto == 0` restarts the stream, fresh `ChunkStart` included),
     /// then refills the freed shared-window budget **across every
     /// stream** towards the destination (deficit round-robin), returning
-    /// the owning MRENCLAVE and the containers to send.
+    /// the owning MRENCLAVE and the frames to send.
     fn advance_stream(
         &mut self,
         destination: MachineId,

@@ -29,12 +29,6 @@ pub(crate) struct MeTelemetry {
     pub(crate) aborts_incoming: u64,
     /// Stream announcements dispatched (`ChunkStart` / `DeltaStart`).
     pub(crate) announcements: u64,
-    /// `TRANSFER` containers of two or more cells accepted
-    /// (destination side).
-    pub(crate) batches_received: u64,
-    /// `TRANSFER` containers of two or more cells packed onto the wire
-    /// (source side).
-    pub(crate) batches_sealed: u64,
     /// Generation-cache entries evicted by the LRU byte budget.
     pub(crate) cache_evictions: u64,
     /// Chunks received and chain-verified (destination side).
@@ -53,19 +47,17 @@ pub(crate) struct MeTelemetry {
     /// Whole-payload (non-streamed) transfers dispatched.
     pub(crate) singleshot_transfers: u64,
     /// Trace ids of quarantined inbound streams, in quarantine order.
-    /// The host diffs this ledger after a rejected `TRANSFER` cell to
+    /// The host diffs this ledger after a rejected `TRANSFER` message to
     /// timestamp quarantine edges without the enclave leaking when.
     pub(crate) quarantined: Vec<[u8; 8]>,
 }
 
 impl MeTelemetry {
     /// Counter (name, value) pairs in stable sorted-by-name order.
-    fn counters(&self) -> [(&'static str, u64); 12] {
+    fn counters(&self) -> [(&'static str, u64); 10] {
         [
             ("me.aborts_incoming", self.aborts_incoming),
             ("me.announcements", self.announcements),
-            ("me.batches_received", self.batches_received),
-            ("me.batches_sealed", self.batches_sealed),
             ("me.cache_evictions", self.cache_evictions),
             ("me.chunks_received", self.chunks_received),
             ("me.chunks_retransmitted", self.chunks_retransmitted),
@@ -202,7 +194,7 @@ mod tests {
         let me = MigrationEnclave::new();
         let bytes = me.op_telemetry().unwrap();
         let report = TelemetryReport::from_bytes(&bytes).unwrap();
-        assert_eq!(report.counters.len(), 12);
+        assert_eq!(report.counters.len(), 10);
         assert!(report.counters.iter().all(|(_, v)| *v == 0));
         assert!(report.links.is_empty() && report.quarantined.is_empty());
         // Counter names arrive sorted (stable export order).

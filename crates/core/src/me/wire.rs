@@ -1,37 +1,28 @@
-//! The **wire layer** of the Migration Enclave: how the cells sent to
-//! one destination link are framed, batched and paced.
+//! The **wire layer** of the Migration Enclave: how the messages sent
+//! to one destination link are sealed and paced.
 //!
-//! This module owns the `TRANSFER` container — a cell count, then each
-//! channel-sealed cell behind its `u32` length, built by
-//! `seal_container` and parsed by [`unpack_container`] — the
-//! per-destination [`AdaptiveLink`] chunk/window controller, and the
-//! [`DrrScheduler`] apportioning the shared link window among
-//! concurrent streams. Every message a source ME sends to a destination
-//! ME rides in a container of 1..=[`MAX_BATCH`] cells (at most the
-//! link's negotiated batch size), one destination ECALL per container.
-//! Frames travel at their natural size: links deliver in send order,
-//! so the channel's sequence numbers need no help from the frame
-//! layout.
+//! This module owns the `TRANSFER` frame — one channel-sealed message,
+//! built by `seal_cell` — the per-destination [`AdaptiveLink`]
+//! chunk/window controller, and the [`DrrScheduler`] apportioning the
+//! shared link window among concurrent streams. Every message a source
+//! ME sends to a destination ME travels sealed on its own, one
+//! destination ECALL per message. Frames travel at their natural size:
+//! links deliver in send order, so the channel's sequence numbers need
+//! no help from the frame layout.
 
 use crate::error::MigError;
 use crate::msgs::MeToMe;
 use crate::secure_channel::SecureChannel;
 use crate::transfer::chunker::ChunkStream;
 use crate::transfer::delta::PAGE_SIZE;
-use crate::transfer::{TransferConfig, MIN_CHUNK_SIZE};
+use crate::transfer::{TransferConfig, MAX_WINDOW, MIN_CHUNK_SIZE};
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::measurement::MrEnclave;
-use sgx_sim::wire::{WireReader, WireWriter};
+use sgx_sim::wire::WireWriter;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Hard upper bound on the cells one `TRANSFER` container may carry,
-/// independent of the negotiated batch size. The container framing is
-/// untrusted (the host could repack it), so the receiver bounds its
-/// allocations here before opening a single cell.
-pub const MAX_BATCH: u32 = 256;
-
-/// One cell of a send burst, encoded where it is sealed.
+/// One message of a send burst, encoded where it is sealed.
 pub(crate) enum Cell<'a> {
     /// A whole message: a single-shot `Transfer`, a `ResumeRequest` or
     /// an announcement.
@@ -59,61 +50,33 @@ impl Cell<'_> {
     }
 }
 
-/// Seals `cells`, in order, into one `TRANSFER` container allocated at
-/// its final size: the cell count, then each cell behind its `u32`
-/// sealed length. Each cell is encoded straight into the container and
-/// sealed where it lies ([`SecureChannel::write_sealed`]), so a chunk
-/// is copied once, from the stream into the container.
+/// Seals `cell` into the body of one `TRANSFER` frame, allocated at its
+/// final size: the message is encoded straight into the buffer and
+/// sealed where it lies, so a chunk is copied once, from the stream into
+/// the frame.
 ///
 /// # Errors
 ///
-/// [`MigError::Transfer`] if a cell exceeds the wire's `u32` length.
-pub(crate) fn seal_container(
-    channel: &mut SecureChannel,
-    cells: &[Cell<'_>],
-) -> Result<Vec<u8>, MigError> {
-    let lens: Vec<usize> = cells.iter().map(Cell::len).collect();
-    let mut w =
-        WireWriter::with_capacity(4 + lens.iter().map(|len| 4 + len + TAG_LEN).sum::<usize>());
-    w.u32(cells.len() as u32);
-    for (cell, len) in cells.iter().zip(lens) {
-        channel.write_sealed(&mut w, len, |w| cell.encode(w))?;
-    }
-    Ok(w.finish())
-}
-
-/// Parses a `TRANSFER` container into its sealed cells, in the order
-/// they were sealed. The framing is untrusted: cell counts outside
-/// `1..=`[`MAX_BATCH`] and truncation anywhere — including mid cell —
-/// are rejected before any AEAD work happens, so a malformed container
-/// cannot consume channel sequence numbers.
-///
-/// # Errors
-///
-/// [`MigError::Transfer`] on an empty, oversized, truncated, or
-/// trailing-garbage container.
-pub fn unpack_container(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
-    let framing = MigError::Transfer("malformed transfer container");
-    let mut r = WireReader::new(bytes);
-    let count = r.u32().map_err(|_| framing.clone())?;
-    if count == 0 || count > MAX_BATCH {
-        return Err(MigError::Transfer("container cell count out of range"));
-    }
-    let mut cells = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        cells.push(r.bytes().map_err(|_| framing.clone())?);
-    }
-    r.finish().map_err(|_| framing)?;
-    Ok(cells)
+/// [`MigError::Transfer`] if the sealed message exceeds the wire's `u32`
+/// length.
+pub(crate) fn seal_cell(channel: &mut SecureChannel, cell: &Cell<'_>) -> Result<Vec<u8>, MigError> {
+    let len = cell.len();
+    u32::try_from(len + TAG_LEN).map_err(|_| MigError::Transfer("message exceeds wire limit"))?;
+    let mut w = WireWriter::with_capacity(len + TAG_LEN);
+    cell.encode(&mut w);
+    let mut sealed = w.finish();
+    channel.seal_in_place(&mut sealed, 0);
+    Ok(sealed)
 }
 
 /// Per-destination adaptive chunk/window controller.
 ///
 /// Seeded from the provisioned [`TransferConfig`], then driven by the
 /// observed link behaviour: every clean cumulative ack grows the send
-/// window by one (up to [`TransferConfig::max_window`]) — additive
-/// increase keeps the pipe filling on a healthy link — and every
-/// disruption (a `Resume` renegotiation after a crash or loss) halves
+/// window by one (up to [`MAX_WINDOW`], or the provisioned window if
+/// that is larger) — additive increase keeps the pipe filling on a
+/// healthy link — and every disruption (a `Resume` renegotiation after
+/// a crash or loss) halves
 /// the chunk size, rounded down to whole pages (floor
 /// [`MIN_CHUNK_SIZE`], one page), and resets the window to
 /// the provisioned base, so a flaky link retransmits less per loss.
@@ -133,7 +96,7 @@ impl AdaptiveLink {
     pub fn new(config: &TransferConfig) -> Self {
         AdaptiveLink {
             base_window: config.window,
-            max_window: config.max_window.max(config.window),
+            max_window: MAX_WINDOW.max(config.window),
             chunk_size: config.chunk_size.max(MIN_CHUNK_SIZE),
             window: config.window,
         }
@@ -291,20 +254,18 @@ impl<K: Copy + Eq + Hash> DrrScheduler<K> {
 }
 
 /// Everything the wire layer tracks for one destination link: the
-/// [`AdaptiveLink`] chunk/window controller, the [`DrrScheduler`]
-/// sharing the window among concurrent streams, and the negotiated
-/// batch size.
+/// [`AdaptiveLink`] chunk/window controller and the [`DrrScheduler`]
+/// sharing the window among concurrent streams.
 ///
 /// Lifecycles differ deliberately: the adaptive controller is link
-/// memory that survives a `RETRY` reconnect ([`LinkShaper::reset_framing`]
-/// keeps it), while the scheduler and the batch size belong to the old
-/// channel and are reset. The whole shaper is ephemeral across an ME
-/// restart — re-seeded from the provisioned config on the next stream.
+/// memory that survives a `RETRY` reconnect ([`LinkShaper::reset_scheduler`]
+/// keeps it), while the scheduler belongs to the old channel and is
+/// reset. The whole shaper is ephemeral across an ME restart —
+/// re-seeded from the provisioned config on the next stream.
 #[derive(Debug)]
 pub struct LinkShaper {
     adaptive: AdaptiveLink,
     scheduler: DrrScheduler<MrEnclave>,
-    batch: u32,
 }
 
 impl LinkShaper {
@@ -314,24 +275,7 @@ impl LinkShaper {
         LinkShaper {
             adaptive: AdaptiveLink::new(config),
             scheduler: DrrScheduler::new(),
-            batch: 1,
         }
-    }
-
-    /// The link's negotiated batch size: how many sealed cells one
-    /// `TRANSFER` container carries at most. 1 (the default) sends
-    /// every cell in a container of its own.
-    #[must_use]
-    pub fn batch(&self) -> u32 {
-        self.batch
-    }
-
-    /// Fixes the link's batch size from the channel negotiation
-    /// (`min(own config, peer advertisement)`, clamped to
-    /// `1..=`[`MAX_BATCH`]). Set once per channel establishment, before
-    /// any stream frame flies.
-    pub fn set_batch(&mut self, batch: u32) {
-        self.batch = batch.clamp(1, MAX_BATCH);
     }
 
     /// The adaptive chunk/window controller.
@@ -346,15 +290,12 @@ impl LinkShaper {
         &mut self.adaptive
     }
 
-    /// Drops the framing state bound to a dead channel (scheduler round
-    /// and batch size) while keeping the adaptive link memory — the
-    /// `RETRY` path: in-flight frames died with the channel, but the
-    /// link's observed behaviour did not change.
-    pub fn reset_framing(&mut self) {
+    /// Drops the scheduler round bound to a dead channel while keeping
+    /// the adaptive link memory — the `RETRY` path: in-flight frames
+    /// died with the channel, but the link's observed behaviour did not
+    /// change.
+    pub fn reset_scheduler(&mut self) {
         self.scheduler = DrrScheduler::new();
-        // Batching is negotiated per channel; the replacement channel
-        // re-advertises before any stream frame flies.
-        self.batch = 1;
     }
 
     /// Deficit-round-robin share-out of `budget` send slots over the
@@ -386,18 +327,8 @@ impl LinkShaper {
 mod tests {
     use super::*;
 
-    /// Packs already-sealed cells the way [`seal_container`] frames them.
-    fn pack(cells: &[Vec<u8>]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(cells.len() as u32);
-        for ct in cells {
-            w.bytes(ct);
-        }
-        w.finish()
-    }
-
     #[test]
-    fn sealed_container_matches_sequential_seals_and_opens_in_order() {
+    fn sealed_cells_match_sequential_seals_and_open_in_order() {
         use crate::secure_channel::ChannelRole;
         let msgs: Vec<MeToMe> = (0..2u8)
             .map(|i| MeToMe::ChunkAck {
@@ -416,66 +347,18 @@ mod tests {
                 w.finish()
             })
             .collect();
-        // Oracle: each cell sealed on its own, in order, then packed.
+        // Oracle: each message sealed from its encoding, in order.
         let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
-        let expected = pack(
-            &plaintexts
-                .iter()
-                .map(|p| oracle.seal(p))
-                .collect::<Vec<_>>(),
-        );
         let mut sender = SecureChannel::new([9; 16], ChannelRole::Initiator);
-        let container = seal_container(&mut sender, &cells).unwrap();
-        assert_eq!(container, expected);
-        assert_eq!(container.capacity(), container.len(), "allocated once");
-        // The receiver opens the cells back out in seal order.
         let mut receiver = SecureChannel::new([9; 16], ChannelRole::Responder);
-        let opened: Vec<Vec<u8>> = unpack_container(&container)
-            .unwrap()
-            .into_iter()
-            .map(|ct| receiver.open(ct).unwrap())
-            .collect();
-        assert_eq!(opened, plaintexts);
-        assert_eq!(MeToMe::from_bytes(&opened[1]).unwrap(), msgs[1]);
-    }
-
-    #[test]
-    fn truncated_or_malformed_container_rejected() {
-        let sealed_len = 4096 + TAG_LEN;
-        let cells: Vec<Vec<u8>> = (0..2u8).map(|i| vec![i; sealed_len]).collect();
-        let packed = pack(&cells);
-        assert_eq!(unpack_container(&packed).unwrap().len(), 2);
-        // Truncation mid-cell must be rejected before any AEAD work.
-        for cut in [3, 10, sealed_len + 6, packed.len() - 1] {
-            assert!(unpack_container(&packed[..cut]).is_err(), "cut at {cut}");
+        for (cell, plaintext) in cells.iter().zip(&plaintexts) {
+            let sealed = seal_cell(&mut sender, cell).unwrap();
+            assert_eq!(sealed, oracle.seal(plaintext));
+            assert_eq!(sealed.capacity(), sealed.len(), "allocated once");
+            // The receiver opens the messages back out in seal order.
+            assert_eq!(&receiver.open(&sealed).unwrap(), plaintext);
         }
-        // So are trailing bytes after the last cell.
-        let mut trailing = packed.clone();
-        trailing.push(0);
-        assert!(unpack_container(&trailing).is_err());
-        // Zero cells and oversized counts are out of range.
-        let mut w = WireWriter::new();
-        w.u32(0);
-        assert!(unpack_container(&w.finish()).is_err());
-        let mut w = WireWriter::new();
-        w.u32(MAX_BATCH + 1);
-        assert!(unpack_container(&w.finish()).is_err());
-    }
-
-    #[test]
-    fn link_shaper_batch_negotiation_clamps_and_resets() {
-        let mut shaper = LinkShaper::new(&TransferConfig::default());
-        assert_eq!(shaper.batch(), 1, "one cell per container until negotiated");
-        shaper.set_batch(16);
-        assert_eq!(shaper.batch(), 16);
-        shaper.set_batch(0);
-        assert_eq!(shaper.batch(), 1, "zero clamps to one cell per container");
-        shaper.set_batch(MAX_BATCH * 2);
-        assert_eq!(shaper.batch(), MAX_BATCH);
-        // A channel reset renegotiates: framing reset drops to 1.
-        shaper.set_batch(8);
-        shaper.reset_framing();
-        assert_eq!(shaper.batch(), 1);
+        assert_eq!(MeToMe::from_bytes(&plaintexts[1]).unwrap(), msgs[1]);
     }
 
     fn demand(pending: u32, cost: u64) -> StreamDemand {
@@ -551,15 +434,14 @@ mod tests {
         let config = TransferConfig {
             chunk_size: 64 * 1024,
             window: 2,
-            max_window: 5,
             ..TransferConfig::default()
         };
         let mut link = AdaptiveLink::new(&config);
         assert_eq!((link.chunk_size(), link.window()), (64 * 1024, 2));
-        for _ in 0..10 {
+        for _ in 0..2 * MAX_WINDOW {
             link.on_clean_ack();
         }
-        assert_eq!(link.window(), 5, "window capped at max_window");
+        assert_eq!(link.window(), MAX_WINDOW, "window capped at MAX_WINDOW");
         link.on_disruption();
         assert_eq!(link.chunk_size(), 32 * 1024, "chunk size halves");
         assert_eq!(link.window(), 2, "window resets to provisioned base");
@@ -593,7 +475,6 @@ mod tests {
         // stream in release builds).
         let config = TransferConfig {
             window: u32::MAX,
-            max_window: u32::MAX,
             ..TransferConfig::default()
         };
         let mut link = AdaptiveLink::new(&config);
@@ -604,10 +485,10 @@ mod tests {
     #[test]
     fn link_shaper_reset_keeps_adaptive_memory() {
         let mut shaper = LinkShaper::new(&TransferConfig::default());
-        // A retry keeps the adaptive memory but clears the framing.
+        // A retry keeps the adaptive memory but clears the scheduler.
         shaper.adaptive_mut().on_disruption();
         let chunk = shaper.adaptive().chunk_size();
-        shaper.reset_framing();
+        shaper.reset_scheduler();
         assert_eq!(shaper.adaptive().chunk_size(), chunk);
     }
 }

@@ -419,7 +419,7 @@ impl MeToMe {
 
     /// Appends a [`MeToMe::Chunk`] encoded straight from a borrowed
     /// payload slice — the streaming hot path writes each chunk once,
-    /// into the container it is sealed in. The bytes are those of the
+    /// into the frame it is sealed in. The bytes are those of the
     /// enum variant.
     pub fn write_chunk(
         w: &mut WireWriter,

@@ -7,8 +7,9 @@
 //! sequence numbers, so recorded protocol messages cannot be replayed or
 //! reordered within a session. Messages are sealed and opened one at a
 //! time, in place where they lie ([`SecureChannel::seal_in_place`],
-//! [`SecureChannel::write_sealed`]): a `TRANSFER` container is a run of
-//! such messages on consecutive sequence numbers.
+//! [`SecureChannel::write_sealed`]): each `TRANSFER` frame carries one
+//! such message, and a burst of frames takes consecutive sequence
+//! numbers.
 
 use crate::error::MigError;
 use mig_crypto::gcm::{AesGcm, TAG_LEN};

@@ -633,7 +633,9 @@ fn recorded_protocol_messages_cannot_be_replayed() {
 /// the destination (per-session channel sequencing), a delivery gap the
 /// adversary forces is detected and survived via resume, and the chunk
 /// HMAC chain + per-transfer nonce reject reordering and cross-transfer
-/// splicing even below the channel layer.
+/// splicing even below the channel layer. A frame cut short with its
+/// length rewritten fails authentication and stalls the stream until
+/// the resume.
 #[test]
 fn chunk_replay_and_reorder_attacks_blocked() {
     use cloud_sim::network::{Envelope, TapAction};
@@ -656,12 +658,15 @@ fn chunk_replay_and_reorder_attacks_blocked() {
     let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
     let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
 
-    // Adversary capability: drop a mid-stream chunk on demand, forcing
-    // the remaining in-flight chunks to arrive out of order.
+    // Adversary capabilities: drop a mid-stream chunk on demand, forcing
+    // the remaining in-flight chunks to arrive out of order, or cut the
+    // frame numbered `cut_at` short.
     let dropping = Arc::new(AtomicBool::new(false));
     let seen = Arc::new(AtomicUsize::new(0));
+    let cut_at = Arc::new(AtomicUsize::new(usize::MAX));
     let tap_dropping = Arc::clone(&dropping);
     let tap_seen = Arc::clone(&seen);
+    let tap_cut_at = Arc::clone(&cut_at);
     dc.world_mut()
         .network_mut()
         .add_tap(Box::new(move |e: &Envelope| {
@@ -676,6 +681,16 @@ fn chunk_replay_and_reorder_attacks_blocked() {
                 if tap_dropping.load(Ordering::SeqCst) && n == 3 {
                     tap_dropping.store(false, Ordering::SeqCst);
                     return TapAction::Drop;
+                }
+                if n == tap_cut_at.load(Ordering::SeqCst) {
+                    // Cut the sealed message short and rewrite the
+                    // frame's length word to match: the frame stays
+                    // well-formed, so it reaches the destination ME.
+                    let mut payload = e.payload.clone();
+                    payload.truncate(payload.len() - 7);
+                    let len = u32::try_from(payload.len() - 5).unwrap();
+                    payload[1..5].copy_from_slice(&len.to_le_bytes());
+                    return TapAction::Replace(payload);
                 }
             }
             TapAction::Deliver
@@ -768,6 +783,52 @@ fn chunk_replay_and_reorder_attacks_blocked() {
     // The genuine sequence still verifies afterwards.
     asm.accept(0, a0, &a0_mac).unwrap();
     asm.accept(1, a1, &a1_mac).unwrap();
+
+    // (4) Length corruption: the third chunk frame of a second store's
+    // transfer is cut short with its length word rewritten. The
+    // truncated message fails authentication without consuming the
+    // channel's receive sequence number, so every frame behind it fails
+    // authentication too — none is taken for the next chunk, which would
+    // surface as an out-of-order chunk — and the stream stalls until the
+    // resume completes it.
+    let image2 = EnclaveImage::build("chunk-kv-2", 1, b"kv", &EnclaveSigner::from_seed([28; 32]));
+    dc.deploy_app("src2", m1, &image2, KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("src2", kv_ops::INIT, &[]).unwrap();
+    dc.call_app(
+        "src2",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(256, 4096, 0x44),
+    )
+    .unwrap();
+    dc.deploy_app("dst2", m2, &image2, KvStore::new(), InitRequest::Migrate)
+        .unwrap();
+    let errors_before = dc.me_host(m2).lock().errors.len();
+    // The announcement, then chunks 0, 1 and 2.
+    cut_at.store(seen.load(Ordering::SeqCst) + 3, Ordering::SeqCst);
+    let outcome = dc.migrate_app_resumable("src2", "dst2").unwrap();
+    let ResumableOutcome::Stalled { progress } = outcome else {
+        panic!("a length-corrupted frame must stall, not corrupt: {outcome:?}");
+    };
+    assert_eq!(
+        progress.map(|(acked, _)| acked),
+        Some(2),
+        "exactly the chunks ahead of the cut frame are acknowledged"
+    );
+    let errors = dc.me_host(m2).lock().errors[errors_before..].to_vec();
+    assert!(
+        !errors.is_empty()
+            && errors
+                .iter()
+                .all(|e| e.starts_with("ra transfer:") && e.contains("MAC mismatch")),
+        "the cut frame and the frames behind it fail authentication: {errors:?}"
+    );
+    dc.resume_migration("src2", "dst2").unwrap();
+    assert_eq!(dc.app("dst2").lock().status(), AppStatus::Ready);
+    let state = dc.app_bulk_state("dst2").unwrap().expect("migrated state");
+    dc.call_app("dst2", kv_ops::LOAD, &state).unwrap();
+    let len = dc.call_app("dst2", kv_ops::LEN, &[]).unwrap();
+    assert_eq!(u32::from_le_bytes(len[..4].try_into().unwrap()), 256);
 }
 
 // ---------------------------------------------------------------------

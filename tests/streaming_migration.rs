@@ -9,9 +9,10 @@ use cloud_sim::network::{Envelope, TapAction};
 use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
 use mig_core::datacenter::{Datacenter, ResumableOutcome};
 use mig_core::host::{AppStatus, CHECKPOINT_INTERVAL};
+use mig_core::library::state::MigrationData;
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
-use mig_core::transfer::TransferConfig;
+use mig_core::transfer::{TransferConfig, MAX_WINDOW};
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -212,7 +213,7 @@ fn sixteen_mib_state_migrates_via_streamed_path() {
 #[test]
 fn small_state_keeps_single_shot_fast_path() {
     let (mut dc, m1, m2) = dc_with_config(1602, TransferConfig::default());
-    let tap = install_stream_tap(&mut dc, m1, m2, usize::MAX);
+    let tap = install_byte_tap(&mut dc, m1, m2);
     dc.deploy_app("src", m1, &image(), KvStore::new(), InitRequest::New)
         .unwrap();
     dc.call_app("src", kv_ops::INIT, &[]).unwrap();
@@ -222,10 +223,14 @@ fn small_state_keeps_single_shot_fast_path() {
         .unwrap();
     dc.migrate_app("src", "dst").unwrap();
 
-    // One RA_TRANSFER frame: the paper's single-shot Transfer message.
-    assert_eq!(tap.seen.load(Ordering::SeqCst), 1);
-
+    // One RA_TRANSFER frame: the paper's single-shot Transfer message,
+    // sealed on its own behind the 5-byte frame head (tag, length): the
+    // message tag, measurement, Table I payload and state behind their
+    // lengths, and the GCM tag.
     let state = dc.app_bulk_state("dst").unwrap().expect("staged snapshot");
+    let sealed_transfer = 1 + 32 + 4 + MigrationData::WIRE_SIZE + 4 + state.len() + 16;
+    assert_eq!(tap.snapshot(), (1, 5 + sealed_transfer));
+
     dc.call_app("dst", kv_ops::LOAD, &state).unwrap();
     assert_eq!(dc.call_app("dst", kv_ops::GET, b"k").unwrap(), b"v");
 }
@@ -655,14 +660,17 @@ fn delta_base_survives_me_restart() {
 fn adaptive_link_reacts_to_acks_and_disruptions() {
     let config = TransferConfig {
         stream_threshold: 64 * 1024,
-        chunk_size: 1024 * 1024,
+        chunk_size: 256 * 1024,
         window: 2,
-        max_window: 6,
         ..TransferConfig::default()
     };
+    // The ceiling `AdaptiveLink::new` derives: the constant, or the
+    // provisioned window if that is larger.
+    let ceiling = MAX_WINDOW.max(config.window);
 
-    // Clean 16 MiB migration: 17 cumulative acks push the window from 2
-    // to the ceiling; the chunk size is untouched.
+    // Clean 16 MiB migration: one clean ack per 256 KiB chunk, more
+    // than the 30 that grow the window from 2 to the ceiling; the chunk
+    // size is untouched.
     let (mut dc, m1, m2) = dc_with_config(1610, config);
     deploy_loaded_src(&mut dc, m1);
     dc.deploy_app("dst", m2, &image(), KvStore::new(), InitRequest::Migrate)
@@ -674,7 +682,11 @@ fn adaptive_link_reacts_to_acks_and_disruptions() {
         .link_state(m2)
         .unwrap()
         .expect("link seen traffic");
-    assert_eq!(link, (1024 * 1024, 6), "window grew to max, chunks intact");
+    assert_eq!(
+        link,
+        (256 * 1024, ceiling),
+        "window grew to the ceiling, chunks intact"
+    );
 
     // Disrupted migration: drop frames mid-stream, resume, complete.
     // The resume renegotiation halves the chunk size and resets the
@@ -698,7 +710,7 @@ fn adaptive_link_reacts_to_acks_and_disruptions() {
         .expect("link seen traffic");
     assert_eq!(
         chunk_size,
-        512 * 1024,
+        128 * 1024,
         "one disruption halves the chunk size for future streams"
     );
 }
@@ -718,7 +730,6 @@ fn concurrent_small_migration_not_starved_by_large() {
         stream_threshold: 4096,
         chunk_size: 16 * 1024,
         window: 4,
-        max_window: 8,
         ..TransferConfig::default()
     };
     let (mut dc, m1, m2) = dc_with_config(1612, config);
