@@ -19,17 +19,43 @@
 //! a repeat migration as a few pages instead of the whole store. Which
 //! segments changed is known from the writes themselves, not by hashing
 //! the plaintext: the store notes each key it writes, and the serializer
-//! turns the notes into byte ranges.
-//! Splicing segments from an older container is caught by the index
-//! (ciphertext hashes); replaying a whole older container is the classic
-//! rollback, caught by the version-vs-counter check on load.
+//! turns the notes into byte ranges. The container is written once, into
+//! the buffer the library stages; the store keeps a clone of it and the
+//! place of each sealed segment in it, and copies the sealed bytes of
+//! every untouched segment into the next container.
+//!
+//! **The container.** `[2][u32 len][sealed index][u32 n]`, then `n`
+//! sealed segments, each behind its `u32` length. Segment `i` is sealed
+//! with the AAD `mig-apps.kvstore.seg.v1:` plus `i` (`u32` LE). The
+//! index is sealed with the AAD `mig-apps.kvstore.seg-index.v2`; its
+//! plaintext is `[u32 n]` and then each segment's 16-byte AES-GCM tag,
+//! the last 16 bytes of its sealed blob.
+//!
+//! **Why a tag binds a segment.** `LOAD` compares each segment's tag
+//! with its index entry in constant time, then opens the segment
+//! straight into the snapshot, checking its positional AAD:
+//!
+//! * the index is MSK-sealed, so the tags in it are the ones the enclave
+//!   wrote;
+//! * an accepted segment opened under the MSK with its positional AAD,
+//!   so by AES-GCM's ciphertext integrity it is a segment the enclave
+//!   sealed at that position;
+//! * each seal draws a random 96-bit nonce, so two seals carry equal
+//!   tags with probability about 2⁻¹²⁸, and a segment spliced in from
+//!   another container version is refused exactly as a ciphertext hash
+//!   would refuse it, without hashing anything;
+//! * replaying a whole older container is the classic rollback, caught
+//!   by the version-vs-counter check on load.
 
 use mig_core::harness::{AppCtx, AppLogic};
-use mig_crypto::sha256::sha256;
+use mig_core::library::{migratable_header_len, migratable_sealed_size};
+use mig_crypto::ct::ct_eq;
+use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// ECALL opcodes of the KV store enclave.
 pub mod ops {
@@ -53,31 +79,44 @@ pub mod ops {
 
 /// AAD tag for KV snapshots.
 const SNAPSHOT_AAD: &[u8] = b"mig-apps.kvstore.snapshot.v1";
-/// AAD tag for the staged container's sealed segment index.
-const INDEX_AAD: &[u8] = b"mig-apps.kvstore.seg-index.v1";
+/// AAD tag for the staged container's sealed segment index (v2: each
+/// entry is a segment's 16-byte GCM tag, so a v1 index of 32-byte
+/// ciphertext hashes fails to decode instead of being misread).
+const INDEX_AAD: &[u8] = b"mig-apps.kvstore.seg-index.v2";
 /// Plaintext bytes per sealed staging segment.
 pub const SEGMENT_LEN: usize = 4096;
 /// Leading byte of a staged container (a plain migratable-sealed blob
 /// starts with its format version, 1).
 const CONTAINER_MAGIC: u8 = 2;
+/// Prefix of every per-segment AAD.
+const SEGMENT_AAD_PREFIX: &[u8; 24] = b"mig-apps.kvstore.seg.v1:";
+/// Length of a per-segment AAD: the prefix and a `u32` index.
+const SEGMENT_AAD_LEN: usize = SEGMENT_AAD_PREFIX.len() + 4;
 
 /// Per-segment AAD: prefix plus the segment index, so a segment sealed
 /// at one position cannot be presented at another.
-fn segment_aad(idx: u32) -> Vec<u8> {
-    let mut aad = b"mig-apps.kvstore.seg.v1:".to_vec();
-    aad.extend_from_slice(&idx.to_le_bytes());
+fn segment_aad(idx: u32) -> [u8; SEGMENT_AAD_LEN] {
+    let mut aad = [0; SEGMENT_AAD_LEN];
+    let (prefix, idx_bytes) = aad.split_at_mut(SEGMENT_AAD_PREFIX.len());
+    prefix.copy_from_slice(SEGMENT_AAD_PREFIX);
+    idx_bytes.copy_from_slice(&idx.to_le_bytes());
     aad
 }
 
 /// A parsed snapshot: version-counter id, version, entries.
 type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
 
-/// One cached staging segment: its sealed ciphertext and that
-/// ciphertext's digest, so an unchanged segment is never hashed again.
-struct Segment {
-    /// SHA-256 of `sealed` (the segment's entry in the sealed index).
-    sealed_hash: [u8; 32],
-    sealed: Vec<u8>,
+/// Per segment of a container: its sealed blob's range in the
+/// container, and its GCM tag (the blob's last 16 bytes, its entry in
+/// the sealed index).
+type Segments = Vec<(Range<usize>, [u8; TAG_LEN])>;
+
+/// The staged container: the buffer the library stages, and where each
+/// sealed segment lies in it, so an unchanged segment is copied into the
+/// next container as it is, never resealed.
+struct Staged {
+    container: Arc<[u8]>,
+    segments: Segments,
 }
 
 /// The writes since the staging segments were sealed, by key: what the
@@ -110,10 +149,10 @@ impl Dirty {
 pub struct KvStore {
     entries: BTreeMap<Vec<u8>, Vec<u8>>,
     version_counter: Option<u8>,
-    /// Staging segment cache — lets an update reseal only the segments
+    /// The staged container — lets an update reseal only the segments
     /// whose plaintext changed.
-    segments: Vec<Segment>,
-    /// What changed since `segments` was sealed.
+    staged: Option<Staged>,
+    /// What changed since `staged` was sealed.
     dirty: Dirty,
 }
 
@@ -189,70 +228,105 @@ impl KvStore {
     }
 
     /// Rebuilds the segment-sealed staging container for `snapshot`
-    /// (the serialized store) and stages it with the library. Only the
-    /// segments `dirty` touches (byte ranges of `snapshot` that differ
-    /// from what the cache was sealed from) and those past the cache's
-    /// end are resealed.
+    /// (the serialized store) and stages it with the library; returns
+    /// its length. Only the segments `dirty` touches (byte ranges of
+    /// `snapshot` that differ from what the staged container was sealed
+    /// from) and those past its end are resealed; every other sealed
+    /// segment is copied from the staged container. The container is
+    /// allocated once at its final length, and the library stages that
+    /// very buffer.
     fn restage(
         &mut self,
         ctx: &mut AppCtx<'_, '_>,
         snapshot: &[u8],
         dirty: &[Range<usize>],
-    ) -> Result<Vec<u8>, SgxError> {
+    ) -> Result<usize, SgxError> {
         let n = snapshot.len().div_ceil(SEGMENT_LEN);
         let mut reseal = vec![false; n];
         for range in dirty.iter().filter(|range| !range.is_empty()) {
             let segments = range.start / SEGMENT_LEN..range.end.div_ceil(SEGMENT_LEN).min(n);
             reseal[segments].fill(true);
         }
-        let mut cached = std::mem::take(&mut self.segments).into_iter();
+        let old = self.staged.take();
+        let sealed_len = |plain: &[u8]| migratable_sealed_size(SEGMENT_AAD_LEN, plain.len());
+        // The magic byte, the sealed index behind its length, the
+        // segment count; then each sealed segment behind its length.
+        let head_len = 1 + 4 + migratable_sealed_size(INDEX_AAD.len(), 4 + n * TAG_LEN) + 4;
+        let container_len = head_len
+            + snapshot
+                .chunks(SEGMENT_LEN)
+                .map(|plain| 4 + sealed_len(plain))
+                .sum::<usize>();
+        let mut container: Arc<[u8]> = std::iter::repeat_n(0, container_len).collect();
+        // Fresh, so not shared: nothing is cloned.
+        let out = Arc::make_mut(&mut container);
+
         let mut segments = Vec::with_capacity(n);
+        let mut scratch = Vec::new();
+        let mut at = head_len;
         for ((i, plain), reseal) in snapshot.chunks(SEGMENT_LEN).enumerate().zip(reseal) {
-            let segment = match cached.next() {
-                Some(segment) if !reseal => segment,
-                _ => {
-                    let sealed =
-                        ctx.lib
-                            .seal_migratable_data(ctx.env, &segment_aad(i as u32), plain)?;
-                    Segment {
-                        sealed_hash: sha256(&sealed),
-                        sealed,
-                    }
+            let len = sealed_len(plain);
+            out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+            let range = at + 4..at + 4 + len;
+            let cached = old.as_ref().filter(|_| !reseal).and_then(|old| {
+                let (old_range, tag) = old.segments.get(i)?;
+                let sealed = old.container.get(old_range.clone());
+                let sealed = sealed.filter(|sealed| sealed.len() == len)?;
+                Some((sealed, *tag))
+            });
+            let tag = match cached {
+                Some((sealed, tag)) => {
+                    out[range.clone()].copy_from_slice(sealed);
+                    tag
+                }
+                None => {
+                    scratch.clear();
+                    scratch.resize(migratable_header_len(SEGMENT_AAD_LEN), 0);
+                    scratch.extend_from_slice(plain);
+                    ctx.lib.seal_migratable_data_in_place(
+                        ctx.env,
+                        &segment_aad(i as u32),
+                        &mut scratch,
+                        0,
+                    )?;
+                    out[range.clone()].copy_from_slice(&scratch);
+                    *scratch.last_chunk::<TAG_LEN>().ok_or(SgxError::Decode)?
                 }
             };
-            segments.push(segment);
+            at = range.end;
+            segments.push((range, tag));
         }
-        self.segments = segments;
-        self.dirty = Dirty::default();
 
-        let mut index = WireWriter::new();
-        index.u32(self.segments.len() as u32);
-        for segment in &self.segments {
-            index.array(&segment.sealed_hash);
+        let mut index = WireWriter::with_capacity(4 + n * TAG_LEN);
+        index.u32(n as u32);
+        for (_, tag) in &segments {
+            index.array(tag);
         }
         let sealed_index = ctx
             .lib
             .seal_migratable_data(ctx.env, INDEX_AAD, &index.finish())?;
+        let mut head = WireWriter::with_capacity(head_len);
+        head.u8(CONTAINER_MAGIC).bytes(&sealed_index).u32(n as u32);
+        out[..head_len].copy_from_slice(&head.finish());
 
-        let mut w = WireWriter::new();
-        w.u8(CONTAINER_MAGIC);
-        w.bytes(&sealed_index);
-        w.u32(self.segments.len() as u32);
-        for segment in &self.segments {
-            w.bytes(&segment.sealed);
-        }
-        let container = w.finish();
-        ctx.lib.stage_bulk_state(ctx.env, &container)?;
-        Ok(container)
+        ctx.lib.stage_bulk_state(ctx.env, Arc::clone(&container))?;
+        self.staged = Some(Staged {
+            container,
+            segments,
+        });
+        self.dirty = Dirty::default();
+        Ok(container_len)
     }
 
-    /// Opens a staged container: verifies the sealed index, every
-    /// segment's ciphertext hash and positional AAD, and returns the
-    /// reassembled snapshot plaintext plus the segment cache.
+    /// Opens a staged container: verifies the sealed index, then each
+    /// segment's tag against its index entry and its positional AAD,
+    /// opening every segment straight into the snapshot plaintext.
+    /// Returns the snapshot and each sealed segment's range in `bytes`
+    /// and tag.
     fn open_container(
         ctx: &mut AppCtx<'_, '_>,
         bytes: &[u8],
-    ) -> Result<(Vec<u8>, Vec<Segment>), SgxError> {
+    ) -> Result<(Vec<u8>, Segments), SgxError> {
         let mut r = WireReader::new(bytes);
         if r.u8()? != CONTAINER_MAGIC {
             return Err(SgxError::Decode);
@@ -262,35 +336,33 @@ impl KvStore {
         if aad != INDEX_AAD {
             return Err(SgxError::Decode);
         }
-        let mut ir = WireReader::new(&index_plain);
-        let n = ir.u32()? as usize;
-        let mut expected = Vec::with_capacity(n);
-        for _ in 0..n {
-            expected.push(ir.array::<32>()?);
-        }
-        ir.finish()?;
-        if r.u32()? as usize != n {
+        let mut index = WireReader::new(&index_plain);
+        let n = index.u32()? as usize;
+        // One tag per segment.
+        let tags_len = n * TAG_LEN;
+        if r.u32()? as usize != n || index.remaining() != tags_len {
             return Err(SgxError::Decode);
         }
         // Every plaintext byte arrived sealed inside `bytes`, so the
         // container's length bounds the snapshot: one allocation.
         let mut plain = Vec::with_capacity(bytes.len());
         let mut segments = Vec::with_capacity(n);
-        for (i, sealed_hash) in expected.into_iter().enumerate() {
+        for i in 0..n {
+            let expected = index.array::<TAG_LEN>()?;
             let sealed = r.bytes()?;
-            if sha256(sealed) != sealed_hash {
+            let tag = sealed.last_chunk::<TAG_LEN>().ok_or(SgxError::Decode)?;
+            if !ct_eq(tag, &expected) {
                 // A segment spliced in from another container version.
                 return Err(SgxError::MacMismatch);
             }
-            let (seg, aad) = ctx.lib.unseal_migratable_data(ctx.env, sealed)?;
+            let aad = ctx
+                .lib
+                .unseal_migratable_data_into(ctx.env, sealed, &mut plain)?;
             if aad != segment_aad(i as u32) {
                 return Err(SgxError::Decode);
             }
-            segments.push(Segment {
-                sealed_hash,
-                sealed: sealed.to_vec(),
-            });
-            plain.extend_from_slice(&seg);
+            let end = bytes.len() - r.remaining();
+            segments.push((end - sealed.len()..end, expected));
         }
         r.finish()?;
         Ok((plain, segments))
@@ -353,9 +425,9 @@ impl AppLogic for KvStore {
                 // whole batch.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
                 let (snapshot, dirty) = self.snapshot_bytes(version);
-                let container = self.restage(ctx, &snapshot, &dirty)?;
+                let container_len = self.restage(ctx, &snapshot, &dirty)?;
                 let mut w = WireWriter::new();
-                w.u32(version).u64(container.len() as u64);
+                w.u32(version).u64(container_len as u64);
                 Ok(w.finish())
             }
             ops::GET => self
@@ -389,18 +461,23 @@ impl AppLogic for KvStore {
                 self.entries = entries;
                 // Keep the staged migration payload in sync with the
                 // restored store. Re-loading the container that just
-                // migrated in adopts its sealed segments verbatim (and
-                // the restage is a byte-identical no-op), so the next
-                // outgoing delta is computed against unchanged bytes.
+                // migrated in adopts it verbatim: the library already
+                // stages these bytes, so staging compares and copies
+                // nothing, the store keeps a clone of the library's
+                // buffer, and the next outgoing delta is computed
+                // against unchanged bytes.
+                self.dirty = Dirty::default();
                 match segments {
                     Some(segments) => {
-                        self.segments = segments;
-                        self.dirty = Dirty::default();
                         ctx.lib.stage_bulk_state(ctx.env, input)?;
+                        self.staged = ctx.lib.bulk_state().map(|container| Staged {
+                            container: Arc::clone(container),
+                            segments,
+                        });
                     }
                     None => {
-                        // Nothing cached: every segment is sealed anew.
-                        self.segments.clear();
+                        // Nothing staged: every segment is sealed anew.
+                        self.staged = None;
                         self.restage(ctx, &plaintext, &[])?;
                     }
                 }
@@ -424,8 +501,8 @@ impl AppLogic for KvStore {
         let (counter_id, _version, entries) = Self::parse_snapshot(bytes)?;
         self.version_counter = Some(counter_id);
         self.entries = entries;
-        // The cached segments belong to the replaced entries.
-        self.segments.clear();
+        // The staged container belongs to the replaced entries.
+        self.staged = None;
         self.dirty = Dirty::default();
         Ok(())
     }

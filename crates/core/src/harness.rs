@@ -260,13 +260,13 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                 // the state is copied once, into the buffer that leaves
                 // the enclave.
                 let lib = self.lib_mut()?;
-                let payload_len = crate::me::opt_len(lib.bulk_state());
+                let payload_len = crate::me::opt_len(lib.bulk_state().map(|state| &**state));
                 let mut w = start_envelope(Some(lib), payload_len);
                 w.u32(
                     u32::try_from(payload_len)
                         .map_err(|_| MigError::Transfer("message exceeds wire limit"))?,
                 );
-                crate::me::write_opt(&mut w, lib.bulk_state());
+                crate::me::write_opt(&mut w, lib.bulk_state().map(|state| &**state));
                 return finish_envelope(env, w, payload_len, Some(lib));
             }
             app_opcode if app_opcode < APP_OPCODE_LIMIT => {

@@ -47,6 +47,22 @@ pub(crate) const STATE_AAD: &[u8] = b"sgx-migrate.library-state.v1";
 /// Format version byte of migratable sealed blobs.
 const MIGSEAL_VERSION: u8 = 1;
 
+/// Bytes a migratable-sealed blob carries ahead of its ciphertext, for
+/// an `aad_len`-byte AAD: the format version, the nonce, the
+/// length-prefixed AAD and the ciphertext's `u32` length. The blob ends
+/// with the AES-GCM tag ([`TAG_LEN`] bytes).
+#[must_use]
+pub const fn migratable_header_len(aad_len: usize) -> usize {
+    1 + 12 + 4 + aad_len + 4
+}
+
+/// Length of the migratable-sealed blob of `plain_len` plaintext bytes
+/// under an `aad_len`-byte AAD.
+#[must_use]
+pub const fn migratable_sealed_size(aad_len: usize, plain_len: usize) -> usize {
+    migratable_header_len(aad_len) + plain_len + TAG_LEN
+}
+
 /// How the library should initialize (Listing 1's `init_state`; Fig. 1's
 /// "new / restored / migrated" enclave start states).
 #[derive(Clone, Debug)]
@@ -295,17 +311,26 @@ impl MigrationLibrary {
     /// for checkpointing and migration. Replaces any previous staging and
     /// marks the persistent blob due, so the ECALL's response reseals it.
     ///
+    /// An owned `Arc<[u8]>` is kept as it is, so an app can keep a clone
+    /// of the very buffer the library stages. Borrowed bytes are compared
+    /// with the staged state first and copied only when they differ:
+    /// re-staging the state that just migrated in copies nothing.
+    ///
     /// # Errors
     ///
     /// Phase errors outside normal operation;
     /// [`MigError::Transfer`] for payloads beyond the streaming engine's
     /// [`crate::transfer::chunker::MAX_STREAM_LEN`].
-    pub fn stage_bulk_state(
+    pub fn stage_bulk_state<S>(
         &mut self,
         _env: &mut EnclaveEnv<'_>,
-        bytes: &[u8],
-    ) -> Result<(), MigError> {
+        state: S,
+    ) -> Result<(), MigError>
+    where
+        S: AsRef<[u8]> + Into<Arc<[u8]>>,
+    {
         let _ = self.operational_state()?;
+        let bytes = state.as_ref();
         if bytes.len() as u64 > crate::transfer::chunker::MAX_STREAM_LEN {
             return Err(MigError::Transfer("bulk state exceeds stream limit"));
         }
@@ -317,17 +342,18 @@ impl MigrationLibrary {
         self.bulk_state = if bytes.is_empty() {
             None
         } else {
-            Some(Arc::from(bytes))
+            Some(state.into())
         };
         self.persist();
         Ok(())
     }
 
     /// The currently staged bulk state, if any (on a migration target,
-    /// the bulk state that arrived with the migration).
+    /// the bulk state that arrived with the migration): the shared
+    /// buffer itself, so an app can keep a clone of it.
     #[must_use]
-    pub fn bulk_state(&self) -> Option<&[u8]> {
-        self.bulk_state.as_deref()
+    pub fn bulk_state(&self) -> Option<&Arc<[u8]>> {
+        self.bulk_state.as_ref()
     }
 
     fn state(&self) -> Result<&LibraryState, MigError> {
@@ -428,7 +454,10 @@ impl MigrationLibrary {
     // Migratable sealing (Listing 2)
     // ------------------------------------------------------------------
 
-    /// Seals data under the MSK (`sgx_seal_migratable_data`).
+    /// Seals data under the MSK (`sgx_seal_migratable_data`) into one
+    /// buffer of exactly [`migratable_sealed_size`] bytes (a copy of
+    /// `plaintext` sealed with
+    /// [`MigrationLibrary::seal_migratable_data_in_place`]).
     ///
     /// Unlike native sealing, no `EGETKEY` derivation is needed — the MSK
     /// is at hand — which is why the paper measures migratable sealing as
@@ -444,28 +473,58 @@ impl MigrationLibrary {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, MigError> {
+        let mut blob = Vec::with_capacity(migratable_sealed_size(aad.len(), plaintext.len()));
+        blob.resize(migratable_header_len(aad.len()), 0);
+        blob.extend_from_slice(plaintext);
+        self.seal_migratable_data_in_place(env, aad, &mut blob, 0)?;
+        Ok(blob)
+    }
+
+    /// Seals under the MSK, in place, the plaintext a caller wrote behind
+    /// [`migratable_header_len`]`(aad.len())` reserved bytes at offset
+    /// `at` of `buf`: `buf[at..]` becomes the blob
+    /// [`MigrationLibrary::seal_migratable_data`] would return, and
+    /// `buf[..at]` is untouched. A fresh nonce is drawn per call. Reserve
+    /// [`migratable_sealed_size`] bytes of capacity behind `at` up front
+    /// and the appended tag never reallocates.
+    ///
+    /// # Errors
+    ///
+    /// Phase errors as for sealing; [`MigError::Sgx`]
+    /// ([`SgxError::InvalidParameter`]) if `buf` is shorter than `at`
+    /// plus the reserved header or the plaintext exceeds a `u32` length.
+    pub fn seal_migratable_data_in_place(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        at: usize,
+    ) -> Result<(), MigError> {
         let aead = self.msk_aead()?;
+        let bad_buffer = || MigError::Sgx(SgxError::InvalidParameter("plaintext"));
+        let start = at + migratable_header_len(aad.len());
+        let plain_len = buf.len().checked_sub(start).ok_or_else(bad_buffer)?;
+        let sealed_len = u32::try_from(plain_len + TAG_LEN).map_err(|_| bad_buffer())?;
         let mut nonce = [0u8; 12];
         env.random_bytes(&mut nonce);
 
-        let mut header = WireWriter::new();
+        // The authenticated header, then the ciphertext's length.
+        let mut header = WireWriter::with_capacity(start - at);
         header.u8(MIGSEAL_VERSION).array(&nonce).bytes(aad);
+        let authenticated_len = header.len();
+        header.u32(sealed_len);
         let header = header.finish();
-        let sealed_len = u32::try_from(plaintext.len() + TAG_LEN)
-            .map_err(|_| MigError::Sgx(SgxError::InvalidParameter("plaintext")))?;
-
-        // Header, ciphertext length, then the plaintext sealed in place:
-        // one buffer of the blob's final size.
-        let mut out = Vec::with_capacity(header.len() + 4 + plaintext.len() + TAG_LEN);
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&sealed_len.to_le_bytes());
-        out.extend_from_slice(plaintext);
-        aead.seal_in_place(&nonce, &header, &mut out, header.len() + 4);
-        Ok(out)
+        buf.get_mut(at..start)
+            .ok_or_else(bad_buffer)?
+            .copy_from_slice(&header);
+        let authenticated = header.get(..authenticated_len).ok_or_else(bad_buffer)?;
+        aead.seal_in_place(&nonce, authenticated, buf, start);
+        Ok(())
     }
 
     /// Unseals migratable data (`sgx_unseal_migratable_data`), returning
-    /// `(plaintext, aad)`.
+    /// `(plaintext, aad)` (a fresh buffer filled by
+    /// [`MigrationLibrary::unseal_migratable_data_into`]).
     ///
     /// # Errors
     ///
@@ -473,9 +532,28 @@ impl MigrationLibrary {
     /// under a different MSK; phase errors as for sealing.
     pub fn unseal_migratable_data(
         &mut self,
-        _env: &mut EnclaveEnv<'_>,
+        env: &mut EnclaveEnv<'_>,
         blob: &[u8],
     ) -> Result<(Vec<u8>, Vec<u8>), MigError> {
+        let mut plaintext = Vec::new();
+        let aad = self.unseal_migratable_data_into(env, blob, &mut plaintext)?;
+        Ok((plaintext, aad.to_vec()))
+    }
+
+    /// Unseals migratable data into `out`: verifies `blob`, appends its
+    /// plaintext behind the bytes already in `out`, and returns its AAD,
+    /// borrowed from `blob`. The tag is verified before anything is
+    /// decrypted, so on any error `out` holds exactly what it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`MigrationLibrary::unseal_migratable_data`].
+    pub fn unseal_migratable_data_into<'b>(
+        &mut self,
+        _env: &mut EnclaveEnv<'_>,
+        blob: &'b [u8],
+        out: &mut Vec<u8>,
+    ) -> Result<&'b [u8], MigError> {
         let aead = self.msk_aead()?;
         let mut r = WireReader::new(blob);
         let version = r.u8()?;
@@ -488,13 +566,22 @@ impl MigrationLibrary {
         let header = blob
             .get(..1 + 12 + 4 + aad.len())
             .ok_or(MigError::Sgx(SgxError::Decode))?;
-        let ct = r.bytes()?;
+        let sealed = r.bytes()?;
         r.finish()?;
 
-        let plaintext = aead
-            .open(&nonce, header, ct)
-            .map_err(|_| MigError::Sgx(SgxError::MacMismatch))?;
-        Ok((plaintext, aad.to_vec()))
+        let mac_mismatch = || MigError::Sgx(SgxError::MacMismatch);
+        let plain_len = sealed.len().checked_sub(TAG_LEN).ok_or_else(mac_mismatch)?;
+        let start = out.len();
+        out.resize(start + plain_len, 0);
+        let opened = out.get_mut(start..).is_some_and(|plaintext| {
+            aead.open_scatter(&nonce, header, sealed, &mut [plaintext])
+                .is_ok()
+        });
+        if !opened {
+            out.truncate(start);
+            return Err(mac_mismatch());
+        }
+        Ok(aad)
     }
 
     // ------------------------------------------------------------------

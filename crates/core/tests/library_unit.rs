@@ -6,7 +6,7 @@
 use mig_core::harness::{
     encode_init, open_envelope, ops as lib_ops, AppCtx, AppLogic, MigratableEnclave,
 };
-use mig_core::library::InitRequest;
+use mig_core::library::{migratable_header_len, InitRequest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgx_sim::enclave::EnclaveHandle;
@@ -27,7 +27,13 @@ mod ops {
     pub const UNSEAL: u32 = 6;
     pub const ACTIVE: u32 = 7;
     pub const STAGE: u32 = 8;
+    pub const SEAL_IN_PLACE: u32 = 9;
+    pub const UNSEAL_INTO: u32 = 10;
 }
+
+/// Bytes ahead of the blob `SEAL_IN_PLACE` seals, and of the plaintext
+/// `UNSEAL_INTO` opens: both must keep them as they are.
+const PREFIX: &[u8] = b"kept:";
 
 impl AppLogic for LibApp {
     fn handle(
@@ -59,6 +65,29 @@ impl AppLogic for LibApp {
             }
             ops::SEAL => Ok(ctx.lib.seal_migratable_data(ctx.env, b"unit", input)?),
             ops::UNSEAL => Ok(ctx.lib.unseal_migratable_data(ctx.env, input)?.0),
+            ops::SEAL_IN_PLACE => {
+                let mut buf = PREFIX.to_vec();
+                buf.resize(PREFIX.len() + migratable_header_len(b"unit".len()), 0);
+                buf.extend_from_slice(input);
+                ctx.lib
+                    .seal_migratable_data_in_place(ctx.env, b"unit", &mut buf, PREFIX.len())?;
+                Ok(buf)
+            }
+            ops::UNSEAL_INTO => {
+                // `[1][aad][buffer]` when the blob opens, `[0][buffer]`
+                // when it does not.
+                let mut buf = PREFIX.to_vec();
+                let mut w = WireWriter::new();
+                match ctx
+                    .lib
+                    .unseal_migratable_data_into(ctx.env, input, &mut buf)
+                {
+                    Ok(aad) => w.u8(1).bytes(aad),
+                    Err(_) => w.u8(0),
+                };
+                w.bytes(&buf);
+                Ok(w.finish())
+            }
             ops::ACTIVE => Ok((ctx.lib.active_counters() as u32).to_le_bytes().to_vec()),
             ops::STAGE => {
                 ctx.lib.stage_bulk_state(ctx.env, input)?;
@@ -179,10 +208,39 @@ fn migratable_seal_round_trip_and_tamper_detection() {
     let (enclave, _) = fresh(&m);
     let blob = call(&enclave, ops::SEAL, b"payload").unwrap();
     assert_eq!(call(&enclave, ops::UNSEAL, &blob).unwrap(), b"payload");
+    // A twin machine's RNG runs in step, so its enclave has the same MSK
+    // and draws the same nonce: the in-place seal writes the copying
+    // seal's bytes, behind a prefix it leaves as it was.
+    let twin = machine();
+    let (twin_enclave, _) = fresh(&twin);
+    assert_eq!(
+        call(&twin_enclave, ops::SEAL_IN_PLACE, b"payload").unwrap(),
+        [PREFIX, &blob].concat()
+    );
+    // The into-a-buffer unseal appends the copying unseal's plaintext
+    // behind the bytes already in the buffer and returns the AAD.
+    let mut opened = WireWriter::new();
+    opened
+        .u8(1)
+        .bytes(b"unit")
+        .bytes(&[PREFIX, b"payload"].concat());
+    assert_eq!(
+        call(&enclave, ops::UNSEAL_INTO, &blob).unwrap(),
+        opened.finish()
+    );
+    let mut refused = WireWriter::new();
+    refused.u8(0).bytes(PREFIX);
+    let refused = refused.finish();
     for i in 0..blob.len() {
         let mut bad = blob.clone();
         bad[i] ^= 1;
         assert!(call(&enclave, ops::UNSEAL, &bad).is_err(), "byte {i}");
+        // Refused, with the buffer exactly as it was.
+        assert_eq!(
+            call(&enclave, ops::UNSEAL_INTO, &bad).unwrap(),
+            refused,
+            "byte {i}"
+        );
     }
 }
 

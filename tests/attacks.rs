@@ -1181,3 +1181,105 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
         }
     }
 }
+
+/// Takes a kvstore staging container apart:
+/// `[2][u32 len][sealed index][u32 n]` and `n` length-prefixed sealed
+/// segments.
+fn container_parts(bytes: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let mut r = WireReader::new(bytes);
+    assert_eq!(r.u8().unwrap(), 2, "container magic");
+    let index = r.bytes_vec().unwrap();
+    let n = r.u32().unwrap();
+    let segments = (0..n).map(|_| r.bytes_vec().unwrap()).collect();
+    r.finish().unwrap();
+    (index, segments)
+}
+
+/// Puts a kvstore staging container together from its parts.
+fn container(index: &[u8], segments: &[Vec<u8>]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(2).bytes(index).u32(segments.len() as u32);
+    for segment in segments {
+        w.bytes(segment);
+    }
+    w.finish()
+}
+
+/// The kvstore's sealed segment index binds the exact set of sealed
+/// segments. Every segment below is a genuine MSK seal at its own
+/// position, so AES-GCM and the positional AAD alone would accept a
+/// segment from an older container version: only the index refuses it.
+/// A swap and a flipped ciphertext byte are refused too, none of the
+/// refusals disturbs the loaded store, and a whole older container is
+/// the rollback the version counter catches.
+#[test]
+fn kvstore_segment_index_refuses_stale_swapped_and_flipped_segments() {
+    use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
+
+    let mut dc = Datacenter::new(23);
+    let policy = MigrationPolicy::same_operator_only();
+    let m1 = dc.add_machine(MachineLabels::default(), &policy);
+    let image = EnclaveImage::build(
+        "segment-index-kv",
+        1,
+        b"kv",
+        &EnclaveSigner::from_seed([23; 32]),
+    );
+    dc.deploy_app("kv", m1, &image, KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("kv", kv_ops::INIT, &[]).unwrap();
+    // 8 entries of 4 KiB: a 32,945-byte snapshot in 9 segments.
+    dc.call_app(
+        "kv",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(8, 4096, 0x5A),
+    )
+    .unwrap();
+    let old = dc.app_bulk_state("kv").unwrap().expect("staged state");
+    // A same-length PUT rewrites entry 5's value, which spans segments
+    // 5 and 6; segment 0 holds the header, whose version changes.
+    let key = b"bulk-00000005";
+    let value = vec![0xA5; 4096];
+    dc.call_app("kv", kv_ops::PUT, &kvstore::encode_put(key, &value))
+        .unwrap();
+    let new = dc.app_bulk_state("kv").unwrap().expect("staged state");
+
+    let (_, old_segments) = container_parts(&old);
+    let (index, segments) = container_parts(&new);
+    assert_eq!(segments.len(), 9);
+    for (i, (segment, old_segment)) in segments.iter().zip(&old_segments).enumerate() {
+        assert_eq!(
+            segment == old_segment,
+            ![0, 5, 6].contains(&i),
+            "segment {i} resealed only if the PUT touched it"
+        );
+    }
+
+    let mut stale = segments.clone();
+    stale[5] = old_segments[5].clone();
+    let mut swapped = segments.clone();
+    swapped.swap(5, 6);
+    let mut flipped = segments.clone();
+    let mid = flipped[5].len() / 2;
+    flipped[5][mid] ^= 1;
+    for (what, forged) in [
+        ("older version's segment 5", stale),
+        ("segments 5 and 6 swapped", swapped),
+        ("one ciphertext byte flipped", flipped),
+    ] {
+        let err = dc
+            .call_app("kv", kv_ops::LOAD, &container(&index, &forged))
+            .unwrap_err();
+        assert_eq!(err, SgxError::MacMismatch, "{what}");
+    }
+    assert_eq!(dc.call_app("kv", kv_ops::GET, key).unwrap(), value);
+
+    // The genuine container still loads; the older one is a rollback.
+    dc.call_app("kv", kv_ops::LOAD, &new).unwrap();
+    assert_eq!(dc.call_app("kv", kv_ops::GET, key).unwrap(), value);
+    let err = dc.call_app("kv", kv_ops::LOAD, &old).unwrap_err();
+    assert!(
+        matches!(&err, SgxError::Enclave(msg) if msg.contains("rollback detected")),
+        "{err:?}"
+    );
+}
