@@ -22,6 +22,15 @@
 //! (end-to-end AES-128-GCM). The reference `open` arm reruns the reference
 //! seal, which has the same primitive mix.
 //!
+//! The public-key operations of enclave launch and local attestation get
+//! µs-per-op rows with two arms, **reference** (the oracles retained under
+//! the `reference` feature) and **selected** (what `mig-crypto` runs):
+//! **x25519_base** (an X25519 public key: the ladder from u = 9 against
+//! the fixed-base comb), **x25519** (a Diffie–Hellman step: the ladder
+//! finished by Fermat inversion against the addition chain),
+//! **ed25519_sign** (`[r]B` by double-and-add against the comb) and
+//! **ed25519_verify** (two double-and-add passes against one Straus pass).
+//!
 //! Every arm runs once per round over the same `CRYPTO_KERNELS_KIB` KiB
 //! buffer (default 256, a stream chunk that stays in L2, so the hardware
 //! arms time the kernels rather than memory bandwidth), and the
@@ -29,15 +38,18 @@
 //! alike. No timed arm allocates: the in-place arms work on fixture
 //! buffers that are restored between rounds, outside the timing. Each arm
 //! reports the median and the minimum time over the rounds, and MB/s at
-//! the median. Results land in `BENCH_crypto.json` (override with
-//! `CRYPTO_KERNELS_JSON_PATH`) together with the selected kernel names and
-//! `host_cores`; CI uploads the file as an artifact so kernel-level
-//! regressions are visible per commit without re-running a migration
-//! bench.
+//! the median; a curve arm times [`CURVE_OPS_PER_ROUND`] calls per
+//! round and reports µs per call. Results land in `BENCH_crypto.json`
+//! (override with `CRYPTO_KERNELS_JSON_PATH`) together with the selected
+//! kernel names and `host_cores`; CI uploads the file as an artifact so
+//! kernel-level regressions are visible per commit without re-running a
+//! migration bench.
 
 use mig_crypto::aes::{reference::ScalarAes128, BLOCK_LEN};
+use mig_crypto::ed25519::{self, Signature, SigningKey, VerifyingKey};
 use mig_crypto::gcm::{self, reference as ghash_ref, AesGcm, SoftwareGcm};
 use mig_crypto::sha256::{self, reference::sha256_rolled, sha256_software};
+use mig_crypto::x25519::{self, PublicKey, StaticSecret};
 use std::time::Instant;
 
 /// The three arms of every kernel, in report order.
@@ -46,6 +58,12 @@ const ARMS: [&str; 3] = ["reference", "software", "selected"];
 const KERNELS: [&str; 5] = ["aes_ctr", "ghash", "sha256", "seal", "open"];
 /// Rounds per arm.
 const ROUNDS: usize = 15;
+/// The two arms of every curve operation, in report order.
+const CURVE_ARMS: [&str; 2] = ["reference", "selected"];
+/// The measured curve operations, in report order.
+const CURVE_OPS: [&str; 4] = ["x25519_base", "x25519", "ed25519_sign", "ed25519_verify"];
+/// Calls per curve arm per round.
+const CURVE_OPS_PER_ROUND: usize = 16;
 
 const KEY: [u8; 16] = [0x21; 16];
 const NONCE: [u8; 12] = [7; 12];
@@ -226,6 +244,113 @@ fn seal_reference(key: [u8; 16], nonce: &[u8; 12], aad: &[u8], out: &mut Vec<u8>
     out.extend_from_slice(&tag);
 }
 
+/// Keys, a message and its signature for the curve arms.
+struct CurveFixture {
+    secret: StaticSecret,
+    peer: PublicKey,
+    signing: SigningKey,
+    verifying: VerifyingKey,
+    signature: Signature,
+}
+
+/// The signed message: 64 bytes, the size of a digest pair.
+const CURVE_MSG: &[u8] = &[0x5a; 64];
+
+impl CurveFixture {
+    fn new() -> Self {
+        let signing = SigningKey::from_seed([0x17; 32]);
+        CurveFixture {
+            secret: StaticSecret::from_bytes([0x42; 32]),
+            peer: StaticSecret::from_bytes([0x24; 32]).public_key(),
+            verifying: signing.verifying_key(),
+            signature: signing.sign(CURVE_MSG),
+            signing,
+        }
+    }
+
+    /// Runs one arm of one curve operation once.
+    fn run(&self, op: &str, arm: &str) {
+        let reference = arm == "reference";
+        match op {
+            "x25519_base" if reference => {
+                std::hint::black_box(x25519::reference::public_key(&self.secret));
+            }
+            "x25519_base" => {
+                std::hint::black_box(self.secret.public_key());
+            }
+            "x25519" if reference => {
+                std::hint::black_box(x25519::reference::diffie_hellman(&self.secret, &self.peer));
+            }
+            "x25519" => {
+                std::hint::black_box(self.secret.diffie_hellman(&self.peer));
+            }
+            "ed25519_sign" if reference => {
+                std::hint::black_box(ed25519::reference::sign(&self.signing, CURVE_MSG));
+            }
+            "ed25519_sign" => {
+                std::hint::black_box(self.signing.sign(CURVE_MSG));
+            }
+            _ if reference => {
+                ed25519::reference::verify(&self.verifying, CURVE_MSG, &self.signature)
+                    .expect("signature verifies")
+            }
+            _ => self
+                .verifying
+                .verify(CURVE_MSG, &self.signature)
+                .expect("signature verifies"),
+        }
+    }
+}
+
+/// Times every curve arm over [`ROUNDS`] interleaved rounds, prints its
+/// table and returns its JSON rows.
+fn curve_rows() -> Vec<String> {
+    let fixture = CurveFixture::new();
+    // Warm-up: the comb table and the curve constants are built on first
+    // use, once per process.
+    for op in CURVE_OPS {
+        for arm in CURVE_ARMS {
+            fixture.run(op, arm);
+        }
+    }
+    // secs[op][arm][round], per call
+    let mut secs = vec![vec![Vec::with_capacity(ROUNDS); CURVE_ARMS.len()]; CURVE_OPS.len()];
+    for _ in 0..ROUNDS {
+        for (o, op) in CURVE_OPS.iter().enumerate() {
+            for (a, arm) in CURVE_ARMS.iter().enumerate() {
+                let start = Instant::now();
+                for _ in 0..CURVE_OPS_PER_ROUND {
+                    fixture.run(op, arm);
+                }
+                secs[o][a].push(start.elapsed().as_secs_f64() / CURVE_OPS_PER_ROUND as f64);
+            }
+        }
+    }
+
+    println!(
+        "\n{:<15} {:>22} {:>22} {:>9}",
+        "curve op", "reference µs", "selected µs", "speed-up"
+    );
+    let mut rows = Vec::new();
+    for (op, per_arm) in CURVE_OPS.iter().zip(secs.iter_mut()) {
+        let mut line = format!("{op:<15}");
+        let mut arms = Vec::new();
+        let mut medians = Vec::new();
+        for (arm, samples) in CURVE_ARMS.iter().zip(per_arm.iter_mut()) {
+            samples.sort_by(f64::total_cmp);
+            let (med, min) = (median(samples) * 1e6, samples[0] * 1e6);
+            line.push_str(&format!(" {med:>13.1} (best {min:>5.1})"));
+            arms.push(format!(
+                "\"{arm}\": {{\"median_us\": {med:.2}, \"min_us\": {min:.2}}}"
+            ));
+            medians.push(med);
+        }
+        println!("{line} {:>8.2}×", medians[0] / medians[1]);
+        rows.push(format!("    {{\"op\": \"{op}\", {}}}", arms.join(", ")));
+    }
+    rows
+}
+
 fn main() {
     let kib: usize = std::env::var("CRYPTO_KERNELS_KIB")
         .ok()
@@ -289,18 +414,23 @@ fn main() {
         ));
     }
 
+    let curve = curve_rows();
+
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"crypto_kernels\",\n  \"kib\": {},\n  \"rounds\": {},\n",
             "  \"host_cores\": {},\n  \"selected\": {{\"gcm\": \"{}\", \"sha256\": \"{}\"}},\n",
-            "  \"kernels\": [\n{}\n  ]\n}}\n"
+            "  \"kernels\": [\n{}\n  ],\n",
+            "  \"curve_ops_per_round\": {},\n  \"curve\": [\n{}\n  ]\n}}\n"
         ),
         kib,
         ROUNDS,
         host_cores,
         gcm::KERNEL,
         sha256::KERNEL,
-        rows.join(",\n")
+        rows.join(",\n"),
+        CURVE_OPS_PER_ROUND,
+        curve.join(",\n")
     );
     let path = std::env::var("CRYPTO_KERNELS_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_crypto.json".to_string());

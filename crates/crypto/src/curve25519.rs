@@ -3,17 +3,51 @@
 //!
 //! Crate-internal; [`crate::x25519`] and [`crate::ed25519`] build the public
 //! APIs on top. Field elements use five 51-bit limbs with `u128`
-//! intermediates. Exponentiations (inversion, square roots) use a generic
-//! square-and-multiply, trading a few microseconds for transcription safety;
-//! the curve constants `d` and `sqrt(-1)` are *computed* from first
-//! principles at first use rather than hard-coded.
+//! intermediates; additions leave their carries in the limbs for the next
+//! multiplication to absorb (see [`Fe`] for the bounds). Inversion and
+//! square roots run the standard addition chain of 254 squarings and 11
+//! multiplications; the curve constants `d` and `sqrt(-1)` are *computed*
+//! from first principles at first use rather than hard-coded.
+//!
+//! Two point multiplications serve the public APIs:
+//!
+//! * `[k]B` for a secret `k` ([`EdwardsPoint::mul_base`]): a signed
+//!   radix-16 comb over a static table of 32 × 8 affine-Niels multiples of
+//!   B, 64 mixed additions and 4 doublings, each table entry read by masked
+//!   selection, so neither branches nor memory accesses depend on `k`;
+//! * `[a]A + [b]B` for public scalars
+//!   ([`EdwardsPoint::vartime_double_scalar_mul_base`]): one Straus pass
+//!   over width-5 and width-4 non-adjacent forms, sharing its ~253
+//!   doublings between the two scalars. Variable-time, for verification.
 
 use std::sync::OnceLock;
 
 const MASK51: u64 = (1 << 51) - 1;
 
-/// An element of GF(2^255 - 19) in five 51-bit limbs (weakly reduced:
-/// every limb is below 2^52).
+/// 16p limb by limb: what [`Fe::sub`] adds so that no limb underflows.
+const SIXTEEN_P: [u64; 5] = [
+    16 * ((1 << 51) - 19),
+    16 * MASK51,
+    16 * MASK51,
+    16 * MASK51,
+    16 * MASK51,
+];
+
+/// [`Fe::mul`] and [`Fe::square`] accept limbs below this bound.
+const MUL_BOUND: u64 = 1 << 56;
+
+/// An element of GF(2^255 - 19) in five 51-bit limbs.
+///
+/// Limbs are not kept reduced. `mul`, `square`, `mul_small`, `from_bytes`
+/// and `from_u64` leave every limb below 2^52. `add` adds limbs without
+/// carrying, and `sub` adds 16p to its left side first, so a sum's limb
+/// bound is the sum of its inputs' bounds, and a difference's is the left
+/// bound plus 2^55. `sub` needs each right-side limb at most the matching
+/// limb of 16p (anything below 2^55 − 304 is). `mul` and `square` accept
+/// limbs below 2^56 (`MUL_BOUND`), which keeps every product sum below
+/// 2^119; the point formulas order their additions to stay under it, and
+/// debug builds assert both bounds. `to_bytes`, the only way out, accepts
+/// any limbs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fe(pub(crate) [u64; 5]);
 
@@ -102,32 +136,32 @@ impl Fe {
         out
     }
 
+    /// Limb-wise sum, no carries (see [`Fe`] for the bounds).
     pub(crate) fn add(self, rhs: Fe) -> Fe {
-        reduce_wide([
-            self.0[0] as u128 + rhs.0[0] as u128,
-            self.0[1] as u128 + rhs.0[1] as u128,
-            self.0[2] as u128 + rhs.0[2] as u128,
-            self.0[3] as u128 + rhs.0[3] as u128,
-            self.0[4] as u128 + rhs.0[4] as u128,
+        let (a, b) = (&self.0, &rhs.0);
+        Fe([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
         ])
     }
 
+    /// `self + 16p - rhs` limb by limb, no carries; every `rhs` limb must
+    /// be at most the matching limb of 16p.
     pub(crate) fn sub(self, rhs: Fe) -> Fe {
-        // Add 4p before subtracting so that limbs never underflow
-        // (inputs are weakly reduced: every limb is below 2^52).
-        const FOUR_P: [u64; 5] = [
-            4 * ((1 << 51) - 19),
-            4 * MASK51,
-            4 * MASK51,
-            4 * MASK51,
-            4 * MASK51,
-        ];
-        reduce_wide([
-            (self.0[0] + FOUR_P[0] - rhs.0[0]) as u128,
-            (self.0[1] + FOUR_P[1] - rhs.0[1]) as u128,
-            (self.0[2] + FOUR_P[2] - rhs.0[2]) as u128,
-            (self.0[3] + FOUR_P[3] - rhs.0[3]) as u128,
-            (self.0[4] + FOUR_P[4] - rhs.0[4]) as u128,
+        debug_assert!(
+            rhs.0.iter().zip(SIXTEEN_P).all(|(&l, p)| l <= p),
+            "sub: right-side limb above 16p"
+        );
+        let (a, b, p) = (&self.0, &rhs.0, &SIXTEEN_P);
+        Fe([
+            a[0] + p[0] - b[0],
+            a[1] + p[1] - b[1],
+            a[2] + p[2] - b[2],
+            a[3] + p[3] - b[3],
+            a[4] + p[4] - b[4],
         ])
     }
 
@@ -135,55 +169,87 @@ impl Fe {
         Fe::ZERO.sub(self)
     }
 
+    fn below_mul_bound(self) -> bool {
+        self.0.iter().all(|&l| l < MUL_BOUND)
+    }
+
+    /// Product; both inputs' limbs below 2^56.
     pub(crate) fn mul(self, rhs: Fe) -> Fe {
-        let a = &self.0;
-        let b = &rhs.0;
+        debug_assert!(self.below_mul_bound() && rhs.below_mul_bound());
+        let (a, b) = (&self.0, &rhs.0);
         let m = |x: u64, y: u64| x as u128 * y as u128;
-        let c0 =
-            m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        let c1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        let c2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        let c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
+        // 2^255 = 19 (mod p): the limbs that wrap past limb 4 come back
+        // times 19, folded into `b` first (19 · 2^56 < 2^61).
+        let (b1, b2, b3, b4) = (19 * b[1], 19 * b[2], 19 * b[3], 19 * b[4]);
+        let c0 = m(a[0], b[0]) + m(a[1], b4) + m(a[2], b3) + m(a[3], b2) + m(a[4], b1);
+        let c1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4) + m(a[3], b3) + m(a[4], b2);
+        let c2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4) + m(a[4], b3);
+        let c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4);
         let c4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
         reduce_wide([c0, c1, c2, c3, c4])
     }
 
+    /// `self * self` in 15 products instead of 25: each cross product
+    /// appears once, doubled.
     pub(crate) fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(self.below_mul_bound());
+        let a = &self.0;
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let (a3_19, a4_19) = (19 * a[3], 19 * a[4]);
+        let (d0, d1, d2, d3) = (2 * a[0], 2 * a[1], 2 * a[2], 2 * a[3]);
+        let c0 = m(a[0], a[0]) + m(d1, a4_19) + m(d2, a3_19);
+        let c1 = m(d0, a[1]) + m(d2, a4_19) + m(a[3], a3_19);
+        let c2 = m(d0, a[2]) + m(a[1], a[1]) + m(d3, a4_19);
+        let c3 = m(d0, a[3]) + m(d1, a[2]) + m(a[4], a4_19);
+        let c4 = m(d0, a[4]) + m(d1, a[3]) + m(a[2], a[2]);
+        reduce_wide([c0, c1, c2, c3, c4])
     }
 
-    /// Generic square-and-multiply exponentiation with a little-endian
-    /// 32-byte exponent. Variable-time; acceptable for this simulator
-    /// (see the crate-level security note).
-    pub(crate) fn pow(self, exp_le: &[u8; 32]) -> Fe {
-        let mut acc = Fe::ONE;
-        for i in (0..256).rev() {
-            acc = acc.square();
-            if (exp_le[i / 8] >> (i % 8)) & 1 == 1 {
-                acc = acc.mul(self);
-            }
+    /// `self^(2^k)`: `k` squarings.
+    fn pow2k(self, k: u32) -> Fe {
+        let mut x = self;
+        for _ in 0..k {
+            x = x.square();
         }
-        acc
+        x
     }
 
-    /// Multiplicative inverse via Fermat: self^(p-2). Inverse of zero is zero.
+    /// Product with a small constant; accepts any limbs.
+    pub(crate) fn mul_small(self, k: u32) -> Fe {
+        let m = |l: u64| l as u128 * k as u128;
+        let a = &self.0;
+        reduce_wide([m(a[0]), m(a[1]), m(a[2]), m(a[3]), m(a[4])])
+    }
+
+    /// Returns `(self^(2^250 - 1), self^11)`, the common head of the
+    /// inversion and square-root chains: 249 squarings, 10 multiplies.
+    fn pow22501(self) -> (Fe, Fe) {
+        let t0 = self.square(); // 2
+        let t1 = t0.pow2k(2).mul(self); // 9
+        let t0 = t0.mul(t1); // 11
+        let t1 = t1.mul(t0.square()); // 2^5 - 1
+        let t1 = t1.pow2k(5).mul(t1); // 2^10 - 1
+        let t2 = t1.pow2k(10).mul(t1); // 2^20 - 1
+        let t2 = t2.pow2k(20).mul(t2); // 2^40 - 1
+        let t1 = t2.pow2k(10).mul(t1); // 2^50 - 1
+        let t2 = t1.pow2k(50).mul(t1); // 2^100 - 1
+        let t2 = t2.pow2k(100).mul(t2); // 2^200 - 1
+        let t1 = t2.pow2k(50).mul(t1); // 2^250 - 1
+        (t1, t0)
+    }
+
+    /// Multiplicative inverse via Fermat, self^(p-2), by the addition
+    /// chain: p - 2 = (2^250 - 1)·2^5 + 11. Inverse of zero is zero.
     pub(crate) fn invert(self) -> Fe {
-        // p - 2 = 2^255 - 21
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow(&exp)
+        let (t, x11) = self.pow22501();
+        t.pow2k(5).mul(x11)
     }
 
-    /// self^((p-5)/8), the core of the square-root computation.
+    /// self^((p-5)/8), the core of the square-root computation:
+    /// (p - 5)/8 = 2^252 - 3 = (2^250 - 1)·2^2 + 1.
     fn pow_p58(self) -> Fe {
-        // (p-5)/8 = 2^252 - 3
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow(&exp)
+        let (t, _) = self.pow22501();
+        t.pow2k(2).mul(self)
     }
 
     pub(crate) fn is_zero(self) -> bool {
@@ -201,12 +267,57 @@ impl Fe {
 
     /// Branch-free conditional swap, used by the Montgomery ladder.
     pub(crate) fn cswap(swap: bool, a: &mut Fe, b: &mut Fe) {
-        let mask = (swap as u64).wrapping_neg();
+        let mask = ct_mask(swap);
         for i in 0..5 {
             let t = mask & (a.0[i] ^ b.0[i]);
             a.0[i] ^= t;
             b.0[i] ^= t;
         }
+    }
+
+    /// Branch-free conditional move: `self = other` when `mask` is all
+    /// ones ([`ct_mask`]), unchanged when it is zero.
+    fn cmov(&mut self, other: &Fe, mask: u64) {
+        for (s, o) in self.0.iter_mut().zip(other.0) {
+            *s ^= mask & (*s ^ o);
+        }
+    }
+}
+
+/// All ones when `choice`, else zero, hidden from the optimizer. When
+/// LLVM can prove a mask is 0 or all ones, it compiles the masked moves
+/// and swaps that mask drives into branches on the secret: a jump table
+/// over a comb row, a branch per ladder step, a compare-and-branch per
+/// step of `mod_l_wide`.
+fn ct_mask(choice: bool) -> u64 {
+    std::hint::black_box(u64::from(choice).wrapping_neg())
+}
+
+/// The retained generic exponentiation, the oracle the addition chains are
+/// tested against (and the reference arm of the `crypto_kernels` bench).
+#[cfg(any(test, feature = "reference"))]
+impl Fe {
+    /// Generic square-and-multiply exponentiation with a little-endian
+    /// 32-byte exponent. Variable-time in the exponent.
+    pub(crate) fn pow(self, exp_le: &[u8; 32]) -> Fe {
+        let mut acc = Fe::ONE;
+        for i in (0..256).rev() {
+            acc = acc.square();
+            if (exp_le[i / 8] >> (i % 8)) & 1 == 1 {
+                acc = acc.mul(self);
+            }
+        }
+        acc
+    }
+
+    /// `self^(p-2)` by [`Fe::pow`]: the inversion before the addition
+    /// chain.
+    pub(crate) fn invert_fermat(self) -> Fe {
+        // p - 2 = 2^255 - 21
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xeb;
+        exp[31] = 0x7f;
+        self.pow(&exp)
     }
 }
 
@@ -238,16 +349,16 @@ fn reduce_wide(mut t: [u128; 5]) -> Fe {
 /// Computes `sqrt(u/v)` if it exists: returns `r` with `r^2 * v = u`.
 ///
 /// Returns `None` when `u/v` is not a square.
-pub(crate) fn sqrt_ratio(u: Fe, v: Fe) -> Option<Fe> {
+fn sqrt_ratio(u: Fe, v: Fe, sqrt_m1: Fe) -> Option<Fe> {
     let v3 = v.square().mul(v);
     let v7 = v3.square().mul(v);
-    let mut r = u.mul(v3).mul(u.mul(v7).pow_p58());
+    let r = u.mul(v3).mul(u.mul(v7).pow_p58());
     let check = v.mul(r.square());
     if check.ct_eq(u) {
         Some(r)
-    } else if check.ct_eq(u.neg()) {
-        r = r.mul(consts().sqrt_m1);
-        Some(r)
+    } else if check.add(u).is_zero() {
+        // check == -u: the root is off by a factor sqrt(-1).
+        Some(r.mul(sqrt_m1))
     } else {
         None
     }
@@ -272,11 +383,9 @@ pub(crate) fn consts() -> &'static Consts {
             .neg()
             .mul(Fe::from_u64(121666).invert());
         let d2 = d.add(d);
-        // sqrt(-1) = 2^((p-1)/4); (p-1)/4 = 2^253 - 5.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        let sqrt_m1 = Fe::from_u64(2).pow(&exp);
+        // sqrt(-1) = 2^((p-1)/4), and (p-1)/4 = 2^253 - 5
+        // = (2^250 - 1)·2^3 + 3, so it is (2^(2^250-1))^8 · 2^3.
+        let sqrt_m1 = Fe::from_u64(2).pow22501().0.pow2k(3).mul(Fe::from_u64(8));
         debug_assert!(sqrt_m1.square().ct_eq(Fe::ONE.neg()));
 
         // Base point: y = 4/5, with the even (non-"negative") x.
@@ -304,6 +413,215 @@ pub(crate) struct EdwardsPoint {
     pub(crate) t: Fe,
 }
 
+/// A point in projective coordinates (X : Y : Z), the input of a
+/// doubling: the extended form without T, which a doubling never reads.
+#[derive(Clone, Copy, Debug)]
+struct ProjectivePoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// A point in P¹ × P¹, ((X : Z), (Y : T)) with x = X/Z and y = Y/T: what
+/// an addition or doubling yields before the multiplications that take it
+/// back to extended (4) or projective (3) coordinates.
+#[derive(Clone, Copy, Debug)]
+struct CompletedPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// (Y + X, Y − X, Z, 2d·T) of a point: the cached form of an addend that
+/// is not in a table.
+#[derive(Clone, Copy, Debug)]
+struct ProjectiveNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// (y + x, y − x, 2d·x·y) of a point in affine coordinates (Z = 1): the
+/// form of a comb table entry, one multiplication cheaper to add.
+#[derive(Clone, Copy, Debug)]
+struct AffineNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl ProjectivePoint {
+    const IDENTITY: ProjectivePoint = ProjectivePoint {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+    };
+
+    /// Doubling for a = -1 (dbl-2008-hwcd): 4 squarings.
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let yy_plus_xx = yy.add(xx);
+        CompletedPoint {
+            x: self.x.add(self.y).square().sub(yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy.sub(xx),
+            // 2Z² − (Y² − X²), added before the subtraction so that the
+            // right side stays below 16p.
+            t: zz.add(zz).add(xx).sub(yy),
+        }
+    }
+}
+
+impl CompletedPoint {
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+            t: self.x.mul(self.y),
+        }
+    }
+
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+        }
+    }
+}
+
+impl ProjectiveNiels {
+    fn neg(&self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl AffineNiels {
+    const IDENTITY: AffineNiels = AffineNiels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+
+    fn neg(&self) -> AffineNiels {
+        AffineNiels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+
+    fn cmov(&mut self, other: &AffineNiels, mask: u64) {
+        self.y_plus_x.cmov(&other.y_plus_x, mask);
+        self.y_minus_x.cmov(&other.y_minus_x, mask);
+        self.xy2d.cmov(&other.xy2d, mask);
+    }
+
+    /// `digit · row[0]` for a row `[P, 2P, …, 8P]` and a digit in
+    /// [-8, 8], read without a branch or an index that depends on the
+    /// digit: every entry is loaded and masked in.
+    fn select(row: &[AffineNiels; 8], digit: i8) -> AffineNiels {
+        let sign = (digit >> 7) as u8; // 0xff when negative, else 0
+        let abs = (digit as u8 ^ sign).wrapping_sub(sign);
+        let mut out = AffineNiels::IDENTITY;
+        for (j, entry) in (1u8..).zip(row) {
+            out.cmov(entry, ct_mask(abs == j));
+        }
+        let neg = out.neg();
+        out.cmov(&neg, ct_mask(digit < 0));
+        out
+    }
+}
+
+/// Row `i` holds `[1..=8] · 256^i · B`, the multiples the comb's digits
+/// `2i` and `2i + 1` select from; row 0 doubles as the odd multiples of B
+/// the Straus pass needs. 32 × 8 entries of 120 bytes, 30 KiB, built on
+/// first use into static storage, never the heap.
+fn base_table() -> &'static [[AffineNiels; 8]; 32] {
+    static TABLE: OnceLock<[[AffineNiels; 8]; 32]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[AffineNiels::IDENTITY; 8]; 32];
+        let mut p = EdwardsPoint::base();
+        for row in table.iter_mut() {
+            let mut multiple = p;
+            for entry in row.iter_mut() {
+                *entry = multiple.to_affine_niels();
+                multiple = multiple.add(&p);
+            }
+            p = p.mul_by_pow2(8);
+        }
+        table
+    })
+}
+
+/// Signed radix-16 digits of a scalar below 2^255: `s = Σ e[i]·16^i`
+/// with every `e[i]` in [-8, 8], computed without branches.
+fn radix16(s: &[u8; 32]) -> [i8; 64] {
+    debug_assert!(s[31] <= 127, "scalar must be below 2^255");
+    let mut e = [0i8; 64];
+    for (i, byte) in s.iter().enumerate() {
+        e[2 * i] = (byte & 15) as i8;
+        e[2 * i + 1] = (byte >> 4) as i8;
+    }
+    // Move each digit from [0, 15] into [-8, 7] and carry into the next.
+    let mut carry = 0i8;
+    for digit in e.iter_mut().take(63) {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    e[63] += carry;
+    e
+}
+
+/// Width-`w` non-adjacent form of a scalar below 2^255: every digit is
+/// zero or odd with absolute value below 2^(w-1), and any `w` consecutive
+/// digits hold at most one nonzero. Variable-time; for public scalars.
+fn naf(s: &[u8; 32], w: usize) -> [i8; 256] {
+    debug_assert!(s[31] <= 127, "scalar must be below 2^255");
+    let mut limbs = [0u64; 5];
+    for (limb, chunk) in limbs.iter_mut().zip(s.chunks_exact(8)) {
+        *limb = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+    }
+    let width = 1u64 << w;
+    let mut digits = [0i8; 256];
+    let mut pos = 0;
+    let mut carry = 0;
+    while pos < 256 {
+        let (idx, bit) = (pos / 64, pos % 64);
+        let bits = if bit + w <= 64 {
+            limbs[idx] >> bit
+        } else {
+            (limbs[idx] >> bit) | (limbs[idx + 1] << (64 - bit))
+        };
+        let window = carry + (bits & (width - 1));
+        if window & 1 == 0 {
+            // An even window starts with a zero digit; the carry rides on.
+            pos += 1;
+            continue;
+        }
+        if window < width / 2 {
+            carry = 0;
+            digits[pos] = window as i8;
+        } else {
+            carry = 1;
+            digits[pos] = window as i8 - width as i8;
+        }
+        pos += w;
+    }
+    digits
+}
+
 impl EdwardsPoint {
     pub(crate) fn identity() -> EdwardsPoint {
         EdwardsPoint {
@@ -318,38 +636,82 @@ impl EdwardsPoint {
         consts().base
     }
 
-    /// Complete point addition (extended coordinates, a = -1).
-    pub(crate) fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(consts().d2).mul(other.t);
-        let d = self.z.mul(other.z).add(self.z.mul(other.z));
-        let e = b.sub(a);
-        let f = d.sub(c);
-        let g = d.add(c);
-        let h = b.add(a);
-        EdwardsPoint {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
         }
     }
 
-    pub(crate) fn double(&self) -> EdwardsPoint {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().add(self.z.square());
-        let h = a.add(b);
-        let e = h.sub(self.x.add(self.y).square());
-        let g = a.sub(b);
-        let f = c.add(g);
-        EdwardsPoint {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
+    fn to_projective_niels(self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y.add(self.x),
+            y_minus_x: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(consts().d2),
         }
+    }
+
+    fn to_affine_niels(self) -> AffineNiels {
+        let zinv = self.z.invert();
+        let x = self.x.mul(zinv);
+        let y = self.y.mul(zinv);
+        AffineNiels {
+            y_plus_x: y.add(x),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(consts().d2),
+        }
+    }
+
+    /// `self + q` (add-2008-hwcd-3 for a = -1, complete): 4 multiplies
+    /// before the conversion.
+    fn add_niels(&self, q: &ProjectiveNiels) -> CompletedPoint {
+        let pp = self.y.add(self.x).mul(q.y_plus_x);
+        let mm = self.y.sub(self.x).mul(q.y_minus_x);
+        let tt2d = self.t.mul(q.t2d);
+        let zz = self.z.mul(q.z);
+        let zz2 = zz.add(zz);
+        CompletedPoint {
+            x: pp.sub(mm),
+            y: pp.add(mm),
+            z: zz2.add(tt2d),
+            t: zz2.sub(tt2d),
+        }
+    }
+
+    /// `self + q` for an affine `q`: [`EdwardsPoint::add_niels`] with
+    /// `q.Z = 1`, 3 multiplies.
+    fn add_affine(&self, q: &AffineNiels) -> CompletedPoint {
+        let pp = self.y.add(self.x).mul(q.y_plus_x);
+        let mm = self.y.sub(self.x).mul(q.y_minus_x);
+        let txy2d = self.t.mul(q.xy2d);
+        let z2 = self.z.add(self.z);
+        CompletedPoint {
+            x: pp.sub(mm),
+            y: pp.add(mm),
+            z: z2.add(txy2d),
+            t: z2.sub(txy2d),
+        }
+    }
+
+    /// Complete point addition.
+    pub(crate) fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
+        self.add_niels(&other.to_projective_niels()).to_extended()
+    }
+
+    pub(crate) fn double(&self) -> EdwardsPoint {
+        self.to_projective().double().to_extended()
+    }
+
+    /// `[2^k]self`: `k` doublings, through projective coordinates.
+    fn mul_by_pow2(&self, k: u32) -> EdwardsPoint {
+        debug_assert!(k > 0);
+        let mut r = self.to_projective();
+        for _ in 1..k {
+            r = r.double().to_projective();
+        }
+        r.double().to_extended()
     }
 
     pub(crate) fn neg(&self) -> EdwardsPoint {
@@ -361,17 +723,73 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication by a 256-bit little-endian scalar,
-    /// plain double-and-add (variable-time; see crate security note).
-    pub(crate) fn scalar_mul(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
+    /// `[k]B` for a scalar below 2^255 (the clamped secret scalars of
+    /// Ed25519 and X25519 qualify, as does any scalar mod L), in constant
+    /// time: with `k = Σ e[i]·16^i`, `[k]B = 16 · Σ_odd e[i]·16^(i-1)·B +
+    /// Σ_even e[i]·16^i·B`, and `16^(2j)·B` is row `j` of the comb table.
+    pub(crate) fn mul_base(k: &[u8; 32]) -> EdwardsPoint {
+        let e = radix16(k);
+        let table = base_table();
         let mut acc = EdwardsPoint::identity();
-        for i in (0..256).rev() {
-            acc = acc.double();
-            if (scalar_le[i / 8] >> (i % 8)) & 1 == 1 {
-                acc = acc.add(self);
-            }
+        for (row, pair) in table.iter().zip(e.chunks_exact(2)) {
+            acc = acc
+                .add_affine(&AffineNiels::select(row, pair[1]))
+                .to_extended();
+        }
+        acc = acc.mul_by_pow2(4);
+        for (row, pair) in table.iter().zip(e.chunks_exact(2)) {
+            acc = acc
+                .add_affine(&AffineNiels::select(row, pair[0]))
+                .to_extended();
         }
         acc
+    }
+
+    /// `[a]A + [b]B` for public scalars below 2^255, `A = self`, in one
+    /// variable-time Straus pass: A's odd multiples up to 15A are built
+    /// per call (width-5 digits of `a`), B's up to 7B come from row 0 of
+    /// the comb table (width-4 digits of `b`), and both scalars share one
+    /// chain of doublings.
+    pub(crate) fn vartime_double_scalar_mul_base(
+        &self,
+        a: &[u8; 32],
+        b: &[u8; 32],
+    ) -> EdwardsPoint {
+        let a_naf = naf(a, 5);
+        let b_naf = naf(b, 4);
+        // [A, 3A, 5A, …, 15A]
+        let mut a_odd = [self.to_projective_niels(); 8];
+        let a2 = self.double().to_projective_niels();
+        let mut multiple = *self;
+        for entry in a_odd.iter_mut().skip(1) {
+            multiple = multiple.add_niels(&a2).to_extended();
+            *entry = multiple.to_projective_niels();
+        }
+        let b_row = &base_table()[0];
+
+        let Some(mut i) = (0..256).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0) else {
+            return EdwardsPoint::identity();
+        };
+        let mut r = ProjectivePoint::IDENTITY;
+        loop {
+            let mut t = r.double();
+            let (da, db) = (a_naf[i], b_naf[i]);
+            if da != 0 {
+                let q = &a_odd[usize::from(da.unsigned_abs() / 2)];
+                let q = if da > 0 { *q } else { q.neg() };
+                t = t.to_extended().add_niels(&q);
+            }
+            if db != 0 {
+                let q = &b_row[usize::from(db.unsigned_abs() - 1)];
+                let q = if db > 0 { *q } else { q.neg() };
+                t = t.to_extended().add_affine(&q);
+            }
+            if i == 0 {
+                return t.to_extended();
+            }
+            r = t.to_projective();
+            i -= 1;
+        }
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding (y with x-sign bit).
@@ -384,6 +802,15 @@ impl EdwardsPoint {
         bytes
     }
 
+    /// The Montgomery u-coordinate of the birationally equivalent point on
+    /// Curve25519, u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y): B maps to u = 9.
+    pub(crate) fn to_montgomery_u(self) -> [u8; 32] {
+        self.z
+            .add(self.y)
+            .mul(self.z.sub(self.y).invert())
+            .to_bytes()
+    }
+
     /// Decompresses an RFC 8032 point encoding.
     pub(crate) fn decompress(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
         let c = consts();
@@ -392,7 +819,7 @@ impl EdwardsPoint {
 
     // Split out so that `consts()` can decompress the base point while the
     // constants are still being initialized.
-    fn decompress_with(bytes: &[u8; 32], d: Fe, _sqrt_m1: Fe) -> Option<EdwardsPoint> {
+    fn decompress_with(bytes: &[u8; 32], d: Fe, sqrt_m1: Fe) -> Option<EdwardsPoint> {
         let sign = bytes[31] >> 7 == 1;
         let y = Fe::from_bytes(bytes);
         // Reject non-canonical y encodings to make point decoding injective.
@@ -404,7 +831,7 @@ impl EdwardsPoint {
         let y2 = y.square();
         let u = y2.sub(Fe::ONE);
         let v = d.mul(y2).add(Fe::ONE);
-        let mut x = sqrt_ratio(u, v)?;
+        let mut x = sqrt_ratio(u, v, sqrt_m1)?;
         if x.is_zero() && sign {
             return None; // "negative zero" is invalid
         }
@@ -424,6 +851,24 @@ impl EdwardsPoint {
         let a = self.x.mul(other.z).ct_eq(other.x.mul(self.z));
         let b = self.y.mul(other.z).ct_eq(other.y.mul(self.z));
         a && b
+    }
+}
+
+/// The retained bit-serial scalar multiplication, the oracle the comb and
+/// the Straus pass are tested against.
+#[cfg(any(test, feature = "reference"))]
+impl EdwardsPoint {
+    /// Scalar multiplication by a 256-bit little-endian scalar, plain
+    /// double-and-add: branches on every scalar bit.
+    pub(crate) fn scalar_mul(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
+        let mut acc = EdwardsPoint::identity();
+        for i in (0..256).rev() {
+            acc = acc.double();
+            if (scalar_le[i / 8] >> (i % 8)) & 1 == 1 {
+                acc = acc.add(self);
+            }
+        }
+        acc
     }
 }
 
@@ -467,11 +912,7 @@ impl Scalar {
     /// scalar (i.e. strictly below L). RFC 8032 requires rejecting
     /// non-canonical `s` values in signatures (malleability).
     pub(crate) fn is_canonical(input: &[u8; 32]) -> bool {
-        let mut limbs = [0u64; 4];
-        for (i, chunk) in input.chunks_exact(8).enumerate() {
-            limbs[i] = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        }
-        lt(&limbs, &L_LIMBS)
+        sub_l(&bytes_to_limbs(input)).1 == 1
     }
 
     /// (a * b + c) mod L — the core of Ed25519 signing.
@@ -523,39 +964,32 @@ fn limbs_to_bytes(limbs: &[u64; 4]) -> [u8; 32] {
     out
 }
 
-/// `a < b` over 4-limb little-endian values.
-fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
-    for i in (0..4).rev() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-    }
-    false
-}
-
-/// Subtracts L in place (callers guarantee the value is >= L).
-fn sub_l(r: &mut [u64; 4]) {
-    let mut borrow: i128 = 0;
+/// `r - L` over 4-limb little-endian values, and the final borrow: 1
+/// exactly when `r < L`. No branches.
+fn sub_l(r: &[u64; 4]) -> ([u64; 4], u64) {
+    let mut out = [0u64; 4];
+    let mut borrow = 0u64;
     for i in 0..4 {
-        let v = r[i] as i128 - L_LIMBS[i] as i128 + borrow;
-        if v < 0 {
-            r[i] = (v + (1i128 << 64)) as u64;
-            borrow = -1;
-        } else {
-            r[i] = v as u64;
-            borrow = 0;
-        }
+        let (d, b1) = r[i].overflowing_sub(L_LIMBS[i]);
+        let (d, b2) = d.overflowing_sub(borrow);
+        out[i] = d;
+        borrow = u64::from(b1 | b2);
     }
-    debug_assert_eq!(borrow, 0);
+    (out, borrow)
 }
 
 /// Reduces a 512-bit value modulo L by binary long division.
 ///
-/// Runs 512 shift/compare/subtract steps; scalars are reduced only a handful
-/// of times per signature, so simplicity wins over speed here.
+/// The top 252 bits, `x >> 260`, are below L as they stand; the other 260
+/// bits are shifted in one shift/subtract/select step each. Signing
+/// reduces secret-derived values (the nonce `r` and `k·a + r`), so the
+/// conditional subtraction is a mask, not a branch.
 fn mod_l_wide(x: &[u64; 8]) -> [u64; 4] {
     let mut r = [0u64; 4];
-    for i in (0..512).rev() {
+    for (j, limb) in r.iter_mut().enumerate() {
+        *limb = (x[4 + j] >> 4) | x.get(5 + j).map_or(0, |&high| high << 60);
+    }
+    for i in (0..260).rev() {
         // r = (r << 1) | bit_i(x); r stays < 2L < 2^254 so no overflow.
         let mut carry = (x[i / 64] >> (i % 64)) & 1;
         for limb in r.iter_mut() {
@@ -564,8 +998,11 @@ fn mod_l_wide(x: &[u64; 8]) -> [u64; 4] {
             carry = new_carry;
         }
         debug_assert_eq!(carry, 0);
-        if !lt(&r, &L_LIMBS) {
-            sub_l(&mut r);
+        // Keep r when r - L borrows, else take r - L.
+        let (d, borrow) = sub_l(&r);
+        let keep = ct_mask(borrow == 1);
+        for (limb, d) in r.iter_mut().zip(d) {
+            *limb = (*limb & keep) | (d & !keep);
         }
     }
     r
@@ -575,6 +1012,7 @@ fn mod_l_wide(x: &[u64; 8]) -> [u64; 4] {
 mod tests {
     use super::*;
     use crate::hex_encode;
+    use proptest::prelude::*;
 
     #[test]
     fn field_one_plus_one_is_two() {
@@ -772,5 +1210,188 @@ mod tests {
         s5[0] = 5;
         let sum = b.scalar_mul(&s2).add(&b.scalar_mul(&s3));
         assert!(sum.ct_eq(&b.scalar_mul(&s5)));
+    }
+
+    /// Edge scalars below 2^255: 0, 1, L-1, L, L+1, 2^254 and 2^255 - 8.
+    fn edge_scalars() -> Vec<[u8; 32]> {
+        let l = limbs_to_bytes(&L_LIMBS);
+        let (mut l_minus_1, mut l_plus_1) = (l, l);
+        l_minus_1[0] -= 1;
+        l_plus_1[0] += 1;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut two_254 = [0u8; 32];
+        two_254[31] = 0x40;
+        let mut top = [0xffu8; 32];
+        top[0] = 0xf8;
+        top[31] = 0x7f;
+        vec![[0u8; 32], one, l_minus_1, l, l_plus_1, two_254, top]
+    }
+
+    #[test]
+    fn comb_matches_double_and_add_on_edge_scalars() {
+        let b = EdwardsPoint::base();
+        for k in edge_scalars() {
+            assert!(
+                EdwardsPoint::mul_base(&k).ct_eq(&b.scalar_mul(&k)),
+                "k = {}",
+                hex_encode(&k)
+            );
+        }
+    }
+
+    #[test]
+    fn straus_matches_double_and_add_on_edge_scalars() {
+        let b = EdwardsPoint::base();
+        let point = b.double().add(&b); // 3B
+        for k in edge_scalars() {
+            for s in edge_scalars() {
+                let oracle = point.scalar_mul(&k).add(&b.scalar_mul(&s));
+                assert!(
+                    point.vartime_double_scalar_mul_base(&k, &s).ct_eq(&oracle),
+                    "a = {}, b = {}",
+                    hex_encode(&k),
+                    hex_encode(&s)
+                );
+            }
+        }
+    }
+
+    /// `mod_l_wide` with a branching compare and subtract: the oracle
+    /// for the masked one.
+    fn mod_l_wide_branching(x: &[u64; 8]) -> [u64; 4] {
+        fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
+            for i in (0..4).rev() {
+                if a[i] != b[i] {
+                    return a[i] < b[i];
+                }
+            }
+            false
+        }
+        let mut r = [0u64; 4];
+        for i in (0..512).rev() {
+            let mut carry = (x[i / 64] >> (i % 64)) & 1;
+            for limb in r.iter_mut() {
+                let new_carry = *limb >> 63;
+                *limb = (*limb << 1) | carry;
+                carry = new_carry;
+            }
+            if !lt(&r, &L_LIMBS) {
+                let mut borrow: i128 = 0;
+                for (limb, l) in r.iter_mut().zip(L_LIMBS) {
+                    let v = *limb as i128 - l as i128 + borrow;
+                    if v < 0 {
+                        *limb = (v + (1i128 << 64)) as u64;
+                        borrow = -1;
+                    } else {
+                        *limb = v as u64;
+                        borrow = 0;
+                    }
+                }
+            }
+        }
+        r
+    }
+
+    /// Five limbs from 40 random bytes, each below `1 << bits`.
+    fn limbs(bytes: &[u8; 40], bits: u32) -> Fe {
+        let mut l = [0u64; 5];
+        for (limb, chunk) in l.iter_mut().zip(bytes.chunks_exact(8)) {
+            *limb = u64::from_le_bytes(chunk.try_into().unwrap()) >> (64 - bits);
+        }
+        Fe(l)
+    }
+
+    /// The exponent (p - 5)/8 = 2^252 - 3.
+    fn p58_exponent() -> [u8; 32] {
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfd;
+        exp[31] = 0x0f;
+        exp
+    }
+
+    #[test]
+    fn addition_chains_match_fermat_at_zero_and_one() {
+        for x in [Fe::ZERO, Fe::ONE] {
+            assert_eq!(x.invert().to_bytes(), x.invert_fermat().to_bytes());
+            assert_eq!(x.pow_p58().to_bytes(), x.pow(&p58_exponent()).to_bytes());
+        }
+        assert!(Fe::ZERO.invert().is_zero());
+    }
+
+    #[test]
+    fn mul_at_the_limb_bound_matches_reduced_inputs() {
+        // Every limb at 2^56 - 1, the largest `mul` and `square` accept.
+        let top = Fe([MUL_BOUND - 1; 5]);
+        let reduced = Fe::from_bytes(&top.to_bytes());
+        assert_eq!(top.mul(top).to_bytes(), reduced.mul(reduced).to_bytes());
+        assert_eq!(top.square().to_bytes(), reduced.square().to_bytes());
+        // And the largest right side `sub` accepts.
+        let sixteen_p = Fe(SIXTEEN_P);
+        assert!(top.sub(sixteen_p).ct_eq(top));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn comb_matches_double_and_add(k in any::<[u8; 32]>()) {
+            let mut k = k;
+            k[31] &= 0x7f; // below 2^255
+            let comb = EdwardsPoint::mul_base(&k);
+            prop_assert!(comb.ct_eq(&EdwardsPoint::base().scalar_mul(&k)));
+        }
+
+        #[test]
+        fn straus_matches_double_and_add(a in any::<[u8; 32]>(),
+                                         b in any::<[u8; 32]>(),
+                                         p in any::<[u8; 32]>()) {
+            // Below 2^253, as scalars reduced mod L are.
+            let (mut a, mut b) = (a, b);
+            a[31] &= 0x1f;
+            b[31] &= 0x1f;
+            let base = EdwardsPoint::base();
+            let point = EdwardsPoint::mul_base(&{
+                let mut p = p;
+                p[31] &= 0x7f;
+                p
+            });
+            let straus = point.vartime_double_scalar_mul_base(&a, &b);
+            let oracle = point.scalar_mul(&a).add(&base.scalar_mul(&b));
+            prop_assert!(straus.ct_eq(&oracle));
+        }
+
+        #[test]
+        fn square_matches_mul_by_self(bytes in any::<[u8; 40]>()) {
+            for bits in [51, 52, 55, 56] {
+                let x = limbs(&bytes, bits);
+                prop_assert_eq!(x.square().to_bytes(), x.mul(x).to_bytes());
+            }
+        }
+
+        #[test]
+        fn mul_of_unreduced_limbs_matches_reduced(a in any::<[u8; 40]>(), b in any::<[u8; 40]>()) {
+            // Limbs up to the documented bound give the product of the
+            // values they stand for.
+            let (x, y) = (limbs(&a, 56), limbs(&b, 56));
+            let (xr, yr) = (Fe::from_bytes(&x.to_bytes()), Fe::from_bytes(&y.to_bytes()));
+            prop_assert_eq!(x.mul(y).to_bytes(), xr.mul(yr).to_bytes());
+        }
+
+        #[test]
+        fn invert_and_pow_p58_match_fermat(bytes in any::<[u8; 32]>()) {
+            let x = Fe::from_bytes(&bytes);
+            prop_assert_eq!(x.invert().to_bytes(), x.invert_fermat().to_bytes());
+            prop_assert_eq!(x.pow_p58().to_bytes(), x.pow(&p58_exponent()).to_bytes());
+        }
+
+        #[test]
+        fn branch_free_mod_l_matches_branching(bytes in any::<[u8; 64]>()) {
+            let mut x = [0u64; 8];
+            for (limb, chunk) in x.iter_mut().zip(bytes.chunks_exact(8)) {
+                *limb = u64::from_le_bytes(chunk.try_into().unwrap());
+            }
+            prop_assert_eq!(mod_l_wide(&x), mod_l_wide_branching(&x));
+        }
     }
 }

@@ -68,8 +68,7 @@ impl SigningKey {
         let a = Scalar::from_bytes_mod_order(&scalar_bytes);
 
         let prefix: [u8; 32] = digest[32..].try_into().expect("32 bytes");
-        let public_point = EdwardsPoint::base().scalar_mul(&scalar_bytes);
-        let public = VerifyingKey(public_point.compress());
+        let public = VerifyingKey(EdwardsPoint::mul_base(&scalar_bytes).compress());
         SigningKey {
             seed,
             a,
@@ -101,13 +100,18 @@ impl SigningKey {
     /// Signs `message`, producing a 64-byte signature `R || S`.
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
+        self.sign_with(message, EdwardsPoint::mul_base)
+    }
+
+    /// [`SigningKey::sign`] with `R = [r]B` computed by `mul_base`, so
+    /// that the reference oracle can swap in double-and-add.
+    fn sign_with(&self, message: &[u8], mul_base: impl Fn(&[u8; 32]) -> EdwardsPoint) -> Signature {
         let mut h = Sha512::new();
         h.update(&self.prefix);
         h.update(message);
         let r = Scalar::from_bytes_mod_order_wide(&h.finalize());
 
-        let r_point = EdwardsPoint::base().scalar_mul(r.as_bytes());
-        let r_comp = r_point.compress();
+        let r_comp = mul_base(r.as_bytes()).compress();
 
         let mut h = Sha512::new();
         h.update(&r_comp);
@@ -150,6 +154,21 @@ impl VerifyingKey {
     /// [`CryptoError::AuthenticationFailed`] if the equation
     /// `[S]B == R + [k]A` does not hold or `S` is non-canonical.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<()> {
+        // All inputs are public: one variable-time Straus pass.
+        self.verify_with(message, signature, |s, k, a| {
+            a.neg().vartime_double_scalar_mul_base(k, s)
+        })
+    }
+
+    /// [`VerifyingKey::verify`] with `[S]B - [k]A` computed by
+    /// `s_b_minus_k_a(S, k, A)`, so that the reference oracle can swap in
+    /// double-and-add.
+    fn verify_with(
+        &self,
+        message: &[u8],
+        signature: &Signature,
+        s_b_minus_k_a: impl Fn(&[u8; 32], &[u8; 32], &EdwardsPoint) -> EdwardsPoint,
+    ) -> Result<()> {
         let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("32 bytes");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("32 bytes");
 
@@ -166,10 +185,8 @@ impl VerifyingKey {
         h.update(message);
         let k = Scalar::from_bytes_mod_order_wide(&h.finalize());
 
-        // [S]B == R + [k]A  ⇔  [S]B + [k](-A) == R
-        let sb = EdwardsPoint::base().scalar_mul(&s_bytes);
-        let ka = a_point.neg().scalar_mul(k.as_bytes());
-        let candidate = sb.add(&ka);
+        // [S]B == R + [k]A  ⇔  [S]B - [k]A == R
+        let candidate = s_b_minus_k_a(&s_bytes, k.as_bytes(), &a_point);
         if candidate.ct_eq(&r_point) {
             Ok(())
         } else {
@@ -206,10 +223,40 @@ impl Signature {
     }
 }
 
+/// The double-and-add oracles that the comb and the Straus pass replaced,
+/// for tests and the `crypto_kernels` microbench (`reference` feature).
+/// They branch on every scalar bit, the signing nonce's included: never
+/// sign with them outside a test or a bench.
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::{EdwardsPoint, Result, Signature, SigningKey, VerifyingKey};
+
+    /// [`SigningKey::sign`] with `R = [r]B` by bit-serial double-and-add.
+    #[must_use]
+    pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
+        key.sign_with(message, |r| EdwardsPoint::base().scalar_mul(r))
+    }
+
+    /// [`VerifyingKey::verify`] with `[S]B` and `[k](-A)` by two
+    /// bit-serial double-and-add passes.
+    ///
+    /// # Errors
+    ///
+    /// As [`VerifyingKey::verify`].
+    pub fn verify(key: &VerifyingKey, message: &[u8], signature: &Signature) -> Result<()> {
+        key.verify_with(message, signature, |s, k, a| {
+            EdwardsPoint::base()
+                .scalar_mul(s)
+                .add(&a.neg().scalar_mul(k))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{hex_decode, hex_encode};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn seed(hex: &str) -> [u8; 32] {
@@ -336,5 +383,86 @@ mod tests {
             CryptoError::InvalidLength
         );
         assert!(Signature::from_slice(&[0u8; 64]).is_ok());
+    }
+
+    /// Encodings that do not decode: p + 1 (a non-canonical y), y = 2
+    /// (x^2 has no square root) and y = 1 with the sign bit set (x = 0
+    /// cannot be negative).
+    fn undecodable_points() -> [[u8; 32]; 3] {
+        let mut p_plus_1 = [0xffu8; 32];
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        let mut y2 = [0u8; 32];
+        y2[0] = 2;
+        let mut negative_zero = [0u8; 32];
+        negative_zero[0] = 1;
+        negative_zero[31] = 0x80;
+        [p_plus_1, y2, negative_zero]
+    }
+
+    #[test]
+    fn verify_reports_undecodable_key_or_r_as_invalid_point() {
+        let key = SigningKey::from_seed([3u8; 32]);
+        let sig = key.sign(b"msg");
+        for bad in undecodable_points() {
+            assert_eq!(
+                VerifyingKey(bad).verify(b"msg", &sig).unwrap_err(),
+                CryptoError::InvalidPoint,
+                "key {}",
+                hex_encode(&bad)
+            );
+            let mut bad_r = sig;
+            bad_r.0[..32].copy_from_slice(&bad);
+            assert_eq!(
+                key.verifying_key().verify(b"msg", &bad_r).unwrap_err(),
+                CryptoError::InvalidPoint,
+                "R {}",
+                hex_encode(&bad)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn sign_matches_double_and_add(seed in any::<[u8; 32]>(),
+                                       msg in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let key = SigningKey::from_seed(seed);
+            prop_assert_eq!(key.sign(&msg), reference::sign(&key, &msg));
+        }
+
+        #[test]
+        fn verify_matches_double_and_add_on_single_bit_flips(
+            seed in any::<[u8; 32]>(),
+            msg in proptest::collection::vec(any::<u8>(), 1..64),
+            bit in any::<usize>(),
+        ) {
+            let key = SigningKey::from_seed(seed);
+            let vk = key.verifying_key();
+            let sig = key.sign(&msg);
+            prop_assert_eq!(vk.verify(&msg, &sig), Ok(()));
+            prop_assert_eq!(reference::verify(&vk, &msg, &sig), Ok(()));
+
+            // One flipped bit each in the message, R, S and the key.
+            let mut bad_msg = msg.clone();
+            bad_msg[bit / 8 % msg.len()] ^= 1 << (bit % 8);
+            let mut bad_r = sig;
+            bad_r.0[bit / 8 % 32] ^= 1 << (bit % 8);
+            let mut bad_s = sig;
+            bad_s.0[32 + bit / 8 % 32] ^= 1 << (bit % 8);
+            let mut bad_key = vk;
+            bad_key.0[bit / 8 % 32] ^= 1 << (bit % 8);
+            for (k, m, s) in [
+                (vk, &bad_msg, sig),
+                (vk, &msg, bad_r),
+                (vk, &msg, bad_s),
+                (bad_key, &msg, sig),
+            ] {
+                let got = k.verify(m, &s);
+                prop_assert!(got.is_err());
+                prop_assert_eq!(got, reference::verify(&k, m, &s));
+            }
+        }
     }
 }

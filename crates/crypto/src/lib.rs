@@ -40,10 +40,20 @@
 //!
 //! This code backs a *research simulator*. The implementations are correct
 //! against the specification vectors, and tag/signature comparisons are
-//! constant-time, but no effort has been made to harden the field arithmetic
-//! of the curve code against timing side channels, and the software GHASH
-//! fallback indexes its tables with key- and data-dependent bytes. Do not
-//! reuse it to protect production secrets.
+//! constant-time. On the curves, every path that takes a secret scalar
+//! is written without branches or memory accesses that depend on it: the
+//! fixed-base comb behind Ed25519 key derivation and signing and X25519
+//! public keys (each table entry read by masked selection), the X25519
+//! ladder (`cswap`), the addition-chain inversion, and the reductions
+//! modulo L (masked conditional subtraction). Each mask passes through
+//! `std::hint::black_box`: without it, LLVM compiled the masked moves back
+//! into branches on the secret (a jump table over a comb row, a branch
+//! per ladder step), and with it the release assembly of those paths
+//! branches on loop counters only. That barrier is best-effort, not a
+//! guarantee. Ed25519 verification runs in variable time, on public data
+//! only (key, message, signature). The software GHASH fallback indexes
+//! its tables with key- and data-dependent bytes. Do not reuse this code
+//! to protect production secrets.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@
 //! SGX SDK's `sgx_dh` and remote-attestation key-exchange libraries.
 //! Validated against the RFC 7748 §5.2 and §6.1 test vectors.
 
-use crate::curve25519::Fe;
+use crate::curve25519::{EdwardsPoint, Fe};
 
 /// Length of X25519 public keys, secret keys, and shared secrets.
 pub const KEY_LEN: usize = 32;
@@ -58,10 +58,12 @@ impl StaticSecret {
         Self::from_bytes(bytes)
     }
 
-    /// Returns the corresponding public key.
+    /// Returns the corresponding public key, `x25519(k, 9)`, computed as
+    /// `[k]B` on edwards25519 by the constant-time comb and mapped to its
+    /// u-coordinate (B maps to u = 9).
     #[must_use]
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(x25519(&self.scalar, &BASE_POINT_U))
+        PublicKey(EdwardsPoint::mul_base(&self.scalar).to_montgomery_u())
     }
 
     /// Computes the shared secret with `peer`.
@@ -97,6 +99,7 @@ impl From<[u8; KEY_LEN]> for PublicKey {
 }
 
 /// The base point u = 9.
+#[cfg(any(test, feature = "reference"))]
 const BASE_POINT_U: [u8; 32] = {
     let mut b = [0u8; 32];
     b[0] = 9;
@@ -109,6 +112,13 @@ const BASE_POINT_U: [u8; 32] = {
 /// safe.
 #[must_use]
 pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+    let (x, z) = ladder(scalar, u);
+    x.mul(z.invert()).to_bytes()
+}
+
+/// The Montgomery ladder: `[k]u` in projective (X : Z) form, one `cswap`
+/// per scalar bit and no branch on the scalar.
+fn ladder(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> (Fe, Fe) {
     let mut k = *scalar;
     k[0] &= 248;
     k[31] &= 127;
@@ -120,8 +130,6 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
     let mut swap = false;
-
-    let a24 = Fe::from_u64(121665);
 
     for t in (0..255).rev() {
         let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
@@ -142,12 +150,34 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
         x3 = da.add(cb).square();
         z3 = x1.mul(da.sub(cb).square());
         x2 = aa.mul(bb);
-        z2 = e.mul(aa.add(a24.mul(e)));
+        z2 = e.mul(aa.add(e.mul_small(121665)));
     }
     Fe::cswap(swap, &mut x2, &mut x3);
     Fe::cswap(swap, &mut z2, &mut z3);
+    (x2, z2)
+}
 
-    x2.mul(z2.invert()).to_bytes()
+/// The paths the comb and the addition-chain inversion replaced, for tests
+/// and the `crypto_kernels` microbench (`reference` feature).
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::{ladder, x25519, PublicKey, StaticSecret, BASE_POINT_U, KEY_LEN};
+
+    /// [`StaticSecret::public_key`] by the ladder: `x25519(k, 9)`.
+    #[must_use]
+    pub fn public_key(secret: &StaticSecret) -> PublicKey {
+        PublicKey(x25519(&secret.scalar, &BASE_POINT_U))
+    }
+
+    /// [`StaticSecret::diffie_hellman`] with the ladder's `Z` inverted by
+    /// the generic square-and-multiply `Z^(p-2)` instead of the addition
+    /// chain: about 505 field operations for the inversion instead of
+    /// 265. Its branches follow the public exponent only.
+    #[must_use]
+    pub fn diffie_hellman(secret: &StaticSecret, peer: &PublicKey) -> [u8; KEY_LEN] {
+        let (x, z) = ladder(&secret.scalar, &peer.0);
+        x.mul(z.invert_fermat()).to_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use mig_crypto::hkdf::{hkdf_expand, hkdf_extract};
 use mig_crypto::hmac::{HmacSha256, HmacSha512};
 use mig_crypto::sha256::{sha256, Sha256};
 use mig_crypto::sha512::{sha512, Sha512};
-use mig_crypto::x25519::StaticSecret;
+use mig_crypto::x25519::{x25519, StaticSecret};
 use proptest::prelude::*;
 
 proptest! {
@@ -108,6 +108,13 @@ proptest! {
             a.diffie_hellman(&b.public_key()),
             b.diffie_hellman(&a.public_key())
         );
+    }
+
+    #[test]
+    fn x25519_public_key_matches_the_ladder_from_nine(sk in any::<[u8; 32]>()) {
+        let mut nine = [0u8; 32];
+        nine[0] = 9;
+        prop_assert_eq!(StaticSecret::from_bytes(sk).public_key().0, x25519(&sk, &nine));
     }
 
     #[test]
