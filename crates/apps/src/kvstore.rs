@@ -3,37 +3,37 @@
 //! The canonical persistent-state discipline from the paper's §II-A4/§I:
 //! on every update the enclave increments a monotonic counter and seals
 //! the new counter value together with the store; on load it accepts the
-//! blob only if the embedded version matches the counter. Built on the
+//! store only if the embedded version matches the counter. Built on the
 //! *migratable* primitives, the whole store survives machine migration —
 //! and the attack test-suite uses it as the victim workload for the §III
 //! fork and roll-back attacks.
 //!
-//! **Segment-sealed staging.** The migration payload staged with the
-//! library is not one monolithic sealed blob (whose ciphertext changes
-//! completely on every reseal) but a *container*: the snapshot plaintext
-//! split into [`SEGMENT_LEN`]-byte segments, each migratable-sealed
-//! separately, preceded by a sealed index binding the exact ciphertext
-//! set. A PUT reseals only the segments whose plaintext changed (plus
-//! the small index), so the staged bytes stay mostly identical across
-//! updates — which is what lets the ME's dirty-page delta transfer ship
-//! a repeat migration as a few pages instead of the whole store. Which
-//! segments changed is known from the writes themselves, not by hashing
-//! the plaintext: the store notes each key it writes, and the serializer
-//! turns the notes into byte ranges. The container is written once, into
-//! the buffer the library stages; the store keeps a clone of it and the
-//! place of each sealed segment in it, and copies the sealed bytes of
-//! every untouched segment into the next container.
+//! **Segment-sealed staging.** The store lives in one staged
+//! [`SealedContainer`]: the snapshot plaintext split into
+//! [`SEGMENT_LEN`]-byte segments, each migratable-sealed separately,
+//! behind a sealed index binding the exact ciphertext set. The untrusted
+//! host stores it page by page as the app's files, and a migration
+//! carries it. A `PUT` reseals only the segments whose plaintext changed
+//! (plus the small index), so the host rewrites a few pages, and a
+//! repeat migration ships a dirty-page delta instead of the whole store.
+//! Which segments changed is known from the writes themselves, not by
+//! hashing the plaintext: the store notes each key it writes, and the
+//! serializer turns the notes into byte ranges. The container is written
+//! once, into the buffer the library stages; the store keeps a clone of
+//! it and copies the sealed bytes of every untouched segment into the
+//! next container.
 //!
 //! **The container.** `[2][u32 len][sealed index][u32 n]`, then `n`
-//! sealed segments, each behind its `u32` length. Segment `i` is sealed
-//! with the AAD `mig-apps.kvstore.seg.v1:` plus `i` (`u32` LE). The
-//! index is sealed with the AAD `mig-apps.kvstore.seg-index.v2`; its
-//! plaintext is `[u32 n]` and then each segment's 16-byte AES-GCM tag,
-//! the last 16 bytes of its sealed blob.
+//! sealed segments, each behind its `u32` length (the library's
+//! framing). Segment `i` is sealed with the AAD
+//! `mig-apps.kvstore.seg.v1:` plus `i` (`u32` LE). The index is sealed
+//! with the AAD `mig-apps.kvstore.seg-index.v2`; its plaintext is
+//! `[u32 n]` and then each segment's 16-byte AES-GCM tag, the last 16
+//! bytes of its sealed blob.
 //!
-//! **Why a tag binds a segment.** `LOAD` compares each segment's tag
-//! with its index entry in constant time, then opens the segment
-//! straight into the snapshot, checking its positional AAD:
+//! **Why a tag binds a segment.** `LOAD` has the library compare each
+//! segment's tag with its index entry in constant time, then open the
+//! segment straight into the snapshot, checking its positional AAD:
 //!
 //! * the index is MSK-sealed, so the tags in it are the ones the enclave
 //!   wrote;
@@ -44,50 +44,48 @@
 //!   tags with probability about 2⁻¹²⁸, and a segment spliced in from
 //!   another container version is refused exactly as a ciphertext hash
 //!   would refuse it, without hashing anything;
-//! * replaying a whole older container is the classic rollback, caught
-//!   by the version-vs-counter check on load.
+//! * replaying a whole older container, or an older page set of it from
+//!   the host's disk, is the classic rollback, caught by the
+//!   version-vs-counter check on load; a mix of pages from two versions
+//!   fails the tag check.
 
 use mig_core::harness::{AppCtx, AppLogic};
-use mig_core::library::{migratable_header_len, migratable_sealed_size};
-use mig_crypto::ct::ct_eq;
+use mig_core::library::container::{container_len, ContainerWriter, SealedContainer};
+use mig_core::library::migratable_sealed_size;
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// ECALL opcodes of the KV store enclave.
 pub mod ops {
     /// Create the version counter (once per enclave lifetime).
     pub const INIT: u32 = 1;
-    /// Put a key/value pair; returns the new sealed snapshot.
+    /// Put a key/value pair and restage the store; returns the new
+    /// version (the host stores the changed pages the envelope carries).
     pub const PUT: u32 = 2;
     /// Get a value by key.
     pub const GET: u32 = 3;
-    /// Load a sealed snapshot (rollback-checked).
+    /// Load a staged container — the migrated one, or the one the host
+    /// stores — rollback-checked, and stage it.
     pub const LOAD: u32 = 4;
     /// Read the current version (effective counter value).
     pub const VERSION: u32 = 5;
     /// Number of entries.
     pub const LEN: u32 = 6;
     /// Bulk-load deterministic entries (count, value size, fill seed):
-    /// one counter bump, one sealed snapshot — the multi-megabyte-state
+    /// one counter bump, one restaged container — the multi-megabyte-state
     /// generator for the streaming-migration path.
     pub const BULK_PUT: u32 = 7;
 }
 
-/// AAD tag for KV snapshots.
-const SNAPSHOT_AAD: &[u8] = b"mig-apps.kvstore.snapshot.v1";
 /// AAD tag for the staged container's sealed segment index (v2: each
 /// entry is a segment's 16-byte GCM tag, so a v1 index of 32-byte
 /// ciphertext hashes fails to decode instead of being misread).
 const INDEX_AAD: &[u8] = b"mig-apps.kvstore.seg-index.v2";
 /// Plaintext bytes per sealed staging segment.
 pub const SEGMENT_LEN: usize = 4096;
-/// Leading byte of a staged container (a plain migratable-sealed blob
-/// starts with its format version, 1).
-const CONTAINER_MAGIC: u8 = 2;
 /// Prefix of every per-segment AAD.
 const SEGMENT_AAD_PREFIX: &[u8; 24] = b"mig-apps.kvstore.seg.v1:";
 /// Length of a per-segment AAD: the prefix and a `u32` index.
@@ -105,19 +103,6 @@ fn segment_aad(idx: u32) -> [u8; SEGMENT_AAD_LEN] {
 
 /// A parsed snapshot: version-counter id, version, entries.
 type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
-
-/// Per segment of a container: its sealed blob's range in the
-/// container, and its GCM tag (the blob's last 16 bytes, its entry in
-/// the sealed index).
-type Segments = Vec<(Range<usize>, [u8; TAG_LEN])>;
-
-/// The staged container: the buffer the library stages, and where each
-/// sealed segment lies in it, so an unchanged segment is copied into the
-/// next container as it is, never resealed.
-struct Staged {
-    container: Arc<[u8]>,
-    segments: Segments,
-}
 
 /// The writes since the staging segments were sealed, by key: what the
 /// next restage must reseal besides the header (whose version always
@@ -151,7 +136,7 @@ pub struct KvStore {
     version_counter: Option<u8>,
     /// The staged container — lets an update reseal only the segments
     /// whose plaintext changed.
-    staged: Option<Staged>,
+    staged: Option<SealedContainer>,
     /// What changed since `staged` was sealed.
     dirty: Dirty,
 }
@@ -248,91 +233,40 @@ impl KvStore {
             reseal[segments].fill(true);
         }
         let old = self.staged.take();
-        let sealed_len = |plain: &[u8]| migratable_sealed_size(SEGMENT_AAD_LEN, plain.len());
-        // The magic byte, the sealed index behind its length, the
-        // segment count; then each sealed segment behind its length.
-        let head_len = 1 + 4 + migratable_sealed_size(INDEX_AAD.len(), 4 + n * TAG_LEN) + 4;
-        let container_len = head_len
-            + snapshot
-                .chunks(SEGMENT_LEN)
-                .map(|plain| 4 + sealed_len(plain))
-                .sum::<usize>();
-        let mut container: Arc<[u8]> = std::iter::repeat_n(0, container_len).collect();
-        // Fresh, so not shared: nothing is cloned.
-        let out = Arc::make_mut(&mut container);
-
-        let mut segments = Vec::with_capacity(n);
-        let mut scratch = Vec::new();
-        let mut at = head_len;
-        for ((i, plain), reseal) in snapshot.chunks(SEGMENT_LEN).enumerate().zip(reseal) {
-            let len = sealed_len(plain);
-            out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-            let range = at + 4..at + 4 + len;
-            let cached = old.as_ref().filter(|_| !reseal).and_then(|old| {
-                let (old_range, tag) = old.segments.get(i)?;
-                let sealed = old.container.get(old_range.clone());
-                let sealed = sealed.filter(|sealed| sealed.len() == len)?;
-                Some((sealed, *tag))
-            });
-            let tag = match cached {
-                Some((sealed, tag)) => {
-                    out[range.clone()].copy_from_slice(sealed);
-                    tag
-                }
-                None => {
-                    scratch.clear();
-                    scratch.resize(migratable_header_len(SEGMENT_AAD_LEN), 0);
-                    scratch.extend_from_slice(plain);
-                    ctx.lib.seal_migratable_data_in_place(
-                        ctx.env,
-                        &segment_aad(i as u32),
-                        &mut scratch,
-                        0,
-                    )?;
-                    out[range.clone()].copy_from_slice(&scratch);
-                    *scratch.last_chunk::<TAG_LEN>().ok_or(SgxError::Decode)?
-                }
-            };
-            at = range.end;
-            segments.push((range, tag));
-        }
-
+        let lens = snapshot
+            .chunks(SEGMENT_LEN)
+            .map(|plain| migratable_sealed_size(SEGMENT_AAD_LEN, plain.len()))
+            .collect();
+        let head_len = migratable_sealed_size(INDEX_AAD.len(), 4 + n * TAG_LEN);
+        let mut w = ContainerWriter::new(old.as_ref(), head_len, lens)?;
         let mut index = WireWriter::with_capacity(4 + n * TAG_LEN);
         index.u32(n as u32);
-        for (_, tag) in &segments {
-            index.array(tag);
+        for ((i, plain), reseal) in snapshot.chunks(SEGMENT_LEN).enumerate().zip(reseal) {
+            let copied = if reseal { None } else { w.copy_segment()? };
+            let tag = match copied {
+                Some(tag) => tag,
+                None => w.seal_segment(ctx.lib, ctx.env, &segment_aad(i as u32), plain)?,
+            };
+            index.array(&tag);
         }
-        let sealed_index = ctx
-            .lib
-            .seal_migratable_data(ctx.env, INDEX_AAD, &index.finish())?;
-        let mut head = WireWriter::with_capacity(head_len);
-        head.u8(CONTAINER_MAGIC).bytes(&sealed_index).u32(n as u32);
-        out[..head_len].copy_from_slice(&head.finish());
-
-        ctx.lib.stage_bulk_state(ctx.env, Arc::clone(&container))?;
-        self.staged = Some(Staged {
-            container,
-            segments,
-        });
+        let container = w.finish(ctx.lib, ctx.env, INDEX_AAD, &index.finish())?;
+        ctx.lib.stage_bulk_state(ctx.env, &container)?;
+        let len = container.as_bytes().len();
+        self.staged = Some(container);
         self.dirty = Dirty::default();
-        Ok(container_len)
+        Ok(len)
     }
 
-    /// Opens a staged container: verifies the sealed index, then each
-    /// segment's tag against its index entry and its positional AAD,
-    /// opening every segment straight into the snapshot plaintext.
-    /// Returns the snapshot and each sealed segment's range in `bytes`
-    /// and tag.
+    /// Opens a staged container: has the library verify the sealed
+    /// index, then each segment's tag against its index entry, opening
+    /// every segment straight into the snapshot plaintext, and checks its
+    /// positional AAD. Returns the snapshot and the container.
     fn open_container(
         ctx: &mut AppCtx<'_, '_>,
         bytes: &[u8],
-    ) -> Result<(Vec<u8>, Segments), SgxError> {
-        let mut r = WireReader::new(bytes);
-        if r.u8()? != CONTAINER_MAGIC {
-            return Err(SgxError::Decode);
-        }
-        let sealed_index = r.bytes()?;
-        let (index_plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, sealed_index)?;
+    ) -> Result<(Vec<u8>, SealedContainer), SgxError> {
+        let mut index_plain = Vec::new();
+        let (mut segments, aad) = ctx.lib.open_container(ctx.env, bytes, &mut index_plain)?;
         if aad != INDEX_AAD {
             return Err(SgxError::Decode);
         }
@@ -340,32 +274,25 @@ impl KvStore {
         let n = index.u32()? as usize;
         // One tag per segment.
         let tags_len = n * TAG_LEN;
-        if r.u32()? as usize != n || index.remaining() != tags_len {
+        if segments.segments() != n || index.remaining() != tags_len {
             return Err(SgxError::Decode);
         }
-        // Every plaintext byte arrived sealed inside `bytes`, so the
-        // container's length bounds the snapshot: one allocation.
-        let mut plain = Vec::with_capacity(bytes.len());
-        let mut segments = Vec::with_capacity(n);
+        // The snapshot is what the container holds less its framing,
+        // index and per-segment seal overhead: one allocation.
+        let overhead = container_len(
+            migratable_sealed_size(INDEX_AAD.len(), 4 + tags_len),
+            std::iter::repeat_n(migratable_sealed_size(SEGMENT_AAD_LEN, 0), n),
+        );
+        let mut plain = Vec::with_capacity(bytes.len().saturating_sub(overhead));
         for i in 0..n {
-            let expected = index.array::<TAG_LEN>()?;
-            let sealed = r.bytes()?;
-            let tag = sealed.last_chunk::<TAG_LEN>().ok_or(SgxError::Decode)?;
-            if !ct_eq(tag, &expected) {
-                // A segment spliced in from another container version.
-                return Err(SgxError::MacMismatch);
-            }
-            let aad = ctx
-                .lib
-                .unseal_migratable_data_into(ctx.env, sealed, &mut plain)?;
+            let tag = index.array::<TAG_LEN>()?;
+            let aad = segments.open_segment(ctx.lib, ctx.env, &tag, &mut plain)?;
             if aad != segment_aad(i as u32) {
                 return Err(SgxError::Decode);
             }
-            let end = bytes.len() - r.remaining();
-            segments.push((end - sealed.len()..end, expected));
         }
-        r.finish()?;
-        Ok((plain, segments))
+        let container = segments.finish(ctx.lib)?;
+        Ok((plain, container))
     }
 }
 
@@ -392,19 +319,15 @@ impl AppLogic for KvStore {
                 r.finish()?;
                 self.write(key, value);
                 // Version discipline: bump the counter, seal the new
-                // version into the snapshot (paper §II-A4).
+                // version into the store (paper §II-A4). Only the
+                // segments this PUT dirtied are resealed: the host
+                // rewrites their pages, and a repeat migration ships
+                // them as a delta.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
                 let (snapshot, dirty) = self.snapshot_bytes(version);
-                let blob = ctx
-                    .lib
-                    .seal_migratable_data(ctx.env, SNAPSHOT_AAD, &snapshot)?;
-                // Stage the segment-sealed container so a migration
-                // always carries the current store; only the segments
-                // this PUT dirtied are resealed, keeping the staged
-                // bytes delta-friendly across updates.
                 self.restage(ctx, &snapshot, &dirty)?;
-                let mut w = WireWriter::new();
-                w.u32(version).bytes(&blob);
+                let mut w = WireWriter::with_capacity(8);
+                w.u32(version).bytes(&[]);
                 Ok(w.finish())
             }
             ops::BULK_PUT => {
@@ -436,20 +359,7 @@ impl AppLogic for KvStore {
                 .cloned()
                 .ok_or_else(|| SgxError::Enclave("key not found".into())),
             ops::LOAD => {
-                // Two on-disk formats: the segment-sealed container
-                // (staged / migrated state) and the plain sealed
-                // snapshot a PUT returns.
-                let container = input.first() == Some(&CONTAINER_MAGIC);
-                let (plaintext, segments) = if container {
-                    let (plain, segments) = Self::open_container(ctx, input)?;
-                    (plain, Some(segments))
-                } else {
-                    let (plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, input)?;
-                    if aad != SNAPSHOT_AAD {
-                        return Err(SgxError::Decode);
-                    }
-                    (plain, None)
-                };
+                let (plaintext, container) = Self::open_container(ctx, input)?;
                 let (counter_id, version, entries) = Self::parse_snapshot(&plaintext)?;
                 let current = ctx.lib.read_migratable_counter(ctx.env, counter_id)?;
                 if version != current {
@@ -459,28 +369,17 @@ impl AppLogic for KvStore {
                 }
                 self.version_counter = Some(counter_id);
                 self.entries = entries;
-                // Keep the staged migration payload in sync with the
-                // restored store. Re-loading the container that just
-                // migrated in adopts it verbatim: the library already
-                // stages these bytes, so staging compares and copies
-                // nothing, the store keeps a clone of the library's
-                // buffer, and the next outgoing delta is computed
-                // against unchanged bytes.
+                // Keep the staged container in sync with the restored
+                // store. Re-loading the container that just migrated in
+                // adopts it verbatim: the library already stages these
+                // bytes, so staging copies nothing, the store keeps a
+                // clone of the library's buffer, and the next outgoing
+                // delta is computed against unchanged bytes. A container
+                // the library did not stage (read back from the host's
+                // pages after a restart) is staged whole.
                 self.dirty = Dirty::default();
-                match segments {
-                    Some(segments) => {
-                        ctx.lib.stage_bulk_state(ctx.env, input)?;
-                        self.staged = ctx.lib.bulk_state().map(|container| Staged {
-                            container: Arc::clone(container),
-                            segments,
-                        });
-                    }
-                    None => {
-                        // Nothing staged: every segment is sealed anew.
-                        self.staged = None;
-                        self.restage(ctx, &plaintext, &[])?;
-                    }
-                }
+                ctx.lib.stage_bulk_state(ctx.env, &container)?;
+                self.staged = Some(container);
                 Ok(vec![])
             }
             ops::VERSION => {
@@ -516,7 +415,8 @@ pub fn encode_put(key: &[u8], value: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a PUT response into `(version, sealed snapshot)`.
+/// Decodes a PUT response into `(version, bytes)`; the bytes are empty:
+/// the store travels as the staged container's pages, not in the reply.
 ///
 /// # Errors
 ///

@@ -31,9 +31,9 @@ fn bench_init(c: &mut Criterion) {
         // Fresh state blob with one active counter to restore from.
         let req = encode_init(&me_mr, &InitRequest::New);
         let out = setup.migratable.ecall(lib_ops::MIG_INIT, &req).unwrap();
-        let (_, _) = mig_core::harness::open_envelope(&out).unwrap();
+        mig_core::harness::open_envelope(&out).unwrap();
         let out = setup.migratable.ecall(ops::COUNTER_CREATE, &[]).unwrap();
-        let (_, blob) = mig_core::harness::open_envelope(&out).unwrap();
+        let blob = mig_core::harness::open_envelope(&out).unwrap().persist;
         let blob = blob.expect("persisted").to_vec();
         let req = encode_init(&me_mr, &InitRequest::Restore { blob });
         b.iter(|| setup.migratable.ecall(lib_ops::MIG_INIT, &req).unwrap())

@@ -115,7 +115,7 @@ fn fig4(n: usize) {
         .ecall(lib_ops::MIG_INIT, &init_req)
         .unwrap();
     let out = setup.migratable.ecall(ops::COUNTER_CREATE, &[]).unwrap();
-    let (_, persist) = mig_core::harness::open_envelope(&out).unwrap();
+    let persist = mig_core::harness::open_envelope(&out).unwrap().persist;
     let blob = persist.expect("create persists").to_vec();
     let init_restore = sample_n(n, || {
         let req = encode_init(&me_mr, &InitRequest::Restore { blob: blob.clone() });

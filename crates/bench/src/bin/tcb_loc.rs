@@ -4,14 +4,17 @@
 //! Migration Library at **940 LoC** (excluding the SGX trusted
 //! libraries). This tool counts the equivalent in-enclave trusted code of
 //! this reproduction the same way — non-blank, non-comment lines,
-//! excluding tests — and prints the comparison.
+//! excluding tests — and prints the comparison. The ME is every file of
+//! `me/` plus the transfer engine it runs (`transfer/{chunker,delta,mod}.rs`);
+//! the library is every file of `library/` plus its channel, attestation
+//! and message code.
 //!
 //! ```sh
 //! cargo run -p mig-bench --bin tcb_loc
 //! ```
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Counts non-blank, non-comment lines, stopping at `#[cfg(test)]`
 /// (everything after the test marker is test code in this workspace's
@@ -49,37 +52,62 @@ fn count_loc(path: &Path) -> usize {
     loc
 }
 
+/// The `.rs` files under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {dir:?}: {e}"));
+    for entry in entries {
+        let path = entry.unwrap_or_else(|e| panic!("read {dir:?}: {e}")).path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Prints each file's count under `title` and returns the total.
+fn section(title: &str, root: &Path, files: &[PathBuf], paper: usize) -> usize {
+    println!("{title}:");
+    let mut total = 0;
+    for file in files {
+        let loc = count_loc(file);
+        let name = file.strip_prefix(root).unwrap_or(file).display();
+        println!("  {name:<28} {loc:>5} LoC");
+        total += loc;
+    }
+    println!("  {:<28} {total:>5} LoC   (paper: {paper})\n", "total");
+    total
+}
+
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+    let root = root.canonicalize().unwrap_or(root);
 
-    let me_files = ["me.rs"];
-    let lib_files = [
-        "library/mod.rs",
-        "library/state.rs",
-        "secure_channel.rs",
-        "remote_attest.rs",
-        "msgs.rs",
-    ];
+    // The ME: its directory, and the transfer engine it runs (chunk
+    // streams and dirty-page deltas); the checkpoint store is host code.
+    let mut me_files = rust_files(&root.join("me"));
+    me_files.extend(
+        [
+            "transfer/chunker.rs",
+            "transfer/delta.rs",
+            "transfer/mod.rs",
+        ]
+        .map(|f| root.join(f)),
+    );
+    let mut lib_files = rust_files(&root.join("library"));
+    lib_files.extend(["secure_channel.rs", "remote_attest.rs", "msgs.rs"].map(|f| root.join(f)));
 
     println!("=== E4 — software TCB size (cf. paper §VII-A) ===\n");
-
-    let mut me_total = 0;
-    println!("Migration Enclave (trusted):");
-    for file in me_files {
-        let loc = count_loc(&root.join(file));
-        println!("  {file:<24} {loc:>5} LoC");
-        me_total += loc;
-    }
-    println!("  {:<24} {me_total:>5} LoC   (paper: 217)\n", "total");
-
-    let mut lib_total = 0;
-    println!("Migration Library (trusted, linked into each enclave):");
-    for file in lib_files {
-        let loc = count_loc(&root.join(file));
-        println!("  {file:<24} {loc:>5} LoC");
-        lib_total += loc;
-    }
-    println!("  {:<24} {lib_total:>5} LoC   (paper: 940)\n", "total");
+    section("Migration Enclave (trusted)", &root, &me_files, 217);
+    section(
+        "Migration Library (trusted, linked into each enclave)",
+        &root,
+        &lib_files,
+        940,
+    );
 
     println!("note: this reproduction in-lines the attestation/channel machinery the");
     println!("paper counts under 'SGX trusted libraries' (sgx_dh, RA key exchange),");

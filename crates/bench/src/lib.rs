@@ -113,6 +113,7 @@ impl sgx_sim::enclave::EnclaveCode for EnvelopedNative {
         w.u8(0); // lead byte
         w.bytes(&payload);
         w.u8(0); // no persist blob
+        w.u8(0); // no pages
         Ok(w.finish())
     }
 }
@@ -169,7 +170,7 @@ impl BenchSetup {
     /// Panics on enclave errors (bench fixture invariants).
     pub fn call_migratable(&self, opcode: u32, input: &[u8]) -> Vec<u8> {
         let out = self.migratable.ecall(opcode, input).expect("ecall");
-        open_envelope(&out).expect("envelope").0.to_vec()
+        open_envelope(&out).expect("envelope").payload.to_vec()
     }
 
     /// ECALL into the baseline enclave, unwrapping the envelope (the
@@ -180,7 +181,7 @@ impl BenchSetup {
     /// Panics on enclave errors (bench fixture invariants).
     pub fn call_baseline(&self, opcode: u32, input: &[u8]) -> Vec<u8> {
         let out = self.baseline.ecall(opcode, input).expect("ecall");
-        open_envelope(&out).expect("envelope").0.to_vec()
+        open_envelope(&out).expect("envelope").payload.to_vec()
     }
 
     /// Creates a counter on both enclaves, returning `(mig_id, base_idx)`.

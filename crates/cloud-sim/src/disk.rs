@@ -9,11 +9,13 @@
 //!
 //! Stored values are shared, not copied: a writer that files one blob
 //! under two keys (a host's state blob and its checkpoint) hands both
-//! the same [`DiskValue`], and a snapshot shares every value with the
-//! disk it was taken from.
+//! the same [`DiskValue`], a writer that files one buffer in pieces
+//! (a container page by page) hands each key a range of it, and a
+//! snapshot shares every value with the disk it was taken from.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Why a fallible disk write ([`UntrustedDisk::try_put`]) failed.
@@ -61,14 +63,89 @@ pub enum WriteFault {
 /// [`UntrustedDisk::set_fault_hook`] (fault injection).
 pub type FaultHook = Box<dyn FnMut(&str, &[u8]) -> WriteFault + Send>;
 
-/// A stored value: immutable once written, so keys and snapshots share
-/// it instead of each holding a copy.
-pub type DiskValue = Arc<Vec<u8>>;
+/// A stored value: a range of an immutable buffer, so keys and
+/// snapshots share it instead of each holding a copy, and one buffer
+/// can back the values of several keys.
+#[derive(Clone)]
+pub struct DiskValue {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl DiskValue {
+    /// The bytes `range` of `buf`, sharing the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within `buf` (caller bug).
+    #[must_use]
+    pub fn slice(buf: &Arc<Vec<u8>>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "disk value range out of bounds"
+        );
+        DiskValue {
+            buf: Arc::clone(buf),
+            range,
+        }
+    }
+
+    /// The value's first `len` bytes (all of them if it is shorter),
+    /// sharing the buffer.
+    #[must_use]
+    pub fn prefix(&self, len: usize) -> Self {
+        let end = self.range.start + len.min(self.len());
+        DiskValue {
+            buf: Arc::clone(&self.buf),
+            range: self.range.start..end,
+        }
+    }
+
+    /// The value as an owned buffer: the buffer itself when the value is
+    /// all of it and nothing else shares it, else a copy.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<u8> {
+        if self.range == (0..self.buf.len()) {
+            Arc::unwrap_or_clone(self.buf)
+        } else {
+            self.to_vec()
+        }
+    }
+}
+
+impl Deref for DiskValue {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl From<Arc<Vec<u8>>> for DiskValue {
+    fn from(buf: Arc<Vec<u8>>) -> Self {
+        let range = 0..buf.len();
+        DiskValue { buf, range }
+    }
+}
+
+impl From<Vec<u8>> for DiskValue {
+    fn from(buf: Vec<u8>) -> Self {
+        Arc::new(buf).into()
+    }
+}
+
+impl std::fmt::Debug for DiskValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiskValue")
+            .field("len", &self.len())
+            .finish_non_exhaustive()
+    }
+}
 
 /// A point-in-time copy of a disk's contents (an adversary capability).
 #[derive(Clone, Debug)]
 pub struct DiskSnapshot {
-    entries: HashMap<String, DiskValue>,
+    entries: BTreeMap<String, DiskValue>,
 }
 
 impl DiskSnapshot {
@@ -87,7 +164,7 @@ impl DiskSnapshot {
     /// Reads a single object out of the snapshot without restoring it.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&[u8]> {
-        self.entries.get(key).map(|value| value.as_slice())
+        self.entries.get(key).map(|value| &**value)
     }
 }
 
@@ -107,7 +184,9 @@ impl DiskSnapshot {
 /// ```
 #[derive(Clone, Default)]
 pub struct UntrustedDisk {
-    entries: Arc<Mutex<HashMap<String, DiskValue>>>,
+    /// Ordered, so a file deleted frees its slot (a container's pages
+    /// come and go by the thousand) and keys list in order.
+    entries: Arc<Mutex<BTreeMap<String, DiskValue>>>,
     /// Shared across clones: every handle on the machine's disk sees the
     /// same injected faults.
     fault_hook: Arc<Mutex<Option<FaultHook>>>,
@@ -153,15 +232,20 @@ impl UntrustedDisk {
         };
         match fault {
             WriteFault::None => {
-                self.entries.lock().insert(key.to_string(), value);
+                let mut entries = self.entries.lock();
+                match entries.get_mut(key) {
+                    Some(stored) => *stored = value,
+                    None => {
+                        entries.insert(key.to_string(), value);
+                    }
+                }
                 Ok(())
             }
             WriteFault::Fail => Err(DiskError::Failed),
             WriteFault::Torn { keep } => {
-                let keep = keep.min(value.len());
                 self.entries
                     .lock()
-                    .insert(key.to_string(), Arc::new(value[..keep].to_vec()));
+                    .insert(key.to_string(), value.prefix(keep));
                 Err(DiskError::Torn)
             }
         }
@@ -184,6 +268,12 @@ impl UntrustedDisk {
         self.entries.lock().get(key).map(|value| value.to_vec())
     }
 
+    /// The value under `key`, shared with the disk instead of copied.
+    #[must_use]
+    pub fn value(&self, key: &str) -> Option<DiskValue> {
+        self.entries.lock().get(key).cloned()
+    }
+
     /// Length in bytes of the value under `key`, without copying it
     /// (metadata-only lookup).
     #[must_use]
@@ -193,15 +283,13 @@ impl UntrustedDisk {
 
     /// Deletes the value under `key`, returning it if present.
     pub fn delete(&self, key: &str) -> Option<Vec<u8>> {
-        self.entries.lock().remove(key).map(Arc::unwrap_or_clone)
+        self.entries.lock().remove(key).map(DiskValue::into_vec)
     }
 
     /// Lists all keys (sorted, for determinism).
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.entries.lock().keys().cloned().collect();
-        keys.sort();
-        keys
+        self.entries.lock().keys().cloned().collect()
     }
 
     /// Adversary capability: copies the entire disk state.
@@ -270,17 +358,38 @@ mod tests {
     #[test]
     fn one_value_filed_under_two_keys_is_stored_once() {
         let disk = UntrustedDisk::new();
-        let value: DiskValue = Arc::new(b"blob".to_vec());
-        disk.try_put("state", Arc::clone(&value)).unwrap();
-        disk.try_put("ckpt/0", Arc::clone(&value)).unwrap();
+        let buf = Arc::new(b"blob".to_vec());
+        let value = DiskValue::from(Arc::clone(&buf));
+        disk.try_put("state", value.clone()).unwrap();
+        disk.try_put("ckpt/0", value).unwrap();
         // Both keys and the caller hold the one buffer.
-        assert_eq!(Arc::strong_count(&value), 3);
+        assert_eq!(Arc::strong_count(&buf), 3);
         let snap = disk.snapshot();
-        assert_eq!(Arc::strong_count(&value), 5);
+        assert_eq!(Arc::strong_count(&buf), 5);
         assert_eq!(disk.get("state").unwrap(), b"blob");
         assert_eq!(snap.get("ckpt/0").unwrap(), b"blob");
         assert_eq!(disk.delete("state").unwrap(), b"blob");
-        assert_eq!(Arc::strong_count(&value), 4);
+        assert_eq!(Arc::strong_count(&buf), 4);
+    }
+
+    #[test]
+    fn ranges_of_one_buffer_back_several_keys() {
+        let disk = UntrustedDisk::new();
+        let buf = Arc::new(b"page0page1tail".to_vec());
+        for (i, range) in [0..5, 5..10, 10..14].into_iter().enumerate() {
+            disk.try_put(&format!("p{i}"), DiskValue::slice(&buf, range))
+                .unwrap();
+        }
+        assert_eq!(Arc::strong_count(&buf), 4);
+        assert_eq!(disk.get("p1").unwrap(), b"page1");
+        assert_eq!(&*disk.value("p2").unwrap(), b"tail");
+        assert_eq!(disk.len("p0"), Some(5));
+        // A torn write keeps a prefix of its range, still shared.
+        disk.set_fault_hook(|_, _| WriteFault::Torn { keep: 2 });
+        let torn = disk.try_put("p1", DiskValue::slice(&buf, 5..10));
+        assert_eq!(torn, Err(DiskError::Torn));
+        assert_eq!(disk.get("p1").unwrap(), b"pa");
+        assert_eq!(Arc::strong_count(&buf), 4);
     }
 
     #[test]

@@ -477,8 +477,10 @@ impl Datacenter {
         Ok(finished.since(started))
     }
 
-    /// The bulk state currently staged in `instance`'s Migration Library
-    /// — on a freshly migrated destination, the transferred state blob.
+    /// The bulk state of `instance`: the container its Migration Library
+    /// stages (on a freshly migrated destination, the transferred state)
+    /// or, when the library stages none (after a restart), the container
+    /// its host stores, which the app's `LOAD` restages.
     ///
     /// # Errors
     ///
@@ -486,19 +488,23 @@ impl Datacenter {
     /// [`SgxError::Decode`].
     pub fn app_bulk_state(&mut self, instance: &str) -> Result<Option<Vec<u8>>, SgxError> {
         let host = self.app(instance);
-        let (mut out, payload) = host.lock().call_in_place(lib_ops::BULK_STATE, &[])?;
+        let mut host = host.lock();
+        let (mut out, payload) = host.call_in_place(lib_ops::BULK_STATE, &[])?;
         let mut r = sgx_sim::wire::WireReader::new(&out[payload.clone()]);
         let len = read_opt(&mut r)?.map(<[u8]>::len);
         r.finish()?;
         // The state follows the payload's option flag and `u32` length:
         // move it to the front of the ECALL's own buffer, once, instead
         // of copying it into a fresh one.
-        Ok(len.map(|len| {
-            let at = payload.start + 5;
-            out.truncate(at + len);
-            out.drain(..at);
-            out
-        }))
+        Ok(match len {
+            Some(len) => {
+                let at = payload.start + 5;
+                out.truncate(at + len);
+                out.drain(..at);
+                Some(out)
+            }
+            None => host.stored_container(),
+        })
     }
 
     /// The generation-numbered checkpoint series holding a machine's

@@ -10,29 +10,36 @@
 //!   [`AppCtx`] with both the library (for migratable sealing/counters)
 //!   and the raw [`EnclaveEnv`];
 //! * wraps **every** ECALL response in an envelope that carries the
-//!   freshly resealed Table II blob whenever the library state changed,
-//!   so the untrusted host can persist it (the paper's "handing the data
-//!   in a sealed data blob over to the untrusted part", §VI-B).
+//!   freshly resealed Table II blob whenever Table II changed, so the
+//!   untrusted host can persist it (the paper's "handing the data in a
+//!   sealed data blob over to the untrusted part", §VI-B), and the pages
+//!   of the staged container that changed, which the host stores as the
+//!   app's files.
 //!
-//! The envelope is one buffer of its final size: a lead byte, the
-//! payload behind its `u32` length, then the persist blob as an optional
-//! byte string, sealed where it lies ([`MigrationLibrary::write_persist`]).
-//! The payload sits in the shape of a network frame (`[tag][u32
-//! len][body]`, see [`crate::host`]) with the lead byte as its tag slot,
-//! so a host relays a payload it does not read (the sealed migration
-//! request) by writing the wire tag over that byte and cutting off the
-//! rest, without copying the payload. The request itself, and the bulk
-//! state `BULK_STATE` returns, are written straight into the envelope:
-//! each crosses the ECALL boundary in the one buffer it was written to.
+//! The envelope is one buffer of its final size,
+//! `[0][u32 len][payload][persist?][pages?]`: a lead byte, the payload
+//! behind its `u32` length, the persist blob as an optional byte string,
+//! sealed where it lies ([`MigrationLibrary::write_persist`]), and the
+//! optional pages section ([`MigrationLibrary::write_pages`]: the
+//! container's length, the changed page numbers, then their bytes back
+//! to back, MSK ciphertext as the container holds it). The payload sits
+//! in the shape of a network frame (`[tag][u32 len][body]`, see
+//! [`crate::host`]) with the lead byte as its tag slot, so a host relays
+//! a payload it does not read (the sealed migration request) by writing
+//! the wire tag over that byte and cutting off the rest, without copying
+//! the payload. The request itself, and the bulk state `BULK_STATE`
+//! returns, are written straight into the envelope: each crosses the
+//! ECALL boundary in the one buffer it was written to.
 
 use crate::error::MigError;
-use crate::library::{InitRequest, LibPhase, MigrationLibrary};
+use crate::library::{page_range, InitRequest, LibPhase, MigrationLibrary};
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::enclave::{EnclaveCode, EnclaveEnv};
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
+use std::ops::Range;
 
 /// Migration-control opcodes (all ≥ `0x1000`; application opcodes must
 /// stay below).
@@ -122,17 +129,17 @@ pub const ENVELOPE_HEAD: usize = 1 + 4;
 /// Starts the uniform ECALL response envelope for a `payload_len`-byte
 /// payload: one buffer of its final size, with the lead byte written.
 /// The caller writes the payload behind its `u32` length, then
-/// [`finish_envelope`] appends the persist blob.
+/// [`finish_envelope`] appends the persist blob and the pages.
 fn start_envelope(lib: Option<&MigrationLibrary>, payload_len: usize) -> WireWriter {
-    let persist_len = lib.map_or(1, MigrationLibrary::persist_len);
-    let mut w = WireWriter::with_capacity(ENVELOPE_HEAD + payload_len + persist_len);
+    let tail_len = lib.map_or(2, |lib| lib.persist_len() + lib.pages_len());
+    let mut w = WireWriter::with_capacity(ENVELOPE_HEAD + payload_len + tail_len);
     w.u8(0);
     w
 }
 
 /// Finishes an envelope [`start_envelope`] began: checks the payload's
 /// length and appends the library's persist blob, sealed in place when
-/// one is due.
+/// one is due, and the staged pages that are due.
 fn finish_envelope(
     env: &mut EnclaveEnv<'_>,
     mut w: WireWriter,
@@ -143,28 +150,116 @@ fn finish_envelope(
         return Err(MigError::Transfer("message length mismatch").into());
     }
     match lib {
-        Some(lib) => lib.write_persist(env, &mut w)?,
-        None => crate::me::write_opt(&mut w, None),
+        Some(lib) => {
+            lib.write_persist(env, &mut w)?;
+            lib.write_pages(&mut w)?;
+        }
+        None => {
+            crate::me::write_opt(&mut w, None);
+            w.u8(0);
+        }
     }
     Ok(w.finish())
 }
 
-/// Decodes the response envelope (host side), borrowing the payload and
-/// the persist blob from `bytes`. The payload starts at
-/// [`ENVELOPE_HEAD`].
+/// An opened ECALL response envelope (host side), borrowed from its
+/// bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Envelope<'a> {
+    /// The payload, at [`ENVELOPE_HEAD`].
+    pub payload: &'a [u8],
+    /// The sealed Table II blob, when Table II changed.
+    pub persist: Option<&'a [u8]>,
+    /// The staged container's changed pages, when any are due.
+    pub pages: Option<Pages<'a>>,
+}
+
+/// The pages section of an envelope: pages of the staged container, MSK
+/// ciphertext as it holds them.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Pages<'a> {
+    /// The staged container's length (0: nothing is staged).
+    pub container_len: u64,
+    /// The changed pages' numbers, ascending.
+    pub numbers: Vec<u32>,
+    /// Their bytes, back to back.
+    pub bytes: &'a [u8],
+}
+
+impl Pages<'_> {
+    /// Each changed page's number and its bytes' range in
+    /// [`Pages::bytes`].
+    pub fn ranges(&self) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+        let mut at = 0;
+        self.numbers.iter().map(move |&page| {
+            let len = page_range(self.container_len as usize, page).len();
+            at += len;
+            (page, at - len..at)
+        })
+    }
+
+    /// The number of pages the container has.
+    #[must_use]
+    pub fn page_count(&self) -> usize {
+        (self.container_len as usize).div_ceil(crate::transfer::delta::PAGE_SIZE as usize)
+    }
+
+    /// Whether the pages are the whole container (its bytes, in order).
+    #[must_use]
+    pub fn is_whole(&self) -> bool {
+        self.numbers.len() == self.page_count()
+    }
+}
+
+/// Decodes the response envelope (host side), borrowing the payload,
+/// the persist blob and the pages from `bytes`.
 ///
 /// # Errors
 ///
-/// [`SgxError::Decode`] on malformed input.
-pub fn open_envelope(bytes: &[u8]) -> Result<(&[u8], Option<&[u8]>), SgxError> {
+/// [`SgxError::Decode`] on malformed input, including page numbers that
+/// are not ascending within the container or page bytes of another
+/// length than those pages'.
+pub fn open_envelope(bytes: &[u8]) -> Result<Envelope<'_>, SgxError> {
     let mut r = WireReader::new(bytes);
     if r.u8()? != 0 {
         return Err(SgxError::Decode);
     }
     let payload = r.bytes()?;
     let persist = crate::me::read_opt(&mut r)?;
-    r.finish()?;
-    Ok((payload, persist))
+    let pages = match r.u8()? {
+        0 => None,
+        1 => {
+            let container_len = r.u64()?;
+            let count = r.u32()? as usize;
+            // Each number takes 4 bytes: bound the count by the input.
+            let mut numbers = Vec::with_capacity(count.min(r.remaining() / 4));
+            for _ in 0..count {
+                numbers.push(r.u32()?);
+            }
+            let mut pages = Pages {
+                container_len,
+                numbers,
+                bytes: &[],
+            };
+            let in_order = pages.numbers.windows(2).all(|w| w[0] < w[1]);
+            let in_range = pages
+                .numbers
+                .last()
+                .is_none_or(|&last| (last as usize) < pages.page_count());
+            let len = pages.ranges().last().map_or(0, |(_, range)| range.end);
+            if !in_order || !in_range || len != r.remaining() {
+                return Err(SgxError::Decode);
+            }
+            pages.bytes = &bytes[bytes.len() - len..];
+            Some(pages)
+        }
+        _ => return Err(SgxError::Decode),
+    };
+    Ok(Envelope {
+        payload,
+        persist,
+        pages,
+    })
 }
 
 /// Encodes a `MIG_INIT` request (host side).
@@ -324,7 +419,12 @@ mod tests {
         let (_machine, enclave) = echo_enclave();
         // Before MIG_INIT there is no library and so no persist.
         let out = enclave.ecall(ops::PHASE, &[]).unwrap();
-        assert_eq!(open_envelope(&out).unwrap(), (&[0u8][..], None));
+        let none = Envelope {
+            payload: &[0],
+            persist: None,
+            pages: None,
+        };
+        assert_eq!(open_envelope(&out).unwrap(), none);
 
         // A fresh library's blob is due: sealed inside the envelope.
         let out = enclave
@@ -334,23 +434,56 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.capacity(), out.len());
-        let (payload, persist) = open_envelope(&out).unwrap();
-        assert!(payload.is_empty());
-        let header = sgx_sim::seal::parse_sealed_header(persist.unwrap()).unwrap();
+        let envelope = open_envelope(&out).unwrap();
+        assert!(envelope.payload.is_empty());
+        assert!(envelope.pages.is_none(), "a new library stages nothing");
+        let header = sgx_sim::seal::parse_sealed_header(envelope.persist.unwrap()).unwrap();
         assert_eq!(header.aad, crate::library::STATE_AAD);
 
         // Nothing changed since: the next envelope carries no blob.
         let out = enclave.ecall(7, b"payload").unwrap();
         assert_eq!(out.capacity(), out.len());
         assert_eq!(out[..ENVELOPE_HEAD], [0, 7, 0, 0, 0]);
-        let (payload, persist) = open_envelope(&out).unwrap();
-        assert_eq!(payload, b"payload");
-        assert!(persist.is_none());
+        let envelope = open_envelope(&out).unwrap();
+        assert_eq!(envelope.payload, b"payload");
+        assert!(envelope.persist.is_none() && envelope.pages.is_none());
 
         // The lead byte is part of the format.
         let mut bad = out.clone();
         bad[0] = 1;
         assert!(open_envelope(&bad).is_err());
+
+        // A pages section: page 1 of a 5000-byte container (its last
+        // 904 bytes), then pages 0 and 1, the whole container.
+        let section = |numbers: &[u32], bytes: &[u8]| {
+            let mut w = WireWriter::new();
+            w.u8(0).bytes(b"p");
+            crate::me::write_opt(&mut w, None);
+            w.u8(1).u64(5000).u32(numbers.len() as u32);
+            for &page in numbers {
+                w.u32(page);
+            }
+            w.as_mut_vec().extend_from_slice(bytes);
+            w.finish()
+        };
+        let container: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        let out = section(&[1], &container[4096..]);
+        let pages = open_envelope(&out).unwrap().pages.unwrap();
+        assert!(!pages.is_whole());
+        assert_eq!(pages.ranges().collect::<Vec<_>>(), [(1, 0..904)]);
+        let out = section(&[0, 1], &container);
+        let pages = open_envelope(&out).unwrap().pages.unwrap();
+        assert!(pages.is_whole());
+        assert_eq!(pages.bytes, container);
+        // Numbers out of order or beyond the container, or bytes of
+        // another length, do not decode.
+        for (numbers, bytes) in [
+            (&[1, 0][..], &container[..]),
+            (&[2][..], &container[..904]),
+            (&[0][..], &container[..4095]),
+        ] {
+            assert!(open_envelope(&section(numbers, bytes)).is_err());
+        }
     }
 
     #[test]

@@ -18,16 +18,26 @@
 //! (`ME_FORWARD`) travel this way, so the state is never copied into a
 //! frame of its own. Small frames are copied, and so are the small parts
 //! of an output (acks, a second forward) before the output becomes a
-//! frame. The sealed blob an app ECALL hands over is filed, shared,
-//! under the state key and in the checkpoint series: in the ECALL's
-//! buffer when it is most of it, with the small payload copied out, and
-//! else as a copy.
+//! frame.
+//!
+//! **The app's files.** An app ECALL hands over two things to store
+//! (see [`crate::harness`]): the sealed Table II blob, when Table II
+//! changed, which is copied out and filed, shared, under the state key
+//! and in the checkpoint series; and the pages of the staged container
+//! that changed, MSK ciphertext, which are filed one key per page
+//! ([`AppHost::page_key`]). A whole container is filed in the ECALL's
+//! own buffer, every page key sharing it; a few pages are copied out one
+//! by one, so no page keeps a whole envelope alive. The pages land from
+//! the last to the first, so page 0, which holds the container's head
+//! with its sealed index, lands after the others, and the blob lands
+//! last.
 
 use crate::harness::{encode_init, open_envelope, ops as lib_ops, ENVELOPE_HEAD};
-use crate::library::InitRequest;
+use crate::library::{page_range, InitRequest};
 use crate::me::{ops as me_ops, read_opt, MeAction, RaResponseAuth, TelemetryReport};
 use crate::remote_attest::RaHello;
 use crate::transfer::checkpoint::CheckpointStore;
+use crate::transfer::delta::PAGE_SIZE;
 use cloud_sim::clock::{SimClock, SimTime};
 use cloud_sim::disk::{DiskValue, UntrustedDisk};
 use cloud_sim::network::{Endpoint, Network};
@@ -169,8 +179,36 @@ impl Relay {
     }
 }
 
-/// An app ECALL's output once [`AppHost::store_persist`] filed its
-/// persist blob: `buf` leads with the envelope's head and the `len`-byte
+/// The disk keys of one app's pages, `mig-pages:<name>:<page>` with the
+/// page number in 8 digits (every page of a container under the stream
+/// limit), built in one reused buffer: a whole container files thousands.
+struct PageKey {
+    key: String,
+    stem: usize,
+}
+
+impl PageKey {
+    fn new(name: &str) -> Self {
+        let key = format!("mig-pages:{name}:");
+        let stem = key.len();
+        PageKey { key, stem }
+    }
+
+    fn of(&mut self, page: u32) -> &str {
+        let mut digits = [b'0'; 8];
+        let mut rest = page;
+        for digit in digits.iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        self.key.truncate(self.stem);
+        self.key.extend(digits.map(char::from));
+        &self.key
+    }
+}
+
+/// An app ECALL's output once [`AppHost::store_persist`] filed what it
+/// handed over: `buf` leads with the envelope's head and the `len`-byte
 /// payload behind it.
 struct Reply {
     buf: Vec<u8>,
@@ -1081,6 +1119,10 @@ pub struct AppHost {
     /// state (periodic; see [`CHECKPOINT_INTERVAL`]).
     checkpoints: CheckpointStore,
     persists_since_checkpoint: usize,
+    /// Pages of the staged container on the disk, counted so that pages
+    /// are dropped and read back without listing the disk.
+    stored_pages: u32,
+    page_keys: PageKey,
     /// Non-fatal errors observed (visible to tests).
     pub errors: Vec<String>,
 }
@@ -1125,9 +1167,19 @@ impl AppHost {
             },
             checkpoints,
             persists_since_checkpoint: 0,
+            stored_pages: 0,
+            page_keys: PageKey::new(name),
             errors: Vec::new(),
         };
         host.me_endpoint = Endpoint::new(host.endpoint.machine, ME_SERVICE);
+        // Pages an earlier incarnation left: every page is full but the
+        // container's last, so they end at a short or missing page.
+        while let Some(len) = host.disk.len(host.page_keys.of(host.stored_pages)) {
+            host.stored_pages += 1;
+            if len < PAGE_SIZE as usize {
+                break;
+            }
+        }
         let request = encode_init(&expected_me, &init);
         let out = host.enclave.ecall(lib_ops::MIG_INIT, &request)?;
         host.store_persist(out)?;
@@ -1138,6 +1190,31 @@ impl AppHost {
     #[must_use]
     pub fn state_key(&self) -> String {
         format!("mig-state:{}", self.name)
+    }
+
+    /// The disk key of page `page` of this app's staged container.
+    #[must_use]
+    pub fn page_key(&self, page: u32) -> String {
+        PageKey::new(&self.name).of(page).to_string()
+    }
+
+    /// The staged container as this host stores it, its pages read back
+    /// in order into one buffer: `None` when it stores none. A torn or
+    /// missing page yields bytes the app's `LOAD` refuses.
+    #[must_use]
+    pub fn stored_container(&self) -> Option<Vec<u8>> {
+        let mut keys = PageKey::new(&self.name);
+        let pages: Vec<DiskValue> = (0..self.stored_pages)
+            .map_while(|page| self.disk.value(keys.of(page)))
+            .collect();
+        if pages.is_empty() {
+            return None;
+        }
+        let mut container = Vec::with_capacity(pages.iter().map(|page| page.len()).sum());
+        for page in &pages {
+            container.extend_from_slice(page);
+        }
+        Some(container)
     }
 
     /// Current status.
@@ -1164,41 +1241,88 @@ impl AppHost {
         &self.checkpoints
     }
 
-    /// Stores the persist blob an ECALL envelope carries and returns the
-    /// envelope's head and payload. A blob at least twice the payload's
-    /// size (the state after an incoming migration or a `BULK_PUT`)
-    /// keeps the ECALL's buffer and the payload is copied out: the blob
-    /// moves to the buffer's front, and the buffer is cut to the blob,
-    /// since the disk holds it long after the ECALL. Otherwise the blob
-    /// is copied out. Copying either of two parts of a size costs the
-    /// same, and an envelope whose payload is dropped whole frees its
-    /// allocation whole, for the next envelope to reuse; a blob kept in
-    /// half of it made glibc map fresh pages for every other `PUT` of a
-    /// 64 KiB kvstore. The state key and a checkpoint generation share
-    /// the blob.
-    fn store_persist(&mut self, mut out: Vec<u8>) -> Result<Reply, SgxError> {
-        let (payload, persist) = open_envelope(&out)?;
-        let len = payload.len();
-        let Some(blob) = persist else {
+    /// Stores what an ECALL envelope hands over (see the module docs):
+    /// the staged container's changed pages, then the Table II blob.
+    /// Returns the envelope's head and payload. A whole container that is
+    /// most of the envelope (after an incoming migration, a `BULK_PUT` or
+    /// a `LOAD` after a restart) keeps the ECALL's buffer, shared by
+    /// every page key, and the payload is copied out; otherwise each page
+    /// is copied out, and the envelope freed whole is reused by the next
+    /// one.
+    fn store_persist(&mut self, out: Vec<u8>) -> Result<Reply, SgxError> {
+        let envelope = open_envelope(&out)?;
+        let len = envelope.payload.len();
+        let blob = envelope.persist.map(<[u8]>::to_vec);
+        let Some(pages) = envelope.pages else {
+            if let Some(blob) = blob {
+                self.store_blob(blob)?;
+            }
             return Ok(Reply { buf: out, len });
         };
-        let (reply, blob) = if blob.len() / 2 >= len {
-            // The blob ends the envelope.
-            let at = out.len() - blob.len();
+        let count = u32::try_from(pages.page_count()).map_err(|_| SgxError::Decode)?;
+        let at = out.len() - pages.bytes.len();
+        let reply = if pages.is_whole() && pages.bytes.len() >= out.len() / 2 {
+            let container_len = pages.bytes.len();
             let head = out[..ENVELOPE_HEAD + len].to_vec();
-            out.drain(..at);
-            out.shrink_to_fit();
-            (Reply { buf: head, len }, out)
+            let buf = Arc::new(out);
+            self.store_pages(
+                count,
+                (0..count).map(|page| {
+                    let range = page_range(container_len, page);
+                    (
+                        page,
+                        DiskValue::slice(&buf, at + range.start..at + range.end),
+                    )
+                }),
+            )?;
+            Reply { buf: head, len }
         } else {
-            let blob = blob.to_vec();
-            (Reply { buf: out, len }, blob)
+            let pages: Vec<(u32, DiskValue)> = pages
+                .ranges()
+                .map(|(page, range)| (page, DiskValue::from(pages.bytes[range].to_vec())))
+                .collect();
+            self.store_pages(count, pages.into_iter())?;
+            Reply { buf: out, len }
         };
-        let blob: DiskValue = Arc::new(blob);
+        if let Some(blob) = blob {
+            self.store_blob(blob)?;
+        }
+        Ok(reply)
+    }
+
+    /// Files the container's changed pages, from the last to the first,
+    /// and drops the pages past its `count`.
+    fn store_pages(
+        &mut self,
+        count: u32,
+        pages: impl DoubleEndedIterator<Item = (u32, DiskValue)>,
+    ) -> Result<(), SgxError> {
+        // Until the pages are down, the disk may hold either count.
+        self.stored_pages = self.stored_pages.max(count);
+        for (page, value) in pages.rev() {
+            self.disk
+                .try_put(self.page_keys.of(page), value)
+                .map_err(|e| SgxError::Enclave(format!("page write: {e}")))?;
+        }
+        // Past the counted pages, a page an earlier incarnation left
+        // behind a torn one may remain: drop while any does.
+        let mut page = count;
+        while self.disk.delete(self.page_keys.of(page)).is_some() || page < self.stored_pages {
+            page += 1;
+        }
+        self.stored_pages = count;
+        Ok(())
+    }
+
+    /// Files the sealed Table II blob under the state key and, when one
+    /// is due, as a checkpoint generation, both sharing it.
+    fn store_blob(&mut self, blob: Vec<u8>) -> Result<(), SgxError> {
+        let blob = DiskValue::from(blob);
         // A failed or torn write surfaces to the caller: the enclave
         // has already advanced, but the host must not pretend the
         // state is durable when the platter rejected it.
         self.disk
-            .try_put(&self.state_key(), Arc::clone(&blob))
+            .try_put(&self.state_key(), blob.clone())
             .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
         // Periodic durable checkpoint generation (the "C" of CTR):
         // the latest-but-one generation survives even a crash
@@ -1214,7 +1338,7 @@ impl AppHost {
             // failed write is retried on the very next persist.
             self.persists_since_checkpoint = 0;
         }
-        Ok(reply)
+        Ok(())
     }
 
     /// Kicks off local attestation with the machine's ME.
@@ -1281,7 +1405,8 @@ impl AppHost {
         w.u64(destination.0);
         let out = self.enclave.ecall(lib_ops::MIG_START, &w.finish())?;
         // The frozen state blob must hit the disk before the request is
-        // relayed (crash consistency; §V-C ordering).
+        // relayed (crash consistency; §V-C ordering). The frozen library
+        // stages nothing, so its pages are dropped first.
         let reply = self.store_persist(out)?;
         // The request's ciphertext is the envelope's payload, which leads
         // the reply in a frame's shape: it leaves in the reply's buffer.
@@ -1392,8 +1517,9 @@ mod tests {
         let mut w = WireWriter::new();
         w.u8(0).bytes(ct);
         write_opt(&mut w, Some(b"frozen blob"));
+        w.u8(1).u64(0).u32(0);
         let envelope = w.finish();
-        let (payload, _) = open_envelope(&envelope).unwrap();
+        let payload = open_envelope(&envelope).unwrap().payload;
         let relay = Relay {
             at: 0,
             len: payload.len(),

@@ -19,17 +19,27 @@
 //! The library's own persistent data (Table II) is sealed with *native*
 //! machine-bound sealing and handed to the untrusted host for storage;
 //! the host returns it at every restart via `migration_init`. A change to
-//! Table II or to the staged bulk state only marks the blob due; the
-//! ECALL response then carries it ([`MigrationLibrary::write_persist`]),
-//! written once and sealed where it lies inside the buffer that leaves
-//! the enclave, so the state is never sealed into a blob of its own and
-//! copied beside the response.
+//! Table II (a counter created or destroyed, the freeze, an installed
+//! migration, a new library) marks the blob due; the ECALL response then
+//! carries it ([`MigrationLibrary::write_persist`]), sealed where it lies
+//! inside the buffer that leaves the enclave.
+//!
+//! The app's bulk state is a [`container::SealedContainer`]: MSK
+//! ciphertext already, which the host stores like any other file of the
+//! app (§V-C). Staging marks the container's changed pages due, and the
+//! ECALL response carries those pages as they are
+//! ([`MigrationLibrary::write_pages`]); a `PUT` that reseals two
+//! segments hands the host a few pages, not the store. A restored
+//! library stages nothing until the app loads its container again.
 
+pub mod container;
 pub mod state;
 
 use crate::error::MigError;
 use crate::msgs::{LibToMe, MeToLib};
 use crate::secure_channel::{ChannelRole, SecureChannel};
+use crate::transfer::delta::PAGE_SIZE;
+use container::SealedContainer;
 use mig_crypto::gcm::{AesGcm, TAG_LEN};
 use sgx_sim::cpu::KeyPolicy;
 use sgx_sim::dh::{DhInitiator, DhMsg1, DhMsg3};
@@ -61,6 +71,30 @@ pub const fn migratable_header_len(aad_len: usize) -> usize {
 #[must_use]
 pub const fn migratable_sealed_size(aad_len: usize, plain_len: usize) -> usize {
     migratable_header_len(aad_len) + plain_len + TAG_LEN
+}
+
+/// Bytes of the staged container per page the host stores.
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// Page `page`'s byte range in a staged container of `len` bytes: every
+/// page is [`PAGE_SIZE`] bytes but the last, which holds the rest.
+#[must_use]
+pub fn page_range(len: usize, page: u32) -> std::ops::Range<usize> {
+    let start = page as usize * PAGE;
+    start.min(len)..(start + PAGE).min(len)
+}
+
+/// The pages of the staged container the host does not hold yet.
+#[derive(Debug, Default)]
+enum DuePages {
+    /// The host holds every page.
+    #[default]
+    None,
+    /// These pages (ascending, distinct) changed.
+    Some(Vec<u32>),
+    /// The container is new to the host: every page, and its length
+    /// (0 when nothing is staged, so the host drops its pages).
+    All,
 }
 
 /// How the library should initialize (Listing 1's `init_state`; Fig. 1's
@@ -108,14 +142,20 @@ pub struct MigrationLibrary {
     msk_aead: Option<AesGcm>,
     phase: LibPhase,
     me_session: MeSession,
-    /// Whether Table II or the staged bulk state changed since the last
-    /// ECALL response carried the sealed blob.
+    /// Whether Table II changed since the last ECALL response carried
+    /// the sealed blob.
     persist_due: bool,
-    /// Staged bulk state (the app's migratable-sealed working set),
-    /// included in persistent checkpoints and shipped on migration via
-    /// the streaming transfer engine when large. `Arc`-backed so the
-    /// snapshot is shared, not copied, across the staging/persist paths.
+    /// Staged bulk state: the bytes of the app's [`SealedContainer`] (on
+    /// a migration target, the container that arrived with the
+    /// migration), shipped on migration and stored by the host page by
+    /// page. `Arc`-backed so the app and the library share one buffer.
     bulk_state: Option<Arc<[u8]>>,
+    /// The number of the staged container (see [`SealedContainer`]).
+    staged_id: Option<u64>,
+    /// The number the next container gets.
+    next_container: u64,
+    /// The staged pages the host does not hold yet.
+    pages_due: DuePages,
 }
 
 impl std::fmt::Debug for MigrationLibrary {
@@ -160,13 +200,11 @@ impl MigrationLibrary {
                 let mut msk = [0u8; 16];
                 env.random_bytes(&mut msk);
                 Ok(MigrationLibrary {
-                    expected_me,
                     state: Some(LibraryState::fresh(msk)),
                     msk_aead: Some(AesGcm::new(msk)),
                     phase: LibPhase::Operational,
-                    me_session: MeSession::None,
                     persist_due: true,
-                    bulk_state: None,
+                    ..Self::empty(expected_me)
                 })
             }
             InitRequest::Restore { blob } => {
@@ -174,16 +212,12 @@ impl MigrationLibrary {
                 if aad != STATE_AAD {
                     return Err(MigError::Sgx(SgxError::Decode));
                 }
-                // The checkpoint carries Table II plus any staged bulk
-                // state (see `persist`; a frozen blob carries none).
-                let mut r = WireReader::new(&plaintext);
-                let state = LibraryState::from_bytes(r.bytes()?)?;
-                let bulk_state = crate::me::read_opt(&mut r)?;
-                r.finish()?;
+                // The blob carries Table II only: the app restages its
+                // container from the host's pages.
+                let state = LibraryState::from_bytes(&plaintext)?;
                 if state.frozen != 0 {
                     return Err(MigError::Frozen);
                 }
-                let bulk_state = bulk_state.map(Arc::from);
                 // Fork detection (§VII-A): every active counter in the blob
                 // must still exist in the platform NVRAM. A blob captured
                 // before a migration references destroyed counters.
@@ -196,24 +230,29 @@ impl MigrationLibrary {
                     }
                 }
                 Ok(MigrationLibrary {
-                    expected_me,
                     msk_aead: Some(AesGcm::new(state.msk)),
                     state: Some(state),
                     phase: LibPhase::Operational,
-                    me_session: MeSession::None,
-                    persist_due: false,
-                    bulk_state,
+                    ..Self::empty(expected_me)
                 })
             }
-            InitRequest::Migrate => Ok(MigrationLibrary {
-                expected_me,
-                state: None,
-                msk_aead: None,
-                phase: LibPhase::AwaitingMigration,
-                me_session: MeSession::None,
-                persist_due: false,
-                bulk_state: None,
-            }),
+            InitRequest::Migrate => Ok(Self::empty(expected_me)),
+        }
+    }
+
+    /// A library awaiting a migration, with nothing staged or due.
+    fn empty(expected_me: MrEnclave) -> Self {
+        MigrationLibrary {
+            expected_me,
+            state: None,
+            msk_aead: None,
+            phase: LibPhase::AwaitingMigration,
+            me_session: MeSession::None,
+            persist_due: false,
+            bulk_state: None,
+            staged_id: None,
+            next_container: 0,
+            pages_due: DuePages::None,
         }
     }
 
@@ -241,53 +280,36 @@ impl MigrationLibrary {
         self.persist_due = true;
     }
 
-    /// What a due blob seals: Table II and the staged bulk state. A
-    /// frozen blob omits the bulk state: `init` refuses to restore it,
-    /// so nothing could read the state back, and the migration carries
-    /// it through the ME instead.
-    fn due_persist(&self) -> Option<(&LibraryState, Option<&[u8]>)> {
-        let state = self.state.as_ref().filter(|_| self.persist_due)?;
-        Some((
-            state,
-            self.bulk_state.as_deref().filter(|_| state.frozen == 0),
-        ))
-    }
-
-    /// Plaintext length of a blob sealing `bulk` beside Table II.
-    fn persist_plain_len(bulk: Option<&[u8]>) -> usize {
-        4 + LibraryState::WIRE_SIZE + crate::me::opt_len(bulk)
-    }
-
     /// Encoded length of what [`MigrationLibrary::write_persist`]
     /// writes now.
     #[must_use]
     pub fn persist_len(&self) -> usize {
-        self.due_persist().map_or(1, |(_, bulk)| {
-            1 + 4 + seal::sealed_size(STATE_AAD.len(), Self::persist_plain_len(bulk))
-        })
+        if self.persist_due && self.state.is_some() {
+            1 + 4 + seal::sealed_size(STATE_AAD.len(), LibraryState::WIRE_SIZE)
+        } else {
+            1
+        }
     }
 
     /// Writes the blob the host stores as an optional byte string:
-    /// `None` when nothing changed since the last ECALL response carried
-    /// one, else the sealed Table II plus staged bulk state. The
-    /// plaintext is written once, behind the blob's reserved header in
-    /// `w`'s buffer, and sealed where it lies, so the state is copied
-    /// once, into the buffer that leaves the enclave.
+    /// `None` when Table II did not change since the last ECALL response
+    /// carried one, else the sealed Table II, written behind the blob's
+    /// reserved header in `w`'s buffer and sealed where it lies.
     ///
     /// # Errors
     ///
     /// [`MigError::Transfer`] if the blob would not fit its `u32`
-    /// length (the staged state is capped far below that).
+    /// length.
     pub fn write_persist(
         &mut self,
         env: &mut EnclaveEnv<'_>,
         w: &mut WireWriter,
     ) -> Result<(), MigError> {
-        let Some((state, bulk)) = self.due_persist() else {
+        let Some(state) = self.state.as_ref().filter(|_| self.persist_due) else {
             crate::me::write_opt(w, None);
             return Ok(());
         };
-        let blob_len = seal::sealed_size(STATE_AAD.len(), Self::persist_plain_len(bulk));
+        let blob_len = seal::sealed_size(STATE_AAD.len(), LibraryState::WIRE_SIZE);
         w.u8(1);
         w.u32(
             u32::try_from(blob_len)
@@ -296,10 +318,64 @@ impl MigrationLibrary {
         let at = w.len();
         w.as_mut_vec()
             .resize(at + seal::sealed_header_len(STATE_AAD.len()), 0);
-        w.bytes(&state.to_bytes());
-        crate::me::write_opt(w, bulk);
+        w.as_mut_vec().extend_from_slice(&state.to_bytes());
         env.seal_data_in_place(KeyPolicy::MrEnclave, STATE_AAD, w.as_mut_vec(), at);
         self.persist_due = false;
+        Ok(())
+    }
+
+    /// Encoded length of what [`MigrationLibrary::write_pages`] writes
+    /// now.
+    #[must_use]
+    pub fn pages_len(&self) -> usize {
+        let len = self.bulk_state.as_ref().map_or(0, |state| state.len());
+        match &self.pages_due {
+            DuePages::None => 1,
+            DuePages::All => 1 + 8 + 4 + 4 * len.div_ceil(PAGE) + len,
+            DuePages::Some(pages) => {
+                1 + 8
+                    + 4
+                    + pages
+                        .iter()
+                        .map(|&page| 4 + page_range(len, page).len())
+                        .sum::<usize>()
+            }
+        }
+    }
+
+    /// Writes the staged pages the host does not hold yet, as they are:
+    /// a `0` flag when none is due, else `1`, the container's `u64`
+    /// length, the `u32` count of pages, their `u32` numbers (ascending)
+    /// and their bytes back to back. Every page is [`PAGE_SIZE`] bytes
+    /// but the container's last, which holds the rest. A container new
+    /// to the host (after a restage to a new length, an incoming
+    /// migration or a `LOAD` of a container the library did not stage)
+    /// goes whole; a frozen library, which stages nothing, writes a
+    /// length of 0, so the host drops its pages.
+    ///
+    /// # Errors
+    ///
+    /// [`MigError::Transfer`] if a count would not fit its `u32`.
+    pub fn write_pages(&mut self, w: &mut WireWriter) -> Result<(), MigError> {
+        let state = self.bulk_state.as_deref().unwrap_or_default();
+        let count =
+            |n: usize| u32::try_from(n).map_err(|_| MigError::Transfer("pages exceed wire limit"));
+        let pages = match std::mem::take(&mut self.pages_due) {
+            DuePages::None => {
+                w.u8(0);
+                return Ok(());
+            }
+            DuePages::All => (0..count(state.len().div_ceil(PAGE))?).collect(),
+            DuePages::Some(pages) => pages,
+        };
+        w.u8(1).u64(state.len() as u64).u32(count(pages.len())?);
+        for &page in &pages {
+            w.u32(page);
+        }
+        for &page in &pages {
+            let bytes = state.get(page_range(state.len(), page)).unwrap_or_default();
+            w.as_mut_vec().extend_from_slice(bytes);
+        }
         Ok(())
     }
 
@@ -307,50 +383,77 @@ impl MigrationLibrary {
     // Bulk state (the streaming-transfer payload)
     // ------------------------------------------------------------------
 
-    /// Stages the app's bulk state (its migratable-sealed working set)
-    /// for checkpointing and migration. Replaces any previous staging and
-    /// marks the persistent blob due, so the ECALL's response reseals it.
-    ///
-    /// An owned `Arc<[u8]>` is kept as it is, so an app can keep a clone
-    /// of the very buffer the library stages. Borrowed bytes are compared
-    /// with the staged state first and copied only when they differ:
-    /// re-staging the state that just migrated in copies nothing.
+    /// Stages the app's bulk state, a [`SealedContainer`], for migration
+    /// and for the host to store. Replaces any previous staging and marks
+    /// the pages the host lacks due: the ranges the container's writer
+    /// rewrote when it was written over the container staged now, else
+    /// the whole container. Restaging the staged container itself (a
+    /// `LOAD` of the container that just migrated in) changes nothing.
     ///
     /// # Errors
     ///
     /// Phase errors outside normal operation;
     /// [`MigError::Transfer`] for payloads beyond the streaming engine's
     /// [`crate::transfer::chunker::MAX_STREAM_LEN`].
-    pub fn stage_bulk_state<S>(
+    pub fn stage_bulk_state(
         &mut self,
         _env: &mut EnclaveEnv<'_>,
-        state: S,
-    ) -> Result<(), MigError>
-    where
-        S: AsRef<[u8]> + Into<Arc<[u8]>>,
-    {
+        container: &SealedContainer,
+    ) -> Result<(), MigError> {
         let _ = self.operational_state()?;
-        let bytes = state.as_ref();
+        let bytes = &container.bytes;
         if bytes.len() as u64 > crate::transfer::chunker::MAX_STREAM_LEN {
             return Err(MigError::Transfer("bulk state exceeds stream limit"));
         }
-        // Idempotent re-staging (e.g. restoring the very snapshot that
-        // just migrated in) skips the O(state) reseal.
-        if self.bulk_state.as_deref() == Some(bytes) {
+        if self.staged_id == Some(container.id) {
             return Ok(());
         }
-        self.bulk_state = if bytes.is_empty() {
-            None
-        } else {
-            Some(state.into())
-        };
-        self.persist();
+        let same_len = self.bulk_state.as_ref().map(|staged| staged.len()) == Some(bytes.len());
+        match (&container.rewritten, &mut self.pages_due) {
+            (_, DuePages::All) => {}
+            (Some((base, ranges)), due) if same_len && Some(*base) == self.staged_id => {
+                let mut pages = match std::mem::take(due) {
+                    DuePages::Some(pages) => pages,
+                    _ => Vec::new(),
+                };
+                for range in ranges.iter().filter(|range| !range.is_empty()) {
+                    let first = range.start / PAGE;
+                    let last = (range.end - 1) / PAGE;
+                    pages.extend((first..=last).filter_map(|page| u32::try_from(page).ok()));
+                }
+                pages.sort_unstable();
+                pages.dedup();
+                *due = DuePages::Some(pages);
+            }
+            (_, due) => *due = DuePages::All,
+        }
+        self.bulk_state = Some(Arc::clone(bytes));
+        self.staged_id = Some(container.id);
         Ok(())
+    }
+
+    /// The staged container, if the library stages exactly `bytes`.
+    fn staged_as(&self, bytes: &[u8]) -> Option<SealedContainer> {
+        let staged = self
+            .bulk_state
+            .as_ref()
+            .filter(|staged| ***staged == *bytes)?;
+        Some(SealedContainer {
+            bytes: Arc::clone(staged),
+            id: self.staged_id?,
+            rewritten: None,
+        })
+    }
+
+    /// Numbers a new container.
+    fn next_container_id(&mut self) -> u64 {
+        self.next_container += 1;
+        self.next_container
     }
 
     /// The currently staged bulk state, if any (on a migration target,
     /// the bulk state that arrived with the migration): the shared
-    /// buffer itself, so an app can keep a clone of it.
+    /// buffer itself.
     #[must_use]
     pub fn bulk_state(&self) -> Option<&Arc<[u8]>> {
         self.bulk_state.as_ref()
@@ -760,13 +863,17 @@ impl MigrationLibrary {
         // (4) Build and encrypt the Table I payload plus the staged bulk
         // state; above the ME's streaming threshold the bulk bytes will
         // be chunked over the remote channel rather than sent in one
-        // message.
+        // message. The frozen library stages nothing from here on, so
+        // the host drops its pages, as nothing could load them.
         let state = self.state.as_ref().ok_or(MigError::NotInitialized)?;
         let data = state.to_migration_data(&effective)?;
+        let bulk = self.bulk_state.take();
+        self.staged_id = None;
+        self.pages_due = DuePages::All;
         Ok(LibToMe::MigrateRequest {
             destination,
             data,
-            state: self.bulk_state.clone().unwrap_or_else(|| Arc::from([])),
+            state: bulk.unwrap_or_else(|| Arc::from([])),
         })
     }
 
@@ -846,8 +953,11 @@ impl MigrationLibrary {
                 self.phase = LibPhase::Operational;
                 // The migrated bulk state becomes this incarnation's
                 // staged state: the app retrieves it to restore its
-                // working set, and a further migration re-ships it.
+                // working set, the host stores it whole, and a further
+                // migration re-ships it.
                 self.bulk_state = if state.is_empty() { None } else { Some(state) };
+                self.staged_id = Some(self.next_container_id());
+                self.pages_due = DuePages::All;
                 self.persist();
                 let done = LibToMe::Done.to_bytes();
                 Ok(Some(self.channel()?.seal(&done)))

@@ -6,7 +6,8 @@
 use mig_core::harness::{
     encode_init, open_envelope, ops as lib_ops, AppCtx, AppLogic, MigratableEnclave,
 };
-use mig_core::library::{migratable_header_len, InitRequest};
+use mig_core::library::container::ContainerWriter;
+use mig_core::library::{migratable_header_len, migratable_sealed_size, InitRequest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgx_sim::enclave::EnclaveHandle;
@@ -29,7 +30,14 @@ mod ops {
     pub const STAGE: u32 = 8;
     pub const SEAL_IN_PLACE: u32 = 9;
     pub const UNSEAL_INTO: u32 = 10;
+    pub const LOAD: u32 = 11;
 }
+
+/// AADs of the container `STAGE` builds: its head lists the segments'
+/// tags, and each segment holds 4 KiB of the input.
+const HEAD_AAD: &[u8] = b"unit-head";
+const SEGMENT_AAD: &[u8] = b"unit-segment";
+const SEGMENT_LEN: usize = 4096;
 
 /// Bytes ahead of the blob `SEAL_IN_PLACE` seals, and of the plaintext
 /// `UNSEAL_INTO` opens: both must keep them as they are.
@@ -90,8 +98,37 @@ impl AppLogic for LibApp {
             }
             ops::ACTIVE => Ok((ctx.lib.active_counters() as u32).to_le_bytes().to_vec()),
             ops::STAGE => {
-                ctx.lib.stage_bulk_state(ctx.env, input)?;
+                let lens = input
+                    .chunks(SEGMENT_LEN)
+                    .map(|chunk| migratable_sealed_size(SEGMENT_AAD.len(), chunk.len()))
+                    .collect::<Vec<_>>();
+                let head_len = migratable_sealed_size(HEAD_AAD.len(), 16 * lens.len());
+                let mut w = ContainerWriter::new(None, head_len, lens)?;
+                let mut tags = Vec::new();
+                for chunk in input.chunks(SEGMENT_LEN) {
+                    tags.extend_from_slice(&w.seal_segment(
+                        ctx.lib,
+                        ctx.env,
+                        SEGMENT_AAD,
+                        chunk,
+                    )?);
+                }
+                let container = w.finish(ctx.lib, ctx.env, HEAD_AAD, &tags)?;
+                ctx.lib.stage_bulk_state(ctx.env, &container)?;
                 Ok(vec![])
+            }
+            ops::LOAD => {
+                let mut tags = Vec::new();
+                let (mut segments, aad) = ctx.lib.open_container(ctx.env, input, &mut tags)?;
+                assert_eq!(aad, HEAD_AAD);
+                let mut plain = Vec::new();
+                for tag in tags.chunks_exact(16) {
+                    let tag = tag.try_into().unwrap();
+                    segments.open_segment(ctx.lib, ctx.env, tag, &mut plain)?;
+                }
+                let container = segments.finish(ctx.lib)?;
+                ctx.lib.stage_bulk_state(ctx.env, &container)?;
+                Ok(plain)
             }
             _ => Err(SgxError::InvalidParameter("opcode")),
         }
@@ -120,13 +157,13 @@ fn fresh(machine: &SgxMachine) -> (EnclaveHandle, Vec<u8>) {
     let out = enclave
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
         .unwrap();
-    let (_, blob) = open_envelope(&out).unwrap();
+    let blob = open_envelope(&out).unwrap().persist;
     (enclave, blob.expect("init persists").to_vec())
 }
 
 fn call(enclave: &EnclaveHandle, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
     let out = enclave.ecall(opcode, input)?;
-    Ok(open_envelope(&out).unwrap().0.to_vec())
+    Ok(open_envelope(&out).unwrap().payload.to_vec())
 }
 
 #[test]
@@ -264,7 +301,7 @@ fn restore_round_trips_counters_and_msk() {
     let sealed = call(&e1, ops::SEAL, b"kept").unwrap();
     // The latest persist blob came from the CREATE call.
     let out = e1.ecall(ops::INC, &[id]).unwrap();
-    let (_, persist) = open_envelope(&out).unwrap();
+    let persist = open_envelope(&out).unwrap().persist;
     assert!(persist.is_none(), "increment does not reseal (paper §VI-B)");
 
     // Fetch the blob produced by CREATE by re-driving a fresh enclave.
@@ -279,7 +316,7 @@ fn restore_round_trips_counters_and_msk() {
     // Simulate restart of e1: we need its last persist blob. Re-create it
     // by calling CREATE on a new counter (which reseals) and using that.
     let out = e1.ecall(ops::CREATE, &[]).unwrap();
-    let (_, blob) = open_envelope(&out).unwrap();
+    let blob = open_envelope(&out).unwrap().persist;
     let blob = blob.unwrap().to_vec();
 
     e1.destroy();
@@ -301,6 +338,10 @@ fn restore_round_trips_counters_and_msk() {
     assert_eq!(call(&e2, ops::UNSEAL, &sealed).unwrap(), b"kept");
 }
 
+/// The envelope carries Table II, sealed where it lies, when Table II
+/// changes, and the staged container's pages when they change: a
+/// restored library gets its table from the blob and its bulk state by
+/// loading the container the host reassembles from those pages.
 #[test]
 fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
     let m = machine();
@@ -308,13 +349,31 @@ fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
     let a = call(&e1, ops::CREATE, &[]).unwrap()[0];
     let b = call(&e1, ops::CREATE, &[]).unwrap()[0];
     call(&e1, ops::INC, &[b]).unwrap();
-    call(&e1, ops::DESTROY, &[a]).unwrap();
+    let out = e1.ecall(ops::DESTROY, &[a]).unwrap();
+    let blob = open_envelope(&out).unwrap().persist;
+    let blob = blob.expect("a destroyed counter reseals").to_vec();
     let bulk: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8).collect();
     let out = e1.ecall(ops::STAGE, &bulk).unwrap();
-    // The envelope is sized exactly, its blob sealed where it lies.
+    // The envelope is sized exactly. Staging leaves Table II alone and
+    // hands over the new container whole, as MSK ciphertext.
     assert_eq!(out.capacity(), out.len());
-    let (_, blob) = open_envelope(&out).unwrap();
-    let blob = blob.expect("staging reseals").to_vec();
+    let envelope = open_envelope(&out).unwrap();
+    assert!(
+        envelope.persist.is_none(),
+        "staging is not a Table II change"
+    );
+    let pages = envelope.pages.expect("a new container's pages are due");
+    assert!(pages.is_whole());
+    assert_eq!(pages.numbers, (0..18).collect::<Vec<u32>>());
+    let container = pages.bytes.to_vec();
+    assert!(container.len() > bulk.len());
+    assert!(
+        !container.windows(64).any(|w| w == &bulk[..64]),
+        "no plaintext"
+    );
+    // The library stages that very container.
+    let staged = call(&e1, lib_ops::BULK_STATE, &[]).unwrap();
+    assert_eq!(staged[5..], container);
 
     e1.destroy();
     let e2 = m
@@ -329,12 +388,16 @@ fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
     assert_eq!(call(&e2, ops::ACTIVE, &[]).unwrap(), 1u32.to_le_bytes());
     assert_eq!(call(&e2, ops::READ, &[b]).unwrap(), 1u32.to_le_bytes());
     assert!(call(&e2, ops::READ, &[a]).is_err());
-    // ... and the same bulk state.
-    let staged = call(&e2, lib_ops::BULK_STATE, &[]).unwrap();
-    let mut expected = vec![1];
-    expected.extend_from_slice(&(bulk.len() as u32).to_le_bytes());
-    expected.extend_from_slice(&bulk);
-    assert_eq!(staged, expected);
+    // ... and no staged state until the app loads the host's copy.
+    assert_eq!(call(&e2, lib_ops::BULK_STATE, &[]).unwrap(), [0]);
+    let out = e2.ecall(ops::LOAD, &container).unwrap();
+    let envelope = open_envelope(&out).unwrap();
+    assert_eq!(envelope.payload, bulk);
+    // A container the library did not stage goes to the host whole.
+    assert_eq!(envelope.pages.unwrap().bytes, container);
+    let mut torn = container.clone();
+    torn.truncate(container.len() - 1);
+    assert!(call(&e2, ops::LOAD, &torn).is_err());
 }
 
 #[test]
@@ -352,7 +415,7 @@ fn restore_rejects_blob_from_other_enclave() {
     let out = other
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
         .unwrap();
-    let (_, blob) = open_envelope(&out).unwrap();
+    let blob = open_envelope(&out).unwrap().persist;
     let foreign_blob = blob.unwrap().to_vec();
 
     // Same machine, different MRENCLAVE: native sealing rejects it.
@@ -413,7 +476,7 @@ fn await_migration_phase_refuses_operations() {
     }
     // Phase is observable.
     let out = enclave.ecall(lib_ops::PHASE, &[]).unwrap();
-    let (payload, _) = open_envelope(&out).unwrap();
+    let payload = open_envelope(&out).unwrap().payload;
     assert_eq!(payload, vec![2], "AwaitingMigration");
 }
 
@@ -485,7 +548,7 @@ fn effective_value_spans_restart_lineage() {
     }
     // Persist via a second counter creation (reseal trigger).
     let out = e1.ecall(ops::CREATE, &[]).unwrap();
-    let (_, blob) = open_envelope(&out).unwrap();
+    let blob = open_envelope(&out).unwrap().persist;
     let blob = blob.unwrap().to_vec();
     e1.destroy();
 

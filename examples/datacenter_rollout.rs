@@ -47,21 +47,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    let mut snapshots = Vec::new();
     for (tenant, image) in tenants.iter().zip(&images) {
         dc.deploy_app(tenant, m1, image, KvStore::new(), InitRequest::New)?;
         dc.call_app(tenant, kvstore::ops::INIT, &[])?;
-        let mut last_snapshot = Vec::new();
         for i in 0..3u32 {
-            let resp = dc.call_app(
+            // The untrusted host stores the store's changed pages.
+            dc.call_app(
                 tenant,
                 kvstore::ops::PUT,
                 &kvstore::encode_put(format!("key-{i}").as_bytes(), tenant.as_bytes()),
             )?;
-            let (_version, blob) = kvstore::decode_put_response(&resp)?;
-            last_snapshot = blob; // the untrusted host stores this
         }
-        snapshots.push(last_snapshot);
     }
     println!(
         "deployed {} tenants on {m1}, each with versioned sealed state",
@@ -109,12 +105,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * enclave_total.as_secs_f64() / vm_total.as_secs_f64()
     );
 
-    // Verify every tenant's state arrived intact: the hosts replay the
-    // latest sealed snapshot into the migrated enclaves (the version
-    // check against the migrated counter guarantees freshness).
-    for ((tenant, snapshot), target) in tenants.iter().zip(&snapshots).zip(targets) {
+    // Verify every tenant's state arrived intact: each migrated enclave
+    // loads the container that migrated with it (the version check
+    // against the migrated counter guarantees freshness).
+    for (tenant, target) in tenants.iter().zip(targets) {
         let dst_instance = format!("{tenant}@{target}");
-        dc.call_app(&dst_instance, kvstore::ops::LOAD, snapshot)?;
+        let container = dc
+            .app_bulk_state(&dst_instance)?
+            .ok_or("no migrated container")?;
+        dc.call_app(&dst_instance, kvstore::ops::LOAD, &container)?;
         let len = dc.call_app(&dst_instance, kvstore::ops::LEN, &[])?;
         assert_eq!(u32::from_le_bytes(len[..4].try_into()?), 3);
         let v = dc.call_app(&dst_instance, kvstore::ops::GET, b"key-1")?;

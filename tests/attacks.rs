@@ -1283,3 +1283,103 @@ fn kvstore_segment_index_refuses_stale_swapped_and_flipped_segments() {
         "{err:?}"
     );
 }
+
+/// After a restart the host serves the kvstore's container from the
+/// pages on its disk, and may serve any pages it likes: one page from an
+/// earlier `PUT`, two pages swapped, or page 0 (the framing and the
+/// sealed index) of one generation with the segment pages of another
+/// are refused by the segments' tags, and a whole earlier page set is
+/// the rollback the version counter catches. The genuine pages load.
+#[test]
+fn kvstore_page_store_refuses_stale_swapped_mixed_and_rolled_back_pages() {
+    use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
+
+    let mut dc = Datacenter::new(24);
+    let policy = MigrationPolicy::same_operator_only();
+    let m1 = dc.add_machine(MachineLabels::default(), &policy);
+    let image = EnclaveImage::build(
+        "page-store-kv",
+        1,
+        b"kv",
+        &EnclaveSigner::from_seed([24; 32]),
+    );
+    dc.deploy_app("kv", m1, &image, KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("kv", kv_ops::INIT, &[]).unwrap();
+    // 16 entries of 4 KiB: a 67,405-byte container in 17 pages.
+    dc.call_app(
+        "kv",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(16, 4096, 0x11),
+    )
+    .unwrap();
+    let disk = dc.world().machine(m1).disk.clone();
+    let page = |p: u32| dc.app("kv").lock().page_key(p);
+    let (page0, page2, page3, page6) = (page(0), page(2), page(3), page(6));
+    // Entry 5's value spans segments 5 and 6, on pages 5 to 7; segment
+    // 0, whose header holds the version, shares pages 0 and 1 with the
+    // index.
+    let key = b"bulk-00000005";
+    let put = |dc: &mut Datacenter, fill: u8| {
+        dc.call_app("kv", kv_ops::PUT, &kvstore::encode_put(key, &[fill; 4096]))
+            .unwrap();
+    };
+    put(&mut dc, 0xA1);
+    let earlier = disk.snapshot();
+    put(&mut dc, 0xB2);
+    let latest = disk.snapshot();
+    assert_ne!(earlier.get(&page6), latest.get(&page6));
+    assert_eq!(earlier.get(&page2), latest.get(&page2));
+
+    let restart_and_load = |dc: &mut Datacenter| {
+        dc.restart_app("kv", m1, &image, KvStore::new()).unwrap();
+        let stored = dc.app_bulk_state("kv").unwrap().expect("stored pages");
+        dc.call_app("kv", kv_ops::LOAD, &stored)
+    };
+    let page_of = |snapshot: &cloud_sim::disk::DiskSnapshot, key: &String| {
+        (key.clone(), snapshot.get(key).unwrap().to_vec())
+    };
+    let forgeries = [
+        (
+            "page 6 from the earlier PUT",
+            vec![page_of(&earlier, &page6)],
+        ),
+        (
+            "pages 2 and 3 swapped",
+            vec![
+                (page2.clone(), latest.get(&page3).unwrap().to_vec()),
+                (page3.clone(), latest.get(&page2).unwrap().to_vec()),
+            ],
+        ),
+        (
+            "the earlier index page with the latest segments",
+            vec![page_of(&earlier, &page0)],
+        ),
+    ];
+    for (what, pages) in forgeries {
+        disk.restore(&latest);
+        for (key, bytes) in pages {
+            disk.put(&key, bytes);
+        }
+        let err = restart_and_load(&mut dc).unwrap_err();
+        assert_eq!(err, SgxError::MacMismatch, "{what}");
+    }
+
+    // The whole earlier page set (and the same Table II blob) is a
+    // rollback.
+    disk.restore(&earlier);
+    let err = restart_and_load(&mut dc).unwrap_err();
+    assert!(
+        matches!(&err, SgxError::Enclave(msg) if msg.contains("rollback detected")),
+        "{err:?}"
+    );
+
+    // The genuine pages load, with the latest value.
+    disk.restore(&latest);
+    restart_and_load(&mut dc).unwrap();
+    assert_eq!(dc.call_app("kv", kv_ops::GET, key).unwrap(), [0xB2; 4096]);
+    assert_eq!(
+        dc.call_app("kv", kv_ops::LEN, &[]).unwrap(),
+        16u32.to_le_bytes()
+    );
+}

@@ -15,9 +15,11 @@ use mig_core::harness::{AppCtx, AppLogic};
 use mig_core::host::AppStatus;
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
+use parking_lot::Mutex;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
+use std::sync::Arc;
 
 /// A minimal counter+seal app used across these tests.
 struct CounterApp;
@@ -516,7 +518,7 @@ fn library_phase_is_observable() {
     let host = dc.app("app");
     let enclave = host.lock().enclave().clone();
     let out = enclave.ecall(mig_core::harness::ops::PHASE, &[]).unwrap();
-    let (payload, _) = mig_core::harness::open_envelope(&out).unwrap();
+    let payload = mig_core::harness::open_envelope(&out).unwrap().payload;
     assert_eq!(payload, vec![1], "operational");
 }
 
@@ -533,7 +535,6 @@ fn kvstore_full_workflow_across_migration() {
     .unwrap();
     dc.call_app("kv-src", kvstore::ops::INIT, &[]).unwrap();
 
-    let mut last_blob = Vec::new();
     for i in 0..5u32 {
         let resp = dc
             .call_app(
@@ -542,9 +543,9 @@ fn kvstore_full_workflow_across_migration() {
                 &kvstore::encode_put(format!("key-{i}").as_bytes(), &i.to_le_bytes()),
             )
             .unwrap();
-        let (version, blob) = kvstore::decode_put_response(&resp).unwrap();
+        let (version, bytes) = kvstore::decode_put_response(&resp).unwrap();
         assert_eq!(version, i + 1);
-        last_blob = blob;
+        assert!(bytes.is_empty(), "a PUT returns no copy of the store");
     }
 
     dc.deploy_app(
@@ -557,8 +558,10 @@ fn kvstore_full_workflow_across_migration() {
     .unwrap();
     dc.migrate_app("kv-src", "kv-dst").unwrap();
 
-    // Load the latest snapshot on the destination: version check passes.
-    dc.call_app("kv-dst", kvstore::ops::LOAD, &last_blob)
+    // Load the migrated container on the destination: the version check
+    // passes.
+    let container = dc.app_bulk_state("kv-dst").unwrap().expect("migrated");
+    dc.call_app("kv-dst", kvstore::ops::LOAD, &container)
         .unwrap();
     assert_eq!(
         dc.call_app("kv-dst", kvstore::ops::GET, b"key-3").unwrap(),
@@ -568,6 +571,49 @@ fn kvstore_full_workflow_across_migration() {
         read_u32(&dc.call_app("kv-dst", kvstore::ops::LEN, &[]).unwrap()),
         5
     );
+}
+
+/// A same-length 4 KiB `PUT` into a 16 × 4 KiB store persists in
+/// proportion to its change: the host writes the pages of the index and
+/// of the segments the value spans, no Table II blob, and the ECALL
+/// envelope holds those pages, not the store.
+#[test]
+fn kvstore_put_persists_in_proportion_to_its_change() {
+    let (mut dc, m1, _m2) = two_machine_dc(15);
+    dc.deploy_app("kv", m1, &kvstore_image(), KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("kv", kvstore::ops::INIT, &[]).unwrap();
+    dc.call_app(
+        "kv",
+        kvstore::ops::BULK_PUT,
+        &kvstore::encode_bulk_put(16, 4096, 0x21),
+    )
+    .unwrap();
+    let writes: Arc<Mutex<Vec<(String, usize)>>> = Arc::default();
+    let log = Arc::clone(&writes);
+    dc.world()
+        .machine(m1)
+        .disk
+        .set_fault_hook(move |key: &str, value: &[u8]| {
+            log.lock().push((key.to_string(), value.len()));
+            cloud_sim::disk::WriteFault::None
+        });
+    let put = kvstore::encode_put(b"bulk-00000007", &[0x5A; 4096]);
+    dc.call_app("kv", kvstore::ops::PUT, &put).unwrap();
+    let state_key = dc.app("kv").lock().state_key();
+    let writes = std::mem::take(&mut *writes.lock());
+    let disk_bytes: usize = writes.iter().map(|(_, len)| len).sum();
+    let blobs = writes
+        .iter()
+        .filter(|(key, _)| key.starts_with(&state_key))
+        .count();
+    // The envelope of a second such PUT, as the enclave hands it over.
+    let enclave = dc.app("kv").lock().enclave().clone();
+    let put = kvstore::encode_put(b"bulk-00000009", &[0xA5; 4096]);
+    let envelope = enclave.ecall(kvstore::ops::PUT, &put).unwrap().len();
+    assert!(disk_bytes <= 6 * 4096, "a PUT wrote {disk_bytes} B to disk");
+    assert_eq!(blobs, 0, "a PUT writes no Table II blob");
+    assert!(envelope < 32 * 1024, "a PUT's envelope is {envelope} B");
 }
 
 #[test]

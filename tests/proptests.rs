@@ -13,10 +13,12 @@ use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
 use mig_core::transfer::chunker::{chunk_count, ChunkAssembler, ChunkStream};
 use mig_core::transfer::delta::{self, DeltaManifest, DigestedState};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use sgx_sim::counters::CounterUuid;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use sgx_sim::SgxError;
+use std::sync::Arc;
 
 struct PropApp;
 
@@ -576,25 +578,51 @@ impl KvModel {
     }
 }
 
-/// The sealed segments of a staged kvstore container, in order.
-fn staged_segments(container: &[u8]) -> Vec<Vec<u8>> {
+/// A sealed segment of a staged container and the range it takes there,
+/// its length included.
+type Segment = (Vec<u8>, std::ops::Range<usize>);
+
+/// The sealed segments of a staged kvstore container, in order, and the
+/// range each takes, its length included; then where the head (the
+/// framing and the sealed index) ends.
+fn staged_segments(container: &[u8]) -> (Vec<Segment>, usize) {
     let mut r = sgx_sim::wire::WireReader::new(container);
+    let at = |r: &sgx_sim::wire::WireReader<'_>| container.len() - r.remaining();
     assert_eq!(r.u8().unwrap(), 2, "a segment container");
     let _index = r.bytes().unwrap();
     let n = r.u32().unwrap();
-    let segments = (0..n).map(|_| r.bytes_vec().unwrap()).collect();
+    let head = at(&r);
+    let segments = (0..n)
+        .map(|_| {
+            let start = at(&r);
+            let sealed = r.bytes_vec().unwrap();
+            (sealed, start..at(&r))
+        })
+        .collect();
     r.finish().unwrap();
-    segments
+    (segments, head)
+}
+
+/// The 4 KiB pages `ranges` touch.
+fn pages_of<'a>(
+    ranges: impl IntoIterator<Item = &'a std::ops::Range<usize>>,
+) -> std::collections::BTreeSet<usize> {
+    ranges
+        .into_iter()
+        .flat_map(|range| range.start / 4096..=(range.end - 1) / 4096)
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random PUTs (same length, new length, new key), partial
-    /// `BULK_PUT`s and LOADs (staged container, sealed snapshot): after
-    /// every step the staged container opens to exactly the current
-    /// store, and a same-length PUT reseals only segment 0 (the header)
-    /// and the segments its value spans.
+    /// `BULK_PUT`s, LOADs of the staged container and restarts that LOAD
+    /// the container the host reassembles from its pages: after every
+    /// step the staged container opens to exactly the current store, and
+    /// a same-length PUT reseals only segment 0 (the header) and the
+    /// segments its value spans, and hands the host only their pages and
+    /// the index's.
     #[test]
     fn kvstore_staging_tracks_every_write(
         seed in 0u64..10_000,
@@ -606,6 +634,15 @@ proptest! {
 
         let mut dc = Datacenter::new(seed);
         let m = dc.add_machine(MachineLabels::default(), &MigrationPolicy::same_operator_only());
+        // The pages each step hands the host.
+        let written: Arc<Mutex<std::collections::BTreeSet<usize>>> = Arc::default();
+        let log = Arc::clone(&written);
+        dc.world().machine(m).disk.set_fault_hook(move |key: &str, _: &[u8]| {
+            if let Some(page) = key.strip_prefix("mig-pages:kv:") {
+                log.lock().insert(page.parse().unwrap());
+            }
+            cloud_sim::disk::WriteFault::None
+        });
         let image = EnclaveImage::build("prop-kv", 1, b"kv", &EnclaveSigner::from_seed([32; 32]));
         dc.deploy_app("kv", m, &image, KvStore::new(), InitRequest::New).unwrap();
         dc.call_app("kv", kv::INIT, &[]).unwrap();
@@ -616,11 +653,9 @@ proptest! {
             model.entries.insert(KvModel::bulk_key(i), KvModel::bulk_value(i, BULK_LEN, 0));
         }
         let mut staged = dc.app_bulk_state("kv").unwrap().unwrap();
-        // The sealed snapshot of the last PUT, while no later write
-        // outdated its version.
-        let mut snapshot: Option<Vec<u8>> = None;
 
         for step in steps {
+            written.lock().clear();
             let pick = (step >> 8) as usize % model.entries.len();
             let key = model.entries.keys().nth(pick).unwrap().clone();
             let fill = (step >> 40) as u8;
@@ -646,7 +681,7 @@ proptest! {
                         _ => (format!("key-{step:016x}").into_bytes(), vec![fill; len]),
                     };
                     let reply = dc.call_app("kv", kv::PUT, &kvstore::encode_put(&key, &value)).unwrap();
-                    snapshot = Some(kvstore::decode_put_response(&reply).unwrap().1);
+                    prop_assert!(kvstore::decode_put_response(&reply).unwrap().1.is_empty());
                     model.entries.insert(key, value);
                 }
                 3 => {
@@ -660,7 +695,6 @@ proptest! {
                         &kvstore::encode_bulk_put(count, value_len as u32, fill),
                     )
                     .unwrap();
-                    snapshot = None;
                     for i in 0..count {
                         model.entries.insert(KvModel::bulk_key(i), KvModel::bulk_value(i, value_len, fill));
                     }
@@ -669,18 +703,25 @@ proptest! {
                     dc.call_app("kv", kv::LOAD, &staged).unwrap();
                 }
                 _ => {
-                    if let Some(blob) = &snapshot {
-                        dc.call_app("kv", kv::LOAD, blob).unwrap();
-                    }
+                    // A restart: the library comes back from its blob
+                    // and the store from the host's pages.
+                    dc.restart_app("kv", m, &image, KvStore::new()).unwrap();
+                    let stored = dc.app_bulk_state("kv").unwrap().unwrap();
+                    prop_assert_eq!(&stored, &staged);
+                    dc.call_app("kv", kv::LOAD, &stored).unwrap();
                 }
             }
 
             let next = dc.app_bulk_state("kv").unwrap().unwrap();
             if let Some(allowed) = resealed_at_most {
-                let (before, after) = (staged_segments(&staged), staged_segments(&next));
+                let ((before, _), (after, head)) = (staged_segments(&staged), staged_segments(&next));
                 prop_assert_eq!(before.len(), after.len());
                 let resealed: std::collections::BTreeSet<usize> =
-                    (0..after.len()).filter(|&i| before[i] != after[i]).collect();
+                    (0..after.len()).filter(|&i| before[i].0 != after[i].0).collect();
+                let rewritten = std::iter::once(0..head)
+                    .chain(resealed.iter().map(|&i| after[i].1.clone()))
+                    .collect::<Vec<_>>();
+                prop_assert_eq!(&*written.lock(), &pages_of(&rewritten));
                 prop_assert_eq!(resealed, allowed);
             }
             staged = next;

@@ -304,15 +304,23 @@ fn destination_crash_mid_stream_resumes_from_persisted_partial() {
     verify_destination(&mut dc);
 }
 
+/// Table II changes (here: each kvstore `INIT` creates a counter) write
+/// checkpoint generations; a restart from one loads the store from the
+/// host's pages.
 #[test]
 fn app_host_writes_periodic_durable_checkpoints() {
     let (mut dc, m1, _m2) = dc_with_config(1605, TransferConfig::default());
     dc.deploy_app("app", m1, &image(), KvStore::new(), InitRequest::New)
         .unwrap();
     dc.call_app("app", kv_ops::INIT, &[]).unwrap();
-    for i in 0..10u8 {
-        dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(&[i], b"v"))
-            .unwrap();
+    dc.call_app(
+        "app",
+        kv_ops::BULK_PUT,
+        &kvstore::encode_bulk_put(64, 100, 7),
+    )
+    .unwrap();
+    for _ in 0..9 {
+        dc.call_app("app", kv_ops::INIT, &[]).unwrap();
     }
     let host = dc.app("app");
     let (generation, blob) = host
@@ -323,9 +331,9 @@ fn app_host_writes_periodic_durable_checkpoints() {
     assert!(generation >= 1, "several generations accumulated");
     drop(host);
 
-    // A checkpoint blob is a complete sealed library state (Table II
-    // plus the staged snapshot): an enclave restarted from it comes up
-    // operational with its bulk state intact.
+    // A checkpoint blob is a complete sealed library state (Table II):
+    // an enclave restarted from it comes up operational and loads its
+    // store from the pages the host keeps.
     dc.stop_app("app");
     dc.deploy_app(
         "app",
@@ -339,8 +347,12 @@ fn app_host_writes_periodic_durable_checkpoints() {
         .call_app("app", mig_core::harness::ops::PHASE, &[])
         .unwrap();
     assert_eq!(phase, vec![1], "restored library is operational");
-    let staged = dc.app_bulk_state("app").unwrap();
-    assert!(staged.is_some(), "checkpoint carried the staged snapshot");
+    let stored = dc.app_bulk_state("app").unwrap().expect("the host's pages");
+    dc.call_app("app", kv_ops::LOAD, &stored).unwrap();
+    assert_eq!(
+        dc.call_app("app", kv_ops::LEN, &[]).unwrap(),
+        64u32.to_le_bytes()
+    );
 }
 
 /// A checkpoint write that fails is retried on the very next persist:
@@ -369,8 +381,9 @@ fn failed_app_checkpoint_is_retried_on_the_next_persist() {
             }
         });
     let mut failed = false;
-    for i in 0..CHECKPOINT_INTERVAL as u8 {
-        if let Err(e) = dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(&[i], b"v")) {
+    for _ in 0..CHECKPOINT_INTERVAL {
+        // Each INIT creates a counter: a Table II persist.
+        if let Err(e) = dc.call_app("app", kv_ops::INIT, &[]) {
             assert!(e.to_string().contains("checkpoint write"), "{e}");
             failed = true;
             break;
@@ -385,13 +398,13 @@ fn failed_app_checkpoint_is_retried_on_the_next_persist() {
     );
 
     // The very next persist writes the generation the failure skipped.
-    dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(b"next", b"v"))
-        .unwrap();
+    dc.call_app("app", kv_ops::INIT, &[]).unwrap();
     assert_eq!(latest(&dc), Some(before + 1));
 }
 
 /// Every persisted blob goes to the state key and, when a checkpoint is
-/// due, to the checkpoint series, byte for byte the same, and restores.
+/// due, to the checkpoint series, byte for byte the same, and restores;
+/// a `PUT` persists no blob, only its pages.
 #[test]
 fn persisted_blob_is_the_state_value_and_the_checkpoint() {
     let (mut dc, m1, _m2) = dc_with_config(1608, TransferConfig::default());
@@ -415,13 +428,21 @@ fn persisted_blob_is_the_state_value_and_the_checkpoint() {
         &kvstore::encode_bulk_put(64, 100, 3),
     )
     .unwrap();
-    for i in 0..CHECKPOINT_INTERVAL as u8 {
-        dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(&[i], b"v"))
-            .unwrap();
+    for _ in 0..CHECKPOINT_INTERVAL {
+        dc.call_app("app", kv_ops::INIT, &[]).unwrap();
     }
+    let blobs = writes.lock().len();
+    dc.call_app("app", kv_ops::PUT, &kvstore::encode_put(b"put", b"v"))
+        .unwrap();
     let host = dc.app("app");
     let host = host.lock();
     let state_key = host.state_key();
+    assert!(
+        writes.lock()[blobs..]
+            .iter()
+            .all(|(key, _)| key.starts_with("mig-pages:")),
+        "a PUT writes pages only"
+    );
     let disk = &dc.world().machine(m1).disk;
     let writes = writes.lock();
     let mut checkpoints = 0;
@@ -444,15 +465,16 @@ fn persisted_blob_is_the_state_value_and_the_checkpoint() {
         last(&|key| key.contains("/ckpt/"))
     );
     assert!(sgx_sim::seal::parse_sealed_header(&latest).is_ok());
-    drop(host);
+    drop((host, writes));
 
-    // The stored blob restores the store in place.
+    // The stored blob restores the library, and the host's pages the
+    // store, the PUT included.
     dc.restart_app("app", m1, &image(), KvStore::new()).unwrap();
-    let blob = dc.app_bulk_state("app").unwrap().expect("staged container");
+    let blob = dc.app_bulk_state("app").unwrap().expect("the host's pages");
     dc.call_app("app", kv_ops::LOAD, &blob).unwrap();
     assert_eq!(
         dc.call_app("app", kv_ops::LEN, &[]).unwrap(),
-        (64 + CHECKPOINT_INTERVAL as u32).to_le_bytes()
+        65u32.to_le_bytes()
     );
 }
 
@@ -1270,9 +1292,11 @@ fn same_numbered_base_with_other_content_falls_back_to_full_stream() {
     }
 }
 
-/// The frozen blob a handoff leaves on the source's disk holds Table II
-/// only: it still restarts as `Frozen`, and its size no longer grows
-/// with the staged state (which the migration carries through the ME).
+/// The live store's pages are on the source's disk beside a Table II
+/// blob; after a handoff neither holds state: the pages are dropped,
+/// and the frozen blob holds Table II only, still restarts as `Frozen`
+/// and does not grow with the staged state (which the migration carries
+/// through the ME).
 #[test]
 fn frozen_blob_omits_the_staged_state() {
     let (mut dc, m1, m2) = dc_with_config(1617, streaming_config());
@@ -1288,18 +1312,32 @@ fn frozen_blob_omits_the_staged_state() {
         )
         .unwrap();
         let key = format!("mig-state:{name}");
-        let live = dc.world().machine(m1).disk.get(&key).expect("live blob");
-        assert!(
-            live.len() > count as usize * 4096,
-            "a live blob carries the staged state"
+        let disk = dc.world().machine(m1).disk.clone();
+        let live = disk.get(&key).expect("live blob");
+        assert!(live.len() < 4096, "a live blob holds Table II only");
+        let staged = dc.app_bulk_state(name).unwrap().expect("staged state");
+        assert!(staged.len() > count as usize * 4096);
+        let stored = dc.app(name).lock().stored_container();
+        assert_eq!(
+            stored,
+            Some(staged),
+            "the host stores the live store's pages"
         );
         let dst = format!("{name}-dst");
         dc.deploy_app(&dst, m2, &image, KvStore::new(), InitRequest::Migrate)
             .unwrap();
         dc.migrate_app(name, &dst).unwrap();
-        let frozen = dc.world().machine(m1).disk.get(&key).expect("frozen blob");
+        let frozen = disk.get(&key).expect("frozen blob");
         assert!(frozen.len() < 4096, "frozen blob is {} bytes", frozen.len());
         frozen_sizes.push(frozen.len());
+        assert!(
+            !disk
+                .keys()
+                .iter()
+                .any(|key| key.starts_with(&format!("mig-pages:{name}:"))),
+            "the source's pages are dropped"
+        );
+        assert_eq!(dc.app(name).lock().stored_container(), None);
 
         let err = dc
             .restart_app(name, m1, &image, KvStore::new())
