@@ -100,17 +100,6 @@ impl DiskValue {
             range: self.range.start..end,
         }
     }
-
-    /// The value as an owned buffer: the buffer itself when the value is
-    /// all of it and nothing else shares it, else a copy.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<u8> {
-        if self.range == (0..self.buf.len()) {
-            Arc::unwrap_or_clone(self.buf)
-        } else {
-            self.to_vec()
-        }
-    }
 }
 
 impl Deref for DiskValue {
@@ -281,9 +270,10 @@ impl UntrustedDisk {
         self.entries.lock().get(key).map(|value| value.len())
     }
 
-    /// Deletes the value under `key`, returning it if present.
-    pub fn delete(&self, key: &str) -> Option<Vec<u8>> {
-        self.entries.lock().remove(key).map(DiskValue::into_vec)
+    /// Deletes the value under `key`, returning it if present: shared
+    /// as it was stored, not copied.
+    pub fn delete(&self, key: &str) -> Option<DiskValue> {
+        self.entries.lock().remove(key)
     }
 
     /// Lists all keys (sorted, for determinism).
@@ -316,9 +306,9 @@ mod tests {
         assert_eq!(disk.get("a"), None);
         disk.put("a", vec![1, 2]);
         assert_eq!(disk.get("a").unwrap(), vec![1, 2]);
-        assert_eq!(disk.delete("a").unwrap(), vec![1, 2]);
+        assert_eq!(disk.delete("a").as_deref(), Some(&[1, 2][..]));
         assert_eq!(disk.get("a"), None);
-        assert_eq!(disk.delete("a"), None);
+        assert!(disk.delete("a").is_none());
     }
 
     #[test]
@@ -368,7 +358,11 @@ mod tests {
         assert_eq!(Arc::strong_count(&buf), 5);
         assert_eq!(disk.get("state").unwrap(), b"blob");
         assert_eq!(snap.get("ckpt/0").unwrap(), b"blob");
-        assert_eq!(disk.delete("state").unwrap(), b"blob");
+        // A deleted value is handed back as it was stored, not copied.
+        let deleted = disk.delete("state").unwrap();
+        assert_eq!(&*deleted, b"blob");
+        assert_eq!(Arc::strong_count(&buf), 5);
+        drop(deleted);
         assert_eq!(Arc::strong_count(&buf), 4);
     }
 

@@ -59,6 +59,10 @@ pub mod ops {
     /// Staged bulk state query: returns the optional bulk payload (on a
     /// migration target, the state that arrived with the migration).
     pub const BULK_STATE: u32 = 0x1006;
+    /// Hands the host all it stores again: the envelope carries the
+    /// Table II blob and every staged page
+    /// ([`crate::library::MigrationLibrary::refile`]).
+    pub const REFILE: u32 = 0x1007;
 }
 
 /// First application-reserved opcode.
@@ -338,6 +342,10 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                     crate::me::write_opt(&mut w, reply.as_deref());
                     w.finish()
                 })
+            }),
+            ops::REFILE => self.lib_mut().map(|lib| {
+                lib.refile();
+                Vec::new()
             }),
             ops::PHASE => {
                 let phase = match &self.lib {

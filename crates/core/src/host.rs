@@ -1123,6 +1123,10 @@ pub struct AppHost {
     /// are dropped and read back without listing the disk.
     stored_pages: u32,
     page_keys: PageKey,
+    /// Whether a page or blob write failed since the library last handed
+    /// over all the host stores: the disk may lack a page, or hold an
+    /// older Table II, that no later envelope carries again.
+    refile: bool,
     /// Non-fatal errors observed (visible to tests).
     pub errors: Vec<String>,
 }
@@ -1169,6 +1173,7 @@ impl AppHost {
             persists_since_checkpoint: 0,
             stored_pages: 0,
             page_keys: PageKey::new(name),
+            refile: false,
             errors: Vec::new(),
         };
         host.me_endpoint = Endpoint::new(host.endpoint.machine, ME_SERVICE);
@@ -1290,20 +1295,15 @@ impl AppHost {
         Ok(reply)
     }
 
-    /// Files the container's changed pages, from the last to the first,
-    /// and drops the pages past its `count`.
+    /// Drops the pages past the container's `count`, then files its
+    /// changed pages, from the last to the first. Dropping first keeps a
+    /// crash from leaving an older, longer container's pages behind a
+    /// full last page, where a restarted host would count them too.
     fn store_pages(
         &mut self,
         count: u32,
         pages: impl DoubleEndedIterator<Item = (u32, DiskValue)>,
     ) -> Result<(), SgxError> {
-        // Until the pages are down, the disk may hold either count.
-        self.stored_pages = self.stored_pages.max(count);
-        for (page, value) in pages.rev() {
-            self.disk
-                .try_put(self.page_keys.of(page), value)
-                .map_err(|e| SgxError::Enclave(format!("page write: {e}")))?;
-        }
         // Past the counted pages, a page an earlier incarnation left
         // behind a torn one may remain: drop while any does.
         let mut page = count;
@@ -1311,6 +1311,12 @@ impl AppHost {
             page += 1;
         }
         self.stored_pages = count;
+        for (page, value) in pages.rev() {
+            if let Err(e) = self.disk.try_put(self.page_keys.of(page), value) {
+                self.refile = true;
+                return Err(SgxError::Enclave(format!("page write: {e}")));
+            }
+        }
         Ok(())
     }
 
@@ -1321,9 +1327,10 @@ impl AppHost {
         // A failed or torn write surfaces to the caller: the enclave
         // has already advanced, but the host must not pretend the
         // state is durable when the platter rejected it.
-        self.disk
-            .try_put(&self.state_key(), blob.clone())
-            .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
+        if let Err(e) = self.disk.try_put(&self.state_key(), blob.clone()) {
+            self.refile = true;
+            return Err(SgxError::Enclave(format!("persist write: {e}")));
+        }
         // Periodic durable checkpoint generation (the "C" of CTR):
         // the latest-but-one generation survives even a crash
         // mid-write of the newest.
@@ -1331,9 +1338,10 @@ impl AppHost {
         if self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
             || self.checkpoints.latest_generation().is_none()
         {
-            self.checkpoints
-                .put(blob)
-                .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
+            if let Err(e) = self.checkpoints.put(blob) {
+                self.refile = true;
+                return Err(SgxError::Enclave(format!("checkpoint write: {e}")));
+            }
             // Only a durable generation restarts the interval: a
             // failed write is retried on the very next persist.
             self.persists_since_checkpoint = 0;
@@ -1358,11 +1366,14 @@ impl AppHost {
     }
 
     /// Issues an application ECALL (opcode < `0x1000`), unwrapping the
-    /// persistence envelope.
+    /// persistence envelope. After a page or blob write failed, the
+    /// library first hands over all the host stores again (`REFILE`), so
+    /// a call returns `Ok` only once the disk holds every page it
+    /// handed over since.
     ///
     /// # Errors
     ///
-    /// Propagates enclave errors.
+    /// Propagates enclave errors, and disk writes that fail or tear.
     pub fn call(&mut self, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
         let (mut out, payload) = self.call_in_place(opcode, input)?;
         // Move the payload to the front of the buffer that holds it
@@ -1381,6 +1392,13 @@ impl AppHost {
         opcode: u32,
         input: &[u8],
     ) -> Result<(Vec<u8>, Range<usize>), SgxError> {
+        if self.refile {
+            // A write failed: have the library hand over all the host
+            // stores, and file it, before the call goes on.
+            let out = self.enclave.ecall(lib_ops::REFILE, &[])?;
+            self.store_persist(out)?;
+            self.refile = false;
+        }
         let out = self.enclave.ecall(opcode, input)?;
         let reply = self.store_persist(out)?;
         Ok((reply.buf, ENVELOPE_HEAD..ENVELOPE_HEAD + reply.len))

@@ -30,7 +30,9 @@
 //! ECALL response carries those pages as they are
 //! ([`MigrationLibrary::write_pages`]); a `PUT` that reseals two
 //! segments hands the host a few pages, not the store. A restored
-//! library stages nothing until the app loads its container again.
+//! library stages nothing until the app loads its container again. A
+//! host whose page or blob write failed asks for everything again
+//! ([`MigrationLibrary::refile`]) before its next call.
 
 pub mod container;
 pub mod state;
@@ -278,6 +280,20 @@ impl MigrationLibrary {
     /// response carries it ([`MigrationLibrary::write_persist`]).
     fn persist(&mut self) {
         self.persist_due = true;
+    }
+
+    /// Marks all the host stores due again: the Table II blob and the
+    /// staged container's every page (a frozen library's length of 0,
+    /// so the host drops its pages). A host whose page or blob write
+    /// failed asks for this (`REFILE`) before it goes on, so a page or
+    /// blob it lost is not left behind the next `PUT`'s few pages. A
+    /// restored library that stages nothing yet leaves the host's pages
+    /// as they are: they are the store the app has still to load.
+    pub fn refile(&mut self) {
+        self.persist();
+        if self.bulk_state.is_some() || self.phase == LibPhase::Frozen {
+            self.pages_due = DuePages::All;
+        }
     }
 
     /// Encoded length of what [`MigrationLibrary::write_persist`]

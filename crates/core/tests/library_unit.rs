@@ -400,6 +400,48 @@ fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
     assert!(call(&e2, ops::LOAD, &torn).is_err());
 }
 
+/// `REFILE` hands the host all it stores again: the Table II blob and
+/// every staged page; a restored library that stages nothing yet hands
+/// over the blob and leaves the host's pages alone.
+#[test]
+fn refile_hands_over_table_and_every_staged_page() {
+    let m = machine();
+    let (e1, _) = fresh(&m);
+    call(&e1, ops::CREATE, &[]).unwrap();
+    let bulk: Vec<u8> = (0..10_000u32).map(|i| (i % 253) as u8).collect();
+    let out = e1.ecall(ops::STAGE, &bulk).unwrap();
+    let container = open_envelope(&out).unwrap().pages.unwrap().bytes.to_vec();
+    // Nothing is due any more...
+    let out = e1.ecall(ops::ACTIVE, &[]).unwrap();
+    let envelope = open_envelope(&out).unwrap();
+    assert!(envelope.persist.is_none() && envelope.pages.is_none());
+    // ... until the host asks for all of it.
+    let out = e1.ecall(lib_ops::REFILE, &[]).unwrap();
+    assert_eq!(out.capacity(), out.len());
+    let envelope = open_envelope(&out).unwrap();
+    let blob = envelope.persist.expect("Table II again").to_vec();
+    let pages = envelope.pages.expect("every page again");
+    assert!(pages.is_whole());
+    assert_eq!(pages.bytes, container);
+
+    e1.destroy();
+    let e2 = m
+        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .unwrap();
+    e2.ecall(
+        lib_ops::MIG_INIT,
+        &encode_init(&me_mr(), &InitRequest::Restore { blob }),
+    )
+    .unwrap();
+    let out = e2.ecall(lib_ops::REFILE, &[]).unwrap();
+    let envelope = open_envelope(&out).unwrap();
+    assert!(envelope.persist.is_some());
+    assert!(
+        envelope.pages.is_none(),
+        "the host's pages are the store still to load"
+    );
+}
+
 #[test]
 fn restore_rejects_blob_from_other_enclave() {
     let m = machine();

@@ -616,6 +616,160 @@ fn kvstore_put_persists_in_proportion_to_its_change() {
     assert!(envelope < 32 * 1024, "a PUT's envelope is {envelope} B");
 }
 
+/// Deploys "kv" on `m`: a kvstore holding 16 × 4 KiB values.
+fn deploy_loaded_kvstore(dc: &mut Datacenter, m: sgx_sim::machine::MachineId) {
+    dc.deploy_app("kv", m, &kvstore_image(), KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("kv", kvstore::ops::INIT, &[]).unwrap();
+    dc.call_app(
+        "kv",
+        kvstore::ops::BULK_PUT,
+        &kvstore::encode_bulk_put(16, 4096, 0x21),
+    )
+    .unwrap();
+}
+
+/// Makes the first write to a key that `hit` selects meet `fault`, and
+/// no other write.
+fn fault_once(
+    dc: &Datacenter,
+    m: sgx_sim::machine::MachineId,
+    hit: impl Fn(&str) -> bool + Send + 'static,
+    fault: cloud_sim::disk::WriteFault,
+) {
+    let mut armed = true;
+    dc.world()
+        .machine(m)
+        .disk
+        .set_fault_hook(move |key: &str, _value: &[u8]| {
+            if armed && hit(key) {
+                armed = false;
+                fault
+            } else {
+                cloud_sim::disk::WriteFault::None
+            }
+        });
+}
+
+/// Restarts "kv" from the Table II blob on its disk and loads the store
+/// from the host's pages.
+fn restart_and_load_kvstore(dc: &mut Datacenter, m: sgx_sim::machine::MachineId) {
+    dc.restart_app("kv", m, &kvstore_image(), KvStore::new())
+        .unwrap();
+    let stored = dc.app_bulk_state("kv").unwrap().expect("the host's pages");
+    dc.call_app("kv", kvstore::ops::LOAD, &stored).unwrap();
+}
+
+/// A page write that fails or tears during a `PUT` is not left behind
+/// the next `PUT`'s few pages: the next call first has the library hand
+/// over every page again, so once it returns `Ok` a restarted store
+/// loads with both `PUT`s.
+#[test]
+fn failed_page_write_is_refiled_before_the_next_call_succeeds() {
+    use cloud_sim::disk::WriteFault;
+    for (seed, fault) in [(41, WriteFault::Fail), (42, WriteFault::Torn { keep: 100 })] {
+        let (mut dc, m1, _m2) = two_machine_dc(seed);
+        deploy_loaded_kvstore(&mut dc, m1);
+        fault_once(&dc, m1, |key| key.starts_with("mig-pages:"), fault);
+        let put_a = kvstore::encode_put(b"bulk-00000005", &[0x11; 4096]);
+        let err = dc.call_app("kv", kvstore::ops::PUT, &put_a).unwrap_err();
+        assert!(err.to_string().contains("page write"), "{err}");
+        // A PUT into other segments: its own pages do not cover the lost
+        // one.
+        let put_b = kvstore::encode_put(b"bulk-00000012", &[0x22; 4096]);
+        dc.call_app("kv", kvstore::ops::PUT, &put_b).unwrap();
+
+        restart_and_load_kvstore(&mut dc, m1);
+        for (key, byte) in [(&b"bulk-00000005"[..], 0x11), (b"bulk-00000012", 0x22)] {
+            assert_eq!(
+                dc.call_app("kv", kvstore::ops::GET, key).unwrap(),
+                vec![byte; 4096],
+                "{fault:?}"
+            );
+        }
+    }
+}
+
+/// A Table II write that fails (here: the counter an `INIT` creates) is
+/// made good before the next call returns `Ok`, though a `PUT` persists
+/// no Table II of its own: a store versioned by that counter restarts
+/// and loads.
+#[test]
+fn failed_table_ii_write_is_refiled_before_the_next_call_succeeds() {
+    let (mut dc, m1, _m2) = two_machine_dc(43);
+    deploy_loaded_kvstore(&mut dc, m1);
+    let state_key = dc.app("kv").lock().state_key();
+    fault_once(
+        &dc,
+        m1,
+        move |key| key == state_key,
+        cloud_sim::disk::WriteFault::Fail,
+    );
+    // A new version counter for the store: a Table II change.
+    let err = dc.call_app("kv", kvstore::ops::INIT, &[]).unwrap_err();
+    assert!(err.to_string().contains("persist write"), "{err}");
+    let put = kvstore::encode_put(b"bulk-00000003", &[0x33; 4096]);
+    let (version, _) =
+        kvstore::decode_put_response(&dc.call_app("kv", kvstore::ops::PUT, &put).unwrap()).unwrap();
+    assert_eq!(version, 1, "the PUT counts on the new counter");
+
+    restart_and_load_kvstore(&mut dc, m1);
+    assert_eq!(
+        dc.call_app("kv", kvstore::ops::GET, b"bulk-00000003")
+            .unwrap(),
+        vec![0x33; 4096]
+    );
+}
+
+/// A container that shrinks to a whole number of pages has its old tail
+/// dropped before its pages are written: the disk never holds the new
+/// pages with a page past them, which a restarted host would count as
+/// part of the container.
+#[test]
+fn shrunk_container_drops_its_tail_before_its_pages_land() {
+    let (mut dc, m1, _m2) = two_machine_dc(44);
+    dc.deploy_app("kv", m1, &kvstore_image(), KvStore::new(), InitRequest::New)
+        .unwrap();
+    dc.call_app("kv", kvstore::ops::INIT, &[]).unwrap();
+    // An `S`-byte snapshot in `n` segments stages a container of
+    // 79 + 85 n + S bytes: 9352 (3 pages) for one 9000-byte value under
+    // a 1-byte key, and exactly 2 × 4096 for a 7925-byte one.
+    dc.call_app(
+        "kv",
+        kvstore::ops::PUT,
+        &kvstore::encode_put(b"a", &[1; 9000]),
+    )
+    .unwrap();
+    let tail = dc.app("kv").lock().page_key(2);
+    let disk = dc.world().machine(m1).disk.clone();
+    assert!(disk.len(&tail).is_some());
+    let tail_present: Arc<Mutex<Vec<bool>>> = Arc::default();
+    let log = Arc::clone(&tail_present);
+    let probe = disk.clone();
+    disk.set_fault_hook(move |key: &str, _value: &[u8]| {
+        if key.starts_with("mig-pages:") {
+            log.lock().push(probe.len(&tail).is_some());
+        }
+        cloud_sim::disk::WriteFault::None
+    });
+    dc.call_app(
+        "kv",
+        kvstore::ops::PUT,
+        &kvstore::encode_put(b"a", &[2; 7925]),
+    )
+    .unwrap();
+    let staged = dc.app_bulk_state("kv").unwrap().expect("staged");
+    assert_eq!(staged.len(), 2 * 4096);
+    assert_eq!(*tail_present.lock(), [false, false]);
+    disk.clear_fault_hook();
+
+    restart_and_load_kvstore(&mut dc, m1);
+    assert_eq!(
+        dc.call_app("kv", kvstore::ops::GET, b"a").unwrap(),
+        vec![2; 7925]
+    );
+}
+
 #[test]
 fn semi_transparent_vm_migration_moves_enclaves_and_vm() {
     // The paper's §X sketch: the management VM calls migration_start on
