@@ -8,20 +8,33 @@
 //! and the attack test-suite uses it as the victim workload for the §III
 //! fork and roll-back attacks.
 //!
-//! **Segment-sealed staging.** The store lives in one staged
-//! [`SealedContainer`]: the snapshot plaintext split into
-//! [`SEGMENT_LEN`]-byte segments, each migratable-sealed separately,
-//! behind a sealed index binding the exact ciphertext set. The untrusted
-//! host stores it page by page as the app's files, and a migration
-//! carries it. A `PUT` reseals only the segments whose plaintext changed
-//! (plus the small index), so the host rewrites a few pages, and a
-//! repeat migration ships a dirty-page delta instead of the whole store.
-//! Which segments changed is known from the writes themselves, not by
-//! hashing the plaintext: the store notes each key it writes, and the
-//! serializer turns the notes into byte ranges. The container is written
-//! once, into the buffer the library stages; the store keeps a clone of
-//! it and copies the sealed bytes of every untouched segment into the
-//! next container.
+//! **The snapshot is the store.** The store is one buffer in the
+//! snapshot format the container seals, `[u8 counter][u32 version][u32
+//! n]` and then `n` entries `[u32 klen][key][u32 vlen][value]` in
+//! ascending key order, plus an index from each key to its value's byte
+//! range. A `GET` copies from the buffer, and a write patches it: a value
+//! overwritten at its length is copied over its range, and an insert or
+//! resize rewrites the buffer from that entry on, into a buffer sized
+//! once (a `BULK_PUT` merges its whole batch in that one pass), and
+//! shifts the later ranges. `LOAD` keeps the plaintext it opened as the
+//! buffer and indexes it without copying a value; since the layout
+//! follows key order, it refuses a snapshot whose keys do not strictly
+//! ascend.
+//!
+//! **Segment-sealed staging.** The library stages the store as a sealed
+//! container: the snapshot split into [`SEGMENT_LEN`]-byte segments,
+//! each migratable-sealed separately, behind a sealed index binding the
+//! exact ciphertext set. The untrusted host stores it page by page as the
+//! app's files, and a migration carries it. A write knows which bytes it
+//! changed, so a `PUT` reseals only the header's segment and those its
+//! value spans (plus the small index): the host rewrites a few pages, and
+//! a repeat migration ships a dirty-page delta instead of the whole
+//! store. The store keeps the tag of every segment it staged, and the
+//! library's writer keeps each unchanged segment whose slot still ends
+//! with that tag. When the layout is unchanged it writes the resealed
+//! segments and the index where they lie in the staged buffer
+//! ([`mig_core::library::container`]), so a same-length `PUT` costs its
+//! change, not the store.
 //!
 //! **The container.** `[2][u32 len][sealed index][u32 n]`, then `n`
 //! sealed segments, each behind its `u32` length (the library's
@@ -55,8 +68,9 @@ use mig_core::library::migratable_sealed_size;
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::ops::{Bound, Range};
 
 /// ECALL opcodes of the KV store enclave.
 pub mod ops {
@@ -101,44 +115,92 @@ fn segment_aad(idx: u32) -> [u8; SEGMENT_AAD_LEN] {
     aad
 }
 
-/// A parsed snapshot: version-counter id, version, entries.
-type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
+/// Bytes of the snapshot's header: the version counter's id, the
+/// version and the number of entries.
+const HEADER_LEN: usize = 1 + 4 + 4;
 
-/// The writes since the staging segments were sealed, by key: what the
-/// next restage must reseal besides the header (whose version always
-/// changes).
-#[derive(Default)]
-struct Dirty {
-    /// Keys overwritten with a value of the same length: only their value
-    /// bytes changed.
-    values: BTreeSet<Vec<u8>>,
-    /// The least key inserted or resized: every byte from its entry to
-    /// the end may have moved.
-    tail: Option<Vec<u8>>,
+/// The most entries one `BULK_PUT` writes: its keys (`bulk-` and the
+/// entry's number in eight digits) ascend with the number only below
+/// 10⁸, and so many entries exceed the container limit anyway.
+const MAX_BULK_COUNT: u32 = 100_000_000;
+
+/// Each key's value range in the snapshot.
+type Index = BTreeMap<Vec<u8>, Range<usize>>;
+
+/// The tags of a container's segments, in order.
+type Tags = Vec<[u8; TAG_LEN]>;
+
+/// A value to write.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    /// These bytes.
+    Bytes(&'a [u8]),
+    /// `BULK_PUT`'s value of entry `entry`: `len` bytes, byte `j` being
+    /// `fill + entry + j`.
+    Bulk { entry: u32, len: usize, fill: u8 },
 }
 
-impl Dirty {
-    /// Notes a write of `key` that replaced a value of `old_len` bytes
-    /// (`None`: a new key) with one of `new_len` bytes.
-    fn note(&mut self, key: Vec<u8>, old_len: Option<usize>, new_len: usize) {
-        if old_len == Some(new_len) {
-            self.values.insert(key);
-        } else if self.tail.as_ref().is_none_or(|tail| key < *tail) {
-            self.tail = Some(key);
+impl Value<'_> {
+    fn len(self) -> usize {
+        match self {
+            Value::Bytes(bytes) => bytes.len(),
+            Value::Bulk { len, .. } => len,
+        }
+    }
+
+    /// The value's byte `j`.
+    fn bulk_byte(entry: u32, fill: u8, j: usize) -> u8 {
+        fill.wrapping_add((entry as usize + j) as u8)
+    }
+
+    /// Writes the value over `out`, which has its length.
+    fn write_over(self, out: &mut [u8]) {
+        match self {
+            Value::Bytes(bytes) => out.copy_from_slice(bytes),
+            Value::Bulk { entry, fill, .. } => {
+                for (j, byte) in out.iter_mut().enumerate() {
+                    *byte = Self::bulk_byte(entry, fill, j);
+                }
+            }
+        }
+    }
+
+    /// Appends the value to `out`.
+    fn append_to(self, out: &mut Vec<u8>) {
+        match self {
+            Value::Bytes(bytes) => out.extend_from_slice(bytes),
+            Value::Bulk { entry, len, fill } => {
+                out.extend((0..len).map(|j| Self::bulk_byte(entry, fill, j)));
+            }
         }
     }
 }
 
+/// One write: a key and the value it gets.
+type Write<'a> = (Cow<'a, [u8]>, Value<'a>);
+
 /// The in-enclave state of the KV store.
-#[derive(Default)]
 pub struct KvStore {
-    entries: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// The snapshot: the header, then every entry in key order.
+    plain: Vec<u8>,
+    /// Each key's value range in `plain`.
+    index: Index,
     version_counter: Option<u8>,
-    /// The staged container — lets an update reseal only the segments
-    /// whose plaintext changed.
-    staged: Option<SealedContainer>,
-    /// What changed since `staged` was sealed.
-    dirty: Dirty,
+    /// The tag of each segment the store staged last, in order: what the
+    /// next restage keeps of an unchanged segment. Empty when it staged
+    /// nothing since `plain` was replaced, or its last restage failed.
+    tags: Tags,
+}
+
+impl Default for KvStore {
+    fn default() -> Self {
+        KvStore {
+            plain: vec![0; HEADER_LEN],
+            index: Index::new(),
+            version_counter: None,
+            tags: Vec::new(),
+        }
+    }
 }
 
 impl KvStore {
@@ -153,118 +215,182 @@ impl KvStore {
             .ok_or_else(|| SgxError::Enclave("kv store not initialized".into()))
     }
 
-    /// Writes `value` under `key`, noting which snapshot bytes moved.
-    fn write(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let new_len = value.len();
-        let old = self.entries.insert(key.clone(), value);
-        self.dirty.note(key, old.map(|old| old.len()), new_len);
+    /// The snapshot's header for `version`.
+    fn header(&self, version: u32) -> [u8; HEADER_LEN] {
+        let fields = std::iter::once(self.version_counter.unwrap_or(0))
+            .chain(version.to_le_bytes())
+            .chain((self.index.len() as u32).to_le_bytes());
+        let mut header = [0; HEADER_LEN];
+        for (byte, field) in header.iter_mut().zip(fields) {
+            *byte = field;
+        }
+        header
     }
 
-    /// Serializes the store, with the byte ranges that differ from the
-    /// snapshot the staging segments were sealed from (ascending): the
-    /// header, every value overwritten at the same length, and everything
-    /// from the first inserted or resized entry on.
-    fn snapshot_bytes(&self, version: u32) -> (Vec<u8>, Vec<Range<usize>>) {
-        let len = 9 + self
-            .entries
-            .iter()
-            .map(|(key, value)| 8 + key.len() + value.len())
-            .sum::<usize>();
-        let mut w = WireWriter::with_capacity(len);
-        w.u8(self.version_counter.unwrap_or(0));
-        w.u32(version);
-        w.u32(self.entries.len() as u32);
-        // The header: the version always changes.
-        let header = 0..w.len();
-        let mut dirty = Vec::from([header]);
-        let mut tail = None;
-        for (key, value) in &self.entries {
-            let entry = w.len();
-            w.bytes(key);
-            w.bytes(value);
-            if tail.is_some() {
-                continue;
-            }
-            if self.dirty.tail.as_ref() == Some(key) {
-                tail = Some(entry);
-            } else if self.dirty.values.contains(key) {
-                dirty.push(w.len() - value.len()..w.len());
-            }
-        }
-        if let Some(entry) = tail {
-            dirty.push(entry..len);
-        }
-        (w.finish(), dirty)
+    /// Where `key`'s entry starts in the snapshot, or would start if it
+    /// were inserted: at its successor's entry, or at the end.
+    fn entry_start(&self, key: &[u8]) -> usize {
+        self.index
+            .range::<[u8], _>((Bound::Included(key), Bound::Unbounded))
+            .next()
+            .map_or(self.plain.len(), |(next, value)| {
+                value.start - 8 - next.len()
+            })
     }
 
-    fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, SgxError> {
-        let mut r = WireReader::new(bytes);
+    /// Writes `batch`, whose keys strictly ascend, and `version`; returns
+    /// the byte ranges of the snapshot that changed: the header, each
+    /// value overwritten at its length ahead of the first entry inserted
+    /// or resized, and everything from that entry on.
+    fn write(&mut self, version: u32, batch: &[Write<'_>]) -> Result<Vec<Range<usize>>, SgxError> {
+        let mut changed: Vec<_> = std::iter::once(0..HEADER_LEN).collect();
+        let mut rest = batch;
+        while let Some(((key, value), later)) = rest.split_first() {
+            let Some(range) = self
+                .index
+                .get(key.as_ref())
+                .filter(|range| range.len() == value.len())
+            else {
+                break;
+            };
+            value.write_over(self.plain.get_mut(range.clone()).ok_or(SgxError::Decode)?);
+            changed.push(range.clone());
+            rest = later;
+        }
+        if let Some((first, _)) = rest.first() {
+            let start = self.entry_start(first);
+            self.rewrite_from(start, rest)?;
+            changed.push(start..self.plain.len());
+        }
+        let header = self.header(version);
+        for (byte, field) in self.plain.iter_mut().zip(header) {
+            *byte = field;
+        }
+        Ok(changed)
+    }
+
+    /// Rewrites the snapshot from `start`, where the first of `batch`'s
+    /// entries goes, to the end, into a buffer sized once: the entries
+    /// there merged with `batch` (a batch value replacing an entry's),
+    /// each re-indexed where it lands.
+    fn rewrite_from(&mut self, start: usize, batch: &[Write<'_>]) -> Result<(), SgxError> {
+        let Some((first, _)) = batch.first() else {
+            return Ok(());
+        };
+        let mut len = self.plain.len();
+        for (key, value) in batch {
+            match self.index.get(key.as_ref()) {
+                Some(old) => len = len + value.len() - old.len(),
+                None => {
+                    len += 8 + key.len() + value.len();
+                    // Placed by the merge below.
+                    self.index.insert(key.to_vec(), 0..0);
+                }
+            }
+        }
+        let old = std::mem::replace(&mut self.plain, Vec::with_capacity(len));
+        self.plain
+            .extend_from_slice(old.get(..start).ok_or(SgxError::Decode)?);
+        let mut batch = batch.iter().peekable();
+        let later = self
+            .index
+            .range_mut::<[u8], _>((Bound::Included(first.as_ref()), Bound::Unbounded));
+        for (key, range) in later {
+            self.plain
+                .extend_from_slice(&(key.len() as u32).to_le_bytes());
+            self.plain.extend_from_slice(key);
+            let value = batch.next_if(|(next, _)| next.as_ref() == key.as_slice());
+            let value = match value {
+                Some((_, value)) => *value,
+                None => Value::Bytes(old.get(range.clone()).ok_or(SgxError::Decode)?),
+            };
+            self.plain
+                .extend_from_slice(&(value.len() as u32).to_le_bytes());
+            let at = self.plain.len();
+            value.append_to(&mut self.plain);
+            *range = at..self.plain.len();
+        }
+        Ok(())
+    }
+
+    /// Indexes a snapshot without copying a value: its counter's id, its
+    /// version and each key's value range. Refuses a snapshot whose keys
+    /// do not strictly ascend, as the layout follows key order.
+    fn parse(plain: &[u8]) -> Result<(u8, u32, Index), SgxError> {
+        let mut r = WireReader::new(plain);
         let counter_id = r.u8()?;
         let version = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut entries = BTreeMap::new();
+        let n = r.u32()?;
+        let mut index = Index::new();
         for _ in 0..n {
-            let key = r.bytes_vec()?;
-            let value = r.bytes_vec()?;
-            entries.insert(key, value);
+            let key = r.bytes()?;
+            let value = r.bytes()?;
+            if index
+                .last_key_value()
+                .is_some_and(|(last, _)| last.as_slice() >= key)
+            {
+                return Err(SgxError::Decode);
+            }
+            let end = plain.len() - r.remaining();
+            index.insert(key.to_vec(), end - value.len()..end);
         }
         r.finish()?;
-        Ok((counter_id, version, entries))
+        Ok((counter_id, version, index))
     }
 
-    /// Rebuilds the segment-sealed staging container for `snapshot`
-    /// (the serialized store) and stages it with the library; returns
-    /// its length. Only the segments `dirty` touches (byte ranges of
-    /// `snapshot` that differ from what the staged container was sealed
-    /// from) and those past its end are resealed; every other sealed
-    /// segment is copied from the staged container. The container is
-    /// allocated once at its final length, and the library stages that
-    /// very buffer.
+    /// Restages the store and returns the container's length. Reseals
+    /// the segments that `changed` (byte ranges of the snapshot) touches
+    /// and those the container written over holds no kept copy of;
+    /// keeps every other one as it is.
     fn restage(
         &mut self,
         ctx: &mut AppCtx<'_, '_>,
-        snapshot: &[u8],
-        dirty: &[Range<usize>],
+        changed: &[Range<usize>],
     ) -> Result<usize, SgxError> {
-        let n = snapshot.len().div_ceil(SEGMENT_LEN);
+        let n = self.plain.len().div_ceil(SEGMENT_LEN);
         let mut reseal = vec![false; n];
-        for range in dirty.iter().filter(|range| !range.is_empty()) {
+        for range in changed.iter().filter(|range| !range.is_empty()) {
             let segments = range.start / SEGMENT_LEN..range.end.div_ceil(SEGMENT_LEN).min(n);
-            reseal[segments].fill(true);
+            if let Some(segments) = reseal.get_mut(segments) {
+                segments.fill(true);
+            }
         }
-        let old = self.staged.take();
-        let lens = snapshot
+        // None is kept if this restage fails.
+        let mut tags = std::mem::take(&mut self.tags);
+        let staged = tags.len();
+        tags.resize(n, [0; TAG_LEN]);
+        let lens = self
+            .plain
             .chunks(SEGMENT_LEN)
             .map(|plain| migratable_sealed_size(SEGMENT_AAD_LEN, plain.len()))
             .collect();
         let head_len = migratable_sealed_size(INDEX_AAD.len(), 4 + n * TAG_LEN);
-        let mut w = ContainerWriter::new(old.as_ref(), head_len, lens)?;
+        let mut w = ContainerWriter::new(ctx.lib, head_len, lens)?;
+        let segments = self.plain.chunks(SEGMENT_LEN).zip(reseal).zip(&mut tags);
+        for (i, ((plain, reseal), tag)) in segments.enumerate() {
+            if reseal || i >= staged || !w.copy_segment(ctx.lib, tag)? {
+                *tag = w.seal_segment(ctx.lib, ctx.env, &segment_aad(i as u32), plain)?;
+            }
+        }
         let mut index = WireWriter::with_capacity(4 + n * TAG_LEN);
         index.u32(n as u32);
-        for ((i, plain), reseal) in snapshot.chunks(SEGMENT_LEN).enumerate().zip(reseal) {
-            let copied = if reseal { None } else { w.copy_segment()? };
-            let tag = match copied {
-                Some(tag) => tag,
-                None => w.seal_segment(ctx.lib, ctx.env, &segment_aad(i as u32), plain)?,
-            };
-            index.array(&tag);
+        for tag in &tags {
+            index.array(tag);
         }
-        let container = w.finish(ctx.lib, ctx.env, INDEX_AAD, &index.finish())?;
-        ctx.lib.stage_bulk_state(ctx.env, &container)?;
-        let len = container.as_bytes().len();
-        self.staged = Some(container);
-        self.dirty = Dirty::default();
+        let len = w.finish(ctx.lib, ctx.env, INDEX_AAD, &index.finish())?;
+        self.tags = tags;
         Ok(len)
     }
 
     /// Opens a staged container: has the library verify the sealed
     /// index, then each segment's tag against its index entry, opening
     /// every segment straight into the snapshot plaintext, and checks its
-    /// positional AAD. Returns the snapshot and the container.
+    /// positional AAD. Returns the snapshot, the segments' tags and the
+    /// container.
     fn open_container(
         ctx: &mut AppCtx<'_, '_>,
         bytes: &[u8],
-    ) -> Result<(Vec<u8>, SealedContainer), SgxError> {
+    ) -> Result<(Vec<u8>, Tags, SealedContainer), SgxError> {
         let mut index_plain = Vec::new();
         let (mut segments, aad) = ctx.lib.open_container(ctx.env, bytes, &mut index_plain)?;
         if aad != INDEX_AAD {
@@ -284,15 +410,17 @@ impl KvStore {
             std::iter::repeat_n(migratable_sealed_size(SEGMENT_AAD_LEN, 0), n),
         );
         let mut plain = Vec::with_capacity(bytes.len().saturating_sub(overhead));
+        let mut tags = Vec::with_capacity(n);
         for i in 0..n {
             let tag = index.array::<TAG_LEN>()?;
             let aad = segments.open_segment(ctx.lib, ctx.env, &tag, &mut plain)?;
             if aad != segment_aad(i as u32) {
                 return Err(SgxError::Decode);
             }
+            tags.push(tag);
         }
         let container = segments.finish(ctx.lib)?;
-        Ok((plain, container))
+        Ok((plain, tags, container))
     }
 }
 
@@ -314,18 +442,17 @@ impl AppLogic for KvStore {
             ops::PUT => {
                 let counter = self.counter()?;
                 let mut r = WireReader::new(input);
-                let key = r.bytes_vec()?;
-                let value = r.bytes_vec()?;
+                let key = r.bytes()?;
+                let value = r.bytes()?;
                 r.finish()?;
-                self.write(key, value);
                 // Version discipline: bump the counter, seal the new
                 // version into the store (paper §II-A4). Only the
-                // segments this PUT dirtied are resealed: the host
+                // segments this PUT changed are resealed: the host
                 // rewrites their pages, and a repeat migration ships
                 // them as a delta.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let (snapshot, dirty) = self.snapshot_bytes(version);
-                self.restage(ctx, &snapshot, &dirty)?;
+                let changed = self.write(version, &[(Cow::Borrowed(key), Value::Bytes(value))])?;
+                self.restage(ctx, &changed)?;
                 let mut w = WireWriter::with_capacity(8);
                 w.u32(version).bytes(&[]);
                 Ok(w.finish())
@@ -334,52 +461,54 @@ impl AppLogic for KvStore {
                 let counter = self.counter()?;
                 let mut r = WireReader::new(input);
                 let count = r.u32()?;
-                let value_len = r.u32()? as usize;
+                let len = r.u32()? as usize;
                 let fill = r.u8()?;
                 r.finish()?;
-                for i in 0..count {
-                    let key = format!("bulk-{i:08}").into_bytes();
-                    let value: Vec<u8> = (0..value_len)
-                        .map(|j| fill.wrapping_add((i as usize + j) as u8))
-                        .collect();
-                    self.write(key, value);
+                if count > MAX_BULK_COUNT {
+                    return Err(SgxError::InvalidParameter("count"));
                 }
+                // The batch in key order, which is the entries' order.
+                let batch: Vec<Write<'_>> = (0..count)
+                    .map(|entry| {
+                        let key = format!("bulk-{entry:08}").into_bytes();
+                        (Cow::Owned(key), Value::Bulk { entry, len, fill })
+                    })
+                    .collect();
                 // One version bump and one restaged container for the
                 // whole batch.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let (snapshot, dirty) = self.snapshot_bytes(version);
-                let container_len = self.restage(ctx, &snapshot, &dirty)?;
+                let changed = self.write(version, &batch)?;
+                let container_len = self.restage(ctx, &changed)?;
                 let mut w = WireWriter::new();
                 w.u32(version).u64(container_len as u64);
                 Ok(w.finish())
             }
             ops::GET => self
-                .entries
+                .index
                 .get(input)
-                .cloned()
+                .and_then(|range| self.plain.get(range.clone()))
+                .map(<[u8]>::to_vec)
                 .ok_or_else(|| SgxError::Enclave("key not found".into())),
             ops::LOAD => {
-                let (plaintext, container) = Self::open_container(ctx, input)?;
-                let (counter_id, version, entries) = Self::parse_snapshot(&plaintext)?;
+                let (plain, tags, container) = Self::open_container(ctx, input)?;
+                let (counter_id, version, index) = Self::parse(&plain)?;
                 let current = ctx.lib.read_migratable_counter(ctx.env, counter_id)?;
                 if version != current {
                     return Err(SgxError::Enclave(format!(
                         "rollback detected: snapshot version {version} != counter {current}"
                     )));
                 }
-                self.version_counter = Some(counter_id);
-                self.entries = entries;
-                // Keep the staged container in sync with the restored
-                // store. Re-loading the container that just migrated in
-                // adopts it verbatim: the library already stages these
-                // bytes, so staging copies nothing, the store keeps a
-                // clone of the library's buffer, and the next outgoing
-                // delta is computed against unchanged bytes. A container
-                // the library did not stage (read back from the host's
-                // pages after a restart) is staged whole.
-                self.dirty = Dirty::default();
+                // Re-loading the container that just migrated in adopts
+                // it verbatim: the library already stages these bytes,
+                // so staging copies nothing, and the next outgoing delta
+                // is computed against unchanged bytes. A container the
+                // library did not stage (read back from the host's pages
+                // after a restart) is staged whole.
                 ctx.lib.stage_bulk_state(ctx.env, &container)?;
-                self.staged = Some(container);
+                self.version_counter = Some(counter_id);
+                self.plain = plain;
+                self.index = index;
+                self.tags = tags;
                 Ok(vec![])
             }
             ops::VERSION => {
@@ -387,22 +516,27 @@ impl AppLogic for KvStore {
                 let value = ctx.lib.read_migratable_counter(ctx.env, counter)?;
                 Ok(value.to_le_bytes().to_vec())
             }
-            ops::LEN => Ok((self.entries.len() as u32).to_le_bytes().to_vec()),
+            ops::LEN => Ok((self.index.len() as u32).to_le_bytes().to_vec()),
             _ => Err(SgxError::InvalidParameter("opcode")),
         }
     }
 
     fn export_state(&self) -> Vec<u8> {
-        self.snapshot_bytes(0).0
+        // The snapshot, with a version of 0.
+        let mut snapshot = self.plain.clone();
+        for (byte, field) in snapshot.iter_mut().zip(self.header(0)) {
+            *byte = field;
+        }
+        snapshot
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), SgxError> {
-        let (counter_id, _version, entries) = Self::parse_snapshot(bytes)?;
+        let (counter_id, _version, index) = Self::parse(bytes)?;
         self.version_counter = Some(counter_id);
-        self.entries = entries;
-        // The staged container belongs to the replaced entries.
-        self.staged = None;
-        self.dirty = Dirty::default();
+        self.plain = bytes.to_vec();
+        self.index = index;
+        // The staged container belongs to the replaced store.
+        self.tags = Vec::new();
         Ok(())
     }
 }
@@ -454,19 +588,106 @@ pub fn decode_bulk_put_response(bytes: &[u8]) -> Result<(u32, u64), SgxError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mig_core::datacenter::Datacenter;
+    use mig_core::library::InitRequest;
+    use mig_core::policy::MigrationPolicy;
+    use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
+
+    /// A snapshot of `entries`, in the order given.
+    fn snapshot_of(counter: u8, version: u32, entries: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u8(counter).u32(version).u32(entries.len() as u32);
+        for (key, value) in entries {
+            w.bytes(key).bytes(value);
+        }
+        w.finish()
+    }
+
+    /// A snapshot holding one-byte `keys` in the order given, each with
+    /// the value `v`.
+    fn snapshot(counter: u8, version: u32, keys: &[u8]) -> Vec<u8> {
+        let entries: Vec<(&[u8], &[u8])> = keys
+            .iter()
+            .map(|key| (std::slice::from_ref(key), b"v".as_slice()))
+            .collect();
+        snapshot_of(counter, version, &entries)
+    }
+
+    /// Writes one key, as a `PUT` does.
+    fn put(store: &mut KvStore, version: u32, key: &[u8], value: &[u8]) -> Vec<Range<usize>> {
+        let batch = [(Cow::Borrowed(key), Value::Bytes(value))];
+        store.write(version, &batch).unwrap()
+    }
 
     #[test]
-    fn snapshot_round_trip() {
+    fn writes_keep_the_snapshot_and_its_index_in_step() {
         let mut store = KvStore::new();
         store.version_counter = Some(3);
-        store.entries.insert(b"a".to_vec(), b"1".to_vec());
-        store.entries.insert(b"b".to_vec(), b"2".to_vec());
-        let (bytes, _) = store.snapshot_bytes(9);
-        let (id, version, entries) = KvStore::parse_snapshot(&bytes).unwrap();
-        assert_eq!(id, 3);
-        assert_eq!(version, 9);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[b"a".as_slice()], b"1");
+        put(&mut store, 1, b"b", b"2");
+        put(&mut store, 2, b"a", b"1");
+        // Same length: only the value and the header change.
+        let changed = put(&mut store, 3, b"b", b"x");
+        let b = store.index[b"b".as_slice()].clone();
+        assert_eq!(changed, [0..HEADER_LEN, b]);
+        // A resize rewrites from its entry on.
+        let changed = put(&mut store, 4, b"a", b"one");
+        assert_eq!(changed, [0..HEADER_LEN, HEADER_LEN..store.plain.len()]);
+        assert_eq!(
+            store.plain,
+            snapshot_of(3, 4, &[(b"a", b"one"), (b"b", b"x")])
+        );
+        let (id, version, index) = KvStore::parse(&store.plain).unwrap();
+        assert_eq!((id, version), (3, 4));
+        assert_eq!(index, store.index);
+        // The export is the snapshot at version 0.
+        assert_eq!(
+            store.export_state(),
+            snapshot_of(3, 0, &[(b"a", b"one"), (b"b", b"x")])
+        );
+    }
+
+    #[test]
+    fn a_batch_merges_in_one_pass() {
+        let mut store = KvStore::new();
+        let keys: [&[u8]; 4] = [b"b", b"d", b"f", b"h"];
+        for (version, key) in keys.iter().enumerate() {
+            put(&mut store, version as u32, key, b"old");
+        }
+        // Overwrite b at its length, insert c and g, resize f.
+        let batch = [
+            (Cow::Borrowed(b"b".as_slice()), Value::Bytes(b"BBB")),
+            (Cow::Borrowed(b"c".as_slice()), Value::Bytes(b"new")),
+            (Cow::Borrowed(b"f".as_slice()), Value::Bytes(b"longer")),
+            (
+                Cow::Borrowed(b"g".as_slice()),
+                Value::Bulk {
+                    entry: 1,
+                    len: 2,
+                    fill: 9,
+                },
+            ),
+        ];
+        let changed = store.write(9, &batch).unwrap();
+        let c = store.entry_start(b"c");
+        assert_eq!(
+            changed,
+            [
+                0..HEADER_LEN,
+                store.index[b"b".as_slice()].clone(),
+                c..store.plain.len()
+            ]
+        );
+        let expected: [(&[u8], &[u8]); 6] = [
+            (b"b", b"BBB"),
+            (b"c", b"new"),
+            (b"d", b"old"),
+            (b"f", b"longer"),
+            (b"g", &[10, 11]),
+            (b"h", b"old"),
+        ];
+        assert_eq!(store.plain, snapshot_of(0, 9, &expected));
+        assert_eq!(store.plain.capacity(), store.plain.len(), "sized once");
+        assert_eq!(KvStore::parse(&store.plain).unwrap().2, store.index);
     }
 
     #[test]
@@ -480,6 +701,62 @@ mod tests {
 
     #[test]
     fn malformed_snapshot_rejected() {
-        assert!(KvStore::parse_snapshot(&[1, 2, 3]).is_err());
+        assert!(KvStore::parse(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn import_refuses_keys_out_of_order_or_repeated() {
+        let mut store = KvStore::new();
+        store.import_state(&snapshot(1, 0, b"ab")).unwrap();
+        assert_eq!(store.index.len(), 2);
+        for keys in [b"ba", b"aa"] {
+            let err = store.import_state(&snapshot(1, 0, keys)).unwrap_err();
+            assert_eq!(err, SgxError::Decode, "{keys:?}");
+        }
+        // Refused, the store is as it was.
+        assert_eq!(store.plain, snapshot(1, 0, b"ab"));
+    }
+
+    /// The kvstore with one more opcode, [`FORGE`], which stages its input
+    /// as the store's snapshot as it is: a container the store itself
+    /// never writes.
+    struct Forger(KvStore);
+
+    const FORGE: u32 = 100;
+
+    impl AppLogic for Forger {
+        fn handle(
+            &mut self,
+            ctx: &mut AppCtx<'_, '_>,
+            opcode: u32,
+            input: &[u8],
+        ) -> Result<Vec<u8>, SgxError> {
+            if opcode != FORGE {
+                return self.0.handle(ctx, opcode, input);
+            }
+            self.0.plain = input.to_vec();
+            self.0.tags.clear();
+            self.0
+                .restage(ctx, std::slice::from_ref(&(0..input.len())))?;
+            Ok(vec![])
+        }
+    }
+
+    #[test]
+    fn load_refuses_keys_out_of_order_or_repeated() {
+        let mut dc = Datacenter::new(7);
+        let m = dc.add_machine(Default::default(), &MigrationPolicy::same_operator_only());
+        let image = EnclaveImage::build("kv-unit", 1, b"kv", &EnclaveSigner::from_seed([7; 32]));
+        dc.deploy_app("kv", m, &image, Forger(KvStore::new()), InitRequest::New)
+            .unwrap();
+        let counter = dc.call_app("kv", ops::INIT, &[]).unwrap()[0];
+        for (keys, loads) in [(b"ab", true), (b"ba", false), (b"aa", false)] {
+            // At the counter's version, so that only the keys can refuse.
+            dc.call_app("kv", FORGE, &snapshot(counter, 0, keys))
+                .unwrap();
+            let staged = dc.app_bulk_state("kv").unwrap().unwrap();
+            let loaded = dc.call_app("kv", ops::LOAD, &staged);
+            assert_eq!(loaded.is_ok(), loads, "{keys:?}: {loaded:?}");
+        }
     }
 }

@@ -5,11 +5,11 @@
 //! behind its `u32` length. The app decides what the head and the
 //! segments hold (the kvstore: an index of segment tags, and 4 KiB of
 //! its snapshot each); the library writes the framing and makes every
-//! seal. A [`SealedContainer`] is built only by
-//! [`ContainerWriter::finish`], whose blobs the library sealed, or by
-//! [`ContainerReader::finish`], whose blobs all opened under the MSK.
-//! So whatever the host stores of the staged state is MSK ciphertext,
-//! and an app cannot stage plaintext by mistake:
+//! seal. The library stages only a container that
+//! [`ContainerWriter::finish`] sealed or whose blobs all opened under
+//! the MSK ([`ContainerReader::finish`], the only maker of a
+//! [`SealedContainer`]). So whatever the host stores of the staged state
+//! is MSK ciphertext, and an app cannot stage plaintext by mistake:
 //!
 //! ```compile_fail
 //! use mig_core::harness::AppCtx;
@@ -21,13 +21,31 @@
 //! }
 //! ```
 //!
-//! A container records what its writer rewrote relative to the container
-//! it was written over: the head, and each segment it sealed or moved.
-//! Staging it over that very container marks only the pages of those
-//! ranges due for the host ([`super::MigrationLibrary::write_pages`]).
+//! **Writing over the staged container.** A [`ContainerWriter`] writes
+//! over the container the library stages, and finishing stages what it
+//! wrote. The app walks the segments in order: it keeps each unchanged
+//! one ([`ContainerWriter::copy_segment`], given the tag it recorded for
+//! that segment) and seals each changed one
+//! ([`ContainerWriter::seal_segment`]).
+//!
+//! * When the new container has the staged one's exact layout (head
+//!   length and every segment length), it is written over the staged
+//!   buffer itself: a kept segment costs a tag comparison, and the
+//!   sealed segments and the head go into their slots. Nothing is
+//!   written before every segment is accounted for and the head is
+//!   sealed, so a restage that fails leaves the staged container and its
+//!   due pages exactly as they were. A staged buffer that another holder
+//!   shares is copied first, and the holder's bytes do not change.
+//! * Otherwise the container gets a buffer of its own, into which each
+//!   kept segment is copied.
+//!
+//! Either way the library marks due only the pages of what differs from
+//! the container written over: the head, and each segment sealed or
+//! moved ([`super::MigrationLibrary::write_pages`]).
 
 use super::{migratable_header_len, migratable_sealed_size, MigrationLibrary};
 use crate::error::MigError;
+use crate::transfer::chunker::MAX_STREAM_LEN;
 use mig_crypto::ct::ct_eq;
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::enclave::EnclaveEnv;
@@ -72,16 +90,35 @@ fn tag_of(sealed: &[u8]) -> Result<[u8; TAG_LEN], MigError> {
     sealed.last_chunk().copied().ok_or_else(malformed)
 }
 
-/// A staged container: MSK-sealed blobs in the library's framing,
-/// shared by the app and the library.
+/// The little-endian `u32` at `at`, if `bytes` holds one there.
+fn u32_at(bytes: &[u8], at: usize) -> Option<usize> {
+    let word = bytes.get(at..)?.first_chunk::<4>()?;
+    Some(u32::from_le_bytes(*word) as usize)
+}
+
+/// Whether `bytes` is a container with a `head_len`-byte head and
+/// segments of `lens` sealed bytes, in order: every length word is
+/// read where that layout puts it.
+fn has_layout(bytes: &[u8], head_len: usize, lens: &[usize]) -> bool {
+    let mut at = HEAD_FRAMING + head_len;
+    bytes.len() == container_len(head_len, lens.iter().copied())
+        && bytes.first() == Some(&CONTAINER_MAGIC)
+        && u32_at(bytes, 1) == Some(head_len)
+        && u32_at(bytes, at - 4) == Some(lens.len())
+        && lens.iter().all(|&len| {
+            let slot = at;
+            at += 4 + len;
+            u32_at(bytes, slot) == Some(len)
+        })
+}
+
+/// A staged container: MSK-sealed blobs in the library's framing, as
+/// [`ContainerReader::finish`] returns it for the app to stage.
 #[derive(Clone)]
 pub struct SealedContainer {
     pub(super) bytes: Arc<[u8]>,
     /// The library's number for this container.
     pub(super) id: u64,
-    /// The container it was written over, and the ranges that differ
-    /// from it.
-    pub(super) rewritten: Option<(u64, Vec<Range<usize>>)>,
 }
 
 impl SealedContainer {
@@ -100,95 +137,103 @@ impl std::fmt::Debug for SealedContainer {
     }
 }
 
-/// The segments of the container a writer writes over, read in order.
-struct Base<'b> {
-    container: &'b SealedContainer,
-    r: WireReader<'b>,
-    /// The index and range (length included) of the segment read last.
-    last: Option<(usize, Range<usize>)>,
-    /// The index of the next segment `r` reads.
+/// The container a writer writes over: the one the library staged when
+/// the writer started. The writer reads it only while the library still
+/// stages it.
+struct Base {
+    /// The library's number for it.
+    id: u64,
+    /// Where its segment `next` starts (its length word), for reading
+    /// its segments in order when the layout differs.
+    cursor: usize,
     next: usize,
 }
 
-impl<'b> Base<'b> {
-    fn new(container: &'b SealedContainer) -> Result<Self, MigError> {
-        let mut r = WireReader::new(&container.bytes);
-        r.u8()?;
-        r.bytes()?;
-        r.u32()?;
-        Ok(Base {
-            container,
-            r,
-            last: None,
-            next: 0,
-        })
-    }
-
-    /// Segment `i`'s range, its length included, if the base has one.
-    /// Segments are asked for in ascending order.
-    fn segment(&mut self, i: usize) -> Option<Range<usize>> {
-        let end = self.container.bytes.len();
-        while self.next <= i {
-            let at = end - self.r.remaining();
-            self.r.bytes().ok()?;
-            self.last = Some((self.next, at..end - self.r.remaining()));
+impl Base {
+    /// Segment `i`'s range in the base's `bytes`, its length included, if
+    /// it has one. Segments are asked for in ascending order.
+    fn segment(&mut self, bytes: &[u8], i: usize) -> Option<Range<usize>> {
+        while self.next < i {
+            self.cursor += 4 + u32_at(bytes, self.cursor)?;
             self.next += 1;
         }
-        self.last
-            .as_ref()
-            .filter(|(index, _)| *index == i)
-            .map(|(_, range)| range.clone())
+        let range = self.cursor..self.cursor + 4 + u32_at(bytes, self.cursor)?;
+        (self.next == i && range.end <= bytes.len()).then_some(range)
     }
 }
 
-/// Writes a container in one buffer of its final length: the segments
-/// in order, each sealed under the MSK or copied from the container it
-/// is written over, then the head.
-pub struct ContainerWriter<'b> {
-    buf: Arc<[u8]>,
+/// Writes a container over the library's staged one and stages it: the
+/// segments in order, each kept from the container written over or
+/// sealed under the MSK, then the head (see the module docs for where
+/// the bytes go).
+pub struct ContainerWriter {
     head_len: usize,
     /// Each segment's sealed length, in order.
     lens: Vec<usize>,
     /// The next segment's index, and where its length goes.
     next: usize,
     at: usize,
-    base: Option<Base<'b>>,
+    base: Option<Base>,
+    /// The container's own buffer; `None` when it has the base's layout
+    /// and is written over the base by [`ContainerWriter::finish`].
+    own: Option<Arc<[u8]>>,
+    /// What differs from the base, ascending: the head with its framing,
+    /// then each segment sealed or moved.
     rewritten: Vec<Range<usize>>,
+    /// Sealed segments, each with its length: into an own buffer, the
+    /// last one; over the base, every one, back to back, until `finish`
+    /// writes them into their slots.
     scratch: Vec<u8>,
 }
 
-impl<'b> ContainerWriter<'b> {
-    /// Starts a container over `base` (the container it replaces, whose
-    /// unchanged segments it copies) with a `head_len`-byte sealed head
-    /// and segments of `segment_lens` sealed bytes, in order (see
-    /// [`migratable_sealed_size`]).
+impl ContainerWriter {
+    /// Starts a container with a `head_len`-byte sealed head and
+    /// segments of `segment_lens` sealed bytes, in order (see
+    /// [`migratable_sealed_size`]), over the container `lib` stages.
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] if a length does not fit its `u32`.
+    /// Phase errors outside normal operation; [`MigError::Transfer`] if
+    /// a length does not fit its `u32` or the container exceeds the
+    /// streaming engine's [`MAX_STREAM_LEN`].
     pub fn new(
-        base: Option<&'b SealedContainer>,
+        lib: &MigrationLibrary,
         head_len: usize,
         segment_lens: Vec<usize>,
     ) -> Result<Self, MigError> {
+        lib.operational_state()?;
         let too_long = |_| MigError::Transfer("container exceeds wire limit");
         let head = u32::try_from(head_len).map_err(too_long)?;
         let n = u32::try_from(segment_lens.len()).map_err(too_long)?;
         let len = container_len(head_len, segment_lens.iter().copied());
-        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        // Fresh, so not shared.
-        let out = Arc::get_mut(&mut buf).ok_or_else(malformed)?;
-        put(out, 0, &[CONTAINER_MAGIC])?;
-        put(out, 1, &head.to_le_bytes())?;
-        put(out, 5 + head_len, &n.to_le_bytes())?;
+        if len as u64 > MAX_STREAM_LEN {
+            return Err(MigError::Transfer("bulk state exceeds stream limit"));
+        }
         let at = HEAD_FRAMING + head_len;
+        let staged = lib.bulk_state.as_deref().zip(lib.staged_id);
+        let base = staged.map(|(bytes, id)| Base {
+            id,
+            cursor: u32_at(bytes, 1).map_or(bytes.len(), |head| HEAD_FRAMING + head),
+            next: 0,
+        });
+        let own = if staged.is_some_and(|(bytes, _)| has_layout(bytes, head_len, &segment_lens)) {
+            None
+        } else {
+            let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+            // Fresh, so not shared.
+            let out = Arc::get_mut(&mut buf).ok_or_else(malformed)?;
+            put(out, 0, &[CONTAINER_MAGIC])?;
+            put(out, 1, &head.to_le_bytes())?;
+            put(out, 5 + head_len, &n.to_le_bytes())?;
+            Some(buf)
+        };
         Ok(ContainerWriter {
-            buf,
             head_len,
             lens: segment_lens,
             next: 0,
             at,
-            base: base.map(Base::new).transpose()?,
+            base,
+            own,
             rewritten: std::iter::once(0..at).collect(),
             scratch: Vec::new(),
         })
@@ -202,43 +247,50 @@ impl<'b> ContainerWriter<'b> {
             .ok_or(MigError::Protocol("more segments than the container holds"))
     }
 
-    /// Writes the next segment, its length included, and moves on.
-    fn write(&mut self, segment: &[u8], rewritten: bool) -> Result<(), MigError> {
-        let range = self.at..self.at + segment.len();
-        put(
-            Arc::get_mut(&mut self.buf).ok_or_else(malformed)?,
-            range.start,
-            segment,
-        )?;
-        self.at = range.end;
-        self.next += 1;
-        if rewritten {
-            self.rewritten.push(range);
-        }
-        Ok(())
-    }
-
-    /// Copies the next segment from the container written over, when it
-    /// has one of the same sealed length, and returns its tag: an
-    /// unchanged segment is never resealed. `None` when there is none to
-    /// copy; the caller seals the segment instead.
+    /// Keeps the next segment as the container written over holds it, if
+    /// that one is there at the same sealed length and ends with `tag`
+    /// (the tag the app recorded when it sealed or loaded the segment):
+    /// an unchanged segment is never resealed, and over an unchanged
+    /// layout not even copied. `false` when there is none to keep; the
+    /// caller seals the segment instead.
     ///
     /// # Errors
     ///
     /// [`MigError::Protocol`] past the container's last segment.
-    pub fn copy_segment(&mut self) -> Result<Option<[u8; TAG_LEN]>, MigError> {
+    pub fn copy_segment(
+        &mut self,
+        lib: &MigrationLibrary,
+        tag: &[u8; TAG_LEN],
+    ) -> Result<bool, MigError> {
         let len = self.slot()?;
         let Some(base) = self.base.as_mut() else {
-            return Ok(None);
+            return Ok(false);
         };
-        let container = base.container;
-        let Some(from) = base.segment(self.next).filter(|from| from.len() == 4 + len) else {
-            return Ok(None);
+        let Some(bytes) = lib.staged_bytes(base.id) else {
+            return Ok(false);
         };
-        let moved = from.start != self.at;
-        let segment = container.bytes.get(from).ok_or_else(malformed)?;
-        self.write(segment, moved)?;
-        tag_of(segment).map(Some)
+        let from = match self.own {
+            None => self.at..self.at + 4 + len,
+            Some(_) => match base.segment(bytes, self.next) {
+                Some(from) => from,
+                None => return Ok(false),
+            },
+        };
+        let Some(segment) = bytes.get(from.clone()).filter(|kept| kept.len() == 4 + len) else {
+            return Ok(false);
+        };
+        if !tag_of(segment).is_ok_and(|kept| ct_eq(&kept, tag)) {
+            return Ok(false);
+        }
+        if let Some(buf) = self.own.as_mut() {
+            put(Arc::get_mut(buf).ok_or_else(malformed)?, self.at, segment)?;
+            if from.start != self.at {
+                self.rewritten.push(self.at..self.at + segment.len());
+            }
+        }
+        self.at += 4 + len;
+        self.next += 1;
+        Ok(true)
     }
 
     /// Seals `plain` under `aad` with the MSK as the next segment and
@@ -260,41 +312,53 @@ impl<'b> ContainerWriter<'b> {
         if migratable_sealed_size(aad.len(), plain.len()) != len {
             return Err(MigError::Protocol("segment does not fit its slot"));
         }
-        if let Some(base) = self.base.as_mut() {
-            // Keep the base's reading in step with this container's.
-            let _ = base.segment(self.next);
-        }
         let prefix = u32::try_from(len)
             .map_err(|_| MigError::Transfer("container exceeds wire limit"))?
             .to_le_bytes();
-        let mut segment = std::mem::take(&mut self.scratch);
-        segment.clear();
-        segment.extend_from_slice(&prefix);
-        segment.resize(4 + migratable_header_len(aad.len()), 0);
-        segment.extend_from_slice(plain);
-        lib.seal_migratable_data_in_place(env, aad, &mut segment, 4)?;
-        let written = self.write(&segment, true);
-        let tag = tag_of(&segment);
-        self.scratch = segment;
-        written?;
-        tag
+        if self.own.is_some() {
+            self.scratch.clear();
+        }
+        let start = self.scratch.len();
+        self.scratch.reserve(4 + len);
+        self.scratch.extend_from_slice(&prefix);
+        self.scratch
+            .resize(start + 4 + migratable_header_len(aad.len()), 0);
+        self.scratch.extend_from_slice(plain);
+        lib.seal_migratable_data_in_place(env, aad, &mut self.scratch, start + 4)?;
+        let segment = self.scratch.get(start..).ok_or_else(malformed)?;
+        let range = self.at..self.at + segment.len();
+        if let Some(buf) = self.own.as_mut() {
+            put(
+                Arc::get_mut(buf).ok_or_else(malformed)?,
+                range.start,
+                segment,
+            )?;
+        }
+        let tag = tag_of(segment)?;
+        self.at = range.end;
+        self.next += 1;
+        self.rewritten.push(range);
+        Ok(tag)
     }
 
-    /// Seals `head` under `aad` with the MSK into the head's slot and
-    /// returns the container, once every segment is written.
+    /// Seals `head` under `aad` with the MSK into the head's slot, once
+    /// every segment is written, and stages the container in place of
+    /// the one written over. Returns its length.
     ///
     /// # Errors
     ///
-    /// [`MigError::Protocol`] if segments are missing or the sealed head
-    /// does not have the length the container was started with; phase
-    /// errors as for sealing.
+    /// [`MigError::Protocol`] if segments are missing, the sealed head
+    /// does not have the length the container was started with, or the
+    /// container written over in place is no longer the one staged;
+    /// phase errors as for sealing. On every error the staged container
+    /// and its due pages are as they were.
     pub fn finish(
-        mut self,
+        self,
         lib: &mut MigrationLibrary,
         env: &mut EnclaveEnv<'_>,
         aad: &[u8],
         head: &[u8],
-    ) -> Result<SealedContainer, MigError> {
+    ) -> Result<usize, MigError> {
         if self.next != self.lens.len() {
             return Err(MigError::Protocol("container segments missing"));
         }
@@ -302,16 +366,44 @@ impl<'b> ContainerWriter<'b> {
         if sealed.len() != self.head_len {
             return Err(MigError::Protocol("head does not fit its slot"));
         }
-        put(
-            Arc::get_mut(&mut self.buf).ok_or_else(malformed)?,
-            5,
-            &sealed,
-        )?;
-        Ok(SealedContainer {
-            bytes: self.buf,
-            id: lib.next_container_id(),
-            rewritten: self.base.map(|base| (base.container.id, self.rewritten)),
-        })
+        let base = self.base.map(|base| base.id);
+        let bytes = match self.own {
+            Some(mut buf) => {
+                put(Arc::get_mut(&mut buf).ok_or_else(malformed)?, 5, &sealed)?;
+                buf
+            }
+            None => {
+                let staged = base
+                    .filter(|&id| lib.staged_bytes(id).is_some())
+                    .and(lib.bulk_state.as_mut())
+                    .ok_or(MigError::Protocol(
+                        "staged container changed under its writer",
+                    ))?;
+                // In place when the library holds the only reference.
+                // `new` found every slot where the layout puts it, and
+                // each sealed segment fit its slot, so no write below
+                // fails part-way.
+                let out = Arc::make_mut(staged);
+                put(out, 5, &sealed)?;
+                let mut segments = self.scratch.as_slice();
+                for range in self.rewritten.iter().skip(1) {
+                    let (segment, rest) = segments
+                        .split_at_checked(range.len())
+                        .ok_or_else(malformed)?;
+                    put(out, range.start, segment)?;
+                    segments = rest;
+                }
+                Arc::clone(staged)
+            }
+        };
+        let len = bytes.len();
+        let id = lib.next_container_id();
+        lib.stage(
+            bytes,
+            id,
+            base.map(|base| (base, self.rewritten.as_slice())),
+        );
+        Ok(len)
     }
 }
 
@@ -414,7 +506,6 @@ impl<'b> ContainerReader<'b> {
         Ok(SealedContainer {
             bytes: Arc::from(self.bytes),
             id: lib.next_container_id(),
-            rewritten: None,
         })
     }
 }

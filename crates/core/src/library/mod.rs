@@ -24,15 +24,16 @@
 //! carries it ([`MigrationLibrary::write_persist`]), sealed where it lies
 //! inside the buffer that leaves the enclave.
 //!
-//! The app's bulk state is a [`container::SealedContainer`]: MSK
+//! The app's bulk state is a staged container ([`container`]): MSK
 //! ciphertext already, which the host stores like any other file of the
 //! app (§V-C). Staging marks the container's changed pages due, and the
 //! ECALL response carries those pages as they are
 //! ([`MigrationLibrary::write_pages`]); a `PUT` that reseals two
-//! segments hands the host a few pages, not the store. A restored
-//! library stages nothing until the app loads its container again. A
-//! host whose page or blob write failed asks for everything again
-//! ([`MigrationLibrary::refile`]) before its next call.
+//! segments hands the host a few pages, not the store, and the
+//! container's writer reseals them where they lie in the staged
+//! buffer. A restored library stages nothing until the app loads its
+//! container again. A host whose page or blob write failed asks for
+//! everything again ([`MigrationLibrary::refile`]) before its next call.
 
 pub mod container;
 pub mod state;
@@ -52,6 +53,7 @@ use sgx_sim::seal;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use state::{LibraryState, COUNTER_SLOTS};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// AAD tag binding sealed blobs to their role as library state.
@@ -147,10 +149,12 @@ pub struct MigrationLibrary {
     /// Whether Table II changed since the last ECALL response carried
     /// the sealed blob.
     persist_due: bool,
-    /// Staged bulk state: the bytes of the app's [`SealedContainer`] (on
-    /// a migration target, the container that arrived with the
+    /// Staged bulk state: the bytes of the app's staged container (on a
+    /// migration target, the container that arrived with the
     /// migration), shipped on migration and stored by the host page by
-    /// page. `Arc`-backed so the app and the library share one buffer.
+    /// page. `Arc`-backed so that a container the app loads shares it;
+    /// the container's writer patches it where it lies while the
+    /// library holds the only reference.
     bulk_state: Option<Arc<[u8]>>,
     /// The number of the staged container (see [`SealedContainer`]).
     staged_id: Option<u64>,
@@ -399,12 +403,12 @@ impl MigrationLibrary {
     // Bulk state (the streaming-transfer payload)
     // ------------------------------------------------------------------
 
-    /// Stages the app's bulk state, a [`SealedContainer`], for migration
-    /// and for the host to store. Replaces any previous staging and marks
-    /// the pages the host lacks due: the ranges the container's writer
-    /// rewrote when it was written over the container staged now, else
-    /// the whole container. Restaging the staged container itself (a
-    /// `LOAD` of the container that just migrated in) changes nothing.
+    /// Stages a container the app opened ([`container::ContainerReader`])
+    /// for migration and for the host to store, in place of any previous
+    /// staging; the host gets it whole. Restaging the staged container
+    /// itself (a `LOAD` of the container that just migrated in) changes
+    /// nothing. A container the app writes is staged by
+    /// [`container::ContainerWriter::finish`].
     ///
     /// # Errors
     ///
@@ -421,13 +425,21 @@ impl MigrationLibrary {
         if bytes.len() as u64 > crate::transfer::chunker::MAX_STREAM_LEN {
             return Err(MigError::Transfer("bulk state exceeds stream limit"));
         }
-        if self.staged_id == Some(container.id) {
-            return Ok(());
+        if self.staged_id != Some(container.id) {
+            self.stage(Arc::clone(bytes), container.id, None);
         }
+        Ok(())
+    }
+
+    /// Stages `bytes` as container `id` and marks the pages the host
+    /// lacks due: the `ranges` a writer rewrote when it wrote over
+    /// container `base` and that one is staged now at the same length,
+    /// else the whole container.
+    fn stage(&mut self, bytes: Arc<[u8]>, id: u64, rewritten: Option<(u64, &[Range<usize>])>) {
         let same_len = self.bulk_state.as_ref().map(|staged| staged.len()) == Some(bytes.len());
-        match (&container.rewritten, &mut self.pages_due) {
+        match (rewritten, &mut self.pages_due) {
             (_, DuePages::All) => {}
-            (Some((base, ranges)), due) if same_len && Some(*base) == self.staged_id => {
+            (Some((base, ranges)), due) if same_len && Some(base) == self.staged_id => {
                 let mut pages = match std::mem::take(due) {
                     DuePages::Some(pages) => pages,
                     _ => Vec::new(),
@@ -443,9 +455,15 @@ impl MigrationLibrary {
             }
             (_, due) => *due = DuePages::All,
         }
-        self.bulk_state = Some(Arc::clone(bytes));
-        self.staged_id = Some(container.id);
-        Ok(())
+        self.bulk_state = Some(bytes);
+        self.staged_id = Some(id);
+    }
+
+    /// The staged container's bytes, if container `id` is staged.
+    fn staged_bytes(&self, id: u64) -> Option<&[u8]> {
+        self.bulk_state
+            .as_deref()
+            .filter(|_| self.staged_id == Some(id))
     }
 
     /// The staged container, if the library stages exactly `bytes`.
@@ -457,7 +475,6 @@ impl MigrationLibrary {
         Some(SealedContainer {
             bytes: Arc::clone(staged),
             id: self.staged_id?,
-            rewritten: None,
         })
     }
 

@@ -16,8 +16,18 @@ use sgx_sim::machine::{MachineId, SgxMachine};
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner, MrEnclave};
 use sgx_sim::wire::WireWriter;
 use sgx_sim::SgxError;
+use std::sync::Arc;
 
-struct LibApp;
+/// A test app over the library's primitives. It remembers the
+/// plaintext and the segment tags of the container it staged last, so
+/// that `STAGE` keeps the segments that did not change.
+#[derive(Default)]
+struct LibApp {
+    plain: Vec<u8>,
+    tags: Vec<[u8; 16]>,
+    /// A clone of the staged buffer (`HOLD`).
+    held: Option<Arc<[u8]>>,
+}
 
 mod ops {
     pub const CREATE: u32 = 1;
@@ -31,9 +41,13 @@ mod ops {
     pub const SEAL_IN_PLACE: u32 = 9;
     pub const UNSEAL_INTO: u32 = 10;
     pub const LOAD: u32 = 11;
+    pub const HOLD: u32 = 12;
+    pub const HELD: u32 = 13;
+    pub const ADDR: u32 = 14;
+    pub const MISFIT: u32 = 15;
 }
 
-/// AADs of the container `STAGE` builds: its head lists the segments'
+/// AADs of the container `STAGE` writes: its head lists the segments'
 /// tags, and each segment holds 4 KiB of the input.
 const HEAD_AAD: &[u8] = b"unit-head";
 const SEGMENT_AAD: &[u8] = b"unit-segment";
@@ -98,41 +112,82 @@ impl AppLogic for LibApp {
             }
             ops::ACTIVE => Ok((ctx.lib.active_counters() as u32).to_le_bytes().to_vec()),
             ops::STAGE => {
-                let lens = input
-                    .chunks(SEGMENT_LEN)
-                    .map(|chunk| migratable_sealed_size(SEGMENT_AAD.len(), chunk.len()))
-                    .collect::<Vec<_>>();
-                let head_len = migratable_sealed_size(HEAD_AAD.len(), 16 * lens.len());
-                let mut w = ContainerWriter::new(None, head_len, lens)?;
-                let mut tags = Vec::new();
-                for chunk in input.chunks(SEGMENT_LEN) {
-                    tags.extend_from_slice(&w.seal_segment(
-                        ctx.lib,
-                        ctx.env,
-                        SEGMENT_AAD,
-                        chunk,
-                    )?);
+                // Writes the input as the container over the staged one,
+                // resealing the segments whose plaintext changed.
+                let (mut w, lens) = writer(ctx, input)?;
+                let old: Vec<&[u8]> = self.plain.chunks(SEGMENT_LEN).collect();
+                let mut tags = Vec::with_capacity(lens);
+                for (i, chunk) in input.chunks(SEGMENT_LEN).enumerate() {
+                    let kept = self.tags.get(i).filter(|_| old.get(i) == Some(&chunk));
+                    let tag = match kept {
+                        Some(tag) if w.copy_segment(ctx.lib, tag)? => *tag,
+                        _ => w.seal_segment(ctx.lib, ctx.env, SEGMENT_AAD, chunk)?,
+                    };
+                    tags.push(tag);
                 }
-                let container = w.finish(ctx.lib, ctx.env, HEAD_AAD, &tags)?;
-                ctx.lib.stage_bulk_state(ctx.env, &container)?;
+                w.finish(ctx.lib, ctx.env, HEAD_AAD, &tags.concat())?;
+                self.plain = input.to_vec();
+                self.tags = tags;
+                Ok(vec![])
+            }
+            ops::MISFIT => {
+                // Starts writing the input over the staged container,
+                // reseals its first segment, then offers a second one a
+                // byte short of its slot.
+                let (mut w, _) = writer(ctx, input)?;
+                let mut chunks = input.chunks(SEGMENT_LEN);
+                let first = chunks.next().unwrap_or_default();
+                w.seal_segment(ctx.lib, ctx.env, SEGMENT_AAD, first)?;
+                let second = chunks.next().unwrap_or_default();
+                let short = second.get(1..).unwrap_or_default();
+                w.seal_segment(ctx.lib, ctx.env, SEGMENT_AAD, short)?;
                 Ok(vec![])
             }
             ops::LOAD => {
-                let mut tags = Vec::new();
-                let (mut segments, aad) = ctx.lib.open_container(ctx.env, input, &mut tags)?;
+                let mut head = Vec::new();
+                let (mut segments, aad) = ctx.lib.open_container(ctx.env, input, &mut head)?;
                 assert_eq!(aad, HEAD_AAD);
+                let tags: Vec<[u8; 16]> = head
+                    .chunks_exact(16)
+                    .map(|tag| tag.try_into().unwrap())
+                    .collect();
                 let mut plain = Vec::new();
-                for tag in tags.chunks_exact(16) {
-                    let tag = tag.try_into().unwrap();
+                for tag in &tags {
                     segments.open_segment(ctx.lib, ctx.env, tag, &mut plain)?;
                 }
                 let container = segments.finish(ctx.lib)?;
                 ctx.lib.stage_bulk_state(ctx.env, &container)?;
+                self.plain.clone_from(&plain);
+                self.tags = tags;
                 Ok(plain)
+            }
+            ops::HOLD => {
+                self.held = ctx.lib.bulk_state().cloned();
+                Ok(vec![])
+            }
+            ops::HELD => Ok(self.held.as_deref().unwrap_or_default().to_vec()),
+            ops::ADDR => {
+                let addr = ctx
+                    .lib
+                    .bulk_state()
+                    .map_or(0, |state| state.as_ptr() as usize);
+                Ok((addr as u64).to_le_bytes().to_vec())
             }
             _ => Err(SgxError::InvalidParameter("opcode")),
         }
     }
+}
+
+/// A writer of `input` as a container of 4 KiB segments over the staged
+/// one, and its number of segments.
+fn writer(ctx: &AppCtx<'_, '_>, input: &[u8]) -> Result<(ContainerWriter, usize), SgxError> {
+    let lens = input
+        .chunks(SEGMENT_LEN)
+        .map(|chunk| migratable_sealed_size(SEGMENT_AAD.len(), chunk.len()))
+        .collect::<Vec<_>>();
+    let n = lens.len();
+    let head_len = migratable_sealed_size(HEAD_AAD.len(), 16 * n);
+    Ok((ContainerWriter::new(ctx.lib, head_len, lens)?, n))
 }
 
 fn machine() -> SgxMachine {
@@ -152,7 +207,10 @@ fn me_mr() -> MrEnclave {
 /// Loads + inits an enclave, returning the handle and the initial blob.
 fn fresh(machine: &SgxMachine) -> (EnclaveHandle, Vec<u8>) {
     let enclave = machine
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let out = enclave
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
@@ -180,7 +238,10 @@ fn init_new_persists_a_fresh_blob() {
 fn calling_app_before_init_fails() {
     let m = machine();
     let enclave = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let err = enclave.ecall(ops::SEAL, b"x").unwrap_err();
     assert!(matches!(err, SgxError::Enclave(ref msg) if msg.contains("not initialized")));
@@ -306,7 +367,10 @@ fn restore_round_trips_counters_and_msk() {
 
     // Fetch the blob produced by CREATE by re-driving a fresh enclave.
     let e_fresh = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let out = e_fresh
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
@@ -321,7 +385,10 @@ fn restore_round_trips_counters_and_msk() {
 
     e1.destroy();
     let e2 = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     e2.ecall(
         lib_ops::MIG_INIT,
@@ -377,7 +444,10 @@ fn persist_sealed_in_the_envelope_restores_table_and_bulk_state() {
 
     e1.destroy();
     let e2 = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     e2.ecall(
         lib_ops::MIG_INIT,
@@ -426,7 +496,10 @@ fn refile_hands_over_table_and_every_staged_page() {
 
     e1.destroy();
     let e2 = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     e2.ecall(
         lib_ops::MIG_INIT,
@@ -442,6 +515,124 @@ fn refile_hands_over_table_and_every_staged_page() {
     );
 }
 
+/// A `len`-byte input.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// The staged buffer's address, and the staged container's bytes.
+fn staged(enclave: &EnclaveHandle) -> (u64, Vec<u8>) {
+    let addr = call(enclave, ops::ADDR, &[]).unwrap();
+    let state = call(enclave, lib_ops::BULK_STATE, &[]).unwrap();
+    (
+        u64::from_le_bytes(addr.try_into().unwrap()),
+        state[5..].to_vec(),
+    )
+}
+
+/// Stages `input` with `STAGE`; returns the pages its envelope hands
+/// the host.
+fn stage(enclave: &EnclaveHandle, input: &[u8]) -> Vec<u32> {
+    let out = enclave.ecall(ops::STAGE, input).unwrap();
+    open_envelope(&out)
+        .unwrap()
+        .pages
+        .expect("pages due")
+        .numbers
+}
+
+/// The pages a restage of a `len`-byte input rewrites when it reseals
+/// only segment `i`: the head's and the segment's.
+fn pages_of_segment(len: usize, i: usize) -> Vec<u32> {
+    let head = 9 + migratable_sealed_size(HEAD_AAD.len(), 16 * len.div_ceil(SEGMENT_LEN));
+    let slot = 4 + migratable_sealed_size(SEGMENT_AAD.len(), SEGMENT_LEN);
+    let start = head + i * slot;
+    let mut pages: Vec<u32> = [0..head, start..start + slot]
+        .iter()
+        .flat_map(|range| range.start / 4096..=(range.end - 1) / 4096)
+        .map(|page| page as u32)
+        .collect();
+    pages.dedup();
+    pages
+}
+
+/// A restage to another layout writes a buffer of its own, copying the
+/// segments it keeps, and the container written over keeps its bytes.
+#[test]
+fn a_restage_to_a_new_layout_writes_a_fresh_buffer() {
+    let m = machine();
+    let (enclave, _) = fresh(&m);
+    let bulk = pattern(40_000);
+    stage(&enclave, &bulk);
+    call(&enclave, ops::HOLD, &[]).unwrap();
+    let (addr, before) = staged(&enclave);
+    // A longer last segment: the same head and nine segments kept.
+    let longer = [&bulk[..], &[7; 100]].concat();
+    let out = enclave.ecall(ops::STAGE, &longer).unwrap();
+    assert!(open_envelope(&out).unwrap().pages.unwrap().is_whole());
+    let (own, after) = staged(&enclave);
+    assert_ne!(own, addr);
+    assert_eq!(call(&enclave, ops::HELD, &[]).unwrap(), before);
+    let kept = 9 + migratable_sealed_size(HEAD_AAD.len(), 16 * 10)
+        ..before.len() - (4 + migratable_sealed_size(SEGMENT_AAD.len(), 40_000 % SEGMENT_LEN));
+    assert_eq!(after[kept.clone()], before[kept]);
+    assert_eq!(call(&enclave, ops::LOAD, &after).unwrap(), longer);
+    // Unshared, a new layout still gets a buffer of its own.
+    let shorter = &bulk[..30_000];
+    stage(&enclave, shorter);
+    let (again, restaged) = staged(&enclave);
+    assert_ne!(again, own);
+    assert_eq!(call(&enclave, ops::LOAD, &restaged).unwrap(), shorter);
+}
+
+/// Over an unchanged layout the writer reseals a segment where it lies,
+/// unless another holder shares the staged buffer: then it writes over
+/// a copy, and the holder's bytes do not change. Either way only the
+/// head's and the resealed segment's pages are due.
+#[test]
+fn a_restage_over_a_shared_buffer_writes_a_copy() {
+    let m = machine();
+    let (enclave, _) = fresh(&m);
+    let mut bulk = pattern(40_000);
+    stage(&enclave, &bulk);
+    let (addr, _) = staged(&enclave);
+    bulk[5 * SEGMENT_LEN] ^= 1;
+    assert_eq!(stage(&enclave, &bulk), pages_of_segment(bulk.len(), 5));
+    let (in_place, before) = staged(&enclave);
+    assert_eq!(in_place, addr);
+    call(&enclave, ops::HOLD, &[]).unwrap();
+    bulk[7 * SEGMENT_LEN] ^= 1;
+    assert_eq!(stage(&enclave, &bulk), pages_of_segment(bulk.len(), 7));
+    let (copy, after) = staged(&enclave);
+    assert_ne!(copy, addr);
+    assert_eq!(call(&enclave, ops::HELD, &[]).unwrap(), before);
+    assert_eq!(call(&enclave, ops::LOAD, &after).unwrap(), bulk);
+}
+
+/// A segment that does not fit its slot is refused before anything is
+/// written, even after an earlier segment was resealed: the staged
+/// container and its due pages are as they were.
+#[test]
+fn a_misfit_segment_leaves_the_staged_container_as_it_was() {
+    let m = machine();
+    let (enclave, _) = fresh(&m);
+    let mut bulk = pattern(40_000);
+    stage(&enclave, &bulk);
+    let before = staged(&enclave);
+    bulk[0] ^= 1;
+    let err = call(&enclave, ops::MISFIT, &bulk).unwrap_err();
+    assert!(
+        matches!(err, SgxError::Enclave(ref msg) if msg.contains("does not fit its slot")),
+        "{err:?}"
+    );
+    assert_eq!(staged(&enclave), before);
+    let out = enclave.ecall(ops::ACTIVE, &[]).unwrap();
+    let envelope = open_envelope(&out).unwrap();
+    assert!(envelope.pages.is_none(), "no page is due");
+    // The next restage keeps what did not change.
+    assert_eq!(stage(&enclave, &bulk), pages_of_segment(bulk.len(), 0));
+}
+
 #[test]
 fn restore_rejects_blob_from_other_enclave() {
     let m = machine();
@@ -452,7 +643,10 @@ fn restore_rejects_blob_from_other_enclave() {
         &EnclaveSigner::from_seed([6; 32]),
     );
     let other = m
-        .load_enclave(&other_image, Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &other_image,
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let out = other
         .ecall(lib_ops::MIG_INIT, &encode_init(&me_mr(), &InitRequest::New))
@@ -462,7 +656,10 @@ fn restore_rejects_blob_from_other_enclave() {
 
     // Same machine, different MRENCLAVE: native sealing rejects it.
     let mine = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let err = mine
         .ecall(
@@ -477,7 +674,10 @@ fn restore_rejects_blob_from_other_enclave() {
 fn restore_rejects_garbage_blob() {
     let m = machine();
     let enclave = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     let err = enclave
         .ecall(
@@ -497,7 +697,10 @@ fn restore_rejects_garbage_blob() {
 fn await_migration_phase_refuses_operations() {
     let m = machine();
     let enclave = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     enclave
         .ecall(
@@ -595,7 +798,10 @@ fn effective_value_spans_restart_lineage() {
     e1.destroy();
 
     let e2 = m
-        .load_enclave(&image(), Box::new(MigratableEnclave::new(LibApp)))
+        .load_enclave(
+            &image(),
+            Box::new(MigratableEnclave::new(LibApp::default())),
+        )
         .unwrap();
     e2.ecall(
         lib_ops::MIG_INIT,

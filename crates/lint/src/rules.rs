@@ -262,10 +262,12 @@ pub fn ct_compare(f: &SourceFile) -> Vec<RawViolation> {
 }
 
 /// Whether `enclave-panic` applies to this path: enclave-resident code
-/// only — the ME, the migration library, and the sgx-sim trusted parts.
+/// only — the ME, the migration library, the apps (whose `AppLogic`
+/// runs inside the enclave) and the sgx-sim trusted parts.
 fn is_enclave_path(rel: &str) -> bool {
     rel.starts_with("crates/core/src/me/")
         || rel.starts_with("crates/core/src/library/")
+        || rel.starts_with("crates/apps/src/")
         || rel == "crates/sgx-sim/src/enclave.rs"
         || rel == "crates/sgx-sim/src/seal.rs"
         || rel.contains("fixtures/enclave-panic/")
@@ -542,4 +544,29 @@ pub fn secret_hygiene(f: &SourceFile) -> (Vec<RawViolation>, CrossFileFacts) {
     }
 
     (out, facts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_enclave_path;
+
+    #[test]
+    fn enclave_panic_scans_the_enclave_resident_code_only() {
+        for rel in [
+            "crates/core/src/me/session.rs",
+            "crates/core/src/library/container.rs",
+            "crates/apps/src/kvstore.rs",
+            "crates/sgx-sim/src/seal.rs",
+        ] {
+            assert!(is_enclave_path(rel), "{rel}");
+        }
+        for rel in [
+            "crates/core/src/host.rs",
+            "crates/core/src/datacenter.rs",
+            "crates/sgx-sim/src/machine.rs",
+            "src/soak.rs",
+        ] {
+            assert!(!is_enclave_path(rel), "{rel}");
+        }
+    }
 }

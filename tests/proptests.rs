@@ -616,13 +616,14 @@ fn pages_of<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random PUTs (same length, new length, new key), partial
+    /// Random PUTs (same length, new length, new key), an insert or
+    /// resize followed by a same-length PUT of a later key, partial
     /// `BULK_PUT`s, LOADs of the staged container and restarts that LOAD
     /// the container the host reassembles from its pages: after every
-    /// step the staged container opens to exactly the current store, and
-    /// a same-length PUT reseals only segment 0 (the header) and the
-    /// segments its value spans, and hands the host only their pages and
-    /// the index's.
+    /// step the live store and the staged container, opened, both hold
+    /// exactly the model, and a same-length PUT reseals only segment 0
+    /// (the header) and the segments its value spans, and hands the host
+    /// only their pages and the index's.
     #[test]
     fn kvstore_staging_tracks_every_write(
         seed in 0u64..10_000,
@@ -654,6 +655,16 @@ proptest! {
         }
         let mut staged = dc.app_bulk_state("kv").unwrap().unwrap();
 
+        // The segments a same-length PUT of `key` may reseal: the
+        // header's and those its value spans.
+        let spanned = |model: &KvModel, key: &[u8]| {
+            let span = model.value_range(key);
+            let mut segments = std::collections::BTreeSet::from([0]);
+            if !span.is_empty() {
+                segments.extend(span.start / SEGMENT_LEN..=(span.end - 1) / SEGMENT_LEN);
+            }
+            segments
+        };
         for step in steps {
             written.lock().clear();
             let pick = (step >> 8) as usize % model.entries.len();
@@ -661,18 +672,13 @@ proptest! {
             let fill = (step >> 40) as u8;
             let len = (step >> 16) as usize % 700;
             let mut resealed_at_most = None;
-            match step % 6 {
+            match step % 7 {
                 kind @ 0..=2 => {
                     let (key, value) = match kind {
                         // Same length: only the value's bytes change.
                         0 => {
+                            resealed_at_most = Some(spanned(&model, &key));
                             let value = vec![fill; model.entries[&key].len()];
-                            let span = model.value_range(&key);
-                            let mut segments = std::collections::BTreeSet::from([0]);
-                            if !span.is_empty() {
-                                segments.extend(span.start / SEGMENT_LEN..=(span.end - 1) / SEGMENT_LEN);
-                            }
-                            resealed_at_most = Some(segments);
                             (key, value)
                         }
                         // Another length.
@@ -685,6 +691,33 @@ proptest! {
                     model.entries.insert(key, value);
                 }
                 3 => {
+                    // An insert or a resize, then a same-length PUT of a
+                    // later key: the second write lands where the first
+                    // moved that key's value.
+                    let first = if step & (1 << 61) == 0 {
+                        key
+                    } else {
+                        format!("key-{step:016x}").into_bytes()
+                    };
+                    let resized = len + usize::from(model.entries.get(&first).map(Vec::len) == Some(len));
+                    let value = vec![fill; resized];
+                    dc.call_app("kv", kv::PUT, &kvstore::encode_put(&first, &value)).unwrap();
+                    model.entries.insert(first.clone(), value);
+                    let later = model
+                        .entries
+                        .range::<Vec<u8>, _>((std::ops::Bound::Excluded(&first), std::ops::Bound::Unbounded))
+                        .next()
+                        .map(|(later, _)| later.clone());
+                    if let Some(later) = later {
+                        staged = dc.app_bulk_state("kv").unwrap().unwrap();
+                        written.lock().clear();
+                        resealed_at_most = Some(spanned(&model, &later));
+                        let value = vec![!fill; model.entries[&later].len()];
+                        dc.call_app("kv", kv::PUT, &kvstore::encode_put(&later, &value)).unwrap();
+                        model.entries.insert(later, value);
+                    }
+                }
+                4 => {
                     // Rewrite a prefix of the bulk entries, at their
                     // length or another.
                     let count = 1 + (step >> 8) as u32 % BULK;
@@ -699,7 +732,7 @@ proptest! {
                         model.entries.insert(KvModel::bulk_key(i), KvModel::bulk_value(i, value_len, fill));
                     }
                 }
-                4 => {
+                5 => {
                     dc.call_app("kv", kv::LOAD, &staged).unwrap();
                 }
                 _ => {
@@ -725,12 +758,18 @@ proptest! {
                 prop_assert_eq!(resealed, allowed);
             }
             staged = next;
-            // Opening the staged container restores exactly the model.
-            dc.call_app("kv", kv::LOAD, &staged).unwrap();
-            let len = dc.call_app("kv", kv::LEN, &[]).unwrap();
-            prop_assert_eq!(len, (model.entries.len() as u32).to_le_bytes().to_vec());
-            for (key, value) in &model.entries {
-                prop_assert_eq!(&dc.call_app("kv", kv::GET, key).unwrap(), value);
+            // The live store holds exactly the model, and so does the
+            // staged container, opened (which rebuilds the index).
+            for reload in [false, true] {
+                if reload {
+                    dc.call_app("kv", kv::LOAD, &staged).unwrap();
+                }
+                let len = dc.call_app("kv", kv::LEN, &[]).unwrap();
+                prop_assert_eq!(len, (model.entries.len() as u32).to_le_bytes().to_vec());
+                for (key, value) in &model.entries {
+                    let got = dc.call_app("kv", kv::GET, key).unwrap();
+                    prop_assert!(&got == value, "GET {:?} after reload {}", String::from_utf8_lossy(key), reload);
+                }
             }
         }
     }

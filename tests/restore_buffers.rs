@@ -1,20 +1,22 @@
-//! How many bytes staging and restoring a kvstore allocates.
+//! How many bytes staging, restoring and updating a kvstore allocates.
 //!
 //! A 16 MiB kvstore is staged with `BULK_PUT`, moved to a second machine
-//! (`migrate_app`) and restored there (`app_bulk_state` + `LOAD`). This
-//! binary's global allocator sums the bytes of every allocation made in
-//! two windows, as multiples of the state:
+//! (`migrate_app`), restored there (`app_bulk_state` + `LOAD`) and
+//! updated by one `PUT`. This binary's global allocator sums the bytes of
+//! every allocation made in three windows, as multiples of the state:
 //!
-//! * the staging `BULK_PUT`: the entries, the snapshot plaintext, the
-//!   segment-sealed container (shared by the kvstore and the library),
-//!   and the ECALL envelope with the library's persist blob sealed in
-//!   it;
-//! * `app_bulk_state` + `LOAD`: the `BULK_STATE` output, the snapshot
-//!   plaintext each segment opens into, and the restored entries.
+//! * the staging `BULK_PUT`: the snapshot (which is the store), the
+//!   segment-sealed container the library stages, and the ECALL envelope
+//!   carrying its pages to the host;
+//! * `app_bulk_state` + `LOAD`: the `BULK_STATE` output and the snapshot
+//!   plaintext each segment opens into, which the store keeps;
+//! * a same-length 4 KiB `PUT`: the segments it reseals and the sealed
+//!   index, written over the staged container where they lie, and the
+//!   envelope carrying their pages; nothing of the store's size.
 //!
-//! Neither window copies a segment into a buffer of its own or hashes
-//! one (README, "State buffers"). The file holds this one test, so
-//! nothing else allocates during the counted windows.
+//! No window copies a segment into a buffer of its own or hashes one
+//! (README, "State buffers"). The file holds this one test, so nothing
+//! else allocates during the counted windows.
 
 use cloud_sim::machine::MachineLabels;
 use mig_apps::kvstore::{self, ops as kv, KvStore};
@@ -83,12 +85,15 @@ static ALLOCATOR: Counting = Counting;
 const ENTRIES: u32 = 4096;
 const VALUE_LEN: u32 = 4096;
 /// Most bytes the staging `BULK_PUT` may allocate, per state byte
-/// (4.12 today: entries, snapshot, container and envelope, about one
-/// state each).
-const MAX_STAGE_BYTES_PER_STATE_BYTE: f64 = 4.25;
+/// (3.16 today: snapshot, container and envelope, about one state each).
+const MAX_STAGE_BYTES_PER_STATE_BYTE: f64 = 3.25;
 /// Most bytes `app_bulk_state` + `LOAD` may allocate, per state byte
-/// (3.09 today: `BULK_STATE` output, snapshot and entries).
-const MAX_RESTORE_BYTES_PER_STATE_BYTE: f64 = 3.25;
+/// (2.06 today: `BULK_STATE` output and snapshot).
+const MAX_RESTORE_BYTES_PER_STATE_BYTE: f64 = 2.25;
+/// Most bytes a same-length 4 KiB `PUT` into the restored store may
+/// allocate, per state byte (0.021 today: the index, the resealed
+/// segments and the envelope).
+const MAX_PUT_BYTES_PER_STATE_BYTE: f64 = 1.0 / 32.0;
 
 /// Runs `f` with the allocator counting; returns its result, the bytes
 /// allocated and the number of allocations.
@@ -139,8 +144,19 @@ fn staging_and_restoring_allocate_a_bounded_multiple_of_the_state() {
     assert_eq!(blob.len() as u64, container_len);
     let len = dc.call_app("dst", kv::LEN, &[]).unwrap();
     assert_eq!(len, ENTRIES.to_le_bytes());
+
+    let value = vec![0x5a; VALUE_LEN as usize];
+    let put = kvstore::encode_put(b"bulk-00002048", &value);
+    let (reply, put_bytes, put_allocations) = counted(|| dc.call_app("dst", kv::PUT, &put));
+    reply.unwrap();
+    assert_eq!(
+        dc.call_app("dst", kv::GET, b"bulk-00002048").unwrap(),
+        value
+    );
+
     let stage = stage_bytes as f64 / state_len;
     let restore = restore_bytes as f64 / state_len;
+    let put = put_bytes as f64 / state_len;
     assert!(
         stage <= MAX_STAGE_BYTES_PER_STATE_BYTE,
         "BULK_PUT allocated {stage:.2}x the state in {stage_allocations} allocations"
@@ -148,5 +164,9 @@ fn staging_and_restoring_allocate_a_bounded_multiple_of_the_state() {
     assert!(
         restore <= MAX_RESTORE_BYTES_PER_STATE_BYTE,
         "app_bulk_state + LOAD allocated {restore:.2}x the state in {restore_allocations} allocations"
+    );
+    assert!(
+        put <= MAX_PUT_BYTES_PER_STATE_BYTE,
+        "PUT allocated {put:.3}x the state ({put_bytes} B) in {put_allocations} allocations"
     );
 }
