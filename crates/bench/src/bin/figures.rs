@@ -398,7 +398,7 @@ fn e4(n: usize) {
 
     // Concurrency series: k enclaves of the largest swept geometry
     // migrating to one destination at once. The per-nonce multiplexed
-    // streams share the link under deficit round-robin, so the total
+    // streams share the link window evenly, so the total
     // time should grow roughly linearly with k while the completion
     // spread stays a small fraction of the total (no stream starves).
     // No row may beat its link floor: the row's wire bytes at the
@@ -430,8 +430,7 @@ fn e4(n: usize) {
             spread_ms.push(cell.spread_ms);
             wire_bytes_sum += cell.wire_bytes;
         }
-        // Mean over the runs, like the latency columns (per-run byte
-        // counts vary with the adaptive link's settled geometry).
+        // Mean over the runs, like the latency columns.
         let wire_bytes = wire_bytes_sum / n as u64;
         let total = mig_stats::summarize(&total_ms, 0.99);
         let spread = mig_stats::summarize(&spread_ms, 0.99);

@@ -469,8 +469,8 @@ pub fn delta_migration_cycle(
 
 /// One cell of the E4 concurrency series: `k` enclaves of equal state
 /// size migrating to one destination machine at once, their chunk
-/// streams multiplexed (per-nonce, deficit-round-robin) on the shared
-/// ME↔ME channel.
+/// streams multiplexed (per-nonce, sharing the link window evenly) on
+/// the shared ME↔ME channel.
 #[derive(Clone, Copy, Debug)]
 pub struct ConcurrencyCell {
     /// Number of concurrent migrations.

@@ -337,8 +337,9 @@ impl Datacenter {
     /// Migrates several enclaves **concurrently**: every
     /// `(source, destination)` pair's `migration_start` fires before the
     /// world is pumped, so their chunk streams multiplex on the shared
-    /// ME↔ME channels (per-nonce streams, deficit-round-robin fairness —
-    /// a large-state migration cannot head-of-line-block a small one).
+    /// ME↔ME channels (per-nonce streams, each free window slot going to
+    /// the stream with the fewest chunks in flight — a large-state
+    /// migration cannot head-of-line-block a small one).
     /// Returns the virtual time until the **last** migration completed.
     ///
     /// # Errors
@@ -425,9 +426,11 @@ impl Datacenter {
     ///
     /// Re-attests the (frozen) source enclave with its ME when needed —
     /// after an ME restart all attested sessions are gone — then
-    /// re-dispatches the retained transfer: the source ME renegotiates
-    /// the resume point with the destination (`ResumeRequest` /
-    /// `Resume`) and streams only the chunks the destination is missing.
+    /// re-dispatches the retained transfer with
+    /// [`Datacenter::retry_migration`], whose virtual time it returns:
+    /// the source ME renegotiates the resume point with the destination
+    /// (`ResumeRequest` / `Resume`) and streams only the chunks the
+    /// destination is missing.
     ///
     /// # Errors
     ///
@@ -438,15 +441,6 @@ impl Datacenter {
         src_instance: &str,
         dst_instance: &str,
     ) -> Result<Duration, MigError> {
-        let src_machine = self.app_machine(src_instance);
-        let dst_machine = self.app_machine(dst_instance);
-        let mr = self
-            .app(src_instance)
-            .lock()
-            .enclave()
-            .identity()
-            .mr_enclave;
-
         // Re-attest the source app so the completion notification can
         // reach it over a fresh channel (harmless if already attested).
         {
@@ -455,26 +449,7 @@ impl Datacenter {
             src.attest_me(self.world.network_mut());
         }
         self.world.run_until_idle();
-
-        let started = self.world.now();
-        let me = self.me_host(src_machine);
-        me.lock()
-            .retry_migration(self.world.network_mut(), mr, dst_machine)
-            .map_err(MigError::Sgx)?;
-        self.world.run_until_idle();
-        let finished = self.world.now();
-
-        let src = self.app(src_instance);
-        let dst = self.app(dst_instance);
-        if src.lock().status() != AppStatus::MigratingOut
-            && src.lock().status() != AppStatus::Migrated
-        {
-            return Err(MigError::HostState("source in unexpected status"));
-        }
-        if dst.lock().status() != AppStatus::Ready {
-            return Err(MigError::HostState("destination did not become ready"));
-        }
-        Ok(finished.since(started))
+        self.retry_migration(src_instance, dst_instance)
     }
 
     /// The bulk state of `instance`: the container its Migration Library

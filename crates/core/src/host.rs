@@ -302,7 +302,7 @@ pub struct MeHost {
     mr_by_app: HashMap<Endpoint, MrEnclave>,
     /// Bounded ring buffer of migration trace events.
     recorder: Recorder,
-    /// Host-side metrics: latency histograms and wire-layer gauges.
+    /// Host-side metrics: latency histograms and per-stream link gauges.
     registry: MetricsRegistry,
     /// Open inbound streams by trace id (span bookkeeping).
     inbound: BTreeMap<TraceId, InboundSpan>,
@@ -466,7 +466,7 @@ impl MeHost {
 
     /// Snapshot of this machine's full telemetry: host-recorded trace
     /// events and histograms joined with the enclave's counters and
-    /// wire-layer gauges (via the `TELEMETRY` ECALL) and the simulated
+    /// cache gauge (via the `TELEMETRY` ECALL) and the simulated
     /// CPU's ECALL/OCALL transition tally. Deterministic for a given
     /// seed; gauges are machine-scoped (`m<id>.…`) so fleet merges
     /// stay unambiguous, counters are plain names and fleet-additive.
@@ -487,20 +487,6 @@ impl MeHost {
             &format!("m{m}.cache.bytes"),
             i64::try_from(report.cache_bytes).unwrap_or(i64::MAX),
         );
-        for link in &report.links {
-            let d = link.destination.0;
-            registry.set_gauge(
-                &format!("m{m}.link.m{d}.chunk_size"),
-                i64::from(link.chunk_size),
-            );
-            registry.set_gauge(&format!("m{m}.link.m{d}.window"), i64::from(link.window));
-            for (mr, deficit) in &link.deficits {
-                registry.set_gauge(
-                    &format!("m{m}.link.m{d}.deficit.{}", mr_tag(mr)),
-                    i64::try_from(*deficit).unwrap_or(i64::MAX),
-                );
-            }
-        }
         let mut telemetry = Telemetry::from_parts(&self.recorder, &registry);
         let tally = self.enclave.transition_tally();
         telemetry.transitions.total = TransitionCount {
@@ -942,33 +928,6 @@ impl MeHost {
         Ok(result)
     }
 
-    /// Current adaptive-controller state of the link towards
-    /// `destination`: `Some((chunk_size, window))` once any stream has
-    /// run there, `None` before.
-    ///
-    /// # Errors
-    ///
-    /// Enclave errors propagate.
-    pub fn link_state(&mut self, destination: MachineId) -> Result<Option<(u32, u32)>, SgxError> {
-        let mut w = WireWriter::new();
-        w.u64(destination.0);
-        let out = self.enclave.ecall(me_ops::LINK_STAT, &w.finish())?;
-        let mut r = WireReader::new(&out);
-        let result = match r.u8()? {
-            1 => Some((r.u32()?, r.u32()?)),
-            _ => None,
-        };
-        if let Some((chunk_size, window)) = result {
-            let m = self.endpoint.machine.0;
-            let d = destination.0;
-            self.registry
-                .set_gauge(&format!("m{m}.link.m{d}.chunk_size"), i64::from(chunk_size));
-            self.registry
-                .set_gauge(&format!("m{m}.link.m{d}.window"), i64::from(window));
-        }
-        Ok(result)
-    }
-
     /// Per-stream state of the multiplexed link towards `destination`:
     /// one entry per announced outgoing stream (sorted by MRENCLAVE)
     /// with its per-nonce cumulative progress.
@@ -1001,13 +960,9 @@ impl MeHost {
     }
 }
 
-/// Parses the per-stream part of a `LINK_STAT` ECALL output.
+/// Parses a `LINK_STAT` ECALL output.
 fn parse_link_streams(out: &[u8]) -> Result<Vec<LinkStreamStat>, SgxError> {
     let mut r = WireReader::new(out);
-    if r.u8()? == 1 {
-        let _chunk_size = r.u32()?;
-        let _window = r.u32()?;
-    }
     let n = r.u32()? as usize;
     // Each entry takes 46 bytes: bound the reservation by the input.
     let mut streams = Vec::with_capacity(n.min(r.remaining() / 46));
@@ -1576,12 +1531,9 @@ mod tests {
     fn link_stat_decode_bounds_the_stream_count_by_the_input() {
         // A LINK_STAT output claiming u32::MAX streams must fail to
         // decode, not reserve memory for them.
-        let mut out = vec![0];
-        out.extend_from_slice(&u32::MAX.to_le_bytes());
+        let out = u32::MAX.to_le_bytes();
         assert!(matches!(parse_link_streams(&out), Err(SgxError::Decode)));
-        let mut one = vec![1];
-        one.extend_from_slice(&[0; 8]);
-        one.extend_from_slice(&1u32.to_le_bytes());
+        let mut one = 1u32.to_le_bytes().to_vec();
         one.extend_from_slice(&[7; 32]);
         one.extend_from_slice(&[0; 14]);
         assert_eq!(parse_link_streams(&one).unwrap().len(), 1);

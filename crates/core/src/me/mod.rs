@@ -6,10 +6,8 @@
 //!   ([`session::SenderFsm`] / [`session::ReceiverFsm`]) covering
 //!   announce → chunk/delta → resume/retry → stored/delivered, with
 //!   destination-side speculative restore as the one receiver;
-//! * [`wire`] — sealing and pacing for one destination link: the
-//!   `TRANSFER` frame every ME→ME message rides in, the adaptive
-//!   chunk/window controller, and the deficit-round-robin scheduler
-//!   ([`wire::LinkShaper`]);
+//! * [`wire`] — the `TRANSFER` frame every ME→ME message rides in,
+//!   each message sealed on its own;
 //! * [`persist`] — the generation-numbered me-state checkpoint codec
 //!   and the byte-budgeted delta-base LRU cache.
 //!
@@ -38,7 +36,7 @@ pub mod telemetry;
 pub mod wire;
 
 pub use session::{MeAction, ReceiverFsm, ReceiverRelease, SenderFsm, StreamProgress};
-pub use telemetry::{LinkTelemetry, TelemetryReport};
+pub use telemetry::TelemetryReport;
 
 use crate::error::MigError;
 use crate::msgs::MeToLib;
@@ -62,7 +60,6 @@ use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use wire::LinkShaper;
 
 /// ECALL opcodes of the Migration Enclave.
 pub mod ops {
@@ -102,13 +99,12 @@ pub mod ops {
     /// Streaming-transfer progress query for a retained outgoing
     /// migration (diagnostics / resumable-migration orchestration).
     pub const STREAM_STAT: u32 = 14;
-    /// Adaptive-controller state query for a destination link
-    /// (diagnostics: current chunk size and send window).
+    /// Per-stream state query for a destination link (diagnostics:
+    /// every announced stream with its progress and chunks in flight).
     pub const LINK_STAT: u32 = 15;
-    /// Export the ME's telemetry: migration counters, live wire-layer
-    /// gauges, and the quarantine ledger (trace ids only — one-way
-    /// hashes of the transfer nonce; the nonce never leaves the
-    /// enclave). Read-only.
+    /// Export the ME's telemetry: migration counters, the cache gauge,
+    /// and the quarantine ledger (trace ids only — one-way hashes of the
+    /// transfer nonce; the nonce never leaves the enclave). Read-only.
     pub const TELEMETRY: u32 = 16;
     /// Host-directed discard of staged **incoming** migration state for
     /// one enclave measurement (supervisor graceful degradation).
@@ -321,10 +317,6 @@ pub struct MigrationEnclave {
     /// the delta base for repeat migrations. LRU-evicted beyond
     /// [`TransferConfig::cache_budget`].
     pub(crate) cache: GenerationCache,
-    /// Per-destination wire-layer state ([`LinkShaper`]: adaptive
-    /// controller and DRR scheduler). Ephemeral — a restarted ME
-    /// re-seeds them from the provisioned config.
-    pub(crate) shapers: HashMap<MachineId, LinkShaper>,
     /// Migration telemetry counters and the quarantine ledger, exported
     /// via [`ops::TELEMETRY`]. Ephemeral by design (see [`telemetry`]).
     pub(crate) telemetry: telemetry::MeTelemetry,
@@ -547,12 +539,6 @@ impl MigrationEnclave {
         };
         self.channels_out
             .insert(destination, SecureChannel::new(key, ChannelRole::Initiator));
-        // The link's wire state starts with its channel, so `LINK_STAT`
-        // and telemetry report every link, streamed over or not.
-        let transfer_cfg = self.config()?.transfer;
-        self.shapers
-            .entry(destination)
-            .or_insert_with(|| LinkShaper::new(&transfer_cfg));
         let frames = self.send_unsent(env, destination)?;
 
         let finish = finish.to_bytes();

@@ -15,9 +15,9 @@
 //! parked incoming data, partially received inbound streams (their
 //! verified prefixes), and the generation cache with its LRU ticks.
 //! The checkpoint holds each cached generation's bytes only; `RESTORE`
-//! recomputes its tree once, from the bytes it unsealed. Channels,
-//! schedulers, link controllers, and the staging of inbound delta
-//! streams are ephemeral — rebuilt or renegotiated after the restore.
+//! recomputes its tree once, from the bytes it unsealed. Channels and
+//! the staging of inbound delta streams are ephemeral — rebuilt or
+//! renegotiated after the restore.
 
 use crate::error::MigError;
 use crate::library::state::MigrationData;
@@ -430,10 +430,6 @@ impl MigrationEnclave {
         self.inbound = inbound;
         self.cache = cache;
         self.out_streams.clear();
-        // Wire-layer state (adaptive links, scheduler rounds, cells) is
-        // ephemeral: re-seeded from the provisioned config on the next
-        // stream.
-        self.shapers.clear();
         Ok(vec![])
     }
 }

@@ -25,20 +25,19 @@
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
 //! whose base generation fell out of the LRU cache as
-//! [`MigError::BaseEvicted`]. The wire-facing side (sealing,
-//! scheduling) lives in [`super::wire`]; durable state in
-//! [`super::persist`].
+//! [`MigError::BaseEvicted`]. Message sealing lives in
+//! [`super::wire`]; durable state in [`super::persist`].
 
 use crate::error::{ChannelPeer, MigError};
 use crate::library::state::MigrationData;
-use crate::me::wire::{self, Cell, LinkShaper, StreamDemand};
+use crate::me::wire::{self, Cell};
 use crate::me::MigrationEnclave;
 use crate::msgs::{ChunkCell, LibToMe, MeToLib, MeToMe};
 use crate::transfer::chunker::{
     chunk_count, trace_id, ChunkAssembler, ChunkMac, ChunkStream, TransferNonce,
 };
 use crate::transfer::delta::{self, DeltaManifest, DigestedState, PageDigests, StagedApply};
-use crate::transfer::{MAX_DELTA_PERCENT, MAX_STREAMS, MIN_CHUNK_SIZE};
+use crate::transfer::{MAX_DELTA_PERCENT, MAX_STREAMS};
 use sgx_sim::enclave::EnclaveEnv;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
@@ -220,7 +219,7 @@ impl MeAction {
 pub struct StreamProgress {
     pub(crate) nonce: TransferNonce,
     /// Chunk size the stream was started with (survives re-provisioning
-    /// with a different config and adaptive drift).
+    /// with a different config).
     pub(crate) chunk_size: u32,
     /// Length of the streamed payload: the full state for a full stream,
     /// the packed dirty pages for a delta stream.
@@ -324,17 +323,6 @@ impl StreamProgress {
         self.delta_base
     }
 
-    /// Wire cost of one chunk frame of this stream in bytes — its
-    /// charge in the deficit-round-robin share of the link window.
-    #[must_use]
-    pub fn frame_cost(&self) -> u32 {
-        if self.n_chunks() > 1 {
-            self.chunk_size
-        } else {
-            (self.payload_len as u32).max(MIN_CHUNK_SIZE)
-        }
-    }
-
     /// Advances the progress by a cumulative ack (`rewind == false`:
     /// `acked` only moves forward, the send cursor never drops behind
     /// it) or a negotiated resume point (`rewind == true`: both rewind
@@ -390,14 +378,14 @@ pub enum SenderFsm {
     },
     /// The single-shot `Transfer` frame is on the wire, unconfirmed.
     AwaitingReceipt,
-    /// A `ResumeRequest` is outstanding: the scheduler must not grant
-    /// this stream chunks until the destination names the resume point.
+    /// A `ResumeRequest` is outstanding: the stream gets no chunks until
+    /// the destination names the resume point.
     AwaitingResume {
         /// The interrupted stream's progress.
         stream: StreamProgress,
     },
-    /// The announced stream is live: the deficit-round-robin scheduler
-    /// grants it chunks from the shared link window.
+    /// The announced stream is live: it gets chunks from the free slots
+    /// of the shared link window.
     Streaming {
         /// The live stream's progress.
         stream: StreamProgress,
@@ -731,7 +719,7 @@ impl SenderFsm {
         }
     }
 
-    /// The stream, when the scheduler may grant it chunks right now.
+    /// The stream, when it may be granted chunks right now.
     #[must_use]
     pub fn sendable_stream(&self) -> Option<&StreamProgress> {
         match self {
@@ -801,6 +789,29 @@ impl OutgoingMigration {
     pub(crate) fn n_chunks(&self) -> u32 {
         self.fsm.stream().map_or(0, StreamProgress::n_chunks)
     }
+}
+
+/// Shares `budget` free slots of a link's window among its sendable
+/// streams, given as `(stream, chunks in flight, chunks unsent)`. Each
+/// slot goes to the stream with the fewest chunks in flight that still
+/// has a chunk to send, ties to the lowest MRENCLAVE: streams interleave,
+/// and no slot stays idle while any stream could use it. Returns one
+/// stream per granted slot, in emission order.
+fn share_window(budget: u32, mut streams: Vec<(MrEnclave, u32, u32)>) -> Vec<MrEnclave> {
+    let mut grants = Vec::new();
+    for _ in 0..budget {
+        let Some((mr, in_flight, unsent)) = streams
+            .iter_mut()
+            .filter(|(_, _, unsent)| *unsent > 0)
+            .min_by_key(|(mr, in_flight, _)| (*in_flight, mr.0))
+        else {
+            break;
+        };
+        *in_flight += 1;
+        *unsent -= 1;
+        grants.push(*mr);
+    }
+    grants
 }
 
 /// The send side of an announced stream: the chunk cache, the delta
@@ -1299,40 +1310,27 @@ impl MigrationEnclave {
             .count() as u32
     }
 
-    /// Grants send slots across the ready streams towards `destination`
-    /// — deficit round-robin over the shared link window — and moves
-    /// each granted stream's send cursor past its grants. Returns the
-    /// granted `(stream, chunk index)` pairs in emission order.
+    /// Grants the free slots of the link's window towards `destination`
+    /// ([`share_window`]) and moves each granted stream's send cursor
+    /// past its grants. Returns the granted `(stream, chunk index)`
+    /// pairs in emission order.
     fn grant_chunks(&mut self, destination: MachineId) -> Result<Vec<(MrEnclave, u32)>, MigError> {
-        let transfer_cfg = self.config()?.transfer;
-        let in_flight = self.in_flight_chunks(destination);
-
-        // Demands of every stream that could put a chunk on the wire
-        // right now, deterministic order.
-        let mut demands: Vec<(MrEnclave, StreamDemand)> = self
+        let budget = self
+            .config()?
+            .transfer
+            .window
+            .saturating_sub(self.in_flight_chunks(destination));
+        let ready: Vec<(MrEnclave, u32, u32)> = self
             .outgoing
             .iter()
             .filter(|(_, mig)| mig.destination == destination)
             .filter_map(|(mr, mig)| mig.fsm.sendable_stream().map(|s| (*mr, s)))
-            .filter(|(_, s)| s.next_to_send < s.n_chunks())
             .map(|(mr, s)| {
-                (
-                    mr,
-                    StreamDemand {
-                        pending_chunks: s.n_chunks() - s.next_to_send,
-                        chunk_cost: u64::from(s.frame_cost()),
-                    },
-                )
+                let in_flight = s.next_to_send.saturating_sub(s.acked);
+                (mr, in_flight, s.n_chunks().saturating_sub(s.next_to_send))
             })
             .collect();
-        demands.sort_by_key(|(mr, _)| mr.0);
-
-        let shaper = self
-            .shapers
-            .entry(destination)
-            .or_insert_with(|| LinkShaper::new(&transfer_cfg));
-        let budget = shaper.adaptive().window().saturating_sub(in_flight);
-        let grants = shaper.allocate(budget, &demands);
+        let grants = share_window(budget, ready);
         let mut chunks = Vec::with_capacity(grants.len());
         for mr in grants {
             // Rebuilds the transient chunk cache after a restore.
@@ -1486,8 +1484,8 @@ impl MigrationEnclave {
     /// streams that predate a crash/reconnect send a
     /// [`MeToMe::ResumeRequest`] renegotiating their per-nonce resume
     /// point, fresh large states announce a `ChunkStart`/`DeltaStart`
-    /// and get their first chunks from the deficit-round-robin share of
-    /// the link window, and small states (empty ones included) ride the
+    /// and get their first chunks from the link window's free slots
+    /// ([`share_window`]), and small states (empty ones included) ride the
     /// paper's single-shot [`MeToMe::Transfer`]. Migrations beyond the
     /// stream cap stay queued and drain as streams complete.
     pub(super) fn send_unsent(
@@ -1567,14 +1565,8 @@ impl MigrationEnclave {
         let chunks = if announces.is_empty() {
             Vec::new()
         } else {
-            let chunk_size = self
-                .shapers
-                .entry(destination)
-                .or_insert_with(|| LinkShaper::new(&transfer_cfg))
-                .adaptive()
-                .chunk_size();
             for mr in announces {
-                leads.push(self.announce_stream(env, mr, chunk_size)?);
+                leads.push(self.announce_stream(env, mr, transfer_cfg.chunk_size)?);
             }
             self.grant_chunks(destination)?
         };
@@ -1691,9 +1683,6 @@ impl MigrationEnclave {
         // renegotiates each stream's resume point per nonce.
         self.channels_out.remove(&destination);
         self.ra_out_pending.remove(&destination);
-        if let Some(shaper) = self.shapers.get_mut(&destination) {
-            shaper.reset_scheduler();
-        }
         for mig in self
             .outgoing
             .values_mut()
@@ -2113,7 +2102,7 @@ impl MigrationEnclave {
     /// (`resume: false`) or a negotiated resume point (`resume: true`;
     /// `upto == 0` restarts the stream, fresh `ChunkStart` included),
     /// then refills the freed shared-window budget **across every
-    /// stream** towards the destination (deficit round-robin), returning
+    /// stream** towards the destination ([`share_window`]), returning
     /// the owning MRENCLAVE and the frames to send.
     fn advance_stream(
         &mut self,
@@ -2135,22 +2124,6 @@ impl MigrationEnclave {
             return Err(MigError::Protocol("ack from wrong destination"));
         }
         self.ensure_out_stream(mr)?;
-        // Feed the adaptive controller: a cumulative ack is the healthy
-        // signal that grows the window; a resume renegotiation is the
-        // disruption that shrinks chunk size for *future* streams (the
-        // current stream keeps its announced geometry).
-        let transfer_cfg = self.config()?.transfer;
-        {
-            let shaper = self
-                .shapers
-                .entry(destination)
-                .or_insert_with(|| LinkShaper::new(&transfer_cfg));
-            if resume {
-                shaper.adaptive_mut().on_disruption();
-            } else {
-                shaper.adaptive_mut().on_clean_ack();
-            }
-        }
         let fsm = &mut self
             .outgoing
             .get_mut(&mr)
@@ -2404,16 +2377,6 @@ impl MigrationEnclave {
         let destination = MachineId(r.u64()?);
         r.finish()?;
         let mut w = WireWriter::new();
-        match self.shapers.get(&destination) {
-            Some(shaper) => {
-                w.u8(1);
-                w.u32(shaper.adaptive().chunk_size());
-                w.u32(shaper.adaptive().window());
-            }
-            None => {
-                w.u8(0);
-            }
-        }
         // Per-stream state of the multiplexed link (diagnostics): every
         // announced stream towards the destination with its per-nonce
         // progress. The nonce itself stays inside the enclave — it keys
@@ -2548,6 +2511,42 @@ mod tests {
         // A resume point at the end completes the stream.
         fsm.on_resume_point(4).unwrap();
         assert_eq!(fsm.name(), "Complete");
+    }
+
+    #[test]
+    fn window_slots_go_to_the_stream_with_the_fewest_in_flight() {
+        let (a, b) = (MrEnclave([1; 32]), MrEnclave([2; 32]));
+        let split = |grants: &[MrEnclave]| {
+            let of = |mr| grants.iter().filter(|g| **g == mr).count();
+            (of(a), of(b))
+        };
+        // Equal streams split the window evenly and interleave.
+        let grants = share_window(8, vec![(a, 0, 100), (b, 0, 100)]);
+        assert_eq!(split(&grants), (4, 4));
+        assert_eq!(grants[..4], [a, b, a, b]);
+        // A 4-chunk stream drains in the first window beside a 256-chunk
+        // one.
+        assert_eq!(
+            split(&share_window(8, vec![(a, 0, 256), (b, 0, 4)])),
+            (4, 4)
+        );
+        // A stream with little to send leaves its slots to the other.
+        assert_eq!(
+            split(&share_window(10, vec![(a, 0, 2), (b, 0, 100)])),
+            (2, 8)
+        );
+        // Slots refill the stream with fewer chunks in flight first; a
+        // tie goes to the lowest MRENCLAVE.
+        assert_eq!(
+            share_window(4, vec![(b, 0, 100), (a, 3, 100)]),
+            [b, b, b, a]
+        );
+        // A zero budget or no demand grants nothing, and a budget beyond
+        // the demand stops at the demand.
+        assert!(share_window(0, vec![(a, 0, 1)]).is_empty());
+        assert!(share_window(8, vec![(a, 2, 0), (b, 0, 0)]).is_empty());
+        assert!(share_window(8, Vec::new()).is_empty());
+        assert_eq!(share_window(u32::MAX, vec![(a, 0, 3)]), [a, a, a]);
     }
 
     #[test]

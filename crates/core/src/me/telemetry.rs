@@ -3,10 +3,10 @@
 //! that exports them to the untrusted host.
 //!
 //! Everything exported here is deliberately *public* information: raw
-//! counts, link geometry, scheduler deficits, and per-migration **trace
-//! ids** — one-way hashes of the transfer nonce computed inside the
-//! enclave ([`crate::transfer::chunker::trace_id`]). The nonce itself
-//! keys the chunk HMAC chain and never crosses the ECALL boundary.
+//! counts, the cache size, and per-migration **trace ids** — one-way
+//! hashes of the transfer nonce computed inside the enclave
+//! ([`crate::transfer::chunker::trace_id`]). The nonce itself keys the
+//! chunk HMAC chain and never crosses the ECALL boundary.
 //!
 //! The counters are intentionally **ephemeral** (not part of the
 //! `PERSIST` checkpoint): a management-VM restart resets observability
@@ -15,8 +15,6 @@
 
 use crate::error::MigError;
 use crate::me::MigrationEnclave;
-use sgx_sim::machine::MachineId;
-use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 
@@ -70,19 +68,6 @@ impl MeTelemetry {
     }
 }
 
-/// One destination link's live wire-layer gauges.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinkTelemetry {
-    /// The link's destination machine.
-    pub destination: MachineId,
-    /// Adaptive controller: chunk size the next stream will use.
-    pub chunk_size: u32,
-    /// Adaptive controller: current send window (chunks in flight).
-    pub window: u32,
-    /// DRR scheduler deficits, sorted by measurement.
-    pub deficits: Vec<(MrEnclave, u64)>,
-}
-
 /// The decoded output of the `TELEMETRY` ECALL.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
@@ -90,8 +75,6 @@ pub struct TelemetryReport {
     pub counters: Vec<(String, u64)>,
     /// Generation-cache retained bytes (gauge).
     pub cache_bytes: u64,
-    /// Per-destination link gauges, sorted by machine id.
-    pub links: Vec<LinkTelemetry>,
     /// Quarantined inbound streams' trace ids, in quarantine order.
     pub quarantined: Vec<[u8; 8]>,
 }
@@ -114,25 +97,6 @@ impl TelemetryReport {
             counters.push((name, value));
         }
         let cache_bytes = r.u64()?;
-        let n_links = r.u32()? as usize;
-        let mut links = Vec::with_capacity(n_links.min(r.remaining() / 20));
-        for _ in 0..n_links {
-            let destination = MachineId(r.u64()?);
-            let chunk_size = r.u32()?;
-            let window = r.u32()?;
-            let n_deficits = r.u32()? as usize;
-            let mut deficits = Vec::with_capacity(n_deficits.min(r.remaining() / 40));
-            for _ in 0..n_deficits {
-                let mr = MrEnclave(r.array()?);
-                deficits.push((mr, r.u64()?));
-            }
-            links.push(LinkTelemetry {
-                destination,
-                chunk_size,
-                window,
-                deficits,
-            });
-        }
         let n_quarantined = r.u32()? as usize;
         let mut quarantined = Vec::with_capacity(n_quarantined.min(r.remaining() / 8));
         for _ in 0..n_quarantined {
@@ -142,15 +106,14 @@ impl TelemetryReport {
         Ok(TelemetryReport {
             counters,
             cache_bytes,
-            links,
             quarantined,
         })
     }
 }
 
 impl MigrationEnclave {
-    /// `TELEMETRY`: exports the enclave's counters, live wire-layer
-    /// gauges, and the quarantine ledger. Read-only and always
+    /// `TELEMETRY`: exports the enclave's counters, the cache gauge and
+    /// the quarantine ledger. Read-only and always
     /// available (works before provisioning — an unprovisioned ME
     /// reports zeros). Iteration orders are sorted so the export is
     /// byte-identical for identical state.
@@ -163,20 +126,6 @@ impl MigrationEnclave {
             w.u64(value);
         }
         w.u64(self.cache.total_bytes());
-        let mut links: Vec<_> = self.shapers.iter().collect();
-        links.sort_by_key(|(m, _)| m.0);
-        w.u32(links.len() as u32);
-        for (destination, shaper) in links {
-            w.u64(destination.0);
-            w.u32(shaper.adaptive().chunk_size());
-            w.u32(shaper.adaptive().window());
-            let deficits = shaper.deficits();
-            w.u32(deficits.len() as u32);
-            for (mr, deficit) in deficits {
-                w.array(&mr.0);
-                w.u64(deficit);
-            }
-        }
         w.u32(self.telemetry.quarantined.len() as u32);
         for trace in &self.telemetry.quarantined {
             w.array(trace);
@@ -196,7 +145,7 @@ mod tests {
         let report = TelemetryReport::from_bytes(&bytes).unwrap();
         assert_eq!(report.counters.len(), 10);
         assert!(report.counters.iter().all(|(_, v)| *v == 0));
-        assert!(report.links.is_empty() && report.quarantined.is_empty());
+        assert!(report.quarantined.is_empty());
         // Counter names arrive sorted (stable export order).
         let names: Vec<&str> = report.counters.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
@@ -211,20 +160,11 @@ mod tests {
             TelemetryReport::from_bytes(&u32::MAX.to_le_bytes()),
             Err(SgxError::Decode)
         ));
-        // Forged link, deficit and quarantine counts behind valid
-        // sections.
-        let empty = MigrationEnclave::new().op_telemetry().unwrap();
-        let tail = empty.len() - 8; // link count, quarantine count
-        for forged in [tail, tail + 4] {
-            let mut bytes = empty.clone();
-            bytes[forged..forged + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(TelemetryReport::from_bytes(&bytes).is_err());
-        }
-        let mut link = empty[..tail].to_vec();
-        link.extend_from_slice(&1u32.to_le_bytes());
-        link.extend_from_slice(&[0; 16]); // destination, chunk size, window
-        link.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TelemetryReport::from_bytes(&link).is_err());
+        // A forged quarantine count behind valid sections.
+        let mut bytes = MigrationEnclave::new().op_telemetry().unwrap();
+        let tail = bytes.len() - 4;
+        bytes[tail..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TelemetryReport::from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 use crate::datacenter::Datacenter;
 use crate::host::AppStatus;
-use crate::transfer::TransferConfig;
 use cloud_sim::clock::SimTime;
 use mig_trace::Edge;
 use sgx_sim::machine::MachineId;
@@ -38,15 +37,21 @@ use std::time::Duration;
 /// Cap on the backoff exponent: attempt *n* waits
 /// `backoff_base * 2^min(n-1, BACKOFF_EXP_CAP)` of virtual time.
 pub const BACKOFF_EXP_CAP: u32 = 10;
+/// Default virtual-time deadline for one supervised migration; past it
+/// the supervisor aborts with the source still authoritative.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+/// Default recovery-attempt budget per migration.
+pub const DEFAULT_RETRY_BUDGET: u32 = 6;
+/// Default base of the bounded exponential backoff (attempt *n* waits
+/// `backoff_base * 2^(n-1)` of virtual time).
+pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(5);
 
 /// World-pump batch between host-fault polls. Small enough that a
 /// scheduled crash lands within a bounded number of deliveries of its
 /// instant, large enough to keep poll overhead negligible.
 const STEP_BATCH: usize = 64;
 
-/// Supervision knobs, normally taken from the fleet's
-/// [`TransferConfig`] (see [`TransferConfig::deadline`],
-/// [`TransferConfig::retry_budget`], [`TransferConfig::backoff_base`]).
+/// Supervision knobs. They live on the host: no enclave reads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Virtual-time budget for one supervised migration; past it the
@@ -60,19 +65,13 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
 }
 
-impl From<&TransferConfig> for SupervisorConfig {
-    fn from(config: &TransferConfig) -> Self {
-        SupervisorConfig {
-            deadline: config.deadline,
-            retry_budget: config.retry_budget,
-            backoff_base: config.backoff_base,
-        }
-    }
-}
-
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig::from(&TransferConfig::default())
+        SupervisorConfig {
+            deadline: DEFAULT_DEADLINE,
+            retry_budget: DEFAULT_RETRY_BUDGET,
+            backoff_base: DEFAULT_BACKOFF_BASE,
+        }
     }
 }
 

@@ -41,18 +41,25 @@ use std::time::Duration;
 const VALUE_LEN: u32 = 2048;
 
 /// Transfer geometry of the soak fleet: small chunks so even modest
-/// state exercises the streamed path, plus tight supervision knobs so
-/// fault-heavy seeds abort within a bounded virtual-time budget.
+/// state exercises the streamed path.
 #[must_use]
 pub fn soak_config() -> TransferConfig {
     TransferConfig {
         stream_threshold: 4096,
         chunk_size: 4096,
         window: 4,
+        ..TransferConfig::default()
+    }
+}
+
+/// Tight supervision knobs, so fault-heavy seeds abort within a bounded
+/// virtual-time budget.
+#[must_use]
+pub fn soak_supervisor() -> SupervisorConfig {
+    SupervisorConfig {
         deadline: Duration::from_secs(2),
         retry_budget: 4,
         backoff_base: Duration::from_millis(1),
-        ..TransferConfig::default()
     }
 }
 
@@ -174,7 +181,7 @@ pub fn run_seed(seed: u64) -> SeedReport {
             .set_fault_hook(engine.disk_hook(machine, clock.clone()));
     }
 
-    let supervisor = MigrationSupervisor::new(SupervisorConfig::from(&config));
+    let supervisor = MigrationSupervisor::new(soak_supervisor());
     let pair_refs: Vec<(&str, &str)> = pairs
         .iter()
         .map(|(s, d)| (s.as_str(), d.as_str()))

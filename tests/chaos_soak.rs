@@ -83,10 +83,15 @@ fn chaos_config() -> TransferConfig {
         stream_threshold: 4096,
         chunk_size: 4096,
         window: 4,
+        ..TransferConfig::default()
+    }
+}
+
+fn chaos_supervisor() -> SupervisorConfig {
+    SupervisorConfig {
         deadline: Duration::from_secs(2),
         retry_budget: 3,
         backoff_base: Duration::from_millis(1),
-        ..TransferConfig::default()
     }
 }
 
@@ -145,7 +150,7 @@ fn supervisor_abort_leaves_source_authoritative() {
             TapAction::Deliver
         }));
 
-    let supervisor = MigrationSupervisor::new(SupervisorConfig::from(&chaos_config()));
+    let supervisor = MigrationSupervisor::new(chaos_supervisor());
     let outcomes = supervisor.run(&mut dc, &[("src", "dst")], |_| Vec::new());
     let MigrationOutcome::Aborted { reason, retries } = outcomes[0] else {
         panic!("expected a supervised abort, got {:?}", outcomes[0]);
@@ -223,7 +228,7 @@ fn corrupted_control_frame_is_rejected_and_streams_recover() {
             TapAction::Deliver
         }));
 
-    let supervisor = MigrationSupervisor::new(SupervisorConfig::from(&chaos_config()));
+    let supervisor = MigrationSupervisor::new(chaos_supervisor());
     let outcomes = supervisor.run(&mut dc, &[("src-a", "dst-a"), ("src-b", "dst-b")], |_| {
         Vec::new()
     });

@@ -8,11 +8,11 @@ use cloud_sim::machine::MachineLabels;
 use cloud_sim::network::{Envelope, TapAction};
 use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
 use mig_core::datacenter::{Datacenter, ResumableOutcome};
-use mig_core::host::{AppStatus, CHECKPOINT_INTERVAL};
+use mig_core::host::{AppStatus, LinkStreamStat, CHECKPOINT_INTERVAL};
 use mig_core::library::state::MigrationData;
 use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
-use mig_core::transfer::{TransferConfig, MAX_WINDOW};
+use mig_core::transfer::TransferConfig;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -675,71 +675,77 @@ fn delta_base_survives_me_restart() {
     assert_eq!(u32::from_le_bytes(len[..4].try_into().unwrap()), 512);
 }
 
-/// The adaptive controller: clean acks grow the send window to its
-/// ceiling; a mid-stream disruption (resume renegotiation) halves the
-/// chunk size for future streams and resets the window.
+/// The link window's fair share, observed from the host: two
+/// migrations started together on a cold link are announced in one
+/// burst, and while both streams still have chunks to send neither
+/// holds more than half the window (rounded up) in flight.
 #[test]
-fn adaptive_link_reacts_to_acks_and_disruptions() {
+fn concurrent_streams_split_the_window_evenly() {
     let config = TransferConfig {
-        stream_threshold: 64 * 1024,
-        chunk_size: 256 * 1024,
-        window: 2,
+        stream_threshold: 4096,
+        chunk_size: 16 * 1024,
+        window: 5,
         ..TransferConfig::default()
     };
-    // The ceiling `AdaptiveLink::new` derives: the constant, or the
-    // provisioned window if that is larger.
-    let ceiling = MAX_WINDOW.max(config.window);
-
-    // Clean 16 MiB migration: one clean ack per 256 KiB chunk, more
-    // than the 30 that grow the window from 2 to the ceiling; the chunk
-    // size is untouched.
-    let (mut dc, m1, m2) = dc_with_config(1610, config);
-    deploy_loaded_src(&mut dc, m1);
-    dc.deploy_app("dst", m2, &image(), KvStore::new(), InitRequest::Migrate)
+    let half = config.window.div_ceil(2);
+    let (mut dc, m1, m2) = dc_with_config(1614, config);
+    for (src, dst, image) in [
+        ("src-a", "dst-a", image()),
+        ("src-b", "dst-b", small_image()),
+    ] {
+        dc.deploy_app(src, m1, &image, KvStore::new(), InitRequest::New)
+            .unwrap();
+        dc.call_app(src, kv_ops::INIT, &[]).unwrap();
+        dc.call_app(
+            src,
+            kv_ops::BULK_PUT,
+            &kvstore::encode_bulk_put(256, 4096, 0x33),
+        )
         .unwrap();
-    dc.migrate_app("src", "dst").unwrap();
-    let link = dc
-        .me_host(m1)
-        .lock()
-        .link_state(m2)
-        .unwrap()
-        .expect("link seen traffic");
-    assert_eq!(
-        link,
-        (256 * 1024, ceiling),
-        "window grew to the ceiling, chunks intact"
-    );
+        dc.deploy_app(dst, m2, &image, KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+    }
+    // Both requests reach the source ME before its RA handshake ends,
+    // so the channel's first burst announces both streams.
+    for src in ["src-a", "src-b"] {
+        let host = dc.app(src);
+        host.lock()
+            .migrate_to(dc.world_mut().network_mut(), m2)
+            .unwrap();
+    }
 
-    // Disrupted migration: drop frames mid-stream, resume, complete.
-    // The resume renegotiation halves the chunk size and resets the
-    // window before the remaining acks grow it again.
-    let (mut dc, m1, m2) = dc_with_config(1611, config);
-    let tap = install_stream_tap(&mut dc, m1, m2, 6);
-    deploy_loaded_src(&mut dc, m1);
-    dc.deploy_app("dst", m2, &image(), KvStore::new(), InitRequest::Migrate)
-        .unwrap();
-    tap.dropping.store(true, Ordering::SeqCst);
-    let outcome = dc.migrate_app_resumable("src", "dst").unwrap();
-    assert!(matches!(outcome, ResumableOutcome::Stalled { .. }));
-    tap.dropping.store(false, Ordering::SeqCst);
-    dc.resume_migration("src", "dst").unwrap();
-    assert_eq!(dc.app("dst").lock().status(), AppStatus::Ready);
-    let (chunk_size, _window) = dc
-        .me_host(m1)
-        .lock()
-        .link_state(m2)
-        .unwrap()
-        .expect("link seen traffic");
-    assert_eq!(
-        chunk_size,
-        128 * 1024,
-        "one disruption halves the chunk size for future streams"
+    let mut shared_polls = 0u32;
+    let mut peak = 0;
+    while dc.world_mut().step() {
+        let streams = dc.me_host(m1).lock().link_streams(m2).unwrap();
+        let sendable = |s: &LinkStreamStat| s.acked + s.in_flight < s.total_chunks;
+        if streams.len() == 2 && streams.iter().all(sendable) {
+            shared_polls += 1;
+            for s in &streams {
+                assert!(
+                    s.in_flight <= half,
+                    "a stream holds {} of the window's {} slots while the other \
+                     still has chunks to send",
+                    s.in_flight,
+                    config.window
+                );
+                peak = peak.max(s.in_flight);
+            }
+        }
+    }
+    assert!(
+        shared_polls > 20,
+        "both streams must share the link for many steps (got {shared_polls})"
     );
+    assert_eq!(peak, half, "the streams filled the window between them");
+    for dst in ["dst-a", "dst-b"] {
+        assert_eq!(dc.app(dst).lock().status(), AppStatus::Ready);
+    }
 }
 
 /// The fairness acceptance test: a 16 MiB and a 256 KiB migration are
 /// started together on one link. With per-nonce multiplexed streams and
-/// the deficit-round-robin share of the link window, the small one must
+/// the fair share of the link window, the small one must
 /// complete in well under 25 % of the large one's wall-clock — measured
 /// from the first stream frame on the wire to each destination's
 /// incoming-migration delivery, with chunk-count telemetry backing it.
@@ -988,7 +994,6 @@ fn evicted_delta_base_falls_back_to_full_stream() {
         window: 4,
         // Fits one ~2.2 MiB state, not two: storing B's base evicts A's.
         cache_budget: 3 * 1024 * 1024,
-        ..TransferConfig::default()
     };
     let big_cache = TransferConfig {
         cache_budget: 256 * 1024 * 1024,

@@ -248,7 +248,7 @@ fn concurrent_migrations_keep_ring_buffer_bounded_and_traces_separate() {
 }
 
 /// Regression (observability attribution leak): TELEMETRY exports,
-/// STREAM_STAT progress probes, and LINK_STAT window probes issued
+/// STREAM_STAT progress probes, and LINK_STAT per-stream probes issued
 /// **while the chunk stream is in flight** must not be attributed to
 /// the migration's trace. The world is pumped one message at a time
 /// with all three polls fired every few deliveries; the per-trace
@@ -284,7 +284,7 @@ fn mid_stream_observability_polls_never_inflate_per_trace_transitions() {
         if steps.is_multiple_of(5) {
             dc.fleet_telemetry().unwrap();
             dc.me_host(m1).lock().stream_progress(mr).unwrap();
-            dc.me_host(m1).lock().link_state(m2).unwrap();
+            dc.me_host(m1).lock().link_streams(m2).unwrap();
             polls += 1;
         }
     }
